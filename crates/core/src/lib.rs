@@ -39,6 +39,7 @@
 
 pub mod batch;
 pub mod channel;
+pub mod digest_bank;
 pub mod engine;
 pub mod error;
 pub mod fold;

@@ -21,9 +21,11 @@
 
 use rand::Rng;
 use sip_field::PrimeField;
+use sip_lde::WeightBank;
 use sip_streaming::{FrequencyVector, Update};
 
 use crate::channel::CostReport;
+use crate::digest_bank::BankedDigest;
 use crate::error::Rejection;
 use crate::fold::FoldVector;
 
@@ -152,6 +154,15 @@ impl<F: PrimeField> SubVectorVerifier<F> {
             answered: false,
             max_frontier: 0,
         }
+    }
+}
+
+impl<F: PrimeField> BankedDigest<F> for SubVectorVerifier<F> {
+    fn push_weights(&self, bank: &mut WeightBank<F>) {
+        self.hasher.push_weights(bank);
+    }
+    fn absorb(&mut self, partial: F, n_updates: u64) {
+        self.hasher.absorb(partial, n_updates);
     }
 }
 

@@ -25,6 +25,7 @@
 
 use rand::Rng;
 use sip_field::PrimeField;
+use sip_lde::WeightBank;
 use sip_streaming::Update;
 
 /// Which per-level combine the tree uses.
@@ -145,6 +146,32 @@ impl<F: PrimeField> StreamingRootHasher<F> {
         }
         self.root += F::acc_finish(acc);
         self.updates += batch.len() as u64;
+    }
+
+    /// Appends this hasher's leaf weights to a packed bank as one point:
+    /// level `j` carries the row `(w_0(r_j), w_1(r_j))` of
+    /// [`HashKind::weights`], so the bank's product weight is
+    /// [`Self::leaf_weight`] — equation (8) has the same product shape as
+    /// an LDE basis function.
+    ///
+    /// # Panics
+    /// Panics if the bank is not over the binary universe `[2^depth]`.
+    pub fn push_weights(&self, bank: &mut WeightBank<F>) {
+        assert_eq!(
+            (bank.params().base(), bank.params().dimension()),
+            (2, self.depth()),
+            "the hash tree is binary of depth {}",
+            self.depth()
+        );
+        bank.push_point(|j, row| (row[0], row[1]) = self.kind.weights(self.keys[j]));
+    }
+
+    /// Adds `partial = Σ δ·leaf_weight(i)` over `n_updates` stream updates
+    /// whose weights a [`WeightBank`] evaluated; bit-identical to feeding
+    /// those updates through [`Self::update`].
+    pub fn absorb(&mut self, partial: F, n_updates: u64) {
+        self.root += partial;
+        self.updates += n_updates;
     }
 
     /// The current root hash `t`.

@@ -14,10 +14,11 @@
 
 use rand::Rng;
 use sip_field::PrimeField;
-use sip_lde::{LdeParams, StreamingLdeEvaluator};
+use sip_lde::{LdeParams, StreamingLdeEvaluator, WeightBank};
 use sip_streaming::{FrequencyVector, Update};
 
 use crate::channel::CostReport;
+use crate::digest_bank::BankedDigest;
 use crate::engine::{Combine, FoldSource, ProverPool};
 use crate::error::Rejection;
 use crate::fold::FoldVector;
@@ -86,6 +87,15 @@ impl<F: PrimeField> F2Verifier<F> {
             SumCheckVerifierCore::new(self.lde.point().to_vec(), 2),
             fa_r * fa_r,
         )
+    }
+}
+
+impl<F: PrimeField> BankedDigest<F> for F2Verifier<F> {
+    fn push_weights(&self, bank: &mut WeightBank<F>) {
+        bank.push_lde_point(self.lde.point());
+    }
+    fn absorb(&mut self, partial: F, n_updates: u64) {
+        self.lde.absorb(partial, n_updates);
     }
 }
 

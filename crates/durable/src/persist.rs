@@ -50,10 +50,11 @@ pub fn encode_params(params: LdeParams, w: &mut Writer) {
 pub const MAX_CHI_TABLE_WORDS: u64 = 1 << 22;
 
 /// Largest total derived-state rebuild (packed tables + points +
-/// accumulators, in field words) a decoded [`MultiLdeEvaluator`] may
-/// imply. Parallel repetition uses tens of points; 16M words (128 MB at
-/// Fp61) is far beyond any legitimate configuration while keeping a
-/// forged snapshot's memory amplification bounded.
+/// accumulators, in field words) a decoded [`MultiLdeEvaluator`] — or the
+/// packed tables a decoded kv [`Client`] — may imply. Parallel repetition
+/// uses tens of points and a kv budget a few hundred digests; 16M words
+/// (128 MB at Fp61) is far beyond any legitimate configuration while
+/// keeping a forged snapshot's memory amplification bounded.
 pub const MAX_MULTI_TABLE_WORDS: u64 = 1 << 24;
 
 /// Decodes and validates `(ℓ, d)` — overflowing or degenerate shapes, and
@@ -707,6 +708,18 @@ fn decode_kv_client<F: PrimeField>(r: &mut Reader<'_>) -> Result<Client<F>, Snap
     )?;
     let heavies = decode_digest_vec(r, decode_count_tree::<F>, |d| d.depth(), log_u, "heavy")?;
     let puts = r.u64()?;
+    // `Client::from_digests` rebuilds one packed weight table per
+    // reporting and aggregate digest — ~50× the digest's payload bytes at
+    // log_u = 18. Same cap, same reason as the multi-point decoder above.
+    let banked = (reporting.len() + range_sums.len() + range_counts.len() + f2s.len()) as u64;
+    let per_digest = sip_lde::packed_table_words(LdeParams::binary(log_u)) as u64;
+    let total = banked.saturating_mul(per_digest);
+    if total > MAX_MULTI_TABLE_WORDS {
+        return Err(invalid(format!(
+            "{banked} kv digests × {per_digest} derived words = {total} exceeds the \
+             {MAX_MULTI_TABLE_WORDS}-word rebuild cap"
+        )));
+    }
     Ok(Client::from_digests(
         log_u,
         reporting,
@@ -795,6 +808,22 @@ mod tests {
         workloads::with_deletions(300, u, 0.2, 7)
     }
 
+    /// Wraps a hand-built payload in a correctly-checksummed Fp61 envelope
+    /// (update count 0) — what a forger who can fix the checksum submits.
+    fn fp61_envelope(kind: SnapshotKind, payload: Vec<u8>) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&crate::SNAPSHOT_MAGIC);
+        bytes.extend_from_slice(&crate::SNAPSHOT_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&(kind as u16).to_le_bytes());
+        bytes.push(61);
+        bytes.extend_from_slice(&0u64.to_le_bytes());
+        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&payload);
+        let sum = crate::fnv1a64(&bytes);
+        bytes.extend_from_slice(&sum.to_le_bytes());
+        bytes
+    }
+
     #[test]
     fn streaming_lde_roundtrips_bit_identically() {
         for &(ell, d) in &[(2u64, 10u32), (3, 5), (16, 3)] {
@@ -859,17 +888,7 @@ mod tests {
         w.field(Fp61::from_u64(3)); // point (d = 1)
         w.field(Fp61::from_u64(0)); // acc
         w.u64(0); // updates
-        let payload = w.into_bytes();
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&crate::SNAPSHOT_MAGIC);
-        bytes.extend_from_slice(&crate::SNAPSHOT_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&(SnapshotKind::StreamingLde as u16).to_le_bytes());
-        bytes.push(61);
-        bytes.extend_from_slice(&0u64.to_le_bytes());
-        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-        let sum = crate::fnv1a64(&bytes);
-        bytes.extend_from_slice(&sum.to_le_bytes());
+        let bytes = fp61_envelope(SnapshotKind::StreamingLde, w.into_bytes());
         let err = snapshot_from_bytes::<StreamingLdeEvaluator<Fp61>>(&bytes).unwrap_err();
         assert!(
             matches!(&err, SnapshotError::Invalid(d) if d.contains("χ table")),
@@ -898,22 +917,49 @@ mod tests {
             w.field(Fp61::from_u64(0));
         }
         w.u64(0);
-        let payload = w.into_bytes();
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&crate::SNAPSHOT_MAGIC);
-        bytes.extend_from_slice(&crate::SNAPSHOT_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&(SnapshotKind::MultiLde as u16).to_le_bytes());
-        bytes.push(61);
-        bytes.extend_from_slice(&0u64.to_le_bytes());
-        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-        let sum = crate::fnv1a64(&bytes);
-        bytes.extend_from_slice(&sum.to_le_bytes());
+        let bytes = fp61_envelope(SnapshotKind::MultiLde, w.into_bytes());
         let err = snapshot_from_bytes::<MultiLdeEvaluator<Fp61>>(&bytes).unwrap_err();
         assert!(
             matches!(&err, SnapshotError::Invalid(d) if d.contains("rebuild cap")),
             "{err:?}"
         );
+    }
+
+    #[test]
+    fn forged_kv_digest_count_is_refused_before_table_rebuild() {
+        // A correctly-checksummed kv-client snapshot whose digests are all
+        // well-formed but whose count would rebuild more packed-table words
+        // than the cap: refused before `Client::from_digests` builds any.
+        // (log_u = 20 ⇒ 2·2^10-word tables per digest; ~8k reporting
+        // digests ⇒ > MAX_MULTI_TABLE_WORDS from a ~1.5 MB file.)
+        let log_u = 20u32;
+        let forged = |k: usize| {
+            let mut w = Writer::new();
+            w.u32(log_u).count(k);
+            for _ in 0..k {
+                w.u8(0).u32(log_u); // affine, depth
+                for j in 0..log_u as u64 {
+                    w.field(Fp61::from_u64(j + 1));
+                }
+                w.field(Fp61::from_u64(0)).u64(0); // root, updates
+            }
+            // No range-sum, range-count, F₂ or heavy digests; zero puts.
+            w.count(0).count(0).count(0).count(0).u64(0);
+            fp61_envelope(SnapshotKind::KvClient, w.into_bytes())
+        };
+        let per_digest = sip_lde::packed_table_words(LdeParams::binary(log_u)) as u64;
+        let over = (MAX_MULTI_TABLE_WORDS / per_digest + 1) as usize;
+        let err = snapshot_from_bytes::<Client<Fp61>>(&forged(over))
+            .err()
+            .expect("an over-cap digest count must be refused");
+        assert!(
+            matches!(&err, SnapshotError::Invalid(d) if d.contains("rebuild cap")),
+            "{err:?}"
+        );
+        // The same payload shape under the cap restores: it is the count
+        // that was refused.
+        let small = snapshot_from_bytes::<Client<Fp61>>(&forged(3)).unwrap();
+        assert_eq!(small.remaining_budget(), (3, 0, 0));
     }
 
     #[test]

@@ -15,8 +15,10 @@
 //!
 //! * evaluate *one* `χ_k(x)` — [`chi`], `O(ℓ)`;
 //! * evaluate *all* `χ_k(x)` at a common point `x` — [`chi_all`], `O(ℓ)`
-//!   total via prefix/suffix products and a single batched inversion. The
-//!   streaming LDE evaluator precomputes these tables once per stream.
+//!   total via prefix/suffix products and a single batched inversion;
+//!   [`ChiRows`] hoists the inversion (it depends on `ℓ` alone) out of the
+//!   per-coordinate work. The streaming LDE evaluators precompute these
+//!   tables once per stream.
 //!
 //! [`eval_from_grid_evals`] evaluates the unique degree `< m` interpolant of
 //! values on `{0, …, m−1}` at an arbitrary point — exactly what the verifier
@@ -49,45 +51,99 @@ pub fn chi<F: PrimeField>(k: u64, ell: u64, x: F) -> F {
         .expect("grid points are distinct, denominator nonzero")
 }
 
+/// The part of [`chi_all`] that depends on `ℓ` alone: the inverted
+/// denominators `1 / (k!·(ℓ−1−k)!·(−1)^{ℓ−1−k})`.
+///
+/// A digest evaluates the basis at `d` coordinates per point and a client
+/// provisions a hundred points, all over the same `ℓ`; building this once
+/// turns each further row into `~3ℓ` multiplications with no inversion and
+/// no allocation.
+#[derive(Clone, Debug)]
+pub struct ChiRows<F> {
+    ell: usize,
+    /// Empty for `ℓ ≤ 2`, whose rows have the closed forms `(1)` and
+    /// `(1−x, x)`.
+    inv_denoms: Vec<F>,
+}
+
+impl<F: PrimeField> ChiRows<F> {
+    /// Prepares rows over `[ℓ]`: `O(ℓ)` multiplications and one inversion
+    /// (none for `ℓ ≤ 2`).
+    ///
+    /// # Panics
+    /// Panics if `ell == 0`.
+    pub fn new(ell: u64) -> Self {
+        assert!(ell > 0, "ell must be positive");
+        let l = ell as usize;
+        if l <= 2 {
+            return ChiRows {
+                ell: l,
+                inv_denoms: Vec::new(),
+            };
+        }
+        let mut factorial = vec![F::ONE; l];
+        for k in 1..l {
+            factorial[k] = factorial[k - 1] * F::from_u64(k as u64);
+        }
+        // Denominator for χ_k is k! · (ℓ−1−k)! · (−1)^{ℓ−1−k}.
+        let mut inv_denoms: Vec<F> = (0..l)
+            .map(|k| {
+                let d = factorial[k] * factorial[l - 1 - k];
+                if (l - 1 - k) % 2 == 1 {
+                    -d
+                } else {
+                    d
+                }
+            })
+            .collect();
+        batch_inverse(&mut inv_denoms);
+        ChiRows { ell: l, inv_denoms }
+    }
+
+    /// The grid size `ℓ`.
+    pub fn ell(&self) -> usize {
+        self.ell
+    }
+
+    /// Writes `χ_0(x), …, χ_{ℓ−1}(x)` into `row`.
+    ///
+    /// # Panics
+    /// Panics if `row.len() != ℓ`.
+    pub fn fill(&self, x: F, row: &mut [F]) {
+        let l = self.ell;
+        assert_eq!(row.len(), l, "a χ row has ℓ = {l} entries");
+        match l {
+            1 => row[0] = F::ONE,
+            2 => (row[0], row[1]) = chi_pair(x),
+            _ => {
+                // row[k] = Π_{j<k} (x−j), then a running Π_{j>k} (x−j) from
+                // the right.
+                row[0] = F::ONE;
+                for k in 1..l {
+                    row[k] = row[k - 1] * (x - F::from_u64((k - 1) as u64));
+                }
+                let mut suffix = F::ONE;
+                for k in (0..l).rev() {
+                    row[k] = row[k] * suffix * self.inv_denoms[k];
+                    suffix *= x - F::from_u64(k as u64);
+                }
+            }
+        }
+    }
+}
+
 /// Evaluates *all* `ℓ` basis polynomials over `[ℓ]` at `x`, in `O(ℓ)` time.
 ///
-/// Returns `vec![χ_0(x), …, χ_{ℓ−1}(x)]`. Uses prefix/suffix products of
-/// `(x − j)` and factorial denominators inverted in one batch.
+/// Returns `vec![χ_0(x), …, χ_{ℓ−1}(x)]`. Callers that evaluate many points
+/// over one `ℓ` build a [`ChiRows`] once instead.
 ///
 /// # Panics
 /// Panics if `ell == 0`.
 pub fn chi_all<F: PrimeField>(ell: u64, x: F) -> Vec<F> {
-    assert!(ell > 0, "ell must be positive");
-    let l = ell as usize;
-    if l == 1 {
-        return vec![F::ONE];
-    }
-    // prefix[k] = Π_{j<k} (x−j);  suffix[k] = Π_{j>k} (x−j)
-    let mut prefix = vec![F::ONE; l];
-    for k in 1..l {
-        prefix[k] = prefix[k - 1] * (x - F::from_u64((k - 1) as u64));
-    }
-    let mut suffix = vec![F::ONE; l];
-    for k in (0..l - 1).rev() {
-        suffix[k] = suffix[k + 1] * (x - F::from_u64((k + 1) as u64));
-    }
-    // Denominator for χ_k is k! · (ℓ−1−k)! · (−1)^{ℓ−1−k}.
-    let mut factorial = vec![F::ONE; l];
-    for k in 1..l {
-        factorial[k] = factorial[k - 1] * F::from_u64(k as u64);
-    }
-    let mut denoms: Vec<F> = (0..l)
-        .map(|k| {
-            let d = factorial[k] * factorial[l - 1 - k];
-            if (l - 1 - k) % 2 == 1 {
-                -d
-            } else {
-                d
-            }
-        })
-        .collect();
-    batch_inverse(&mut denoms);
-    (0..l).map(|k| prefix[k] * suffix[k] * denoms[k]).collect()
+    let rows = ChiRows::new(ell);
+    let mut row = vec![F::ZERO; rows.ell()];
+    rows.fill(x, &mut row);
+    row
 }
 
 /// Evaluates, at `x`, the unique polynomial of degree `< evals.len()` that
@@ -148,6 +204,25 @@ mod tests {
             let all = chi_all::<Fp61>(ell, x);
             for k in 0..ell {
                 assert_eq!(all[k as usize], chi(k, ell, x), "ell={ell} k={k}");
+            }
+        }
+    }
+
+    #[test]
+    fn chi_rows_match_chi_all_and_chi() {
+        let mut rng = StdRng::seed_from_u64(7);
+        for ell in [1u64, 2, 3, 10, 16] {
+            let rows = ChiRows::<Fp61>::new(ell);
+            assert_eq!(rows.ell(), ell as usize);
+            // One builder, many points: nothing carries over between rows.
+            let mut row = vec![Fp61::ZERO; ell as usize];
+            for _ in 0..4 {
+                let x = Fp61::random(&mut rng);
+                rows.fill(x, &mut row);
+                assert_eq!(row, chi_all(ell, x), "ell={ell}");
+                for k in 0..ell {
+                    assert_eq!(row[k as usize], chi(k, ell, x), "ell={ell} k={k}");
+                }
             }
         }
     }

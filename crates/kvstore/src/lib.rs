@@ -40,6 +40,7 @@ pub mod sharded;
 pub use sharded::{boxed_fleet, ShardedAnswer, ShardedClient};
 
 use rand::Rng;
+use sip_core::digest_bank::{tile_stage, DigestBank, TileStage, BATCH_TILE};
 use sip_core::error::Rejection;
 use sip_core::heavy_hitters::{CountTreeHasher, HhProver, HhStep, LevelDisclosure};
 use sip_core::subvector::{
@@ -416,38 +417,46 @@ pub struct Answer<T> {
 }
 
 /// The data owner: uploads data, keeps digests, issues verified queries.
+///
+/// Every put must reach every remaining digest. The reporting, range-sum,
+/// range-count and self-join digests all weigh a key by a product over its
+/// bits, so each family sits in a [`DigestBank`]: the digests stay the
+/// source of truth (what [`Self::digests`], checkpoints and
+/// [`Self::space_words`] see) and the packed tables derived from their keys
+/// let one decomposition of each key serve all of them. The heavy-keys
+/// count-tree hash is a *sum* of such products, one per level, and keeps
+/// its own per-digest loop.
 pub struct Client<F: PrimeField> {
     log_u: u32,
-    reporting: Vec<SubVectorVerifier<F>>,
-    range_sums: Vec<RangeSumVerifier<F>>,
-    range_counts: Vec<RangeSumVerifier<F>>,
-    f2s: Vec<F2Verifier<F>>,
+    reporting: DigestBank<F, SubVectorVerifier<F>>,
+    range_sums: DigestBank<F, RangeSumVerifier<F>>,
+    range_counts: DigestBank<F, RangeSumVerifier<F>>,
+    f2s: DigestBank<F, F2Verifier<F>>,
     heavies: Vec<CountTreeHasher<F>>,
+    /// Scratch: the tile of keys currently being swept.
+    stage: TileStage,
     puts: u64,
 }
 
 impl<F: PrimeField> Client<F> {
     /// Provisions digests for `budget` queries over keys `[2^log_u]`.
     pub fn new<R: Rng + ?Sized>(log_u: u32, budget: QueryBudget, rng: &mut R) -> Self {
-        Client {
-            log_u,
-            reporting: (0..budget.reporting)
-                .map(|_| SubVectorVerifier::new(log_u, rng))
-                .collect(),
-            range_sums: (0..budget.aggregate)
-                .map(|_| RangeSumVerifier::new(log_u, rng))
-                .collect(),
-            range_counts: (0..budget.aggregate)
-                .map(|_| RangeSumVerifier::new(log_u, rng))
-                .collect(),
-            f2s: (0..budget.aggregate)
-                .map(|_| F2Verifier::new(log_u, rng))
-                .collect(),
-            heavies: (0..budget.heavy)
-                .map(|_| CountTreeHasher::random(log_u, rng))
-                .collect(),
-            puts: 0,
-        }
+        let reporting = (0..budget.reporting)
+            .map(|_| SubVectorVerifier::new(log_u, rng))
+            .collect();
+        let range_sums = (0..budget.aggregate)
+            .map(|_| RangeSumVerifier::new(log_u, rng))
+            .collect();
+        let range_counts = (0..budget.aggregate)
+            .map(|_| RangeSumVerifier::new(log_u, rng))
+            .collect();
+        let f2s = (0..budget.aggregate)
+            .map(|_| F2Verifier::new(log_u, rng))
+            .collect();
+        let heavies = (0..budget.heavy)
+            .map(|_| CountTreeHasher::random(log_u, rng))
+            .collect();
+        Self::from_digests(log_u, reporting, range_sums, range_counts, f2s, heavies, 0)
     }
 
     /// Uploads `(key, value)` to the server while updating every digest.
@@ -458,8 +467,8 @@ impl<F: PrimeField> Client<F> {
     /// # Panics
     /// Panics if the key is out of range.
     pub fn put(&mut self, key: u64, value: u64, server: &mut dyn KvServer<F>) {
-        self.observe(key, value);
-        server.ingest(Update::new(key, value as i64 + 1));
+        let encoded = self.observe_batch_impl(&[(key, value)]);
+        server.ingest(encoded[0]);
     }
 
     /// Updates every digest for `(key, value)` **without** uploading it.
@@ -475,24 +484,7 @@ impl<F: PrimeField> Client<F> {
     /// # Panics
     /// Panics if the key is out of range.
     pub fn observe(&mut self, key: u64, value: u64) {
-        assert!(key < (1u64 << self.log_u), "key out of range");
-        let up = Update::new(key, value as i64 + 1);
-        for d in &mut self.reporting {
-            d.update(up);
-        }
-        for d in &mut self.range_sums {
-            d.update(up);
-        }
-        for d in &mut self.range_counts {
-            d.update(Update::new(key, 1));
-        }
-        for d in &mut self.f2s {
-            d.update(Update::new(key, value as i64));
-        }
-        for d in &mut self.heavies {
-            d.update(up);
-        }
-        self.puts += 1;
+        self.observe_batch_impl(&[(key, value)]);
     }
 
     /// Uploads a whole batch of `(key, value)` pairs, updating every digest
@@ -500,7 +492,8 @@ impl<F: PrimeField> Client<F> {
     /// repeated [`Self::put`]).
     ///
     /// # Panics
-    /// Panics if any key is out of range.
+    /// Panics if any key is out of range — before any digest or the server
+    /// has seen any of the batch.
     pub fn put_batch(&mut self, pairs: &[(u64, u64)], server: &mut dyn KvServer<F>) {
         let encoded = self.observe_batch_impl(pairs);
         server.ingest_batch(&encoded);
@@ -510,20 +503,20 @@ impl<F: PrimeField> Client<F> {
     /// **without** uploading them (the attach-side half of
     /// [`Self::observe`], batched).
     ///
-    /// The three derived update streams (`value+1`, presence, raw value)
-    /// are materialised **once** and then fed to every digest copy through
-    /// the delayed-reduction batch path — the per-copy transform and the
-    /// per-update reductions both stop scaling with the budget size.
-    ///
     /// # Panics
-    /// Panics if any key is out of range.
+    /// Panics if any key is out of range — before any digest has seen any
+    /// of the batch.
     pub fn observe_batch(&mut self, pairs: &[(u64, u64)]) {
         self.observe_batch_impl(pairs);
     }
 
-    /// The shared digest pass behind [`Self::observe_batch`] and
-    /// [`Self::put_batch`]; returns the encoded `value+1` update batch so
-    /// `put_batch` can upload it without materialising it twice.
+    /// The one digest pass behind every put and observe; returns the
+    /// encoded `value+1` update batch for the callers that upload it.
+    ///
+    /// The three derived streams — `value+1` (reporting, range-sum), `1`
+    /// (range-count) and `value` (self-join) — share their keys, so each
+    /// tile of keys is decomposed once and the streams differ only in the
+    /// delta column handed to each family's sweep.
     fn observe_batch_impl(&mut self, pairs: &[(u64, u64)]) -> Vec<Update> {
         let u = 1u64 << self.log_u;
         for &(key, _) in pairs {
@@ -533,23 +526,25 @@ impl<F: PrimeField> Client<F> {
             .iter()
             .map(|&(k, v)| Update::new(k, v as i64 + 1))
             .collect();
-        let presence: Vec<Update> = pairs.iter().map(|&(k, _)| Update::new(k, 1)).collect();
-        let raw: Vec<Update> = pairs
-            .iter()
-            .map(|&(k, v)| Update::new(k, v as i64))
-            .collect();
-        for d in &mut self.reporting {
-            d.update_batch(&encoded);
+        let tile_len = pairs.len().min(BATCH_TILE);
+        let mut plus_one = Vec::with_capacity(tile_len);
+        let mut raw = Vec::with_capacity(tile_len);
+        let ones = vec![F::ONE; tile_len];
+        for (tile, enc) in pairs.chunks(BATCH_TILE).zip(encoded.chunks(BATCH_TILE)) {
+            self.stage.stage(tile.iter().map(|&(k, _)| k));
+            plus_one.clear();
+            plus_one.extend(enc.iter().map(|up| F::from_i64(up.delta)));
+            raw.clear();
+            raw.extend(tile.iter().map(|&(_, v)| F::from_i64(v as i64)));
+            self.reporting.sweep(&self.stage, &plus_one);
+            self.range_sums.sweep(&self.stage, &plus_one);
+            self.range_counts.sweep(&self.stage, &ones[..tile.len()]);
+            self.f2s.sweep(&self.stage, &raw);
         }
-        for d in &mut self.range_sums {
-            d.update_batch(&encoded);
-        }
-        for d in &mut self.range_counts {
-            d.update_batch(&presence);
-        }
-        for d in &mut self.f2s {
-            d.update_batch(&raw);
-        }
+        self.reporting.flush();
+        self.range_sums.flush();
+        self.range_counts.flush();
+        self.f2s.flush();
         for d in &mut self.heavies {
             d.update_batch(&encoded);
         }
@@ -581,10 +576,10 @@ impl<F: PrimeField> Client<F> {
         &[CountTreeHasher<F>],
     ) {
         (
-            &self.reporting,
-            &self.range_sums,
-            &self.range_counts,
-            &self.f2s,
+            self.reporting.digests(),
+            self.range_sums.digests(),
+            self.range_counts.digests(),
+            self.f2s.digests(),
             &self.heavies,
         )
     }
@@ -592,6 +587,11 @@ impl<F: PrimeField> Client<F> {
     /// Rebuilds a client from checkpointed digests (checkpoint resume).
     /// The remaining budget is simply the lengths of the restored digest
     /// vectors — consumed copies are consumed forever, across restarts.
+    /// The packed tables are derived from the digests' keys here, never
+    /// restored.
+    ///
+    /// # Panics
+    /// Panics if a reporting or aggregate digest is not over `[2^log_u]`.
     pub fn from_digests(
         log_u: u32,
         reporting: Vec<SubVectorVerifier<F>>,
@@ -603,11 +603,12 @@ impl<F: PrimeField> Client<F> {
     ) -> Self {
         Client {
             log_u,
-            reporting,
-            range_sums,
-            range_counts,
-            f2s,
+            reporting: DigestBank::new(log_u, reporting),
+            range_sums: DigestBank::new(log_u, range_sums),
+            range_counts: DigestBank::new(log_u, range_counts),
+            f2s: DigestBank::new(log_u, f2s),
             heavies,
+            stage: tile_stage(log_u),
             puts,
         }
     }
@@ -621,12 +622,28 @@ impl<F: PrimeField> Client<F> {
         )
     }
 
-    /// Client memory in words across all remaining digests.
+    /// Client memory in words across all remaining digests: the protocol
+    /// state the paper's `v` counts — `log u` keys and one running value
+    /// per digest (twice that for a heavy-keys digest).
     pub fn space_words(&self) -> usize {
         let d = self.log_u as usize + 1;
         self.reporting.len() * d
             + (self.range_sums.len() + self.range_counts.len() + self.f2s.len()) * d
             + self.heavies.len() * (2 * d)
+    }
+
+    /// [`Self::space_words`] plus the lookup tables derived from the keys:
+    /// each family's packed bank and each aggregate digest's own `2·log u`
+    /// χ table. The tables buy ingest speed, can be rebuilt from the keys at
+    /// any time, and are never checkpointed.
+    pub fn space_words_with_tables(&self) -> usize {
+        let aggregates = self.range_sums.len() + self.range_counts.len() + self.f2s.len();
+        self.space_words()
+            + self.reporting.table_words()
+            + self.range_sums.table_words()
+            + self.range_counts.table_words()
+            + self.f2s.table_words()
+            + aggregates * 2 * self.log_u as usize
     }
 
     fn take_reporting(&mut self) -> SubVectorVerifier<F> {
@@ -1225,9 +1242,9 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(7);
             let mut client = C::new(8, QueryBudget::default(), &mut rng);
             let mut server = MaliciousStore::new(CloudStore::new(8), attack);
-            for (k, v) in [(3u64, 10u64), (17, 5), (40, 999), (200, 55)] {
-                client.put(k, v, &mut server);
-            }
+            // Loaded through the packed banks: soundness rides the same
+            // ingest path the benchmark does.
+            client.put_batch(&[(3, 10), (17, 5), (40, 999), (200, 55)], &mut server);
             let caught = match attack {
                 Attack::CorruptValues | Attack::DropFirstEntry => {
                     client.range(0, 255, &server).is_err()
@@ -1238,6 +1255,67 @@ mod tests {
             };
             assert!(caught, "{attack:?} went undetected");
         }
+    }
+
+    #[test]
+    fn out_of_universe_key_panics_before_any_digest_or_the_server_moves() {
+        // Release builds included: the pre-pass is an `assert!`. The bad
+        // key sits after a full tile of good ones, so a check made tile by
+        // tile would already have swept 256 puts into every bank.
+        let mut rng = StdRng::seed_from_u64(31);
+        let mut client = C::new(10, QueryBudget::default(), &mut rng);
+        let mut server = CloudStore::new(10);
+        let mut batch: Vec<(u64, u64)> = (0..300).map(|k| (k, k + 1)).collect();
+        batch.push((1 << 10, 7));
+        let before = client.digests().0[0].hasher().root();
+        for upload in [true, false] {
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                if upload {
+                    client.put_batch(&batch, &mut server);
+                } else {
+                    client.observe_batch(&batch);
+                }
+            }));
+            let message = *outcome.unwrap_err().downcast::<&str>().unwrap();
+            assert_eq!(message, "key out of range");
+            let (reporting, range_sums, range_counts, f2s, heavies) = client.digests();
+            assert!(reporting.iter().all(|d| d.hasher().updates() == 0));
+            assert!(range_sums
+                .iter()
+                .chain(range_counts)
+                .all(|d| d.evaluator().updates() == 0));
+            assert!(f2s.iter().all(|d| d.evaluator().updates() == 0));
+            assert!(heavies.iter().all(|d| d.total() == 0));
+            assert_eq!(reporting[0].hasher().root(), before);
+            assert_eq!(client.puts(), 0);
+            assert_eq!(server.encoded_vector().support_size(), 0);
+        }
+        // The client is still usable: nothing was left half-swept.
+        client.put_batch(&batch[..300], &mut server);
+        assert_eq!(client.get(5, &server).unwrap().value, Some(6));
+    }
+
+    #[test]
+    fn tables_are_derived_state_beside_the_protocol_words() {
+        let mut rng = StdRng::seed_from_u64(32);
+        let budget = QueryBudget {
+            reporting: 72,
+            aggregate: 12,
+            heavy: 0,
+        };
+        let mut client = C::new(18, budget, &mut rng);
+        // What the paper's `v` counts: (log u + 1) words per digest.
+        assert_eq!(client.space_words(), 108 * 19);
+        // 2^9 + 2^9 packed words per banked digest, 2·18 χ words per
+        // aggregate digest.
+        let tables = 108 * 1024 + 36 * 36;
+        assert_eq!(client.space_words_with_tables(), 108 * 19 + tables);
+        // A consumed digest gives its tables back.
+        let mut server = CloudStore::new(18);
+        client.put(1, 2, &mut server);
+        client.get(1, &server).unwrap();
+        assert_eq!(client.space_words(), 107 * 19);
+        assert_eq!(client.space_words_with_tables(), 107 * 19 + tables - 1024);
     }
 
     #[test]
@@ -1266,9 +1344,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(23);
         let mut client = C::new(8, QueryBudget::default(), &mut rng);
         let mut server = MaliciousStore::new(CloudStore::new(8), Attack::SkewAggregates);
-        for (k, v) in [(3u64, 10u64), (17, 5), (40, 999)] {
-            client.put(k, v, &mut server);
-        }
+        client.put_batch(&[(3, 10), (17, 5), (40, 999)], &mut server);
         // The lie happens *before* the transcript is sealed, so the digest
         // is consistent and the deferred algebra names the actual failure —
         // the same typed error the interactive path produces (round 2 is

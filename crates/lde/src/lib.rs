@@ -23,9 +23,12 @@
 //!   by every evaluation point (shift/mask for power-of-two `ℓ`,
 //!   reciprocal multiplication for general `ℓ`);
 //! * [`StreamingLdeEvaluator`] — the Theorem 1 evaluator;
+//! * [`bank`] — the one packed, tiled, delayed-reduction product-weight
+//!   kernel ([`WeightBank`] + [`TileStage`]), generic over the per-digit
+//!   row so the Section 4.1 hash tree shares it with the LDE;
 //! * [`MultiLdeEvaluator`] — several points at once (parallel repetition,
-//!   simultaneous queries — the "Multiple Queries" remark of Section 7),
-//!   stored point-major with one flat χ table per point and a batched
+//!   simultaneous queries — the "Multiple Queries" remark of Section 7):
+//!   points and accumulators over one [`WeightBank`], with a batched
 //!   [`MultiLdeEvaluator::update_batch`] ingest entry point;
 //! * [`interval`] — the `O(log² u)` evaluation of the LDE of a 0/1 interval
 //!   indicator via canonical-interval decomposition (Section 3.2,
@@ -35,15 +38,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod bank;
 pub mod interval;
 pub mod params;
 pub mod reference;
 
 use rand::Rng;
-use sip_field::lagrange::chi_all;
+use sip_field::lagrange::ChiRows;
 use sip_field::PrimeField;
 use sip_streaming::Update;
 
+pub use bank::{packed_table_words, TileStage, WeightBank, BATCH_TILE};
 pub use interval::range_indicator_lde;
 pub use params::{DigitPlan, LdeParams};
 
@@ -52,9 +57,10 @@ pub use params::{DigitPlan, LdeParams};
 /// row-major buffer (a single contiguous allocation the update loop walks
 /// with an offset counter instead of chasing `Vec<Vec<F>>` rows).
 fn flat_chi_table<F: PrimeField>(ell: u64, r: &[F]) -> Vec<F> {
-    let mut chi = Vec::with_capacity(r.len() * ell as usize);
-    for &rj in r {
-        chi.extend(chi_all(ell, rj));
+    let rows = ChiRows::new(ell);
+    let mut chi = vec![F::ZERO; r.len() * rows.ell()];
+    for (&rj, row) in r.iter().zip(chi.chunks_exact_mut(rows.ell())) {
+        rows.fill(rj, row);
     }
     chi
 }
@@ -193,6 +199,15 @@ impl<F: PrimeField> StreamingLdeEvaluator<F> {
         self.updates += batch.len() as u64;
     }
 
+    /// Adds `partial = Σ δ·χ_{v(i)}(r)` over `n_updates` stream updates
+    /// whose weights were evaluated elsewhere — by a [`WeightBank`] holding
+    /// this point beside many others. The result is bit-identical to
+    /// feeding those updates through [`Self::update`].
+    pub fn absorb(&mut self, partial: F, n_updates: u64) {
+        self.acc += partial;
+        self.updates += n_updates;
+    }
+
     /// Number of stream updates absorbed so far (checkpoint metadata;
     /// [`Self::remove`] is a query-time correction, not a stream update,
     /// and does not count).
@@ -229,160 +244,6 @@ impl<F: PrimeField> StreamingLdeEvaluator<F> {
     }
 }
 
-/// How many updates one batch tile holds: digits and deltas for a tile are
-/// staged once, then every point's accumulator walks the staged tile — the
-/// digit decomposition is paid once per update instead of once per
-/// (update × point).
-const BATCH_TILE: usize = 256;
-
-/// Largest packed group table, in entries. Groups of `c` digits are fused
-/// into one super-digit with a precomputed `ℓ^c`-entry product table, so a
-/// weight evaluation costs `⌈d/c⌉` lookups/multiplications instead of `d`.
-/// 1024 entries (8 KiB per group at 64-bit residues) keeps a realistic
-/// point count resident in L2 while cutting the binary-base multiplication
-/// count 10×.
-const MAX_GROUP_TABLE: usize = 1024;
-
-/// The packed multi-point layout: digit positions fused into groups, one
-/// product table per (point, group).
-///
-/// Exactness: a packed weight is `Π_g table_g[s_g]` where each table entry
-/// is itself the product of that group's per-digit χ values — the same
-/// multiset of factors as the unpacked `Π_j χ_{digit_j}(r_j)`, reassociated.
-/// Field multiplication is exact and associative, so packed and unpacked
-/// weights are the **same field element**, and every digest value stays
-/// bit-identical to the per-update path.
-#[derive(Clone, Debug)]
-struct PackedLayout {
-    /// Digits fused per full group (the last group takes the remainder).
-    digits_per_group: u32,
-    /// Number of groups (`⌈d/c⌉`).
-    groups: usize,
-    /// Table offset of each group within one point's table block.
-    offsets: Vec<usize>,
-    /// Total table entries per point.
-    stride: usize,
-    /// Super-digit extraction for full groups.
-    kind: PackedKind,
-}
-
-#[derive(Clone, Debug)]
-enum PackedKind {
-    /// `ℓ^c` is a power of two: super-digits are bit fields.
-    Pow2 { shift: u32, mask: u64 },
-    /// General `ℓ`: quotients by `ℓ^c` via a `⌊2⁶⁴/ℓ^c⌋` reciprocal with a
-    /// single branchless fix-up (same bound as [`DigitPlan`]).
-    General { divisor: u64, recip: u64 },
-}
-
-impl PackedLayout {
-    fn new(params: LdeParams) -> Self {
-        let ell = params.base();
-        let d = params.dimension();
-        // Largest c with ℓ^c ≤ MAX_GROUP_TABLE (at least 1).
-        let mut c = 1u32;
-        let mut divisor = ell;
-        while c < d && (divisor as u128 * ell as u128) <= MAX_GROUP_TABLE as u128 {
-            divisor *= ell;
-            c += 1;
-        }
-        let groups = d.div_ceil(c) as usize;
-        let mut offsets = Vec::with_capacity(groups);
-        let mut stride = 0usize;
-        for g in 0..groups {
-            offsets.push(stride);
-            let digits = if g + 1 < groups {
-                c
-            } else {
-                d - c * (g as u32)
-            };
-            stride += (ell as usize).pow(digits);
-        }
-        let kind = if divisor.is_power_of_two() {
-            PackedKind::Pow2 {
-                shift: divisor.trailing_zeros(),
-                mask: divisor - 1,
-            }
-        } else {
-            PackedKind::General {
-                divisor,
-                recip: DigitPlan::reciprocal(divisor),
-            }
-        };
-        PackedLayout {
-            digits_per_group: c,
-            groups,
-            offsets,
-            stride,
-            kind,
-        }
-    }
-
-    /// Writes the super-digits of `i` into `out`, as ready-to-use table
-    /// offsets (group table offset already added).
-    #[inline]
-    fn super_digits_into(&self, i: u64, out: &mut [usize]) {
-        debug_assert_eq!(out.len(), self.groups);
-        let mut rem = i;
-        let last = self.groups - 1;
-        match self.kind {
-            PackedKind::Pow2 { shift, mask } => {
-                for (g, slot) in out[..last].iter_mut().enumerate() {
-                    *slot = self.offsets[g] + (rem & mask) as usize;
-                    rem >>= shift;
-                }
-            }
-            PackedKind::General { divisor, recip } => {
-                for (g, slot) in out[..last].iter_mut().enumerate() {
-                    let (q, r) = params::recip_divmod(divisor, recip, rem);
-                    *slot = self.offsets[g] + r as usize;
-                    rem = q;
-                }
-            }
-        }
-        out[last] = self.offsets[last] + rem as usize;
-    }
-
-    /// Builds one point's packed tables: for each group, the outer product
-    /// of its digits' χ rows (entry `s = Σ_t v_t·ℓ^t` holds
-    /// `Π_t χ_{v_t}(r_{j0+t})`).
-    fn tables_for_point<F: PrimeField>(&self, ell: u64, r: &[F]) -> Vec<F> {
-        let l = ell as usize;
-        let mut out = Vec::with_capacity(self.stride);
-        let mut j0 = 0usize;
-        for g in 0..self.groups {
-            let digits = if g + 1 < self.groups {
-                self.digits_per_group as usize
-            } else {
-                r.len() - j0
-            };
-            let mut table = vec![F::ONE];
-            for t in 0..digits {
-                let row = chi_all(ell, r[j0 + t]);
-                let mut next = vec![F::ZERO; table.len() * l];
-                for (v, &cv) in row.iter().enumerate() {
-                    for (m, &tm) in table.iter().enumerate() {
-                        next[v * table.len() + m] = tm * cv;
-                    }
-                }
-                table = next;
-            }
-            out.extend(table);
-            j0 += digits;
-        }
-        debug_assert_eq!(out.len(), self.stride);
-        out
-    }
-}
-
-/// The packed-table words **one** [`MultiLdeEvaluator`] point costs for
-/// `params` — the derived state a restore must rebuild. Exposed so
-/// snapshot decoders (`sip-durable`) can bound reconstruction cost before
-/// allocating anything a forged point count would size.
-pub fn packed_table_words(params: LdeParams) -> usize {
-    PackedLayout::new(params).stride
-}
-
 /// Below this many updates a multi-threaded batch is all spawn overhead;
 /// [`MultiLdeEvaluator::update_batch_threads`] degrades to the serial
 /// batch path (values are identical either way).
@@ -393,25 +254,20 @@ const MIN_PARALLEL_BATCH: usize = 4096;
 /// Used for parallel repetition (driving soundness error down) and for the
 /// "run multiple queries as independent copies" remark in Section 7.
 ///
-/// Storage is **point-major**: all `k` points' packed group tables live in
-/// one buffer, and the batched ingest path ([`Self::update_batch`]) stages
-/// a tile of decomposed super-digits once, then streams every point's
-/// tables over it with a delayed-reduction accumulator
-/// ([`PrimeField::DotAcc`]). Digit positions are fused `c` at a time into
-/// `ℓ^c`-entry product tables (packed layout), so per-update cost is
-/// one division-free super-digit decomposition (shared) plus `⌈d/c⌉`
-/// lookups/multiplications per point — decomposition and reduction costs
-/// stop scaling with `k`, and the multiplication count drops ~`c`-fold.
-/// Values remain bit-identical to the naive per-point evaluation (exact
-/// field arithmetic, reassociated).
+/// The evaluator owns the protocol state — the points, one accumulator per
+/// point and the update counter — over one [`WeightBank`] holding the
+/// points' packed χ tables. Every ingest path ([`Self::update`],
+/// [`Self::update_batch`], [`Self::update_batch_threads`]) stages tiles of
+/// decomposed super-digits once and sweeps the bank over them, so per-update
+/// cost is one division-free decomposition (shared) plus `⌈d/c⌉` lookups per
+/// point, with one modular reduction per accumulator flush. Values remain
+/// bit-identical to the naive per-point evaluation (exact field arithmetic,
+/// reassociated).
 #[derive(Clone, Debug)]
 pub struct MultiLdeEvaluator<F: PrimeField> {
-    params: LdeParams,
-    packed: PackedLayout,
+    bank: WeightBank<F>,
     /// Point `p`'s coordinates at `[p·d, (p+1)·d)`.
     points: Vec<F>,
-    /// Point `p`'s packed group tables at `[p·stride, (p+1)·stride)`.
-    tables: Vec<F>,
     accs: Vec<F>,
     /// Stream updates absorbed so far (checkpoint metadata).
     updates: u64,
@@ -424,21 +280,16 @@ impl<F: PrimeField> MultiLdeEvaluator<F> {
     /// Panics if any point does not have `d` coordinates.
     pub fn new(params: LdeParams, points: Vec<Vec<F>>) -> Self {
         let d = params.dimension() as usize;
-        let packed = PackedLayout::new(params);
+        let mut bank = WeightBank::with_capacity(params, points.len());
         let mut flat_points = Vec::with_capacity(points.len() * d);
-        let mut tables = Vec::with_capacity(points.len() * packed.stride);
-        let accs = vec![F::ZERO; points.len()];
         for r in &points {
-            assert_eq!(r.len(), d, "evaluation point must have d = {d} coordinates");
-            tables.extend(packed.tables_for_point(params.base(), r));
+            bank.push_lde_point(r);
             flat_points.extend_from_slice(r);
         }
         MultiLdeEvaluator {
-            params,
-            packed,
+            bank,
             points: flat_points,
-            tables,
-            accs,
+            accs: vec![F::ZERO; points.len()],
             updates: 0,
         }
     }
@@ -471,7 +322,7 @@ impl<F: PrimeField> MultiLdeEvaluator<F> {
 
     /// The parameterisation.
     pub fn params(&self) -> LdeParams {
-        self.params
+        self.bank.params()
     }
 
     /// Number of evaluation points.
@@ -481,29 +332,14 @@ impl<F: PrimeField> MultiLdeEvaluator<F> {
 
     /// The coordinates of point `p`.
     pub fn point(&self, p: usize) -> &[F] {
-        let d = self.params.dimension() as usize;
+        let d = self.params().dimension() as usize;
         &self.points[p * d..(p + 1) * d]
     }
 
-    /// Applies one update to every point (the per-update baseline path;
-    /// super-digits are still decomposed once and shared).
+    /// Applies one update to every point: a one-element
+    /// [`Self::update_batch`].
     pub fn update(&mut self, up: Update) {
-        debug_assert!(up.index < self.params.universe());
-        let stride = self.packed.stride;
-        let groups = self.packed.groups;
-        let mut digit_buf = [0usize; 64];
-        let digits = &mut digit_buf[..groups];
-        self.packed.super_digits_into(up.index, digits);
-        let delta = F::from_i64(up.delta);
-        for (p, acc) in self.accs.iter_mut().enumerate() {
-            let table = &self.tables[p * stride..(p + 1) * stride];
-            let mut w = F::ONE;
-            for &s in digits.iter() {
-                w *= table[s];
-            }
-            *acc += delta * w;
-        }
-        self.updates += 1;
+        self.update_batch(std::slice::from_ref(&up));
     }
 
     /// Number of stream updates absorbed so far (checkpoint metadata).
@@ -512,46 +348,29 @@ impl<F: PrimeField> MultiLdeEvaluator<F> {
     }
 
     /// Computes, for one contiguous chunk of a batch, the finished
-    /// per-point partial sums `Σ δ·χ_{v(i)}(r_p)` — the shared kernel
-    /// behind the serial and chunked-parallel batch paths.
+    /// per-point partial sums `Σ δ·χ_{v(i)}(r_p)` — what the serial and
+    /// chunked-parallel batch paths both add into the accumulators.
     fn batch_partial(&self, chunk: &[Update]) -> Vec<F> {
-        let stride = self.packed.stride;
-        let groups = self.packed.groups;
-        let k = self.accs.len();
-        let mut accs: Vec<F::DotAcc> = vec![F::DotAcc::default(); k];
-        let mut digits = vec![0usize; BATCH_TILE * groups];
-        let mut deltas = [F::ZERO; BATCH_TILE];
+        let mut accs = vec![F::DotAcc::default(); self.accs.len()];
+        let mut stage = TileStage::new(self.params());
+        let mut deltas = Vec::with_capacity(chunk.len().min(BATCH_TILE));
         for tile in chunk.chunks(BATCH_TILE) {
-            // Stage the tile: one super-digit decomposition and one signed
-            // embedding per update, shared by every point below.
-            for (t, up) in tile.iter().enumerate() {
-                debug_assert!(up.index < self.params.universe());
-                self.packed
-                    .super_digits_into(up.index, &mut digits[t * groups..(t + 1) * groups]);
-                deltas[t] = F::from_i64(up.delta);
-            }
-            // Point-major sweep: each point walks its own packed tables
-            // over the staged digits — `⌈d/c⌉` lookups/multiplications per
-            // update — reducing once per accumulator batch.
-            for (p, acc) in accs.iter_mut().enumerate() {
-                let table = &self.tables[p * stride..(p + 1) * stride];
-                for (t, &delta) in deltas[..tile.len()].iter().enumerate() {
-                    let mut w = F::ONE;
-                    for &s in &digits[t * groups..(t + 1) * groups] {
-                        w *= table[s];
-                    }
-                    F::acc_add_prod(acc, delta, w);
-                }
-            }
+            stage.stage(tile.iter().map(|up| up.index));
+            deltas.clear();
+            deltas.extend(tile.iter().map(|up| F::from_i64(up.delta)));
+            self.bank.sweep(&stage, &deltas, &mut accs);
         }
         accs.into_iter().map(F::acc_finish).collect()
     }
 
     /// Applies a whole batch to every point: digit decomposition is shared
-    /// across points, χ lookups are point-major over staged tiles, and
+    /// across points, table lookups are point-major over staged tiles, and
     /// modular reductions are delayed per accumulator. Values are
-    /// bit-identical to per-update [`Self::update`] (exact field
+    /// bit-identical to the naive per-point evaluation (exact field
     /// arithmetic, any grouping).
+    ///
+    /// # Panics
+    /// Panics if an update's index lies outside the universe.
     pub fn update_batch(&mut self, batch: &[Update]) {
         if batch.is_empty() {
             return;
@@ -613,10 +432,11 @@ impl<F: PrimeField> MultiLdeEvaluator<F> {
     }
 
     /// Space in words across all points, packed tables included:
-    /// `k·(stride + d + 1)` where `stride = Σ_g ℓ^{c_g}` is the packed
-    /// table footprint per point.
+    /// `k·(stride + d + 1)` where `stride` is
+    /// [`packed_table_words`]`(params)`, the packed table footprint per
+    /// point.
     pub fn space_words_with_tables(&self) -> usize {
-        self.points.len() + self.tables.len() + self.accs.len()
+        self.points.len() + self.bank.table_words() + self.accs.len()
     }
 }
 

@@ -4,7 +4,9 @@
 //! random streams — across power-of-two and general bases and several
 //! point counts — and `FrequencyVector::apply_batch` must be
 //! indistinguishable from repeated `apply`, including across the sparse →
-//! dense promotion boundary.
+//! dense promotion boundary. One level up, a kv `Client` fed through its
+//! packed digest banks must checkpoint to the same bytes as one whose
+//! digests were fed one `update` at a time.
 //!
 //! Agreement here is **bit-identical digest values**, which is what makes
 //! batching and scheduling invisible to every protocol above: the digests
@@ -12,10 +14,20 @@
 //! equal CostReports.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use sip::core::engine::ProverPool;
+use sip::core::heavy_hitters::CountTreeHasher;
+use sip::core::subvector::{HashKind, StreamingRootHasher, SubVectorVerifier};
+use sip::core::sumcheck::f2::F2Verifier;
+use sip::core::sumcheck::range_sum::RangeSumVerifier;
+use sip::durable::snapshot_to_bytes;
 use sip::field::{Fp61, PrimeField};
+use sip::kvstore::{Client, CloudStore, QueryBudget};
 use sip::lde::reference::naive_lde_eval;
-use sip::lde::{LdeParams, MultiLdeEvaluator, StreamingLdeEvaluator};
+use sip::lde::{
+    LdeParams, MultiLdeEvaluator, StreamingLdeEvaluator, TileStage, WeightBank, BATCH_TILE,
+};
 use sip::streaming::{FrequencyVector, Update};
 
 /// The `(ℓ, d)` shapes under test: the paper's binary sweet spot, two
@@ -229,5 +241,214 @@ fn promotion_boundary_cases() {
             fv.nonzero().collect::<Vec<_>>(),
             twin.nonzero().collect::<Vec<_>>()
         );
+    }
+}
+
+/// The kv client's digests as plain vectors, fed one `update` per digest
+/// per put — what `Client::observe` did before the digests shared a packed
+/// bank, and the definition the bank must reproduce bit for bit.
+struct PerDigestReference {
+    log_u: u32,
+    reporting: Vec<SubVectorVerifier<Fp61>>,
+    range_sums: Vec<RangeSumVerifier<Fp61>>,
+    range_counts: Vec<RangeSumVerifier<Fp61>>,
+    f2s: Vec<F2Verifier<Fp61>>,
+    heavies: Vec<CountTreeHasher<Fp61>>,
+    puts: u64,
+}
+
+impl PerDigestReference {
+    /// The same digests (same keys, same order) `client` holds.
+    fn twin_of(client: &Client<Fp61>) -> Self {
+        let (reporting, range_sums, range_counts, f2s, heavies) = client.digests();
+        PerDigestReference {
+            log_u: client.log_u(),
+            reporting: reporting.to_vec(),
+            range_sums: range_sums.to_vec(),
+            range_counts: range_counts.to_vec(),
+            f2s: f2s.to_vec(),
+            heavies: heavies.to_vec(),
+            puts: client.puts(),
+        }
+    }
+
+    fn put(&mut self, key: u64, value: u64) {
+        let up = Update::new(key, value as i64 + 1);
+        for d in &mut self.reporting {
+            d.update(up);
+        }
+        for d in &mut self.range_sums {
+            d.update(up);
+        }
+        for d in &mut self.range_counts {
+            d.update(Update::new(key, 1));
+        }
+        for d in &mut self.f2s {
+            d.update(Update::new(key, value as i64));
+        }
+        for d in &mut self.heavies {
+            d.update(up);
+        }
+        self.puts += 1;
+    }
+
+    fn snapshot(&self) -> Vec<u8> {
+        snapshot_to_bytes(&Client::from_digests(
+            self.log_u,
+            self.reporting.clone(),
+            self.range_sums.clone(),
+            self.range_counts.clone(),
+            self.f2s.clone(),
+            self.heavies.clone(),
+            self.puts,
+        ))
+    }
+}
+
+/// Bank-fed ≡ per-digest-fed, as checkpoint bytes: for universes of one
+/// packed group (`log_u` 1, 6), an exact group boundary (10) and a
+/// remainder group (11, 18); budgets with an empty family; batch lengths
+/// around `BATCH_TILE`; batches interleaved with single puts and with
+/// queries that consume a digest of every family.
+#[test]
+fn kv_client_bank_is_bit_identical_to_per_digest_updates() {
+    assert_eq!(BATCH_TILE, 256, "the batch lengths below straddle the tile");
+    let budgets = [
+        QueryBudget {
+            reporting: 5,
+            aggregate: 3,
+            heavy: 2,
+        },
+        QueryBudget {
+            reporting: 0,
+            aggregate: 2,
+            heavy: 0,
+        },
+        QueryBudget {
+            reporting: 3,
+            aggregate: 0,
+            heavy: 1,
+        },
+    ];
+    for log_u in [1u32, 6, 10, 11, 18] {
+        let u = 1u64 << log_u;
+        for (b, &budget) in budgets.iter().enumerate() {
+            let mut rng = StdRng::seed_from_u64(900 + 10 * log_u as u64 + b as u64);
+            let mut client = Client::<Fp61>::new(log_u, budget, &mut rng);
+            let mut reference = PerDigestReference::twin_of(&client);
+            let mut server = CloudStore::<Fp61>::new(log_u);
+            assert_eq!(snapshot_to_bytes(&client), reference.snapshot());
+            let mut next = 0u64;
+            let mut fresh = |n: usize| -> Vec<(u64, u64)> {
+                (0..n)
+                    .map(|_| {
+                        next += 1;
+                        let key = next.wrapping_mul(0x9e37_79b9_7f4a_7c15) % u;
+                        (key, next % 997)
+                    })
+                    .collect()
+            };
+            for (round, len) in [0usize, 1, 63, 255, 256, 257, 1000].into_iter().enumerate() {
+                let batch = fresh(len);
+                // Uploading and observing batches alternate; both go
+                // through the one digest pass.
+                if round % 2 == 0 {
+                    client.put_batch(&batch, &mut server);
+                } else {
+                    client.observe_batch(&batch);
+                    for &(k, v) in &batch {
+                        sip::kvstore::KvServer::ingest(&mut server, Update::new(k, v as i64 + 1));
+                    }
+                }
+                let (k, v) = fresh(1)[0];
+                client.put(k, v, &mut server);
+                let (k2, v2) = fresh(1)[0];
+                client.observe(k2, v2);
+                sip::kvstore::KvServer::ingest(&mut server, Update::new(k2, v2 as i64 + 1));
+                for &(k, v) in batch.iter().chain(&[(k, v), (k2, v2)]) {
+                    reference.put(k, v);
+                }
+                assert_eq!(
+                    snapshot_to_bytes(&client),
+                    reference.snapshot(),
+                    "log_u={log_u} budget={b} after a {len}-put batch"
+                );
+                // Consume one digest of each family that has any left; the
+                // honest store must verify against digests the bank built,
+                // and the bank must drop exactly the consumed points.
+                if round == 2 || round == 4 {
+                    if client.remaining_budget().0 > 0 {
+                        client.get(k, &server).expect("honest get");
+                        reference.reporting.pop();
+                    }
+                    // (Aggregates keep their last copy so the closing
+                    // rounds still sweep a non-empty aggregate bank.)
+                    if client.remaining_budget().1 > 1 {
+                        client.range_sum(0, u - 1, &server).expect("honest sum");
+                        reference.range_sums.pop();
+                        reference.range_counts.pop();
+                        client.self_join_size(&server).expect("honest F2");
+                        reference.f2s.pop();
+                    }
+                    if client.remaining_budget().2 > 0 {
+                        client.heavy_keys(500, &server).expect("honest heavy");
+                        reference.heavies.pop();
+                    }
+                    assert_eq!(
+                        snapshot_to_bytes(&client),
+                        reference.snapshot(),
+                        "log_u={log_u} budget={b} after queries"
+                    );
+                }
+            }
+            assert_eq!(client.puts(), reference.puts);
+        }
+    }
+}
+
+/// The paper's Section 4 remark at the bank level: with the
+/// `(1 − r_j, r_j)` combine the hash-tree root *is* the LDE, so a bank of
+/// `HashKind::Multilinear` hashers and a `MultiLdeEvaluator` at the same
+/// keys must agree on every stream — one kernel, two row shapes.
+#[test]
+fn multilinear_hash_bank_equals_multi_lde_evaluator() {
+    for log_u in [6u32, 11, 18] {
+        let params = LdeParams::binary(log_u);
+        let u = params.universe();
+        let mut rng = StdRng::seed_from_u64(77 + log_u as u64);
+        let hashers: Vec<StreamingRootHasher<Fp61>> = (0..5)
+            .map(|_| StreamingRootHasher::random(log_u, HashKind::Multilinear, &mut rng))
+            .collect();
+        let mut bank = WeightBank::<Fp61>::with_capacity(params, hashers.len());
+        for h in &hashers {
+            h.push_weights(&mut bank);
+        }
+        let mut multi = MultiLdeEvaluator::<Fp61>::new(
+            params,
+            hashers.iter().map(|h| h.keys().to_vec()).collect(),
+        );
+        let stream: Vec<Update> = (0..700u64)
+            .map(|i| {
+                Update::new(
+                    i.wrapping_mul(0x2545_f491_4f6c_dd1d) % u,
+                    (i % 19) as i64 - 9,
+                )
+            })
+            .collect();
+        multi.update_batch(&stream);
+        let mut accs = vec![<Fp61 as PrimeField>::DotAcc::default(); hashers.len()];
+        let mut stage = TileStage::new(params);
+        for tile in stream.chunks(BATCH_TILE) {
+            stage.stage(tile.iter().map(|up| up.index));
+            let deltas: Vec<Fp61> = tile.iter().map(|up| Fp61::from_i64(up.delta)).collect();
+            bank.sweep(&stage, &deltas, &mut accs);
+        }
+        for (p, (mut hasher, acc)) in hashers.into_iter().zip(accs).enumerate() {
+            let banked = Fp61::acc_finish(acc);
+            assert_eq!(banked, multi.value(p), "log_u={log_u} p={p}");
+            // …and both equal the hasher's own per-update loop.
+            hasher.update_all(&stream);
+            assert_eq!(hasher.root(), banked, "log_u={log_u} p={p}");
+        }
     }
 }
