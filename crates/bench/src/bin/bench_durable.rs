@@ -134,12 +134,12 @@ fn main() {
             let small_u = u.min(1 << 20);
             workloads::with_deletions((small_u / 2) as usize, small_u, 0.0, 3)
         });
-        let ds = Dataset::<Fp61> {
-            id: format!("bench-{log_u}"),
-            log_u: log_u.min(20),
-            shard: None,
-            data: DatasetData::Raw(fv),
-        };
+        let ds = Dataset::<Fp61>::new(
+            format!("bench-{log_u}"),
+            log_u.min(20),
+            None,
+            DatasetData::Raw(fv),
+        );
         let bytes = snapshot_to_bytes(&ds).len();
         let dir = std::env::temp_dir().join(format!("sip-bench-durable-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();

@@ -8,9 +8,9 @@
 //!
 //! * `ingest` — [`ProverPool::ingest_batch`] over a `MultiLdeEvaluator`
 //!   (the verifier's multi-point digest absorb), updates/second;
-//! * `fold` — a full `F2Prover` round-message schedule (every
-//!   `prover.message()` runs through [`ProverPool::fold_message`]),
-//!   messages/second;
+//! * `fold` — a full `F2Prover` round-message schedule (round 1 through
+//!   [`ProverPool::fold_message`], every later message out of the fused
+//!   [`ProverPool::bind_message`] pass), messages/second;
 //! * `ingest+trace` / `fold+trace` — the same two paths with span tracing
 //!   live as well (the `--trace` deployment), against the same fully-dark
 //!   baseline, so the gate also covers tracing-enabled hot paths;
@@ -26,8 +26,9 @@
 //! one-sided (disturbances only slow a window down), so best-vs-best
 //! cancels it. Overhead is `(off − on) / off`, clamped at zero (the
 //! sampled timers sit off the hot loop, so sub-noise differences
-//! routinely land slightly negative). When the gate would fail, the
-//! offending path is re-measured once with doubled trials first.
+//! routinely land slightly negative). A path over the `--check-overhead`
+//! budget is re-measured once with doubled trials, and the re-measured
+//! figure is what the JSON records and the exit code judges — one number.
 //!
 //! Usage: `cargo run --release -p sip-bench --bin bench_obs
 //! [--stream-exp N] [--trials T] [--out PATH] [--check-overhead PCT]`
@@ -235,15 +236,37 @@ fn main() {
         }
     };
 
-    println!("# instrumentation overhead (best-of-{trials} per mode)");
-    csv_header(&["path", "enabled_rate", "disabled_rate", "overhead_pct"]);
-    let points = [
+    let mut points = [
         measure_ingest("ingest", trials, stream_exp, false),
         measure_fold("fold", trials, log_u, false),
         measure_ingest("ingest+trace", trials, stream_exp, true),
         measure_fold("fold+trace", trials, log_u, true),
         measure_scrape(trials, stream_exp),
     ];
+    // One disturbed window can fake an overhead on a shared box: a path
+    // over the budget is measured once more with doubled trials, and that
+    // second figure is the one printed, recorded and gated on — the JSON
+    // never holds a number the gate did not judge.
+    if let Some(budget) = check {
+        for p in points.iter_mut().filter(|p| p.overhead_pct > budget) {
+            eprintln!(
+                "# {} overhead {:.2}% over budget — re-measuring with {} trials",
+                p.path,
+                p.overhead_pct,
+                trials * 2
+            );
+            *p = match p.path {
+                "ingest" => measure_ingest("ingest", trials * 2, stream_exp, false),
+                "ingest+trace" => measure_ingest("ingest+trace", trials * 2, stream_exp, true),
+                "ingest+scrape" => measure_scrape(trials * 2, stream_exp),
+                "fold" => measure_fold("fold", trials * 2, log_u, false),
+                _ => measure_fold("fold+trace", trials * 2, log_u, true),
+            };
+        }
+    }
+
+    println!("# instrumentation overhead (best-of-{trials} per mode)");
+    csv_header(&["path", "enabled_rate", "disabled_rate", "overhead_pct"]);
     for p in &points {
         println!(
             "{},{:.0},{:.0},{:.2}",
@@ -290,27 +313,10 @@ fn main() {
     eprintln!("# wrote {out_path}");
 
     if let Some(budget) = check {
-        let mut worst = points
-            .into_iter()
+        let worst = points
+            .iter()
             .max_by(|a, b| a.overhead_pct.total_cmp(&b.overhead_pct))
             .expect("at least one path measured");
-        if worst.overhead_pct > budget {
-            // One disturbed window can fake an overhead on a shared box;
-            // re-measure the offender with doubled trials before failing.
-            eprintln!(
-                "# {} overhead {:.2}% over budget — re-measuring with {} trials",
-                worst.path,
-                worst.overhead_pct,
-                trials * 2
-            );
-            worst = match worst.path {
-                "ingest" => measure_ingest("ingest", trials * 2, stream_exp, false),
-                "ingest+trace" => measure_ingest("ingest+trace", trials * 2, stream_exp, true),
-                "ingest+scrape" => measure_scrape(trials * 2, stream_exp),
-                "fold" => measure_fold("fold", trials * 2, log_u, false),
-                _ => measure_fold("fold+trace", trials * 2, log_u, true),
-            };
-        }
         if worst.overhead_pct > budget {
             eprintln!(
                 "# FAIL: {} overhead {:.2}% exceeds the {budget}% budget",

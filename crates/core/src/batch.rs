@@ -18,15 +18,15 @@
 use rand::Rng;
 use sip_field::lagrange::eval_from_grid_evals;
 use sip_field::PrimeField;
-use sip_lde::interval::block_range_weight;
 use sip_lde::{range_indicator_lde, LdeParams, MultiLdeEvaluator, StreamingLdeEvaluator};
 use sip_streaming::{FrequencyVector, Update};
 
 use crate::channel::CostReport;
+use crate::engine::{FusedRounds, ProverPool};
 use crate::error::Rejection;
-use crate::fold::FoldVector;
 use crate::sumcheck::f2::{F2Prover, F2Verifier};
 use crate::sumcheck::moments::VerifiedAggregate;
+use crate::sumcheck::range_sum::{IndicatorLevel, RangeSumCombine};
 use crate::sumcheck::{drive_sumcheck, RoundProver};
 
 /// A batch of verified range sums plus the shared cost accounting.
@@ -64,10 +64,17 @@ pub fn run_batch_range_sum<F: PrimeField, R: Rng + ?Sized>(
     let point = lde.point().to_vec();
     let fa_r = lde.value();
 
-    // --- Prover: one shared fold of `a`, lazy per-query indicator folds. -
+    // --- Prover: one shared fold of `a`, one indicator level per query. --
     let fv = FrequencyVector::from_stream(u, stream);
-    let mut a = FoldVector::<F>::from_frequency(&fv, log_u);
+    let mut a = FusedRounds::<F>::new(&fv, log_u, ProverPool::SERIAL);
     let mut challenges: Vec<F> = Vec::new();
+    let levels_after = |challenges: &[F]| -> Vec<IndicatorLevel<F>> {
+        ranges
+            .iter()
+            .map(|&(q_l, q_r)| IndicatorLevel::new(q_l, q_r, challenges))
+            .collect()
+    };
+    let mut levels = levels_after(&challenges);
 
     // --- Verifier session state per query. -------------------------------
     let mut outputs = vec![F::ZERO; ranges.len()];
@@ -80,18 +87,9 @@ pub fn run_batch_range_sum<F: PrimeField, R: Rng + ?Sized>(
 
     for (j, &r_j) in point.iter().enumerate().take(d) {
         report.rounds += 1;
-        // One message per query this round, all over the same fold of `a`.
-        for (qi, &(q_l, q_r)) in ranges.iter().enumerate() {
-            let mut e = [F::ZERO; 3];
-            a.for_each_pair(|m, alo, ahi| {
-                let blo = block_range_weight(q_l, q_r, &challenges, j, 2 * m);
-                let bhi = block_range_weight(q_l, q_r, &challenges, j, 2 * m + 1);
-                e[0] += alo * blo;
-                e[1] += ahi * bhi;
-                let a2 = ahi + (ahi - alo);
-                let b2 = bhi + (bhi - blo);
-                e[2] += a2 * b2;
-            });
+        // One message per query this round, all from the same sweep of `a`.
+        let msgs = a.message(&RangeSumCombine { ranges: &levels });
+        for (qi, e) in msgs.chunks_exact(3).enumerate() {
             report.p_to_v_words += 3;
             // Verifier-side round checks for query qi.
             let grid_sum = e[0] + e[1];
@@ -100,13 +98,14 @@ pub fn run_batch_range_sum<F: PrimeField, R: Rng + ?Sized>(
             } else if grid_sum != claims[qi] {
                 return Err(Rejection::RoundSumMismatch { round: j + 1 });
             }
-            claims[qi] = eval_from_grid_evals(&e, r_j);
+            claims[qi] = eval_from_grid_evals(e, r_j);
         }
         // One shared challenge for all queries.
         if j + 1 < d {
             report.v_to_p_words += 1;
-            a.bind(r_j);
             challenges.push(r_j);
+            levels = levels_after(&challenges);
+            a.bind(r_j, &RangeSumCombine { ranges: &levels });
         }
     }
 

@@ -9,33 +9,40 @@
 //!
 //! * [`Combine`] is the per-pair (or per-block) rule — squared interpolant
 //!   for F₂, `k`-th powers for moments, lockstep products for INNER
-//!   PRODUCT, lazy-indicator products for RANGE-SUM, χ-weighted blocks for
+//!   PRODUCT, indicator products for RANGE-SUM, χ-weighted blocks for
 //!   general `ℓ`;
-//! * [`FoldSource`] names what is walked — one fold table's pairs, the
-//!   union walk of two lockstep tables, or fixed-width dense blocks;
-//! * [`ProverPool::fold_message`] runs the walk, either serially
-//!   (`threads = 1`, the default — byte-identical to the historical
-//!   per-protocol loops) or split into contiguous chunks executed under
-//!   [`std::thread::scope`].
+//! * [`FoldSource`] names what a message-only walk covers — one fold
+//!   table's pairs, the union walk of two lockstep tables, or fixed-width
+//!   dense blocks;
+//! * [`ProverPool::fold_message`] runs that walk and
+//!   [`ProverPool::bind_message`] runs the **fused** pass — bind `r_j` and
+//!   produce round `j+1`'s message in one sweep — either serially
+//!   (`threads = 1`, the default) or split into contiguous chunks executed
+//!   under [`std::thread::scope`];
+//! * [`FusedRounds`] is the schedule every single-table prover follows:
+//!   round 1 is the only message-only walk, every later message falls out
+//!   of the bind before it.
 //!
 //! ## Why scheduling cannot change a transcript
 //!
 //! Accumulation is exact field arithmetic — associative and commutative
 //! with no rounding — and chunk boundaries ([`chunk_range`]) are
 //! deterministic, so the chunk partial sums recombine to exactly the serial
-//! total at **any** thread count. Parallelism changes wall-clock, never a
-//! round polynomial: soundness and cost accounting are untouched by
-//! construction, and `tests/engine_equivalence.rs` checks the transcripts
-//! pairwise anyway.
+//! total at **any** thread count, and a message summed over the entries a
+//! fold has just written equals the one a second pass would read back.
+//! Parallelism and fusion change wall-clock, never a round polynomial:
+//! soundness and cost accounting are untouched by construction, and
+//! `tests/engine_equivalence.rs` and `tests/fused_equivalence.rs` check the
+//! transcripts pairwise anyway.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use sip_field::PrimeField;
 use sip_lde::MultiLdeEvaluator;
-use sip_streaming::Update;
+use sip_streaming::{FrequencyVector, Update};
 
-use crate::fold::{chunk_range, FoldVector};
+use crate::fold::{chunk_range, FoldRule, FoldVector};
 
 /// Pre-resolved metric handles for the engine hot paths. Resolution walks a
 /// map under a mutex, so it happens once per process; afterwards every
@@ -98,6 +105,13 @@ pub trait Combine<F: PrimeField>: Sync {
     /// walks, the block width for [`FoldSource::Blocks`]); `b` holds the
     /// partner table's children on union walks and is empty otherwise.
     fn accumulate(&self, m: u64, a: &[F], b: &[F], acc: &mut [F::DotAcc]);
+
+    /// The half-open range of block indices, out of `blocks`, outside which
+    /// this rule contributes nothing whatever the children are; a
+    /// message-only walk does not visit the rest. Every block by default.
+    fn live(&self, blocks: u64) -> (u64, u64) {
+        (0, blocks)
+    }
 }
 
 /// What the kernel walks: the block structure behind one round message.
@@ -131,9 +145,8 @@ impl<F: PrimeField> FoldSource<'_, F> {
         }
     }
 
-    /// Walks chunk `chunk` of `chunks` in increasing block order.
-    fn walk_chunk(&self, chunk: usize, chunks: usize, mut f: impl FnMut(u64, &[F], &[F])) {
-        let (lo, hi) = chunk_range(self.blocks(), chunk, chunks);
+    /// Walks blocks `[lo, hi)` in increasing order.
+    fn walk(&self, lo: u64, hi: u64, mut f: impl FnMut(u64, &[F], &[F])) {
         match self {
             FoldSource::Pairs(v) => v.for_each_pair_in(lo, hi, |m, plo, phi| {
                 f(m, &[plo, phi], &[]);
@@ -225,11 +238,23 @@ impl ProverPool {
         }
     }
 
-    /// Produces one round message: walks `source` once, feeding every block
-    /// through `combine`, and returns the `combine.slots()` evaluation
-    /// sums.
+    /// Chunks a pass over `blocks` blocks is split into: the pool's threads
+    /// once the pass is large enough to pay for them, else one.
+    fn chunks_for(&self, blocks: u64) -> usize {
+        if blocks >= MIN_PARALLEL_BLOCKS {
+            self.threads.max(1).min(blocks as usize)
+        } else {
+            1
+        }
+    }
+
+    /// Produces one round message without folding: walks `source` once,
+    /// feeding every block in [`Combine::live`] through `combine`, and
+    /// returns the `combine.slots()` evaluation sums. This is round 1 of a
+    /// single-table prover and every round of the lockstep and block
+    /// provers.
     ///
-    /// With `threads > 1` and a large enough table, the block range is
+    /// With `threads > 1` and a large enough walk, the block range is
     /// split into contiguous chunks executed under [`std::thread::scope`];
     /// chunk partials recombine in chunk order. Exact field arithmetic
     /// makes the result identical to the serial walk at any thread count.
@@ -238,56 +263,140 @@ impl ProverPool {
         source: FoldSource<'_, F>,
         combine: &C,
     ) -> Vec<F> {
-        let slots = combine.slots();
-        let blocks = source.blocks();
-        let (timer, _tspan) = if sip_obs::enabled() {
-            let metrics = engine_metrics();
-            metrics.fold_messages.inc();
-            metrics.fold_blocks.add(blocks);
-            let mut tspan = sip_obs::trace::span("sip.core.engine", "fold_message");
-            tspan.field("blocks", blocks);
-            (
-                metrics
-                    .sampled()
-                    .then(|| (metrics, sip_obs::Timer::start())),
-                Some(tspan),
-            )
-        } else {
-            (None, None)
-        };
-        let finish = move |msg: Vec<F>| {
-            if let Some((metrics, timer)) = timer {
-                metrics.fold_message_us.observe(timer.elapsed_us());
-            }
-            msg
-        };
-        let chunks = if blocks >= MIN_PARALLEL_BLOCKS {
-            self.threads.max(1).min(blocks as usize)
-        } else {
-            1
-        };
-        if chunks <= 1 {
-            let mut acc = vec![F::DotAcc::default(); slots];
-            source.walk_chunk(0, 1, |m, a, b| combine.accumulate(m, a, b, &mut acc));
-            return finish(acc.into_iter().map(F::acc_finish).collect());
-        }
-        let mut partials: Vec<Vec<F::DotAcc>> = (0..chunks)
-            .map(|_| vec![F::DotAcc::default(); slots])
-            .collect();
-        std::thread::scope(|scope| {
-            for (c, acc) in partials.iter_mut().enumerate() {
-                scope.spawn(move || {
-                    source.walk_chunk(c, chunks, |m, a, b| combine.accumulate(m, a, b, acc));
+        let (lo, hi) = combine.live(source.blocks());
+        let blocks = hi - lo;
+        observed(blocks, || {
+            let mut partials = partials_for::<F>(combine.slots(), self.chunks_for(blocks));
+            let chunks = partials.len();
+            let walk = |c: usize, acc: &mut Vec<F::DotAcc>| {
+                let (c_lo, c_hi) = chunk_range(blocks, c, chunks);
+                source.walk(lo + c_lo, lo + c_hi, |m, a, b| {
+                    combine.accumulate(m, a, b, acc)
+                });
+            };
+            if let [acc] = partials.as_mut_slice() {
+                walk(0, acc);
+            } else {
+                let walk = &walk;
+                std::thread::scope(|scope| {
+                    for (c, acc) in partials.iter_mut().enumerate() {
+                        scope.spawn(move || walk(c, acc));
+                    }
                 });
             }
-        });
-        let mut out = vec![F::ZERO; slots];
-        for partial in partials {
-            for (slot, acc) in out.iter_mut().zip(partial) {
-                *slot += F::acc_finish(acc);
-            }
+            recombine::<F>(partials)
+        })
+    }
+
+    /// The fused pass: binds `table`'s lowest variable to `r` and returns
+    /// the **next** round's message, summed by `combine` over the entries
+    /// the fold has just written — one sweep instead of a fold followed by
+    /// a message walk (`FoldVector::fold_fused`). Chunking, and why it
+    /// cannot change the result, are as for [`Self::fold_message`].
+    pub fn bind_message<F: PrimeField, C: Combine<F> + ?Sized>(
+        &self,
+        table: &mut FoldVector<F>,
+        r: F,
+        combine: &C,
+    ) -> Vec<F> {
+        let swept = table.pairs();
+        observed(swept, || {
+            let mut partials = partials_for::<F>(combine.slots(), self.chunks_for(swept / 2));
+            table.fold_fused(FoldRule::Bind(r), combine, &mut partials);
+            recombine::<F>(partials)
+        })
+    }
+}
+
+fn partials_for<F: PrimeField>(slots: usize, chunks: usize) -> Vec<Vec<F::DotAcc>> {
+    vec![vec![F::DotAcc::default(); slots]; chunks]
+}
+
+/// Sums the chunk partials in chunk order.
+fn recombine<F: PrimeField>(partials: Vec<Vec<F::DotAcc>>) -> Vec<F> {
+    let mut chunks = partials.into_iter();
+    let first = chunks.next().expect("a pass has at least one chunk");
+    let mut out: Vec<F> = first.into_iter().map(F::acc_finish).collect();
+    for partial in chunks {
+        for (slot, acc) in out.iter_mut().zip(partial) {
+            *slot += F::acc_finish(acc);
         }
-        finish(out)
+    }
+    out
+}
+
+/// Runs one pass that produces a round message under the engine's
+/// instrumentation: one more in `sip_fold_messages_total`, `blocks` more
+/// (the pairs or blocks the pass sweeps) in `sip_fold_blocks_total`, one
+/// `sip.core.engine/fold_message` span, and a sampled
+/// `sip_fold_message_us` observation.
+fn observed<R>(blocks: u64, pass: impl FnOnce() -> R) -> R {
+    if !sip_obs::enabled() {
+        return pass();
+    }
+    let metrics = engine_metrics();
+    metrics.fold_messages.inc();
+    metrics.fold_blocks.add(blocks);
+    let mut tspan = sip_obs::trace::span("sip.core.engine", "fold_message");
+    tspan.field("blocks", blocks);
+    let timer = metrics.sampled().then(sip_obs::Timer::start);
+    let out = pass();
+    if let Some(timer) = timer {
+        metrics.fold_message_us.observe(timer.elapsed_us());
+    }
+    out
+}
+
+/// The round schedule of a prover over one fold table: round 1's message is
+/// a walk over the shared snapshot (or is handed in, when the dataset has
+/// it already), and binding `r_j` produces round `j+1`'s message in the
+/// same sweep that folds the table ([`ProverPool::bind_message`]). Each
+/// protocol supplies its [`Combine`]; none of them sweeps the table twice
+/// in a round.
+#[derive(Clone, Debug)]
+pub struct FusedRounds<F: PrimeField> {
+    table: FoldVector<F>,
+    pool: ProverPool,
+    /// The current round's message, once a bind (or the caller) produced it.
+    ready: Option<Vec<F>>,
+}
+
+impl<F: PrimeField> FusedRounds<F> {
+    /// Starts from `A_1 = a`: an `O(1)` snapshot of `fv`
+    /// ([`FoldVector::from_frequency`]).
+    pub fn new(fv: &FrequencyVector, log_u: u32, pool: ProverPool) -> Self {
+        FusedRounds {
+            table: FoldVector::from_frequency(fv, log_u),
+            pool,
+            ready: None,
+        }
+    }
+
+    /// Like [`Self::new`] with round 1's message already known — it depends
+    /// on the data alone for a query-independent [`Combine`], so a frozen
+    /// dataset computes it once for all its queries.
+    pub fn with_first_message(mut self, first: Vec<F>) -> Self {
+        self.ready = Some(first);
+        self
+    }
+
+    /// The fold table.
+    pub fn table(&self) -> &FoldVector<F> {
+        &self.table
+    }
+
+    /// The current round's message; `combine` is the current round's rule.
+    pub fn message<C: Combine<F> + ?Sized>(&mut self, combine: &C) -> Vec<F> {
+        let (table, pool) = (&self.table, self.pool);
+        self.ready
+            .get_or_insert_with(|| pool.fold_message(FoldSource::Pairs(table), combine))
+            .clone()
+    }
+
+    /// Binds the current variable to `r`; `next` is the **next** round's
+    /// rule.
+    pub fn bind<C: Combine<F> + ?Sized>(&mut self, r: F, next: &C) {
+        self.ready = Some(self.pool.bind_message(&mut self.table, r, next));
     }
 }
 
@@ -336,6 +445,40 @@ mod tests {
             for threads in [2usize, 3, 4, 8] {
                 let par = ProverPool::new(threads).fold_message(FoldSource::Pairs(&fold), &Square);
                 assert_eq!(par, serial, "n={n} bits={bits} threads={threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn fused_bind_matches_bind_then_message_at_every_thread_count() {
+        // Above and below the parallel threshold, from a dense and from a
+        // sparse snapshot, two levels deep (the second sweep reads the
+        // field-form table the first one wrote): the fused pass returns the
+        // message a second walk over the folded table would, and leaves the
+        // same table behind.
+        let sparse = {
+            let mut fv = FrequencyVector::new_sparse(1 << 16);
+            fv.apply_batch(&workloads::uniform(60, 1 << 16, 50, 7));
+            FoldVector::<Fp61>::from_frequency(&fv, 16)
+        };
+        for start in [fold_of(40_000, 15, 7), fold_of(100, 10, 7), sparse] {
+            let mut two_pass = start.clone();
+            let mut fused: Vec<_> = [1usize, 2, 3, 4, 8]
+                .into_iter()
+                .map(|threads| (ProverPool::new(threads), start.clone()))
+                .collect();
+            for r in [Fp61::from_u64(0xfeed_beef), Fp61::from_u64(77)] {
+                two_pass.bind(r);
+                let expect = ProverPool::SERIAL.fold_message(FoldSource::Pairs(&two_pass), &Square);
+                for (pool, table) in fused.iter_mut() {
+                    let got = pool.bind_message(table, r, &Square);
+                    assert_eq!(got, expect, "threads={}", pool.threads);
+                    let mut left = Vec::new();
+                    table.for_each_pair(|m, lo, hi| left.push((m, lo, hi)));
+                    let mut right = Vec::new();
+                    two_pass.for_each_pair(|m, lo, hi| right.push((m, lo, hi)));
+                    assert_eq!(left, right, "threads={}", pool.threads);
+                }
             }
         }
     }

@@ -12,13 +12,21 @@
 //! weights `(1, r_j)` computes the SUB-VECTOR hash tree of Section 4 level
 //! by level.
 //!
-//! [`FoldVector`] keeps the table *sparse* (sorted `(index, value)` runs)
-//! while the support is small and densifies once folding has made the table
-//! comparable to its support — this is what realises the paper's
-//! `O(min(u, n log(u/n)))` prover time.
+//! [`FoldVector`] starts as a shared snapshot of the frequency vector —
+//! `A_1 = a` is read in place, nothing is copied — and the field-form table
+//! first exists after one fold, at half size. From there it is kept
+//! *sparse* (sorted `(index, value)` runs) while the support is small and
+//! densifies once folding has made the table comparable to its support —
+//! this is what realises the paper's `O(min(u, n log(u/n)))` prover time.
+//!
+//! `FoldVector::fold_fused` is the one sweep a round costs: it folds the
+//! table and hands every pair of the table it has just written to the
+//! caller, so the next round's message needs no second pass.
 
 use sip_field::PrimeField;
-use sip_streaming::FrequencyVector;
+use sip_streaming::{Entries, FrequencyVector};
+
+use crate::engine::Combine;
 
 /// Size (in entries) below which a fold table is always stored densely.
 const ALWAYS_DENSE: u64 = 1 << 12;
@@ -36,33 +44,111 @@ pub fn chunk_range(blocks: u64, chunk: usize, chunks: usize) -> (u64, u64) {
     (lo, hi)
 }
 
-/// Advances a sorted sparse run to its next pair `(m, lo, hi)` with index
-/// below `end`, grouping an even entry with its odd sibling when present.
-fn sparse_next_pair<F: PrimeField>(
-    s: &[(u64, F)],
-    idx: &mut usize,
-    end: u64,
-) -> Option<(u64, F, F)> {
-    if *idx >= s.len() {
-        return None;
-    }
-    let (i, v) = s[*idx];
-    if i >= end {
-        return None;
-    }
-    let m = i >> 1;
-    if i & 1 == 0 {
-        if *idx + 1 < s.len() && s[*idx + 1].0 == i + 1 {
-            let hi = s[*idx + 1].1;
-            *idx += 2;
-            Some((m, v, hi))
-        } else {
-            *idx += 1;
-            Some((m, v, F::ZERO))
+/// How one fold step combines a pair's children — one multiplication
+/// either way.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum FoldRule<F> {
+    /// Sum-check binding at challenge `r`, weights `(1−r, r)`:
+    /// `lo + r·(hi − lo)`.
+    Bind(F),
+    /// Hash-tree level combine with key `r` (equation (7)), weights
+    /// `(1, r)`: `lo + r·hi`.
+    Affine(F),
+}
+
+impl<F: PrimeField> FoldRule<F> {
+    #[inline(always)]
+    fn apply(self, lo: F, hi: F) -> F {
+        match self {
+            FoldRule::Bind(r) => lo + r * (hi - lo),
+            FoldRule::Affine(r) => lo + r * hi,
         }
-    } else {
-        *idx += 1;
-        Some((m, F::ZERO, v))
+    }
+}
+
+/// Groups a sorted run of nonzero `(index, value)` entries into the pairs
+/// `(m, A[2m], A[2m+1])` they occupy, an absent sibling reading as zero.
+struct PairUp<F, I> {
+    entries: I,
+    /// An entry read while looking for a sibling that was not there.
+    ahead: Option<(u64, F)>,
+}
+
+fn pair_up<F, I: Iterator<Item = (u64, F)>>(entries: I) -> PairUp<F, I> {
+    PairUp {
+        entries,
+        ahead: None,
+    }
+}
+
+impl<F: PrimeField, I: Iterator<Item = (u64, F)>> Iterator for PairUp<F, I> {
+    type Item = (u64, F, F);
+
+    #[inline]
+    fn next(&mut self) -> Option<(u64, F, F)> {
+        let (i, v) = self.ahead.take().or_else(|| self.entries.next())?;
+        if i & 1 == 1 {
+            return Some((i >> 1, F::ZERO, v));
+        }
+        match self.entries.next() {
+            Some((j, hi)) if j == i + 1 => Some((i >> 1, v, hi)),
+            other => {
+                self.ahead = other;
+                Some((i >> 1, v, F::ZERO))
+            }
+        }
+    }
+}
+
+/// The pairs of a dense run with pair index in `[m_lo, m_hi)` and a nonzero
+/// child. Cells are `T` (`i64` frequencies of the shared snapshot, `F` of a
+/// folded table), compared against `zero` raw and converted only when kept;
+/// cells past the end of `cells` read as zero.
+fn dense_pairs<'a, T: Copy + PartialEq + 'a, F: PrimeField>(
+    cells: &'a [T],
+    m_lo: u64,
+    m_hi: u64,
+    zero: T,
+    to_field: impl Fn(T) -> F + 'a,
+) -> impl Iterator<Item = (u64, F, F)> + 'a {
+    let end = cells.len().min(2 * m_hi as usize);
+    let start = end.min(2 * m_lo as usize);
+    let whole = cells[start..end].chunks_exact(2);
+    // A run of odd length ends in a pair whose high cell is past the end.
+    let cut = whole.remainder().first().map(|&lo| (lo, zero));
+    whole
+        .map(|pair| (pair[0], pair[1]))
+        .chain(cut)
+        .zip(m_lo..)
+        .filter(move |&((lo, hi), _)| lo != zero || hi != zero)
+        .map(move |((lo, hi), m)| (m, to_field(lo), to_field(hi)))
+}
+
+/// The part of a sorted sparse run with index in `[lo, hi)`.
+fn sparse_run<F>(entries: &[(u64, F)], lo: u64, hi: u64) -> &[(u64, F)] {
+    let start = entries.partition_point(|&(i, _)| i < lo);
+    let end = entries.partition_point(|&(i, _)| i < hi);
+    &entries[start..end]
+}
+
+/// Merge join of two pair walks: every `m` either side has, the other
+/// side's children reading as zero where it has none.
+fn merge_pairs<F: PrimeField>(
+    a: impl Iterator<Item = (u64, F, F)>,
+    b: impl Iterator<Item = (u64, F, F)>,
+    mut f: impl FnMut(u64, F, F, F, F),
+) {
+    let (mut a, mut b) = (a.peekable(), b.peekable());
+    loop {
+        let m = match (a.peek(), b.peek()) {
+            (Some(x), Some(y)) => x.0.min(y.0),
+            (Some(x), None) | (None, Some(x)) => x.0,
+            (None, None) => return,
+        };
+        let zero = (m, F::ZERO, F::ZERO);
+        let (_, alo, ahi) = a.next_if(|p| p.0 == m).unwrap_or(zero);
+        let (_, blo, bhi) = b.next_if(|p| p.0 == m).unwrap_or(zero);
+        f(m, alo, ahi, blo, bhi);
     }
 }
 
@@ -79,36 +165,56 @@ pub struct FoldVector<F: PrimeField> {
 
 #[derive(Clone, Debug)]
 enum FoldRepr<F> {
+    /// `A_1 = a`, read in place from a shared snapshot of the frequency
+    /// vector; indices past its universe read as zero.
+    Source(FrequencyVector),
     Dense(Vec<F>),
     /// Sorted by index, all values nonzero.
     Sparse(Vec<(u64, F)>),
 }
 
+/// Runs `$body` with `$pairs` bound to the walk over `$table`'s pairs in
+/// `[$lo, $hi)` with a nonzero child, in increasing pair index — one
+/// statically dispatched iterator per representation.
+macro_rules! with_pairs {
+    ($table:expr, $lo:expr, $hi:expr, |$pairs:ident| $body:expr) => {
+        match &$table.repr {
+            FoldRepr::Dense(v) => {
+                let $pairs = dense_pairs(v, $lo, $hi, F::ZERO, |x| x);
+                $body
+            }
+            FoldRepr::Sparse(s) => {
+                let $pairs = pair_up(sparse_run(s, 2 * $lo, 2 * $hi).iter().copied());
+                $body
+            }
+            FoldRepr::Source(fv) => match fv.entries() {
+                Entries::Dense(v) => {
+                    let $pairs = dense_pairs(v, $lo, $hi, 0, F::from_i64);
+                    $body
+                }
+                Entries::Sparse(map) => {
+                    let run = map.range(2 * $lo..2 * $hi);
+                    let $pairs = pair_up(run.map(|(&i, &f)| (i, F::from_i64(f))));
+                    $body
+                }
+            },
+        }
+    };
+}
+
 impl<F: PrimeField> FoldVector<F> {
-    /// Builds the initial table `A_1 = a` from a frequency vector over
-    /// `[2^bits]`.
+    /// The initial table `A_1 = a` over `[2^bits]`: an `O(1)` shared
+    /// snapshot of `fv` (see [`FrequencyVector`]'s `Clone`), read in place
+    /// until the first fold writes the half-size field-form table.
     ///
     /// # Panics
     /// Panics if the vector's universe exceeds `2^bits`.
     pub fn from_frequency(fv: &FrequencyVector, bits: u32) -> Self {
         assert!(bits <= 63);
-        let len = 1u64 << bits;
-        assert!(fv.universe() <= len, "universe larger than 2^bits");
-        let support = fv.support_size();
-        if len <= ALWAYS_DENSE || support.saturating_mul(4) >= len {
-            let mut values = vec![F::ZERO; len as usize];
-            for (i, f) in fv.nonzero() {
-                values[i as usize] = F::from_i64(f);
-            }
-            FoldVector {
-                bits,
-                repr: FoldRepr::Dense(values),
-            }
-        } else {
-            FoldVector {
-                bits,
-                repr: FoldRepr::Sparse(fv.nonzero().map(|(i, f)| (i, F::from_i64(f))).collect()),
-            }
+        assert!(fv.universe() <= 1u64 << bits, "universe larger than 2^bits");
+        FoldVector {
+            bits,
+            repr: FoldRepr::Source(fv.clone()),
         }
     }
 
@@ -135,6 +241,8 @@ impl<F: PrimeField> FoldVector<F> {
     pub fn get(&self, index: u64) -> F {
         debug_assert!(index < (1u64 << self.bits));
         match &self.repr {
+            FoldRepr::Source(fv) if index < fv.universe() => F::from_i64(fv.get(index)),
+            FoldRepr::Source(_) => F::ZERO,
             FoldRepr::Dense(v) => v[index as usize],
             FoldRepr::Sparse(s) => match s.binary_search_by_key(&index, |&(i, _)| i) {
                 Ok(pos) => s[pos].1,
@@ -156,9 +264,14 @@ impl<F: PrimeField> FoldVector<F> {
         self.get(0)
     }
 
-    /// Number of explicitly stored entries (table footprint).
+    /// Number of explicitly stored entries (table footprint; for the
+    /// unfolded snapshot, the shared vector's).
     pub fn stored_len(&self) -> usize {
         match &self.repr {
+            FoldRepr::Source(fv) => match fv.entries() {
+                Entries::Dense(v) => v.len(),
+                Entries::Sparse(map) => map.len(),
+            },
             FoldRepr::Dense(v) => v.len(),
             FoldRepr::Sparse(s) => s.len(),
         }
@@ -166,7 +279,11 @@ impl<F: PrimeField> FoldVector<F> {
 
     /// Whether the table is currently sparse.
     pub fn is_sparse(&self) -> bool {
-        matches!(self.repr, FoldRepr::Sparse(_))
+        match &self.repr {
+            FoldRepr::Source(fv) => !fv.is_dense(),
+            FoldRepr::Dense(_) => false,
+            FoldRepr::Sparse(_) => true,
+        }
     }
 
     /// Number of pair slots `2^{bits−1}` (zero once fully folded).
@@ -189,24 +306,8 @@ impl<F: PrimeField> FoldVector<F> {
     /// iteration.
     pub fn for_each_pair_in(&self, m_lo: u64, m_hi: u64, mut f: impl FnMut(u64, F, F)) {
         debug_assert!(m_lo <= m_hi && m_hi <= self.pairs());
-        match &self.repr {
-            FoldRepr::Dense(v) => {
-                for m in m_lo..m_hi {
-                    let lo = v[2 * m as usize];
-                    let hi = v[2 * m as usize + 1];
-                    if !lo.is_zero() || !hi.is_zero() {
-                        f(m, lo, hi);
-                    }
-                }
-            }
-            FoldRepr::Sparse(s) => {
-                let mut idx = s.partition_point(|&(i, _)| i < 2 * m_lo);
-                let end = 2 * m_hi;
-                while let Some((m, lo, hi)) = sparse_next_pair(s, &mut idx, end) {
-                    f(m, lo, hi);
-                }
-            }
-        }
+        with_pairs!(self, m_lo, m_hi, |pairs| pairs
+            .for_each(|(m, lo, hi)| f(m, lo, hi)));
     }
 
     /// Splits the pair-index space into `chunks` contiguous near-equal
@@ -233,7 +334,10 @@ impl<F: PrimeField> FoldVector<F> {
     }
 
     /// Like [`Self::for_each_pair_union`], restricted to pair indices in
-    /// `[m_lo, m_hi)`.
+    /// `[m_lo, m_hi)`: a streaming merge join of the two pair walks — no
+    /// intermediate materialisation, so chunked workers stay
+    /// allocation-free, and a sparse side is advanced by a cursor whatever
+    /// the other side's representation.
     pub fn for_each_pair_union_in(
         a: &FoldVector<F>,
         b: &FoldVector<F>,
@@ -242,140 +346,414 @@ impl<F: PrimeField> FoldVector<F> {
         mut f: impl FnMut(u64, F, F, F, F),
     ) {
         assert_eq!(a.bits, b.bits, "fold tables out of sync");
-        match (&a.repr, &b.repr) {
-            (FoldRepr::Sparse(sa), FoldRepr::Sparse(sb)) => {
-                // Streaming merge join over pair indices — no intermediate
-                // materialisation, so chunked workers stay allocation-free.
-                let end = 2 * m_hi;
-                let mut ia = sa.partition_point(|&(i, _)| i < 2 * m_lo);
-                let mut ib = sb.partition_point(|&(i, _)| i < 2 * m_lo);
-                let mut na = sparse_next_pair(sa, &mut ia, end);
-                let mut nb = sparse_next_pair(sb, &mut ib, end);
-                loop {
-                    match (na, nb) {
-                        (Some((ma, alo, ahi)), Some((mb, blo, bhi))) => {
-                            if ma == mb {
-                                f(ma, alo, ahi, blo, bhi);
-                                na = sparse_next_pair(sa, &mut ia, end);
-                                nb = sparse_next_pair(sb, &mut ib, end);
-                            } else if ma < mb {
-                                f(ma, alo, ahi, F::ZERO, F::ZERO);
-                                na = sparse_next_pair(sa, &mut ia, end);
-                            } else {
-                                f(mb, F::ZERO, F::ZERO, blo, bhi);
-                                nb = sparse_next_pair(sb, &mut ib, end);
-                            }
-                        }
-                        (Some((ma, alo, ahi)), None) => {
-                            f(ma, alo, ahi, F::ZERO, F::ZERO);
-                            na = sparse_next_pair(sa, &mut ia, end);
-                        }
-                        (None, Some((mb, blo, bhi))) => {
-                            f(mb, F::ZERO, F::ZERO, blo, bhi);
-                            nb = sparse_next_pair(sb, &mut ib, end);
-                        }
-                        (None, None) => break,
-                    }
+        if let (FoldRepr::Dense(va), FoldRepr::Dense(vb)) = (&a.repr, &b.repr) {
+            // Two field-form tables — every round but the first of a dense
+            // inner product — need no join: the slots line up.
+            let (lo, hi) = (2 * m_lo as usize, 2 * m_hi as usize);
+            let pairs = va[lo..hi].chunks_exact(2).zip(vb[lo..hi].chunks_exact(2));
+            for ((pa, pb), m) in pairs.zip(m_lo..) {
+                if !(pa[0].is_zero() && pa[1].is_zero() && pb[0].is_zero() && pb[1].is_zero()) {
+                    f(m, pa[0], pa[1], pb[0], pb[1]);
                 }
             }
-            _ => {
-                // At least one side dense: visit all pair slots in range.
-                for m in m_lo..m_hi {
-                    let alo = a.get(2 * m);
-                    let ahi = a.get(2 * m + 1);
-                    let blo = b.get(2 * m);
-                    let bhi = b.get(2 * m + 1);
-                    if !alo.is_zero() || !ahi.is_zero() || !blo.is_zero() || !bhi.is_zero() {
-                        f(m, alo, ahi, blo, bhi);
-                    }
-                }
-            }
+            return;
         }
+        // Any other pairing goes through one merge join over type-erased
+        // walks, not one copy of the join per pair of representations.
+        type Pairs<'p, F> = &'p mut dyn Iterator<Item = (u64, F, F)>;
+        with_pairs!(a, m_lo, m_hi, |pa| {
+            let mut pa = pa;
+            let pa: Pairs<'_, F> = &mut pa;
+            with_pairs!(b, m_lo, m_hi, |pb| {
+                let mut pb = pb;
+                let pb: Pairs<'_, F> = &mut pb;
+                merge_pairs(pa, pb, &mut f)
+            })
+        });
     }
 
     /// All nonzero entries with index in `[lo, hi]`, in index order.
     pub fn nonzero_in_range(&self, lo: u64, hi: u64) -> Vec<(u64, F)> {
         debug_assert!(lo <= hi && hi < (1u64 << self.bits));
         match &self.repr {
+            FoldRepr::Source(fv) => fv
+                .range_report(lo, hi)
+                .into_iter()
+                .map(|(i, f)| (i, F::from_i64(f)))
+                .collect(),
             FoldRepr::Dense(v) => (lo..=hi)
                 .filter_map(|i| {
                     let val = v[i as usize];
                     (!val.is_zero()).then_some((i, val))
                 })
                 .collect(),
-            FoldRepr::Sparse(s) => {
-                let start = s.partition_point(|&(i, _)| i < lo);
-                s[start..]
-                    .iter()
-                    .take_while(|&&(i, _)| i <= hi)
-                    .copied()
-                    .collect()
-            }
+            FoldRepr::Sparse(s) => sparse_run(s, lo, hi + 1).to_vec(),
         }
-    }
-
-    /// Folds the lowest variable with weights `(w0, w1)`:
-    /// `A'[m] = w0·A[2m] + w1·A[2m+1]`.
-    ///
-    /// * sum-check binding at challenge `r`: `(1−r, r)`;
-    /// * hash-tree level combine with key `r` (equation (7)): `(1, r)`.
-    ///
-    /// # Panics
-    /// Panics if no variables remain.
-    pub fn fold(&mut self, w0: F, w1: F) {
-        assert!(self.bits >= 1, "nothing left to fold");
-        let new_bits = self.bits - 1;
-        match &mut self.repr {
-            FoldRepr::Dense(v) => {
-                let half = v.len() / 2;
-                for m in 0..half {
-                    v[m] = F::mul_add2(w0, v[2 * m], w1, v[2 * m + 1]);
-                }
-                v.truncate(half);
-            }
-            FoldRepr::Sparse(s) => {
-                let mut out: Vec<(u64, F)> = Vec::with_capacity(s.len());
-                let mut idx = 0;
-                while idx < s.len() {
-                    let (i, v) = s[idx];
-                    let m = i >> 1;
-                    let combined = if i & 1 == 0 {
-                        if idx + 1 < s.len() && s[idx + 1].0 == i + 1 {
-                            let hi = s[idx + 1].1;
-                            idx += 2;
-                            F::mul_add2(w0, v, w1, hi)
-                        } else {
-                            idx += 1;
-                            w0 * v
-                        }
-                    } else {
-                        idx += 1;
-                        w1 * v
-                    };
-                    if !combined.is_zero() {
-                        out.push((m, combined));
-                    }
-                }
-                *s = out;
-                // Densify once the table is no longer meaningfully sparse.
-                let len = 1u64 << new_bits;
-                if len <= ALWAYS_DENSE || (s.len() as u64).saturating_mul(4) >= len {
-                    let mut dense = vec![F::ZERO; len as usize];
-                    for &(i, v) in s.iter() {
-                        dense[i as usize] = v;
-                    }
-                    self.repr = FoldRepr::Dense(dense);
-                }
-            }
-        }
-        self.bits = new_bits;
     }
 
     /// Binds the lowest variable to challenge `r` using the multilinear
-    /// basis: weights `(1−r, r)`.
+    /// basis, weights `(1−r, r)`: `A'[m] = A[2m] + r·(A[2m+1] − A[2m])`.
+    ///
+    /// # Panics
+    /// Panics if no variables remain.
     pub fn bind(&mut self, r: F) {
-        self.fold(F::ONE - r, r);
+        self.fold_fused(FoldRule::Bind(r), &NoCombine, &mut [Vec::new()]);
     }
+
+    /// Combines one hash-tree level with key `r` (equation (7)), weights
+    /// `(1, r)`: `A'[m] = A[2m] + r·A[2m+1]`.
+    ///
+    /// # Panics
+    /// Panics if no variables remain.
+    pub fn fold_affine(&mut self, r: F) {
+        self.fold_fused(FoldRule::Affine(r), &NoCombine, &mut [Vec::new()]);
+    }
+
+    /// Folds the lowest variable by `rule` and, in the same sweep, feeds
+    /// every pair `(k, A'[2k], A'[2k+1])` of the **folded** table `A'` with
+    /// a nonzero child through `combine` — what the next round's message
+    /// is a sum over.
+    ///
+    /// The folded table's pair slots are split into `accs.len()` contiguous
+    /// chunks ([`chunk_range`]); chunk `c` is swept in increasing `k` into
+    /// `accs[c]` (`combine.slots()` accumulators). One chunk folds a dense
+    /// table in place on the calling thread. More chunks run under
+    /// [`std::thread::scope`] and write a second buffer: chunk `c` writes
+    /// `A'[2k]` for its `k` but reads `A[4k..4k+4]`, which lies in the
+    /// region earlier chunks write, so an in-place fold would race.
+    ///
+    /// # Panics
+    /// Panics if no variables remain.
+    pub(crate) fn fold_fused<C: Combine<F> + ?Sized>(
+        &mut self,
+        rule: FoldRule<F>,
+        combine: &C,
+        accs: &mut [Vec<F::DotAcc>],
+    ) {
+        assert!(self.bits >= 1, "nothing left to fold");
+        assert!(!accs.is_empty(), "a fold needs at least one chunk");
+        if self.bits == 1 {
+            // One entry is left and it has no sibling: no pair to sum over.
+            let last = rule.apply(self.get(0), self.get(1));
+            self.bits = 0;
+            match &mut self.repr {
+                FoldRepr::Dense(v) => {
+                    v[0] = last;
+                    v.truncate(1);
+                }
+                repr => *repr = FoldRepr::Dense(vec![last]),
+            }
+            return;
+        }
+        self.bits -= 1;
+        let half = 1usize << self.bits;
+        let settle = |entries: Vec<(u64, F)>| {
+            // Densify once the table is no longer meaningfully sparse.
+            if half as u64 <= ALWAYS_DENSE
+                || (entries.len() as u64).saturating_mul(4) >= half as u64
+            {
+                let mut dense = vec![F::ZERO; half];
+                for (i, v) in entries {
+                    dense[i as usize] = v;
+                }
+                FoldRepr::Dense(dense)
+            } else {
+                FoldRepr::Sparse(entries)
+            }
+        };
+        self.repr = match std::mem::replace(&mut self.repr, FoldRepr::Dense(Vec::new())) {
+            FoldRepr::Dense(mut v) if accs.len() == 1 => {
+                fold_dense_in_place(&mut v, rule, combine, &mut accs[0]);
+                FoldRepr::Dense(v)
+            }
+            FoldRepr::Dense(v) => {
+                FoldRepr::Dense(fold_dense(&v, F::ZERO, |x| x, half, rule, combine, accs))
+            }
+            FoldRepr::Sparse(mut s) if accs.len() == 1 => {
+                let mut run = InPlace {
+                    run: &mut s,
+                    read: 0,
+                    written: 0,
+                };
+                fold_sparse_run(&mut run, rule, combine, &mut accs[0]);
+                let folded = run.written;
+                s.truncate(folded);
+                settle(s)
+            }
+            FoldRepr::Sparse(s) => settle(fold_sparse(
+                |lo, hi| sparse_run(&s, lo, hi).iter().copied(),
+                s.len(),
+                half,
+                rule,
+                combine,
+                accs,
+            )),
+            FoldRepr::Source(fv) => match fv.entries() {
+                Entries::Dense(v) => {
+                    FoldRepr::Dense(fold_dense(v, 0, F::from_i64, half, rule, combine, accs))
+                }
+                Entries::Sparse(map) => settle(fold_sparse(
+                    |lo, hi| map.range(lo..hi).map(|(&i, &f)| (i, F::from_i64(f))),
+                    map.len(),
+                    half,
+                    rule,
+                    combine,
+                    accs,
+                )),
+            },
+        };
+    }
+}
+
+/// The rule of a fold nobody takes a message from.
+struct NoCombine;
+
+impl<F: PrimeField> Combine<F> for NoCombine {
+    fn slots(&self) -> usize {
+        0
+    }
+
+    #[inline(always)]
+    fn accumulate(&self, _m: u64, _a: &[F], _b: &[F], _acc: &mut [F::DotAcc]) {}
+}
+
+/// Folds one quad of raw cells `A[4k..4k+4]` into `(A'[2k], A'[2k+1])`, or
+/// `None` when all four are zero — the one data-dependent branch a quad
+/// costs.
+#[inline(always)]
+fn fold_quad<T: Copy + PartialEq, F: PrimeField>(
+    quad: [T; 4],
+    zero: T,
+    to_field: impl Fn(T) -> F,
+    rule: FoldRule<F>,
+) -> Option<(F, F)> {
+    let [a, b, c, d] = quad;
+    // `&`, not `&&`: one compare-and-branch per quad, and no array compare
+    // (which would round-trip the cells through memory).
+    if (a == zero) & (b == zero) & (c == zero) & (d == zero) {
+        return None;
+    }
+    Some((
+        rule.apply(to_field(a), to_field(b)),
+        rule.apply(to_field(c), to_field(d)),
+    ))
+}
+
+/// The serial dense sweep, in place: entry `2k` is written after entries
+/// `4k..4k+4` were read and is never read again.
+fn fold_dense_in_place<F: PrimeField, C: Combine<F> + ?Sized>(
+    v: &mut Vec<F>,
+    rule: FoldRule<F>,
+    combine: &C,
+    acc: &mut [F::DotAcc],
+) {
+    let half = v.len() / 2;
+    for k in 0..half / 2 {
+        let quad = [v[4 * k], v[4 * k + 1], v[4 * k + 2], v[4 * k + 3]];
+        let (n0, n1) = fold_quad(quad, F::ZERO, |x| x, rule).unwrap_or((F::ZERO, F::ZERO));
+        (v[2 * k], v[2 * k + 1]) = (n0, n1);
+        if !n0.is_zero() || !n1.is_zero() {
+            combine.accumulate(k as u64, &[n0, n1], &[], acc);
+        }
+    }
+    v.truncate(half);
+}
+
+/// The out-of-place dense sweep over `cells` (length at most `2·half`,
+/// missing cells reading as zero) into a fresh `half`-entry table, one
+/// chunk of the folded table's pairs per entry of `accs`.
+fn fold_dense<T: Copy + PartialEq + Sync, F: PrimeField, C: Combine<F> + ?Sized>(
+    cells: &[T],
+    zero: T,
+    to_field: impl Fn(T) -> F + Copy + Sync,
+    half: usize,
+    rule: FoldRule<F>,
+    combine: &C,
+    accs: &mut [Vec<F::DotAcc>],
+) -> Vec<F> {
+    let mut folded = vec![F::ZERO; half];
+    let chunks = accs.len();
+    let sweep = move |k_lo: u64, out: &mut [F], acc: &mut [F::DotAcc]| {
+        for (out, k) in out.chunks_exact_mut(2).zip(k_lo..) {
+            let at = 4 * k as usize;
+            let quad = match cells.get(at..at + 4) {
+                Some(quad) => [quad[0], quad[1], quad[2], quad[3]],
+                // Partly or wholly past the end of a snapshot whose universe
+                // is smaller than the table.
+                None => std::array::from_fn(|i| cells.get(at + i).copied().unwrap_or(zero)),
+            };
+            let Some((n0, n1)) = fold_quad(quad, zero, to_field, rule) else {
+                continue;
+            };
+            if !n0.is_zero() || !n1.is_zero() {
+                (out[0], out[1]) = (n0, n1);
+                combine.accumulate(k, &[n0, n1], &[], acc);
+            }
+        }
+    };
+    if let [acc] = accs {
+        sweep(0, &mut folded, acc);
+        return folded;
+    }
+    let sweep = &sweep;
+    std::thread::scope(|scope| {
+        let mut rest = folded.as_mut_slice();
+        for (c, acc) in accs.iter_mut().enumerate() {
+            let (k_lo, k_hi) = chunk_range(half as u64 / 2, c, chunks);
+            let (mine, tail) = rest.split_at_mut(2 * (k_hi - k_lo) as usize);
+            rest = tail;
+            scope.spawn(move || sweep(k_lo, mine, acc));
+        }
+    });
+    folded
+}
+
+/// What the sparse kernel reads and writes: a sorted run of nonzero
+/// `(index, value)` entries in, the folded run out.
+trait SparseRun<F> {
+    /// The next entry of the table being folded.
+    fn next(&mut self) -> Option<(u64, F)>;
+    /// Appends an entry of the folded table.
+    fn emit(&mut self, entry: (u64, F));
+}
+
+/// A sorted run folded in place: every entry is written after it — and at
+/// least one more — was read, so the write position never passes the read
+/// position.
+struct InPlace<'a, F> {
+    run: &'a mut Vec<(u64, F)>,
+    read: usize,
+    written: usize,
+}
+
+impl<F: PrimeField> SparseRun<F> for InPlace<'_, F> {
+    #[inline(always)]
+    fn next(&mut self) -> Option<(u64, F)> {
+        let entry = self.run.get(self.read).copied();
+        self.read += 1;
+        entry
+    }
+
+    #[inline(always)]
+    fn emit(&mut self, entry: (u64, F)) {
+        self.run[self.written] = entry;
+        self.written += 1;
+    }
+}
+
+/// A run read from elsewhere — the shared snapshot's tree, or one
+/// thread's chunk of a table — folded into a fresh vector.
+struct Streamed<I, F> {
+    entries: I,
+    folded: Vec<(u64, F)>,
+}
+
+impl<F: PrimeField, I: Iterator<Item = (u64, F)>> SparseRun<F> for Streamed<I, F> {
+    #[inline(always)]
+    fn next(&mut self) -> Option<(u64, F)> {
+        self.entries.next()
+    }
+
+    #[inline(always)]
+    fn emit(&mut self, entry: (u64, F)) {
+        self.folded.push(entry);
+    }
+}
+
+/// The sparse sweep over one run: folds every pair of entries and feeds
+/// every pair of the folded entries through `combine`.
+fn fold_sparse_run<F: PrimeField, C: Combine<F> + ?Sized>(
+    run: &mut impl SparseRun<F>,
+    rule: FoldRule<F>,
+    combine: &C,
+    acc: &mut [F::DotAcc],
+) {
+    // Entries come in index order, so a pair — of the table being folded,
+    // `(m, lo, hi)`, or of the folded one, `(k, n0, n1)` — is complete when
+    // an entry of a later pair shows up. `NONE` marks "no pair yet", and
+    // stands in for an entry past every index once the run has ended, to
+    // flush its last pair.
+    const NONE: u64 = u64::MAX;
+    let (mut m, mut lo, mut hi) = (NONE, F::ZERO, F::ZERO);
+    let (mut k, mut n0, mut n1) = (NONE, F::ZERO, F::ZERO);
+    loop {
+        let (i, v) = run.next().unwrap_or((NONE, F::ZERO));
+        if i >> 1 == m {
+            hi = v;
+            continue;
+        }
+        let (done, done_lo, done_hi) = (m, lo, hi);
+        (m, lo, hi) = if i & 1 == 0 {
+            (i >> 1, v, F::ZERO)
+        } else {
+            (i >> 1, F::ZERO, v)
+        };
+        if done != NONE {
+            let n = rule.apply(done_lo, done_hi);
+            // Entries that cancel exactly are dropped, not stored as zero.
+            if !n.is_zero() {
+                run.emit((done, n));
+                if done >> 1 == k {
+                    n1 = n;
+                } else {
+                    if k != NONE {
+                        combine.accumulate(k, &[n0, n1], &[], acc);
+                    }
+                    (k, n0, n1) = if done & 1 == 0 {
+                        (done >> 1, n, F::ZERO)
+                    } else {
+                        (done >> 1, F::ZERO, n)
+                    };
+                }
+            }
+        }
+        if i == NONE {
+            break;
+        }
+    }
+    if k != NONE {
+        combine.accumulate(k, &[n0, n1], &[], acc);
+    }
+}
+
+/// The out-of-place sparse sweep: `run(lo, hi)` yields the table's sorted
+/// nonzero entries with index in `[lo, hi)`, `entries` of them in all;
+/// returns the folded `half`-entry table's — one chunk of its pair slots
+/// per entry of `accs`.
+fn fold_sparse<F: PrimeField, C: Combine<F> + ?Sized, I: Iterator<Item = (u64, F)>>(
+    run: impl Fn(u64, u64) -> I + Sync,
+    entries: usize,
+    half: usize,
+    rule: FoldRule<F>,
+    combine: &C,
+    accs: &mut [Vec<F::DotAcc>],
+) -> Vec<(u64, F)> {
+    let chunks = accs.len();
+    let sweep = |c: usize, acc: &mut [F::DotAcc]| {
+        let (k_lo, k_hi) = chunk_range(half as u64 / 2, c, chunks);
+        let mut run = Streamed {
+            entries: run(4 * k_lo, 4 * k_hi),
+            // A fold never grows a run; sized once, the output is not moved.
+            folded: Vec::with_capacity(entries / chunks + 1),
+        };
+        fold_sparse_run(&mut run, rule, combine, acc);
+        run.folded
+    };
+    if let [acc] = accs {
+        return sweep(0, acc);
+    }
+    let sweep = &sweep;
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = accs
+            .iter_mut()
+            .enumerate()
+            .map(|(c, acc)| scope.spawn(move || sweep(c, acc)))
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("fold worker panicked"))
+            .collect()
+    })
 }
 
 #[cfg(test)]
@@ -386,11 +764,24 @@ mod tests {
     use sip_field::{Fp61, PrimeField};
     use sip_lde::reference::naive_multilinear_eval;
     use sip_streaming::{workloads, FrequencyVector, Update};
+    use std::sync::Mutex;
 
     fn field_vec(fv: &FrequencyVector) -> Vec<Fp61> {
         (0..fv.universe())
             .map(|i| Fp61::from_i64(fv.get(i)))
             .collect()
+    }
+
+    /// A vector that stays in the sparse representation (`from_stream`
+    /// starts dense for every universe these tests use).
+    fn sparse_fv(u: u64, stream: &[Update]) -> FrequencyVector {
+        let mut fv = FrequencyVector::new_sparse(u);
+        fv.apply_batch(stream);
+        assert!(
+            !fv.is_dense(),
+            "support must stay under the promotion threshold"
+        );
+        fv
     }
 
     #[test]
@@ -415,7 +806,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let bits = 16u32; // large enough that sparse is chosen
         let stream = workloads::uniform(40, 1 << bits, 9, 8);
-        let fv = FrequencyVector::from_stream(1 << bits, &stream);
+        let fv = sparse_fv(1 << bits, &stream);
         let mut sparse = FoldVector::from_frequency(&fv, bits);
         assert!(sparse.is_sparse(), "setup should start sparse");
         let mut dense = FoldVector::from_values(field_vec(&fv));
@@ -444,7 +835,7 @@ mod tests {
         let keys: Vec<Fp61> = (0..bits).map(|_| Fp61::random(&mut rng)).collect();
         let mut fold = FoldVector::from_frequency(&fv, bits);
         for &k in &keys {
-            fold.fold(Fp61::ONE, k);
+            fold.fold_affine(k);
         }
         let mut expect = Fp61::ZERO;
         for (i, f) in fv.nonzero() {
@@ -461,11 +852,11 @@ mod tests {
 
     #[test]
     fn pair_union_covers_both_supports() {
-        let a = FrequencyVector::from_stream(
+        let a = sparse_fv(
             1 << 16,
             &[Update::new(2, 1), Update::new(5, 2), Update::new(40_000, 3)],
         );
-        let b = FrequencyVector::from_stream(
+        let b = sparse_fv(
             1 << 16,
             &[Update::new(3, 7), Update::new(5, 1), Update::new(60_001, 4)],
         );
@@ -495,33 +886,147 @@ mod tests {
 
     #[test]
     fn pair_union_mixed_representations() {
-        // One dense, one sparse: same results as both dense.
+        // One dense, one sparse: same results as both dense — from the
+        // shared snapshots (i64 array against tree) and again one fold in
+        // (field table against sorted run).
         let mut rng = StdRng::seed_from_u64(4);
-        let bits = 13u32;
+        let bits = 14u32; // one fold in, 2^13 entries: still above ALWAYS_DENSE
         let sa = workloads::uniform(5000, 1 << bits, 5, 10); // dense support
         let sb = workloads::uniform(20, 1 << bits, 5, 11); // sparse support
         let a = FrequencyVector::from_stream(1 << bits, &sa);
-        let b = FrequencyVector::from_stream(1 << bits, &sb);
-        let fa = FoldVector::<Fp61>::from_frequency(&a, bits);
-        let fb = FoldVector::<Fp61>::from_frequency(&b, bits);
-        let da = FoldVector::from_values(field_vec(&a));
-        let db = FoldVector::from_values(field_vec(&b));
-        let mut got = Fp61::ZERO;
-        let r = Fp61::random(&mut rng);
-        FoldVector::for_each_pair_union(&fa, &fb, |_, alo, ahi, blo, bhi| {
-            got += (alo + r * ahi) * (blo + r * bhi);
-        });
-        let mut expect = Fp61::ZERO;
-        FoldVector::for_each_pair_union(&da, &db, |_, alo, ahi, blo, bhi| {
-            expect += (alo + r * ahi) * (blo + r * bhi);
-        });
-        assert_eq!(got, expect);
+        let b = sparse_fv(1 << bits, &sb);
+        let mut fa = FoldVector::<Fp61>::from_frequency(&a, bits);
+        let mut fb = FoldVector::<Fp61>::from_frequency(&b, bits);
+        let mut da = FoldVector::from_values(field_vec(&a));
+        let mut db = FoldVector::from_values(field_vec(&b));
+        for level in 0..2 {
+            assert!(!fa.is_sparse() && fb.is_sparse(), "level {level}");
+            let r = Fp61::random(&mut rng);
+            let mut got = Vec::new();
+            FoldVector::for_each_pair_union(&fa, &fb, |m, alo, ahi, blo, bhi| {
+                got.push((m, (alo + r * ahi) * (blo + r * bhi)));
+            });
+            let mut expect = Vec::new();
+            FoldVector::for_each_pair_union(&da, &db, |m, alo, ahi, blo, bhi| {
+                expect.push((m, (alo + r * ahi) * (blo + r * bhi)));
+            });
+            assert_eq!(got, expect, "level {level}");
+            // And the operands swapped: the sparse side leads the join.
+            let mut swapped = Vec::new();
+            FoldVector::for_each_pair_union(&fb, &fa, |m, blo, bhi, alo, ahi| {
+                swapped.push((m, (alo + r * ahi) * (blo + r * bhi)));
+            });
+            assert_eq!(swapped, expect, "level {level} swapped");
+            for table in [&mut fa, &mut fb, &mut da, &mut db] {
+                table.bind(r);
+            }
+        }
+    }
+
+    /// Every pair of `table` with a nonzero child.
+    fn pairs_of(table: &FoldVector<Fp61>) -> Vec<(u64, Fp61, Fp61)> {
+        let mut out = Vec::new();
+        table.for_each_pair(|m, lo, hi| out.push((m, lo, hi)));
+        out
+    }
+
+    /// A rule that sums nothing and writes down every pair it is shown.
+    struct Record(Mutex<Vec<(u64, Fp61, Fp61)>>);
+
+    impl Combine<Fp61> for Record {
+        fn slots(&self) -> usize {
+            0
+        }
+
+        fn accumulate(
+            &self,
+            m: u64,
+            a: &[Fp61],
+            _b: &[Fp61],
+            _acc: &mut [<Fp61 as PrimeField>::DotAcc],
+        ) {
+            self.0.lock().unwrap().push((m, a[0], a[1]));
+        }
+    }
+
+    #[test]
+    fn fused_fold_visits_exactly_the_folded_tables_pairs() {
+        // From every representation, at every chunk count, under both
+        // rules: the table after the fused sweep equals the plain fold of a
+        // dense reference, and the pairs the sweep hands out are the pairs a
+        // second pass over that table would find, each exactly once.
+        let bits = 14u32; // half = 2^13 > ALWAYS_DENSE: sparse tables stay sparse
+        let dense_stream = workloads::with_deletions(30_000, 1 << bits, 0.3, 21);
+        let sparse_stream = workloads::with_deletions(300, 1 << bits, 0.3, 22);
+        let starts = [
+            FrequencyVector::from_stream(1 << bits, &dense_stream),
+            sparse_fv(1 << bits, &sparse_stream),
+            // A universe that is not a multiple of four: the snapshot is
+            // shorter than the table and its last quad is partial.
+            FrequencyVector::from_stream((1 << bits) - 5, &sparse_stream[..200]),
+        ];
+        let r = Fp61::from_u64(0x5eed_1234_5678);
+        for fv in &starts {
+            for rule in [FoldRule::Bind(r), FoldRule::Affine(r)] {
+                let mut reference = field_vec(fv);
+                reference.resize(1 << bits, Fp61::ZERO);
+                // Two levels: the first sweep reads the snapshot, the second
+                // the field-form table the first one wrote.
+                let mut table = FoldVector::<Fp61>::from_frequency(fv, bits);
+                for level in 0..2 {
+                    reference = reference
+                        .chunks_exact(2)
+                        .map(|c| rule.apply(c[0], c[1]))
+                        .collect();
+                    let expect = pairs_of(&FoldVector::from_values(reference.clone()));
+                    for chunks in [1usize, 2, 3, 7] {
+                        let mut folded = table.clone();
+                        let seen = Record(Mutex::new(Vec::new()));
+                        folded.fold_fused(rule, &seen, &mut vec![Vec::new(); chunks]);
+                        let what = format!(
+                            "dense={} level={level} chunks={chunks} rule={rule:?}",
+                            fv.is_dense()
+                        );
+                        // Chunks run concurrently: each hands its pairs out
+                        // in order, the interleaving is free.
+                        let mut seen = seen.0.into_inner().unwrap();
+                        seen.sort_by_key(|p| p.0);
+                        assert_eq!(seen, expect, "{what}");
+                        assert_eq!(pairs_of(&folded), expect, "{what}");
+                    }
+                    match rule {
+                        FoldRule::Bind(r) => table.bind(r),
+                        FoldRule::Affine(r) => table.fold_affine(r),
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn snapshot_is_shared_until_the_first_fold() {
+        // Building a table copies nothing, and data arriving afterwards
+        // lands in the live vector, not in the table.
+        let mut fv = FrequencyVector::from_stream(16, &[Update::new(3, 5)]);
+        let mut table = FoldVector::<Fp61>::from_frequency(&fv, 4);
+        assert_eq!(table.stored_len(), 16);
+        fv.apply(Update::new(3, 1));
+        fv.apply(Update::new(9, 2));
+        assert_eq!(table.get(3), Fp61::from_u64(5));
+        assert_eq!(table.get(9), Fp61::ZERO);
+        table.bind(Fp61::from_u64(2));
+        assert_eq!(
+            table.stored_len(),
+            8,
+            "the field-form table starts at half size"
+        );
+        assert_eq!(table.get(1), Fp61::from_u64(10)); // 0 + 2·(5 − 0)
     }
 
     #[test]
     fn sparse_densifies_as_it_shrinks() {
         let stream = workloads::uniform(64, 1 << 20, 3, 12);
-        let fv = FrequencyVector::from_stream(1 << 20, &stream);
+        let fv = sparse_fv(1 << 20, &stream);
         let mut fold = FoldVector::<Fp61>::from_frequency(&fv, 20);
         assert!(fold.is_sparse());
         let mut rng = StdRng::seed_from_u64(5);
@@ -535,10 +1040,10 @@ mod tests {
     #[test]
     fn zero_cancellation_in_sparse_fold() {
         // Entries that cancel exactly must be dropped, not stored as zero.
-        let fv = FrequencyVector::from_stream(1 << 16, &[Update::new(8, 1), Update::new(9, 1)]);
+        let fv = sparse_fv(1 << 16, &[Update::new(8, 1), Update::new(9, 1)]);
         let mut fold = FoldVector::<Fp61>::from_frequency(&fv, 16);
         // With weights (1, −1): 1·a[8] + (−1)·a[9] = 0.
-        fold.fold(Fp61::ONE, -Fp61::ONE);
+        fold.fold_affine(-Fp61::ONE);
         assert_eq!(fold.get(4), Fp61::ZERO);
         assert!(fold.stored_len() <= 1); // nothing (or a densified table)
     }

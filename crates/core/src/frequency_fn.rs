@@ -32,8 +32,8 @@ use sip_lde::{LdeParams, StreamingLdeEvaluator};
 use sip_streaming::{FrequencyVector, Update};
 
 use crate::channel::CostReport;
+use crate::engine::{Combine, FusedRounds, ProverPool};
 use crate::error::Rejection;
-use crate::fold::FoldVector;
 use crate::heavy_hitters::{run_heavy_hitters_with_adversary, HhAdversary, VerifiedHeavyHitters};
 use crate::sumcheck::{drive_sumcheck, Adversary, RoundProver, SumCheckVerifierCore};
 
@@ -41,7 +41,7 @@ use crate::sumcheck::{drive_sumcheck, Adversary, RoundProver, SumCheckVerifierCo
 /// and evaluates `h̃` along each pair's arithmetic progression.
 #[derive(Clone, Debug)]
 pub struct FrequencyFnProver<F: PrimeField> {
-    fold: FoldVector<F>,
+    fused: FusedRounds<F>,
     /// `h(0), …, h(D)` as field elements: the evaluation table of `h̃`.
     h_evals: Vec<F>,
 }
@@ -62,15 +62,37 @@ impl<F: PrimeField> FrequencyFnProver<F> {
             );
         }
         FrequencyFnProver {
-            fold: FoldVector::from_frequency(residual, log_u),
+            fused: FusedRounds::new(residual, log_u, ProverPool::SERIAL),
             h_evals,
         }
     }
+}
 
-    /// Evaluates `h̃` at an arbitrary field point (`O(D)`; table lookup on
-    /// the grid).
-    fn h_tilde(&self, x: F) -> F {
-        eval_from_grid_evals(&self.h_evals, x)
+/// The per-pair rule of the residual sum-check: `h̃` along the pair's
+/// arithmetic progression, **less `h(0)`** — the engine visits only pairs
+/// with a nonzero child, and the all-zero pairs it skips contribute
+/// `h̃(0) = h(0)` at every evaluation point, so the prover adds
+/// `pairs·h(0)` back per slot and each visited pair owes the difference.
+struct HTildeCombine<'a, F> {
+    /// `h(0), …, h(D)`: the evaluation table of `h̃`.
+    h_evals: &'a [F],
+}
+
+impl<F: PrimeField> Combine<F> for HTildeCombine<'_, F> {
+    fn slots(&self) -> usize {
+        self.h_evals.len()
+    }
+
+    fn accumulate(&self, _m: u64, a: &[F], _b: &[F], acc: &mut [F::DotAcc]) {
+        let (lo, hi) = (a[0], a[1]);
+        let diff = hi - lo;
+        let mut val = lo;
+        for slot in acc.iter_mut() {
+            // `O(D)` per evaluation; a table lookup on the grid.
+            let h = eval_from_grid_evals(self.h_evals, val);
+            F::acc_add_prod(slot, h - self.h_evals[0], F::ONE);
+            val += diff;
+        }
     }
 }
 
@@ -80,39 +102,27 @@ impl<F: PrimeField> RoundProver<F> for FrequencyFnProver<F> {
     }
 
     fn rounds(&self) -> usize {
-        self.fold.bits() as usize
+        self.fused.table().bits() as usize
     }
 
     fn message(&mut self) -> Vec<F> {
-        let deg = self.degree();
-        let mut out = vec![F::ZERO; deg + 1];
-        self.fold.for_each_pair(|_, lo, hi| {
-            let diff = hi - lo;
-            let mut val = lo;
-            out[0] += self.h_tilde(val);
-            for slot in out.iter_mut().skip(1) {
-                val += diff;
-                *slot += self.h_tilde(val);
-            }
+        let mut msg = self.fused.message(&HTildeCombine {
+            h_evals: &self.h_evals,
         });
-        // Account for the pairs with both children zero, which
-        // for_each_pair skips: they contribute h̃(0) = h(0) at every
-        // evaluation point.
-        let half = 1u64 << (self.fold.bits() - 1);
-        let mut nonzero_pairs = 0u64;
-        self.fold.for_each_pair(|_, _, _| nonzero_pairs += 1);
-        let zero_pairs = F::from_u64(half - nonzero_pairs);
-        let h0 = self.h_evals[0];
-        if !h0.is_zero() {
-            for slot in out.iter_mut() {
-                *slot += zero_pairs * h0;
-            }
+        let all_pairs = F::from_u64(self.fused.table().pairs()) * self.h_evals[0];
+        for slot in msg.iter_mut() {
+            *slot += all_pairs;
         }
-        out
+        msg
     }
 
     fn bind(&mut self, r: F) {
-        self.fold.bind(r);
+        self.fused.bind(
+            r,
+            &HTildeCombine {
+                h_evals: &self.h_evals,
+            },
+        );
     }
 }
 

@@ -399,8 +399,10 @@ impl<F: PrimeField> SubVectorProver<F> {
     /// revealed key and returns the requested sibling hashes.
     pub fn process_round(&mut self, req: &RoundRequest<F>) -> RoundReply<F> {
         assert_eq!(req.level, self.level + 1, "round out of order");
-        let (w0, w1) = self.kind.weights(req.challenge);
-        self.values.fold(w0, w1);
+        match self.kind {
+            HashKind::Affine => self.values.fold_affine(req.challenge),
+            HashKind::Multilinear => self.values.bind(req.challenge),
+        }
         self.level += 1;
         RoundReply {
             left: req.left.map(|i| self.values.get(i)),

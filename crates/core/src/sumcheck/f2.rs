@@ -19,9 +19,8 @@ use sip_streaming::{FrequencyVector, Update};
 
 use crate::channel::CostReport;
 use crate::digest_bank::BankedDigest;
-use crate::engine::{Combine, FoldSource, ProverPool};
+use crate::engine::{Combine, FusedRounds, ProverPool};
 use crate::error::Rejection;
-use crate::fold::FoldVector;
 
 use super::moments::VerifiedAggregate;
 use super::{drive_sumcheck, Adversary, RoundProver, SumCheckVerifierCore};
@@ -108,7 +107,7 @@ impl<F: PrimeField> Combine<F> for F2Combine {
         3
     }
 
-    #[inline]
+    #[inline(always)]
     fn accumulate(&self, _m: u64, a: &[F], _b: &[F], acc: &mut [F::DotAcc]) {
         let (lo, hi) = (a[0], a[1]);
         F::acc_add_prod(&mut acc[0], lo, lo);
@@ -121,13 +120,12 @@ impl<F: PrimeField> Combine<F> for F2Combine {
 /// Honest `F₂` prover (Appendix B.1 fold with squared combine).
 #[derive(Clone, Debug)]
 pub struct F2Prover<F: PrimeField> {
-    fold: FoldVector<F>,
-    pool: ProverPool,
+    fused: FusedRounds<F>,
 }
 
 impl<F: PrimeField> F2Prover<F> {
     /// Builds prover state from the materialised frequency vector (serial
-    /// engine).
+    /// engine). `O(1)`: the vector is snapshotted, not copied.
     pub fn new(fv: &FrequencyVector, log_u: u32) -> Self {
         Self::with_pool(fv, log_u, ProverPool::SERIAL)
     }
@@ -135,9 +133,17 @@ impl<F: PrimeField> F2Prover<F> {
     /// Like [`Self::new`] with an explicit round-message scheduling pool.
     pub fn with_pool(fv: &FrequencyVector, log_u: u32, pool: ProverPool) -> Self {
         F2Prover {
-            fold: FoldVector::from_frequency(fv, log_u),
-            pool,
+            fused: FusedRounds::new(fv, log_u, pool),
         }
+    }
+
+    /// Starts the prover with `g_1` already known. F₂'s first message is a
+    /// function of the data alone, so whoever holds an immutable vector can
+    /// compute it once ([`RoundProver::message`] of a fresh prover) and
+    /// hand it to every later prover over the same vector.
+    pub fn with_first_message(mut self, g1: Vec<F>) -> Self {
+        self.fused = self.fused.with_first_message(g1);
+        self
     }
 }
 
@@ -147,16 +153,15 @@ impl<F: PrimeField> RoundProver<F> for F2Prover<F> {
     }
 
     fn rounds(&self) -> usize {
-        self.fold.bits() as usize
+        self.fused.table().bits() as usize
     }
 
     fn message(&mut self) -> Vec<F> {
-        self.pool
-            .fold_message(FoldSource::Pairs(&self.fold), &F2Combine)
+        self.fused.message(&F2Combine)
     }
 
     fn bind(&mut self, r: F) {
-        self.fold.bind(r);
+        self.fused.bind(r, &F2Combine);
     }
 }
 

@@ -13,9 +13,8 @@ use sip_lde::{LdeParams, StreamingLdeEvaluator};
 use sip_streaming::{FrequencyVector, Update};
 
 use crate::channel::CostReport;
-use crate::engine::{Combine, FoldSource, ProverPool};
+use crate::engine::{Combine, FusedRounds, ProverPool};
 use crate::error::Rejection;
-use crate::fold::FoldVector;
 
 use super::{drive_sumcheck, Adversary, RoundProver, SumCheckVerifierCore};
 
@@ -121,8 +120,7 @@ impl<F: PrimeField> Combine<F> for MomentCombine {
 #[derive(Clone, Debug)]
 pub struct MomentProver<F: PrimeField> {
     k: u32,
-    fold: FoldVector<F>,
-    pool: ProverPool,
+    fused: FusedRounds<F>,
 }
 
 impl<F: PrimeField> MomentProver<F> {
@@ -137,8 +135,7 @@ impl<F: PrimeField> MomentProver<F> {
         assert!(k >= 1);
         MomentProver {
             k,
-            fold: FoldVector::from_frequency(fv, log_u),
-            pool,
+            fused: FusedRounds::new(fv, log_u, pool),
         }
     }
 }
@@ -149,16 +146,15 @@ impl<F: PrimeField> RoundProver<F> for MomentProver<F> {
     }
 
     fn rounds(&self) -> usize {
-        self.fold.bits() as usize
+        self.fused.table().bits() as usize
     }
 
     fn message(&mut self) -> Vec<F> {
-        self.pool
-            .fold_message(FoldSource::Pairs(&self.fold), &MomentCombine { k: self.k })
+        self.fused.message(&MomentCombine { k: self.k })
     }
 
     fn bind(&mut self, r: F) {
-        self.fold.bind(r);
+        self.fused.bind(r, &MomentCombine { k: self.k });
     }
 }
 

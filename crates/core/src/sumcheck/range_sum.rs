@@ -8,10 +8,12 @@
 //!   the canonical-interval telescoping of
 //!   [`sip_lde::range_indicator_lde`] (the paper's `O(log² u)` step; our
 //!   single-pass variant is `O(log u)`);
-//! * the honest prover never materialises `b` either: the fold table of the
-//!   indicator is produced *lazily* per round by
-//!   [`sip_lde::interval::block_range_weight`], so the prover touches only
-//!   blocks where `a`'s fold is nonzero.
+//! * the honest prover never materialises `b` either: the indicator's
+//!   fold table has a closed form per round ([`IndicatorLevel`]) — 0 on
+//!   blocks outside the range, exactly 1 on blocks inside it, and a real
+//!   [`sip_lde::interval::block_range_weight`] on the at most two blocks
+//!   holding an endpoint — so the prover touches only blocks where `a`'s
+//!   fold is nonzero and pays field multiplications only at the boundary.
 //!
 //! The query arrives *after* the stream — this is the whole point: "in most
 //! applications, the user forms queries in response to other information
@@ -25,9 +27,8 @@ use sip_streaming::{FrequencyVector, Update};
 
 use crate::channel::CostReport;
 use crate::digest_bank::BankedDigest;
-use crate::engine::{Combine, FoldSource, ProverPool};
+use crate::engine::{Combine, FusedRounds, ProverPool};
 use crate::error::Rejection;
-use crate::fold::FoldVector;
 
 use super::moments::VerifiedAggregate;
 use super::{drive_sumcheck, Adversary, RoundProver, SumCheckVerifierCore};
@@ -108,46 +109,125 @@ impl<F: PrimeField> BankedDigest<F> for RangeSumVerifier<F> {
     }
 }
 
-/// The RANGE-SUM per-pair rule: the partner children are the query
-/// indicator's fold values, produced *lazily* per pair by
-/// [`block_range_weight`] — only pairs where `a` is nonzero are ever
-/// touched, so the indicator is never materialised on any thread.
+/// The query indicator's fold table after `j` challenges, in closed form.
+///
+/// Entry `i` of that table is the weight of the part of `[q_L, q_R]` that
+/// falls in block `[i·2^j, (i+1)·2^j)`: `Σ_w Π_{k<j} χ_{w_k}(r_k)` over the
+/// block's members in range. A block outside the range sums nothing: 0. A
+/// block inside it sums over all of `[2]^j`, and because
+/// `χ_0(r) + χ_1(r) = 1` that product of sums is **exactly 1** in the
+/// field, whatever the challenges. Only the blocks holding `q_L` and `q_R`
+/// — at most two per level — carry a weight that has to be computed
+/// ([`block_range_weight`], `O(j)` multiplications each).
+#[derive(Clone, Copy, Debug)]
+pub struct IndicatorLevel<F> {
+    /// The block holding `q_L`, and its weight.
+    first: u64,
+    first_weight: F,
+    /// The block holding `q_R`, and its weight (`first`'s when they are
+    /// one block).
+    last: u64,
+    last_weight: F,
+}
+
+impl<F: PrimeField> IndicatorLevel<F> {
+    /// The level reached after binding `challenges` (`r_1, …, r_j`).
+    pub fn new(q_l: u64, q_r: u64, challenges: &[F]) -> Self {
+        let j = challenges.len();
+        let (first, last) = (q_l >> j, q_r >> j);
+        IndicatorLevel {
+            first,
+            first_weight: block_range_weight(q_l, q_r, challenges, j, first),
+            last,
+            last_weight: block_range_weight(q_l, q_r, challenges, j, last),
+        }
+    }
+
+    /// Entry `i` of the indicator's fold table.
+    #[inline]
+    fn weight(&self, i: u64) -> F {
+        if i < self.first || i > self.last {
+            F::ZERO
+        } else if i == self.first {
+            self.first_weight
+        } else if i == self.last {
+            self.last_weight
+        } else {
+            F::ONE
+        }
+    }
+
+    /// Pair `m`'s contribution to `g(0), g(1), g(2)` of `Σ a·b`.
+    #[inline(always)]
+    fn accumulate(&self, m: u64, alo: F, ahi: F, acc: &mut [F::DotAcc]) {
+        let (lo, hi) = (2 * m, 2 * m + 1);
+        if hi < self.first || lo > self.last {
+            return;
+        }
+        let a2 = ahi + (ahi - alo);
+        if self.first < lo && hi < self.last {
+            // Both children interior: the products are by the constant 1,
+            // which leaves three additions.
+            F::acc_add_prod(&mut acc[0], alo, F::ONE);
+            F::acc_add_prod(&mut acc[1], ahi, F::ONE);
+            F::acc_add_prod(&mut acc[2], a2, F::ONE);
+            return;
+        }
+        let (blo, bhi) = (self.weight(lo), self.weight(hi));
+        F::acc_add_prod(&mut acc[0], alo, blo);
+        F::acc_add_prod(&mut acc[1], ahi, bhi);
+        F::acc_add_prod(&mut acc[2], a2, bhi + (bhi - blo));
+    }
+}
+
+/// The RANGE-SUM per-pair rule for one or more ranges over the same data:
+/// three slots per range, the partner children read off each range's
+/// [`IndicatorLevel`] — the indicator is never materialised on any thread.
 pub struct RangeSumCombine<'a, F> {
-    q_l: u64,
-    q_r: u64,
-    challenges: &'a [F],
+    /// One level per queried range, all after the same challenges.
+    pub ranges: &'a [IndicatorLevel<F>],
+}
+
+impl<'a, F> RangeSumCombine<'a, F> {
+    /// The rule for a single range.
+    pub fn one(level: &'a IndicatorLevel<F>) -> Self {
+        RangeSumCombine {
+            ranges: std::slice::from_ref(level),
+        }
+    }
 }
 
 impl<F: PrimeField> Combine<F> for RangeSumCombine<'_, F> {
     fn slots(&self) -> usize {
-        3
+        3 * self.ranges.len()
     }
 
-    #[inline]
+    #[inline(always)]
     fn accumulate(&self, m: u64, a: &[F], _b: &[F], acc: &mut [F::DotAcc]) {
-        let (alo, ahi) = (a[0], a[1]);
-        let j = self.challenges.len();
-        let blo: F = block_range_weight(self.q_l, self.q_r, self.challenges, j, 2 * m);
-        let bhi: F = block_range_weight(self.q_l, self.q_r, self.challenges, j, 2 * m + 1);
-        F::acc_add_prod(&mut acc[0], alo, blo);
-        F::acc_add_prod(&mut acc[1], ahi, bhi);
-        let a2 = ahi + (ahi - alo);
-        let b2 = bhi + (bhi - blo);
-        F::acc_add_prod(&mut acc[2], a2, b2);
+        for (range, acc) in self.ranges.iter().zip(acc.chunks_exact_mut(3)) {
+            range.accumulate(m, a[0], a[1], acc);
+        }
+    }
+
+    fn live(&self, blocks: u64) -> (u64, u64) {
+        let lo = self.ranges.iter().map(|r| r.first / 2).min();
+        let hi = self.ranges.iter().map(|r| r.last / 2 + 1).max();
+        (lo.unwrap_or(0), hi.unwrap_or(0).min(blocks))
     }
 }
 
-/// Honest RANGE-SUM prover with the lazily computed indicator fold.
+/// Honest RANGE-SUM prover over the closed-form indicator fold.
 #[derive(Clone, Debug)]
 pub struct RangeSumProver<F: PrimeField> {
-    a: FoldVector<F>,
+    fused: FusedRounds<F>,
     q_l: u64,
     q_r: u64,
     /// Challenges received so far (`r_1, …, r_j`), which are exactly the
     /// keys the indicator fold needs.
     challenges: Vec<F>,
+    /// The indicator's table after those challenges.
+    level: IndicatorLevel<F>,
     rounds: usize,
-    pool: ProverPool,
 }
 
 impl<F: PrimeField> RangeSumProver<F> {
@@ -167,12 +247,12 @@ impl<F: PrimeField> RangeSumProver<F> {
     ) -> Self {
         assert!(q_l <= q_r && q_r < (1u64 << log_u), "bad range");
         RangeSumProver {
-            a: FoldVector::from_frequency(fv, log_u),
+            fused: FusedRounds::new(fv, log_u, pool),
             q_l,
             q_r,
             challenges: Vec::new(),
+            level: IndicatorLevel::new(q_l, q_r, &[]),
             rounds: log_u as usize,
-            pool,
         }
     }
 }
@@ -187,19 +267,13 @@ impl<F: PrimeField> RoundProver<F> for RangeSumProver<F> {
     }
 
     fn message(&mut self) -> Vec<F> {
-        self.pool.fold_message(
-            FoldSource::Pairs(&self.a),
-            &RangeSumCombine {
-                q_l: self.q_l,
-                q_r: self.q_r,
-                challenges: &self.challenges,
-            },
-        )
+        self.fused.message(&RangeSumCombine::one(&self.level))
     }
 
     fn bind(&mut self, r: F) {
-        self.a.bind(r);
         self.challenges.push(r);
+        self.level = IndicatorLevel::new(self.q_l, self.q_r, &self.challenges);
+        self.fused.bind(r, &RangeSumCombine::one(&self.level));
     }
 }
 

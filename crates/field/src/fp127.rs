@@ -106,16 +106,6 @@ impl PrimeField for Fp127 {
     }
 
     #[inline]
-    fn mul_add2(w0: Self, x0: Self, w1: Self, x1: Self) -> Self {
-        // 256-bit sum of the two wide products, one shared reduction. Each
-        // hi is < 2^126, so hi0 + hi1 + carry < 2^127 stays in range.
-        let (hi0, lo0) = mul_wide(w0.0, x0.0);
-        let (hi1, lo1) = mul_wide(w1.0, x1.0);
-        let (lo, carry) = lo0.overflowing_add(lo1);
-        Self::reduce256(hi0 + hi1 + carry as u128, lo)
-    }
-
-    #[inline]
     fn from_u64(x: u64) -> Self {
         Fp127(x as u128)
     }
@@ -288,16 +278,15 @@ mod tests {
     }
 
     #[test]
-    fn dot_and_mul_add2_extremes() {
+    fn dot_extremes() {
         // Fused accumulation at the modulus boundary: (−1)² terms.
         let m = Fp127::new(P127 - 1);
         let a = vec![m; 257];
         assert_eq!(Fp127::dot(&a, &a), Fp127::from_u64(257));
-        assert_eq!(Fp127::mul_add2(m, m, m, m), Fp127::from_u64(2));
         // Largest-hi products: 2^126 · 2^126 twice.
         let x = Fp127::new(1u128 << 126);
         let expect = Fp127::new(1u128 << 125) + Fp127::new(1u128 << 125);
-        assert_eq!(Fp127::mul_add2(x, x, x, x), expect);
+        assert_eq!(Fp127::dot(&[x, x], &[x, x]), expect);
     }
 
     #[test]

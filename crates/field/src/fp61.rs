@@ -112,13 +112,6 @@ impl PrimeField for Fp61 {
     }
 
     #[inline]
-    fn mul_add2(w0: Self, x0: Self, w1: Self, x1: Self) -> Self {
-        // Both products are < 2^122; their sum is < 2^123, so one shared
-        // reduction replaces two.
-        Self::reduce128((w0.0 as u128) * (x0.0 as u128) + (w1.0 as u128) * (x1.0 as u128))
-    }
-
-    #[inline]
     fn from_u64(x: u64) -> Self {
         Self::reduce64(x)
     }
@@ -281,14 +274,6 @@ mod tests {
         // Odd leftover terms below one batch reduce correctly too.
         assert_eq!(Fp61::dot(&a[..7], &a[..7]), Fp61::from_u64(7));
         assert_eq!(Fp61::dot(&[], &[]), Fp61::ZERO);
-    }
-
-    #[test]
-    fn mul_add2_max_operands() {
-        let m = Fp61::new(P61 - 1);
-        // (−1)(−1) + (−1)(−1) = 2.
-        assert_eq!(Fp61::mul_add2(m, m, m, m), Fp61::from_u64(2));
-        assert_eq!(Fp61::mul_add2(Fp61::ZERO, m, m, Fp61::ZERO), Fp61::ZERO);
     }
 
     #[test]

@@ -74,18 +74,6 @@ macro_rules! field_axioms {
                 }
 
                 #[test]
-                fn mul_add2_matches_operators(
-                    w0 in $gen, x0 in $gen, w1 in $gen, x1 in $gen,
-                ) {
-                    let (w0, x0) = (<$field>::from_u128(w0), <$field>::from_u128(x0));
-                    let (w1, x1) = (<$field>::from_u128(w1), <$field>::from_u128(x1));
-                    prop_assert_eq!(
-                        <$field>::mul_add2(w0, x0, w1, x1),
-                        w0 * x0 + w1 * x1
-                    );
-                }
-
-                #[test]
                 fn dot_matches_pairwise(
                     a in prop::collection::vec(any::<u128>(), 0..100),
                     b in prop::collection::vec(any::<u128>(), 0..100),

@@ -121,14 +121,6 @@ pub trait PrimeField:
     /// Collapses a delayed-reduction accumulator to its canonical residue.
     fn acc_finish(acc: Self::DotAcc) -> Self;
 
-    /// Fused `w0·x0 + w1·x1` — the fold hot-loop primitive
-    /// (`A'[m] = w0·A[2m] + w1·A[2m+1]`). Implementations may save a
-    /// modular reduction over the operator form; the result is identical.
-    #[inline]
-    fn mul_add2(w0: Self, x0: Self, w1: Self, x1: Self) -> Self {
-        w0 * x0 + w1 * x1
-    }
-
     /// Sum of products `Σ aᵢ·bᵢ` over two equal-length slices, using the
     /// delayed-reduction accumulator.
     ///

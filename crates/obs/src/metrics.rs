@@ -475,15 +475,15 @@ pub const METRIC_HELP: &[(&str, &str)] = &[
     ("sip_fleet_up_replicas", "Replicas currently scraping as Up"),
     (
         "sip_fold_blocks_total",
-        "Fold-kernel blocks walked by the prover engine",
+        "Pairs or blocks swept by the prover engine's round passes",
     ),
     (
         "sip_fold_message_us",
-        "Latency of one round-message fold pass (sampled)",
+        "Latency of one pass producing a round message: round 1's walk, or a later round's fused fold-and-sum (sampled)",
     ),
     (
         "sip_fold_messages_total",
-        "Round messages folded by the prover engine",
+        "Round messages produced by the prover engine (one pass each)",
     ),
     (
         "sip_ingest_batch_us",
@@ -512,6 +512,10 @@ pub const METRIC_HELP: &[(&str, &str)] = &[
     (
         "sip_registry_restore_total",
         "Checkpoints thawed via Msg::Resume",
+    ),
+    (
+        "sip_registry_round1_cache_total",
+        "F2 queries on a published dataset by whether its first round message was already computed (outcome=hit|miss)",
     ),
     (
         "sip_server_active_sessions",

@@ -268,12 +268,7 @@ impl<F: PrimeField> Persist for Dataset<F> {
                 )))
             }
         };
-        Ok(Dataset {
-            id,
-            log_u,
-            shard,
-            data,
-        })
+        Ok(Dataset::new(id, log_u, shard, data))
     }
 }
 
@@ -288,12 +283,12 @@ mod tests {
         let mut fv = FrequencyVector::new_sparse(1 << 8);
         fv.apply(Update::new(3, 5));
         fv.apply(Update::new(200, -1));
-        Dataset {
-            id: id.to_string(),
-            log_u: 8,
-            shard: Some(ShardSpec::new(1, 2)),
-            data: DatasetData::Raw(fv),
-        }
+        Dataset::new(
+            id.to_string(),
+            8,
+            Some(ShardSpec::new(1, 2)),
+            DatasetData::Raw(fv),
+        )
     }
 
     #[test]
@@ -314,12 +309,7 @@ mod tests {
         let mut store = CloudStore::<Fp61>::new_sparse(6);
         use sip_kvstore::KvServer;
         store.ingest(Update::new(9, 42 + 1));
-        let ds = Dataset {
-            id: "kv".into(),
-            log_u: 6,
-            shard: None,
-            data: DatasetData::Kv(store),
-        };
+        let ds = Dataset::new("kv".into(), 6, None, DatasetData::Kv(store));
         let back: Dataset<Fp61> = snapshot_from_bytes(&snapshot_to_bytes(&ds)).unwrap();
         let DatasetData::Kv(s) = &back.data else {
             panic!("mode changed")

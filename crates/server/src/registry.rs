@@ -16,6 +16,15 @@
 //! trees) is built per query from the shared snapshot, exactly as it was
 //! from a session-private store — same transcripts, different ownership.
 //!
+//! Because the vectors never change, the one part of a proof that depends
+//! on the data alone — SELF-JOIN SIZE's first round message — is computed
+//! at most once per dataset ([`Dataset::f2_prover`]) and every
+//! later F₂ query starts from it. That is all the cache holds: a few words
+//! beside the frozen vectors, derived from them, never invalidated, never
+//! persisted and never sent — a restarted server recomputes it on the
+//! first query. Nothing that depends on a query or a challenge may live
+//! there.
+//!
 //! ## Trust
 //!
 //! The registry moves no trust: a verifier accepts only answers consistent
@@ -24,8 +33,11 @@
 
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
+use sip_core::engine::ProverPool;
+use sip_core::sumcheck::f2::F2Prover;
+use sip_core::sumcheck::RoundProver;
 use sip_durable::{load_snapshot, save_snapshot, SnapshotError};
 use sip_field::PrimeField;
 use sip_kvstore::CloudStore;
@@ -60,9 +72,55 @@ pub struct Dataset<F: PrimeField> {
     pub shard: Option<ShardSpec>,
     /// The frozen vectors.
     pub data: DatasetData<F>,
+    /// SELF-JOIN SIZE's first round message over [`Self::f2_vector`], once
+    /// a query needed it.
+    f2_first: OnceLock<Vec<F>>,
 }
 
 impl<F: PrimeField> Dataset<F> {
+    /// A dataset named `id` over `[2^log_u]` holding `data`.
+    pub fn new(id: String, log_u: u32, shard: Option<ShardSpec>, data: DatasetData<F>) -> Self {
+        Dataset {
+            id,
+            log_u,
+            shard,
+            data,
+            f2_first: OnceLock::new(),
+        }
+    }
+
+    /// The vector a SELF-JOIN SIZE query runs over.
+    pub fn f2_vector(&self) -> &FrequencyVector {
+        match &self.data {
+            DatasetData::Raw(fv) => fv,
+            DatasetData::Kv(store) => store.raw_vector(),
+        }
+    }
+
+    /// Whether a query has computed the first round message yet.
+    #[cfg(test)]
+    pub(crate) fn f2_first_message_cached(&self) -> bool {
+        self.f2_first.get().is_some()
+    }
+
+    /// An F₂ prover over this dataset that starts from the first round
+    /// message — which depends on the frozen vector alone, so it is
+    /// computed by the first query that asks (`pool` schedules that one
+    /// walk) and reused by every later one, on any session.
+    pub fn f2_prover(&self, pool: ProverPool) -> F2Prover<F> {
+        let prover = F2Prover::with_pool(self.f2_vector(), self.log_u, pool);
+        let mut missed = false;
+        let first = self.f2_first.get_or_init(|| {
+            missed = true;
+            prover.clone().message()
+        });
+        if sip_obs::enabled() {
+            let outcome = if missed { "miss" } else { "hit" };
+            sip_obs::counter_with("sip_registry_round1_cache_total", &[("outcome", outcome)]).inc();
+        }
+        prover.with_first_message(first.clone())
+    }
+
     /// The session mode this dataset serves; attaching sessions must have
     /// handshaken the same mode.
     pub fn mode(&self) -> SessionMode {
@@ -485,12 +543,7 @@ mod tests {
     fn raw_dataset(id: &str) -> Dataset<Fp61> {
         let mut fv = FrequencyVector::new_sparse(1 << 8);
         fv.apply(Update::new(3, 5));
-        Dataset {
-            id: id.to_string(),
-            log_u: 8,
-            shard: None,
-            data: DatasetData::Raw(fv),
-        }
+        Dataset::new(id.to_string(), 8, None, DatasetData::Raw(fv))
     }
 
     #[test]

@@ -69,12 +69,15 @@ fn session_metrics() -> &'static SessionMetrics {
     })
 }
 
+/// An honest sum-check prover of any aggregate query, as a session holds it.
+type SumCheckProver<F> = Box<dyn RoundProver<F> + Send>;
+
 /// The currently open query, if any.
 enum Active<F: PrimeField> {
     Idle,
     /// A sum-check query mid-rounds.
     SumCheck {
-        prover: Box<dyn RoundProver<F> + Send>,
+        prover: SumCheckProver<F>,
         /// Round polynomials already sent.
         sent: usize,
         /// Total rounds `d`.
@@ -462,8 +465,10 @@ impl<F: PrimeField, T: Transport> ServerSession<F, T> {
                 // Updates are welcome at any point between queries — the
                 // in-process `CloudStore` has no phases, and this server
                 // must be a drop-in for it. (Mid-query they are fine too:
-                // active provers snapshot their fold tables at query
-                // start, and the verifier's digests live client-side.)
+                // an active prover holds a copy-on-write snapshot of the
+                // vector taken at query start, so this write goes to a
+                // fresh copy the prover never sees, and the verifier's
+                // digests live client-side.)
                 let u = 1u64 << self.log_u;
                 for up in &ups {
                     if up.index >= u {
@@ -729,12 +734,8 @@ impl<F: PrimeField, T: Transport> ServerSession<F, T> {
                 )));
             }
         };
-        let dataset = Dataset {
-            id: dataset_id.clone(),
-            log_u: self.log_u,
-            shard: self.shard.map(|(spec, _, _)| spec),
-            data,
-        };
+        let shard = self.shard.map(|(spec, _, _)| spec);
+        let dataset = Dataset::new(dataset_id.clone(), self.log_u, shard, data);
         let arc = self.registry.publish(dataset).map_err(protocol)?;
         self.store = Store::Shared(arc);
         self.mark_attached();
@@ -794,12 +795,8 @@ impl<F: PrimeField, T: Transport> ServerSession<F, T> {
                 )));
             }
         };
-        let dataset = Dataset {
-            id: dataset_id,
-            log_u: self.log_u,
-            shard: self.shard.map(|(spec, _, _)| spec),
-            data,
-        };
+        let shard = self.shard.map(|(spec, _, _)| spec);
+        let dataset = Dataset::new(dataset_id, self.log_u, shard, data);
         self.registry.save_checkpoint(dataset).map_err(protocol)?;
         self.send(&Msg::StateAck {
             dataset_ids: self.registry.durable_ids(),
@@ -881,45 +878,75 @@ impl<F: PrimeField, T: Transport> ServerSession<F, T> {
         Ok(())
     }
 
-    fn start_query(&mut self, q: Query) -> Result<(), Flow> {
-        let u = 1u64 << self.log_u;
-        let log_u = self.log_u;
-        let pool = self.pool;
-        let check_range = |l: u64, r: u64| -> Result<(), Flow> {
-            if l <= r && r < u {
-                Ok(())
-            } else {
-                Err(protocol(format!("bad range [{l}, {r}] over [0, {u})")))
-            }
+    /// Builds the honest prover of an aggregate (sum-check) query, with the
+    /// name and parameters its one-shot transcript binds; the reporting
+    /// queries, which are conversations of another shape, are refused. The
+    /// one place a sum-check prover is built, so the interactive and
+    /// one-shot paths cannot drift: both snapshot the data the same way
+    /// (`O(1)`, copy-on-write — a later ingest leaves the prover's view
+    /// alone) and both start F₂ over a published dataset from its first
+    /// round message.
+    fn sumcheck_prover(
+        &self,
+        q: &Query,
+    ) -> Result<(SumCheckProver<F>, &'static str, Vec<u64>), Flow> {
+        let (log_u, pool) = (self.log_u, self.pool);
+        let range_prover = |fv: &FrequencyVector, l: u64, r: u64| {
+            self.check_range(l, r)?;
+            let prover: SumCheckProver<F> =
+                Box::new(RangeSumProver::with_pool(fv, log_u, l, r, pool));
+            Ok::<_, Flow>(prover)
         };
-        match (q, self.data()) {
+        Ok(match (q, self.data()) {
             (Query::SelfJoin, data) => {
-                let fv = match data {
-                    DataRef::Raw(fv) => fv,
-                    DataRef::Kv(s) => s.raw_vector(),
+                let prover = match (&self.store, data) {
+                    (Store::Shared(ds), _) => ds.f2_prover(pool),
+                    (_, DataRef::Raw(fv)) => F2Prover::with_pool(fv, log_u, pool),
+                    (_, DataRef::Kv(s)) => F2Prover::with_pool(s.raw_vector(), log_u, pool),
                 };
-                let prover = F2Prover::with_pool(fv, log_u, pool);
-                self.begin_sumcheck(prover)
+                (Box::new(prover), "self-join", Vec::new())
             }
-            (Query::RangeSum { l, r }, data) => {
-                check_range(l, r)?;
+            (&Query::RangeSum { l, r }, data) => {
                 let fv = match data {
                     DataRef::Raw(fv) => fv,
                     DataRef::Kv(s) => s.encoded_vector(),
                 };
-                let prover = RangeSumProver::with_pool(fv, log_u, l, r, pool);
-                self.begin_sumcheck(prover)
+                (range_prover(fv, l, r)?, "range-sum", vec![l, r])
             }
-            (Query::RangeCount { l, r }, DataRef::Kv(s)) => {
-                check_range(l, r)?;
-                let prover = RangeSumProver::with_pool(s.presence_vector(), log_u, l, r, pool);
-                self.begin_sumcheck(prover)
-            }
+            (&Query::RangeCount { l, r }, DataRef::Kv(s)) => (
+                range_prover(s.presence_vector(), l, r)?,
+                "range-count",
+                vec![l, r],
+            ),
             (Query::RangeCount { .. }, DataRef::Raw(_)) => {
-                Err(protocol("range-count requires a kv-store session"))
+                return Err(protocol("range-count requires a kv-store session"));
+            }
+            (other, _) => {
+                return Err(protocol(format!("{} has no one-shot form", other.name())));
+            }
+        })
+    }
+
+    /// A query range must be non-empty and inside the universe.
+    fn check_range(&self, l: u64, r: u64) -> Result<(), Flow> {
+        let u = 1u64 << self.log_u;
+        if l <= r && r < u {
+            Ok(())
+        } else {
+            Err(protocol(format!("bad range [{l}, {r}] over [0, {u})")))
+        }
+    }
+
+    fn start_query(&mut self, q: Query) -> Result<(), Flow> {
+        let u = 1u64 << self.log_u;
+        let log_u = self.log_u;
+        match (q, self.data()) {
+            (q @ (Query::SelfJoin | Query::RangeSum { .. } | Query::RangeCount { .. }), _) => {
+                let (prover, _, _) = self.sumcheck_prover(&q)?;
+                self.begin_sumcheck(prover)
             }
             (Query::Report { l, r }, data) => {
-                check_range(l, r)?;
+                self.check_range(l, r)?;
                 let fv = match data {
                     DataRef::Raw(fv) => fv,
                     DataRef::Kv(s) => s.encoded_vector(),
@@ -991,7 +1018,6 @@ impl<F: PrimeField, T: Transport> ServerSession<F, T> {
     /// aggregate queries have a one-shot form — the reporting and
     /// heavy-hitters conversations are data-dependent on both sides.
     fn answer_oneshot(&mut self, q: Query, challenges: Vec<F>) -> Result<(), Flow> {
-        let u = 1u64 << self.log_u;
         if challenges.len() + 1 != self.log_u as usize {
             return Err(protocol(format!(
                 "one-shot prefix of {} challenges, log_u = {} needs {}",
@@ -1000,50 +1026,12 @@ impl<F: PrimeField, T: Transport> ServerSession<F, T> {
                 self.log_u.saturating_sub(1)
             )));
         }
-        let check_range = |l: u64, r: u64| -> Result<(), Flow> {
-            if l <= r && r < u {
-                Ok(())
-            } else {
-                Err(protocol(format!("bad range [{l}, {r}] over [0, {u})")))
-            }
-        };
         let log_u = self.log_u;
-        let pool = self.pool;
         // The transcript binds this session's *declared* shard identity; a
         // verifier that believes it is talking to a different shard fails
         // the digest comparison instead of accepting a mislabelled proof.
         let shard = self.shard.map(|(spec, _, _)| (spec.index, spec.count));
-        let (mut prover, name, params): (Box<dyn RoundProver<F> + Send>, &str, Vec<u64>) =
-            match (q, self.data()) {
-                (Query::SelfJoin, data) => {
-                    let fv = match data {
-                        DataRef::Raw(fv) => fv,
-                        DataRef::Kv(s) => s.raw_vector(),
-                    };
-                    let prover = F2Prover::with_pool(fv, log_u, pool);
-                    (Box::new(prover), "self-join", Vec::new())
-                }
-                (Query::RangeSum { l, r }, data) => {
-                    check_range(l, r)?;
-                    let fv = match data {
-                        DataRef::Raw(fv) => fv,
-                        DataRef::Kv(s) => s.encoded_vector(),
-                    };
-                    let prover = RangeSumProver::with_pool(fv, log_u, l, r, pool);
-                    (Box::new(prover), "range-sum", vec![l, r])
-                }
-                (Query::RangeCount { l, r }, DataRef::Kv(s)) => {
-                    check_range(l, r)?;
-                    let prover = RangeSumProver::with_pool(s.presence_vector(), log_u, l, r, pool);
-                    (Box::new(prover), "range-count", vec![l, r])
-                }
-                (Query::RangeCount { .. }, DataRef::Raw(_)) => {
-                    return Err(protocol("range-count requires a kv-store session"));
-                }
-                (other, _) => {
-                    return Err(protocol(format!("{} has no one-shot form", other.name())));
-                }
-            };
+        let (mut prover, name, params) = self.sumcheck_prover(&q)?;
         let transcript = query_transcript::<F>(name, log_u, shard, &params, &challenges);
         let proof = prove_oneshot(&mut ProverWalk(&mut *prover), transcript, &challenges, 2)
             .map_err(|rej| protocol(format!("one-shot walk failed: {rej}")))?;
@@ -1058,10 +1046,7 @@ impl<F: PrimeField, T: Transport> ServerSession<F, T> {
     }
 
     /// Opens a sum-check query: announce the claimed value, send `g_1`.
-    fn begin_sumcheck<P: RoundProver<F> + Send + 'static>(
-        &mut self,
-        mut prover: P,
-    ) -> Result<(), Flow> {
+    fn begin_sumcheck(&mut self, mut prover: SumCheckProver<F>) -> Result<(), Flow> {
         let rounds = prover.rounds();
         let g1 = prover.message();
         // The claimed answer is what g_1 sums to — announced explicitly so
@@ -1070,7 +1055,7 @@ impl<F: PrimeField, T: Transport> ServerSession<F, T> {
         self.served.rounds += 1;
         self.served.p_to_v_words += 1 + g1.len();
         self.active = Active::SumCheck {
-            prover: Box::new(prover),
+            prover,
             sent: 1,
             rounds,
         };
@@ -1939,5 +1924,192 @@ mod tests {
             chan.send(&Msg::<Fp61>::Bye).unwrap();
         });
         assert_eq!(end, SessionEnd::PeerDone);
+    }
+
+    /// Drives one interactive F₂ query as the verifier holding `digest`;
+    /// `before_first_challenge` runs after `g_1` arrived and before any
+    /// challenge is revealed.
+    fn verify_f2_over(
+        chan: &mut MsgChannel<InMemoryTransport>,
+        digest: sip_core::sumcheck::f2::F2Verifier<Fp61>,
+        before_first_challenge: impl FnOnce(&mut MsgChannel<InMemoryTransport>),
+    ) -> Result<Fp61, sip_core::Rejection> {
+        let (mut core, expected) = digest.into_session();
+        chan.send(&Msg::<Fp61>::Query(Query::SelfJoin)).unwrap();
+        let Msg::ClaimedValue(_) = chan.recv::<Fp61>().unwrap() else {
+            panic!("expected claim")
+        };
+        let mut before = Some(before_first_challenge);
+        loop {
+            let Msg::RoundPoly(g) = chan.recv::<Fp61>().unwrap() else {
+                panic!("expected a round polynomial")
+            };
+            if let Some(hook) = before.take() {
+                hook(chan);
+            }
+            match core.receive(&g)? {
+                Some(r) => chan.send(&Msg::Challenge(r)).unwrap(),
+                None => return core.finalize(expected),
+            }
+        }
+    }
+
+    fn f2_digest(
+        seed: u64,
+        log_u: u32,
+        stream: &[Update],
+    ) -> sip_core::sumcheck::f2::F2Verifier<Fp61> {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut v = sip_core::sumcheck::f2::F2Verifier::new(log_u, &mut rng);
+        v.update_all(stream);
+        v
+    }
+
+    #[test]
+    fn ingest_between_query_and_first_challenge_leaves_the_proof_on_the_old_data() {
+        // The prover snapshots the vector at query start (copy-on-write, no
+        // copy): updates arriving while the proof is in flight go to a fresh
+        // copy. The in-flight proof must verify against the PRE-ingest
+        // digest, the next query against the post-ingest one — in both
+        // representations of the session's vector.
+        for log_u in [3u32, 10] {
+            let u = 1u64 << log_u;
+            // log_u = 3 promotes the session vector to dense at once;
+            // log_u = 10 keeps it a sparse tree.
+            let before: Vec<Update> = (0..5)
+                .map(|i| Update::new(i * 3 % u, i as i64 - 7))
+                .collect();
+            let late: Vec<Update> = (0..4)
+                .map(|i| Update::new((i * 5 + 1) % u, 9 + i as i64))
+                .collect();
+            let all: Vec<Update> = before.iter().chain(&late).copied().collect();
+            let truth = |s: &[Update]| {
+                Fp61::from_u128(FrequencyVector::from_stream(u, s).self_join_size() as u128)
+            };
+            let (old, new) = (truth(&before), truth(&all));
+            assert_ne!(old, new);
+            let (end, ()) = with_session(SessionMode::RawStream, log_u, move |mut chan| {
+                chan.send(&Msg::<Fp61>::Ingest(before.clone())).unwrap();
+                let in_flight = verify_f2_over(&mut chan, f2_digest(1, log_u, &before), |chan| {
+                    chan.send(&Msg::<Fp61>::Ingest(late.clone())).unwrap();
+                });
+                assert_eq!(in_flight, Ok(old), "log_u={log_u}");
+                let next = verify_f2_over(&mut chan, f2_digest(2, log_u, &all), |_| {});
+                assert_eq!(next, Ok(new), "log_u={log_u}");
+                // And a digest of the old data no longer matches.
+                let stale = verify_f2_over(&mut chan, f2_digest(3, log_u, &before), |_| {});
+                assert!(stale.is_err(), "log_u={log_u}");
+                chan.send(&Msg::<Fp61>::Bye).unwrap();
+            });
+            assert_eq!(end, SessionEnd::PeerDone);
+        }
+    }
+
+    #[test]
+    fn two_sessions_share_one_datasets_first_round_and_a_restart_recomputes_it() {
+        // Two verifiers with digests at different points attach to one
+        // dataset: the second F₂ query starts from the first round message
+        // the first one computed, and both verify. A restarted server (a
+        // fresh registry over the same directory) starts cold and verifies
+        // too.
+        let log_u = 8u32;
+        let stream: Vec<Update> = (0..60u64)
+            .map(|i| Update::new(i * 37 % 256, (i % 7) as i64 - 2))
+            .collect();
+        let truth = Fp61::from_u128(
+            FrequencyVector::from_stream(1 << log_u, &stream).self_join_size() as u128,
+        );
+        let (registry, dir) = durable_registry("round1-cache");
+        let publish = {
+            let stream = stream.clone();
+            move |mut chan: MsgChannel<InMemoryTransport>| {
+                chan.send(&Msg::<Fp61>::Ingest(stream.clone())).unwrap();
+                chan.send(&Msg::<Fp61>::Publish {
+                    dataset_id: "shared".into(),
+                })
+                .unwrap();
+                assert!(matches!(
+                    chan.recv::<Fp61>().unwrap(),
+                    Msg::DatasetAck { .. }
+                ));
+                let got = verify_f2_over(&mut chan, f2_digest(10, log_u, &stream), |_| {});
+                assert_eq!(got, Ok(truth));
+                chan.send(&Msg::<Fp61>::Bye).unwrap();
+            }
+        };
+        let attach = |seed: u64| {
+            let stream = stream.clone();
+            move |mut chan: MsgChannel<InMemoryTransport>| {
+                chan.send(&Msg::<Fp61>::Attach {
+                    dataset_id: "shared".into(),
+                })
+                .unwrap();
+                assert!(matches!(
+                    chan.recv::<Fp61>().unwrap(),
+                    Msg::DatasetAck { .. }
+                ));
+                // Interactive and one-shot both start from the cached g_1.
+                let got = verify_f2_over(&mut chan, f2_digest(seed, log_u, &stream), |_| {});
+                assert_eq!(got, Ok(truth));
+                let digest = f2_digest(seed + 1, log_u, &stream);
+                let (core, expected) = digest.into_session();
+                let challenges = core.challenge_prefix().to_vec();
+                chan.send(&Msg::<Fp61>::QueryOneShot {
+                    query: Query::SelfJoin,
+                    challenges: challenges.clone(),
+                })
+                .unwrap();
+                let Msg::Proof {
+                    claimed,
+                    rounds,
+                    digest,
+                } = chan.recv::<Fp61>().unwrap()
+                else {
+                    panic!("expected a sealed proof")
+                };
+                let proof = sip_core::sumcheck::OneShotProof {
+                    claimed,
+                    rounds,
+                    digest,
+                };
+                let t = query_transcript::<Fp61>("self-join", log_u, None, &[], &challenges);
+                assert_eq!(core.verify_oneshot(expected, t, &proof), Ok(truth));
+                chan.send(&Msg::<Fp61>::Bye).unwrap();
+            }
+        };
+        let ends = with_registry_sessions(
+            Arc::clone(&registry),
+            (SessionMode::RawStream, SessionMode::RawStream),
+            (log_u, log_u),
+            publish,
+            attach(20),
+        );
+        assert_eq!(ends, (SessionEnd::PeerDone, SessionEnd::PeerDone));
+        let shared = registry.get("shared").expect("published");
+        assert!(
+            shared.f2_first_message_cached(),
+            "the first query fills the cache"
+        );
+        drop((shared, registry));
+
+        // Restart: same directory, new process state.
+        let registry = Arc::new(DatasetRegistry::<Fp61>::with_data_dir(8, dir.clone()).unwrap());
+        let reloaded = registry.get("shared").expect("reloaded from disk");
+        assert!(
+            !reloaded.f2_first_message_cached(),
+            "nothing of the cache is persisted"
+        );
+        drop(reloaded);
+        let ends = with_registry_sessions(
+            Arc::clone(&registry),
+            (SessionMode::RawStream, SessionMode::RawStream),
+            (log_u, log_u),
+            attach(30),
+            attach(40),
+        );
+        assert_eq!(ends, (SessionEnd::PeerDone, SessionEnd::PeerDone));
+        assert!(registry.get("shared").unwrap().f2_first_message_cached());
+        let _ = std::fs::remove_dir_all(dir);
     }
 }

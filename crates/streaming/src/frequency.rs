@@ -2,6 +2,7 @@
 //! suite's ground-truth oracle.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use crate::update::Update;
 
@@ -25,10 +26,16 @@ const PROMOTE_DIVISOR: u64 = 8;
 /// ones; all queries behave identically. This is what the paper's prover
 /// keeps ("the prover has to retain the input vector a, which can be done
 /// efficiently in space O(min(u, n))").
+///
+/// [`Clone`] is `O(1)`: clones share the representation and the first
+/// [`Self::apply`]/[`Self::apply_batch`] on a shared vector copies it
+/// (copy-on-write). A clone is therefore a cheap immutable *snapshot* —
+/// what a prover takes at query start so later ingest cannot move the data
+/// under an in-flight proof.
 #[derive(Clone, Debug)]
 pub struct FrequencyVector {
     u: u64,
-    repr: Repr,
+    repr: Arc<Repr>,
 }
 
 #[derive(Clone, Debug)]
@@ -37,19 +44,22 @@ enum Repr {
     Sparse(BTreeMap<u64, i64>),
 }
 
+/// A borrowed view of a [`FrequencyVector`]'s representation.
+#[derive(Clone, Copy, Debug)]
+pub enum Entries<'a> {
+    /// Every frequency `a_0, …, a_{u−1}`.
+    Dense(&'a [i64]),
+    /// The nonzero frequencies by index.
+    Sparse(&'a BTreeMap<u64, i64>),
+}
+
 impl FrequencyVector {
     /// An all-zero vector over universe `[u]`; dense below a size threshold.
     pub fn new(u: u64) -> Self {
         if u <= DENSE_LIMIT {
-            FrequencyVector {
-                u,
-                repr: Repr::Dense(vec![0; u as usize]),
-            }
+            Self::from_repr(u, Repr::Dense(vec![0; u as usize]))
         } else {
-            FrequencyVector {
-                u,
-                repr: Repr::Sparse(BTreeMap::new()),
-            }
+            Self::new_sparse(u)
         }
     }
 
@@ -59,9 +69,13 @@ impl FrequencyVector {
     /// for a dense array), the vector promotes itself — memory then tracks
     /// data actually ingested, never the declared universe.
     pub fn new_sparse(u: u64) -> Self {
+        Self::from_repr(u, Repr::Sparse(BTreeMap::new()))
+    }
+
+    fn from_repr(u: u64, repr: Repr) -> Self {
         FrequencyVector {
             u,
-            repr: Repr::Sparse(BTreeMap::new()),
+            repr: Arc::new(repr),
         }
     }
 
@@ -76,14 +90,24 @@ impl FrequencyVector {
     /// metadata: snapshots record the representation so a restored vector
     /// behaves — promotes, allocates — exactly like the original).
     pub fn is_dense(&self) -> bool {
-        matches!(self.repr, Repr::Dense(_))
+        matches!(*self.repr, Repr::Dense(_))
     }
 
     /// The dense backing array, when the representation is dense.
     pub fn dense_values(&self) -> Option<&[i64]> {
-        match &self.repr {
+        match &*self.repr {
             Repr::Dense(v) => Some(v),
             Repr::Sparse(_) => None,
+        }
+    }
+
+    /// The representation itself, so a prover can walk the snapshot in
+    /// place — dense array or sorted nonzero entries — instead of copying
+    /// it into field form first.
+    pub fn entries(&self) -> Entries<'_> {
+        match &*self.repr {
+            Repr::Dense(v) => Entries::Dense(v),
+            Repr::Sparse(m) => Entries::Sparse(m),
         }
     }
 
@@ -93,10 +117,7 @@ impl FrequencyVector {
     /// Panics if `values.len() != u`.
     pub fn from_dense(u: u64, values: Vec<i64>) -> Self {
         assert_eq!(values.len() as u64, u, "dense array must cover [0, u)");
-        FrequencyVector {
-            u,
-            repr: Repr::Dense(values),
-        }
+        Self::from_repr(u, Repr::Dense(values))
     }
 
     /// Rebuilds a *sparse* vector from checkpointed nonzero entries,
@@ -114,10 +135,7 @@ impl FrequencyVector {
                 m.insert(i, f);
             }
         }
-        FrequencyVector {
-            u,
-            repr: Repr::Sparse(m),
-        }
+        Self::from_repr(u, Repr::Sparse(m))
     }
 
     /// The universe size `u`.
@@ -136,7 +154,7 @@ impl FrequencyVector {
             up.index,
             self.u
         );
-        match &mut self.repr {
+        match Arc::make_mut(&mut self.repr) {
             Repr::Dense(v) => v[up.index as usize] += up.delta,
             Repr::Sparse(m) => {
                 let e = m.entry(up.index).or_insert(0);
@@ -173,7 +191,7 @@ impl FrequencyVector {
                 self.u
             );
         }
-        match &mut self.repr {
+        match Arc::make_mut(&mut self.repr) {
             Repr::Dense(v) => {
                 for up in batch {
                     v[up.index as usize] += up.delta;
@@ -211,7 +229,7 @@ impl FrequencyVector {
     /// identically in both representations, so this is invisible outside
     /// of speed and memory shape.
     fn maybe_promote(&mut self) {
-        let Repr::Sparse(m) = &self.repr else { return };
+        let Repr::Sparse(m) = &*self.repr else { return };
         if self.u > DENSE_LIMIT || (m.len() as u64) < self.u.div_ceil(PROMOTE_DIVISOR) {
             return;
         }
@@ -219,13 +237,13 @@ impl FrequencyVector {
         for (&i, &f) in m.iter() {
             v[i as usize] = f;
         }
-        self.repr = Repr::Dense(v);
+        self.repr = Arc::new(Repr::Dense(v));
     }
 
     /// The frequency `a_i` (zero if never touched).
     pub fn get(&self, i: u64) -> i64 {
         assert!(i < self.u, "index {} out of universe [0,{})", i, self.u);
-        match &self.repr {
+        match &*self.repr {
             Repr::Dense(v) => v[i as usize],
             Repr::Sparse(m) => m.get(&i).copied().unwrap_or(0),
         }
@@ -233,7 +251,7 @@ impl FrequencyVector {
 
     /// Iterates `(index, frequency)` over nonzero entries in index order.
     pub fn nonzero(&self) -> Box<dyn Iterator<Item = (u64, i64)> + '_> {
-        match &self.repr {
+        match &*self.repr {
             Repr::Dense(v) => Box::new(
                 v.iter()
                     .enumerate()
@@ -246,7 +264,7 @@ impl FrequencyVector {
 
     /// Number of nonzero entries (`F0` when all deltas are insertions).
     pub fn support_size(&self) -> u64 {
-        match &self.repr {
+        match &*self.repr {
             Repr::Dense(v) => v.iter().filter(|&&f| f != 0).count() as u64,
             Repr::Sparse(m) => m.len() as u64,
         }
@@ -295,7 +313,7 @@ impl FrequencyVector {
 
     /// RANGE QUERY: all nonzero entries with index in `[q_l, q_r]`.
     pub fn range_report(&self, q_l: u64, q_r: u64) -> Vec<(u64, i64)> {
-        match &self.repr {
+        match &*self.repr {
             Repr::Dense(v) => {
                 let hi = (q_r.min(self.u - 1) + 1) as usize;
                 let lo = (q_l as usize).min(hi);
@@ -320,7 +338,7 @@ impl FrequencyVector {
 
     /// PREDECESSOR: the largest present key `p ≤ q` (`None` if none).
     pub fn predecessor(&self, q: u64) -> Option<u64> {
-        match &self.repr {
+        match &*self.repr {
             Repr::Dense(v) => (0..=q.min(self.u - 1)).rev().find(|&i| v[i as usize] != 0),
             Repr::Sparse(m) => m.range(..=q).next_back().map(|(&i, _)| i),
         }
@@ -328,7 +346,7 @@ impl FrequencyVector {
 
     /// SUCCESSOR: the smallest present key `s ≥ q` (`None` if none).
     pub fn successor(&self, q: u64) -> Option<u64> {
-        match &self.repr {
+        match &*self.repr {
             Repr::Dense(v) => (q..self.u).find(|&i| v[i as usize] != 0),
             Repr::Sparse(m) => m.range(q..).next().map(|(&i, _)| i),
         }
@@ -365,7 +383,7 @@ impl FrequencyVector {
     pub fn kth_largest(&self, k: u64) -> Option<u64> {
         assert!(k >= 1);
         let mut seen = 0;
-        match &self.repr {
+        match &*self.repr {
             Repr::Dense(v) => {
                 for i in (0..self.u).rev() {
                     if v[i as usize] != 0 {
@@ -543,6 +561,37 @@ mod tests {
     }
 
     #[test]
+    fn clone_is_a_shared_snapshot_until_written() {
+        for make in [FrequencyVector::new, FrequencyVector::new_sparse] {
+            let mut live = make(64);
+            live.apply_batch(&[Update::new(3, 5), Update::new(40, -2)]);
+            let snapshot = live.clone();
+            assert!(Arc::ptr_eq(&live.repr, &snapshot.repr), "clone must share");
+            // An empty batch writes nothing, so it must not copy either.
+            live.apply_batch(&[]);
+            assert!(Arc::ptr_eq(&live.repr, &snapshot.repr));
+            live.apply(Update::new(3, 1));
+            live.apply_batch(&[Update::new(9, 7)]);
+            assert!(!Arc::ptr_eq(&live.repr, &snapshot.repr));
+            assert_eq!(
+                snapshot.nonzero().collect::<Vec<_>>(),
+                vec![(3, 5), (40, -2)],
+                "the snapshot must not see later writes"
+            );
+            assert_eq!(
+                live.nonzero().collect::<Vec<_>>(),
+                vec![(3, 6), (9, 7), (40, -2)]
+            );
+            // Once the snapshot is gone the vector is unique again: writes
+            // go in place (same allocation before and after).
+            drop(snapshot);
+            let before = Arc::as_ptr(&live.repr);
+            live.apply(Update::new(9, 1));
+            assert_eq!(Arc::as_ptr(&live.repr), before);
+        }
+    }
+
+    #[test]
     fn sparse_promotes_to_dense_at_the_boundary() {
         // u = 64: promotion at support ≥ 64/8 = 8. One below stays sparse;
         // crossing promotes; queries agree throughout.
@@ -550,9 +599,9 @@ mod tests {
         let mut fv = FrequencyVector::new_sparse(u);
         let below: Vec<Update> = (0..7).map(|i| Update::new(i * 9, 2)).collect();
         fv.apply_batch(&below);
-        assert!(matches!(fv.repr, Repr::Sparse(_)), "support 7 < 8");
+        assert!(matches!(*fv.repr, Repr::Sparse(_)), "support 7 < 8");
         fv.apply(Update::new(63, 1));
-        assert!(matches!(fv.repr, Repr::Dense(_)), "support 8 promotes");
+        assert!(matches!(*fv.repr, Repr::Dense(_)), "support 8 promotes");
         // Behaviour identical to a never-promoted sparse twin.
         let mut twin = FrequencyVector::new_sparse(1 << 23); // too big to promote
         for i in 0..7u64 {
@@ -566,6 +615,6 @@ mod tests {
         assert_eq!(fv.get(63), 1);
         assert_eq!(fv.range_sum(0, 63), twin.range_sum(0, 63));
         // A huge universe never promotes regardless of support.
-        assert!(matches!(twin.repr, Repr::Sparse(_)));
+        assert!(matches!(*twin.repr, Repr::Sparse(_)));
     }
 }

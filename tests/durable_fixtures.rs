@@ -206,23 +206,18 @@ fn all_fixtures() -> Vec<Fixture> {
     fv.apply_batch(&stream(1 << 8));
     out.push(fx(
         "dataset_raw",
-        &Dataset::<Fp61> {
-            id: "golden-raw".into(),
-            log_u: 8,
-            shard: Some(sip::wire::ShardSpec::new(1, 2)),
-            data: DatasetData::Raw(fv),
-        },
+        &Dataset::<Fp61>::new(
+            "golden-raw".into(),
+            8,
+            Some(sip::wire::ShardSpec::new(1, 2)),
+            DatasetData::Raw(fv),
+        ),
     ));
     let mut store = CloudStore::<Fp61>::new_sparse(8);
     store.ingest(Update::new(17, 6));
     out.push(fx(
         "dataset_kv",
-        &Dataset::<Fp61> {
-            id: "golden-kv".into(),
-            log_u: 8,
-            shard: None,
-            data: DatasetData::Kv(store),
-        },
+        &Dataset::<Fp61>::new("golden-kv".into(), 8, None, DatasetData::Kv(store)),
     ));
     out
 }

@@ -1,0 +1,346 @@
+//! The fused fold-and-sum prover against a plain two-pass reference.
+//!
+//! The engine produces round `j+1`'s message in the sweep that binds `r_j`
+//! (`ProverPool::bind_message`), reads round 1 straight from the shared
+//! frequency vector, and knows the range-sum indicator's fold table in
+//! closed form. None of that may move a single word of a transcript, so
+//! this file keeps the schedule it replaced — copy the vector into field
+//! form, walk the table for the message, walk it again to fold with two
+//! multiplications a pair, call `block_range_weight` for every indicator
+//! entry — as a [`RoundProver`] in test code ([`TwoPass`]) and compares
+//! **every round message**, interactively and sealed by `prove_oneshot`,
+//! for F₂, moments and range-sum:
+//!
+//! * a proptest over `log_u` 1..=12, dense and sparse vectors (including
+//!   the support at which a sparse vector promotes itself), negative
+//!   frequencies and deletions, and prover pools of 1, 2 and 3 threads;
+//! * fixed cases at `log_u` 13..=16, where the tables are large enough for
+//!   the pool to actually split a pass into chunks and for a sparse table
+//!   to stay sparse for several rounds before it densifies;
+//! * a RANGE-SUM boundary matrix — every range of every universe up to
+//!   `2^5`, and the named corner cases at `2^10` — through the complete
+//!   protocol against `FrequencyVector::range_sum`.
+
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use sip::core::engine::ProverPool;
+use sip::core::sumcheck::f2::F2Prover;
+use sip::core::sumcheck::moments::MomentProver;
+use sip::core::sumcheck::range_sum::{run_range_sum, RangeSumProver};
+use sip::core::sumcheck::{prove_oneshot, ProverWalk, RoundProver};
+use sip::core::transcript::query_transcript;
+use sip::field::{Fp61, PrimeField};
+use sip::lde::interval::block_range_weight;
+use sip::streaming::{workloads, FrequencyVector, Update};
+
+/// Which protocol a [`TwoPass`] reference speaks.
+#[derive(Clone, Copy, Debug)]
+enum Rule {
+    F2,
+    Moment(u32),
+    RangeSum(u64, u64),
+}
+
+/// The two-pass prover the engine replaced: a dense field-form copy of the
+/// vector, one walk per message, a second walk per bind.
+struct TwoPass {
+    table: Vec<Fp61>,
+    rule: Rule,
+    challenges: Vec<Fp61>,
+    rounds: usize,
+}
+
+impl TwoPass {
+    fn new(fv: &FrequencyVector, log_u: u32, rule: Rule) -> Self {
+        TwoPass {
+            table: (0..1u64 << log_u)
+                .map(|i| Fp61::from_i64(if i < fv.universe() { fv.get(i) } else { 0 }))
+                .collect(),
+            rule,
+            challenges: Vec::new(),
+            rounds: log_u as usize,
+        }
+    }
+}
+
+impl RoundProver<Fp61> for TwoPass {
+    fn degree(&self) -> usize {
+        match self.rule {
+            Rule::Moment(k) => k as usize,
+            Rule::F2 | Rule::RangeSum(..) => 2,
+        }
+    }
+
+    fn rounds(&self) -> usize {
+        self.rounds
+    }
+
+    fn message(&mut self) -> Vec<Fp61> {
+        let mut out = vec![Fp61::ZERO; self.degree() + 1];
+        let j = self.challenges.len();
+        for (m, pair) in self.table.chunks_exact(2).enumerate() {
+            let (lo, hi) = (pair[0], pair[1]);
+            // The interpolant lo + c·(hi − lo) at c = 0, 1, 2, …
+            let at = |c: usize| lo + Fp61::from_u64(c as u64) * (hi - lo);
+            match self.rule {
+                Rule::F2 => {
+                    for (c, slot) in out.iter_mut().enumerate() {
+                        *slot += at(c) * at(c);
+                    }
+                }
+                Rule::Moment(k) => {
+                    for (c, slot) in out.iter_mut().enumerate() {
+                        *slot += at(c).pow(k as u128);
+                    }
+                }
+                Rule::RangeSum(q_l, q_r) => {
+                    let weight =
+                        |i: u64| -> Fp61 { block_range_weight(q_l, q_r, &self.challenges, j, i) };
+                    let (blo, bhi) = (weight(2 * m as u64), weight(2 * m as u64 + 1));
+                    for (c, slot) in out.iter_mut().enumerate() {
+                        *slot += at(c) * (blo + Fp61::from_u64(c as u64) * (bhi - blo));
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    fn bind(&mut self, r: Fp61) {
+        self.table = self
+            .table
+            .chunks_exact(2)
+            .map(|pair| (Fp61::ONE - r) * pair[0] + r * pair[1])
+            .collect();
+        self.challenges.push(r);
+    }
+}
+
+/// Every round message of `prover` under a fixed challenge schedule.
+fn transcript(prover: &mut dyn RoundProver<Fp61>, challenges: &[Fp61]) -> Vec<Vec<Fp61>> {
+    let mut out = Vec::new();
+    for &r in challenges {
+        out.push(prover.message());
+        prover.bind(r);
+    }
+    out.push(prover.message());
+    out
+}
+
+fn challenges_for(log_u: u32, seed: u64) -> Vec<Fp61> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (1..log_u).map(|_| Fp61::random(&mut rng)).collect()
+}
+
+/// Compares one fused prover with its reference: round by round, and as a
+/// sealed one-shot proof (claimed value, every polynomial, digest).
+fn assert_same_proof(
+    what: &str,
+    log_u: u32,
+    challenges: &[Fp61],
+    fused: impl Fn() -> Box<dyn RoundProver<Fp61>>,
+    reference: impl Fn() -> TwoPass,
+) {
+    let expect = transcript(&mut reference(), challenges);
+    assert_eq!(transcript(&mut *fused(), challenges), expect, "{what}");
+
+    let seal = |prover: &mut dyn RoundProver<Fp61>| {
+        let t = query_transcript::<Fp61>("fused-equivalence", log_u, None, &[], challenges);
+        prove_oneshot(&mut ProverWalk(prover), t, challenges, 2).expect("honest walks cannot fail")
+    };
+    assert_eq!(
+        seal(&mut *fused()),
+        seal(&mut reference()),
+        "{what} one-shot"
+    );
+}
+
+/// F₂, two moment orders and a range-sum over `fv`, at every pool size.
+fn assert_all_protocols(what: &str, fv: &FrequencyVector, log_u: u32, q: (u64, u64), seed: u64) {
+    let challenges = challenges_for(log_u, seed);
+    for threads in [1usize, 2, 3] {
+        let pool = ProverPool::new(threads);
+        let what = format!("{what} log_u={log_u} threads={threads}");
+        assert_same_proof(
+            &format!("{what} F2"),
+            log_u,
+            &challenges,
+            || Box::new(F2Prover::<Fp61>::with_pool(fv, log_u, pool)),
+            || TwoPass::new(fv, log_u, Rule::F2),
+        );
+        // Handing a prover its first message must change nothing either.
+        let g1 = F2Prover::<Fp61>::new(fv, log_u).message();
+        assert_same_proof(
+            &format!("{what} F2 from a known first message"),
+            log_u,
+            &challenges,
+            || {
+                Box::new(
+                    F2Prover::<Fp61>::with_pool(fv, log_u, pool).with_first_message(g1.clone()),
+                )
+            },
+            || TwoPass::new(fv, log_u, Rule::F2),
+        );
+        for k in [1u32, 3] {
+            assert_same_proof(
+                &format!("{what} F{k}"),
+                log_u,
+                &challenges,
+                || Box::new(MomentProver::<Fp61>::with_pool(k, fv, log_u, pool)),
+                || TwoPass::new(fv, log_u, Rule::Moment(k)),
+            );
+        }
+        assert_same_proof(
+            &format!("{what} range-sum [{}, {}]", q.0, q.1),
+            log_u,
+            &challenges,
+            || Box::new(RangeSumProver::<Fp61>::with_pool(fv, log_u, q.0, q.1, pool)),
+            || TwoPass::new(fv, log_u, Rule::RangeSum(q.0, q.1)),
+        );
+    }
+}
+
+/// A stream over `[2^log_u]` from raw draws: signed deltas, and every third
+/// update followed by its own deletion so cancelled entries occur.
+fn stream_of(raw: &[(u64, i64)], log_u: u32) -> Vec<Update> {
+    let u = 1u64 << log_u;
+    let mut stream = Vec::new();
+    for (n, &(i, d)) in raw.iter().enumerate() {
+        let up = Update::new(i % u, if d % 1000 == 0 { -7 } else { d % 1000 });
+        stream.push(up);
+        if n % 3 == 2 {
+            stream.push(Update::new(up.index, -up.delta));
+        }
+    }
+    stream
+}
+
+fn ordered(a: u64, b: u64, u: u64) -> (u64, u64) {
+    ((a % u).min(b % u), (a % u).max(b % u))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn fused_transcripts_equal_the_two_pass_reference(
+        raw in prop::collection::vec((any::<u64>(), any::<i64>()), 0..160),
+        log_u in 1u32..=12,
+        sparse in any::<bool>(),
+        ends in (any::<u64>(), any::<u64>()),
+        seed in any::<u64>(),
+    ) {
+        let u = 1u64 << log_u;
+        let stream = stream_of(&raw, log_u);
+        // Dense from the start, or a tree that promotes itself once its
+        // support reaches u/8 — which small universes cross, large ones
+        // do not, and some land on exactly.
+        let mut fv = if sparse { FrequencyVector::new_sparse(u) } else { FrequencyVector::new(u) };
+        fv.apply_batch(&stream);
+        assert_all_protocols(
+            if sparse { "sparse-start" } else { "dense" },
+            &fv,
+            log_u,
+            ordered(ends.0, ends.1, u),
+            seed,
+        );
+    }
+}
+
+#[test]
+fn fused_transcripts_equal_the_reference_where_passes_are_chunked() {
+    // From 2^12 pairs up the pool really splits a pass; and a sparse table
+    // of these sizes folds sparsely for a few rounds, then densifies (at
+    // 4·entries ≥ length), which the supports below put at different rounds.
+    for (log_u, support, seed) in [
+        (13u32, 700usize, 1u64),
+        (14, 40, 2),
+        (14, 2047, 3),
+        (16, 5000, 4),
+    ] {
+        let u = 1u64 << log_u;
+        let stream = workloads::with_deletions(support, u, 0.2, seed);
+        let mut sparse = FrequencyVector::new_sparse(u);
+        sparse.apply_batch(&stream);
+        assert!(
+            !sparse.is_dense(),
+            "support {support} must stay a tree at log_u {log_u}"
+        );
+        assert_all_protocols("sparse", &sparse, log_u, (u / 4 + 1, u / 4 * 3), seed);
+    }
+    // The benchmark's own shape: a dense array, one seventh occupied.
+    let log_u = 14u32;
+    let stream = workloads::zipf(1 << log_u, 1 << log_u, 1.1, 5);
+    let mut fv = FrequencyVector::new_sparse(1 << log_u);
+    fv.apply_batch(&stream);
+    assert!(fv.is_dense());
+    assert_all_protocols("zipf", &fv, log_u, (3, (1 << log_u) - 2), 5);
+    // And a universe that is not a power of two: the snapshot is shorter
+    // than the table it stands for.
+    let fv = FrequencyVector::from_stream(
+        (1 << 13) - 3,
+        &workloads::uniform(900, (1 << 13) - 3, 40, 6),
+    );
+    assert_all_protocols("short universe", &fv, 13, (100, (1 << 13) - 4), 6);
+}
+
+/// The complete protocol — streaming verifier and all — on `[l, r]`.
+fn assert_range_sum(fv: &FrequencyVector, stream: &[Update], log_u: u32, l: u64, r: u64) {
+    let mut rng = StdRng::seed_from_u64(l * 131 + r);
+    let got = run_range_sum::<Fp61, _>(log_u, stream, l, r, &mut rng)
+        .unwrap_or_else(|rej| panic!("log_u={log_u} [{l}, {r}] rejected: {rej}"));
+    assert_eq!(
+        got.value,
+        Fp61::from_i64(fv.range_sum(l, r) as i64),
+        "log_u={log_u} [{l}, {r}]"
+    );
+}
+
+#[test]
+fn range_sum_boundary_matrix() {
+    // Every range of every small universe: l = r, the whole universe, odd
+    // and even endpoints, ranges inside one pair, ranges straddling u/2.
+    for log_u in 1u32..=5 {
+        let u = 1u64 << log_u;
+        let stream = workloads::with_deletions(3 * u as usize, u, 0.3, log_u as u64);
+        let fv = FrequencyVector::from_stream(u, &stream);
+        for l in 0..u {
+            for r in l..u {
+                assert_range_sum(&fv, &stream, log_u, l, r);
+            }
+        }
+    }
+    // The same corners by name where blocks are many levels deep.
+    let log_u = 10u32;
+    let u = 1u64 << log_u;
+    let stream = workloads::with_deletions(4000, u, 0.3, 77);
+    let fv = FrequencyVector::from_stream(u, &stream);
+    let h = u / 2;
+    for (l, r) in [
+        (0, 0),
+        (1, 1),
+        (h - 1, h - 1),
+        (h, h),
+        (u - 1, u - 1),
+        (0, u - 1),
+        (1, u - 2),
+        (0, 1),
+        (2, 3),
+        (u - 2, u - 1),
+        (3, 4),
+        (h - 1, h),
+        (h - 3, h + 2),
+        (h - 2, h + 1),
+        (1, h),
+        (h, u - 2),
+        (6, 9),
+        (7, 10),
+        (6, 10),
+        (7, 9),
+        (0, h - 1),
+        (h, u - 1),
+    ] {
+        assert_range_sum(&fv, &stream, log_u, l, r);
+    }
+}

@@ -45,14 +45,26 @@ fn every_registered_metric_is_in_the_help_table() {
     .unwrap();
     let mut client: RawClient<Fp61, _> = RawClient::connect(server.local_addr(), log_u).unwrap();
     let mut rng = StdRng::seed_from_u64(11);
-    let mut verifier = F2Verifier::<Fp61>::new(log_u, &mut rng);
+    let mut verifiers: Vec<_> = (0..3)
+        .map(|_| F2Verifier::<Fp61>::new(log_u, &mut rng))
+        .collect();
     for up in workloads::paper_f2(1 << log_u, 11) {
-        verifier.update(up);
+        for verifier in verifiers.iter_mut() {
+            verifier.update(up);
+        }
         client.send_update(up);
     }
     client.end_stream().unwrap();
-    client.verify_f2(verifier).expect("honest prover accepted");
+    let mut verify = |client: &mut RawClient<Fp61, _>| {
+        let verifier = verifiers.pop().expect("one digest per query");
+        client.verify_f2(verifier).expect("honest prover accepted");
+    };
+    verify(&mut client);
     client.publish("golden-ds").unwrap();
+    // Two F₂ queries over the now-published dataset: the first computes
+    // its first round message (a cache miss), the second starts from it.
+    verify(&mut client);
+    verify(&mut client);
     client.bye().unwrap();
 
     // 2. One scraper round registers the sip_fleet_* family.
@@ -91,6 +103,15 @@ fn every_registered_metric_is_in_the_help_table() {
         "metrics registered outside the METRIC_HELP stability table \
          (add them to crates/obs/src/metrics.rs METRIC_HELP): {missing:?}"
     );
+
+    // The per-dataset first-round cache reports both outcomes.
+    for outcome in ["hit", "miss"] {
+        let series = format!("sip_registry_round1_cache_total{{outcome=\"{outcome}\"}}");
+        assert!(
+            text.lines().any(|l| l.starts_with(&series)),
+            "{series} missing from the exposition"
+        );
+    }
 
     // 4. And the reverse direction cannot rot silently either: every
     //    pinned name that did get registered in this session renders with
