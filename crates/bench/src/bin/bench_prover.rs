@@ -12,6 +12,11 @@
 //!   stream, repeated until the timer is trustworthy; reported as messages/s and
 //!   fold-pairs/s (the largest `log_u` row is the headline scaling
 //!   number);
+//! * `head` — for each `log_u`, on a Zipf and on a fully dense vector (the
+//!   two differ about 2× in build cost): the time to build the vector's
+//!   `F2Head` (what a publish pays once) and a complete head-started proof
+//!   (what every query on the published dataset then pays), beside the
+//!   sweep-path proof from the vector alone;
 //! * `query_latency` — wall time per verified F₂ query when N concurrent
 //!   verifier sessions attach to one published dataset on a real TCP
 //!   server (ingest happens once; the N sessions share the frozen
@@ -26,13 +31,14 @@
 //! [--max-log-u N] [--sessions-log-u N] [--out PATH]`
 
 use std::fmt::Write as _;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sip_bench::{arg_string, arg_u32, csv_header, time_once};
+use sip_bench::{arg_string, arg_u32, csv_header, time_mean, time_once};
 use sip_core::engine::ProverPool;
-use sip_core::sumcheck::f2::{F2Prover, F2Verifier};
+use sip_core::sumcheck::f2::{F2Head, F2Prover, F2Verifier};
 use sip_core::sumcheck::RoundProver;
 use sip_field::{Fp61, PrimeField};
 use sip_server::client::RawClient;
@@ -48,12 +54,12 @@ struct RoundPoint {
 }
 
 /// One prover built and walked: d messages, d−1 binds.
-fn schedule_time(fv: &FrequencyVector, log_u: u32, pool: ProverPool) -> (Duration, u64) {
+fn schedule_time(build: impl FnOnce() -> F2Prover<Fp61>, log_u: u32) -> (Duration, u64) {
     let mut pairs = 0u64;
     // Construction is inside the clock: it is part of what a query costs,
     // and where a prover that copies its table pays for the copy.
     let start = Instant::now();
-    let mut prover = F2Prover::<Fp61>::with_pool(fv, log_u, pool);
+    let mut prover = build();
     for round in 0..log_u {
         pairs += 1u64 << (log_u - round - 1);
         std::hint::black_box(prover.message());
@@ -69,13 +75,14 @@ fn measure_rounds(log_u: u32, threads: usize) -> RoundPoint {
     let stream = workloads::paper_f2(n as u64, 11);
     let fv = FrequencyVector::from_stream(1 << log_u, &stream);
     let pool = ProverPool::new(threads);
+    let sweep = || F2Prover::<Fp61>::with_pool(&fv, log_u, pool);
     // Warm up once (page in the table), then repeat to a stable total.
-    let _ = schedule_time(&fv, log_u, pool);
+    let _ = schedule_time(sweep, log_u);
     let mut total = Duration::ZERO;
     let mut msgs = 0u64;
     let mut pairs = 0u64;
     while total < Duration::from_millis(300) {
-        let (d, p) = schedule_time(&fv, log_u, pool);
+        let (d, p) = schedule_time(sweep, log_u);
         total += d;
         msgs += log_u as u64;
         pairs += p;
@@ -87,6 +94,36 @@ fn measure_rounds(log_u: u32, threads: usize) -> RoundPoint {
         msgs_per_sec: msgs as f64 / secs,
         pairs_per_sec: pairs as f64 / secs,
         schedule_ms: secs * 1e3 / (msgs as f64 / log_u as f64),
+    }
+}
+
+struct HeadPoint {
+    log_u: u32,
+    input: &'static str,
+    build_ms: f64,
+    head_proof_ms: f64,
+    sweep_proof_ms: f64,
+}
+
+/// Head build, head-started proof and sweep-path proof over one vector.
+fn measure_head(log_u: u32, input: &'static str) -> HeadPoint {
+    let u = 1u64 << log_u;
+    let stream = match input {
+        "zipf" => workloads::zipf(u as usize, u, 1.1, 11),
+        _ => workloads::paper_f2(u, 11),
+    };
+    let fv = FrequencyVector::from_stream(u, &stream);
+    let budget = Duration::from_millis(300);
+    let ms = |d: Duration| d.as_secs_f64() * 1e3;
+    let head = Arc::new(F2Head::<Fp61>::build(&fv, log_u));
+    let headed = || F2Prover::from_head(Arc::clone(&head), ProverPool::SERIAL);
+    let swept = || F2Prover::<Fp61>::new(&fv, log_u);
+    HeadPoint {
+        log_u,
+        input,
+        build_ms: ms(time_mean(budget, || F2Head::<Fp61>::build(&fv, log_u))),
+        head_proof_ms: ms(time_mean(budget, || schedule_time(headed, log_u))),
+        sweep_proof_ms: ms(time_mean(budget, || schedule_time(swept, log_u))),
     }
 }
 
@@ -188,6 +225,25 @@ fn main() {
         }
     }
 
+    csv_header(&[
+        "log_u",
+        "input",
+        "head_build_ms",
+        "head_proof_ms",
+        "sweep_proof_ms",
+    ]);
+    let mut heads = Vec::new();
+    for &log_u in &log_us {
+        for input in ["zipf", "dense"] {
+            let p = measure_head(log_u, input);
+            println!(
+                "{},{},{:.3},{:.3},{:.3}",
+                p.log_u, p.input, p.build_ms, p.head_proof_ms, p.sweep_proof_ms
+            );
+            heads.push(p);
+        }
+    }
+
     csv_header(&["sessions", "mean_ms", "max_ms", "total_ms"]);
     let mut latencies = Vec::new();
     for sessions in [1usize, 8, 32] {
@@ -217,6 +273,21 @@ fn main() {
             p.pairs_per_sec,
             p.schedule_ms,
             if i + 1 < rounds.len() { "," } else { "" }
+        );
+    }
+    json.push_str("  ],\n");
+    json.push_str("  \"head\": [\n");
+    for (i, p) in heads.iter().enumerate() {
+        let _ = writeln!(
+            json,
+            "    {{\"log_u\": {}, \"input\": \"{}\", \"head_build_ms\": {:.3}, \
+             \"head_proof_ms\": {:.3}, \"sweep_proof_ms\": {:.3}}}{}",
+            p.log_u,
+            p.input,
+            p.build_ms,
+            p.head_proof_ms,
+            p.sweep_proof_ms,
+            if i + 1 < heads.len() { "," } else { "" }
         );
     }
     json.push_str("  ],\n");

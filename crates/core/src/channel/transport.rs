@@ -181,6 +181,10 @@ pub struct FramedTcpTransport {
     stream: TcpStream,
     max_frame: usize,
     stats: TransportStats,
+    /// The outgoing packet (header + payload), kept between sends so a
+    /// frame costs a copy, not an allocation; as large as the largest frame
+    /// this side has sent.
+    packet: Vec<u8>,
 }
 
 impl FramedTcpTransport {
@@ -196,6 +200,7 @@ impl FramedTcpTransport {
             stream,
             max_frame,
             stats: TransportStats::default(),
+            packet: Vec::new(),
         })
     }
 
@@ -228,12 +233,12 @@ impl Transport for FramedTcpTransport {
         let len = (frame.len() as u32).to_le_bytes();
         // One write per frame keeps packets small and avoids interleaving
         // surprises if a transport is ever shared across threads.
-        let mut packet = Vec::with_capacity(FRAME_HEADER + frame.len());
-        packet.extend_from_slice(&len);
-        packet.extend_from_slice(frame);
-        self.stream.write_all(&packet)?;
+        self.packet.clear();
+        self.packet.extend_from_slice(&len);
+        self.packet.extend_from_slice(frame);
+        self.stream.write_all(&self.packet)?;
         self.stats.frames_sent += 1;
-        self.stats.bytes_sent += packet.len();
+        self.stats.bytes_sent += self.packet.len();
         Ok(())
     }
 
@@ -402,6 +407,14 @@ mod tests {
         assert_eq!(c.stats().bytes_received, 1004);
         assert_eq!(s.stats().bytes_received, 7);
         assert_eq!(s.stats().bytes_sent, 1004);
+        // The send buffer is reused: a short frame after a long one carries
+        // nothing of it, and an empty frame is still a frame.
+        s.send_frame(&[7, 8]).unwrap();
+        s.send_frame(&[]).unwrap();
+        assert_eq!(c.recv_frame().unwrap(), vec![7, 8]);
+        assert_eq!(c.recv_frame().unwrap(), Vec::<u8>::new());
+        assert_eq!(s.stats().frames_sent, 3);
+        assert_eq!(s.stats().bytes_sent, 1004 + 6 + 4);
     }
 
     #[test]
@@ -417,9 +430,13 @@ mod tests {
             matches!(err, TransportError::FrameTooLarge { len, .. } if len == 1 << 30),
             "{err:?}"
         );
-        // And sending over the cap fails locally before any bytes move.
+        // And sending over the cap fails locally before any bytes move —
+        // or are staged: a frame at the cap still goes out whole afterwards.
         let err = small.send_frame(&[0u8; 17]).unwrap_err();
         assert_eq!(err, TransportError::FrameTooLarge { len: 17, max: 16 });
+        assert_eq!(small.stats().bytes_sent, 0);
+        small.send_frame(&[5u8; 16]).unwrap();
+        assert_eq!(small.stats().bytes_sent, 20);
     }
 
     #[test]

@@ -21,7 +21,8 @@
 //!   under [`std::thread::scope`];
 //! * [`FusedRounds`] is the schedule every single-table prover follows:
 //!   round 1 is the only message-only walk, every later message falls out
-//!   of the bind before it.
+//!   of the bind before it — and a prover that already holds `k`
+//!   challenges enters it `k` rounds in ([`ProverPool::bind_many_message`]).
 //!
 //! ## Why scheduling cannot change a transcript
 //!
@@ -306,6 +307,34 @@ impl ProverPool {
             recombine::<F>(partials)
         })
     }
+
+    /// The fused pass `k` rounds deep: binds the `k` lowest variables of
+    /// `fv` over `[2^bits]` at once — `weights[y] = χ_y(r_1, …, r_k)`, `2^k`
+    /// of them — and returns the table `A_{k+1}` with round `k+1`'s
+    /// message, summed by `combine` over the entries the sweep has just
+    /// written (`FoldVector::from_frequency_bound`). It is one pass over a
+    /// table that produces one message, so it counts as one
+    /// `sip_fold_messages_total` with `blocks` = the `2^{bits−k}` blocks of
+    /// `2^k` cells it sweeps. Chunking, and why it cannot change the
+    /// result, are as for [`Self::fold_message`].
+    pub fn bind_many_message<F: PrimeField, C: Combine<F> + ?Sized>(
+        &self,
+        fv: &FrequencyVector,
+        bits: u32,
+        weights: &[F],
+        combine: &C,
+    ) -> (FoldVector<F>, Vec<F>) {
+        let cells = 1u64 << bits;
+        let blocks = cells / weights.len() as u64;
+        observed(blocks, || {
+            // As much work a chunk as in `bind_message` (a pair there is two
+            // cells here), and never more chunks than pairs to hand out.
+            let chunks = self.chunks_for(cells / 4).min((blocks / 2).max(1) as usize);
+            let mut partials = partials_for::<F>(combine.slots(), chunks);
+            let table = FoldVector::from_frequency_bound(fv, bits, weights, combine, &mut partials);
+            (table, recombine::<F>(partials))
+        })
+    }
 }
 
 fn partials_for<F: PrimeField>(slots: usize, chunks: usize) -> Vec<Vec<F::DotAcc>> {
@@ -348,16 +377,15 @@ fn observed<R>(blocks: u64, pass: impl FnOnce() -> R) -> R {
 }
 
 /// The round schedule of a prover over one fold table: round 1's message is
-/// a walk over the shared snapshot (or is handed in, when the dataset has
-/// it already), and binding `r_j` produces round `j+1`'s message in the
-/// same sweep that folds the table ([`ProverPool::bind_message`]). Each
-/// protocol supplies its [`Combine`]; none of them sweeps the table twice
-/// in a round.
+/// a walk over the shared snapshot, and binding `r_j` produces round
+/// `j+1`'s message in the same sweep that folds the table
+/// ([`ProverPool::bind_message`]). Each protocol supplies its [`Combine`];
+/// none of them sweeps the table twice in a round.
 #[derive(Clone, Debug)]
 pub struct FusedRounds<F: PrimeField> {
     table: FoldVector<F>,
     pool: ProverPool,
-    /// The current round's message, once a bind (or the caller) produced it.
+    /// The current round's message, once a bind produced it.
     ready: Option<Vec<F>>,
 }
 
@@ -372,12 +400,23 @@ impl<F: PrimeField> FusedRounds<F> {
         }
     }
 
-    /// Like [`Self::new`] with round 1's message already known — it depends
-    /// on the data alone for a query-independent [`Combine`], so a frozen
-    /// dataset computes it once for all its queries.
-    pub fn with_first_message(mut self, first: Vec<F>) -> Self {
-        self.ready = Some(first);
-        self
+    /// Enters the schedule `k` rounds in, for a prover that answered rounds
+    /// `1..=k` without a table: one pass binds `r_1, …, r_k` (as the `2^k`
+    /// weights `χ_y(r_1, …, r_k)`) and leaves round `k+1`'s message ready
+    /// ([`ProverPool::bind_many_message`]); `next` is that round's rule.
+    pub fn bound<C: Combine<F> + ?Sized>(
+        fv: &FrequencyVector,
+        log_u: u32,
+        pool: ProverPool,
+        weights: &[F],
+        next: &C,
+    ) -> Self {
+        let (table, message) = pool.bind_many_message(fv, log_u, weights, next);
+        FusedRounds {
+            table,
+            pool,
+            ready: Some(message),
+        }
     }
 
     /// The fold table.

@@ -22,6 +22,9 @@
 //! `FoldVector::fold_fused` is the one sweep a round costs: it folds the
 //! table and hands every pair of the table it has just written to the
 //! caller, so the next round's message needs no second pass.
+//! `FoldVector::from_frequency_bound` is the same sweep for a prover that
+//! already holds `k` challenges: it binds the `k` lowest variables at once,
+//! so the field-form table first exists at `u/2^k` entries.
 
 use sip_field::PrimeField;
 use sip_streaming::{Entries, FrequencyVector};
@@ -215,6 +218,56 @@ impl<F: PrimeField> FoldVector<F> {
         FoldVector {
             bits,
             repr: FoldRepr::Source(fv.clone()),
+        }
+    }
+
+    /// The table `k` folds in, built in one sweep over `fv`: with
+    /// `weights[y] = χ_y(r_1, …, r_k)` (`2^k` of them, variable `t` on bit
+    /// `t − 1` of `y`),
+    ///
+    /// ```text
+    /// A_{k+1}[m] = Σ_{y < 2^k} weights[y] · a[m·2^k + y]
+    /// ```
+    ///
+    /// is what `k` successive [`Self::bind`]s of
+    /// [`Self::from_frequency`]`(fv, bits)` leave — one delayed-reduction
+    /// dot per entry, read straight from the snapshot, so no table larger
+    /// than `2^{bits−k}` entries ever exists. Blocks that are all zero are
+    /// skipped; a dense vector yields a dense table, a tree a sorted run
+    /// under the same densify rule as a fold.
+    ///
+    /// In the same sweep every pair `(m, A_{k+1}[2m], A_{k+1}[2m+1])` with a
+    /// nonzero child is fed through `combine`, chunked over `accs` exactly
+    /// as [`Self::fold_fused`] chunks the folded table's pairs.
+    ///
+    /// # Panics
+    /// Panics if `weights.len()` is not a power of two `2^k` with
+    /// `k ≤ bits`, or the vector's universe exceeds `2^bits`.
+    pub(crate) fn from_frequency_bound<C: Combine<F> + ?Sized>(
+        fv: &FrequencyVector,
+        bits: u32,
+        weights: &[F],
+        combine: &C,
+        accs: &mut [Vec<F::DotAcc>],
+    ) -> Self {
+        assert!(bits <= 63);
+        assert!(fv.universe() <= 1u64 << bits, "universe larger than 2^bits");
+        assert!(
+            weights.len().is_power_of_two(),
+            "one weight per assignment of the bound variables"
+        );
+        let k = weights.len().trailing_zeros();
+        assert!(k <= bits, "more variables bound than the table has");
+        assert!(!accs.is_empty(), "a sweep needs at least one chunk");
+        let repr = if bits == k {
+            // One entry is left and it has no sibling: no pair to sum over.
+            bound_repr(fv, weights, 1, &NoCombine, &mut [Vec::new()])
+        } else {
+            bound_repr(fv, weights, 1 << (bits - k), combine, accs)
+        };
+        FoldVector {
+            bits: bits - k,
+            repr,
         }
     }
 
@@ -447,20 +500,7 @@ impl<F: PrimeField> FoldVector<F> {
         }
         self.bits -= 1;
         let half = 1usize << self.bits;
-        let settle = |entries: Vec<(u64, F)>| {
-            // Densify once the table is no longer meaningfully sparse.
-            if half as u64 <= ALWAYS_DENSE
-                || (entries.len() as u64).saturating_mul(4) >= half as u64
-            {
-                let mut dense = vec![F::ZERO; half];
-                for (i, v) in entries {
-                    dense[i as usize] = v;
-                }
-                FoldRepr::Dense(dense)
-            } else {
-                FoldRepr::Sparse(entries)
-            }
-        };
+        let settle = |entries| settle(entries, half);
         self.repr = match std::mem::replace(&mut self.repr, FoldRepr::Dense(Vec::new())) {
             FoldRepr::Dense(mut v) if accs.len() == 1 => {
                 fold_dense_in_place(&mut v, rule, combine, &mut accs[0]);
@@ -515,6 +555,214 @@ impl<F: PrimeField> Combine<F> for NoCombine {
 
     #[inline(always)]
     fn accumulate(&self, _m: u64, _a: &[F], _b: &[F], _acc: &mut [F::DotAcc]) {}
+}
+
+/// Stores a table of `len` slots from its sorted nonzero `entries`: densely
+/// once it is no longer meaningfully sparse.
+fn settle<F: PrimeField>(entries: Vec<(u64, F)>, len: usize) -> FoldRepr<F> {
+    if len as u64 <= ALWAYS_DENSE || (entries.len() as u64).saturating_mul(4) >= len as u64 {
+        let mut dense = vec![F::ZERO; len];
+        for (i, v) in entries {
+            dense[i as usize] = v;
+        }
+        FoldRepr::Dense(dense)
+    } else {
+        FoldRepr::Sparse(entries)
+    }
+}
+
+/// Pairs up the nonzero entries of a table as a sweep writes them, in
+/// increasing index, and hands every pair `(k, A'[2k], A'[2k+1])` — a
+/// sibling never written reading as zero — to `combine` once an entry of a
+/// later pair (or the end of the sweep) shows it is complete.
+struct PairFeed<'a, F: PrimeField, C: ?Sized> {
+    combine: &'a C,
+    acc: &'a mut [F::DotAcc],
+    /// The pair being assembled; `k == NO_PAIR` before the first entry.
+    k: u64,
+    n0: F,
+    n1: F,
+}
+
+/// No pair index: entries sit below `2^63`, so pairs sit below `2^62`.
+const NO_PAIR: u64 = u64::MAX;
+
+impl<'a, F: PrimeField, C: Combine<F> + ?Sized> PairFeed<'a, F, C> {
+    fn new(combine: &'a C, acc: &'a mut [F::DotAcc]) -> Self {
+        PairFeed {
+            combine,
+            acc,
+            k: NO_PAIR,
+            n0: F::ZERO,
+            n1: F::ZERO,
+        }
+    }
+
+    #[inline(always)]
+    fn push(&mut self, i: u64, v: F) {
+        if i >> 1 == self.k {
+            self.n1 = v;
+            return;
+        }
+        self.flush();
+        (self.k, self.n0, self.n1) = if i & 1 == 0 {
+            (i >> 1, v, F::ZERO)
+        } else {
+            (i >> 1, F::ZERO, v)
+        };
+    }
+
+    #[inline(always)]
+    fn flush(&mut self) {
+        if self.k != NO_PAIR {
+            self.combine
+                .accumulate(self.k, &[self.n0, self.n1], &[], self.acc);
+        }
+    }
+
+    /// Ends the sweep: the last pair is complete.
+    fn finish(mut self) {
+        self.flush();
+    }
+}
+
+/// The `len`-entry table [`FoldVector::from_frequency_bound`] builds, from
+/// either representation of the snapshot.
+fn bound_repr<F: PrimeField, C: Combine<F> + ?Sized>(
+    fv: &FrequencyVector,
+    weights: &[F],
+    len: usize,
+    combine: &C,
+    accs: &mut [Vec<F::DotAcc>],
+) -> FoldRepr<F> {
+    match fv.entries() {
+        Entries::Dense(cells) => FoldRepr::Dense(bind_dense(cells, weights, len, combine, accs)),
+        Entries::Sparse(map) => {
+            let run = |lo, hi| map.range(lo..hi).map(|(&i, &f)| (i, f));
+            settle(
+                bind_sparse(run, map.len(), weights, len, combine, accs),
+                len,
+            )
+        }
+    }
+}
+
+/// The `k`-variable bind of a dense snapshot: entry `m` of the `len`-entry
+/// table is the dot of `weights` with cells `[m·2^k, (m+1)·2^k)`, cells past
+/// the end of `cells` reading as zero. One chunk of the table's pair slots
+/// per entry of `accs`, each writing its own part of the table.
+fn bind_dense<F: PrimeField, C: Combine<F> + ?Sized>(
+    cells: &[i64],
+    weights: &[F],
+    len: usize,
+    combine: &C,
+    accs: &mut [Vec<F::DotAcc>],
+) -> Vec<F> {
+    let width = weights.len();
+    let mut bound = vec![F::ZERO; len];
+    let sweep = move |m_lo: usize, out: &mut [F], acc: &mut [F::DotAcc]| {
+        let mut feed = PairFeed::new(combine, acc);
+        let from = cells.len().min(m_lo * width);
+        // `zip` ends the walk with this chunk's part of the table, and
+        // cuts the weights to a last block the snapshot ends inside.
+        let blocks = cells[from..].chunks(width).zip(out).zip(m_lo as u64..);
+        for ((block, out), m) in blocks {
+            // Or-ing the cells, not `all`: no early exit, so no branch per
+            // cell for sparse data to mispredict.
+            if block.iter().fold(0, |any, &a| any | a) == 0 {
+                continue;
+            }
+            let v = F::dot_i64(weights, block);
+            if !v.is_zero() {
+                *out = v;
+                feed.push(m, v);
+            }
+        }
+        feed.finish();
+    };
+    if let [acc] = accs {
+        sweep(0, &mut bound, acc);
+        return bound;
+    }
+    let chunks = accs.len();
+    let sweep = &sweep;
+    std::thread::scope(|scope| {
+        let mut rest = bound.as_mut_slice();
+        for (c, acc) in accs.iter_mut().enumerate() {
+            let (k_lo, k_hi) = chunk_range(len as u64 / 2, c, chunks);
+            let (mine, tail) = rest.split_at_mut(2 * (k_hi - k_lo) as usize);
+            rest = tail;
+            scope.spawn(move || sweep(2 * k_lo as usize, mine, acc));
+        }
+    });
+    bound
+}
+
+/// The `k`-variable bind of a tree snapshot: `run(lo, hi)` yields its sorted
+/// nonzero `(index, frequency)` entries in `[lo, hi)`, `entries` of them in
+/// all; returns the `len`-entry table's nonzero entries — one chunk of its
+/// pair slots per entry of `accs`.
+fn bind_sparse<F: PrimeField, C: Combine<F> + ?Sized, I: Iterator<Item = (u64, i64)>>(
+    run: impl Fn(u64, u64) -> I + Sync,
+    entries: usize,
+    weights: &[F],
+    len: usize,
+    combine: &C,
+    accs: &mut [Vec<F::DotAcc>],
+) -> Vec<(u64, F)> {
+    let k = weights.len().trailing_zeros();
+    let chunks = accs.len();
+    let sweep = |c: usize, acc: &mut [F::DotAcc]| {
+        // A one-entry table has no pair slot to chunk by.
+        let (m_lo, m_hi) = if len == 1 {
+            (0, 1)
+        } else {
+            let (k_lo, k_hi) = chunk_range(len as u64 / 2, c, chunks);
+            (2 * k_lo, 2 * k_hi)
+        };
+        let mut feed = PairFeed::new(combine, acc);
+        // A bind never grows a run; sized once, the output is not moved.
+        let mut bound = Vec::with_capacity(entries / chunks + 1);
+        let mut close = |m: u64, dot: F::DotAcc| {
+            let v = F::acc_finish(dot);
+            // Blocks that cancel exactly are dropped, not stored as zero.
+            if !v.is_zero() {
+                bound.push((m, v));
+                feed.push(m, v);
+            }
+        };
+        // The block being summed: its index and its dot so far.
+        let mut open: Option<(u64, F::DotAcc)> = None;
+        for (i, f) in run(m_lo << k, m_hi << k) {
+            if let Some((m, dot)) = open.filter(|&(m, _)| m != i >> k) {
+                close(m, dot);
+                open = None;
+            }
+            let (_, dot) = open.get_or_insert((i >> k, F::DotAcc::default()));
+            let y = (i & (weights.len() as u64 - 1)) as usize;
+            F::acc_add_prod(dot, weights[y], F::from_i64(f));
+        }
+        if let Some((m, dot)) = open {
+            close(m, dot);
+        }
+        feed.finish();
+        bound
+    };
+    if let [acc] = accs {
+        return sweep(0, acc);
+    }
+    let sweep = &sweep;
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = accs
+            .iter_mut()
+            .enumerate()
+            .map(|(c, acc)| scope.spawn(move || sweep(c, acc)))
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("bind worker panicked"))
+            .collect()
+    })
 }
 
 /// Folds one quad of raw cells `A[4k..4k+4]` into `(A'[2k], A'[2k+1])`, or
@@ -668,14 +916,14 @@ fn fold_sparse_run<F: PrimeField, C: Combine<F> + ?Sized>(
     combine: &C,
     acc: &mut [F::DotAcc],
 ) {
-    // Entries come in index order, so a pair — of the table being folded,
-    // `(m, lo, hi)`, or of the folded one, `(k, n0, n1)` — is complete when
-    // an entry of a later pair shows up. `NONE` marks "no pair yet", and
-    // stands in for an entry past every index once the run has ended, to
-    // flush its last pair.
+    // Entries come in index order, so a pair `(m, lo, hi)` of the table
+    // being folded is complete when an entry of a later pair shows up (the
+    // folded table's pairs are `folded`'s to assemble). `NONE` marks "no
+    // pair yet", and stands in for an entry past every index once the run
+    // has ended, to flush its last pair.
     const NONE: u64 = u64::MAX;
     let (mut m, mut lo, mut hi) = (NONE, F::ZERO, F::ZERO);
-    let (mut k, mut n0, mut n1) = (NONE, F::ZERO, F::ZERO);
+    let mut folded = PairFeed::new(combine, acc);
     loop {
         let (i, v) = run.next().unwrap_or((NONE, F::ZERO));
         if i >> 1 == m {
@@ -693,27 +941,14 @@ fn fold_sparse_run<F: PrimeField, C: Combine<F> + ?Sized>(
             // Entries that cancel exactly are dropped, not stored as zero.
             if !n.is_zero() {
                 run.emit((done, n));
-                if done >> 1 == k {
-                    n1 = n;
-                } else {
-                    if k != NONE {
-                        combine.accumulate(k, &[n0, n1], &[], acc);
-                    }
-                    (k, n0, n1) = if done & 1 == 0 {
-                        (done >> 1, n, F::ZERO)
-                    } else {
-                        (done >> 1, F::ZERO, n)
-                    };
-                }
+                folded.push(done, n);
             }
         }
         if i == NONE {
             break;
         }
     }
-    if k != NONE {
-        combine.accumulate(k, &[n0, n1], &[], acc);
-    }
+    folded.finish();
 }
 
 /// The out-of-place sparse sweep: `run(lo, hi)` yields the table's sorted
@@ -998,6 +1233,71 @@ mod tests {
                         FoldRule::Bind(r) => table.bind(r),
                         FoldRule::Affine(r) => table.fold_affine(r),
                     }
+                }
+            }
+        }
+    }
+
+    /// `χ_y(r_1, …, r_k)` for every `y < 2^k`, variable `t` on bit `t − 1`.
+    fn chi_weights(r: &[Fp61]) -> Vec<Fp61> {
+        (0..1usize << r.len())
+            .map(|y| {
+                r.iter().enumerate().fold(Fp61::ONE, |w, (t, &rt)| {
+                    w * if (y >> t) & 1 == 1 {
+                        rt
+                    } else {
+                        Fp61::ONE - rt
+                    }
+                })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn binding_k_variables_at_once_equals_k_single_binds() {
+        // From a dense snapshot, from a tree that stays a sorted run, from a
+        // tree whose bound table crosses the densify rule, and from a
+        // universe that ends inside a block: the table, its representation
+        // and the pairs handed out all equal those of k fused single binds,
+        // at every chunk count and every k up to the whole table.
+        let bits = 15u32;
+        let u = 1u64 << bits;
+        let starts = [
+            FrequencyVector::from_stream(u, &workloads::with_deletions(40_000, u, 0.3, 31)),
+            sparse_fv(u, &workloads::with_deletions(300, u, 0.3, 32)),
+            sparse_fv(u, &workloads::with_deletions(3_000, u, 0.3, 33)),
+            FrequencyVector::from_stream(u - 21, &workloads::uniform(5_000, u - 21, 9, 34)),
+        ];
+        let mut rng = StdRng::seed_from_u64(35);
+        let r: Vec<Fp61> = (0..bits).map(|_| Fp61::random(&mut rng)).collect();
+        for fv in &starts {
+            let mut stepwise = FoldVector::<Fp61>::from_frequency(fv, bits);
+            for k in 1..=bits as usize {
+                let seen_stepwise = Record(Mutex::new(Vec::new()));
+                stepwise.fold_fused(FoldRule::Bind(r[k - 1]), &seen_stepwise, &mut [Vec::new()]);
+                if ![1, 2, 4, 5, 14, 15].contains(&k) {
+                    continue;
+                }
+                let expect_seen = seen_stepwise.0.into_inner().unwrap();
+                for chunks in [1usize, 2, 3, 7] {
+                    let what = format!("dense={} k={k} chunks={chunks}", fv.is_dense());
+                    let seen = Record(Mutex::new(Vec::new()));
+                    let bound = FoldVector::from_frequency_bound(
+                        fv,
+                        bits,
+                        &chi_weights(&r[..k]),
+                        &seen,
+                        &mut vec![Vec::new(); chunks],
+                    );
+                    assert_eq!(bound.bits(), bits - k as u32, "{what}");
+                    assert_eq!(pairs_of(&bound), pairs_of(&stepwise), "{what}");
+                    assert_eq!(bound.is_sparse(), stepwise.is_sparse(), "{what}");
+                    if bound.bits() == 0 {
+                        assert_eq!(bound.scalar(), stepwise.scalar(), "{what}");
+                    }
+                    let mut seen = seen.0.into_inner().unwrap();
+                    seen.sort_by_key(|p| p.0);
+                    assert_eq!(seen, expect_seen, "{what}");
                 }
             }
         }

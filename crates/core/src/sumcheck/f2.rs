@@ -12,10 +12,12 @@
 //! [`super::moments`] with a squared-fold prover fast path — the code the
 //! Figure 2 benchmarks exercise.
 
+use std::sync::Arc;
+
 use rand::Rng;
 use sip_field::PrimeField;
 use sip_lde::{LdeParams, StreamingLdeEvaluator, WeightBank};
-use sip_streaming::{FrequencyVector, Update};
+use sip_streaming::{Entries, FrequencyVector, Update};
 
 use crate::channel::CostReport;
 use crate::digest_bank::BankedDigest;
@@ -117,10 +119,210 @@ impl<F: PrimeField> Combine<F> for F2Combine {
     }
 }
 
+/// How many leading rounds an [`F2Head`] answers. A head-started proof
+/// costs one product a cell whatever `k` is, plus the fused rounds over
+/// `u/2^k` entries; the head's build costs up to `(2^k + 1)/2` integer
+/// products a nonzero cell — it doubles with `k` on dense data — and is
+/// paid inside `publish`. Measured (EXPERIMENTS.md, "Choosing k"): `k = 5`
+/// answers 5–7 % faster end to end than `k = 4`, and its build is the
+/// first to take more than a tenth of a replicated or sharded ingest
+/// window; `k = 3` leaves a table twice as large for a build that is
+/// hardly cheaper.
+const HEAD_ROUNDS: u32 = 4;
+
+/// The query-independent head of every `F₂` proof over one frozen vector.
+///
+/// With the lowest variable bound first, round `j`'s message is
+///
+/// ```text
+/// g_j(c) = Σ_m ( Σ_{y<2^j} χ_y(r_1, …, r_{j−1}, c) · a[m·2^j + y] )²  =  wᵀ G_j w
+/// ```
+///
+/// where `w = χ(r_1, …, r_{j−1}, c)` is `2^j` words of the verifier's
+/// challenges and the Gram matrix `G_j[y, y'] = Σ_m a[m·2^j + y] · a[m·2^j + y']`
+/// depends on the data alone. The head holds `G_1, …, G_k` for
+/// `k = min(4, log u)`: every `G_j` is the sum of the diagonal
+/// `2^j × 2^j` blocks of `G_k`, so one pass over the vector builds them
+/// all (`4 + 16 + … + 4^k` words). Nothing in it depends on a query, a
+/// challenge or a verifier.
+#[derive(Clone, Debug)]
+pub struct F2Head<F: PrimeField> {
+    /// The vector the matrices were built from (an `O(1)` shared snapshot).
+    fv: FrequencyVector,
+    log_u: u32,
+    /// `grams[j − 1]` is `G_j`, `2^j × 2^j`, row-major.
+    grams: Vec<Vec<F>>,
+}
+
+impl<F: PrimeField> F2Head<F> {
+    /// Builds the head of `fv` over `[2^log_u]` in one pass over its
+    /// entries; blocks of `2^k` cells that are all zero cost nothing.
+    ///
+    /// # Panics
+    /// Panics if `log_u` is zero or the vector's universe exceeds
+    /// `2^log_u`.
+    pub fn build(fv: &FrequencyVector, log_u: u32) -> Self {
+        Self::with_rounds(fv, log_u, HEAD_ROUNDS.min(log_u))
+    }
+
+    fn with_rounds(fv: &FrequencyVector, log_u: u32, k: u32) -> Self {
+        assert!((1..=63).contains(&log_u), "log_u must be in [1, 63]");
+        assert!(
+            fv.universe() <= 1u64 << log_u,
+            "universe larger than 2^log_u"
+        );
+        assert!((1..=log_u).contains(&k));
+        let mut grams = vec![gram::<F>(fv, k)];
+        for j in (1..k).rev() {
+            let finer = grams.last().expect("starts with G_k");
+            grams.push(diagonal_blocks_sum(finer, 1 << j));
+        }
+        grams.reverse();
+        F2Head {
+            fv: fv.clone(),
+            log_u,
+            grams,
+        }
+    }
+
+    /// The number of rounds `k` the head answers.
+    pub fn rounds(&self) -> usize {
+        self.grams.len()
+    }
+
+    /// Round `j`'s message `[g_j(0), g_j(1), g_j(2)]` from the `2^{j−1}`
+    /// weights `chi = χ(r_1, …, r_{j−1})`: with `G_j` cut into quadrants by
+    /// variable `j` (the top bit of its index), `w(c) = ((1−c)·chi, c·chi)`
+    /// gives `g_j(0) = chiᵀ G_lo,lo chi`, `g_j(1) = chiᵀ G_hi,hi chi` and
+    /// `g_j(2) = g_j(0) − 4·chiᵀ G_lo,hi chi + 4·g_j(1)`.
+    fn message(&self, chi: &[F]) -> Vec<F> {
+        let w = chi.len();
+        let gram = &self.grams[w.trailing_zeros() as usize];
+        let form = |rows: usize, cols: usize| {
+            let mut acc = F::DotAcc::default();
+            for (y, &c) in chi.iter().enumerate() {
+                let row = &gram[(rows + y) * 2 * w + cols..][..w];
+                F::acc_add_prod(&mut acc, c, F::dot(chi, row));
+            }
+            F::acc_finish(acc)
+        };
+        let (lo_lo, lo_hi, hi_hi) = (form(0, 0), form(0, w), form(w, w));
+        let four = F::from_u64(4);
+        vec![lo_lo, hi_hi, lo_lo - four * lo_hi + four * hi_hi]
+    }
+}
+
+/// `G_k` of `fv`: `G[y, y'] = Σ_m a[m·2^k + y] · a[m·2^k + y']`, row-major.
+/// The sums are integers; they are accumulated exactly in `i128` and only
+/// spill into the field in the (never yet seen) case one would overflow.
+fn gram<F: PrimeField>(fv: &FrequencyVector, k: u32) -> Vec<F> {
+    let width = 1usize << k;
+    let mut exact = vec![0i128; width * width];
+    let mut spilled = vec![F::ZERO; width * width];
+    // One block's nonzero cells `(y, a)`, in increasing `y`: only the upper
+    // triangle is summed.
+    let mut add_block = |nonzero: &[(usize, i64)]| {
+        for (at, &(y, a)) in nonzero.iter().enumerate() {
+            let row = y * width;
+            for &(z, b) in &nonzero[at..] {
+                let product = a as i128 * b as i128;
+                let cell = &mut exact[row + z];
+                *cell = match cell.checked_add(product) {
+                    Some(sum) => sum,
+                    None => {
+                        spilled[row + z] += from_i128::<F>(*cell);
+                        product
+                    }
+                };
+            }
+        }
+    };
+    let mut nonzero = vec![(0, 0); width];
+    match fv.entries() {
+        Entries::Dense(cells) => {
+            for run in cells.chunks(width) {
+                // Gathered without a branch per cell: at middling densities
+                // it would be mispredicted every other time.
+                let mut n = 0;
+                for (y, &a) in run.iter().enumerate() {
+                    nonzero[n] = (y, a);
+                    n += usize::from(a != 0);
+                }
+                add_block(&nonzero[..n]);
+            }
+        }
+        Entries::Sparse(map) => {
+            let (mut m, mut n) = (0, 0);
+            for (&i, &a) in map {
+                if i >> k != m {
+                    add_block(&nonzero[..n]);
+                    (m, n) = (i >> k, 0);
+                }
+                nonzero[n] = ((i & (width as u64 - 1)) as usize, a);
+                n += 1;
+            }
+            add_block(&nonzero[..n]);
+        }
+    }
+    let mut gram: Vec<F> = exact
+        .into_iter()
+        .zip(spilled)
+        .map(|(sum, spilled)| spilled + from_i128::<F>(sum))
+        .collect();
+    for y in 0..width {
+        for z in 0..y {
+            gram[y * width + z] = gram[z * width + y];
+        }
+    }
+    gram
+}
+
+fn from_i128<F: PrimeField>(x: i128) -> F {
+    let magnitude = F::from_u128(x.unsigned_abs());
+    if x < 0 {
+        -magnitude
+    } else {
+        magnitude
+    }
+}
+
+/// `G_j` (`width = 2^j`) from `G_{j+1}`: the sum of its two diagonal
+/// `width × width` blocks — a block of `2^{j+1}` cells is two blocks of
+/// `2^j`, and the products within each are exactly those two quadrants.
+fn diagonal_blocks_sum<F: PrimeField>(finer: &[F], width: usize) -> Vec<F> {
+    debug_assert_eq!(finer.len(), 4 * width * width);
+    let quadrant = |at: usize| {
+        finer[at * 2 * width + at..]
+            .chunks(2 * width)
+            .take(width)
+            .flat_map(move |row| &row[..width])
+    };
+    quadrant(0)
+        .zip(quadrant(width))
+        .map(|(&lo, &hi)| lo + hi)
+        .collect()
+}
+
 /// Honest `F₂` prover (Appendix B.1 fold with squared combine).
 #[derive(Clone, Debug)]
 pub struct F2Prover<F: PrimeField> {
-    fused: FusedRounds<F>,
+    rounds: usize,
+    stage: Stage<F>,
+}
+
+/// Where an [`F2Prover`]'s messages come from.
+#[derive(Clone, Debug)]
+enum Stage<F: PrimeField> {
+    /// Rounds `1..=k` of a head-started prover: quadratic forms in the
+    /// head's matrices; a challenge is only recorded.
+    Head {
+        head: Arc<F2Head<F>>,
+        pool: ProverPool,
+        /// `χ(r_1, …, r_{j−1})` in round `j`, variable `t` on bit `t − 1`.
+        chi: Vec<F>,
+    },
+    /// A fold table, swept once a round.
+    Table(FusedRounds<F>),
 }
 
 impl<F: PrimeField> F2Prover<F> {
@@ -133,17 +335,25 @@ impl<F: PrimeField> F2Prover<F> {
     /// Like [`Self::new`] with an explicit round-message scheduling pool.
     pub fn with_pool(fv: &FrequencyVector, log_u: u32, pool: ProverPool) -> Self {
         F2Prover {
-            fused: FusedRounds::new(fv, log_u, pool),
+            rounds: log_u as usize,
+            stage: Stage::Table(FusedRounds::new(fv, log_u, pool)),
         }
     }
 
-    /// Starts the prover with `g_1` already known. F₂'s first message is a
-    /// function of the data alone, so whoever holds an immutable vector can
-    /// compute it once ([`RoundProver::message`] of a fresh prover) and
-    /// hand it to every later prover over the same vector.
-    pub fn with_first_message(mut self, g1: Vec<F>) -> Self {
-        self.fused = self.fused.with_first_message(g1);
-        self
+    /// Starts from the head of a frozen vector: rounds `1..=k` are answered
+    /// from its matrices without touching the data, and binding `r_k` makes
+    /// the one pass that builds the fold table at `u/2^k` entries (with
+    /// round `k+1`'s message, [`FusedRounds::bound`]). Every message equals
+    /// the one [`Self::with_pool`] over the same vector sends.
+    pub fn from_head(head: Arc<F2Head<F>>, pool: ProverPool) -> Self {
+        F2Prover {
+            rounds: head.log_u as usize,
+            stage: Stage::Head {
+                head,
+                pool,
+                chi: vec![F::ONE],
+            },
+        }
     }
 }
 
@@ -153,15 +363,33 @@ impl<F: PrimeField> RoundProver<F> for F2Prover<F> {
     }
 
     fn rounds(&self) -> usize {
-        self.fused.table().bits() as usize
+        self.rounds
     }
 
     fn message(&mut self) -> Vec<F> {
-        self.fused.message(&F2Combine)
+        match &mut self.stage {
+            Stage::Head { head, chi, .. } => head.message(chi),
+            Stage::Table(fused) => fused.message(&F2Combine),
+        }
     }
 
     fn bind(&mut self, r: F) {
-        self.fused.bind(r, &F2Combine);
+        match &mut self.stage {
+            Stage::Head { head, pool, chi } => {
+                // Variable `j` goes on the next bit up: χ_y(.., r) is
+                // χ_y(..)·(1 − r) below it and χ_y(..)·r above.
+                let hi: Vec<F> = chi.iter().map(|&c| c * r).collect();
+                for (c, &h) in chi.iter_mut().zip(&hi) {
+                    *c -= h;
+                }
+                chi.extend(hi);
+                if chi.len() == 1 << head.rounds() {
+                    let fused = FusedRounds::bound(&head.fv, head.log_u, *pool, chi, &F2Combine);
+                    self.stage = Stage::Table(fused);
+                }
+            }
+            Stage::Table(fused) => fused.bind(r, &F2Combine),
+        }
     }
 }
 
@@ -267,6 +495,88 @@ mod tests {
         let stream = [Update::new(0, -3), Update::new(1, 2)];
         let got = run_f2::<Fp61, _>(1, &stream, &mut rng).unwrap();
         assert_eq!(got.value, Fp61::from_u64(13));
+    }
+
+    /// Dense, tree, and a universe that ends inside a block.
+    fn head_inputs() -> Vec<(FrequencyVector, u32)> {
+        let mut tree = FrequencyVector::new_sparse(1 << 14);
+        tree.apply_batch(&workloads::with_deletions(400, 1 << 14, 0.3, 41));
+        assert!(!tree.is_dense());
+        vec![
+            (
+                FrequencyVector::from_stream(
+                    1 << 9,
+                    &workloads::with_deletions(2000, 1 << 9, 0.3, 42),
+                ),
+                9,
+            ),
+            (tree, 14),
+            (
+                FrequencyVector::from_stream(500, &workloads::uniform(300, 500, 40, 43)),
+                9,
+            ),
+        ]
+    }
+
+    #[test]
+    fn coarser_gram_matrices_fall_out_of_the_finest() {
+        // G_j summed out of G_k's diagonal blocks is G_j built directly, is
+        // the definition Σ_m a[m·2^j + y]·a[m·2^j + y'], and is symmetric.
+        for (fv, log_u) in head_inputs() {
+            let head = F2Head::<Fp61>::with_rounds(&fv, log_u, 5);
+            assert_eq!(head.rounds(), 5);
+            for j in 1..=5u32 {
+                let direct = F2Head::<Fp61>::with_rounds(&fv, log_u, j);
+                assert_eq!(
+                    head.grams[j as usize - 1],
+                    direct.grams[j as usize - 1],
+                    "j={j}"
+                );
+                let width = 1u64 << j;
+                let gram = &head.grams[j as usize - 1];
+                for y in 0..width {
+                    for z in 0..width {
+                        let expect: i128 = (0..fv.universe().div_ceil(width))
+                            .map(|m| {
+                                let at = |i: u64| if i < fv.universe() { fv.get(i) } else { 0 };
+                                at(m * width + y) as i128 * at(m * width + z) as i128
+                            })
+                            .sum();
+                        let got = gram[(y * width + z) as usize];
+                        assert_eq!(got, from_i128::<Fp61>(expect), "j={j} ({y},{z})");
+                        assert_eq!(got, gram[(z * width + y) as usize]);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn head_messages_equal_the_sweeps() {
+        // Round 1 from G_1 alone is the first message of a walk over the
+        // vector, and so is every later head round under the same challenges.
+        let mut rng = StdRng::seed_from_u64(44);
+        for (fv, log_u) in head_inputs() {
+            let head = Arc::new(F2Head::<Fp61>::build(&fv, log_u));
+            let g1 = &head.grams[0];
+            let first = F2Prover::<Fp61>::new(&fv, log_u).message();
+            let four = Fp61::from_u64(4);
+            assert_eq!(
+                first,
+                vec![g1[0], g1[3], g1[0] - four * g1[1] + four * g1[3]],
+                "wᵀ G_1 w at c = 0, 1, 2"
+            );
+            let mut swept = F2Prover::<Fp61>::new(&fv, log_u);
+            let mut headed = F2Prover::from_head(Arc::clone(&head), ProverPool::SERIAL);
+            for round in 1..=log_u {
+                assert_eq!(headed.message(), swept.message(), "round {round}");
+                if round < log_u {
+                    let r = Fp61::random(&mut rng);
+                    swept.bind(r);
+                    headed.bind(r);
+                }
+            }
+        }
     }
 
     #[test]

@@ -112,6 +112,22 @@ impl PrimeField for Fp61 {
     }
 
     #[inline]
+    fn dot_i64(w: &[Self], x: &[i64]) -> Self {
+        // A whole batch per reduction and no term counter: the batch length
+        // is the loop bound, so the inner loop is multiply-and-add only.
+        let batch = FP61_ACC_BATCH as usize;
+        let mut done = Fp61::ZERO;
+        for (w, x) in w.chunks(batch).zip(x.chunks(batch)) {
+            let mut pending = 0u128;
+            for (&w, &x) in w.iter().zip(x) {
+                pending += (w.0 as u128) * (Self::from_i64(x).0 as u128);
+            }
+            done += Fp61::reduce128(pending);
+        }
+        done
+    }
+
+    #[inline]
     fn from_u64(x: u64) -> Self {
         Self::reduce64(x)
     }
@@ -274,6 +290,28 @@ mod tests {
         // Odd leftover terms below one batch reduce correctly too.
         assert_eq!(Fp61::dot(&a[..7], &a[..7]), Fp61::from_u64(7));
         assert_eq!(Fp61::dot(&[], &[]), Fp61::ZERO);
+    }
+
+    #[test]
+    fn dot_i64_matches_the_generic_accumulator() {
+        // Across batch boundaries, with the largest weights and the extreme
+        // integers, and over the shorter of two unequal slices.
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut w: Vec<Fp61> = (0..100).map(|_| Fp61::random(&mut rng)).collect();
+        let mut x: Vec<i64> = (0..100).map(|_| rng.next_u64() as i64).collect();
+        w[..40].fill(Fp61::new(P61 - 1));
+        x[..20].fill(i64::MIN);
+        x[20..40].fill(i64::MAX);
+        x[50] = 0;
+        for len in [0usize, 1, 31, 32, 33, 64, 65, 100] {
+            let mut acc = Fp61DotAcc::default();
+            for (&w, &x) in w.iter().zip(&x[..len]) {
+                Fp61::acc_add_prod(&mut acc, w, Fp61::from_i64(x));
+            }
+            let expect = Fp61::acc_finish(acc);
+            assert_eq!(Fp61::dot_i64(&w, &x[..len]), expect, "len={len}");
+            assert_eq!(Fp61::dot_i64(&w[..len], &x), expect, "len={len}");
+        }
     }
 
     #[test]

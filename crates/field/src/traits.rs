@@ -135,6 +135,19 @@ pub trait PrimeField:
         Self::acc_finish(acc)
     }
 
+    /// Sum of products `Σ wᵢ·xᵢ` of field weights with signed integers
+    /// (`xᵢ` embedded as [`PrimeField::from_i64`]), over the shorter of the
+    /// two slices — the prover's dot of challenge weights with raw
+    /// frequencies. Implementations whose accumulator has headroom override
+    /// it to reduce once per batch without counting terms.
+    fn dot_i64(w: &[Self], x: &[i64]) -> Self {
+        let mut acc = Self::DotAcc::default();
+        for (&w, &x) in w.iter().zip(x) {
+            Self::acc_add_prod(&mut acc, w, Self::from_i64(x));
+        }
+        Self::acc_finish(acc)
+    }
+
     /// A uniformly random field element.
     fn random<R: Rng + ?Sized>(rng: &mut R) -> Self;
 

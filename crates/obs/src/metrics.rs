@@ -479,7 +479,7 @@ pub const METRIC_HELP: &[(&str, &str)] = &[
     ),
     (
         "sip_fold_message_us",
-        "Latency of one pass producing a round message: round 1's walk, or a later round's fused fold-and-sum (sampled)",
+        "Latency of one pass producing a round message: round 1's walk, a later round's fused fold-and-sum, or a head-started prover's k-variable bind (sampled)",
     ),
     (
         "sip_fold_messages_total",
@@ -502,6 +502,14 @@ pub const METRIC_HELP: &[(&str, &str)] = &[
         "Named checkpoints saved via Msg::SaveState",
     ),
     (
+        "sip_registry_f2_head_build_us",
+        "Latency of building one published dataset's F2 head (the Gram matrices behind its first round messages), at publish or reload",
+    ),
+    (
+        "sip_registry_f2_head_builds_total",
+        "F2 heads built: one per publish and one per published dataset reloaded at startup",
+    ),
+    (
         "sip_registry_load_errors",
         "Snapshots skipped while reloading the data dir at startup",
     ),
@@ -512,10 +520,6 @@ pub const METRIC_HELP: &[(&str, &str)] = &[
     (
         "sip_registry_restore_total",
         "Checkpoints thawed via Msg::Resume",
-    ),
-    (
-        "sip_registry_round1_cache_total",
-        "F2 queries on a published dataset by whether its first round message was already computed (outcome=hit|miss)",
     ),
     (
         "sip_server_active_sessions",

@@ -16,14 +16,17 @@
 //! trees) is built per query from the shared snapshot, exactly as it was
 //! from a session-private store — same transcripts, different ownership.
 //!
-//! Because the vectors never change, the one part of a proof that depends
-//! on the data alone — SELF-JOIN SIZE's first round message — is computed
-//! at most once per dataset ([`Dataset::f2_prover`]) and every
-//! later F₂ query starts from it. That is all the cache holds: a few words
-//! beside the frozen vectors, derived from them, never invalidated, never
-//! persisted and never sent — a restarted server recomputes it on the
-//! first query. Nothing that depends on a query or a challenge may live
-//! there.
+//! Because the vectors never change, the part of a proof that depends on
+//! the data alone — the Gram matrices behind SELF-JOIN SIZE's first `k`
+//! round messages ([`F2Head`]) — is built once, when the data freezes:
+//! inside [`DatasetRegistry::publish`], before the publisher is acked, and
+//! again when a published dataset is reloaded from the data directory.
+//! Every F₂ query on the dataset starts from it ([`Dataset::f2_prover`]).
+//! That is all a dataset caches: a few KB beside the frozen vectors,
+//! derived from them, never invalidated, never persisted and never sent.
+//! Nothing that depends on a query or a challenge may live there. A
+//! checkpoint is overwritten as its stream advances and is never queried,
+//! so it carries no head.
 //!
 //! ## Trust
 //!
@@ -33,11 +36,10 @@
 
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 
 use sip_core::engine::ProverPool;
-use sip_core::sumcheck::f2::F2Prover;
-use sip_core::sumcheck::RoundProver;
+use sip_core::sumcheck::f2::{F2Head, F2Prover};
 use sip_durable::{load_snapshot, save_snapshot, SnapshotError};
 use sip_field::PrimeField;
 use sip_kvstore::CloudStore;
@@ -72,20 +74,22 @@ pub struct Dataset<F: PrimeField> {
     pub shard: Option<ShardSpec>,
     /// The frozen vectors.
     pub data: DatasetData<F>,
-    /// SELF-JOIN SIZE's first round message over [`Self::f2_vector`], once
-    /// a query needed it.
-    f2_first: OnceLock<Vec<F>>,
+    /// The head of every SELF-JOIN SIZE proof over [`Self::f2_vector`]:
+    /// present on a published dataset, absent on a checkpoint.
+    f2_head: Option<Arc<F2Head<F>>>,
 }
 
 impl<F: PrimeField> Dataset<F> {
-    /// A dataset named `id` over `[2^log_u]` holding `data`.
+    /// A dataset named `id` over `[2^log_u]` holding `data`, without an F₂
+    /// head — what a checkpoint is, and what [`DatasetRegistry::publish`]
+    /// takes (the registry builds the head of what it publishes).
     pub fn new(id: String, log_u: u32, shard: Option<ShardSpec>, data: DatasetData<F>) -> Self {
         Dataset {
             id,
             log_u,
             shard,
             data,
-            f2_first: OnceLock::new(),
+            f2_head: None,
         }
     }
 
@@ -97,28 +101,35 @@ impl<F: PrimeField> Dataset<F> {
         }
     }
 
-    /// Whether a query has computed the first round message yet.
-    #[cfg(test)]
-    pub(crate) fn f2_first_message_cached(&self) -> bool {
-        self.f2_first.get().is_some()
+    /// This dataset with its F₂ head built — one pass over
+    /// [`Self::f2_vector`], on the calling thread. The registry calls it
+    /// where data freezes for queries: publish and published reload.
+    fn with_f2_head(mut self) -> Self {
+        let mut span = sip_obs::trace::span("sip.server.registry", "f2_head");
+        span.field("log_u", self.log_u);
+        let timer = sip_obs::enabled().then(sip_obs::Timer::start);
+        self.f2_head = Some(Arc::new(F2Head::build(self.f2_vector(), self.log_u)));
+        if let Some(timer) = timer {
+            sip_obs::counter("sip_registry_f2_head_builds_total").inc();
+            sip_obs::histogram("sip_registry_f2_head_build_us").observe(timer.elapsed_us());
+        }
+        self
     }
 
-    /// An F₂ prover over this dataset that starts from the first round
-    /// message — which depends on the frozen vector alone, so it is
-    /// computed by the first query that asks (`pool` schedules that one
-    /// walk) and reused by every later one, on any session.
+    /// The F₂ head, if this dataset was published.
+    pub fn f2_head(&self) -> Option<&F2Head<F>> {
+        self.f2_head.as_deref()
+    }
+
+    /// An F₂ prover over this dataset. A published dataset starts it from
+    /// the head: the first rounds touch no data, and no table larger than
+    /// `u/2^k` entries is built (`pool` schedules that pass and the rounds
+    /// after it).
     pub fn f2_prover(&self, pool: ProverPool) -> F2Prover<F> {
-        let prover = F2Prover::with_pool(self.f2_vector(), self.log_u, pool);
-        let mut missed = false;
-        let first = self.f2_first.get_or_init(|| {
-            missed = true;
-            prover.clone().message()
-        });
-        if sip_obs::enabled() {
-            let outcome = if missed { "miss" } else { "hit" };
-            sip_obs::counter_with("sip_registry_round1_cache_total", &[("outcome", outcome)]).inc();
+        match &self.f2_head {
+            Some(head) => F2Prover::from_head(Arc::clone(head), pool),
+            None => F2Prover::with_pool(self.f2_vector(), self.log_u, pool),
         }
-        prover.with_first_message(first.clone())
     }
 
     /// The session mode this dataset serves; attaching sessions must have
@@ -250,6 +261,10 @@ impl<F: PrimeField> DatasetRegistry<F> {
                             entry.file, entry.id
                         ))
                     } else {
+                        let ds = match entry.kind {
+                            DurableKind::Published => ds.with_f2_head(),
+                            DurableKind::Checkpoint => ds,
+                        };
                         map.insert(ds.id.clone(), Arc::new(ds));
                         None
                     }
@@ -421,6 +436,10 @@ impl<F: PrimeField> DatasetRegistry<F> {
     /// disk **before** the dataset becomes attachable, so no session can
     /// observe a publish whose persistence then fails.
     pub fn publish(&self, dataset: Dataset<F>) -> Result<Arc<Dataset<F>>, String> {
+        // The data is frozen from here on: build what every F₂ query over
+        // it shares, before the disk lock (other publishers need not wait
+        // for it) and before the caller can ack.
+        let dataset = dataset.with_f2_head();
         let _disk = self.disk.lock().unwrap_or_else(|p| p.into_inner());
         {
             let map = self.datasets.read().unwrap_or_else(|p| p.into_inner());

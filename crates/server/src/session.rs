@@ -884,8 +884,7 @@ impl<F: PrimeField, T: Transport> ServerSession<F, T> {
     /// one place a sum-check prover is built, so the interactive and
     /// one-shot paths cannot drift: both snapshot the data the same way
     /// (`O(1)`, copy-on-write — a later ingest leaves the prover's view
-    /// alone) and both start F₂ over a published dataset from its first
-    /// round message.
+    /// alone) and both start F₂ over a published dataset from its head.
     fn sumcheck_prover(
         &self,
         q: &Query,
@@ -2007,12 +2006,13 @@ mod tests {
     }
 
     #[test]
-    fn two_sessions_share_one_datasets_first_round_and_a_restart_recomputes_it() {
-        // Two verifiers with digests at different points attach to one
-        // dataset: the second F₂ query starts from the first round message
-        // the first one computed, and both verify. A restarted server (a
-        // fresh registry over the same directory) starts cold and verifies
-        // too.
+    fn a_published_dataset_has_its_f2_head_before_any_query_and_after_a_reload() {
+        // The head is built where data freezes for queries — by the publish
+        // itself, and again by a restarted server (a fresh registry over the
+        // same directory) — never by a query, and never for a checkpoint,
+        // which is overwritten as its stream advances. Two verifiers with
+        // digests at different points then attach and verify, interactively
+        // and one-shot, from that one head.
         let log_u = 8u32;
         let stream: Vec<Update> = (0..60u64)
             .map(|i| Update::new(i * 37 % 256, (i % 7) as i64 - 2))
@@ -2020,11 +2020,16 @@ mod tests {
         let truth = Fp61::from_u128(
             FrequencyVector::from_stream(1 << log_u, &stream).self_join_size() as u128,
         );
-        let (registry, dir) = durable_registry("round1-cache");
+        let (registry, dir) = durable_registry("f2-head");
         let publish = {
-            let stream = stream.clone();
+            let (stream, registry) = (stream.clone(), Arc::clone(&registry));
             move |mut chan: MsgChannel<InMemoryTransport>| {
                 chan.send(&Msg::<Fp61>::Ingest(stream.clone())).unwrap();
+                chan.send(&Msg::<Fp61>::SaveState {
+                    dataset_id: "mark".into(),
+                })
+                .unwrap();
+                assert!(matches!(chan.recv::<Fp61>().unwrap(), Msg::StateAck { .. }));
                 chan.send(&Msg::<Fp61>::Publish {
                     dataset_id: "shared".into(),
                 })
@@ -2033,6 +2038,11 @@ mod tests {
                     chan.recv::<Fp61>().unwrap(),
                     Msg::DatasetAck { .. }
                 ));
+                // Acked, and nobody has asked anything yet.
+                let shared = registry.get("shared").expect("published");
+                assert!(shared.f2_head().is_some(), "publish builds the head");
+                let mark = registry.checkpoint("mark").expect("saved");
+                assert!(mark.f2_head().is_none(), "a checkpoint has none");
                 let got = verify_f2_over(&mut chan, f2_digest(10, log_u, &stream), |_| {});
                 assert_eq!(got, Ok(truth));
                 chan.send(&Msg::<Fp61>::Bye).unwrap();
@@ -2049,7 +2059,7 @@ mod tests {
                     chan.recv::<Fp61>().unwrap(),
                     Msg::DatasetAck { .. }
                 ));
-                // Interactive and one-shot both start from the cached g_1.
+                // Interactive and one-shot both start from the head.
                 let got = verify_f2_over(&mut chan, f2_digest(seed, log_u, &stream), |_| {});
                 assert_eq!(got, Ok(truth));
                 let digest = f2_digest(seed + 1, log_u, &stream);
@@ -2086,21 +2096,18 @@ mod tests {
             attach(20),
         );
         assert_eq!(ends, (SessionEnd::PeerDone, SessionEnd::PeerDone));
-        let shared = registry.get("shared").expect("published");
-        assert!(
-            shared.f2_first_message_cached(),
-            "the first query fills the cache"
-        );
-        drop((shared, registry));
+        drop(registry);
 
-        // Restart: same directory, new process state.
+        // Restart: same directory, new process state. Nothing of the head
+        // was persisted; the reload rebuilt it, for the published dataset
+        // only.
         let registry = Arc::new(DatasetRegistry::<Fp61>::with_data_dir(8, dir.clone()).unwrap());
+        assert!(registry.load_errors().is_empty());
         let reloaded = registry.get("shared").expect("reloaded from disk");
-        assert!(
-            !reloaded.f2_first_message_cached(),
-            "nothing of the cache is persisted"
-        );
-        drop(reloaded);
+        assert!(reloaded.f2_head().is_some(), "a reload builds the head");
+        let mark = registry.checkpoint("mark").expect("reloaded from disk");
+        assert!(mark.f2_head().is_none());
+        drop((reloaded, mark));
         let ends = with_registry_sessions(
             Arc::clone(&registry),
             (SessionMode::RawStream, SessionMode::RawStream),
@@ -2109,7 +2116,6 @@ mod tests {
             attach(40),
         );
         assert_eq!(ends, (SessionEnd::PeerDone, SessionEnd::PeerDone));
-        assert!(registry.get("shared").unwrap().f2_first_message_cached());
         let _ = std::fs::remove_dir_all(dir);
     }
 }

@@ -9,7 +9,9 @@
 //! multiplications a pair, call `block_range_weight` for every indicator
 //! entry — as a [`RoundProver`] in test code ([`TwoPass`]) and compares
 //! **every round message**, interactively and sealed by `prove_oneshot`,
-//! for F₂, moments and range-sum:
+//! for F₂ (from the vector, and from its `F2Head`: the first `k` messages
+//! out of Gram matrices, the table built `k` rounds in), moments and
+//! range-sum:
 //!
 //! * a proptest over `log_u` 1..=12, dense and sparse vectors (including
 //!   the support at which a sparse vector promotes itself), negative
@@ -17,20 +19,25 @@
 //! * fixed cases at `log_u` 13..=16, where the tables are large enough for
 //!   the pool to actually split a pass into chunks and for a sparse table
 //!   to stay sparse for several rounds before it densifies;
+//! * the head-started prover where its schedule changes shape — `log_u`
+//!   below, at and just above `k`, an all-zero vector, a shard's half-empty
+//!   slice, frequencies whose products overflow `i128` — and over `Fp127`;
 //! * a RANGE-SUM boundary matrix — every range of every universe up to
 //!   `2^5`, and the named corner cases at `2^10` — through the complete
 //!   protocol against `FrequencyVector::range_sum`.
+
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sip::core::engine::ProverPool;
-use sip::core::sumcheck::f2::F2Prover;
+use sip::core::sumcheck::f2::{F2Head, F2Prover};
 use sip::core::sumcheck::moments::MomentProver;
 use sip::core::sumcheck::range_sum::{run_range_sum, RangeSumProver};
 use sip::core::sumcheck::{prove_oneshot, ProverWalk, RoundProver};
 use sip::core::transcript::query_transcript;
-use sip::field::{Fp61, PrimeField};
+use sip::field::{Fp127, Fp61, PrimeField};
 use sip::lde::interval::block_range_weight;
 use sip::streaming::{workloads, FrequencyVector, Update};
 
@@ -44,18 +51,18 @@ enum Rule {
 
 /// The two-pass prover the engine replaced: a dense field-form copy of the
 /// vector, one walk per message, a second walk per bind.
-struct TwoPass {
-    table: Vec<Fp61>,
+struct TwoPass<F: PrimeField = Fp61> {
+    table: Vec<F>,
     rule: Rule,
-    challenges: Vec<Fp61>,
+    challenges: Vec<F>,
     rounds: usize,
 }
 
-impl TwoPass {
+impl<F: PrimeField> TwoPass<F> {
     fn new(fv: &FrequencyVector, log_u: u32, rule: Rule) -> Self {
         TwoPass {
             table: (0..1u64 << log_u)
-                .map(|i| Fp61::from_i64(if i < fv.universe() { fv.get(i) } else { 0 }))
+                .map(|i| F::from_i64(if i < fv.universe() { fv.get(i) } else { 0 }))
                 .collect(),
             rule,
             challenges: Vec::new(),
@@ -64,7 +71,7 @@ impl TwoPass {
     }
 }
 
-impl RoundProver<Fp61> for TwoPass {
+impl<F: PrimeField> RoundProver<F> for TwoPass<F> {
     fn degree(&self) -> usize {
         match self.rule {
             Rule::Moment(k) => k as usize,
@@ -76,13 +83,13 @@ impl RoundProver<Fp61> for TwoPass {
         self.rounds
     }
 
-    fn message(&mut self) -> Vec<Fp61> {
-        let mut out = vec![Fp61::ZERO; self.degree() + 1];
+    fn message(&mut self) -> Vec<F> {
+        let mut out = vec![F::ZERO; self.degree() + 1];
         let j = self.challenges.len();
         for (m, pair) in self.table.chunks_exact(2).enumerate() {
             let (lo, hi) = (pair[0], pair[1]);
             // The interpolant lo + c·(hi − lo) at c = 0, 1, 2, …
-            let at = |c: usize| lo + Fp61::from_u64(c as u64) * (hi - lo);
+            let at = |c: usize| lo + F::from_u64(c as u64) * (hi - lo);
             match self.rule {
                 Rule::F2 => {
                     for (c, slot) in out.iter_mut().enumerate() {
@@ -96,10 +103,10 @@ impl RoundProver<Fp61> for TwoPass {
                 }
                 Rule::RangeSum(q_l, q_r) => {
                     let weight =
-                        |i: u64| -> Fp61 { block_range_weight(q_l, q_r, &self.challenges, j, i) };
+                        |i: u64| -> F { block_range_weight(q_l, q_r, &self.challenges, j, i) };
                     let (blo, bhi) = (weight(2 * m as u64), weight(2 * m as u64 + 1));
                     for (c, slot) in out.iter_mut().enumerate() {
-                        *slot += at(c) * (blo + Fp61::from_u64(c as u64) * (bhi - blo));
+                        *slot += at(c) * (blo + F::from_u64(c as u64) * (bhi - blo));
                     }
                 }
             }
@@ -107,18 +114,18 @@ impl RoundProver<Fp61> for TwoPass {
         out
     }
 
-    fn bind(&mut self, r: Fp61) {
+    fn bind(&mut self, r: F) {
         self.table = self
             .table
             .chunks_exact(2)
-            .map(|pair| (Fp61::ONE - r) * pair[0] + r * pair[1])
+            .map(|pair| (F::ONE - r) * pair[0] + r * pair[1])
             .collect();
         self.challenges.push(r);
     }
 }
 
 /// Every round message of `prover` under a fixed challenge schedule.
-fn transcript(prover: &mut dyn RoundProver<Fp61>, challenges: &[Fp61]) -> Vec<Vec<Fp61>> {
+fn transcript<F: PrimeField>(prover: &mut dyn RoundProver<F>, challenges: &[F]) -> Vec<Vec<F>> {
     let mut out = Vec::new();
     for &r in challenges {
         out.push(prover.message());
@@ -128,25 +135,25 @@ fn transcript(prover: &mut dyn RoundProver<Fp61>, challenges: &[Fp61]) -> Vec<Ve
     out
 }
 
-fn challenges_for(log_u: u32, seed: u64) -> Vec<Fp61> {
+fn challenges_for<F: PrimeField>(log_u: u32, seed: u64) -> Vec<F> {
     let mut rng = StdRng::seed_from_u64(seed);
-    (1..log_u).map(|_| Fp61::random(&mut rng)).collect()
+    (1..log_u).map(|_| F::random(&mut rng)).collect()
 }
 
 /// Compares one fused prover with its reference: round by round, and as a
 /// sealed one-shot proof (claimed value, every polynomial, digest).
-fn assert_same_proof(
+fn assert_same_proof<F: PrimeField>(
     what: &str,
     log_u: u32,
-    challenges: &[Fp61],
-    fused: impl Fn() -> Box<dyn RoundProver<Fp61>>,
-    reference: impl Fn() -> TwoPass,
+    challenges: &[F],
+    fused: impl Fn() -> Box<dyn RoundProver<F>>,
+    reference: impl Fn() -> TwoPass<F>,
 ) {
     let expect = transcript(&mut reference(), challenges);
     assert_eq!(transcript(&mut *fused(), challenges), expect, "{what}");
 
-    let seal = |prover: &mut dyn RoundProver<Fp61>| {
-        let t = query_transcript::<Fp61>("fused-equivalence", log_u, None, &[], challenges);
+    let seal = |prover: &mut dyn RoundProver<F>| {
+        let t = query_transcript::<F>("fused-equivalence", log_u, None, &[], challenges);
         prove_oneshot(&mut ProverWalk(prover), t, challenges, 2).expect("honest walks cannot fail")
     };
     assert_eq!(
@@ -156,9 +163,34 @@ fn assert_same_proof(
     );
 }
 
+/// The head-started F₂ prover over `fv` against the reference, at every
+/// pool size.
+fn assert_head_started<F: PrimeField>(what: &str, fv: &FrequencyVector, log_u: u32, seed: u64) {
+    let challenges = challenges_for::<F>(log_u, seed);
+    let head = Arc::new(F2Head::<F>::build(fv, log_u));
+    assert_eq!(head.rounds(), log_u.min(4) as usize, "{what}");
+    for threads in [1usize, 2, 3] {
+        assert_same_proof(
+            &format!("{what} log_u={log_u} threads={threads} F2 from the head"),
+            log_u,
+            &challenges,
+            || {
+                Box::new(F2Prover::from_head(
+                    Arc::clone(&head),
+                    ProverPool::new(threads),
+                ))
+            },
+            || TwoPass::new(fv, log_u, Rule::F2),
+        );
+    }
+}
+
 /// F₂, two moment orders and a range-sum over `fv`, at every pool size.
 fn assert_all_protocols(what: &str, fv: &FrequencyVector, log_u: u32, q: (u64, u64), seed: u64) {
-    let challenges = challenges_for(log_u, seed);
+    let challenges = challenges_for::<Fp61>(log_u, seed);
+    // Starting from the vector's head — the first rounds from its Gram
+    // matrices, the table built `k` rounds in — must change nothing.
+    assert_head_started::<Fp61>(what, fv, log_u, seed);
     for threads in [1usize, 2, 3] {
         let pool = ProverPool::new(threads);
         let what = format!("{what} log_u={log_u} threads={threads}");
@@ -167,19 +199,6 @@ fn assert_all_protocols(what: &str, fv: &FrequencyVector, log_u: u32, q: (u64, u
             log_u,
             &challenges,
             || Box::new(F2Prover::<Fp61>::with_pool(fv, log_u, pool)),
-            || TwoPass::new(fv, log_u, Rule::F2),
-        );
-        // Handing a prover its first message must change nothing either.
-        let g1 = F2Prover::<Fp61>::new(fv, log_u).message();
-        assert_same_proof(
-            &format!("{what} F2 from a known first message"),
-            log_u,
-            &challenges,
-            || {
-                Box::new(
-                    F2Prover::<Fp61>::with_pool(fv, log_u, pool).with_first_message(g1.clone()),
-                )
-            },
             || TwoPass::new(fv, log_u, Rule::F2),
         );
         for k in [1u32, 3] {
@@ -283,6 +302,61 @@ fn fused_transcripts_equal_the_reference_where_passes_are_chunked() {
         &workloads::uniform(900, (1 << 13) - 3, 40, 6),
     );
     assert_all_protocols("short universe", &fv, 13, (100, (1 << 13) - 4), 6);
+}
+
+#[test]
+fn head_started_f2_equals_the_reference_at_the_edges() {
+    // Around k = 4: at log_u ≤ k the whole proof comes from the matrices
+    // and no table is ever built; at k + 1 the table has two entries.
+    for log_u in 1u32..=7 {
+        let u = 1u64 << log_u;
+        let stream = workloads::with_deletions(3 * u as usize, u, 0.3, log_u as u64);
+        let dense = FrequencyVector::from_stream(u, &stream);
+        assert_head_started::<Fp61>("edge dense", &dense, log_u, 11);
+        let mut tree = FrequencyVector::new_sparse(u);
+        tree.apply(Update::new(u - 1, -3));
+        assert!(!tree.is_dense() || u <= 8);
+        assert_head_started::<Fp61>("edge tree", &tree, log_u, 12);
+    }
+    for log_u in [6u32, 10, 14] {
+        let u = 1u64 << log_u;
+        // Nothing at all: every message is zero, from either source.
+        assert_head_started::<Fp61>("all-zero dense", &FrequencyVector::new(u), log_u, 13);
+        assert_head_started::<Fp61>("all-zero tree", &FrequencyVector::new_sparse(u), log_u, 14);
+        // A shard's slice: nonzero on one half of the index range only.
+        for (name, lo) in [("low half", 0), ("high half", u / 2)] {
+            let slice: Vec<Update> = workloads::with_deletions(2 * u as usize, u / 2, 0.2, 15)
+                .into_iter()
+                .map(|up| Update::new(up.index + lo, up.delta))
+                .collect();
+            assert_head_started::<Fp61>(name, &FrequencyVector::from_stream(u, &slice), log_u, 16);
+        }
+    }
+    // Frequencies at the integer extremes: their products overflow the
+    // head's exact sums, which must spill into the field, not wrap.
+    let log_u = 7u32;
+    let mut extreme = FrequencyVector::new(1 << log_u);
+    for i in 0..1u64 << log_u {
+        extreme.apply(Update::new(i, if i % 3 == 0 { i64::MIN } else { i64::MAX }));
+    }
+    assert_head_started::<Fp61>("extreme", &extreme, log_u, 17);
+}
+
+#[test]
+fn head_started_f2_equals_the_reference_over_fp127() {
+    // A field whose accumulator reduces eagerly and whose dot over raw
+    // frequencies is the trait's default: dense, tree, short universe.
+    let log_u = 9u32;
+    let u = 1u64 << log_u;
+    let stream = workloads::with_deletions(700, u, 0.3, 21);
+    let dense = FrequencyVector::from_stream(u, &stream);
+    let mut tree = FrequencyVector::new_sparse(1 << 14);
+    tree.apply_batch(&workloads::with_deletions(300, 1 << 14, 0.3, 22));
+    assert!(!tree.is_dense());
+    let short = FrequencyVector::from_stream(u - 37, &workloads::uniform(400, u - 37, 9, 23));
+    assert_head_started::<Fp127>("fp127 dense", &dense, log_u, 24);
+    assert_head_started::<Fp127>("fp127 tree", &tree, 14, 25);
+    assert_head_started::<Fp127>("fp127 short universe", &short, log_u, 26);
 }
 
 /// The complete protocol — streaming verifier and all — on `[l, r]`.

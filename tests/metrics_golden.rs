@@ -61,8 +61,8 @@ fn every_registered_metric_is_in_the_help_table() {
     };
     verify(&mut client);
     client.publish("golden-ds").unwrap();
-    // Two F₂ queries over the now-published dataset: the first computes
-    // its first round message (a cache miss), the second starts from it.
+    // Two F₂ queries over the now-published dataset, both from the head
+    // the publish built.
     verify(&mut client);
     verify(&mut client);
     client.bye().unwrap();
@@ -104,12 +104,14 @@ fn every_registered_metric_is_in_the_help_table() {
          (add them to crates/obs/src/metrics.rs METRIC_HELP): {missing:?}"
     );
 
-    // The per-dataset first-round cache reports both outcomes.
-    for outcome in ["hit", "miss"] {
-        let series = format!("sip_registry_round1_cache_total{{outcome=\"{outcome}\"}}");
+    // The publish built the dataset's F₂ head, counted and timed.
+    for series in [
+        "sip_registry_f2_head_builds_total ",
+        "sip_registry_f2_head_build_us_count ",
+    ] {
         assert!(
-            text.lines().any(|l| l.starts_with(&series)),
-            "{series} missing from the exposition"
+            text.lines().any(|l| l.starts_with(series)),
+            "{series}missing from the exposition"
         );
     }
 
