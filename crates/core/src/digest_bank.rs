@@ -7,8 +7,9 @@
 //! decomposition per (update × digest). A [`DigestBank`] keeps the digests
 //! as the source of truth — keys, running values, update counts, exactly
 //! what a checkpoint captures — and holds beside them the
-//! [`sip_lde::WeightBank`] *derived* from their keys, so a staged tile of
-//! updates is decomposed once and swept over every digest's packed tables.
+//! [`sip_lde::WeightBank`] *derived* from their keys, so a staged block of
+//! updates is decomposed and bucket-sorted once and swept over every
+//! digest's packed tables.
 //!
 //! What can be banked is any digest `Σ_i a_i·w(i)` whose weight is a
 //! *product* over the digits of `i`: the LDE digests of the sum-check
@@ -19,12 +20,12 @@
 use sip_field::PrimeField;
 use sip_lde::{LdeParams, WeightBank};
 
-pub use sip_lde::{TileStage, BATCH_TILE};
+pub use sip_lde::{BlockStage, STAGE_BLOCK};
 
-/// An empty tile stage for keys in `[2^log_u]` — the universe every
+/// An empty block stage for keys in `[2^log_u]` — the universe every
 /// [`DigestBank::new`]`(log_u, …)` is over.
-pub fn tile_stage(log_u: u32) -> TileStage {
-    TileStage::new(LdeParams::binary(log_u))
+pub fn block_stage(log_u: u32) -> BlockStage {
+    BlockStage::new(LdeParams::binary(log_u))
 }
 
 /// A streaming digest over `[2^d]` whose per-index weight is a product over
@@ -48,13 +49,13 @@ pub trait BankedDigest<F: PrimeField> {
 ///
 /// Digests are consumed from the back ([`Self::pop`]) — one per query — and
 /// the bank is truncated in step, so the two never disagree. Ingest is
-/// [`Self::sweep`] once per staged tile, then one [`Self::flush`].
+/// [`Self::sweep`] once per staged block, then one [`Self::flush`].
 #[derive(Clone, Debug)]
 pub struct DigestBank<F: PrimeField, V> {
     digests: Vec<V>,
     bank: WeightBank<F>,
     /// Swept-but-unflushed partial sums, one per digest.
-    pending: Vec<F::DotAcc>,
+    pending: Vec<F>,
     pending_updates: u64,
 }
 
@@ -70,7 +71,7 @@ impl<F: PrimeField, V: BankedDigest<F>> DigestBank<F, V> {
             d.push_weights(&mut bank);
         }
         DigestBank {
-            pending: vec![F::DotAcc::default(); digests.len()],
+            pending: vec![F::ZERO; digests.len()],
             digests,
             bank,
             pending_updates: 0,
@@ -109,21 +110,22 @@ impl<F: PrimeField, V: BankedDigest<F>> DigestBank<F, V> {
         Some(digest)
     }
 
-    /// Accumulates one staged tile, `deltas[t]` being the change the
-    /// `t`-th staged index carries in this family's vector.
-    pub fn sweep(&mut self, stage: &TileStage, deltas: &[F]) {
+    /// Accumulates one staged block, `deltas` being the changes its indices
+    /// carry in this family's vector, as a column in staged order
+    /// ([`BlockStage::column`]).
+    pub fn sweep(&mut self, stage: &BlockStage, deltas: &[F]) {
         self.bank.sweep(stage, deltas, &mut self.pending);
         self.pending_updates += stage.len() as u64;
     }
 
     /// Adds everything swept since the last flush into the digests: one
-    /// modular reduction and one [`BankedDigest::absorb`] per digest.
+    /// [`BankedDigest::absorb`] per digest.
     pub fn flush(&mut self) {
         if self.pending_updates == 0 {
             return;
         }
-        for (digest, acc) in self.digests.iter_mut().zip(&mut self.pending) {
-            digest.absorb(F::acc_finish(std::mem::take(acc)), self.pending_updates);
+        for (digest, partial) in self.digests.iter_mut().zip(&mut self.pending) {
+            digest.absorb(std::mem::take(partial), self.pending_updates);
         }
         self.pending_updates = 0;
     }

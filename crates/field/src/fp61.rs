@@ -128,6 +128,21 @@ impl PrimeField for Fp61 {
     }
 
     #[inline]
+    fn dot_gather(x: &[Self], table: &[Self], at: &[u32]) -> Self {
+        // The same counted batches as `dot_i64`.
+        let batch = FP61_ACC_BATCH as usize;
+        let mut done = Fp61::ZERO;
+        for (x, at) in x.chunks(batch).zip(at.chunks(batch)) {
+            let mut pending = 0u128;
+            for (&x, &s) in x.iter().zip(at) {
+                pending += (x.0 as u128) * (table[s as usize].0 as u128);
+            }
+            done += Fp61::reduce128(pending);
+        }
+        done
+    }
+
+    #[inline]
     fn from_u64(x: u64) -> Self {
         Self::reduce64(x)
     }
@@ -311,6 +326,38 @@ mod tests {
             let expect = Fp61::acc_finish(acc);
             assert_eq!(Fp61::dot_i64(&w, &x[..len]), expect, "len={len}");
             assert_eq!(Fp61::dot_i64(&w[..len], &x), expect, "len={len}");
+        }
+    }
+
+    #[test]
+    fn dot_gather_matches_the_generic_accumulator() {
+        // Across batch boundaries, with the largest table entries and
+        // deltas, repeated offsets, and over the shorter of two unequal
+        // slices.
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut table: Vec<Fp61> = (0..50).map(|_| Fp61::random(&mut rng)).collect();
+        table[..10].fill(Fp61::new(P61 - 1));
+        let mut x: Vec<Fp61> = (0..100).map(|_| Fp61::random(&mut rng)).collect();
+        x[..70].fill(Fp61::from_i64(i64::MIN));
+        let at: Vec<u32> = (0..100u32)
+            .map(|t| if t < 70 { t % 10 } else { t % 50 })
+            .collect();
+        for len in [0usize, 1, 31, 32, 33, 64, 65, 100] {
+            let mut acc = Fp61DotAcc::default();
+            for (&x, &s) in x.iter().zip(&at[..len]) {
+                Fp61::acc_add_prod(&mut acc, x, table[s as usize]);
+            }
+            let expect = Fp61::acc_finish(acc);
+            assert_eq!(
+                Fp61::dot_gather(&x, &table, &at[..len]),
+                expect,
+                "len={len}"
+            );
+            assert_eq!(
+                Fp61::dot_gather(&x[..len], &table, &at),
+                expect,
+                "len={len}"
+            );
         }
     }
 

@@ -148,6 +148,22 @@ pub trait PrimeField:
         Self::acc_finish(acc)
     }
 
+    /// Gathered sum of products `Σ_t x[t]·table[at[t]]` over the shorter of
+    /// `x` and `at` — the inner sum of the verifier's grouped ingest kernel
+    /// (deltas against looked-up weights). Implementations whose accumulator
+    /// has headroom override it to reduce once per batch without counting
+    /// terms, as for [`PrimeField::dot_i64`].
+    ///
+    /// # Panics
+    /// Panics if an offset lies outside `table`.
+    fn dot_gather(x: &[Self], table: &[Self], at: &[u32]) -> Self {
+        let mut acc = Self::DotAcc::default();
+        for (&x, &s) in x.iter().zip(at) {
+            Self::acc_add_prod(&mut acc, x, table[s as usize]);
+        }
+        Self::acc_finish(acc)
+    }
+
     /// A uniformly random field element.
     fn random<R: Rng + ?Sized>(rng: &mut R) -> Self;
 

@@ -40,7 +40,7 @@ pub mod sharded;
 pub use sharded::{boxed_fleet, ShardedAnswer, ShardedClient};
 
 use rand::Rng;
-use sip_core::digest_bank::{tile_stage, DigestBank, TileStage, BATCH_TILE};
+use sip_core::digest_bank::{block_stage, BlockStage, DigestBank, STAGE_BLOCK};
 use sip_core::error::Rejection;
 use sip_core::heavy_hitters::{CountTreeHasher, HhProver, HhStep, LevelDisclosure};
 use sip_core::subvector::{
@@ -433,8 +433,13 @@ pub struct Client<F: PrimeField> {
     range_counts: DigestBank<F, RangeSumVerifier<F>>,
     f2s: DigestBank<F, F2Verifier<F>>,
     heavies: Vec<CountTreeHasher<F>>,
-    /// Scratch: the tile of keys currently being swept.
-    stage: TileStage,
+    /// Scratch: the block of keys currently being swept, and its delta
+    /// columns in staged order — `value+1`, `value`, and as many ones as
+    /// the longest block so far.
+    stage: BlockStage,
+    plus_one: Vec<F>,
+    raw: Vec<F>,
+    ones: Vec<F>,
     puts: u64,
 }
 
@@ -515,7 +520,7 @@ impl<F: PrimeField> Client<F> {
     ///
     /// The three derived streams — `value+1` (reporting, range-sum), `1`
     /// (range-count) and `value` (self-join) — share their keys, so each
-    /// tile of keys is decomposed once and the streams differ only in the
+    /// block of keys is staged once and the streams differ only in the
     /// delta column handed to each family's sweep.
     fn observe_batch_impl(&mut self, pairs: &[(u64, u64)]) -> Vec<Update> {
         let u = 1u64 << self.log_u;
@@ -526,20 +531,20 @@ impl<F: PrimeField> Client<F> {
             .iter()
             .map(|&(k, v)| Update::new(k, v as i64 + 1))
             .collect();
-        let tile_len = pairs.len().min(BATCH_TILE);
-        let mut plus_one = Vec::with_capacity(tile_len);
-        let mut raw = Vec::with_capacity(tile_len);
-        let ones = vec![F::ONE; tile_len];
-        for (tile, enc) in pairs.chunks(BATCH_TILE).zip(encoded.chunks(BATCH_TILE)) {
-            self.stage.stage(tile.iter().map(|&(k, _)| k));
-            plus_one.clear();
-            plus_one.extend(enc.iter().map(|up| F::from_i64(up.delta)));
-            raw.clear();
-            raw.extend(tile.iter().map(|&(_, v)| F::from_i64(v as i64)));
-            self.reporting.sweep(&self.stage, &plus_one);
-            self.range_sums.sweep(&self.stage, &plus_one);
-            self.range_counts.sweep(&self.stage, &ones[..tile.len()]);
-            self.f2s.sweep(&self.stage, &raw);
+        for (block, enc) in pairs.chunks(STAGE_BLOCK).zip(encoded.chunks(STAGE_BLOCK)) {
+            self.stage.stage(block.iter().map(|&(k, _)| k));
+            self.stage
+                .column(&mut self.plus_one, |t| F::from_i64(enc[t].delta));
+            self.stage
+                .column(&mut self.raw, |t| F::from_i64(block[t].1 as i64));
+            if self.ones.len() < block.len() {
+                self.ones.resize(block.len(), F::ONE);
+            }
+            self.reporting.sweep(&self.stage, &self.plus_one);
+            self.range_sums.sweep(&self.stage, &self.plus_one);
+            self.range_counts
+                .sweep(&self.stage, &self.ones[..block.len()]);
+            self.f2s.sweep(&self.stage, &self.raw);
         }
         self.reporting.flush();
         self.range_sums.flush();
@@ -608,7 +613,10 @@ impl<F: PrimeField> Client<F> {
             range_counts: DigestBank::new(log_u, range_counts),
             f2s: DigestBank::new(log_u, f2s),
             heavies,
-            stage: tile_stage(log_u),
+            stage: block_stage(log_u),
+            plus_one: Vec::new(),
+            raw: Vec::new(),
+            ones: Vec::new(),
             puts,
         }
     }
@@ -1260,13 +1268,14 @@ mod tests {
     #[test]
     fn out_of_universe_key_panics_before_any_digest_or_the_server_moves() {
         // Release builds included: the pre-pass is an `assert!`. The bad
-        // key sits after a full tile of good ones, so a check made tile by
-        // tile would already have swept 256 puts into every bank.
+        // key sits after a full block of good ones, so a check made block
+        // by block would already have swept those puts into every bank.
         let mut rng = StdRng::seed_from_u64(31);
-        let mut client = C::new(10, QueryBudget::default(), &mut rng);
-        let mut server = CloudStore::new(10);
-        let mut batch: Vec<(u64, u64)> = (0..300).map(|k| (k, k + 1)).collect();
-        batch.push((1 << 10, 7));
+        let mut client = C::new(13, QueryBudget::default(), &mut rng);
+        let mut server = CloudStore::new(13);
+        let mut batch: Vec<(u64, u64)> =
+            (0..STAGE_BLOCK as u64 + 300).map(|k| (k, k + 1)).collect();
+        batch.push((1 << 13, 7));
         let before = client.digests().0[0].hasher().root();
         for upload in [true, false] {
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

@@ -11,29 +11,41 @@
 //! LDE of Theorem 1, `(1, r_j)` or `(1−r_j, r_j)` for the Section 4.1 hash
 //! tree (equation (8)). A [`WeightBank`] holds the rows of many points in
 //! packed form — `c` digit positions fused into one `ℓ^c`-entry product
-//! table — and [`WeightBank::sweep`] adds one staged tile of updates into
-//! every point's accumulator. [`TileStage`] is the half of the work that
-//! does not depend on the point: the super-digit decomposition of a tile's
-//! indices, done once and shared by every point of every bank swept over
-//! it.
+//! table — and [`WeightBank::sweep`] adds one staged block of updates into
+//! every point's sum. [`BlockStage`] is the half of the work that does not
+//! depend on the point: the super-digit decomposition of a block's indices
+//! and their grouping by last super-digit, done once and shared by every
+//! point of every bank swept over it.
+//!
+//! The grouping is what makes the sweep cheap. With `G` groups a weight is
+//! `T_last[h] · Π_{g<G−1} T_g[s_g]`, so a block's contribution factors as
+//!
+//! ```text
+//! Σ_t δ_t · w(i_t) = Σ_h T_last[h] · ( Σ_{t : h_t = h} δ_t · Π_{g<G−1} T_g[s_{g,t}] ):
+//! ```
+//!
+//! the inner sum is accumulated without reduction, and the reduction and
+//! the modular product by `T_last[h]` are owed once per nonempty *bucket*
+//! `h`, not once per update. Which updates share a bucket depends on the
+//! indices alone, so one counting sort per block serves every point.
 //!
 //! Exactness: a packed weight is `Π_g table_g[s_g]` where each table entry
 //! is itself the product of that group's per-digit row values — the same
 //! multiset of factors as the unpacked product, reassociated. Field
 //! multiplication is exact and associative, so packed and unpacked weights
-//! are the **same field element**, and every digest value stays
-//! bit-identical to the per-update path.
+//! are the **same field element**; factoring `T_last[h]` out of a bucket is
+//! distributivity, equally exact. Every digest value stays bit-identical to
+//! the per-update path.
 
 use sip_field::lagrange::ChiRows;
 use sip_field::PrimeField;
 
 use crate::params::{self, DigitPlan, LdeParams};
 
-/// How many updates one tile holds: super-digits for a tile are staged
-/// once, then every point's accumulator walks the staged tile — the
-/// decomposition is paid once per update instead of once per
-/// (update × point).
-pub const BATCH_TILE: usize = 256;
+/// How many updates one staged block holds. Larger blocks put more updates
+/// in a bucket (fewer reductions and products per update); 4096 keeps a
+/// block's scratch (≈ 0.1 MB at two groups) in L2 beside the points' tables.
+pub const STAGE_BLOCK: usize = 4096;
 
 /// Largest packed group table, in entries. Groups of `c` digits are fused
 /// into one super-digit with a precomputed `ℓ^c`-entry product table, so a
@@ -107,32 +119,37 @@ impl PackedLayout {
         }
     }
 
+    /// Table offset of the last group's first entry within a point's block.
+    fn last_base(&self) -> usize {
+        self.group_size * (self.groups - 1)
+    }
+
     /// Writes the super-digits of `i` into `out`, as ready-to-use table
     /// offsets (group table offset already added).
     #[inline]
-    fn super_digits_into(&self, i: u64, out: &mut [usize]) {
+    fn super_digits_into(&self, i: u64, out: &mut [u32]) {
         debug_assert_eq!(out.len(), self.groups);
         let mut rem = i;
-        let mut offset = 0usize;
+        let mut offset = 0u32;
         let (last, full) = out.split_last_mut().expect("at least one group");
         match self.kind {
             PackedKind::Pow2 { shift, mask } => {
                 for slot in full {
-                    *slot = offset + (rem & mask) as usize;
+                    *slot = offset + (rem & mask) as u32;
                     rem >>= shift;
-                    offset += self.group_size;
+                    offset += self.group_size as u32;
                 }
             }
             PackedKind::General { divisor, recip } => {
                 for slot in full {
                     let (q, r) = params::recip_divmod(divisor, recip, rem);
-                    *slot = offset + r as usize;
+                    *slot = offset + r as u32;
                     rem = q;
-                    offset += self.group_size;
+                    offset += self.group_size as u32;
                 }
             }
         }
-        *last = offset + rem as usize;
+        *last = offset + rem as u32;
     }
 }
 
@@ -144,54 +161,185 @@ pub fn packed_table_words(params: LdeParams) -> usize {
     PackedLayout::new(params).stride
 }
 
-/// One staged tile: the super-digits of up to [`BATCH_TILE`] indices, as
-/// table offsets every bank over the same parameterisation can walk.
-#[derive(Clone, Debug)]
-pub struct TileStage {
-    params: LdeParams,
-    layout: PackedLayout,
-    /// Update `t`'s offsets at `[t·groups, (t+1)·groups)`.
-    digits: Vec<usize>,
+/// Two or more updates of a staged block that share a last super-digit.
+#[derive(Copy, Clone, Debug)]
+struct Bucket {
+    /// Table offset of the last-group entry every update of the bucket
+    /// carries.
+    last: u32,
+    /// One past the bucket's final update in staged order; it starts where
+    /// the previous bucket ends.
+    end: u32,
 }
 
-impl TileStage {
+/// One staged block: up to [`STAGE_BLOCK`] indices decomposed into
+/// super-digits and counting-sorted by the last one, as table offsets every
+/// bank over the same parameterisation can walk.
+///
+/// Staged order is the buckets — the updates sharing a last super-digit
+/// with another — one after the other, then the updates that share theirs
+/// with none. Whatever travels with an index (its delta in each digest
+/// family) must be laid out in that order: [`Self::column`] builds such a
+/// column from the arrival positions.
+#[derive(Clone, Debug)]
+pub struct BlockStage {
+    params: LdeParams,
+    layout: PackedLayout,
+    /// Arrival order: the `G` offsets of each update — what the counting
+    /// sort scatters.
+    arrival: Vec<u32>,
+    /// Per last super-digit: a count, then a write cursor. Nonzero only for
+    /// the digits in `touched`, which is how the next `stage` clears it
+    /// without reaching the counters a small block never used.
+    cursor: Vec<u32>,
+    /// The last super-digits the block uses, in order of first arrival.
+    touched: Vec<u32>,
+    /// The buckets, in staged order.
+    buckets: Vec<Bucket>,
+    /// Staged position → arrival position.
+    order: Vec<u32>,
+    /// Staged order: the first `G − 1` offsets of every update (the sweep
+    /// reads the bucketed ones).
+    rest: Vec<u32>,
+    /// The lone updates in staged order: all `G` offsets of each.
+    lone: Vec<u32>,
+}
+
+impl BlockStage {
     /// An empty stage for indices over `params`.
+    ///
+    /// # Panics
+    /// Panics if one point's packed tables would exceed `2^32` words.
     pub fn new(params: LdeParams) -> Self {
-        TileStage {
+        let layout = PackedLayout::new(params);
+        assert!(
+            u32::try_from(layout.stride).is_ok(),
+            "packed tables of {} words per point",
+            layout.stride
+        );
+        BlockStage {
             params,
-            layout: PackedLayout::new(params),
-            digits: Vec::new(),
+            layout,
+            arrival: Vec::new(),
+            cursor: vec![0; layout.stride - layout.last_base()],
+            touched: Vec::new(),
+            buckets: Vec::new(),
+            order: Vec::new(),
+            rest: Vec::new(),
+            lone: Vec::new(),
         }
     }
 
     /// Number of indices currently staged.
     pub fn len(&self) -> usize {
-        self.digits.len() / self.layout.groups
+        self.order.len()
     }
 
     /// Whether nothing is staged.
     pub fn is_empty(&self) -> bool {
-        self.digits.is_empty()
+        self.order.is_empty()
     }
 
-    /// Replaces the staged tile with the decomposition of `indices`.
+    /// Replaces the staged block with the decomposition of `indices`.
     ///
     /// # Panics
-    /// Panics if an index lies outside the universe or more than
-    /// [`BATCH_TILE`] indices are given.
+    /// Panics if more than [`STAGE_BLOCK`] indices are given, or an index
+    /// lies outside the universe — the stage is then left empty.
     pub fn stage(&mut self, indices: impl ExactSizeIterator<Item = u64>) {
-        let groups = self.layout.groups;
-        assert!(
-            indices.len() <= BATCH_TILE,
-            "a tile holds {BATCH_TILE} updates"
-        );
-        self.digits.clear();
-        self.digits.resize(indices.len() * groups, 0);
-        let universe = self.params.universe();
-        for (i, slots) in indices.zip(self.digits.chunks_exact_mut(groups)) {
-            assert!(i < universe, "index {i} outside universe {universe}");
-            self.layout.super_digits_into(i, slots);
+        let n = indices.len();
+        assert!(n <= STAGE_BLOCK, "a block holds {STAGE_BLOCK} updates");
+        let layout = self.layout;
+        let groups = layout.groups;
+        let per = groups - 1;
+        let last_base = layout.last_base() as u32;
+        let cursor = &mut self.cursor[..];
+        for &h in &self.touched {
+            cursor[h as usize] = 0;
         }
+        self.order.clear();
+        self.buckets.clear();
+        self.lone.clear();
+
+        // Decompose, and count per last super-digit. The loops over updates
+        // are kept free of data-dependent branches: a digit's first arrival
+        // is appended by writing one slot past the list's end and moving
+        // the end only then. (A panic leaves `touched` a superset of the
+        // digits counted, which is all the clearing above needs.)
+        let universe = self.params.universe();
+        self.arrival.clear();
+        self.arrival.resize(n * groups, 0);
+        self.touched.clear();
+        self.touched.resize(n + 1, 0);
+        let touched = &mut self.touched[..];
+        let mut distinct = 0usize;
+        for (i, row) in indices.zip(self.arrival.chunks_exact_mut(groups)) {
+            assert!(i < universe, "index {i} outside universe {universe}");
+            layout.super_digits_into(i, row);
+            let h = row[per] - last_base;
+            let count = &mut cursor[h as usize];
+            touched[distinct] = h;
+            distinct += usize::from(*count == 0);
+            *count += 1;
+        }
+        self.touched.truncate(distinct);
+
+        // Counts become first staged positions: buckets from the front,
+        // lone updates from the back.
+        let (mut front, mut back) = (0u32, n as u32);
+        for &h in &self.touched {
+            let cursor = &mut cursor[h as usize];
+            if *cursor == 1 {
+                back -= 1;
+                *cursor = back;
+            } else {
+                let start = front;
+                front += *cursor;
+                *cursor = start;
+                self.buckets.push(Bucket {
+                    last: last_base + h,
+                    end: front,
+                });
+            }
+        }
+        debug_assert_eq!(front, back);
+
+        // Scatter into staged order.
+        self.order.resize(n, 0);
+        self.rest.clear();
+        self.rest.resize(n * per, 0);
+        let (order, rest) = (&mut self.order[..], &mut self.rest[..]);
+        for (t, row) in self.arrival.chunks_exact(groups).enumerate() {
+            let cursor = &mut cursor[(row[per] - last_base) as usize];
+            let at = *cursor as usize;
+            *cursor += 1;
+            order[at] = t as u32;
+            // (Element by element, here and below: a `copy_from_slice` of so
+            // few words is a `memcpy` call each.)
+            for (slot, &s) in rest[at * per..(at + 1) * per].iter_mut().zip(row) {
+                *slot = s;
+            }
+        }
+        let lone_order = &order[front as usize..];
+        self.lone.resize(lone_order.len() * groups, 0);
+        for (row, &t) in self.lone.chunks_exact_mut(groups).zip(lone_order) {
+            let from = &self.arrival[t as usize * groups..][..groups];
+            for (slot, &s) in row.iter_mut().zip(from) {
+                *slot = s;
+            }
+        }
+    }
+
+    /// How many of the staged updates sit in buckets; the rest are lone.
+    fn bucketed(&self) -> usize {
+        self.buckets.last().map_or(0, |b| b.end as usize)
+    }
+
+    /// Fills `out` with one value per staged update, in staged order:
+    /// `value_of(t)` is what the `t`-th index handed to [`Self::stage`]
+    /// carries.
+    pub fn column<T>(&self, out: &mut Vec<T>, mut value_of: impl FnMut(usize) -> T) {
+        out.clear();
+        out.extend(self.order.iter().map(|&t| value_of(t as usize)));
     }
 }
 
@@ -330,32 +478,64 @@ impl<F: PrimeField> WeightBank<F> {
         self.tables.truncate(points * self.layout.stride);
     }
 
-    /// Adds the staged tile into every point's accumulator:
-    /// `accs[p] += Σ_t deltas[t] · w_p(index_t)`, one lookup per group and
-    /// one delayed-reduction multiply-add per (update × point).
+    /// Adds the staged block into every point's sum:
+    /// `sums[p] += Σ_t deltas[t] · w_p(index_t)`, `deltas` being a column in
+    /// staged order ([`BlockStage::column`]).
+    ///
+    /// Per point and per bucket `h` the updates' first `G − 1` table entries
+    /// are multiplied out and accumulated against their deltas without
+    /// reduction (over a one-group universe that inner sum is `Σ δ_t`), and
+    /// the bucket pays one reduction and one delayed-reduction multiply-add
+    /// by `T_last[h]`. A lone update has nothing to share and takes the
+    /// plain product of its `G` entries.
     ///
     /// # Panics
     /// Panics if the stage was built for another parameterisation, or the
-    /// delta or accumulator counts disagree with the tile or the bank.
-    pub fn sweep(&self, stage: &TileStage, deltas: &[F], accs: &mut [F::DotAcc]) {
-        assert_eq!(stage.params, self.params, "tile staged for another shape");
+    /// delta or sum counts disagree with the block or the bank.
+    pub fn sweep(&self, stage: &BlockStage, deltas: &[F], sums: &mut [F]) {
+        assert_eq!(stage.params, self.params, "block staged for another shape");
         assert_eq!(deltas.len(), stage.len(), "one delta per staged index");
-        assert_eq!(accs.len(), self.num_points(), "one accumulator per point");
+        assert_eq!(sums.len(), self.num_points(), "one sum per point");
         let groups = self.layout.groups;
-        for (table, acc) in self
-            .tables
-            .chunks_exact(self.layout.stride)
-            .zip(accs.iter_mut())
-        {
-            for (slots, &delta) in stage.digits.chunks_exact(groups).zip(deltas) {
-                let mut w = table[slots[0]];
-                for &s in &slots[1..] {
-                    w *= table[s];
-                }
-                F::acc_add_prod(acc, delta, w);
+        let per = groups - 1;
+        let (bucketed, lone) = deltas.split_at(stage.bucketed());
+        for (table, sum) in self.tables.chunks_exact(self.layout.stride).zip(sums) {
+            let mut acc = F::DotAcc::default();
+            let mut start = 0usize;
+            for b in &stage.buckets {
+                let end = b.end as usize;
+                let deltas = &bucketed[start..end];
+                let rest = &stage.rest[start * per..end * per];
+                let inner = match per {
+                    0 => deltas.iter().copied().sum(),
+                    1 => F::dot_gather(deltas, table, rest),
+                    _ => {
+                        let mut inner = F::DotAcc::default();
+                        for (&delta, slots) in deltas.iter().zip(rest.chunks_exact(per)) {
+                            F::acc_add_prod(&mut inner, delta, product(table, slots));
+                        }
+                        F::acc_finish(inner)
+                    }
+                };
+                F::acc_add_prod(&mut acc, inner, table[b.last as usize]);
+                start = end;
             }
+            for (&delta, slots) in lone.iter().zip(stage.lone.chunks_exact(groups)) {
+                F::acc_add_prod(&mut acc, delta, product(table, slots));
+            }
+            *sum += F::acc_finish(acc);
         }
     }
+}
+
+/// `Π_s table[s]` over a nonempty row of offsets.
+#[inline]
+fn product<F: PrimeField>(table: &[F], slots: &[u32]) -> F {
+    let mut w = table[slots[0] as usize];
+    for &s in &slots[1..] {
+        w *= table[s as usize];
+    }
+    w
 }
 
 #[cfg(test)]
@@ -411,22 +591,22 @@ mod tests {
                     t => t.wrapping_mul(0x9e37_79b9_7f4a_7c15) % u,
                 })
                 .collect();
-            let mut stage = TileStage::new(params);
+            let mut stage = BlockStage::new(params);
             stage.stage(indices.iter().copied());
             assert_eq!(stage.len(), indices.len());
             for (t, &i) in indices.iter().enumerate() {
                 // One-hot deltas read a single weight back out.
-                let mut deltas = vec![Fp61::ZERO; indices.len()];
-                deltas[t] = Fp61::ONE;
-                let mut accs = vec![<Fp61 as PrimeField>::DotAcc::default(); 2];
-                bank.sweep(&stage, &deltas, &mut accs);
+                let mut deltas = Vec::new();
+                stage.column(&mut deltas, |at| Fp61::from_u64((at == t) as u64));
+                let mut sums = [Fp61::ZERO; 2];
+                bank.sweep(&stage, &deltas, &mut sums);
                 let expect = params
                     .digits_of(i)
                     .enumerate()
                     .map(|(j, k)| value(j, k as usize))
                     .fold(Fp61::ONE, |a, b| a * b);
-                assert_eq!(Fp61::acc_finish(accs[1]), expect, "ell={ell} d={d} i={i}");
-                assert_eq!(Fp61::acc_finish(accs[0]), Fp61::ONE);
+                assert_eq!(sums[1], expect, "ell={ell} d={d} i={i}");
+                assert_eq!(sums[0], Fp61::ONE);
             }
             bank.truncate(1);
             assert_eq!(bank.num_points(), 1);
@@ -434,16 +614,68 @@ mod tests {
     }
 
     #[test]
+    fn staged_order_is_buckets_then_lone_updates() {
+        // One stage across blocks of very different shape: each must come
+        // out as a permutation of its arrivals, buckets first (two or more
+        // updates each, all of one last super-digit, no digit twice), then
+        // updates whose last super-digit nothing else in the block has.
+        let params = LdeParams::binary(12); // 2^6 + 2^6
+        let mut stage = BlockStage::new(params);
+        let blocks: [Vec<u64>; 6] = [
+            (0..STAGE_BLOCK as u64)
+                .map(|t| t.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 52)
+                .collect(),
+            vec![],
+            vec![4095],
+            (0..64).map(|t| t * 64 + t).collect(), // every update lone
+            vec![7; 40],                           // one bucket, one index
+            vec![70, 3, 64 + 3, 4000, 65, 2 * 64 + 3, 4001, 9],
+        ];
+        for indices in &blocks {
+            stage.stage(indices.iter().copied());
+            assert_eq!(stage.len(), indices.len());
+            let mut seen = vec![false; indices.len()];
+            for &t in &stage.order {
+                assert!(!std::mem::replace(&mut seen[t as usize], true));
+            }
+            let last_of = |at: usize| indices[stage.order[at] as usize] >> 6;
+            let mut digits = std::collections::BTreeSet::new();
+            let mut start = 0usize;
+            for b in &stage.buckets {
+                let end = b.end as usize;
+                assert!(end - start >= 2);
+                assert!(digits.insert(last_of(start)));
+                for at in start..end {
+                    assert_eq!(last_of(at), last_of(start));
+                    assert_eq!(u64::from(b.last), 64 + last_of(at));
+                    let low = indices[stage.order[at] as usize] & 63;
+                    assert_eq!(u64::from(stage.rest[at]), low);
+                }
+                start = end;
+            }
+            assert_eq!(start, stage.bucketed());
+            for (at, row) in (start..indices.len()).zip(stage.lone.chunks_exact(2)) {
+                assert!(digits.insert(last_of(at)));
+                let i = indices[stage.order[at] as usize];
+                assert_eq!(row, [(i & 63) as u32, 64 + (i >> 6) as u32]);
+            }
+            assert_eq!(stage.lone.len(), 2 * (indices.len() - start));
+        }
+        // The final block: last super-digits 1, 0, 1, 62, 1, 2, 62, 0.
+        assert_eq!((stage.buckets.len(), stage.lone.len() / 2), (3, 1));
+    }
+
+    #[test]
     #[should_panic(expected = "outside universe")]
     fn staging_refuses_an_out_of_universe_index() {
-        TileStage::new(LdeParams::binary(6)).stage([64u64].into_iter());
+        BlockStage::new(LdeParams::binary(6)).stage([64u64].into_iter());
     }
 
     #[test]
     #[should_panic(expected = "another shape")]
     fn sweeping_refuses_a_tile_staged_for_another_shape() {
         let bank = WeightBank::<Fp61>::with_capacity(LdeParams::binary(6), 0);
-        let stage = TileStage::new(LdeParams::binary(7));
+        let stage = BlockStage::new(LdeParams::binary(7));
         bank.sweep(&stage, &[], &mut []);
     }
 }

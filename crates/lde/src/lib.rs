@@ -23,9 +23,9 @@
 //!   by every evaluation point (shift/mask for power-of-two `ℓ`,
 //!   reciprocal multiplication for general `ℓ`);
 //! * [`StreamingLdeEvaluator`] — the Theorem 1 evaluator;
-//! * [`bank`] — the one packed, tiled, delayed-reduction product-weight
-//!   kernel ([`WeightBank`] + [`TileStage`]), generic over the per-digit
-//!   row so the Section 4.1 hash tree shares it with the LDE;
+//! * [`bank`] — the one packed, bucket-grouped, delayed-reduction
+//!   product-weight kernel ([`WeightBank`] + [`BlockStage`]), generic over
+//!   the per-digit row so the Section 4.1 hash tree shares it with the LDE;
 //! * [`MultiLdeEvaluator`] — several points at once (parallel repetition,
 //!   simultaneous queries — the "Multiple Queries" remark of Section 7):
 //!   points and accumulators over one [`WeightBank`], with a batched
@@ -48,7 +48,7 @@ use sip_field::lagrange::ChiRows;
 use sip_field::PrimeField;
 use sip_streaming::Update;
 
-pub use bank::{packed_table_words, TileStage, WeightBank, BATCH_TILE};
+pub use bank::{packed_table_words, BlockStage, WeightBank, STAGE_BLOCK};
 pub use interval::range_indicator_lde;
 pub use params::{DigitPlan, LdeParams};
 
@@ -257,12 +257,12 @@ const MIN_PARALLEL_BATCH: usize = 4096;
 /// The evaluator owns the protocol state — the points, one accumulator per
 /// point and the update counter — over one [`WeightBank`] holding the
 /// points' packed χ tables. Every ingest path ([`Self::update`],
-/// [`Self::update_batch`], [`Self::update_batch_threads`]) stages tiles of
-/// decomposed super-digits once and sweeps the bank over them, so per-update
-/// cost is one division-free decomposition (shared) plus `⌈d/c⌉` lookups per
-/// point, with one modular reduction per accumulator flush. Values remain
-/// bit-identical to the naive per-point evaluation (exact field arithmetic,
-/// reassociated).
+/// [`Self::update_batch`], [`Self::update_batch_threads`]) stages blocks of
+/// decomposed, bucket-sorted super-digits once and sweeps the bank over
+/// them, so per-update cost is one division-free decomposition (shared)
+/// plus `⌈d/c⌉` lookups per point, with one modular reduction and one
+/// modular product per bucket. Values remain bit-identical to the naive
+/// per-point evaluation (exact field arithmetic, reassociated).
 #[derive(Clone, Debug)]
 pub struct MultiLdeEvaluator<F: PrimeField> {
     bank: WeightBank<F>,
@@ -271,6 +271,43 @@ pub struct MultiLdeEvaluator<F: PrimeField> {
     accs: Vec<F>,
     /// Stream updates absorbed so far (checkpoint metadata).
     updates: u64,
+    scratch: IngestScratch<F>,
+}
+
+/// What one batch walk needs besides the bank: the staged block, its delta
+/// column and the per-point partial sums. Kept with its owner so a batch
+/// allocates nothing; a clone and every worker of a threaded batch has its
+/// own.
+#[derive(Clone, Debug)]
+struct IngestScratch<F: PrimeField> {
+    stage: BlockStage,
+    deltas: Vec<F>,
+    partial: Vec<F>,
+}
+
+impl<F: PrimeField> IngestScratch<F> {
+    fn new(params: LdeParams) -> Self {
+        IngestScratch {
+            stage: BlockStage::new(params),
+            deltas: Vec::new(),
+            partial: Vec::new(),
+        }
+    }
+
+    /// The per-point partial sums `Σ δ·χ_{v(i)}(r_p)` of one contiguous
+    /// chunk of a batch — what the serial and chunked-parallel batch paths
+    /// both add into the accumulators.
+    fn batch_partial(&mut self, bank: &WeightBank<F>, chunk: &[Update]) -> &[F] {
+        self.partial.clear();
+        self.partial.resize(bank.num_points(), F::ZERO);
+        for block in chunk.chunks(STAGE_BLOCK) {
+            self.stage.stage(block.iter().map(|up| up.index));
+            self.stage
+                .column(&mut self.deltas, |t| F::from_i64(block[t].delta));
+            bank.sweep(&self.stage, &self.deltas, &mut self.partial);
+        }
+        &self.partial
+    }
 }
 
 impl<F: PrimeField> MultiLdeEvaluator<F> {
@@ -291,6 +328,7 @@ impl<F: PrimeField> MultiLdeEvaluator<F> {
             points: flat_points,
             accs: vec![F::ZERO; points.len()],
             updates: 0,
+            scratch: IngestScratch::new(params),
         }
     }
 
@@ -347,27 +385,11 @@ impl<F: PrimeField> MultiLdeEvaluator<F> {
         self.updates
     }
 
-    /// Computes, for one contiguous chunk of a batch, the finished
-    /// per-point partial sums `Σ δ·χ_{v(i)}(r_p)` — what the serial and
-    /// chunked-parallel batch paths both add into the accumulators.
-    fn batch_partial(&self, chunk: &[Update]) -> Vec<F> {
-        let mut accs = vec![F::DotAcc::default(); self.accs.len()];
-        let mut stage = TileStage::new(self.params());
-        let mut deltas = Vec::with_capacity(chunk.len().min(BATCH_TILE));
-        for tile in chunk.chunks(BATCH_TILE) {
-            stage.stage(tile.iter().map(|up| up.index));
-            deltas.clear();
-            deltas.extend(tile.iter().map(|up| F::from_i64(up.delta)));
-            self.bank.sweep(&stage, &deltas, &mut accs);
-        }
-        accs.into_iter().map(F::acc_finish).collect()
-    }
-
-    /// Applies a whole batch to every point: digit decomposition is shared
-    /// across points, table lookups are point-major over staged tiles, and
-    /// modular reductions are delayed per accumulator. Values are
-    /// bit-identical to the naive per-point evaluation (exact field
-    /// arithmetic, any grouping).
+    /// Applies a whole batch to every point: digit decomposition and bucket
+    /// grouping are shared across points, table lookups are point-major
+    /// over staged blocks, and modular reductions are delayed per bucket.
+    /// Values are bit-identical to the naive per-point evaluation (exact
+    /// field arithmetic, any grouping).
     ///
     /// # Panics
     /// Panics if an update's index lies outside the universe.
@@ -375,8 +397,8 @@ impl<F: PrimeField> MultiLdeEvaluator<F> {
         if batch.is_empty() {
             return;
         }
-        let partial = self.batch_partial(batch);
-        for (acc, v) in self.accs.iter_mut().zip(partial) {
+        let partial = self.scratch.batch_partial(&self.bank, batch);
+        for (acc, &v) in self.accs.iter_mut().zip(partial) {
             *acc += v;
         }
         self.updates += batch.len() as u64;
@@ -396,7 +418,7 @@ impl<F: PrimeField> MultiLdeEvaluator<F> {
             return self.update_batch(batch);
         }
         let chunks = threads.min(batch.len());
-        let this = &*self;
+        let bank = &self.bank;
         let mut partials: Vec<Vec<F>> = (0..chunks).map(|_| Vec::new()).collect();
         std::thread::scope(|scope| {
             for (c, out) in partials.iter_mut().enumerate() {
@@ -409,7 +431,9 @@ impl<F: PrimeField> MultiLdeEvaluator<F> {
                 let hi = lo + base + usize::from(c < extra);
                 let piece = &batch[lo..hi];
                 scope.spawn(move || {
-                    *out = this.batch_partial(piece);
+                    *out = IngestScratch::new(bank.params())
+                        .batch_partial(bank, piece)
+                        .to_vec();
                 });
             }
         });

@@ -148,6 +148,22 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// A counted sequence of fixed-width items. [`Self::count`] has proved
+    /// all `n·N` bytes present, so they are taken as one slice and the items
+    /// decode without a bounds check or an error path each — same bytes,
+    /// same errors and same allocation bound as [`Self::seq`].
+    pub fn seq_fixed<const N: usize, T>(
+        &mut self,
+        mut read: impl FnMut(&[u8; N]) -> T,
+    ) -> Result<Vec<T>, WireError> {
+        let n = self.count(N)?;
+        let bytes = self.take(n * N)?;
+        Ok(bytes
+            .chunks_exact(N)
+            .map(|item| read(item.try_into().expect("chunks_exact yields N bytes")))
+            .collect())
+    }
+
     /// A counted sequence.
     pub fn seq<T>(
         &mut self,
@@ -289,15 +305,22 @@ pub trait WireCodec: Sized {
     }
 }
 
+/// An [`Update`] from its 16 wire bytes: index, then delta, little-endian.
+pub(crate) fn update_from_wire(bytes: &[u8; 16]) -> Update {
+    let (index, delta) = bytes.split_at(8);
+    Update {
+        index: u64::from_le_bytes(index.try_into().expect("8 of 16 bytes")),
+        delta: i64::from_le_bytes(delta.try_into().expect("8 of 16 bytes")),
+    }
+}
+
 impl WireCodec for Update {
     fn encode(&self, w: &mut Writer) {
         w.u64(self.index).i64(self.delta);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Update {
-            index: r.u64()?,
-            delta: r.i64()?,
-        })
+        let bytes = r.take(16)?.try_into().expect("take(16) yields 16 bytes");
+        Ok(update_from_wire(bytes))
     }
 }
 
@@ -678,6 +701,40 @@ mod tests {
         let mut r = Reader::new(&bytes);
         let err = r.seq(16, |r| r.u64()).unwrap_err();
         assert!(matches!(err, WireError::CountTooLarge { .. }), "{err:?}");
+    }
+
+    #[test]
+    fn seq_fixed_agrees_with_seq_on_good_short_and_forged_frames() {
+        let ups = [
+            Update::new(0, 1),
+            Update::new(u64::MAX, i64::MIN),
+            Update::new(7, -1),
+        ];
+        let mut w = Writer::new();
+        w.count(ups.len());
+        for up in &ups {
+            up.encode(&mut w);
+        }
+        let mut frame = w.into_bytes();
+        frame.push(0xEE); // a trailing byte both must leave unread
+        let decode = |bytes: &[u8]| {
+            let (mut a, mut b) = (Reader::new(bytes), Reader::new(bytes));
+            let fixed = a.seq_fixed(update_from_wire);
+            let looped = b.seq(16, Update::decode);
+            assert_eq!(fixed, looped);
+            assert_eq!(a.remaining(), b.remaining());
+            fixed
+        };
+        assert_eq!(decode(&frame).unwrap(), ups);
+        // Every truncation, and a count forged past the frame's end.
+        for cut in 0..frame.len() - 1 {
+            assert!(decode(&frame[..cut]).is_err(), "cut={cut}");
+        }
+        frame[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(
+            decode(&frame).unwrap_err(),
+            WireError::CountTooLarge { .. }
+        ));
     }
 
     #[test]

@@ -8,7 +8,7 @@ use sip_core::CostReport;
 use sip_field::PrimeField;
 use sip_streaming::Update;
 
-use crate::codec::{field_width, Reader, WireCodec, Writer};
+use crate::codec::{field_width, update_from_wire, Reader, WireCodec, Writer};
 use crate::error::WireError;
 
 /// A query the verifier can open after the stream ends.
@@ -590,7 +590,7 @@ impl<F: PrimeField> WireCodec for Msg<F> {
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(match r.u8()? {
-            TAG_INGEST => Msg::Ingest(r.seq(16, Update::decode)?),
+            TAG_INGEST => Msg::Ingest(r.seq_fixed(update_from_wire)?),
             TAG_END_STREAM => Msg::EndStream,
             TAG_QUERY => Msg::Query(Query::decode(r)?),
             TAG_CHALLENGE => Msg::Challenge(r.field()?),

@@ -4,9 +4,13 @@
 //! random streams — across power-of-two and general bases and several
 //! point counts — and `FrequencyVector::apply_batch` must be
 //! indistinguishable from repeated `apply`, including across the sparse →
-//! dense promotion boundary. One level up, a kv `Client` fed through its
-//! packed digest banks must checkpoint to the same bytes as one whose
-//! digests were fed one `update` at a time.
+//! dense promotion boundary. One level down, the grouped bank kernel
+//! (blocks counting-sorted by last super-digit, one reduction and one
+//! product per bucket) must equal a per-update reference kept here —
+//! `Σ_t δ_t · Π_j row_j[digit_j(i_t)]`, one weight and one multiply-add per
+//! update — on every bucket shape, universe shape and field. One level up, a
+//! kv `Client` fed through its packed digest banks must checkpoint to the
+//! same bytes as one whose digests were fed one `update` at a time.
 //!
 //! Agreement here is **bit-identical digest values**, which is what makes
 //! batching and scheduling invisible to every protocol above: the digests
@@ -22,11 +26,12 @@ use sip::core::subvector::{HashKind, StreamingRootHasher, SubVectorVerifier};
 use sip::core::sumcheck::f2::F2Verifier;
 use sip::core::sumcheck::range_sum::RangeSumVerifier;
 use sip::durable::snapshot_to_bytes;
-use sip::field::{Fp61, PrimeField};
+use sip::field::lagrange::chi_all;
+use sip::field::{Fp127, Fp61, PrimeField};
 use sip::kvstore::{Client, CloudStore, QueryBudget};
 use sip::lde::reference::naive_lde_eval;
 use sip::lde::{
-    LdeParams, MultiLdeEvaluator, StreamingLdeEvaluator, TileStage, WeightBank, BATCH_TILE,
+    BlockStage, LdeParams, MultiLdeEvaluator, StreamingLdeEvaluator, WeightBank, STAGE_BLOCK,
 };
 use sip::streaming::{FrequencyVector, Update};
 
@@ -110,6 +115,35 @@ proptest! {
                     prop_assert_eq!(single.value(), expect);
                 }
             }
+        }
+    }
+
+    /// Grouped ≡ per-update for every point, over any binary universe up
+    /// to three packed groups, any point count and any batch — half of
+    /// whose indices are drawn from a small range, so buckets of every size
+    /// form beside lone updates.
+    #[test]
+    fn grouped_kernel_equals_per_update_weights(
+        log_u in 1u32..=24,
+        k in 1usize..=5,
+        raw in prop::collection::vec((any::<u64>(), any::<i64>(), any::<bool>()), 0..300),
+        seed in any::<u64>(),
+    ) {
+        let params = LdeParams::binary(log_u);
+        let u = params.universe();
+        let stream: Vec<Update> = raw
+            .iter()
+            .map(|&(i, delta, near)| Update::new(if near { i % u.min(37) } else { i % u }, delta))
+            .collect();
+        let pts = points(k, log_u, seed);
+        let mut multi = MultiLdeEvaluator::<Fp61>::new(params, pts.clone());
+        multi.update_batch(&stream);
+        for (p, r) in pts.iter().enumerate() {
+            prop_assert_eq!(
+                multi.value(p),
+                per_update_sum(params, &chi_rows(params, r), &stream),
+                "log_u={} k={} p={}", log_u, k, p
+            );
         }
     }
 
@@ -244,6 +278,242 @@ fn promotion_boundary_cases() {
     }
 }
 
+/// One point's per-digit rows: `rows[j][v]` is the factor digit value `v`
+/// contributes at position `j`.
+type Rows<F> = Vec<Vec<F>>;
+
+/// The rows of the LDE point `r`: `χ_v(r_j)`.
+fn chi_rows<F: PrimeField>(params: LdeParams, r: &[F]) -> Rows<F> {
+    r.iter().map(|&rj| chi_all(params.base(), rj)).collect()
+}
+
+/// The per-update reference: `Σ_t δ_t · Π_j rows[j][digit_j(i_t)]`, one
+/// weight chain and one reduced multiply-add per update. Lives here only.
+fn per_update_sum<F: PrimeField>(params: LdeParams, rows: &Rows<F>, stream: &[Update]) -> F {
+    stream
+        .iter()
+        .map(|up| {
+            let weight: F = params
+                .digits_of(up.index)
+                .zip(rows)
+                .map(|(v, row)| row[v as usize])
+                .product();
+            F::from_i64(up.delta) * weight
+        })
+        .sum()
+}
+
+/// A bank swept block by block through one reused stage — what
+/// `MultiLdeEvaluator`, `DigestBank` and the kv client each do around the
+/// kernel.
+struct Grouped<F: PrimeField> {
+    bank: WeightBank<F>,
+    stage: BlockStage,
+    deltas: Vec<F>,
+}
+
+impl<F: PrimeField> Grouped<F> {
+    fn over(bank: WeightBank<F>) -> Self {
+        Grouped {
+            stage: BlockStage::new(bank.params()),
+            bank,
+            deltas: Vec::new(),
+        }
+    }
+
+    fn of_rows(params: LdeParams, points: &[Rows<F>]) -> Self {
+        let mut bank = WeightBank::with_capacity(params, points.len());
+        for rows in points {
+            bank.push_point(|j, row| row.copy_from_slice(&rows[j]));
+        }
+        Self::over(bank)
+    }
+
+    fn sums(&mut self, stream: &[Update]) -> Vec<F> {
+        let mut sums = vec![F::ZERO; self.bank.num_points()];
+        for block in stream.chunks(STAGE_BLOCK) {
+            self.stage.stage(block.iter().map(|up| up.index));
+            self.stage
+                .column(&mut self.deltas, |t| F::from_i64(block[t].delta));
+            self.bank.sweep(&self.stage, &self.deltas, &mut sums);
+        }
+        sums
+    }
+}
+
+/// A deterministic "random-looking" word.
+fn mix(x: u64) -> u64 {
+    (x ^ 0x5851_f42d_4c95_7f2d).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 7
+}
+
+/// The universes the kernel distinguishes: one packed group (`log_u` 1, 6,
+/// 10 — a bucket is an index), two (11 with a remainder group, 18, 20) and
+/// three (21, 24), and general bases, whose super-digits come from the
+/// reciprocal path (`ℓ` = 3 and 10, two groups each).
+const KERNEL_SHAPES: [(u64, u32); 10] = [
+    (2, 1),
+    (2, 6),
+    (2, 10),
+    (2, 11),
+    (2, 18),
+    (2, 20),
+    (2, 21),
+    (2, 24),
+    (3, 7),
+    (10, 4),
+];
+
+/// Grouped ≡ per-update over the bucket shapes the kernel branches on, all
+/// through one stage per universe so each block also tests that the last
+/// one was cleared.
+#[test]
+fn grouped_kernel_equals_per_update_weights_on_the_edge_grid() {
+    for &(ell, d) in &KERNEL_SHAPES {
+        let params = LdeParams::new(ell, d);
+        let u = params.universe();
+        let mut rng = StdRng::seed_from_u64(300 + ell + d as u64);
+        // An LDE point; a point whose first row is all `p − 1` and the rest
+        // ones, so every first-group table entry is `p − 1`; arbitrary rows.
+        let r: Vec<Fp61> = (0..d).map(|_| Fp61::random(&mut rng)).collect();
+        let mut largest = vec![vec![Fp61::ONE; ell as usize]; d as usize];
+        largest[0].fill(-Fp61::ONE);
+        let arbitrary = (0..d as u64)
+            .map(|j| (0..ell).map(|v| Fp61::from_u64(mix(j * ell + v))).collect())
+            .collect();
+        let points = [chi_rows(params, &r), largest, arbitrary];
+        let mut grouped = Grouped::of_rows(params, &points);
+
+        // `low`: a few small indices — over two or more groups they share
+        // the last super-digit, so `n` of them are one bucket of `n`.
+        let low = |n: usize, delta: i64| -> Vec<Update> {
+            (0..n as u64)
+                .map(|t| Update::new(t % u.min(4), delta))
+                .collect()
+        };
+        // `spread`: evenly spaced indices, each alone under its last
+        // super-digit.
+        let lone = u.min(16);
+        let spread: Vec<Update> = (0..lone)
+            .map(|t| Update::new(t * (u / lone), t as i64 - 7))
+            .collect();
+        let scattered = |n: usize| -> Vec<Update> {
+            (0..n as u64)
+                .map(|t| Update::new(mix(t) % u, (mix(t + 99) % 2001) as i64 - 1000))
+                .collect()
+        };
+        let mut cases: Vec<(String, Vec<Update>)> = vec![
+            ("empty".into(), vec![]),
+            ("one update".into(), vec![Update::new(u - 1, -3)]),
+            ("one bucket".into(), low(200, 5)),
+            ("one index".into(), vec![Update::new(u / 2, 9); 77]),
+            ("lone updates".into(), spread.clone()),
+            (
+                "a bucket among lone updates".into(),
+                [low(3, 2), spread].concat(),
+            ),
+            (
+                "cancelling duplicates".into(),
+                [5, -5, i64::MIN, i64::MAX, 1]
+                    .map(|delta| Update::new(u - 1, delta))
+                    .to_vec(),
+            ),
+        ];
+        // The lazy-reduction boundary: `Fp61` reduces every 32 products, and
+        // 65 of `(p − 1)·(p − 4)` (the embedding of `i64::MIN`) overflow a
+        // 128-bit sum.
+        for n in [31usize, 32, 33, 64, 65] {
+            for delta in [i64::MIN, i64::MAX] {
+                cases.push((format!("bucket of {n}, delta {delta}"), low(n, delta)));
+            }
+        }
+        for n in [STAGE_BLOCK - 1, STAGE_BLOCK, STAGE_BLOCK + 1] {
+            cases.push((format!("{n} scattered"), scattered(n)));
+        }
+        for (name, stream) in &cases {
+            let sums = grouped.sums(stream);
+            for (p, rows) in points.iter().enumerate() {
+                assert_eq!(
+                    sums[p],
+                    per_update_sum(params, rows, stream),
+                    "ell={ell} d={d} {name} p={p}"
+                );
+            }
+            if name == "cancelling duplicates" {
+                assert_eq!(sums, [Fp61::ZERO; 3]);
+            }
+        }
+    }
+}
+
+/// The evaluator over the kernel, for a field with delayed reduction and
+/// one that reduces eagerly: serial, chunked over 1 / 2 / 3 threads (each
+/// worker staging its own blocks), split across calls, and through a clone
+/// (its own scratch) — all the per-update sums.
+fn evaluator_equals_per_update_reference<F: PrimeField>() {
+    for &(ell, d) in &[(2u64, 10u32), (2, 18), (2, 21), (3, 7)] {
+        let params = LdeParams::new(ell, d);
+        let u = params.universe();
+        let mut rng = StdRng::seed_from_u64(500 + ell + d as u64);
+        let points: Vec<Vec<F>> = (0..3)
+            .map(|_| (0..d).map(|_| F::random(&mut rng)).collect())
+            .collect();
+        // Three blocks and a bit: zipf-like (a few hot indices between
+        // scattered ones), with the extreme deltas mixed in.
+        let stream: Vec<Update> = (0..3 * STAGE_BLOCK as u64 + 5)
+            .map(|t| {
+                let index = if t % 3 == 0 {
+                    mix(t) % u.min(50)
+                } else {
+                    mix(t) % u
+                };
+                let delta = match t % 97 {
+                    0 => i64::MIN,
+                    1 => i64::MAX,
+                    _ => (mix(t + 7) % 41) as i64 - 20,
+                };
+                Update::new(index, delta)
+            })
+            .collect();
+        let expect: Vec<F> = points
+            .iter()
+            .map(|r| per_update_sum(params, &chi_rows(params, r), &stream))
+            .collect();
+        let fresh = || MultiLdeEvaluator::<F>::new(params, points.clone());
+        let mut serial = fresh();
+        serial.update_batch(&stream);
+        assert_eq!(serial.values(), expect, "ell={ell} d={d} serial");
+        for threads in [1usize, 2, 3] {
+            let mut par = fresh();
+            par.update_batch_threads(&stream, threads);
+            assert_eq!(par.values(), expect, "ell={ell} d={d} threads={threads}");
+        }
+        let mut split = fresh();
+        split.update_batch(&stream[..STAGE_BLOCK + 1]);
+        let mut twin = split.clone();
+        split.update_batch(&stream[STAGE_BLOCK + 1..]);
+        for &up in &stream[STAGE_BLOCK + 1..] {
+            twin.update(up);
+        }
+        assert_eq!(split.values(), expect, "ell={ell} d={d} split");
+        assert_eq!(
+            twin.values(),
+            expect,
+            "ell={ell} d={d} clone, single updates"
+        );
+        assert_eq!(twin.updates(), stream.len() as u64);
+    }
+}
+
+#[test]
+fn evaluator_equals_per_update_reference_fp61() {
+    evaluator_equals_per_update_reference::<Fp61>();
+}
+
+#[test]
+fn evaluator_equals_per_update_reference_fp127() {
+    evaluator_equals_per_update_reference::<Fp127>();
+}
+
 /// The kv client's digests as plain vectors, fed one `update` per digest
 /// per put — what `Client::observe` did before the digests shared a packed
 /// bank, and the definition the bank must reproduce bit for bit.
@@ -308,11 +578,10 @@ impl PerDigestReference {
 /// Bank-fed ≡ per-digest-fed, as checkpoint bytes: for universes of one
 /// packed group (`log_u` 1, 6), an exact group boundary (10) and a
 /// remainder group (11, 18); budgets with an empty family; batch lengths
-/// around `BATCH_TILE`; batches interleaved with single puts and with
-/// queries that consume a digest of every family.
+/// of kv's 64-put rounds and around `STAGE_BLOCK`; batches interleaved with
+/// single puts and with queries that consume a digest of every family.
 #[test]
 fn kv_client_bank_is_bit_identical_to_per_digest_updates() {
-    assert_eq!(BATCH_TILE, 256, "the batch lengths below straddle the tile");
     let budgets = [
         QueryBudget {
             reporting: 5,
@@ -348,7 +617,16 @@ fn kv_client_bank_is_bit_identical_to_per_digest_updates() {
                     })
                     .collect()
             };
-            for (round, len) in [0usize, 1, 63, 255, 256, 257, 1000].into_iter().enumerate() {
+            let lens = [
+                0,
+                1,
+                64,
+                STAGE_BLOCK - 1,
+                STAGE_BLOCK,
+                STAGE_BLOCK + 1,
+                1000,
+            ];
+            for (round, len) in lens.into_iter().enumerate() {
                 let batch = fresh(len);
                 // Uploading and observing batches alternate; both go
                 // through the one digest pass.
@@ -436,15 +714,8 @@ fn multilinear_hash_bank_equals_multi_lde_evaluator() {
             })
             .collect();
         multi.update_batch(&stream);
-        let mut accs = vec![<Fp61 as PrimeField>::DotAcc::default(); hashers.len()];
-        let mut stage = TileStage::new(params);
-        for tile in stream.chunks(BATCH_TILE) {
-            stage.stage(tile.iter().map(|up| up.index));
-            let deltas: Vec<Fp61> = tile.iter().map(|up| Fp61::from_i64(up.delta)).collect();
-            bank.sweep(&stage, &deltas, &mut accs);
-        }
-        for (p, (mut hasher, acc)) in hashers.into_iter().zip(accs).enumerate() {
-            let banked = Fp61::acc_finish(acc);
+        let sums = Grouped::over(bank).sums(&stream);
+        for (p, (mut hasher, banked)) in hashers.into_iter().zip(sums).enumerate() {
             assert_eq!(banked, multi.value(p), "log_u={log_u} p={p}");
             // …and both equal the hasher's own per-update loop.
             hasher.update_all(&stream);
