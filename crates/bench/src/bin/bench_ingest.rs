@@ -12,17 +12,15 @@
 //!   path over the `DigitPlan`, and the batched delayed-reduction path;
 //! * `multi_point` — a `MultiLdeEvaluator` at `k ∈ {1, 4, 16, 64}`
 //!   points: the pre-PR baseline (`k` independent per-update evaluators,
-//!   div/mod digits, eager reductions) against `update_batch` /
-//!   `update_batch_threads` at `threads ∈ {1, 2, 4}`; the
-//!   `k ≥ 8, threads = 1` speedup column is the PR's headline number;
+//!   div/mod digits, eager reductions) against `update_batch`; the
+//!   `k ≥ 8` speedup column is the ingest engine's headline number;
 //! * `frequency_vector` — the honest prover's `apply` vs `apply_batch`
 //!   rate, dense and sparse representations.
 //!
 //! Bases cover the paper's binary sweet spot (`ℓ = 2`), a larger
 //! power-of-two (`ℓ = 16`, shift/mask plan), and a general base (`ℓ = 3`,
-//! reciprocal plan). Thread scaling is hardware-bound: a single-core
-//! container collapses `threads > 1` to ≈ 1× by design — batching and
-//! scheduling never change a digest value, only wall-clock.
+//! reciprocal plan). Batching never changes a digest value, only
+//! wall-clock.
 //!
 //! Usage: `cargo run --release -p sip-bench --bin bench_ingest
 //! [--stream-exp N] [--out PATH]`
@@ -103,13 +101,12 @@ fn measure_single(params: LdeParams, stream: &[Update]) -> SinglePoint {
 struct MultiPoint {
     base: u64,
     k: usize,
-    threads: usize,
     baseline_ups: f64,
     batched_ups: f64,
     speedup: f64,
 }
 
-fn measure_multi(params: LdeParams, stream: &[Update], k: usize, threads: usize) -> MultiPoint {
+fn measure_multi(params: LdeParams, stream: &[Update], k: usize) -> MultiPoint {
     let mut rng = StdRng::seed_from_u64(41 + k as u64);
     let multi = MultiLdeEvaluator::<Fp61>::random(params, k, &mut rng);
     let singles: Vec<StreamingLdeEvaluator<Fp61>> = (0..k)
@@ -130,13 +127,12 @@ fn measure_multi(params: LdeParams, stream: &[Update], k: usize, threads: usize)
     });
     let batched_ups = rate(n, || {
         let mut e = multi.clone();
-        e.update_batch_threads(stream, threads);
+        e.update_batch(stream);
         std::hint::black_box(e.values());
     });
     MultiPoint {
         base: params.base(),
         k,
-        threads,
         baseline_ups,
         batched_ups,
         speedup: batched_ups / baseline_ups,
@@ -199,24 +195,15 @@ fn main() {
             // Scale the walked stream down with k so each measurement
             // stays in budget; rates are per-update either way.
             let piece = &stream[..(n / k.max(1)).max(1 << 12).min(stream.len())];
-            for threads in [1usize, 2, 4] {
-                multis.push(measure_multi(params, piece, k, threads));
-            }
+            multis.push(measure_multi(params, piece, k));
         }
     }
     println!("\n# multi-point ingest (updates/sec)");
-    csv_header(&[
-        "base",
-        "k",
-        "threads",
-        "baseline_ups",
-        "batched_ups",
-        "speedup",
-    ]);
+    csv_header(&["base", "k", "baseline_ups", "batched_ups", "speedup"]);
     for p in &multis {
         println!(
-            "{},{},{},{:.0},{:.0},{:.2}",
-            p.base, p.k, p.threads, p.baseline_ups, p.batched_ups, p.speedup
+            "{},{},{:.0},{:.0},{:.2}",
+            p.base, p.k, p.baseline_ups, p.batched_ups, p.speedup
         );
     }
 
@@ -235,7 +222,6 @@ fn main() {
     json.push_str("{\n");
     let _ = writeln!(json, "  \"bench\": \"ingest\",");
     let _ = writeln!(json, "  \"field\": \"Fp61\",");
-    let _ = writeln!(json, "  \"hardware_threads\": {},", hardware_threads());
     let _ = writeln!(json, "  \"stream_updates\": {n},");
     json.push_str("  \"single_point\": [\n");
     for (i, p) in singles.iter().enumerate() {
@@ -256,11 +242,10 @@ fn main() {
     for (i, p) in multis.iter().enumerate() {
         let _ = writeln!(
             json,
-            "    {{\"base\": {}, \"k\": {}, \"threads\": {}, \"baseline_ups\": {:.0}, \
+            "    {{\"base\": {}, \"k\": {}, \"baseline_ups\": {:.0}, \
              \"batched_ups\": {:.0}, \"speedup\": {:.2}}}{}",
             p.base,
             p.k,
-            p.threads,
             p.baseline_ups,
             p.batched_ups,
             p.speedup,
@@ -282,8 +267,4 @@ fn main() {
     json.push_str("  ]\n}\n");
     std::fs::write(&out_path, &json).expect("write BENCH_ingest.json");
     eprintln!("# wrote {out_path}");
-}
-
-fn hardware_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
 }

@@ -1,23 +1,23 @@
-//! Observability overhead: the same ingest and fold hot paths, measured
-//! with the metrics layer enabled and disabled. The ISSUE's budget is a
+//! Observability overhead: the fold hot path, measured with the metrics
+//! layer enabled and disabled. The ISSUE's budget is a
 //! ≤ 2% throughput cost — `--check-overhead 2.0` turns that budget into
 //! an exit code so CI can gate on it. Emitted as machine-readable
 //! `BENCH_obs.json` (plus human-readable CSV on stdout).
 //!
 //! What is measured:
 //!
-//! * `ingest` — [`ProverPool::ingest_batch`] over a `MultiLdeEvaluator`
-//!   (the verifier's multi-point digest absorb), updates/second;
 //! * `fold` — a full `F2Prover` round-message schedule (round 1 through
-//!   [`ProverPool::fold_message`], every later message out of the fused
-//!   [`ProverPool::bind_message`] pass), messages/second;
-//! * `ingest+trace` / `fold+trace` — the same two paths with span tracing
-//!   live as well (the `--trace` deployment), against the same fully-dark
-//!   baseline, so the gate also covers tracing-enabled hot paths;
-//! * `ingest+scrape` — the ingest path while a live `sip-fleetobs`
-//!   scrape loop polls this process's own ops port on an aggressive
-//!   100 ms interval, against the same path with no scraper: what being
-//!   *watched* costs a serving prover (metrics stay on in both modes);
+//!   [`sip_core::engine::fold_message`], every later message out of the
+//!   fused [`sip_core::engine::bind_message`] pass), messages/second;
+//! * `fold+trace` — the same path with span tracing live as well (the
+//!   `--trace` deployment), against the same fully-dark baseline, so the
+//!   gate also covers the tracing-enabled hot path;
+//! * `ingest+scrape` — a `MultiLdeEvaluator` absorbing batches (the
+//!   verifier's multi-point digest ingest, which carries no
+//!   instrumentation of its own) while a live `sip-fleetobs` scrape loop
+//!   polls this process's own ops port on an aggressive 100 ms interval,
+//!   against the same path with no scraper: what being *watched* costs a
+//!   busy process (metrics stay on in both modes);
 //! * `snapshot` — how long one `/metrics` (Prometheus text) and one
 //!   `/stats` (JSON) rendering of the live registry takes, microseconds.
 //!
@@ -39,7 +39,6 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sip_bench::{arg_string, arg_u32, csv_header};
-use sip_core::engine::ProverPool;
 use sip_core::sumcheck::f2::F2Prover;
 use sip_core::sumcheck::RoundProver;
 use sip_field::{Fp61, PrimeField};
@@ -106,30 +105,11 @@ fn measure(
     }
 }
 
-fn measure_ingest(path: &'static str, trials: u32, stream_exp: u32, trace: bool) -> Overhead {
-    let params = LdeParams::new(2, 18);
-    let n = 1usize << stream_exp;
-    let stream = workloads::with_deletions(n, params.universe(), 0.2, 7);
-    let mut rng = StdRng::seed_from_u64(23);
-    let multi = MultiLdeEvaluator::<Fp61>::random(params, 4, &mut rng);
-    let pool = ProverPool::SERIAL;
-    measure(path, trials, n, trace, || {
-        let mut e = multi.clone();
-        // One ingest_batch call per wire frame's worth of updates — the
-        // same granularity the server meters.
-        for batch in stream.chunks(4096) {
-            pool.ingest_batch(&mut e, batch);
-        }
-        std::hint::black_box(e.values());
-    })
-}
-
 fn measure_fold(path: &'static str, trials: u32, log_u: u32, trace: bool) -> Overhead {
     let stream = workloads::paper_f2(1 << log_u, 11);
     let fv = FrequencyVector::from_stream(1 << log_u, &stream);
-    let pool = ProverPool::SERIAL;
     measure(path, trials, log_u as usize, trace, || {
-        let mut prover = F2Prover::<Fp61>::with_pool(&fv, log_u, pool);
+        let mut prover = F2Prover::<Fp61>::new(&fv, log_u);
         for round in 0..log_u {
             std::hint::black_box(prover.message());
             if round + 1 < log_u {
@@ -139,9 +119,10 @@ fn measure_fold(path: &'static str, trials: u32, log_u: u32, trace: bool) -> Ove
     })
 }
 
-/// The ingest pass again, but measured while a real fleet scraper polls
-/// this process's own ops port every 100 ms (attempts, timeouts and all)
-/// versus unwatched. Metrics stay enabled in both modes — the delta is
+/// A multi-point ingest pass (one `update_batch` per wire frame's worth
+/// of updates), measured while a real fleet scraper polls this process's
+/// own ops port every 100 ms (attempts, timeouts and all) versus
+/// unwatched. Metrics stay enabled in both modes — the delta is
 /// purely what *being scraped* costs the serving hot path. The registry
 /// render and both HTTP round trips happen on ops/scraper threads, so on
 /// any multi-core box this should be deep inside the noise floor.
@@ -153,11 +134,10 @@ fn measure_scrape(trials: u32, stream_exp: u32) -> Overhead {
     let stream = workloads::with_deletions(n, params.universe(), 0.2, 7);
     let mut rng = StdRng::seed_from_u64(23);
     let multi = MultiLdeEvaluator::<Fp61>::random(params, 4, &mut rng);
-    let pool = ProverPool::SERIAL;
     let mut pass = || {
         let mut e = multi.clone();
         for batch in stream.chunks(4096) {
-            pool.ingest_batch(&mut e, batch);
+            e.update_batch(batch);
         }
         std::hint::black_box(e.values());
     };
@@ -237,9 +217,7 @@ fn main() {
     };
 
     let mut points = [
-        measure_ingest("ingest", trials, stream_exp, false),
         measure_fold("fold", trials, log_u, false),
-        measure_ingest("ingest+trace", trials, stream_exp, true),
         measure_fold("fold+trace", trials, log_u, true),
         measure_scrape(trials, stream_exp),
     ];
@@ -256,8 +234,6 @@ fn main() {
                 trials * 2
             );
             *p = match p.path {
-                "ingest" => measure_ingest("ingest", trials * 2, stream_exp, false),
-                "ingest+trace" => measure_ingest("ingest+trace", trials * 2, stream_exp, true),
                 "ingest+scrape" => measure_scrape(trials * 2, stream_exp),
                 "fold" => measure_fold("fold", trials * 2, log_u, false),
                 _ => measure_fold("fold+trace", trials * 2, log_u, true),

@@ -1,13 +1,13 @@
-//! Prover-engine scaling: round-message throughput of the data-parallel
-//! fold kernel at `threads ∈ {1, 2, 4, 8}`, and end-to-end query latency
-//! with 1 / 8 / 32 concurrent verifier sessions attached to one published
-//! dataset — emitted as machine-readable `BENCH_prover.json` (plus a
-//! human-readable CSV on stdout).
+//! Prover-engine scaling: round-message throughput of the fold kernel,
+//! and end-to-end query latency with 1 / 8 / 32 concurrent verifier
+//! sessions attached to one published dataset — emitted as
+//! machine-readable `BENCH_prover.json` (plus a human-readable CSV on
+//! stdout).
 //!
 //! What is measured:
 //!
-//! * `round_messages` — for each `log_u` and thread count, the honest F₂
-//!   prover's construction and complete round-message schedule (every
+//! * `round_messages` — for each `log_u`, the honest F₂ prover's
+//!   construction and complete round-message schedule (every
 //!   `message()` + `bind()` over all `d` rounds) on a dense `n = 2^log_u`
 //!   stream, repeated until the timer is trustworthy; reported as messages/s and
 //!   fold-pairs/s (the largest `log_u` row is the headline scaling
@@ -22,11 +22,6 @@
 //!   server (ingest happens once; the N sessions share the frozen
 //!   snapshot), reported as mean/max per-session latency.
 //!
-//! Thread scaling is hardware-bound: on a single-core container the
-//! `threads > 1` rows collapse to ≈ 1×, by design — the engine never
-//! trades transcripts for speed, so the only thing threads can change is
-//! wall-clock on hardware that has them.
-//!
 //! Usage: `cargo run --release -p sip-bench --bin bench_prover
 //! [--max-log-u N] [--sessions-log-u N] [--out PATH]`
 
@@ -37,7 +32,6 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sip_bench::{arg_string, arg_u32, csv_header, time_mean, time_once};
-use sip_core::engine::ProverPool;
 use sip_core::sumcheck::f2::{F2Head, F2Prover, F2Verifier};
 use sip_core::sumcheck::RoundProver;
 use sip_field::{Fp61, PrimeField};
@@ -47,7 +41,6 @@ use sip_streaming::{workloads, FrequencyVector};
 
 struct RoundPoint {
     log_u: u32,
-    threads: usize,
     msgs_per_sec: f64,
     pairs_per_sec: f64,
     schedule_ms: f64,
@@ -70,12 +63,11 @@ fn schedule_time(build: impl FnOnce() -> F2Prover<Fp61>, log_u: u32) -> (Duratio
     (start.elapsed(), pairs)
 }
 
-fn measure_rounds(log_u: u32, threads: usize) -> RoundPoint {
+fn measure_rounds(log_u: u32) -> RoundPoint {
     let n = 1usize << log_u;
     let stream = workloads::paper_f2(n as u64, 11);
     let fv = FrequencyVector::from_stream(1 << log_u, &stream);
-    let pool = ProverPool::new(threads);
-    let sweep = || F2Prover::<Fp61>::with_pool(&fv, log_u, pool);
+    let sweep = || F2Prover::<Fp61>::new(&fv, log_u);
     // Warm up once (page in the table), then repeat to a stable total.
     let _ = schedule_time(sweep, log_u);
     let mut total = Duration::ZERO;
@@ -90,7 +82,6 @@ fn measure_rounds(log_u: u32, threads: usize) -> RoundPoint {
     let secs = total.as_secs_f64();
     RoundPoint {
         log_u,
-        threads,
         msgs_per_sec: msgs as f64 / secs,
         pairs_per_sec: pairs as f64 / secs,
         schedule_ms: secs * 1e3 / (msgs as f64 / log_u as f64),
@@ -116,7 +107,7 @@ fn measure_head(log_u: u32, input: &'static str) -> HeadPoint {
     let budget = Duration::from_millis(300);
     let ms = |d: Duration| d.as_secs_f64() * 1e3;
     let head = Arc::new(F2Head::<Fp61>::build(&fv, log_u));
-    let headed = || F2Prover::from_head(Arc::clone(&head), ProverPool::SERIAL);
+    let headed = || F2Prover::from_head(Arc::clone(&head));
     let swept = || F2Prover::<Fp61>::new(&fv, log_u);
     HeadPoint {
         log_u,
@@ -136,7 +127,7 @@ struct LatencyPoint {
 
 /// N concurrent verifier sessions attach to one published dataset and each
 /// runs one verified F₂ query.
-fn measure_sessions(log_u: u32, sessions: usize, server_threads: usize) -> LatencyPoint {
+fn measure_sessions(log_u: u32, sessions: usize) -> LatencyPoint {
     let u = 1u64 << log_u;
     let stream = workloads::paper_f2(u, 23);
     let truth = FrequencyVector::from_stream(u, &stream).self_join_size();
@@ -145,7 +136,6 @@ fn measure_sessions(log_u: u32, sessions: usize, server_threads: usize) -> Laten
         "127.0.0.1:0",
         ServerConfig {
             max_sessions: sessions + 4,
-            threads: server_threads,
             ..ServerConfig::default()
         },
     )
@@ -204,25 +194,16 @@ fn main() {
         .into_iter()
         .filter(|&l| l <= max_log_u)
         .collect();
-    let threads = [1usize, 2, 4, 8];
 
-    csv_header(&[
-        "log_u",
-        "threads",
-        "msgs_per_sec",
-        "pairs_per_sec",
-        "schedule_ms",
-    ]);
+    csv_header(&["log_u", "msgs_per_sec", "pairs_per_sec", "schedule_ms"]);
     let mut rounds = Vec::new();
     for &log_u in &log_us {
-        for &t in &threads {
-            let p = measure_rounds(log_u, t);
-            println!(
-                "{},{},{:.1},{:.0},{:.3}",
-                p.log_u, p.threads, p.msgs_per_sec, p.pairs_per_sec, p.schedule_ms
-            );
-            rounds.push(p);
-        }
+        let p = measure_rounds(log_u);
+        println!(
+            "{},{:.1},{:.0},{:.3}",
+            p.log_u, p.msgs_per_sec, p.pairs_per_sec, p.schedule_ms
+        );
+        rounds.push(p);
     }
 
     csv_header(&[
@@ -247,7 +228,7 @@ fn main() {
     csv_header(&["sessions", "mean_ms", "max_ms", "total_ms"]);
     let mut latencies = Vec::new();
     for sessions in [1usize, 8, 32] {
-        let p = measure_sessions(sessions_log_u, sessions, 1);
+        let p = measure_sessions(sessions_log_u, sessions);
         println!(
             "{},{:.2},{:.2},{:.2}",
             p.sessions, p.mean_ms, p.max_ms, p.total_ms
@@ -259,16 +240,14 @@ fn main() {
     json.push_str("{\n");
     let _ = writeln!(json, "  \"bench\": \"prover\",");
     let _ = writeln!(json, "  \"field\": \"Fp61\",");
-    let _ = writeln!(json, "  \"hardware_threads\": {},", hardware_threads());
     let _ = writeln!(json, "  \"sessions_log_u\": {sessions_log_u},");
     json.push_str("  \"round_messages\": [\n");
     for (i, p) in rounds.iter().enumerate() {
         let _ = writeln!(
             json,
-            "    {{\"log_u\": {}, \"threads\": {}, \"msgs_per_sec\": {:.1}, \
+            "    {{\"log_u\": {}, \"msgs_per_sec\": {:.1}, \
              \"pairs_per_sec\": {:.0}, \"schedule_ms\": {:.3}}}{}",
             p.log_u,
-            p.threads,
             p.msgs_per_sec,
             p.pairs_per_sec,
             p.schedule_ms,
@@ -307,8 +286,4 @@ fn main() {
     json.push_str("  ]\n}\n");
     std::fs::write(&out_path, &json).expect("write BENCH_prover.json");
     eprintln!("# wrote {out_path}");
-}
-
-fn hardware_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
 }

@@ -22,7 +22,7 @@ use sip_lde::{range_indicator_lde, LdeParams, MultiLdeEvaluator, StreamingLdeEva
 use sip_streaming::{FrequencyVector, Update};
 
 use crate::channel::CostReport;
-use crate::engine::{FusedRounds, ProverPool};
+use crate::engine::FusedRounds;
 use crate::error::Rejection;
 use crate::sumcheck::f2::{F2Prover, F2Verifier};
 use crate::sumcheck::moments::VerifiedAggregate;
@@ -66,7 +66,7 @@ pub fn run_batch_range_sum<F: PrimeField, R: Rng + ?Sized>(
 
     // --- Prover: one shared fold of `a`, one indicator level per query. --
     let fv = FrequencyVector::from_stream(u, stream);
-    let mut a = FusedRounds::<F>::new(&fv, log_u, ProverPool::SERIAL);
+    let mut a = FusedRounds::<F>::new(&fv, log_u);
     let mut challenges: Vec<F> = Vec::new();
     let levels_after = |challenges: &[F]| -> Vec<IndicatorLevel<F>> {
         ranges
@@ -178,28 +178,8 @@ pub fn fused_digests<F: PrimeField, R: Rng + ?Sized>(
     copies: usize,
     rng: &mut R,
 ) -> Vec<(Vec<F>, F)> {
-    fused_digests_pooled(
-        log_u,
-        stream,
-        copies,
-        crate::engine::ProverPool::SERIAL,
-        rng,
-    )
-}
-
-/// [`fused_digests`] on a thread pool: the batched multi-point intake runs
-/// through [`crate::engine::ProverPool::ingest_batch`], splitting the
-/// stream into chunks whose exact partial sums recombine — digests are
-/// bit-identical at any thread count, only wall-clock moves.
-pub fn fused_digests_pooled<F: PrimeField, R: Rng + ?Sized>(
-    log_u: u32,
-    stream: &[Update],
-    copies: usize,
-    pool: crate::engine::ProverPool,
-    rng: &mut R,
-) -> Vec<(Vec<F>, F)> {
     let mut multi = MultiLdeEvaluator::<F>::random(LdeParams::binary(log_u), copies, rng);
-    pool.ingest_batch(&mut multi, stream);
+    multi.update_batch(stream);
     (0..multi.num_points())
         .map(|p| (multi.point(p).to_vec(), multi.value(p)))
         .collect()
@@ -267,27 +247,6 @@ mod tests {
             let mut single = StreamingLdeEvaluator::<Fp61>::new(LdeParams::binary(log_u), point);
             single.update_all(&stream);
             assert_eq!(single.value(), value);
-        }
-    }
-
-    #[test]
-    fn pooled_fused_digests_match_serial() {
-        let log_u = 8;
-        let stream = workloads::uniform(400, 1 << log_u, 9, 6);
-        let serial = {
-            let mut rng = StdRng::seed_from_u64(11);
-            fused_digests::<Fp61, _>(log_u, &stream, 3, &mut rng)
-        };
-        for threads in [2usize, 4] {
-            let mut rng = StdRng::seed_from_u64(11);
-            let pooled = fused_digests_pooled::<Fp61, _>(
-                log_u,
-                &stream,
-                3,
-                crate::engine::ProverPool::new(threads),
-                &mut rng,
-            );
-            assert_eq!(pooled, serial, "threads={threads}");
         }
     }
 

@@ -1,5 +1,5 @@
 //! The prover engine: one generic fold/combine kernel behind every
-//! multi-round prover, with an opt-in data-parallel scheduler.
+//! multi-round prover.
 //!
 //! CMT's follow-up ("Practical Verified Computation with Streaming
 //! Interactive Proofs") observes that the honest prover's entire cost of
@@ -14,50 +14,50 @@
 //! * [`FoldSource`] names what a message-only walk covers — one fold
 //!   table's pairs, the union walk of two lockstep tables, or fixed-width
 //!   dense blocks;
-//! * [`ProverPool::fold_message`] runs that walk and
-//!   [`ProverPool::bind_message`] runs the **fused** pass — bind `r_j` and
-//!   produce round `j+1`'s message in one sweep — either serially
-//!   (`threads = 1`, the default) or split into contiguous chunks executed
-//!   under [`std::thread::scope`];
+//! * [`fold_message`] runs that walk and [`bind_message`] runs the
+//!   **fused** pass — bind `r_j` and produce round `j+1`'s message in one
+//!   sweep;
 //! * [`FusedRounds`] is the schedule every single-table prover follows:
 //!   round 1 is the only message-only walk, every later message falls out
 //!   of the bind before it — and a prover that already holds `k`
-//!   challenges enters it `k` rounds in ([`ProverPool::bind_many_message`]).
+//!   challenges enters it `k` rounds in ([`bind_many_message`]).
 //!
-//! ## Why scheduling cannot change a transcript
+//! ## One serial pass, and why fusion cannot change a transcript
+//!
+//! Every pass runs on the calling thread. A server is parallel one level
+//! up — a thread per connection — so a query's sweep competes with other
+//! tenants' sessions for cores, not with idle ones; a walk chunked over
+//! scoped worker threads measured slower than this loop on the hardware
+//! we have (EXPERIMENTS.md, "Why the engines are serial").
 //!
 //! Accumulation is exact field arithmetic — associative and commutative
-//! with no rounding — and chunk boundaries ([`chunk_range`]) are
-//! deterministic, so the chunk partial sums recombine to exactly the serial
-//! total at **any** thread count, and a message summed over the entries a
-//! fold has just written equals the one a second pass would read back.
-//! Parallelism and fusion change wall-clock, never a round polynomial:
+//! with no rounding — so a message summed over the entries a fold has just
+//! written equals the one a second pass would read back (and a walk split
+//! into chunks would recombine to exactly the same total, should one ever
+//! be reintroduced). Fusion changes wall-clock, never a round polynomial:
 //! soundness and cost accounting are untouched by construction, and
 //! `tests/engine_equivalence.rs` and `tests/fused_equivalence.rs` check the
-//! transcripts pairwise anyway.
+//! transcripts against naive references anyway.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use sip_field::PrimeField;
-use sip_lde::MultiLdeEvaluator;
-use sip_streaming::{FrequencyVector, Update};
+use sip_streaming::FrequencyVector;
 
-use crate::fold::{chunk_range, FoldRule, FoldVector};
+use crate::fold::{FoldRule, FoldVector};
 
 /// Pre-resolved metric handles for the engine hot paths. Resolution walks a
 /// map under a mutex, so it happens once per process; afterwards every
 /// counted call is a handful of relaxed atomic adds. Timers are sampled
 /// 1-in-[`sip_obs::timer_sample`] calls (default 16, configurable via
 /// `ServerConfig::obs_sample`, `0` = off) — `Instant::now` is the only
-/// non-trivial cost here and a fold/batch call already amortises it over
+/// non-trivial cost here and a fold call already amortises it over
 /// thousands of blocks.
 struct EngineMetrics {
     fold_messages: sip_obs::Counter,
     fold_blocks: sip_obs::Counter,
     fold_message_us: sip_obs::Histogram,
-    ingest_updates: sip_obs::Counter,
-    ingest_batch_us: sip_obs::Histogram,
     sample: AtomicU64,
 }
 
@@ -67,8 +67,6 @@ fn engine_metrics() -> &'static EngineMetrics {
         fold_messages: sip_obs::counter("sip_fold_messages_total"),
         fold_blocks: sip_obs::counter("sip_fold_blocks_total"),
         fold_message_us: sip_obs::histogram("sip_fold_message_us"),
-        ingest_updates: sip_obs::counter("sip_ingest_updates_total"),
-        ingest_batch_us: sip_obs::histogram("sip_ingest_batch_us"),
         sample: AtomicU64::new(0),
     })
 }
@@ -84,18 +82,13 @@ impl EngineMetrics {
     }
 }
 
-/// Below this many blocks a parallel walk is all spawn overhead; the kernel
-/// silently degrades to the serial path. (The tail rounds of every fold
-/// drop under this threshold, which is exactly when threads stop paying.)
-const MIN_PARALLEL_BLOCKS: u64 = 1 << 12;
-
 /// A per-pair combine rule: how one block's children contribute to the
 /// round polynomial's evaluation slots.
 ///
 /// Implementations accumulate into delayed-reduction accumulators
 /// ([`PrimeField::DotAcc`]) so the hot loop performs one modular reduction
 /// per batch of products where the field's representation allows.
-pub trait Combine<F: PrimeField>: Sync {
+pub trait Combine<F: PrimeField> {
     /// Number of evaluation slots the round message carries
     /// (`degree + 1`).
     fn slots(&self) -> usize;
@@ -167,191 +160,65 @@ impl<F: PrimeField> FoldSource<'_, F> {
     }
 }
 
-/// The prover's scheduling knob: how many worker threads a round-message
-/// pass may use. `threads = 1` (the default) is the serial path.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ProverPool {
-    /// Worker threads per [`ProverPool::fold_message`] call (≥ 1).
-    pub threads: usize,
+/// Produces one round message without folding: walks `source` once,
+/// feeding every block in [`Combine::live`] through `combine`, and returns
+/// the `combine.slots()` evaluation sums. This is round 1 of a single-table
+/// prover and every round of the lockstep and block provers.
+pub fn fold_message<F: PrimeField, C: Combine<F> + ?Sized>(
+    source: FoldSource<'_, F>,
+    combine: &C,
+) -> Vec<F> {
+    let (lo, hi) = combine.live(source.blocks());
+    observed(hi - lo, || {
+        let mut acc = accs_for::<F>(combine.slots());
+        source.walk(lo, hi, |m, a, b| combine.accumulate(m, a, b, &mut acc));
+        finish::<F>(acc)
+    })
 }
 
-impl Default for ProverPool {
-    fn default() -> Self {
-        ProverPool::SERIAL
-    }
+/// The fused pass: binds `table`'s lowest variable to `r` and returns the
+/// **next** round's message, summed by `combine` over the entries the fold
+/// has just written — one sweep instead of a fold followed by a message
+/// walk (`FoldVector::fold_fused`).
+pub fn bind_message<F: PrimeField, C: Combine<F> + ?Sized>(
+    table: &mut FoldVector<F>,
+    r: F,
+    combine: &C,
+) -> Vec<F> {
+    observed(table.pairs(), || {
+        let mut acc = accs_for::<F>(combine.slots());
+        table.fold_fused(FoldRule::Bind(r), combine, &mut acc);
+        finish::<F>(acc)
+    })
 }
 
-impl ProverPool {
-    /// The serial engine: exactly the historical single-threaded loops.
-    pub const SERIAL: ProverPool = ProverPool { threads: 1 };
-
-    /// A pool of `threads` workers.
-    ///
-    /// # Panics
-    /// Panics if `threads` is zero.
-    pub fn new(threads: usize) -> Self {
-        assert!(threads >= 1, "a prover needs at least one thread");
-        ProverPool { threads }
-    }
-
-    /// A pool sized to the machine:
-    /// [`std::thread::available_parallelism`], falling back to serial when
-    /// the count is unavailable. This is what `threads = 0` resolves to in
-    /// server configuration.
-    pub fn auto() -> Self {
-        ProverPool {
-            threads: std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
-        }
-    }
-
-    /// Resolves a configured thread count: `0` means auto-detect
-    /// ([`Self::auto`]), anything else is taken literally.
-    pub fn from_config(threads: usize) -> Self {
-        if threads == 0 {
-            Self::auto()
-        } else {
-            Self::new(threads)
-        }
-    }
-
-    /// Runs a verifier-side multi-point ingest batch on this pool:
-    /// [`MultiLdeEvaluator::update_batch_threads`] with the pool's thread
-    /// count. Chunk partials recombine exactly, so the evaluator values
-    /// are identical at any thread count — same discipline as
-    /// [`Self::fold_message`].
-    pub fn ingest_batch<F: PrimeField>(&self, eval: &mut MultiLdeEvaluator<F>, batch: &[Update]) {
-        if !sip_obs::enabled() {
-            eval.update_batch_threads(batch, self.threads);
-            return;
-        }
-        let metrics = engine_metrics();
-        // One span per call, not per update: coarse enough to stay inside
-        // the bench_obs overhead gate even with tracing on.
-        let mut tspan = sip_obs::trace::span("sip.core.engine", "ingest_batch");
-        tspan.field("updates", batch.len());
-        let timer = metrics.sampled().then(sip_obs::Timer::start);
-        eval.update_batch_threads(batch, self.threads);
-        metrics.ingest_updates.add(batch.len() as u64);
-        if let Some(timer) = timer {
-            metrics.ingest_batch_us.observe(timer.elapsed_us());
-        }
-    }
-
-    /// Chunks a pass over `blocks` blocks is split into: the pool's threads
-    /// once the pass is large enough to pay for them, else one.
-    fn chunks_for(&self, blocks: u64) -> usize {
-        if blocks >= MIN_PARALLEL_BLOCKS {
-            self.threads.max(1).min(blocks as usize)
-        } else {
-            1
-        }
-    }
-
-    /// Produces one round message without folding: walks `source` once,
-    /// feeding every block in [`Combine::live`] through `combine`, and
-    /// returns the `combine.slots()` evaluation sums. This is round 1 of a
-    /// single-table prover and every round of the lockstep and block
-    /// provers.
-    ///
-    /// With `threads > 1` and a large enough walk, the block range is
-    /// split into contiguous chunks executed under [`std::thread::scope`];
-    /// chunk partials recombine in chunk order. Exact field arithmetic
-    /// makes the result identical to the serial walk at any thread count.
-    pub fn fold_message<F: PrimeField, C: Combine<F> + ?Sized>(
-        &self,
-        source: FoldSource<'_, F>,
-        combine: &C,
-    ) -> Vec<F> {
-        let (lo, hi) = combine.live(source.blocks());
-        let blocks = hi - lo;
-        observed(blocks, || {
-            let mut partials = partials_for::<F>(combine.slots(), self.chunks_for(blocks));
-            let chunks = partials.len();
-            let walk = |c: usize, acc: &mut Vec<F::DotAcc>| {
-                let (c_lo, c_hi) = chunk_range(blocks, c, chunks);
-                source.walk(lo + c_lo, lo + c_hi, |m, a, b| {
-                    combine.accumulate(m, a, b, acc)
-                });
-            };
-            if let [acc] = partials.as_mut_slice() {
-                walk(0, acc);
-            } else {
-                let walk = &walk;
-                std::thread::scope(|scope| {
-                    for (c, acc) in partials.iter_mut().enumerate() {
-                        scope.spawn(move || walk(c, acc));
-                    }
-                });
-            }
-            recombine::<F>(partials)
-        })
-    }
-
-    /// The fused pass: binds `table`'s lowest variable to `r` and returns
-    /// the **next** round's message, summed by `combine` over the entries
-    /// the fold has just written — one sweep instead of a fold followed by
-    /// a message walk (`FoldVector::fold_fused`). Chunking, and why it
-    /// cannot change the result, are as for [`Self::fold_message`].
-    pub fn bind_message<F: PrimeField, C: Combine<F> + ?Sized>(
-        &self,
-        table: &mut FoldVector<F>,
-        r: F,
-        combine: &C,
-    ) -> Vec<F> {
-        let swept = table.pairs();
-        observed(swept, || {
-            let mut partials = partials_for::<F>(combine.slots(), self.chunks_for(swept / 2));
-            table.fold_fused(FoldRule::Bind(r), combine, &mut partials);
-            recombine::<F>(partials)
-        })
-    }
-
-    /// The fused pass `k` rounds deep: binds the `k` lowest variables of
-    /// `fv` over `[2^bits]` at once — `weights[y] = χ_y(r_1, …, r_k)`, `2^k`
-    /// of them — and returns the table `A_{k+1}` with round `k+1`'s
-    /// message, summed by `combine` over the entries the sweep has just
-    /// written (`FoldVector::from_frequency_bound`). It is one pass over a
-    /// table that produces one message, so it counts as one
-    /// `sip_fold_messages_total` with `blocks` = the `2^{bits−k}` blocks of
-    /// `2^k` cells it sweeps. Chunking, and why it cannot change the
-    /// result, are as for [`Self::fold_message`].
-    pub fn bind_many_message<F: PrimeField, C: Combine<F> + ?Sized>(
-        &self,
-        fv: &FrequencyVector,
-        bits: u32,
-        weights: &[F],
-        combine: &C,
-    ) -> (FoldVector<F>, Vec<F>) {
-        let cells = 1u64 << bits;
-        let blocks = cells / weights.len() as u64;
-        observed(blocks, || {
-            // As much work a chunk as in `bind_message` (a pair there is two
-            // cells here), and never more chunks than pairs to hand out.
-            let chunks = self.chunks_for(cells / 4).min((blocks / 2).max(1) as usize);
-            let mut partials = partials_for::<F>(combine.slots(), chunks);
-            let table = FoldVector::from_frequency_bound(fv, bits, weights, combine, &mut partials);
-            (table, recombine::<F>(partials))
-        })
-    }
+/// The fused pass `k` rounds deep: binds the `k` lowest variables of `fv`
+/// over `[2^bits]` at once — `weights[y] = χ_y(r_1, …, r_k)`, `2^k` of them
+/// — and returns the table `A_{k+1}` with round `k+1`'s message, summed by
+/// `combine` over the entries the sweep has just written
+/// (`FoldVector::from_frequency_bound`). It is one pass over a table that
+/// produces one message, so it counts as one `sip_fold_messages_total` with
+/// `blocks` = the `2^{bits−k}` blocks of `2^k` cells it sweeps.
+pub fn bind_many_message<F: PrimeField, C: Combine<F> + ?Sized>(
+    fv: &FrequencyVector,
+    bits: u32,
+    weights: &[F],
+    combine: &C,
+) -> (FoldVector<F>, Vec<F>) {
+    let blocks = (1u64 << bits) / weights.len() as u64;
+    observed(blocks, || {
+        let mut acc = accs_for::<F>(combine.slots());
+        let table = FoldVector::from_frequency_bound(fv, bits, weights, combine, &mut acc);
+        (table, finish::<F>(acc))
+    })
 }
 
-fn partials_for<F: PrimeField>(slots: usize, chunks: usize) -> Vec<Vec<F::DotAcc>> {
-    vec![vec![F::DotAcc::default(); slots]; chunks]
+fn accs_for<F: PrimeField>(slots: usize) -> Vec<F::DotAcc> {
+    vec![F::DotAcc::default(); slots]
 }
 
-/// Sums the chunk partials in chunk order.
-fn recombine<F: PrimeField>(partials: Vec<Vec<F::DotAcc>>) -> Vec<F> {
-    let mut chunks = partials.into_iter();
-    let first = chunks.next().expect("a pass has at least one chunk");
-    let mut out: Vec<F> = first.into_iter().map(F::acc_finish).collect();
-    for partial in chunks {
-        for (slot, acc) in out.iter_mut().zip(partial) {
-            *slot += F::acc_finish(acc);
-        }
-    }
-    out
+fn finish<F: PrimeField>(acc: Vec<F::DotAcc>) -> Vec<F> {
+    acc.into_iter().map(F::acc_finish).collect()
 }
 
 /// Runs one pass that produces a round message under the engine's
@@ -379,12 +246,11 @@ fn observed<R>(blocks: u64, pass: impl FnOnce() -> R) -> R {
 /// The round schedule of a prover over one fold table: round 1's message is
 /// a walk over the shared snapshot, and binding `r_j` produces round
 /// `j+1`'s message in the same sweep that folds the table
-/// ([`ProverPool::bind_message`]). Each protocol supplies its [`Combine`];
+/// ([`bind_message`]). Each protocol supplies its [`Combine`];
 /// none of them sweeps the table twice in a round.
 #[derive(Clone, Debug)]
 pub struct FusedRounds<F: PrimeField> {
     table: FoldVector<F>,
-    pool: ProverPool,
     /// The current round's message, once a bind produced it.
     ready: Option<Vec<F>>,
 }
@@ -392,10 +258,9 @@ pub struct FusedRounds<F: PrimeField> {
 impl<F: PrimeField> FusedRounds<F> {
     /// Starts from `A_1 = a`: an `O(1)` snapshot of `fv`
     /// ([`FoldVector::from_frequency`]).
-    pub fn new(fv: &FrequencyVector, log_u: u32, pool: ProverPool) -> Self {
+    pub fn new(fv: &FrequencyVector, log_u: u32) -> Self {
         FusedRounds {
             table: FoldVector::from_frequency(fv, log_u),
-            pool,
             ready: None,
         }
     }
@@ -403,18 +268,16 @@ impl<F: PrimeField> FusedRounds<F> {
     /// Enters the schedule `k` rounds in, for a prover that answered rounds
     /// `1..=k` without a table: one pass binds `r_1, …, r_k` (as the `2^k`
     /// weights `χ_y(r_1, …, r_k)`) and leaves round `k+1`'s message ready
-    /// ([`ProverPool::bind_many_message`]); `next` is that round's rule.
+    /// ([`bind_many_message`]); `next` is that round's rule.
     pub fn bound<C: Combine<F> + ?Sized>(
         fv: &FrequencyVector,
         log_u: u32,
-        pool: ProverPool,
         weights: &[F],
         next: &C,
     ) -> Self {
-        let (table, message) = pool.bind_many_message(fv, log_u, weights, next);
+        let (table, message) = bind_many_message(fv, log_u, weights, next);
         FusedRounds {
             table,
-            pool,
             ready: Some(message),
         }
     }
@@ -426,16 +289,15 @@ impl<F: PrimeField> FusedRounds<F> {
 
     /// The current round's message; `combine` is the current round's rule.
     pub fn message<C: Combine<F> + ?Sized>(&mut self, combine: &C) -> Vec<F> {
-        let (table, pool) = (&self.table, self.pool);
         self.ready
-            .get_or_insert_with(|| pool.fold_message(FoldSource::Pairs(table), combine))
+            .get_or_insert_with(|| fold_message(FoldSource::Pairs(&self.table), combine))
             .clone()
     }
 
     /// Binds the current variable to `r`; `next` is the **next** round's
     /// rule.
     pub fn bind<C: Combine<F> + ?Sized>(&mut self, r: F, next: &C) {
-        self.ready = Some(self.pool.bind_message(&mut self.table, r, next));
+        self.ready = Some(bind_message(&mut self.table, r, next));
     }
 }
 
@@ -475,26 +337,11 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_serial_on_pairs() {
-        // Dense (large n) and sparse (small n) tables, above and below the
-        // parallel threshold.
-        for (n, bits) in [(40_000usize, 14u32), (60, 16), (100, 10)] {
-            let fold = fold_of(n, bits, 7);
-            let serial = ProverPool::SERIAL.fold_message(FoldSource::Pairs(&fold), &Square);
-            for threads in [2usize, 3, 4, 8] {
-                let par = ProverPool::new(threads).fold_message(FoldSource::Pairs(&fold), &Square);
-                assert_eq!(par, serial, "n={n} bits={bits} threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn fused_bind_matches_bind_then_message_at_every_thread_count() {
-        // Above and below the parallel threshold, from a dense and from a
-        // sparse snapshot, two levels deep (the second sweep reads the
-        // field-form table the first one wrote): the fused pass returns the
-        // message a second walk over the folded table would, and leaves the
-        // same table behind.
+    fn fused_bind_matches_bind_then_message() {
+        // From a dense, a small and a sparse snapshot, two levels deep (the
+        // second sweep reads the field-form table the first one wrote): the
+        // fused pass returns the message a second walk over the folded table
+        // would, and leaves the same table behind.
         let sparse = {
             let mut fv = FrequencyVector::new_sparse(1 << 16);
             fv.apply_batch(&workloads::uniform(60, 1 << 16, 50, 7));
@@ -502,59 +349,18 @@ mod tests {
         };
         for start in [fold_of(40_000, 15, 7), fold_of(100, 10, 7), sparse] {
             let mut two_pass = start.clone();
-            let mut fused: Vec<_> = [1usize, 2, 3, 4, 8]
-                .into_iter()
-                .map(|threads| (ProverPool::new(threads), start.clone()))
-                .collect();
+            let mut fused = start;
             for r in [Fp61::from_u64(0xfeed_beef), Fp61::from_u64(77)] {
                 two_pass.bind(r);
-                let expect = ProverPool::SERIAL.fold_message(FoldSource::Pairs(&two_pass), &Square);
-                for (pool, table) in fused.iter_mut() {
-                    let got = pool.bind_message(table, r, &Square);
-                    assert_eq!(got, expect, "threads={}", pool.threads);
-                    let mut left = Vec::new();
-                    table.for_each_pair(|m, lo, hi| left.push((m, lo, hi)));
-                    let mut right = Vec::new();
-                    two_pass.for_each_pair(|m, lo, hi| right.push((m, lo, hi)));
-                    assert_eq!(left, right, "threads={}", pool.threads);
-                }
+                let expect = fold_message(FoldSource::Pairs(&two_pass), &Square);
+                assert_eq!(bind_message(&mut fused, r, &Square), expect);
+                let mut left = Vec::new();
+                fused.for_each_pair(|m, lo, hi| left.push((m, lo, hi)));
+                let mut right = Vec::new();
+                two_pass.for_each_pair(|m, lo, hi| right.push((m, lo, hi)));
+                assert_eq!(left, right);
             }
         }
-    }
-
-    #[test]
-    fn chunked_walk_covers_every_pair_once() {
-        let fold = fold_of(500, 12, 9);
-        let mut all = Vec::new();
-        fold.for_each_pair(|m, lo, hi| all.push((m, lo, hi)));
-        for chunks in [1usize, 2, 3, 7, 16] {
-            let mut seen = Vec::new();
-            let mut last_chunk = 0usize;
-            fold.for_each_pair_chunks(chunks, |c, m, lo, hi| {
-                assert!(c >= last_chunk, "chunks must arrive in order");
-                last_chunk = c;
-                seen.push((m, lo, hi));
-            });
-            assert_eq!(seen, all, "chunks={chunks}");
-        }
-    }
-
-    #[test]
-    fn thread_config_resolution() {
-        // 0 = auto-detect: at least one thread, matching the machine.
-        let auto = ProverPool::from_config(0);
-        assert!(auto.threads >= 1);
-        assert_eq!(auto, ProverPool::auto());
-        // Nonzero is taken literally.
-        assert_eq!(ProverPool::from_config(3).threads, 3);
-    }
-
-    #[test]
-    fn more_threads_than_blocks_is_fine() {
-        let fold = fold_of(10, 4, 3);
-        let serial = ProverPool::SERIAL.fold_message(FoldSource::Pairs(&fold), &Square);
-        let par = ProverPool::new(64).fold_message(FoldSource::Pairs(&fold), &Square);
-        assert_eq!(par, serial);
     }
 
     #[test]
@@ -562,7 +368,7 @@ mod tests {
         let mut fold = FoldVector::from_values(vec![Fp61::ONE, Fp61::from_u64(2)]);
         fold.bind(Fp61::from_u64(5));
         assert_eq!(fold.pairs(), 0);
-        let msg = ProverPool::SERIAL.fold_message(FoldSource::Pairs(&fold), &Square);
+        let msg = fold_message(FoldSource::Pairs(&fold), &Square);
         assert_eq!(msg, vec![Fp61::ZERO; 3]);
     }
 }

@@ -34,19 +34,6 @@ use crate::engine::Combine;
 /// Size (in entries) below which a fold table is always stored densely.
 const ALWAYS_DENSE: u64 = 1 << 12;
 
-/// The half-open range `[lo, hi)` that `chunk` of `chunks` covers when an
-/// index space of `blocks` slots is split into near-equal contiguous runs.
-/// Boundaries are deterministic, so a chunked walk visits exactly the same
-/// `(chunk, index)` assignment whether it runs serially or on threads.
-pub fn chunk_range(blocks: u64, chunk: usize, chunks: usize) -> (u64, u64) {
-    debug_assert!(chunks >= 1 && chunk < chunks);
-    let n = chunks as u128;
-    let b = blocks as u128;
-    let lo = (b * chunk as u128 / n) as u64;
-    let hi = (b * (chunk as u128 + 1) / n) as u64;
-    (lo, hi)
-}
-
 /// How one fold step combines a pair's children — one multiplication
 /// either way.
 #[derive(Clone, Copy, Debug)]
@@ -237,8 +224,7 @@ impl<F: PrimeField> FoldVector<F> {
     /// under the same densify rule as a fold.
     ///
     /// In the same sweep every pair `(m, A_{k+1}[2m], A_{k+1}[2m+1])` with a
-    /// nonzero child is fed through `combine`, chunked over `accs` exactly
-    /// as [`Self::fold_fused`] chunks the folded table's pairs.
+    /// nonzero child is fed through `combine` into `acc`, in increasing `m`.
     ///
     /// # Panics
     /// Panics if `weights.len()` is not a power of two `2^k` with
@@ -248,7 +234,7 @@ impl<F: PrimeField> FoldVector<F> {
         bits: u32,
         weights: &[F],
         combine: &C,
-        accs: &mut [Vec<F::DotAcc>],
+        acc: &mut [F::DotAcc],
     ) -> Self {
         assert!(bits <= 63);
         assert!(fv.universe() <= 1u64 << bits, "universe larger than 2^bits");
@@ -258,12 +244,11 @@ impl<F: PrimeField> FoldVector<F> {
         );
         let k = weights.len().trailing_zeros();
         assert!(k <= bits, "more variables bound than the table has");
-        assert!(!accs.is_empty(), "a sweep needs at least one chunk");
         let repr = if bits == k {
             // One entry is left and it has no sibling: no pair to sum over.
-            bound_repr(fv, weights, 1, &NoCombine, &mut [Vec::new()])
+            bound_repr(fv, weights, 1, &NoCombine, &mut [])
         } else {
-            bound_repr(fv, weights, 1 << (bits - k), combine, accs)
+            bound_repr(fv, weights, 1 << (bits - k), combine, acc)
         };
         FoldVector {
             bits: bits - k,
@@ -355,24 +340,12 @@ impl<F: PrimeField> FoldVector<F> {
     }
 
     /// Like [`Self::for_each_pair`], restricted to pair indices in
-    /// `[m_lo, m_hi)` — the building block of chunked (and data-parallel)
-    /// iteration.
+    /// `[m_lo, m_hi)` — what a rule with a narrow [`Combine::live`] range
+    /// walks.
     pub fn for_each_pair_in(&self, m_lo: u64, m_hi: u64, mut f: impl FnMut(u64, F, F)) {
         debug_assert!(m_lo <= m_hi && m_hi <= self.pairs());
         with_pairs!(self, m_lo, m_hi, |pairs| pairs
             .for_each(|(m, lo, hi)| f(m, lo, hi)));
-    }
-
-    /// Splits the pair-index space into `chunks` contiguous near-equal
-    /// ranges (deterministic boundaries, see [`chunk_range`]) and visits
-    /// them in order: `f(chunk, m, lo, hi)`. Chunk `c` seen serially here is
-    /// exactly what worker `c` of the data-parallel kernel sees.
-    pub fn for_each_pair_chunks(&self, chunks: usize, mut f: impl FnMut(usize, u64, F, F)) {
-        let n = chunks.max(1);
-        for c in 0..n {
-            let (lo, hi) = chunk_range(self.pairs(), c, n);
-            self.for_each_pair_in(lo, hi, |m, a, b| f(c, m, a, b));
-        }
     }
 
     /// Visits every `m` where *either* table has a nonzero child:
@@ -388,9 +361,8 @@ impl<F: PrimeField> FoldVector<F> {
 
     /// Like [`Self::for_each_pair_union`], restricted to pair indices in
     /// `[m_lo, m_hi)`: a streaming merge join of the two pair walks — no
-    /// intermediate materialisation, so chunked workers stay
-    /// allocation-free, and a sparse side is advanced by a cursor whatever
-    /// the other side's representation.
+    /// intermediate materialisation, and a sparse side is advanced by a
+    /// cursor whatever the other side's representation.
     pub fn for_each_pair_union_in(
         a: &FoldVector<F>,
         b: &FoldVector<F>,
@@ -450,7 +422,7 @@ impl<F: PrimeField> FoldVector<F> {
     /// # Panics
     /// Panics if no variables remain.
     pub fn bind(&mut self, r: F) {
-        self.fold_fused(FoldRule::Bind(r), &NoCombine, &mut [Vec::new()]);
+        self.fold_fused(FoldRule::Bind(r), &NoCombine, &mut []);
     }
 
     /// Combines one hash-tree level with key `r` (equation (7)), weights
@@ -459,21 +431,15 @@ impl<F: PrimeField> FoldVector<F> {
     /// # Panics
     /// Panics if no variables remain.
     pub fn fold_affine(&mut self, r: F) {
-        self.fold_fused(FoldRule::Affine(r), &NoCombine, &mut [Vec::new()]);
+        self.fold_fused(FoldRule::Affine(r), &NoCombine, &mut []);
     }
 
     /// Folds the lowest variable by `rule` and, in the same sweep, feeds
     /// every pair `(k, A'[2k], A'[2k+1])` of the **folded** table `A'` with
-    /// a nonzero child through `combine` — what the next round's message
-    /// is a sum over.
-    ///
-    /// The folded table's pair slots are split into `accs.len()` contiguous
-    /// chunks ([`chunk_range`]); chunk `c` is swept in increasing `k` into
-    /// `accs[c]` (`combine.slots()` accumulators). One chunk folds a dense
-    /// table in place on the calling thread. More chunks run under
-    /// [`std::thread::scope`] and write a second buffer: chunk `c` writes
-    /// `A'[2k]` for its `k` but reads `A[4k..4k+4]`, which lies in the
-    /// region earlier chunks write, so an in-place fold would race.
+    /// a nonzero child through `combine` into `acc` (`combine.slots()`
+    /// accumulators), in increasing `k` — what the next round's message is
+    /// a sum over. A field-form table is folded in place; the shared
+    /// snapshot is folded once, out of place, into the half-size table.
     ///
     /// # Panics
     /// Panics if no variables remain.
@@ -481,10 +447,9 @@ impl<F: PrimeField> FoldVector<F> {
         &mut self,
         rule: FoldRule<F>,
         combine: &C,
-        accs: &mut [Vec<F::DotAcc>],
+        acc: &mut [F::DotAcc],
     ) {
         assert!(self.bits >= 1, "nothing left to fold");
-        assert!(!accs.is_empty(), "a fold needs at least one chunk");
         if self.bits == 1 {
             // One entry is left and it has no sibling: no pair to sum over.
             let last = rule.apply(self.get(0), self.get(1));
@@ -500,46 +465,34 @@ impl<F: PrimeField> FoldVector<F> {
         }
         self.bits -= 1;
         let half = 1usize << self.bits;
-        let settle = |entries| settle(entries, half);
         self.repr = match std::mem::replace(&mut self.repr, FoldRepr::Dense(Vec::new())) {
-            FoldRepr::Dense(mut v) if accs.len() == 1 => {
-                fold_dense_in_place(&mut v, rule, combine, &mut accs[0]);
+            FoldRepr::Dense(mut v) => {
+                fold_dense_in_place(&mut v, rule, combine, acc);
                 FoldRepr::Dense(v)
             }
-            FoldRepr::Dense(v) => {
-                FoldRepr::Dense(fold_dense(&v, F::ZERO, |x| x, half, rule, combine, accs))
-            }
-            FoldRepr::Sparse(mut s) if accs.len() == 1 => {
+            FoldRepr::Sparse(mut s) => {
                 let mut run = InPlace {
                     run: &mut s,
                     read: 0,
                     written: 0,
                 };
-                fold_sparse_run(&mut run, rule, combine, &mut accs[0]);
+                fold_sparse_run(&mut run, rule, combine, acc);
                 let folded = run.written;
                 s.truncate(folded);
-                settle(s)
+                settle(s, half)
             }
-            FoldRepr::Sparse(s) => settle(fold_sparse(
-                |lo, hi| sparse_run(&s, lo, hi).iter().copied(),
-                s.len(),
-                half,
-                rule,
-                combine,
-                accs,
-            )),
             FoldRepr::Source(fv) => match fv.entries() {
-                Entries::Dense(v) => {
-                    FoldRepr::Dense(fold_dense(v, 0, F::from_i64, half, rule, combine, accs))
+                Entries::Dense(v) => FoldRepr::Dense(fold_dense(v, half, rule, combine, acc)),
+                Entries::Sparse(map) => {
+                    let mut run = Streamed {
+                        entries: map.iter().map(|(&i, &f)| (i, F::from_i64(f))),
+                        // A fold never grows a run; sized once, the output is
+                        // not moved.
+                        folded: Vec::with_capacity(map.len()),
+                    };
+                    fold_sparse_run(&mut run, rule, combine, acc);
+                    settle(run.folded, half)
                 }
-                Entries::Sparse(map) => settle(fold_sparse(
-                    |lo, hi| map.range(lo..hi).map(|(&i, &f)| (i, F::from_i64(f))),
-                    map.len(),
-                    half,
-                    rule,
-                    combine,
-                    accs,
-                )),
             },
         };
     }
@@ -633,136 +586,86 @@ fn bound_repr<F: PrimeField, C: Combine<F> + ?Sized>(
     weights: &[F],
     len: usize,
     combine: &C,
-    accs: &mut [Vec<F::DotAcc>],
+    acc: &mut [F::DotAcc],
 ) -> FoldRepr<F> {
     match fv.entries() {
-        Entries::Dense(cells) => FoldRepr::Dense(bind_dense(cells, weights, len, combine, accs)),
+        Entries::Dense(cells) => FoldRepr::Dense(bind_dense(cells, weights, len, combine, acc)),
         Entries::Sparse(map) => {
-            let run = |lo, hi| map.range(lo..hi).map(|(&i, &f)| (i, f));
-            settle(
-                bind_sparse(run, map.len(), weights, len, combine, accs),
-                len,
-            )
+            let run = map.iter().map(|(&i, &f)| (i, f));
+            settle(bind_sparse(run, map.len(), weights, combine, acc), len)
         }
     }
 }
 
 /// The `k`-variable bind of a dense snapshot: entry `m` of the `len`-entry
 /// table is the dot of `weights` with cells `[m·2^k, (m+1)·2^k)`, cells past
-/// the end of `cells` reading as zero. One chunk of the table's pair slots
-/// per entry of `accs`, each writing its own part of the table.
+/// the end of `cells` reading as zero.
 fn bind_dense<F: PrimeField, C: Combine<F> + ?Sized>(
     cells: &[i64],
     weights: &[F],
     len: usize,
     combine: &C,
-    accs: &mut [Vec<F::DotAcc>],
+    acc: &mut [F::DotAcc],
 ) -> Vec<F> {
-    let width = weights.len();
     let mut bound = vec![F::ZERO; len];
-    let sweep = move |m_lo: usize, out: &mut [F], acc: &mut [F::DotAcc]| {
-        let mut feed = PairFeed::new(combine, acc);
-        let from = cells.len().min(m_lo * width);
-        // `zip` ends the walk with this chunk's part of the table, and
-        // cuts the weights to a last block the snapshot ends inside.
-        let blocks = cells[from..].chunks(width).zip(out).zip(m_lo as u64..);
-        for ((block, out), m) in blocks {
-            // Or-ing the cells, not `all`: no early exit, so no branch per
-            // cell for sparse data to mispredict.
-            if block.iter().fold(0, |any, &a| any | a) == 0 {
-                continue;
-            }
-            let v = F::dot_i64(weights, block);
-            if !v.is_zero() {
-                *out = v;
-                feed.push(m, v);
-            }
+    let mut feed = PairFeed::new(combine, acc);
+    // `zip` ends the walk with the table, and cuts the weights to a last
+    // block the snapshot ends inside.
+    let blocks = cells.chunks(weights.len()).zip(&mut bound).zip(0u64..);
+    for ((block, out), m) in blocks {
+        // Or-ing the cells, not `all`: no early exit, so no branch per
+        // cell for sparse data to mispredict.
+        if block.iter().fold(0, |any, &a| any | a) == 0 {
+            continue;
         }
-        feed.finish();
-    };
-    if let [acc] = accs {
-        sweep(0, &mut bound, acc);
-        return bound;
+        let v = F::dot_i64(weights, block);
+        if !v.is_zero() {
+            *out = v;
+            feed.push(m, v);
+        }
     }
-    let chunks = accs.len();
-    let sweep = &sweep;
-    std::thread::scope(|scope| {
-        let mut rest = bound.as_mut_slice();
-        for (c, acc) in accs.iter_mut().enumerate() {
-            let (k_lo, k_hi) = chunk_range(len as u64 / 2, c, chunks);
-            let (mine, tail) = rest.split_at_mut(2 * (k_hi - k_lo) as usize);
-            rest = tail;
-            scope.spawn(move || sweep(2 * k_lo as usize, mine, acc));
-        }
-    });
+    feed.finish();
     bound
 }
 
-/// The `k`-variable bind of a tree snapshot: `run(lo, hi)` yields its sorted
-/// nonzero `(index, frequency)` entries in `[lo, hi)`, `entries` of them in
-/// all; returns the `len`-entry table's nonzero entries — one chunk of its
-/// pair slots per entry of `accs`.
-fn bind_sparse<F: PrimeField, C: Combine<F> + ?Sized, I: Iterator<Item = (u64, i64)>>(
-    run: impl Fn(u64, u64) -> I + Sync,
+/// The `k`-variable bind of a tree snapshot: `run` yields its sorted nonzero
+/// `(index, frequency)` entries, `entries` of them; returns the bound
+/// table's nonzero entries.
+fn bind_sparse<F: PrimeField, C: Combine<F> + ?Sized>(
+    run: impl Iterator<Item = (u64, i64)>,
     entries: usize,
     weights: &[F],
-    len: usize,
     combine: &C,
-    accs: &mut [Vec<F::DotAcc>],
+    acc: &mut [F::DotAcc],
 ) -> Vec<(u64, F)> {
     let k = weights.len().trailing_zeros();
-    let chunks = accs.len();
-    let sweep = |c: usize, acc: &mut [F::DotAcc]| {
-        // A one-entry table has no pair slot to chunk by.
-        let (m_lo, m_hi) = if len == 1 {
-            (0, 1)
-        } else {
-            let (k_lo, k_hi) = chunk_range(len as u64 / 2, c, chunks);
-            (2 * k_lo, 2 * k_hi)
-        };
-        let mut feed = PairFeed::new(combine, acc);
-        // A bind never grows a run; sized once, the output is not moved.
-        let mut bound = Vec::with_capacity(entries / chunks + 1);
-        let mut close = |m: u64, dot: F::DotAcc| {
-            let v = F::acc_finish(dot);
-            // Blocks that cancel exactly are dropped, not stored as zero.
-            if !v.is_zero() {
-                bound.push((m, v));
-                feed.push(m, v);
-            }
-        };
-        // The block being summed: its index and its dot so far.
-        let mut open: Option<(u64, F::DotAcc)> = None;
-        for (i, f) in run(m_lo << k, m_hi << k) {
-            if let Some((m, dot)) = open.filter(|&(m, _)| m != i >> k) {
-                close(m, dot);
-                open = None;
-            }
-            let (_, dot) = open.get_or_insert((i >> k, F::DotAcc::default()));
-            let y = (i & (weights.len() as u64 - 1)) as usize;
-            F::acc_add_prod(dot, weights[y], F::from_i64(f));
+    let mut feed = PairFeed::new(combine, acc);
+    // A bind never grows a run; sized once, the output is not moved.
+    let mut bound = Vec::with_capacity(entries);
+    let mut close = |m: u64, dot: F::DotAcc| {
+        let v = F::acc_finish(dot);
+        // Blocks that cancel exactly are dropped, not stored as zero.
+        if !v.is_zero() {
+            bound.push((m, v));
+            feed.push(m, v);
         }
-        if let Some((m, dot)) = open {
-            close(m, dot);
-        }
-        feed.finish();
-        bound
     };
-    if let [acc] = accs {
-        return sweep(0, acc);
+    // The block being summed: its index and its dot so far.
+    let mut open: Option<(u64, F::DotAcc)> = None;
+    for (i, f) in run {
+        if let Some((m, dot)) = open.filter(|&(m, _)| m != i >> k) {
+            close(m, dot);
+            open = None;
+        }
+        let (_, dot) = open.get_or_insert((i >> k, F::DotAcc::default()));
+        let y = (i & (weights.len() as u64 - 1)) as usize;
+        F::acc_add_prod(dot, weights[y], F::from_i64(f));
     }
-    let sweep = &sweep;
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = accs
-            .iter_mut()
-            .enumerate()
-            .map(|(c, acc)| scope.spawn(move || sweep(c, acc)))
-            .collect();
-        workers
-            .into_iter()
-            .flat_map(|w| w.join().expect("bind worker panicked"))
-            .collect()
-    })
+    if let Some((m, dot)) = open {
+        close(m, dot);
+    }
+    feed.finish();
+    bound
 }
 
 /// Folds one quad of raw cells `A[4k..4k+4]` into `(A'[2k], A'[2k+1])`, or
@@ -787,7 +690,7 @@ fn fold_quad<T: Copy + PartialEq, F: PrimeField>(
     ))
 }
 
-/// The serial dense sweep, in place: entry `2k` is written after entries
+/// The dense sweep over a field-form table, in place: entry `2k` is written after entries
 /// `4k..4k+4` were read and is never read again.
 fn fold_dense_in_place<F: PrimeField, C: Combine<F> + ?Sized>(
     v: &mut Vec<F>,
@@ -807,52 +710,32 @@ fn fold_dense_in_place<F: PrimeField, C: Combine<F> + ?Sized>(
     v.truncate(half);
 }
 
-/// The out-of-place dense sweep over `cells` (length at most `2·half`,
-/// missing cells reading as zero) into a fresh `half`-entry table, one
-/// chunk of the folded table's pairs per entry of `accs`.
-fn fold_dense<T: Copy + PartialEq + Sync, F: PrimeField, C: Combine<F> + ?Sized>(
-    cells: &[T],
-    zero: T,
-    to_field: impl Fn(T) -> F + Copy + Sync,
+/// The dense sweep over the shared snapshot's `cells` (at most `2·half` of
+/// them, missing cells reading as zero) into a fresh `half`-entry table.
+fn fold_dense<F: PrimeField, C: Combine<F> + ?Sized>(
+    cells: &[i64],
     half: usize,
     rule: FoldRule<F>,
     combine: &C,
-    accs: &mut [Vec<F::DotAcc>],
+    acc: &mut [F::DotAcc],
 ) -> Vec<F> {
     let mut folded = vec![F::ZERO; half];
-    let chunks = accs.len();
-    let sweep = move |k_lo: u64, out: &mut [F], acc: &mut [F::DotAcc]| {
-        for (out, k) in out.chunks_exact_mut(2).zip(k_lo..) {
-            let at = 4 * k as usize;
-            let quad = match cells.get(at..at + 4) {
-                Some(quad) => [quad[0], quad[1], quad[2], quad[3]],
-                // Partly or wholly past the end of a snapshot whose universe
-                // is smaller than the table.
-                None => std::array::from_fn(|i| cells.get(at + i).copied().unwrap_or(zero)),
-            };
-            let Some((n0, n1)) = fold_quad(quad, zero, to_field, rule) else {
-                continue;
-            };
-            if !n0.is_zero() || !n1.is_zero() {
-                (out[0], out[1]) = (n0, n1);
-                combine.accumulate(k, &[n0, n1], &[], acc);
-            }
+    for (out, k) in folded.chunks_exact_mut(2).zip(0u64..) {
+        let at = 4 * k as usize;
+        let quad = match cells.get(at..at + 4) {
+            Some(quad) => [quad[0], quad[1], quad[2], quad[3]],
+            // Partly or wholly past the end of a snapshot whose universe
+            // is smaller than the table.
+            None => std::array::from_fn(|i| cells.get(at + i).copied().unwrap_or(0)),
+        };
+        let Some((n0, n1)) = fold_quad(quad, 0, F::from_i64, rule) else {
+            continue;
+        };
+        if !n0.is_zero() || !n1.is_zero() {
+            (out[0], out[1]) = (n0, n1);
+            combine.accumulate(k, &[n0, n1], &[], acc);
         }
-    };
-    if let [acc] = accs {
-        sweep(0, &mut folded, acc);
-        return folded;
     }
-    let sweep = &sweep;
-    std::thread::scope(|scope| {
-        let mut rest = folded.as_mut_slice();
-        for (c, acc) in accs.iter_mut().enumerate() {
-            let (k_lo, k_hi) = chunk_range(half as u64 / 2, c, chunks);
-            let (mine, tail) = rest.split_at_mut(2 * (k_hi - k_lo) as usize);
-            rest = tail;
-            scope.spawn(move || sweep(k_lo, mine, acc));
-        }
-    });
     folded
 }
 
@@ -889,8 +772,8 @@ impl<F: PrimeField> SparseRun<F> for InPlace<'_, F> {
     }
 }
 
-/// A run read from elsewhere — the shared snapshot's tree, or one
-/// thread's chunk of a table — folded into a fresh vector.
+/// A run read from elsewhere — the shared snapshot's tree — folded into a
+/// fresh vector.
 struct Streamed<I, F> {
     entries: I,
     folded: Vec<(u64, F)>,
@@ -951,46 +834,6 @@ fn fold_sparse_run<F: PrimeField, C: Combine<F> + ?Sized>(
     folded.finish();
 }
 
-/// The out-of-place sparse sweep: `run(lo, hi)` yields the table's sorted
-/// nonzero entries with index in `[lo, hi)`, `entries` of them in all;
-/// returns the folded `half`-entry table's — one chunk of its pair slots
-/// per entry of `accs`.
-fn fold_sparse<F: PrimeField, C: Combine<F> + ?Sized, I: Iterator<Item = (u64, F)>>(
-    run: impl Fn(u64, u64) -> I + Sync,
-    entries: usize,
-    half: usize,
-    rule: FoldRule<F>,
-    combine: &C,
-    accs: &mut [Vec<F::DotAcc>],
-) -> Vec<(u64, F)> {
-    let chunks = accs.len();
-    let sweep = |c: usize, acc: &mut [F::DotAcc]| {
-        let (k_lo, k_hi) = chunk_range(half as u64 / 2, c, chunks);
-        let mut run = Streamed {
-            entries: run(4 * k_lo, 4 * k_hi),
-            // A fold never grows a run; sized once, the output is not moved.
-            folded: Vec::with_capacity(entries / chunks + 1),
-        };
-        fold_sparse_run(&mut run, rule, combine, acc);
-        run.folded
-    };
-    if let [acc] = accs {
-        return sweep(0, acc);
-    }
-    let sweep = &sweep;
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = accs
-            .iter_mut()
-            .enumerate()
-            .map(|(c, acc)| scope.spawn(move || sweep(c, acc)))
-            .collect();
-        workers
-            .into_iter()
-            .flat_map(|w| w.join().expect("fold worker panicked"))
-            .collect()
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -999,7 +842,7 @@ mod tests {
     use sip_field::{Fp61, PrimeField};
     use sip_lde::reference::naive_multilinear_eval;
     use sip_streaming::{workloads, FrequencyVector, Update};
-    use std::sync::Mutex;
+    use std::cell::RefCell;
 
     fn field_vec(fv: &FrequencyVector) -> Vec<Fp61> {
         (0..fv.universe())
@@ -1166,7 +1009,7 @@ mod tests {
     }
 
     /// A rule that sums nothing and writes down every pair it is shown.
-    struct Record(Mutex<Vec<(u64, Fp61, Fp61)>>);
+    struct Record(RefCell<Vec<(u64, Fp61, Fp61)>>);
 
     impl Combine<Fp61> for Record {
         fn slots(&self) -> usize {
@@ -1180,16 +1023,16 @@ mod tests {
             _b: &[Fp61],
             _acc: &mut [<Fp61 as PrimeField>::DotAcc],
         ) {
-            self.0.lock().unwrap().push((m, a[0], a[1]));
+            self.0.borrow_mut().push((m, a[0], a[1]));
         }
     }
 
     #[test]
     fn fused_fold_visits_exactly_the_folded_tables_pairs() {
-        // From every representation, at every chunk count, under both
-        // rules: the table after the fused sweep equals the plain fold of a
-        // dense reference, and the pairs the sweep hands out are the pairs a
-        // second pass over that table would find, each exactly once.
+        // From every representation, under both rules: the table after the
+        // fused sweep equals the plain fold of a dense reference, and the
+        // pairs the sweep hands out are the pairs a second pass over that
+        // table would find, each exactly once and in order.
         let bits = 14u32; // half = 2^13 > ALWAYS_DENSE: sparse tables stay sparse
         let dense_stream = workloads::with_deletions(30_000, 1 << bits, 0.3, 21);
         let sparse_stream = workloads::with_deletions(300, 1 << bits, 0.3, 22);
@@ -1214,25 +1057,11 @@ mod tests {
                         .map(|c| rule.apply(c[0], c[1]))
                         .collect();
                     let expect = pairs_of(&FoldVector::from_values(reference.clone()));
-                    for chunks in [1usize, 2, 3, 7] {
-                        let mut folded = table.clone();
-                        let seen = Record(Mutex::new(Vec::new()));
-                        folded.fold_fused(rule, &seen, &mut vec![Vec::new(); chunks]);
-                        let what = format!(
-                            "dense={} level={level} chunks={chunks} rule={rule:?}",
-                            fv.is_dense()
-                        );
-                        // Chunks run concurrently: each hands its pairs out
-                        // in order, the interleaving is free.
-                        let mut seen = seen.0.into_inner().unwrap();
-                        seen.sort_by_key(|p| p.0);
-                        assert_eq!(seen, expect, "{what}");
-                        assert_eq!(pairs_of(&folded), expect, "{what}");
-                    }
-                    match rule {
-                        FoldRule::Bind(r) => table.bind(r),
-                        FoldRule::Affine(r) => table.fold_affine(r),
-                    }
+                    let seen = Record(RefCell::new(Vec::new()));
+                    table.fold_fused(rule, &seen, &mut []);
+                    let what = format!("dense={} level={level} rule={rule:?}", fv.is_dense());
+                    assert_eq!(seen.0.into_inner(), expect, "{what}");
+                    assert_eq!(pairs_of(&table), expect, "{what}");
                 }
             }
         }
@@ -1259,7 +1088,7 @@ mod tests {
         // tree whose bound table crosses the densify rule, and from a
         // universe that ends inside a block: the table, its representation
         // and the pairs handed out all equal those of k fused single binds,
-        // at every chunk count and every k up to the whole table.
+        // at every k up to the whole table.
         let bits = 15u32;
         let u = 1u64 << bits;
         let starts = [
@@ -1273,32 +1102,22 @@ mod tests {
         for fv in &starts {
             let mut stepwise = FoldVector::<Fp61>::from_frequency(fv, bits);
             for k in 1..=bits as usize {
-                let seen_stepwise = Record(Mutex::new(Vec::new()));
-                stepwise.fold_fused(FoldRule::Bind(r[k - 1]), &seen_stepwise, &mut [Vec::new()]);
+                let seen_stepwise = Record(RefCell::new(Vec::new()));
+                stepwise.fold_fused(FoldRule::Bind(r[k - 1]), &seen_stepwise, &mut []);
                 if ![1, 2, 4, 5, 14, 15].contains(&k) {
                     continue;
                 }
-                let expect_seen = seen_stepwise.0.into_inner().unwrap();
-                for chunks in [1usize, 2, 3, 7] {
-                    let what = format!("dense={} k={k} chunks={chunks}", fv.is_dense());
-                    let seen = Record(Mutex::new(Vec::new()));
-                    let bound = FoldVector::from_frequency_bound(
-                        fv,
-                        bits,
-                        &chi_weights(&r[..k]),
-                        &seen,
-                        &mut vec![Vec::new(); chunks],
-                    );
-                    assert_eq!(bound.bits(), bits - k as u32, "{what}");
-                    assert_eq!(pairs_of(&bound), pairs_of(&stepwise), "{what}");
-                    assert_eq!(bound.is_sparse(), stepwise.is_sparse(), "{what}");
-                    if bound.bits() == 0 {
-                        assert_eq!(bound.scalar(), stepwise.scalar(), "{what}");
-                    }
-                    let mut seen = seen.0.into_inner().unwrap();
-                    seen.sort_by_key(|p| p.0);
-                    assert_eq!(seen, expect_seen, "{what}");
+                let what = format!("dense={} k={k}", fv.is_dense());
+                let seen = Record(RefCell::new(Vec::new()));
+                let weights = chi_weights(&r[..k]);
+                let bound = FoldVector::from_frequency_bound(fv, bits, &weights, &seen, &mut []);
+                assert_eq!(bound.bits(), bits - k as u32, "{what}");
+                assert_eq!(pairs_of(&bound), pairs_of(&stepwise), "{what}");
+                assert_eq!(bound.is_sparse(), stepwise.is_sparse(), "{what}");
+                if bound.bits() == 0 {
+                    assert_eq!(bound.scalar(), stepwise.scalar(), "{what}");
                 }
+                assert_eq!(seen.0.into_inner(), seen_stepwise.0.into_inner(), "{what}");
             }
         }
     }

@@ -32,7 +32,7 @@ use sip_lde::{LdeParams, StreamingLdeEvaluator};
 use sip_streaming::{FrequencyVector, Update};
 
 use crate::channel::CostReport;
-use crate::engine::{Combine, FusedRounds, ProverPool};
+use crate::engine::{Combine, FusedRounds};
 use crate::error::Rejection;
 use crate::heavy_hitters::{run_heavy_hitters_with_adversary, HhAdversary, VerifiedHeavyHitters};
 use crate::sumcheck::{drive_sumcheck, Adversary, RoundProver, SumCheckVerifierCore};
@@ -62,7 +62,7 @@ impl<F: PrimeField> FrequencyFnProver<F> {
             );
         }
         FrequencyFnProver {
-            fused: FusedRounds::new(residual, log_u, ProverPool::SERIAL),
+            fused: FusedRounds::new(residual, log_u),
             h_evals,
         }
     }

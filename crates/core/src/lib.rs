@@ -55,7 +55,7 @@ pub use channel::{
     ClusterCostReport, CostReport, Fault, FaultPlan, FaultTransport, FramedTcpTransport,
     InMemoryTransport, LatencyTransport, RetryPolicy, Transport, TransportError, TransportStats,
 };
-pub use engine::{Combine, FoldSource, ProverPool};
+pub use engine::{Combine, FoldSource};
 pub use error::{IoFault, Rejection};
 pub use sumcheck::{OneShotProof, OneShotWalk, ProverWalk};
 pub use transcript::{digest_words, query_transcript, Transcript};

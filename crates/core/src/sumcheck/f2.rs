@@ -21,7 +21,7 @@ use sip_streaming::{Entries, FrequencyVector, Update};
 
 use crate::channel::CostReport;
 use crate::digest_bank::BankedDigest;
-use crate::engine::{Combine, FusedRounds, ProverPool};
+use crate::engine::{Combine, FusedRounds};
 use crate::error::Rejection;
 
 use super::moments::VerifiedAggregate;
@@ -317,7 +317,6 @@ enum Stage<F: PrimeField> {
     /// head's matrices; a challenge is only recorded.
     Head {
         head: Arc<F2Head<F>>,
-        pool: ProverPool,
         /// `χ(r_1, …, r_{j−1})` in round `j`, variable `t` on bit `t − 1`.
         chi: Vec<F>,
     },
@@ -326,17 +325,12 @@ enum Stage<F: PrimeField> {
 }
 
 impl<F: PrimeField> F2Prover<F> {
-    /// Builds prover state from the materialised frequency vector (serial
-    /// engine). `O(1)`: the vector is snapshotted, not copied.
+    /// Builds prover state from the materialised frequency vector.
+    /// `O(1)`: the vector is snapshotted, not copied.
     pub fn new(fv: &FrequencyVector, log_u: u32) -> Self {
-        Self::with_pool(fv, log_u, ProverPool::SERIAL)
-    }
-
-    /// Like [`Self::new`] with an explicit round-message scheduling pool.
-    pub fn with_pool(fv: &FrequencyVector, log_u: u32, pool: ProverPool) -> Self {
         F2Prover {
             rounds: log_u as usize,
-            stage: Stage::Table(FusedRounds::new(fv, log_u, pool)),
+            stage: Stage::Table(FusedRounds::new(fv, log_u)),
         }
     }
 
@@ -344,13 +338,12 @@ impl<F: PrimeField> F2Prover<F> {
     /// from its matrices without touching the data, and binding `r_k` makes
     /// the one pass that builds the fold table at `u/2^k` entries (with
     /// round `k+1`'s message, [`FusedRounds::bound`]). Every message equals
-    /// the one [`Self::with_pool`] over the same vector sends.
-    pub fn from_head(head: Arc<F2Head<F>>, pool: ProverPool) -> Self {
+    /// the one [`Self::new`] over the same vector sends.
+    pub fn from_head(head: Arc<F2Head<F>>) -> Self {
         F2Prover {
             rounds: head.log_u as usize,
             stage: Stage::Head {
                 head,
-                pool,
                 chi: vec![F::ONE],
             },
         }
@@ -375,7 +368,7 @@ impl<F: PrimeField> RoundProver<F> for F2Prover<F> {
 
     fn bind(&mut self, r: F) {
         match &mut self.stage {
-            Stage::Head { head, pool, chi } => {
+            Stage::Head { head, chi } => {
                 // Variable `j` goes on the next bit up: χ_y(.., r) is
                 // χ_y(..)·(1 − r) below it and χ_y(..)·r above.
                 let hi: Vec<F> = chi.iter().map(|&c| c * r).collect();
@@ -384,7 +377,7 @@ impl<F: PrimeField> RoundProver<F> for F2Prover<F> {
                 }
                 chi.extend(hi);
                 if chi.len() == 1 << head.rounds() {
-                    let fused = FusedRounds::bound(&head.fv, head.log_u, *pool, chi, &F2Combine);
+                    let fused = FusedRounds::bound(&head.fv, head.log_u, chi, &F2Combine);
                     self.stage = Stage::Table(fused);
                 }
             }
@@ -567,7 +560,7 @@ mod tests {
                 "wᵀ G_1 w at c = 0, 1, 2"
             );
             let mut swept = F2Prover::<Fp61>::new(&fv, log_u);
-            let mut headed = F2Prover::from_head(Arc::clone(&head), ProverPool::SERIAL);
+            let mut headed = F2Prover::from_head(Arc::clone(&head));
             for round in 1..=log_u {
                 assert_eq!(headed.message(), swept.message(), "round {round}");
                 if round < log_u {

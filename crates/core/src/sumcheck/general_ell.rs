@@ -19,7 +19,7 @@ use sip_lde::{LdeParams, StreamingLdeEvaluator};
 use sip_streaming::{FrequencyVector, Update};
 
 use crate::channel::CostReport;
-use crate::engine::{Combine, FoldSource, ProverPool};
+use crate::engine::{fold_message, Combine, FoldSource};
 use crate::error::Rejection;
 use crate::sumcheck::moments::VerifiedAggregate;
 use crate::sumcheck::oneshot::{verify_oneshot_grid, OneShotProof};
@@ -207,18 +207,11 @@ pub struct GeneralF2Prover<F: PrimeField> {
     table: Vec<F>,
     /// `χ_k(c)` for every evaluation point `c ∈ {0, …, 2(ℓ−1)}`, `k ∈ [ℓ]`.
     chi_at_points: Vec<Vec<F>>,
-    pool: ProverPool,
 }
 
 impl<F: PrimeField> GeneralF2Prover<F> {
-    /// Builds the prover from the materialised frequency vector (serial
-    /// engine).
+    /// Builds the prover from the materialised frequency vector.
     pub fn new(fv: &FrequencyVector, params: LdeParams) -> Self {
-        Self::with_pool(fv, params, ProverPool::SERIAL)
-    }
-
-    /// Like [`Self::new`] with an explicit round-message scheduling pool.
-    pub fn with_pool(fv: &FrequencyVector, params: LdeParams, pool: ProverPool) -> Self {
         assert!(fv.universe() <= params.universe());
         let mut table = vec![F::ZERO; params.universe() as usize];
         for (i, f) in fv.nonzero() {
@@ -233,14 +226,13 @@ impl<F: PrimeField> GeneralF2Prover<F> {
             params,
             table,
             chi_at_points,
-            pool,
         }
     }
 
     /// The round polynomial: `g_j(c) = Σ_m (Σ_k χ_k(c)·A[ℓm+k])²` at
     /// `c = 0, …, 2(ℓ−1)`.
     pub fn message(&self) -> Vec<F> {
-        self.pool.fold_message(
+        fold_message(
             FoldSource::Blocks {
                 table: &self.table,
                 width: self.params.base() as usize,

@@ -13,7 +13,7 @@ use sip_lde::{LdeParams, StreamingLdeEvaluator};
 use sip_streaming::{FrequencyVector, Update};
 
 use crate::channel::CostReport;
-use crate::engine::{Combine, FoldSource, ProverPool};
+use crate::engine::{fold_message, Combine, FoldSource};
 use crate::error::Rejection;
 use crate::fold::FoldVector;
 
@@ -126,26 +126,14 @@ impl<F: PrimeField> Combine<F> for InnerProductCombine {
 pub struct InnerProductProver<F: PrimeField> {
     a: FoldVector<F>,
     b: FoldVector<F>,
-    pool: ProverPool,
 }
 
 impl<F: PrimeField> InnerProductProver<F> {
-    /// Builds prover state from both materialised vectors (serial engine).
+    /// Builds prover state from both materialised vectors.
     pub fn new(a: &FrequencyVector, b: &FrequencyVector, log_u: u32) -> Self {
-        Self::with_pool(a, b, log_u, ProverPool::SERIAL)
-    }
-
-    /// Like [`Self::new`] with an explicit round-message scheduling pool.
-    pub fn with_pool(
-        a: &FrequencyVector,
-        b: &FrequencyVector,
-        log_u: u32,
-        pool: ProverPool,
-    ) -> Self {
         InnerProductProver {
             a: FoldVector::from_frequency(a, log_u),
             b: FoldVector::from_frequency(b, log_u),
-            pool,
         }
     }
 }
@@ -160,7 +148,7 @@ impl<F: PrimeField> RoundProver<F> for InnerProductProver<F> {
     }
 
     fn message(&mut self) -> Vec<F> {
-        self.pool.fold_message(
+        fold_message(
             FoldSource::UnionPairs(&self.a, &self.b),
             &InnerProductCombine,
         )

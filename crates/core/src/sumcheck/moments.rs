@@ -13,7 +13,7 @@ use sip_lde::{LdeParams, StreamingLdeEvaluator};
 use sip_streaming::{FrequencyVector, Update};
 
 use crate::channel::CostReport;
-use crate::engine::{Combine, FusedRounds, ProverPool};
+use crate::engine::{Combine, FusedRounds};
 use crate::error::Rejection;
 
 use super::{drive_sumcheck, Adversary, RoundProver, SumCheckVerifierCore};
@@ -124,18 +124,12 @@ pub struct MomentProver<F: PrimeField> {
 }
 
 impl<F: PrimeField> MomentProver<F> {
-    /// Builds the prover state from the materialised frequency vector
-    /// (serial engine).
+    /// Builds the prover state from the materialised frequency vector.
     pub fn new(k: u32, fv: &FrequencyVector, log_u: u32) -> Self {
-        Self::with_pool(k, fv, log_u, ProverPool::SERIAL)
-    }
-
-    /// Like [`Self::new`] with an explicit round-message scheduling pool.
-    pub fn with_pool(k: u32, fv: &FrequencyVector, log_u: u32, pool: ProverPool) -> Self {
         assert!(k >= 1);
         MomentProver {
             k,
-            fused: FusedRounds::new(fv, log_u, pool),
+            fused: FusedRounds::new(fv, log_u),
         }
     }
 }

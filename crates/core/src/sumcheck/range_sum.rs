@@ -27,7 +27,7 @@ use sip_streaming::{FrequencyVector, Update};
 
 use crate::channel::CostReport;
 use crate::digest_bank::BankedDigest;
-use crate::engine::{Combine, FusedRounds, ProverPool};
+use crate::engine::{Combine, FusedRounds};
 use crate::error::Rejection;
 
 use super::moments::VerifiedAggregate;
@@ -231,23 +231,11 @@ pub struct RangeSumProver<F: PrimeField> {
 }
 
 impl<F: PrimeField> RangeSumProver<F> {
-    /// Builds the prover for range `[q_l, q_r]` over `[2^log_u]` (serial
-    /// engine).
+    /// Builds the prover for range `[q_l, q_r]` over `[2^log_u]`.
     pub fn new(fv: &FrequencyVector, log_u: u32, q_l: u64, q_r: u64) -> Self {
-        Self::with_pool(fv, log_u, q_l, q_r, ProverPool::SERIAL)
-    }
-
-    /// Like [`Self::new`] with an explicit round-message scheduling pool.
-    pub fn with_pool(
-        fv: &FrequencyVector,
-        log_u: u32,
-        q_l: u64,
-        q_r: u64,
-        pool: ProverPool,
-    ) -> Self {
         assert!(q_l <= q_r && q_r < (1u64 << log_u), "bad range");
         RangeSumProver {
-            fused: FusedRounds::new(fv, log_u, pool),
+            fused: FusedRounds::new(fv, log_u),
             q_l,
             q_r,
             challenges: Vec::new(),

@@ -244,11 +244,6 @@ impl<F: PrimeField> StreamingLdeEvaluator<F> {
     }
 }
 
-/// Below this many updates a multi-threaded batch is all spawn overhead;
-/// [`MultiLdeEvaluator::update_batch_threads`] degrades to the serial
-/// batch path (values are identical either way).
-const MIN_PARALLEL_BATCH: usize = 4096;
-
 /// Streaming evaluation of `f_a` at several points simultaneously.
 ///
 /// Used for parallel repetition (driving soundness error down) and for the
@@ -256,10 +251,10 @@ const MIN_PARALLEL_BATCH: usize = 4096;
 ///
 /// The evaluator owns the protocol state — the points, one accumulator per
 /// point and the update counter — over one [`WeightBank`] holding the
-/// points' packed χ tables. Every ingest path ([`Self::update`],
-/// [`Self::update_batch`], [`Self::update_batch_threads`]) stages blocks of
-/// decomposed, bucket-sorted super-digits once and sweeps the bank over
-/// them, so per-update cost is one division-free decomposition (shared)
+/// points' packed χ tables. Both ingest paths ([`Self::update`],
+/// [`Self::update_batch`]) stage blocks of decomposed, bucket-sorted
+/// super-digits once and sweep the bank over them, so per-update cost is
+/// one division-free decomposition (shared)
 /// plus `⌈d/c⌉` lookups per point, with one modular reduction and one
 /// modular product per bucket. Values remain bit-identical to the naive
 /// per-point evaluation (exact field arithmetic, reassociated).
@@ -276,8 +271,7 @@ pub struct MultiLdeEvaluator<F: PrimeField> {
 
 /// What one batch walk needs besides the bank: the staged block, its delta
 /// column and the per-point partial sums. Kept with its owner so a batch
-/// allocates nothing; a clone and every worker of a threaded batch has its
-/// own.
+/// allocates nothing; a clone has its own.
 #[derive(Clone, Debug)]
 struct IngestScratch<F: PrimeField> {
     stage: BlockStage,
@@ -294,9 +288,8 @@ impl<F: PrimeField> IngestScratch<F> {
         }
     }
 
-    /// The per-point partial sums `Σ δ·χ_{v(i)}(r_p)` of one contiguous
-    /// chunk of a batch — what the serial and chunked-parallel batch paths
-    /// both add into the accumulators.
+    /// The per-point partial sums `Σ δ·χ_{v(i)}(r_p)` of one batch — what
+    /// [`MultiLdeEvaluator::update_batch`] adds into the accumulators.
     fn batch_partial(&mut self, bank: &WeightBank<F>, chunk: &[Update]) -> &[F] {
         self.partial.clear();
         self.partial.resize(bank.num_points(), F::ZERO);
@@ -400,47 +393,6 @@ impl<F: PrimeField> MultiLdeEvaluator<F> {
         let partial = self.scratch.batch_partial(&self.bank, batch);
         for (acc, &v) in self.accs.iter_mut().zip(partial) {
             *acc += v;
-        }
-        self.updates += batch.len() as u64;
-    }
-
-    /// Like [`Self::update_batch`], with the batch split into `threads`
-    /// contiguous chunks processed under [`std::thread::scope`]. Chunk
-    /// partial sums recombine in chunk order; exact field arithmetic makes
-    /// the values identical to the serial path at **any** thread count
-    /// (small batches silently degrade to the serial path).
-    ///
-    /// # Panics
-    /// Panics if `threads == 0`.
-    pub fn update_batch_threads(&mut self, batch: &[Update], threads: usize) {
-        assert!(threads >= 1, "a batch needs at least one thread");
-        if threads == 1 || batch.len() < MIN_PARALLEL_BATCH {
-            return self.update_batch(batch);
-        }
-        let chunks = threads.min(batch.len());
-        let bank = &self.bank;
-        let mut partials: Vec<Vec<F>> = (0..chunks).map(|_| Vec::new()).collect();
-        std::thread::scope(|scope| {
-            for (c, out) in partials.iter_mut().enumerate() {
-                // Deterministic contiguous split (same shape as the prover
-                // engine's chunk_range): the first `extra` chunks carry one
-                // more update.
-                let base = batch.len() / chunks;
-                let extra = batch.len() % chunks;
-                let lo = c * base + c.min(extra);
-                let hi = lo + base + usize::from(c < extra);
-                let piece = &batch[lo..hi];
-                scope.spawn(move || {
-                    *out = IngestScratch::new(bank.params())
-                        .batch_partial(bank, piece)
-                        .to_vec();
-                });
-            }
-        });
-        for partial in partials {
-            for (acc, v) in self.accs.iter_mut().zip(partial) {
-                *acc += v;
-            }
         }
         self.updates += batch.len() as u64;
     }
@@ -592,9 +544,9 @@ mod tests {
 
     #[test]
     fn batched_updates_match_per_update_paths() {
-        // Serial batch, chunked batch at several thread counts, and the
-        // per-update path must all produce bit-identical values, for
-        // power-of-two and general bases and several point counts.
+        // The batch and the per-update path must produce bit-identical
+        // values, for power-of-two and general bases and several point
+        // counts.
         for &(ell, d) in &[(2u64, 10u32), (16, 3), (3, 6)] {
             let params = LdeParams::new(ell, d);
             let stream = sip_streaming::workloads::with_deletions(5000, params.universe(), 0.2, 21);
@@ -616,15 +568,6 @@ mod tests {
                     "ell={ell} k={copies}"
                 );
                 assert_eq!(batched.value(0), single.value(), "ell={ell}");
-                for threads in [2usize, 4] {
-                    let mut par = MultiLdeEvaluator::<Fp61>::new(params, points.clone());
-                    par.update_batch_threads(&stream, threads);
-                    assert_eq!(
-                        par.values(),
-                        per_update.values(),
-                        "ell={ell} k={copies} threads={threads}"
-                    );
-                }
             }
         }
     }

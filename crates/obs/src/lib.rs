@@ -5,8 +5,8 @@
 //! The paper's thesis is that verification is cheap enough to *meter*:
 //! `CostReport`-style accounting treats per-query cost as a first-class
 //! output. This crate extends that discipline to the running
-//! system, under a strict overhead budget (< 2 % on the ingest and fold
-//! hot paths, enforced by `bench_obs` in CI):
+//! system, under a strict overhead budget (< 2 % on the fold hot path,
+//! enforced by `bench_obs` in CI):
 //!
 //! * **Metrics** ([`metrics`]): atomic counters, gauges, and fixed-bucket
 //!   histograms in a process-global [`Registry`]. A handle is an `Arc`'d

@@ -486,14 +486,6 @@ pub const METRIC_HELP: &[(&str, &str)] = &[
         "Round messages produced by the prover engine (one pass each)",
     ),
     (
-        "sip_ingest_batch_us",
-        "Latency of one multi-point ingest batch (sampled)",
-    ),
-    (
-        "sip_ingest_updates_total",
-        "Stream updates absorbed through the batched ingest path",
-    ),
-    (
         "sip_registry_attach_total",
         "Sessions attached to a published dataset",
     ),

@@ -15,10 +15,10 @@
 //!   must agree on the universe or the shard ranges would not line up).
 //! * `--field 61|127` — Mersenne field (default 61).
 //! * `--max-sessions N` — concurrent-session cap (default 64).
-//! * `--threads N` — worker threads per prover round-message pass
-//!   (default 1 = serial; `0` auto-detects the machine's parallelism, so a
-//!   1-CPU box runs serial instead of losing throughput to idle workers;
-//!   transcripts are identical at any setting, only wall-clock changes).
+//! * `--threads N` — accepted and ignored: the prover engine is serial
+//!   (EXPERIMENTS.md, "Why the engines are serial"). The flag is parsed
+//!   only because the frozen `sipbench` harness still passes
+//!   `--threads 1`; it goes when the harness stops sending it.
 //! * `--metrics-addr ADDR` — bind a read-only ops listener: `/metrics` is
 //!   Prometheus text, `/stats` a JSON snapshot. Runs on its own thread and
 //!   never touches a serving session.
@@ -27,7 +27,7 @@
 //! * `--strict-load` — with `--data-dir`, exit nonzero if any snapshot on
 //!   disk fails to reload instead of skipping it with a warning.
 //! * `--obs-sample N` — hot-path timer sampling rate (default 16): the
-//!   engine's ingest/fold latency timers run on 1 in `N` calls. Counters
+//!   engine's fold latency timer runs on 1 in `N` passes. Counters
 //!   stay exact at any setting; `1` times every call (finer histograms,
 //!   more clock reads), `0` turns the sampled timers off.
 //! * `--trace` — enable causal span tracing (default off): sessions join
@@ -52,7 +52,6 @@ struct Args {
     log_u: Option<u32>,
     field: u32,
     max_sessions: usize,
-    threads: usize,
     data_dir: Option<String>,
     metrics_addr: Option<String>,
     log_json: Option<String>,
@@ -64,14 +63,12 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: sip-prover [--listen ADDR] [--shard I --of N [--replica R]] [--log-u D] \
-         [--field 61|127] [--max-sessions N] [--threads N] [--data-dir PATH] \
+         [--field 61|127] [--max-sessions N] [--data-dir PATH] \
          [--metrics-addr ADDR] [--log-json PATH] [--strict-load] \
          [--obs-sample N] [--trace]\n\
          \n\
          --replica R    which replica of shard I this prover is (default 0);\n\
          \x20              replicas of a shard ingest the identical sub-stream\n\
-         --threads N    worker threads per prover round-message pass;\n\
-         \x20              0 = auto-detect (available_parallelism), 1 = serial\n\
          --data-dir P   persist published datasets and checkpoints under P\n\
          \x20              and reload them on startup (crash recovery); omit\n\
          \x20              for a memory-only prover\n\
@@ -97,7 +94,6 @@ fn parse_args() -> Args {
         log_u: None,
         field: 61,
         max_sessions: 64,
-        threads: 1,
         data_dir: None,
         metrics_addr: None,
         log_json: None,
@@ -123,7 +119,11 @@ fn parse_args() -> Args {
             "--max-sessions" => {
                 args.max_sessions = parse_u32(&value("--max-sessions"), "--max-sessions") as usize
             }
-            "--threads" => args.threads = parse_u32(&value("--threads"), "--threads") as usize,
+            "--threads" => {
+                if parse_u32(&value("--threads"), "--threads") > 1 {
+                    eprintln!("--threads: the prover engine is serial; see EXPERIMENTS.md");
+                }
+            }
             "--data-dir" => args.data_dir = Some(value("--data-dir")),
             "--metrics-addr" => args.metrics_addr = Some(value("--metrics-addr")),
             "--log-json" => args.log_json = Some(value("--log-json")),
@@ -200,7 +200,6 @@ fn main() {
         max_sessions: args.max_sessions,
         shard,
         require_log_u: args.log_u,
-        threads: args.threads,
         data_dir: args.data_dir.as_ref().map(std::path::PathBuf::from),
         metrics_addr: args.metrics_addr.clone(),
         strict_load: args.strict_load,

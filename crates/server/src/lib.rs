@@ -33,7 +33,6 @@ use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 use sip_core::channel::FramedTcpTransport;
-use sip_core::engine::ProverPool;
 use sip_field::PrimeField;
 use sip_wire::{server_handshake, Msg, MsgChannel, ShardSpec};
 
@@ -60,13 +59,6 @@ pub struct ServerConfig {
     /// (fleet deployments must agree on the universe, or the shard ranges
     /// would not line up across provers).
     pub require_log_u: Option<u32>,
-    /// Worker threads per prover round-message pass (`sip-prover
-    /// --threads`): `1` is the serial engine, more run the fold kernel
-    /// data-parallel per session query, and `0` auto-detects the machine's
-    /// parallelism via [`std::thread::available_parallelism`] (a 1-CPU box
-    /// then correctly runs serial instead of losing throughput to idle
-    /// workers). Transcripts are identical at any setting.
-    pub threads: usize,
     /// Cap on published datasets held in the server-wide registry
     /// (published snapshots outlive their publishing sessions).
     pub max_datasets: usize,
@@ -85,8 +77,8 @@ pub struct ServerConfig {
     /// with a warning event.
     pub strict_load: bool,
     /// Hot-path timer sampling rate (`sip-prover --obs-sample`): the
-    /// engine's per-call ingest/fold latency timers run on 1 in this many
-    /// calls. Counters stay exact at any setting — only histogram
+    /// engine's per-pass fold latency timer runs on 1 in this many
+    /// passes. Counters stay exact at any setting — only histogram
     /// resolution trades against clock-read overhead. The default 16
     /// keeps timer cost unmeasurable; `1` times every call (still inside
     /// the 2 % CI budget on fold-sized work, but visible on tiny
@@ -105,7 +97,6 @@ impl Default for ServerConfig {
             max_frame: sip_core::channel::DEFAULT_MAX_FRAME,
             shard: None,
             require_log_u: None,
-            threads: 1,
             max_datasets: DEFAULT_MAX_DATASETS,
             data_dir: None,
             metrics_addr: None,
@@ -326,7 +317,6 @@ fn serve_connection<F: PrimeField>(
         hello.log_u,
         SessionContext {
             shard: config.shard,
-            pool: ProverPool::from_config(config.threads),
             registry,
         },
     );

@@ -38,7 +38,6 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, RwLock};
 
-use sip_core::engine::ProverPool;
 use sip_core::sumcheck::f2::{F2Head, F2Prover};
 use sip_durable::{load_snapshot, save_snapshot, SnapshotError};
 use sip_field::PrimeField;
@@ -123,12 +122,11 @@ impl<F: PrimeField> Dataset<F> {
 
     /// An F₂ prover over this dataset. A published dataset starts it from
     /// the head: the first rounds touch no data, and no table larger than
-    /// `u/2^k` entries is built (`pool` schedules that pass and the rounds
-    /// after it).
-    pub fn f2_prover(&self, pool: ProverPool) -> F2Prover<F> {
+    /// `u/2^k` entries is built.
+    pub fn f2_prover(&self) -> F2Prover<F> {
         match &self.f2_head {
-            Some(head) => F2Prover::from_head(Arc::clone(head), pool),
-            None => F2Prover::with_pool(self.f2_vector(), self.log_u, pool),
+            Some(head) => F2Prover::from_head(Arc::clone(head)),
+            None => F2Prover::new(self.f2_vector(), self.log_u),
         }
     }
 

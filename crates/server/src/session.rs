@@ -22,7 +22,6 @@
 use std::sync::{Arc, OnceLock};
 
 use sip_core::channel::Transport;
-use sip_core::engine::ProverPool;
 use sip_core::heavy_hitters::HhProver;
 use sip_core::subvector::{RoundRequest, SubVectorProver};
 use sip_core::sumcheck::f2::F2Prover;
@@ -116,23 +115,20 @@ enum DataRef<'a, F: PrimeField> {
 }
 
 /// Everything a session inherits from its server beyond the handshake:
-/// shard pin, prover scheduling, and the shared dataset registry.
+/// shard pin and the shared dataset registry.
 pub struct SessionContext<F: PrimeField> {
     /// Deploy-time shard identity (`sip-prover --shard i --of n`).
     pub shard: Option<ShardSpec>,
-    /// Round-message scheduling for every prover this session builds.
-    pub pool: ProverPool,
     /// The server-wide registry behind `Msg::Publish` / `Msg::Attach`.
     pub registry: Arc<DatasetRegistry<F>>,
 }
 
 impl<F: PrimeField> Default for SessionContext<F> {
-    /// A standalone context: no shard pin, serial prover, private
-    /// single-session registry.
+    /// A standalone context: no shard pin, private single-session
+    /// registry.
     fn default() -> Self {
         SessionContext {
             shard: None,
-            pool: ProverPool::SERIAL,
             registry: Arc::new(DatasetRegistry::new(crate::DEFAULT_MAX_DATASETS)),
         }
     }
@@ -182,8 +178,8 @@ pub fn run_session_sharded<F: PrimeField, T: Transport>(
     )
 }
 
-/// The full-context entry point: shard pin, prover pool, and the shared
-/// dataset registry all come from the server (`crate::spawn` passes one
+/// The full-context entry point: shard pin and the shared dataset
+/// registry come from the server (`crate::spawn` passes one
 /// registry to every session so published datasets are visible
 /// server-wide).
 pub fn run_session_ctx<F: PrimeField, T: Transport>(
@@ -192,7 +188,7 @@ pub fn run_session_ctx<F: PrimeField, T: Transport>(
     log_u: u32,
     ctx: SessionContext<F>,
 ) -> SessionEnd {
-    let mut session = ServerSession::<F, T>::new(transport, mode, log_u, ctx.pool, ctx.registry);
+    let mut session = ServerSession::<F, T>::new(transport, mode, log_u, ctx.registry);
     if let Some(spec) = ctx.shard {
         if let Err(detail) = session.adopt_shard(spec, true) {
             return session.fail(detail);
@@ -209,7 +205,6 @@ struct ServerSession<F: PrimeField, T: Transport> {
     mode: SessionMode,
     store: Store<F>,
     active: Active<F>,
-    pool: ProverPool,
     registry: Arc<DatasetRegistry<F>>,
     /// The sub-range of the universe this session serves (shard mode), as
     /// an inclusive `[lo, hi]`; `None` = the whole universe.
@@ -242,13 +237,7 @@ struct ServerSession<F: PrimeField, T: Transport> {
 const FLIGHT_FRAMES: usize = 128;
 
 impl<F: PrimeField, T: Transport> ServerSession<F, T> {
-    fn new(
-        transport: T,
-        mode: SessionMode,
-        log_u: u32,
-        pool: ProverPool,
-        registry: Arc<DatasetRegistry<F>>,
-    ) -> Self {
+    fn new(transport: T, mode: SessionMode, log_u: u32, registry: Arc<DatasetRegistry<F>>) -> Self {
         // Sparse storage in both modes: `log_u` is peer-chosen, and dense
         // vectors would let one idle handshake reserve `O(2^log_u)` memory.
         let store = match mode {
@@ -261,7 +250,6 @@ impl<F: PrimeField, T: Transport> ServerSession<F, T> {
             mode,
             store,
             active: Active::Idle,
-            pool,
             registry,
             shard: None,
             shard_pinned: false,
@@ -889,19 +877,18 @@ impl<F: PrimeField, T: Transport> ServerSession<F, T> {
         &self,
         q: &Query,
     ) -> Result<(SumCheckProver<F>, &'static str, Vec<u64>), Flow> {
-        let (log_u, pool) = (self.log_u, self.pool);
+        let log_u = self.log_u;
         let range_prover = |fv: &FrequencyVector, l: u64, r: u64| {
             self.check_range(l, r)?;
-            let prover: SumCheckProver<F> =
-                Box::new(RangeSumProver::with_pool(fv, log_u, l, r, pool));
+            let prover: SumCheckProver<F> = Box::new(RangeSumProver::new(fv, log_u, l, r));
             Ok::<_, Flow>(prover)
         };
         Ok(match (q, self.data()) {
             (Query::SelfJoin, data) => {
                 let prover = match (&self.store, data) {
-                    (Store::Shared(ds), _) => ds.f2_prover(pool),
-                    (_, DataRef::Raw(fv)) => F2Prover::with_pool(fv, log_u, pool),
-                    (_, DataRef::Kv(s)) => F2Prover::with_pool(s.raw_vector(), log_u, pool),
+                    (Store::Shared(ds), _) => ds.f2_prover(),
+                    (_, DataRef::Raw(fv)) => F2Prover::new(fv, log_u),
+                    (_, DataRef::Kv(s)) => F2Prover::new(s.raw_vector(), log_u),
                 };
                 (Box::new(prover), "self-join", Vec::new())
             }

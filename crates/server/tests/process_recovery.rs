@@ -32,6 +32,9 @@ fn spawn_prover(data_dir: &std::path::Path) -> Prover {
             "127.0.0.1:0",
             "--data-dir",
             data_dir.to_str().unwrap(),
+            // Still sent by the frozen benchmark harness; parsed and ignored.
+            "--threads",
+            "1",
         ])
         .stdout(Stdio::piped())
         .stderr(Stdio::null())

@@ -28,15 +28,9 @@ const VERIFIERS: usize = 8;
 fn main() {
     let log_u = 14;
 
-    // ----- the cloud side: one prover service, 2 worker threads -------
-    let server = spawn::<DefaultField, _>(
-        "127.0.0.1:0",
-        ServerConfig {
-            threads: 2,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bind server");
+    // ----- the cloud side: one prover service, a thread per session ---
+    let server =
+        spawn::<DefaultField, _>("127.0.0.1:0", ServerConfig::default()).expect("bind server");
     let addr = server.local_addr();
     println!("prover serving on {addr}");
 

@@ -1,7 +1,7 @@
 //! The fused fold-and-sum prover against a plain two-pass reference.
 //!
 //! The engine produces round `j+1`'s message in the sweep that binds `r_j`
-//! (`ProverPool::bind_message`), reads round 1 straight from the shared
+//! (`engine::bind_message`), reads round 1 straight from the shared
 //! frequency vector, and knows the range-sum indicator's fold table in
 //! closed form. None of that may move a single word of a transcript, so
 //! this file keeps the schedule it replaced — copy the vector into field
@@ -15,10 +15,11 @@
 //!
 //! * a proptest over `log_u` 1..=12, dense and sparse vectors (including
 //!   the support at which a sparse vector promotes itself), negative
-//!   frequencies and deletions, and prover pools of 1, 2 and 3 threads;
+//!   frequencies and deletions;
 //! * fixed cases at `log_u` 13..=16, where the tables are large enough for
-//!   the pool to actually split a pass into chunks and for a sparse table
-//!   to stay sparse for several rounds before it densifies;
+//!   a sparse table to stay sparse for several rounds before it densifies
+//!   (that test's name dates from when passes this size were also chunked
+//!   over threads);
 //! * the head-started prover where its schedule changes shape — `log_u`
 //!   below, at and just above `k`, an all-zero vector, a shard's half-empty
 //!   slice, frequencies whose products overflow `i128` — and over `Fp127`;
@@ -31,7 +32,6 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sip::core::engine::ProverPool;
 use sip::core::sumcheck::f2::{F2Head, F2Prover};
 use sip::core::sumcheck::moments::MomentProver;
 use sip::core::sumcheck::range_sum::{run_range_sum, RangeSumProver};
@@ -163,61 +163,50 @@ fn assert_same_proof<F: PrimeField>(
     );
 }
 
-/// The head-started F₂ prover over `fv` against the reference, at every
-/// pool size.
+/// The head-started F₂ prover over `fv` against the reference.
 fn assert_head_started<F: PrimeField>(what: &str, fv: &FrequencyVector, log_u: u32, seed: u64) {
     let challenges = challenges_for::<F>(log_u, seed);
     let head = Arc::new(F2Head::<F>::build(fv, log_u));
     assert_eq!(head.rounds(), log_u.min(4) as usize, "{what}");
-    for threads in [1usize, 2, 3] {
-        assert_same_proof(
-            &format!("{what} log_u={log_u} threads={threads} F2 from the head"),
-            log_u,
-            &challenges,
-            || {
-                Box::new(F2Prover::from_head(
-                    Arc::clone(&head),
-                    ProverPool::new(threads),
-                ))
-            },
-            || TwoPass::new(fv, log_u, Rule::F2),
-        );
-    }
+    assert_same_proof(
+        &format!("{what} log_u={log_u} F2 from the head"),
+        log_u,
+        &challenges,
+        || Box::new(F2Prover::from_head(Arc::clone(&head))),
+        || TwoPass::new(fv, log_u, Rule::F2),
+    );
 }
 
-/// F₂, two moment orders and a range-sum over `fv`, at every pool size.
+/// F₂, two moment orders and a range-sum over `fv`.
 fn assert_all_protocols(what: &str, fv: &FrequencyVector, log_u: u32, q: (u64, u64), seed: u64) {
     let challenges = challenges_for::<Fp61>(log_u, seed);
     // Starting from the vector's head — the first rounds from its Gram
     // matrices, the table built `k` rounds in — must change nothing.
     assert_head_started::<Fp61>(what, fv, log_u, seed);
-    for threads in [1usize, 2, 3] {
-        let pool = ProverPool::new(threads);
-        let what = format!("{what} log_u={log_u} threads={threads}");
+    let what = format!("{what} log_u={log_u}");
+    assert_same_proof(
+        &format!("{what} F2"),
+        log_u,
+        &challenges,
+        || Box::new(F2Prover::<Fp61>::new(fv, log_u)),
+        || TwoPass::new(fv, log_u, Rule::F2),
+    );
+    for k in [1u32, 3] {
         assert_same_proof(
-            &format!("{what} F2"),
+            &format!("{what} F{k}"),
             log_u,
             &challenges,
-            || Box::new(F2Prover::<Fp61>::with_pool(fv, log_u, pool)),
-            || TwoPass::new(fv, log_u, Rule::F2),
-        );
-        for k in [1u32, 3] {
-            assert_same_proof(
-                &format!("{what} F{k}"),
-                log_u,
-                &challenges,
-                || Box::new(MomentProver::<Fp61>::with_pool(k, fv, log_u, pool)),
-                || TwoPass::new(fv, log_u, Rule::Moment(k)),
-            );
-        }
-        assert_same_proof(
-            &format!("{what} range-sum [{}, {}]", q.0, q.1),
-            log_u,
-            &challenges,
-            || Box::new(RangeSumProver::<Fp61>::with_pool(fv, log_u, q.0, q.1, pool)),
-            || TwoPass::new(fv, log_u, Rule::RangeSum(q.0, q.1)),
+            || Box::new(MomentProver::<Fp61>::new(k, fv, log_u)),
+            || TwoPass::new(fv, log_u, Rule::Moment(k)),
         );
     }
+    assert_same_proof(
+        &format!("{what} range-sum [{}, {}]", q.0, q.1),
+        log_u,
+        &challenges,
+        || Box::new(RangeSumProver::<Fp61>::new(fv, log_u, q.0, q.1)),
+        || TwoPass::new(fv, log_u, Rule::RangeSum(q.0, q.1)),
+    );
 }
 
 /// A stream over `[2^log_u]` from raw draws: signed deltas, and every third
@@ -269,9 +258,9 @@ proptest! {
 
 #[test]
 fn fused_transcripts_equal_the_reference_where_passes_are_chunked() {
-    // From 2^12 pairs up the pool really splits a pass; and a sparse table
-    // of these sizes folds sparsely for a few rounds, then densifies (at
-    // 4·entries ≥ length), which the supports below put at different rounds.
+    // A sparse table of these sizes folds sparsely for a few rounds, then
+    // densifies (at 4·entries ≥ length), which the supports below put at
+    // different rounds.
     for (log_u, support, seed) in [
         (13u32, 700usize, 1u64),
         (14, 40, 2),

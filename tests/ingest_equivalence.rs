@@ -1,8 +1,7 @@
 //! Property tests of the verifier ingest engine: the batched multi-point
-//! evaluator (serial and chunked-parallel at every thread count), the
-//! per-update evaluators, and the naive `sip-lde` reference must agree on
-//! random streams — across power-of-two and general bases and several
-//! point counts — and `FrequencyVector::apply_batch` must be
+//! evaluator, the per-update evaluators, and the naive `sip-lde` reference
+//! must agree on random streams — across power-of-two and general bases
+//! and several point counts — and `FrequencyVector::apply_batch` must be
 //! indistinguishable from repeated `apply`, including across the sparse →
 //! dense promotion boundary. One level down, the grouped bank kernel
 //! (blocks counting-sorted by last super-digit, one reduction and one
@@ -13,14 +12,13 @@
 //! same bytes as one whose digests were fed one `update` at a time.
 //!
 //! Agreement here is **bit-identical digest values**, which is what makes
-//! batching and scheduling invisible to every protocol above: the digests
+//! batching invisible to every protocol above: the digests
 //! feed final checks verbatim, so equal digests ⇒ equal transcripts and
 //! equal CostReports.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sip::core::engine::ProverPool;
 use sip::core::heavy_hitters::CountTreeHasher;
 use sip::core::subvector::{HashKind, StreamingRootHasher, SubVectorVerifier};
 use sip::core::sumcheck::f2::F2Verifier;
@@ -69,8 +67,8 @@ fn points(k: usize, d: u32, seed: u64) -> Vec<Vec<Fp61>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Batched ≡ chunked-parallel ≡ per-update ≡ naive reference, for
-    /// every base shape × point count.
+    /// Batched ≡ per-update ≡ naive reference, for every base shape ×
+    /// point count.
     #[test]
     fn batched_ingest_equals_per_update_equals_reference(
         raw in prop::collection::vec((any::<u64>(), any::<i64>()), 1..200),
@@ -94,16 +92,6 @@ proptest! {
                 batched.update_batch(&stream);
                 prop_assert_eq!(batched.values(), per_update.values(),
                     "batch vs per-update: ell={} k={}", ell, k);
-                for threads in [1usize, 2, 4] {
-                    let mut par = MultiLdeEvaluator::<Fp61>::new(params, pts.clone());
-                    par.update_batch_threads(&stream, threads);
-                    prop_assert_eq!(par.values(), per_update.values(),
-                        "threads={} ell={} k={}", threads, ell, k);
-                    let mut pooled = MultiLdeEvaluator::<Fp61>::new(params, pts.clone());
-                    ProverPool::new(threads).ingest_batch(&mut pooled, &stream);
-                    prop_assert_eq!(pooled.values(), per_update.values(),
-                        "pool threads={} ell={} k={}", threads, ell, k);
-                }
                 // Against the definition, and against the single-point
                 // evaluator (batched and per-update paths).
                 for (p, point) in pts.iter().enumerate() {
@@ -207,9 +195,9 @@ proptest! {
     }
 }
 
-/// A batch large enough to cross `MIN_PARALLEL_BATCH` actually exercises
-/// the threaded chunk path (the proptest streams above stay small and
-/// degrade to the serial path by design).
+/// A batch of several stage blocks (the proptest streams above stay inside
+/// one) equals the same updates applied one at a time. (The name dates from
+/// when a large batch also took a chunked path.)
 #[test]
 fn large_batch_parallel_path_is_exact() {
     for &(ell, d) in &[(2u64, 16u32), (3, 9)] {
@@ -225,13 +213,13 @@ fn large_batch_parallel_path_is_exact() {
             .filter(|up| up.delta != 0)
             .collect();
         let pts = points(8, d, 7);
-        let mut serial = MultiLdeEvaluator::<Fp61>::new(params, pts.clone());
-        serial.update_batch(&stream);
-        for threads in [2usize, 4, 8] {
-            let mut par = MultiLdeEvaluator::<Fp61>::new(params, pts.clone());
-            par.update_batch_threads(&stream, threads);
-            assert_eq!(par.values(), serial.values(), "ell={ell} threads={threads}");
+        let mut batched = MultiLdeEvaluator::<Fp61>::new(params, pts.clone());
+        batched.update_batch(&stream);
+        let mut per_update = MultiLdeEvaluator::<Fp61>::new(params, pts);
+        for &up in &stream {
+            per_update.update(up);
         }
+        assert_eq!(batched.values(), per_update.values(), "ell={ell}");
     }
 }
 
@@ -446,9 +434,8 @@ fn grouped_kernel_equals_per_update_weights_on_the_edge_grid() {
 }
 
 /// The evaluator over the kernel, for a field with delayed reduction and
-/// one that reduces eagerly: serial, chunked over 1 / 2 / 3 threads (each
-/// worker staging its own blocks), split across calls, and through a clone
-/// (its own scratch) — all the per-update sums.
+/// one that reduces eagerly: in one batch, split across calls, and through
+/// a clone (its own scratch) — all the per-update sums.
 fn evaluator_equals_per_update_reference<F: PrimeField>() {
     for &(ell, d) in &[(2u64, 10u32), (2, 18), (2, 21), (3, 7)] {
         let params = LdeParams::new(ell, d);
@@ -482,11 +469,6 @@ fn evaluator_equals_per_update_reference<F: PrimeField>() {
         let mut serial = fresh();
         serial.update_batch(&stream);
         assert_eq!(serial.values(), expect, "ell={ell} d={d} serial");
-        for threads in [1usize, 2, 3] {
-            let mut par = fresh();
-            par.update_batch_threads(&stream, threads);
-            assert_eq!(par.values(), expect, "ell={ell} d={d} threads={threads}");
-        }
         let mut split = fresh();
         split.update_batch(&stream[..STAGE_BLOCK + 1]);
         let mut twin = split.clone();

@@ -30,7 +30,6 @@ fn thirty_two_concurrent_sessions_one_published_dataset() {
         "127.0.0.1:0",
         ServerConfig {
             max_sessions: 64,
-            threads: 2,
             ..ServerConfig::default()
         },
     )
