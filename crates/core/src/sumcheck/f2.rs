@@ -130,9 +130,18 @@ impl<F: PrimeField> Combine<F> for F2Combine {
 /// hardly cheaper.
 const HEAD_ROUNDS: u32 = 4;
 
-/// The query-independent head of every `F₂` proof over one frozen vector.
+/// A prefix-sum checkpoint is kept every this many blocks of `2^k` cells
+/// the build visits: every 64th block of an array (`u/64` sums, 1/32 of the
+/// vector's bytes at `k = 4`), every 64th occupied block of a tree. A full
+/// prefix table would double the memory of a frozen vector; a lookup that
+/// scans at most 63 blocks past a checkpoint costs under a microsecond.
+const CHECKPOINT_BLOCKS: u32 = 64;
+
+/// The query-independent head of every `F₂` and every RANGE-SUM proof over
+/// one frozen vector — the part of their first `k = min(4, log u)` round
+/// messages that depends on the data alone, built in one pass.
 ///
-/// With the lowest variable bound first, round `j`'s message is
+/// **`F₂`.** With the lowest variable bound first, round `j`'s message is
 ///
 /// ```text
 /// g_j(c) = Σ_m ( Σ_{y<2^j} χ_y(r_1, …, r_{j−1}, c) · a[m·2^j + y] )²  =  wᵀ G_j w
@@ -140,18 +149,27 @@ const HEAD_ROUNDS: u32 = 4;
 ///
 /// where `w = χ(r_1, …, r_{j−1}, c)` is `2^j` words of the verifier's
 /// challenges and the Gram matrix `G_j[y, y'] = Σ_m a[m·2^j + y] · a[m·2^j + y']`
-/// depends on the data alone. The head holds `G_1, …, G_k` for
-/// `k = min(4, log u)`: every `G_j` is the sum of the diagonal
-/// `2^j × 2^j` blocks of `G_k`, so one pass over the vector builds them
-/// all (`4 + 16 + … + 4^k` words). Nothing in it depends on a query, a
-/// challenge or a verifier.
+/// depends on the data alone. The head holds `G_1, …, G_k`: every `G_j` is
+/// the sum of the diagonal `2^j × 2^j` blocks of `G_k`, so one pass over the
+/// vector builds them all (`4 + 16 + … + 4^k` words).
+///
+/// **RANGE-SUM.** Through round `k` the query's indicator folds to exactly 1
+/// on every block of `2^k` cells strictly between the two that hold its
+/// endpoints, so those blocks enter each message only through their sum,
+/// residue class by residue class: `Σ_{lo ≤ b < hi} a[b·2^k + z]` for each
+/// `z < 2^k`. The head keeps those sums as prefix sums over the blocks
+/// before each checkpoint — one every 64 blocks — so any aligned interval
+/// costs two lookups and a short scan.
+///
+/// Nothing in it depends on a query, a challenge or a verifier.
 #[derive(Clone, Debug)]
 pub struct F2Head<F: PrimeField> {
-    /// The vector the matrices were built from (an `O(1)` shared snapshot).
+    /// The vector the head was built from (an `O(1)` shared snapshot).
     fv: FrequencyVector,
     log_u: u32,
     /// `grams[j − 1]` is `G_j`, `2^j × 2^j`, row-major.
     grams: Vec<Vec<F>>,
+    prefixes: ResiduePrefixSums,
 }
 
 impl<F: PrimeField> F2Head<F> {
@@ -172,7 +190,8 @@ impl<F: PrimeField> F2Head<F> {
             "universe larger than 2^log_u"
         );
         assert!((1..=log_u).contains(&k));
-        let mut grams = vec![gram::<F>(fv, k)];
+        let (finest, prefixes) = gram_and_prefixes::<F>(fv, k);
+        let mut grams = vec![finest];
         for j in (1..k).rev() {
             let finer = grams.last().expect("starts with G_k");
             grams.push(diagonal_blocks_sum(finer, 1 << j));
@@ -182,12 +201,31 @@ impl<F: PrimeField> F2Head<F> {
             fv: fv.clone(),
             log_u,
             grams,
+            prefixes,
         }
     }
 
     /// The number of rounds `k` the head answers.
     pub fn rounds(&self) -> usize {
         self.grams.len()
+    }
+
+    /// The universe exponent the head was built over.
+    pub(super) fn log_u(&self) -> u32 {
+        self.log_u
+    }
+
+    /// The vector the head was built from.
+    pub(super) fn vector(&self) -> &FrequencyVector {
+        &self.fv
+    }
+
+    /// `Σ_{lo ≤ b < hi} a[b·2^k + z]` for every `z < 2^k`: blocks
+    /// `[lo, hi)` of `2^k` cells summed into one, exactly, without a pass
+    /// over them.
+    pub(super) fn block_sums(&self, lo: u64, hi: u64) -> Vec<F> {
+        let sums = self.prefixes.between(&self.fv, lo, hi);
+        sums.into_iter().map(from_i128).collect()
     }
 
     /// Round `j`'s message `[g_j(0), g_j(1), g_j(2)]` from the `2^{j−1}`
@@ -212,17 +250,104 @@ impl<F: PrimeField> F2Head<F> {
     }
 }
 
-/// `G_k` of `fv`: `G[y, y'] = Σ_m a[m·2^k + y] · a[m·2^k + y']`, row-major.
-/// The sums are integers; they are accumulated exactly in `i128` and only
-/// spill into the field in the (never yet seen) case one would overflow.
-fn gram<F: PrimeField>(fv: &FrequencyVector, k: u32) -> Vec<F> {
+/// Residue-class prefix sums of one frozen vector, checkpointed: for the
+/// blocks `at[c]` the build stopped at, `Σ_{b < at[c]} a[b·2^k + z]` for
+/// every `z < 2^k`. The sums are integers kept exactly: `|a| ≤ 2^63` over at
+/// most `2^59` blocks stays inside `i128`.
+#[derive(Clone, Debug)]
+struct ResiduePrefixSums {
+    k: u32,
+    /// The checkpointed blocks, increasing from `at[0] = 0`. Between two of
+    /// them lie at most [`CHECKPOINT_BLOCKS`] blocks that store anything.
+    at: Vec<u64>,
+    /// Checkpoint `c`'s `2^k` sums at `sums[c·2^k..]`.
+    sums: Vec<i128>,
+}
+
+impl ResiduePrefixSums {
+    /// `Σ_{lo ≤ b < hi} a[b·2^k + z]` for every `z < 2^k`: the difference of
+    /// the two nearest checkpoints, corrected by a scan of `fv` (the vector
+    /// the sums were built from) from each checkpoint to its end of the
+    /// interval — or one scan of the interval where it sits between two
+    /// checkpoints.
+    fn between(&self, fv: &FrequencyVector, lo: u64, hi: u64) -> Vec<i128> {
+        debug_assert!(lo <= hi);
+        let width = 1usize << self.k;
+        let mut out = vec![0i128; width];
+        let checkpoint = |block: u64| self.at.partition_point(|&at| at <= block) - 1;
+        let (from, to) = (checkpoint(lo), checkpoint(hi));
+        let mut scan = |blocks: std::ops::Range<u64>, sign: i128| {
+            for_each_cell(fv, self.k, blocks, |z, a| out[z] += sign * a as i128);
+        };
+        if from == to {
+            scan(lo..hi, 1);
+            return out;
+        }
+        scan(self.at[to]..hi, 1);
+        scan(self.at[from]..lo, -1);
+        let (to, from) = (&self.sums[to * width..], &self.sums[from * width..]);
+        for ((out, to), from) in out.iter_mut().zip(to).zip(from) {
+            *out += to - from;
+        }
+        out
+    }
+}
+
+/// Visits the stored cells `(z, a[b·2^k + z])` of blocks `b ∈ blocks` of
+/// `fv`; cells past the end of the vector are not there.
+fn for_each_cell(
+    fv: &FrequencyVector,
+    k: u32,
+    blocks: std::ops::Range<u64>,
+    mut f: impl FnMut(usize, i64),
+) {
+    let mask = (1usize << k) - 1;
+    match fv.entries() {
+        Entries::Dense(cells) => {
+            let cell = |block: u64| (block << k).min(cells.len() as u64) as usize;
+            let (start, end) = (cell(blocks.start), cell(blocks.end));
+            for (i, &a) in cells[start..end].iter().enumerate() {
+                f(i & mask, a);
+            }
+        }
+        Entries::Sparse(map) => {
+            for (&i, &a) in map.range(blocks.start << k..blocks.end << k) {
+                f(i as usize & mask, a);
+            }
+        }
+    }
+}
+
+/// The one pass over `fv` behind an [`F2Head`]: `G_k`
+/// (`G[y, y'] = Σ_m a[m·2^k + y] · a[m·2^k + y']`, row-major) and the
+/// checkpointed residue-class prefix sums. `G_k`'s sums are integers; they
+/// are accumulated exactly in `i128` and only spill into the field in the
+/// (never yet seen) case one would overflow.
+fn gram_and_prefixes<F: PrimeField>(fv: &FrequencyVector, k: u32) -> (Vec<F>, ResiduePrefixSums) {
     let width = 1usize << k;
     let mut exact = vec![0i128; width * width];
     let mut spilled = vec![F::ZERO; width * width];
-    // One block's nonzero cells `(y, a)`, in increasing `y`: only the upper
-    // triangle is summed.
-    let mut add_block = |nonzero: &[(usize, i64)]| {
+    let mut prefixes = ResiduePrefixSums {
+        k,
+        at: vec![0],
+        sums: vec![0; width],
+    };
+    // The residue sums over every block visited so far, and how many were
+    // visited since the last checkpoint.
+    let mut running = vec![0i128; width];
+    let mut since_checkpoint = 0;
+    // Block `m`'s nonzero cells `(y, a)`, in increasing `y`: only the upper
+    // triangle is summed. Blocks arrive in increasing `m`, and a block that
+    // never arrives is all zero.
+    let mut add_block = |m: u64, nonzero: &[(usize, i64)]| {
+        if since_checkpoint == CHECKPOINT_BLOCKS {
+            prefixes.at.push(m);
+            prefixes.sums.extend_from_slice(&running);
+            since_checkpoint = 0;
+        }
+        since_checkpoint += 1;
         for (at, &(y, a)) in nonzero.iter().enumerate() {
+            running[y] += a as i128;
             let row = y * width;
             for &(z, b) in &nonzero[at..] {
                 let product = a as i128 * b as i128;
@@ -240,7 +365,7 @@ fn gram<F: PrimeField>(fv: &FrequencyVector, k: u32) -> Vec<F> {
     let mut nonzero = vec![(0, 0); width];
     match fv.entries() {
         Entries::Dense(cells) => {
-            for run in cells.chunks(width) {
+            for (run, m) in cells.chunks(width).zip(0u64..) {
                 // Gathered without a branch per cell: at middling densities
                 // it would be mispredicted every other time.
                 let mut n = 0;
@@ -248,20 +373,20 @@ fn gram<F: PrimeField>(fv: &FrequencyVector, k: u32) -> Vec<F> {
                     nonzero[n] = (y, a);
                     n += usize::from(a != 0);
                 }
-                add_block(&nonzero[..n]);
+                add_block(m, &nonzero[..n]);
             }
         }
         Entries::Sparse(map) => {
             let (mut m, mut n) = (0, 0);
             for (&i, &a) in map {
                 if i >> k != m {
-                    add_block(&nonzero[..n]);
+                    add_block(m, &nonzero[..n]);
                     (m, n) = (i >> k, 0);
                 }
                 nonzero[n] = ((i & (width as u64 - 1)) as usize, a);
                 n += 1;
             }
-            add_block(&nonzero[..n]);
+            add_block(m, &nonzero[..n]);
         }
     }
     let mut gram: Vec<F> = exact
@@ -274,7 +399,7 @@ fn gram<F: PrimeField>(fv: &FrequencyVector, k: u32) -> Vec<F> {
             gram[y * width + z] = gram[z * width + y];
         }
     }
-    gram
+    (gram, prefixes)
 }
 
 fn from_i128<F: PrimeField>(x: i128) -> F {
@@ -301,6 +426,17 @@ fn diagonal_blocks_sum<F: PrimeField>(finer: &[F], width: usize) -> Vec<F> {
         .zip(quadrant(width))
         .map(|(&lo, &hi)| lo + hi)
         .collect()
+}
+
+/// Extends `chi = χ(r_1, …, r_{j−1})` (variable `t` on bit `t − 1`) by
+/// `r = r_j`. Variable `j` goes on the next bit up: `χ_y(.., r)` is
+/// `χ_y(..)·(1 − r)` below it and `χ_y(..)·r` above.
+pub(super) fn extend_chi<F: PrimeField>(chi: &mut Vec<F>, r: F) {
+    let hi: Vec<F> = chi.iter().map(|&c| c * r).collect();
+    for (c, &h) in chi.iter_mut().zip(&hi) {
+        *c -= h;
+    }
+    chi.extend(hi);
 }
 
 /// Honest `F₂` prover (Appendix B.1 fold with squared combine).
@@ -369,13 +505,7 @@ impl<F: PrimeField> RoundProver<F> for F2Prover<F> {
     fn bind(&mut self, r: F) {
         match &mut self.stage {
             Stage::Head { head, chi } => {
-                // Variable `j` goes on the next bit up: χ_y(.., r) is
-                // χ_y(..)·(1 − r) below it and χ_y(..)·r above.
-                let hi: Vec<F> = chi.iter().map(|&c| c * r).collect();
-                for (c, &h) in chi.iter_mut().zip(&hi) {
-                    *c -= h;
-                }
-                chi.extend(hi);
+                extend_chi(chi, r);
                 if chi.len() == 1 << head.rounds() {
                     let fused = FusedRounds::bound(&head.fv, head.log_u, chi, &F2Combine);
                     self.stage = Stage::Table(fused);
@@ -539,6 +669,47 @@ mod tests {
                         assert_eq!(got, from_i128::<Fp61>(expect), "j={j} ({y},{z})");
                         assert_eq!(got, gram[(z * width + y) as usize]);
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn block_sums_equal_the_definition() {
+        // Σ_{lo ≤ b < hi} a[b·2^k + z] from the checkpoints equals the sum
+        // cell by cell, for intervals inside one checkpoint span, ending on
+        // checkpoints and across several — from an array (a checkpoint every
+        // 64 blocks) and from trees (every 64 occupied blocks).
+        let mut inputs = head_inputs();
+        inputs.push((
+            FrequencyVector::from_stream(
+                1 << 13,
+                &workloads::with_deletions(9000, 1 << 13, 0.3, 45),
+            ),
+            13,
+        ));
+        let mut tree = FrequencyVector::new_sparse(1 << 20);
+        tree.apply_batch(&workloads::uniform(3000, 1 << 20, 40, 46));
+        assert!(!tree.is_dense());
+        inputs.push((tree, 20));
+        for (fv, log_u) in inputs {
+            let head = F2Head::<Fp61>::build(&fv, log_u);
+            let blocks = 1u64 << (log_u - 4);
+            if log_u >= 13 {
+                assert!(head.prefixes.at.len() > 2, "log_u={log_u}: one span");
+            }
+            let ends = [0, 1, 2, 63, 64, 65, 127, 128, 129, 300, blocks / 2, blocks];
+            for &lo in &ends {
+                for &hi in ends.iter().filter(|&&hi| lo <= hi && hi <= blocks) {
+                    let at = |i: u64| if i < fv.universe() { fv.get(i) } else { 0 };
+                    let expect: Vec<Fp61> = (0..16)
+                        .map(|z| from_i128((lo..hi).map(|b| at(b * 16 + z) as i128).sum()))
+                        .collect();
+                    assert_eq!(
+                        head.block_sums(lo, hi),
+                        expect,
+                        "log_u={log_u} [{lo}, {hi})"
+                    );
                 }
             }
         }

@@ -13,11 +13,17 @@
 //!   blocks outside the range, exactly 1 on blocks inside it, and a real
 //!   [`sip_lde::interval::block_range_weight`] on the at most two blocks
 //!   holding an endpoint — so the prover touches only blocks where `a`'s
-//!   fold is nonzero and pays field multiplications only at the boundary.
+//!   fold is nonzero and pays field multiplications only at the boundary;
+//! * over a frozen vector that has a head ([`F2Head`]) it does not touch the
+//!   data at all before round `k + 1`: where the indicator folds to exactly
+//!   1 a message needs only *sums* of `a`, which the head checkpointed when
+//!   the data froze ([`RangeSumProver::from_head`]).
 //!
 //! The query arrives *after* the stream — this is the whole point: "in most
 //! applications, the user forms queries in response to other information
 //! that is only known after the data has arrived".
+
+use std::sync::Arc;
 
 use rand::Rng;
 use sip_field::PrimeField;
@@ -29,7 +35,9 @@ use crate::channel::CostReport;
 use crate::digest_bank::BankedDigest;
 use crate::engine::{Combine, FusedRounds};
 use crate::error::Rejection;
+use crate::fold::FoldVector;
 
+use super::f2::{extend_chi, F2Head};
 use super::moments::VerifiedAggregate;
 use super::{drive_sumcheck, Adversary, RoundProver, SumCheckVerifierCore};
 
@@ -219,7 +227,7 @@ impl<F: PrimeField> Combine<F> for RangeSumCombine<'_, F> {
 /// Honest RANGE-SUM prover over the closed-form indicator fold.
 #[derive(Clone, Debug)]
 pub struct RangeSumProver<F: PrimeField> {
-    fused: FusedRounds<F>,
+    stage: Stage<F>,
     q_l: u64,
     q_r: u64,
     /// Challenges received so far (`r_1, …, r_j`), which are exactly the
@@ -230,12 +238,64 @@ pub struct RangeSumProver<F: PrimeField> {
     rounds: usize,
 }
 
+/// Where a [`RangeSumProver`]'s messages come from.
+#[derive(Clone, Debug)]
+enum Stage<F: PrimeField> {
+    /// Rounds `1..=k` of a head-started prover: the vector as the indicator
+    /// sees it that early — at most three blocks of `2^k` cells, folded
+    /// here; the data is not touched.
+    Head {
+        head: Arc<F2Head<F>>,
+        /// `(b, entries)`: block `b` of `2^k` cells as its own little fold
+        /// table, which stands for this round's entries
+        /// `[b·len, (b + 1)·len)` of the whole one, `len` halving with
+        /// every challenge. The blocks holding `q_L` and `q_R` as they are,
+        /// and between them — under the index of the first — the sum of
+        /// every block strictly between.
+        blocks: Vec<(u64, FoldVector<F>)>,
+    },
+    /// A fold table, swept once a round.
+    Table(FusedRounds<F>),
+}
+
 impl<F: PrimeField> RangeSumProver<F> {
     /// Builds the prover for range `[q_l, q_r]` over `[2^log_u]`.
     pub fn new(fv: &FrequencyVector, log_u: u32, q_l: u64, q_r: u64) -> Self {
         assert!(q_l <= q_r && q_r < (1u64 << log_u), "bad range");
+        Self::starting(Stage::Table(FusedRounds::new(fv, log_u)), log_u, q_l, q_r)
+    }
+
+    /// Starts from the head of a frozen vector: rounds `1..=k` are answered
+    /// without touching the data, and binding `r_k` makes the one pass that
+    /// builds the fold table at `u/2^k` entries (with round `k+1`'s message,
+    /// [`FusedRounds::bound`]). Every message equals the one [`Self::new`]
+    /// over the same vector sends.
+    ///
+    /// Through round `k` a pair of table entries never straddles a block of
+    /// `2^k` cells, and on every such block strictly between the two that
+    /// hold `q_L` and `q_R` the indicator's fold is exactly 1
+    /// ([`IndicatorLevel`]): those blocks contribute `Σ lo`, `Σ hi` and
+    /// `Σ (2·hi − lo)` of their folded entries, and the fold is linear, so
+    /// their sum (from the head's prefix sums) folded once stands for all of
+    /// them. The two endpoint blocks are copied and folded as they are.
+    pub fn from_head(head: Arc<F2Head<F>>, q_l: u64, q_r: u64) -> Self {
+        let (k, log_u) = (head.rounds(), head.log_u());
+        assert!(q_l <= q_r && q_r < (1u64 << log_u), "bad range");
+        let (first, last) = (q_l >> k, q_r >> k);
+        let summed = |lo, hi| FoldVector::from_values(head.block_sums(lo, hi));
+        let mut blocks = vec![(first, summed(first, first + 1))];
+        if first + 1 < last {
+            blocks.push((first + 1, summed(first + 1, last)));
+        }
+        if first < last {
+            blocks.push((last, summed(last, last + 1)));
+        }
+        Self::starting(Stage::Head { head, blocks }, log_u, q_l, q_r)
+    }
+
+    fn starting(stage: Stage<F>, log_u: u32, q_l: u64, q_r: u64) -> Self {
         RangeSumProver {
-            fused: FusedRounds::new(fv, log_u),
+            stage,
             q_l,
             q_r,
             challenges: Vec::new(),
@@ -255,13 +315,42 @@ impl<F: PrimeField> RoundProver<F> for RangeSumProver<F> {
     }
 
     fn message(&mut self) -> Vec<F> {
-        self.fused.message(&RangeSumCombine::one(&self.level))
+        match &mut self.stage {
+            Stage::Head { blocks, .. } => {
+                let mut acc = vec![F::DotAcc::default(); 3];
+                for (b, entries) in blocks.iter() {
+                    let first_pair = b * entries.pairs();
+                    entries.for_each_pair(|m, lo, hi| {
+                        self.level.accumulate(first_pair + m, lo, hi, &mut acc);
+                    });
+                }
+                acc.into_iter().map(F::acc_finish).collect()
+            }
+            Stage::Table(fused) => fused.message(&RangeSumCombine::one(&self.level)),
+        }
     }
 
     fn bind(&mut self, r: F) {
         self.challenges.push(r);
         self.level = IndicatorLevel::new(self.q_l, self.q_r, &self.challenges);
-        self.fused.bind(r, &RangeSumCombine::one(&self.level));
+        let next = RangeSumCombine::one(&self.level);
+        match &mut self.stage {
+            Stage::Head { head, blocks } => {
+                if self.challenges.len() == head.rounds() {
+                    let mut chi = vec![F::ONE];
+                    for &r in &self.challenges {
+                        extend_chi(&mut chi, r);
+                    }
+                    let fused = FusedRounds::bound(head.vector(), head.log_u(), &chi, &next);
+                    self.stage = Stage::Table(fused);
+                    return;
+                }
+                for (_, entries) in blocks {
+                    entries.bind(r);
+                }
+            }
+            Stage::Table(fused) => fused.bind(r, &next),
+        }
     }
 }
 

@@ -495,11 +495,11 @@ pub const METRIC_HELP: &[(&str, &str)] = &[
     ),
     (
         "sip_registry_f2_head_build_us",
-        "Latency of building one published dataset's F2 head (the Gram matrices behind its first round messages), at publish or reload",
+        "Latency of building one published dataset's head (the Gram matrices behind F2's first round messages and the prefix sums behind RANGE-SUM's, one pass), at publish or reload",
     ),
     (
         "sip_registry_f2_head_builds_total",
-        "F2 heads built: one per publish and one per published dataset reloaded at startup",
+        "Dataset heads built (one serves F2 and RANGE-SUM): one per publish and one per published dataset reloaded at startup",
     ),
     (
         "sip_registry_load_errors",
@@ -562,6 +562,10 @@ pub const METRIC_HELP: &[(&str, &str)] = &[
     (
         "sip_server_rejections_total",
         "Soundness rejections served to verifiers",
+    ),
+    (
+        "sip_server_sumcheck_provers_total",
+        "Sum-check provers built, labelled by query and by start: head (a published dataset's first rounds from its head, no pass over the data) or sweep",
     ),
     (
         "sip_server_wire_faults_total",

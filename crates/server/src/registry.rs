@@ -18,15 +18,17 @@
 //!
 //! Because the vectors never change, the part of a proof that depends on
 //! the data alone — the Gram matrices behind SELF-JOIN SIZE's first `k`
-//! round messages ([`F2Head`]) — is built once, when the data freezes:
-//! inside [`DatasetRegistry::publish`], before the publisher is acked, and
-//! again when a published dataset is reloaded from the data directory.
-//! Every F₂ query on the dataset starts from it ([`Dataset::f2_prover`]).
-//! That is all a dataset caches: a few KB beside the frozen vectors,
-//! derived from them, never invalidated, never persisted and never sent.
-//! Nothing that depends on a query or a challenge may live there. A
-//! checkpoint is overwritten as its stream advances and is never queried,
-//! so it carries no head.
+//! round messages and the checkpointed residue-class prefix sums behind
+//! RANGE-SUM's ([`F2Head`], one pass for both) — is built once, when the
+//! data freezes: inside [`DatasetRegistry::publish`], before the publisher
+//! is acked, and again when a published dataset is reloaded from the data
+//! directory. Every F₂ query on the dataset starts from it
+//! ([`Dataset::f2_prover`]), and so does every RANGE-SUM query on a raw
+//! dataset ([`Dataset::range_sum_prover`]). That is all a dataset caches:
+//! 1/32 of the frozen vector's bytes beside it, derived from it, never
+//! invalidated, never persisted and never sent. Nothing that depends on a
+//! query or a challenge may live there. A checkpoint is overwritten as its
+//! stream advances and is never queried, so it carries no head.
 //!
 //! ## Trust
 //!
@@ -39,6 +41,7 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex, RwLock};
 
 use sip_core::sumcheck::f2::{F2Head, F2Prover};
+use sip_core::sumcheck::range_sum::RangeSumProver;
 use sip_durable::{load_snapshot, save_snapshot, SnapshotError};
 use sip_field::PrimeField;
 use sip_kvstore::CloudStore;
@@ -73,8 +76,9 @@ pub struct Dataset<F: PrimeField> {
     pub shard: Option<ShardSpec>,
     /// The frozen vectors.
     pub data: DatasetData<F>,
-    /// The head of every SELF-JOIN SIZE proof over [`Self::f2_vector`]:
-    /// present on a published dataset, absent on a checkpoint.
+    /// The head of every SELF-JOIN SIZE and RANGE-SUM proof over
+    /// [`Self::f2_vector`]: present on a published dataset, absent on a
+    /// checkpoint.
     f2_head: Option<Arc<F2Head<F>>>,
 }
 
@@ -120,13 +124,27 @@ impl<F: PrimeField> Dataset<F> {
         self.f2_head.as_deref()
     }
 
-    /// An F₂ prover over this dataset. A published dataset starts it from
-    /// the head: the first rounds touch no data, and no table larger than
-    /// `u/2^k` entries is built.
-    pub fn f2_prover(&self) -> F2Prover<F> {
-        match &self.f2_head {
-            Some(head) => F2Prover::from_head(Arc::clone(head)),
-            None => F2Prover::new(self.f2_vector(), self.log_u),
+    /// An F₂ prover over this dataset started from its head — the first
+    /// rounds touch no data, and no table larger than `u/2^k` entries is
+    /// built. `None` on a checkpoint, which has no head.
+    pub fn f2_prover(&self) -> Option<F2Prover<F>> {
+        let head = self.f2_head.as_ref()?;
+        Some(F2Prover::from_head(Arc::clone(head)))
+    }
+
+    /// A RANGE-SUM prover for `[q_l, q_r]` started from the head, likewise.
+    /// `None` on a checkpoint, and on a kv dataset: its range queries run
+    /// over the encoded and presence vectors, and the head is the raw
+    /// vector's.
+    ///
+    /// # Panics
+    /// Panics if the range is empty or exceeds the universe.
+    pub fn range_sum_prover(&self, q_l: u64, q_r: u64) -> Option<RangeSumProver<F>> {
+        match (&self.data, &self.f2_head) {
+            (DatasetData::Raw(_), Some(head)) => {
+                Some(RangeSumProver::from_head(Arc::clone(head), q_l, q_r))
+            }
+            _ => None,
         }
     }
 
@@ -434,23 +452,16 @@ impl<F: PrimeField> DatasetRegistry<F> {
     /// disk **before** the dataset becomes attachable, so no session can
     /// observe a publish whose persistence then fails.
     pub fn publish(&self, dataset: Dataset<F>) -> Result<Arc<Dataset<F>>, String> {
-        // The data is frozen from here on: build what every F₂ query over
-        // it shares, before the disk lock (other publishers need not wait
-        // for it) and before the caller can ack.
+        // A publish that is going to be refused must not pay for a pass
+        // over the vector first; the check that decides is the one under
+        // the disk lock.
+        self.check_publishable(&dataset.id)?;
+        // The data is frozen from here on: build what every F₂ and
+        // RANGE-SUM query over it shares, before the disk lock (other
+        // publishers need not wait for it) and before the caller can ack.
         let dataset = dataset.with_f2_head();
         let _disk = self.disk.lock().unwrap_or_else(|p| p.into_inner());
-        {
-            let map = self.datasets.read().unwrap_or_else(|p| p.into_inner());
-            if map.contains_key(&dataset.id) {
-                return Err(format!("dataset {:?} is already published", dataset.id));
-            }
-            if map.len() >= self.max_datasets {
-                return Err(format!(
-                    "dataset registry is full ({} datasets)",
-                    self.max_datasets
-                ));
-            }
-        }
+        self.check_publishable(&dataset.id)?;
         let arc = Arc::new(dataset);
         self.persist_to_disk(DurableKind::Published, &arc)?;
         self.datasets
@@ -461,6 +472,22 @@ impl<F: PrimeField> DatasetRegistry<F> {
             sip_obs::counter("sip_registry_publish_total").inc();
         }
         Ok(arc)
+    }
+
+    /// Whether `id` could be published right now: not a duplicate, and
+    /// the registry not full.
+    fn check_publishable(&self, id: &str) -> Result<(), String> {
+        let map = self.datasets.read().unwrap_or_else(|p| p.into_inner());
+        if map.contains_key(id) {
+            return Err(format!("dataset {id:?} is already published"));
+        }
+        if map.len() >= self.max_datasets {
+            return Err(format!(
+                "dataset registry is full ({} datasets)",
+                self.max_datasets
+            ));
+        }
+        Ok(())
     }
 
     /// Saves (or advances) a durable named checkpoint. Checkpoints do not

@@ -872,45 +872,57 @@ impl<F: PrimeField, T: Transport> ServerSession<F, T> {
     /// one place a sum-check prover is built, so the interactive and
     /// one-shot paths cannot drift: both snapshot the data the same way
     /// (`O(1)`, copy-on-write — a later ingest leaves the prover's view
-    /// alone) and both start F₂ over a published dataset from its head.
+    /// alone), both start from a published dataset's head where it has one
+    /// over the query's vector (F₂ always, RANGE-SUM on a raw dataset), and
+    /// every other prover — a private store's, a kv dataset's range queries
+    /// — sweeps its vector. Which start a proof took is booked here.
     fn sumcheck_prover(
         &self,
         q: &Query,
     ) -> Result<(SumCheckProver<F>, &'static str, Vec<u64>), Flow> {
         let log_u = self.log_u;
-        let range_prover = |fv: &FrequencyVector, l: u64, r: u64| {
-            self.check_range(l, r)?;
-            let prover: SumCheckProver<F> = Box::new(RangeSumProver::new(fv, log_u, l, r));
-            Ok::<_, Flow>(prover)
-        };
-        Ok(match (q, self.data()) {
-            (Query::SelfJoin, data) => {
-                let prover = match (&self.store, data) {
-                    (Store::Shared(ds), _) => ds.f2_prover(),
-                    (_, DataRef::Raw(fv)) => F2Prover::new(fv, log_u),
-                    (_, DataRef::Kv(s)) => F2Prover::new(s.raw_vector(), log_u),
-                };
-                (Box::new(prover), "self-join", Vec::new())
+        let (name, range, vector) = match (q, self.data()) {
+            (Query::SelfJoin, DataRef::Raw(fv)) => ("self-join", None, fv),
+            (Query::SelfJoin, DataRef::Kv(s)) => ("self-join", None, s.raw_vector()),
+            (&Query::RangeSum { l, r }, DataRef::Raw(fv)) => ("range-sum", Some((l, r)), fv),
+            (&Query::RangeSum { l, r }, DataRef::Kv(s)) => {
+                ("range-sum", Some((l, r)), s.encoded_vector())
             }
-            (&Query::RangeSum { l, r }, data) => {
-                let fv = match data {
-                    DataRef::Raw(fv) => fv,
-                    DataRef::Kv(s) => s.encoded_vector(),
-                };
-                (range_prover(fv, l, r)?, "range-sum", vec![l, r])
+            (&Query::RangeCount { l, r }, DataRef::Kv(s)) => {
+                ("range-count", Some((l, r)), s.presence_vector())
             }
-            (&Query::RangeCount { l, r }, DataRef::Kv(s)) => (
-                range_prover(s.presence_vector(), l, r)?,
-                "range-count",
-                vec![l, r],
-            ),
             (Query::RangeCount { .. }, DataRef::Raw(_)) => {
                 return Err(protocol("range-count requires a kv-store session"));
             }
             (other, _) => {
                 return Err(protocol(format!("{} has no one-shot form", other.name())));
             }
-        })
+        };
+        if let Some((l, r)) = range {
+            self.check_range(l, r)?;
+        }
+        let head_started: Option<SumCheckProver<F>> = match (&self.store, q) {
+            (Store::Shared(ds), Query::SelfJoin) => ds.f2_prover().map(|p| Box::new(p) as _),
+            (Store::Shared(ds), &Query::RangeSum { l, r }) => {
+                ds.range_sum_prover(l, r).map(|p| Box::new(p) as _)
+            }
+            _ => None,
+        };
+        if sip_obs::enabled() {
+            let start = if head_started.is_some() {
+                "head"
+            } else {
+                "sweep"
+            };
+            let labels = [("query", name), ("start", start)];
+            sip_obs::counter_with("sip_server_sumcheck_provers_total", &labels).inc();
+        }
+        let prover = head_started.unwrap_or_else(|| match range {
+            None => Box::new(F2Prover::new(vector, log_u)),
+            Some((l, r)) => Box::new(RangeSumProver::new(vector, log_u, l, r)),
+        });
+        let params = range.map_or(Vec::new(), |(l, r)| vec![l, r]);
+        Ok((prover, name, params))
     }
 
     /// A query range must be non-empty and inside the universe.

@@ -11,7 +11,9 @@
 //! **every round message**, interactively and sealed by `prove_oneshot`,
 //! for F₂ (from the vector, and from its `F2Head`: the first `k` messages
 //! out of Gram matrices, the table built `k` rounds in), moments and
-//! range-sum:
+//! range-sum (from the vector, and from the same head: the first `k`
+//! messages out of the two endpoint blocks and the checkpointed sum of the
+//! blocks between them):
 //!
 //! * a proptest over `log_u` 1..=12, dense and sparse vectors (including
 //!   the support at which a sparse vector promotes itself), negative
@@ -23,6 +25,10 @@
 //! * the head-started prover where its schedule changes shape — `log_u`
 //!   below, at and just above `k`, an all-zero vector, a shard's half-empty
 //!   slice, frequencies whose products overflow `i128` — and over `Fp127`;
+//! * the head-started range-sum likewise: every range of every universe up
+//!   to `2^7`, and by name the ranges whose endpoints share a block, sit in
+//!   adjacent blocks, are block-aligned, or put the blocks between them on
+//!   either side of a prefix-sum checkpoint;
 //! * a RANGE-SUM boundary matrix — every range of every universe up to
 //!   `2^5`, and the named corner cases at `2^10` — through the complete
 //!   protocol against `FrequencyVector::range_sum`.
@@ -177,12 +183,35 @@ fn assert_head_started<F: PrimeField>(what: &str, fv: &FrequencyVector, log_u: u
     );
 }
 
+/// The head-started RANGE-SUM prover of every range in `ranges` over `fv`
+/// against the reference.
+fn assert_head_started_range_sum<F: PrimeField>(
+    what: &str,
+    fv: &FrequencyVector,
+    log_u: u32,
+    ranges: &[(u64, u64)],
+    seed: u64,
+) {
+    let challenges = challenges_for::<F>(log_u, seed);
+    let head = Arc::new(F2Head::<F>::build(fv, log_u));
+    for &(l, r) in ranges {
+        assert_same_proof(
+            &format!("{what} log_u={log_u} range-sum [{l}, {r}] from the head"),
+            log_u,
+            &challenges,
+            || Box::new(RangeSumProver::from_head(Arc::clone(&head), l, r)),
+            || TwoPass::new(fv, log_u, Rule::RangeSum(l, r)),
+        );
+    }
+}
+
 /// F₂, two moment orders and a range-sum over `fv`.
 fn assert_all_protocols(what: &str, fv: &FrequencyVector, log_u: u32, q: (u64, u64), seed: u64) {
     let challenges = challenges_for::<Fp61>(log_u, seed);
     // Starting from the vector's head — the first rounds from its Gram
     // matrices, the table built `k` rounds in — must change nothing.
     assert_head_started::<Fp61>(what, fv, log_u, seed);
+    assert_head_started_range_sum::<Fp61>(what, fv, log_u, &[q], seed);
     let what = format!("{what} log_u={log_u}");
     assert_same_proof(
         &format!("{what} F2"),
@@ -346,6 +375,123 @@ fn head_started_f2_equals_the_reference_over_fp127() {
     assert_head_started::<Fp127>("fp127 dense", &dense, log_u, 24);
     assert_head_started::<Fp127>("fp127 tree", &tree, 14, 25);
     assert_head_started::<Fp127>("fp127 short universe", &short, log_u, 26);
+}
+
+#[test]
+fn head_started_range_sum_equals_the_reference_at_the_edges() {
+    // Around k = 4: at log_u ≤ k the one block is the whole vector and no
+    // table is ever built; at k + 1 the table has two entries. Every range,
+    // so every placement of the endpoints within and across blocks.
+    for log_u in 1u32..=7 {
+        let u = 1u64 << log_u;
+        let every: Vec<(u64, u64)> = (0..u).flat_map(|l| (l..u).map(move |r| (l, r))).collect();
+        let stream = workloads::with_deletions(3 * u as usize, u, 0.3, log_u as u64);
+        let dense = FrequencyVector::from_stream(u, &stream);
+        assert_head_started_range_sum::<Fp61>("edge dense", &dense, log_u, &every, 31);
+        let mut tree = FrequencyVector::new_sparse(u);
+        tree.apply_batch(&[Update::new(u - 1, -3), Update::new(u / 3, 8)]);
+        assert!(!tree.is_dense() || u <= 16);
+        assert_head_started_range_sum::<Fp61>("edge tree", &tree, log_u, &every, 32);
+    }
+    // By name where blocks are many: m counts blocks of 16 cells, and a
+    // prefix-sum checkpoint sits at every 64th block an array holds (the
+    // 2^10 array has the one at block 0 only; a tree has them where its
+    // occupied blocks are).
+    let named = |u: u64| {
+        let (blocks, h) = (u / 16, u / 2);
+        let mut ranges = vec![
+            (0, u - 1),
+            (0, 0),
+            (u - 1, u - 1),
+            (h + 5, h + 5),
+            // Both endpoints in one block; in adjacent blocks (no block
+            // between them); one block between them.
+            (16 * 7 + 3, 16 * 7 + 9),
+            (16 * 7, 16 * 7 + 15),
+            (16 * 7 + 5, 16 * 8 + 4),
+            (16 * 7 + 15, 16 * 8),
+            (16 * 7 + 5, 16 * 9 + 4),
+            // Block-aligned l and r.
+            (16 * 3, 16 * 40 + 15),
+            (0, 16 * 40 + 15),
+            (16 * 3, u - 1),
+            // A shard's half of the universe, and ranges straddling it.
+            (0, h - 1),
+            (h, u - 1),
+            (h - 1, h),
+            (h - 17, h + 16),
+        ];
+        // The blocks between the endpoints: fewer than one checkpoint span
+        // inside one, fewer but across a checkpoint, exactly one span from
+        // checkpoint to checkpoint, one span off the checkpoints, several
+        // spans.
+        for (first, last) in [(2, 40), (50, 80), (63, 128), (70, 135), (5, blocks - 3)] {
+            if last < blocks {
+                ranges.push((16 * first + 9, 16 * last + 2));
+            }
+        }
+        ranges
+    };
+    for (log_u, seed) in [(10u32, 33u64), (14, 34)] {
+        let u = 1u64 << log_u;
+        let stream = workloads::with_deletions(3 * u as usize, u, 0.3, seed);
+        let dense = FrequencyVector::from_stream(u, &stream);
+        assert_head_started_range_sum::<Fp61>("named dense", &dense, log_u, &named(u), seed);
+        // A tree: its checkpoints fall every 64 occupied blocks.
+        let mut tree = FrequencyVector::new_sparse(u);
+        tree.apply_batch(&workloads::with_deletions(
+            u as usize / 16,
+            u,
+            0.2,
+            seed + 2,
+        ));
+        assert!(!tree.is_dense());
+        assert_head_started_range_sum::<Fp61>("named tree", &tree, log_u, &named(u), seed);
+    }
+    let log_u = 10u32;
+    let u = 1u64 << log_u;
+    // Nothing at all: every message is zero, from either source.
+    assert_head_started_range_sum::<Fp61>(
+        "all-zero dense",
+        &FrequencyVector::new(u),
+        log_u,
+        &named(u),
+        35,
+    );
+    assert_head_started_range_sum::<Fp61>(
+        "all-zero tree",
+        &FrequencyVector::new_sparse(u),
+        log_u,
+        &named(u),
+        36,
+    );
+    // A shard's slice: nonzero on one half of the index range only.
+    for (name, lo) in [("low half", 0), ("high half", u / 2)] {
+        let slice: Vec<Update> = workloads::with_deletions(2 * u as usize, u / 2, 0.2, 37)
+            .into_iter()
+            .map(|up| Update::new(up.index + lo, up.delta))
+            .collect();
+        let fv = FrequencyVector::from_stream(u, &slice);
+        assert_head_started_range_sum::<Fp61>(name, &fv, log_u, &named(u), 38);
+    }
+    // Frequencies at the integer extremes: a residue class's prefix sum is
+    // past `i64` after two cells, and must not wrap.
+    let mut extreme = FrequencyVector::new(u);
+    for i in 0..u {
+        extreme.apply(Update::new(i, if i % 3 == 0 { i64::MIN } else { i64::MAX }));
+    }
+    assert_head_started_range_sum::<Fp61>("extreme", &extreme, log_u, &named(u), 39);
+    // A field whose accumulator reduces eagerly: dense, tree, and a universe
+    // that ends inside a block.
+    let stream = workloads::with_deletions(3 * u as usize, u, 0.3, 40);
+    let dense = FrequencyVector::from_stream(u, &stream);
+    assert_head_started_range_sum::<Fp127>("fp127 dense", &dense, log_u, &named(u), 41);
+    let mut tree = FrequencyVector::new_sparse(u);
+    tree.apply_batch(&stream[..60]);
+    assert!(!tree.is_dense());
+    assert_head_started_range_sum::<Fp127>("fp127 tree", &tree, log_u, &named(u), 42);
+    let short = FrequencyVector::from_stream(u - 37, &workloads::uniform(400, u - 37, 9, 43));
+    assert_head_started_range_sum::<Fp127>("fp127 short universe", &short, log_u, &named(u), 44);
 }
 
 /// The complete protocol — streaming verifier and all — on `[l, r]`.

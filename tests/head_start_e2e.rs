@@ -1,0 +1,175 @@
+//! Which start a served proof takes, read off the prover's own counters.
+//!
+//! A published dataset's head answers the first `k = 4` rounds of every F₂
+//! query and — on a raw dataset — of every RANGE-SUM query without a pass
+//! over the data, so at `log_u = 16` such a proof costs 12 engine passes
+//! over 8 190 blocks where a sweep costs 16 passes. Every other prover (a
+//! private store's, a thawed checkpoint's, a kv dataset's range queries)
+//! keeps the sweep. `sip_server_sumcheck_provers_total{query, start}` books
+//! which one a query got, and a publish that is refused builds no head.
+//!
+//! The counters are process-global, so the tests of this file take turns.
+
+use std::path::PathBuf;
+use std::sync::Mutex;
+
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use sip::core::sumcheck::range_sum::RangeSumVerifier;
+use sip::field::{Fp61, PrimeField};
+use sip::kvstore::{Client, QueryBudget};
+use sip::obs;
+use sip::server::client::{RawClient, RemoteStore};
+use sip::server::registry::{Dataset, DatasetData, DatasetRegistry};
+use sip::server::{spawn, ServerConfig};
+use sip::streaming::{workloads, FrequencyVector};
+
+static COUNTERS: Mutex<()> = Mutex::new(());
+
+fn provers_built(query: &str, start: &str) -> u64 {
+    let labels = [("query", query), ("start", start)];
+    obs::counter_with("sip_server_sumcheck_provers_total", &labels).get()
+}
+
+/// `(sip_fold_messages_total, sip_fold_blocks_total)`.
+fn engine_passes() -> (u64, u64) {
+    (
+        obs::counter("sip_fold_messages_total").get(),
+        obs::counter("sip_fold_blocks_total").get(),
+    )
+}
+
+/// What one query added: engine passes, blocks swept, and range-sum
+/// provers built from the head and by sweep.
+fn cost_of(query: impl FnOnce()) -> (u64, u64, u64, u64) {
+    let (messages, blocks) = engine_passes();
+    let (head, sweep) = (
+        provers_built("range-sum", "head"),
+        provers_built("range-sum", "sweep"),
+    );
+    query();
+    (
+        engine_passes().0 - messages,
+        engine_passes().1 - blocks,
+        provers_built("range-sum", "head") - head,
+        provers_built("range-sum", "sweep") - sweep,
+    )
+}
+
+#[test]
+fn range_sum_on_a_published_raw_dataset_starts_from_its_head() {
+    let _turn = COUNTERS.lock().unwrap_or_else(|p| p.into_inner());
+    let log_u = 16u32;
+    let u = 1u64 << log_u;
+    let stream = workloads::with_deletions(20_000, u, 0.2, 5);
+    let (q_l, q_r) = (u / 5 + 3, u / 5 * 4);
+    let truth = Fp61::from_i64(FrequencyVector::from_stream(u, &stream).range_sum(q_l, q_r) as i64);
+    let mut rng = StdRng::seed_from_u64(6);
+    let mut digest = || {
+        let mut v = RangeSumVerifier::<Fp61>::new(log_u, &mut rng);
+        v.update_batch(&stream);
+        v
+    };
+    let dir: PathBuf =
+        std::env::temp_dir().join(format!("sip-head-start-e2e-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = ServerConfig {
+        data_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    };
+    // The head-started F₂ figures: the pass that binds r_1..r_4 over 2^12
+    // blocks of 16 cells, then the folds of 2^11, …, 2 pairs.
+    let head_started = (12, 8_190, 1, 0);
+
+    let server = spawn::<Fp61, _>("127.0.0.1:0", config.clone()).unwrap();
+    let mut owner: RawClient<Fp61, _> = RawClient::connect(server.local_addr(), log_u).unwrap();
+    owner.send_stream(&stream);
+    owner.end_stream().unwrap();
+
+    // The private store, before publish: a sweep, a pass a round.
+    let v = digest();
+    let (messages, _, head, sweep) = cost_of(|| {
+        assert_eq!(owner.verify_range_sum(v, q_l, q_r).unwrap().value, truth);
+    });
+    assert_eq!((messages, head, sweep), (16, 0, 1), "private store");
+    owner.save_state("mark").unwrap();
+
+    // Published: interactive and one-shot both start from the head.
+    owner.publish("shared").unwrap();
+    let v = digest();
+    let interactive = cost_of(|| {
+        assert_eq!(owner.verify_range_sum(v, q_l, q_r).unwrap().value, truth);
+    });
+    assert_eq!(interactive, head_started, "published, interactive");
+    let v = digest();
+    let oneshot = cost_of(|| {
+        let got = owner.verify_range_sum_oneshot(v, q_l, q_r).unwrap();
+        assert_eq!(got.value, truth);
+    });
+    assert_eq!(oneshot, head_started, "published, one-shot");
+    owner.bye().unwrap();
+
+    // A checkpoint thaws into a private store: a sweep again.
+    let mut resumed: RawClient<Fp61, _> = RawClient::connect(server.local_addr(), log_u).unwrap();
+    resumed.resume("mark").unwrap();
+    let v = digest();
+    let (messages, _, head, sweep) = cost_of(|| {
+        assert_eq!(resumed.verify_range_sum(v, q_l, q_r).unwrap().value, truth);
+    });
+    assert_eq!((messages, head, sweep), (16, 0, 1), "thawed checkpoint");
+    resumed.bye().unwrap();
+
+    // A published kv dataset: its range-sum is a range-sum over the encoded
+    // vector and a range-count over the presence vector, and the dataset's
+    // head is the raw vector's — both sweep.
+    let mut kv_rng = StdRng::seed_from_u64(7);
+    let mut kv = Client::<Fp61>::new(log_u, QueryBudget::default(), &mut kv_rng);
+    let mut store: RemoteStore<Fp61, _> = RemoteStore::connect(server.local_addr(), log_u).unwrap();
+    for key in 0..50u64 {
+        kv.put(key * 1_001 % u, key + 1, &mut store);
+    }
+    store.publish("kv").unwrap();
+    let counts_swept = provers_built("range-count", "sweep");
+    let (messages, _, head, sweep) = cost_of(|| {
+        let got = kv.range_sum(0, u - 1, &store).unwrap();
+        assert_eq!(got.value, (1..=50).sum::<u64>());
+    });
+    assert_eq!((messages, head, sweep), (32, 0, 1), "published kv dataset");
+    assert_eq!(provers_built("range-count", "sweep"), counts_swept + 1);
+    assert_eq!(provers_built("range-count", "head"), 0);
+    store.bye().unwrap();
+    server.shutdown();
+
+    // Restart over the same directory: the reload rebuilt the head, and an
+    // attached query starts from it again.
+    let server = spawn::<Fp61, _>("127.0.0.1:0", config).unwrap();
+    let mut tenant: RawClient<Fp61, _> = RawClient::connect(server.local_addr(), log_u).unwrap();
+    tenant.attach("shared").unwrap();
+    let v = digest();
+    let attached = cost_of(|| {
+        assert_eq!(tenant.verify_range_sum(v, q_l, q_r).unwrap().value, truth);
+    });
+    assert_eq!(attached, head_started, "attached after a restart");
+    tenant.bye().unwrap();
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_refused_publish_builds_no_head() {
+    let _turn = COUNTERS.lock().unwrap_or_else(|p| p.into_inner());
+    let dataset = |id: &str| {
+        let fv = FrequencyVector::from_stream(1 << 8, &workloads::paper_f2(1 << 8, 3));
+        Dataset::<Fp61>::new(id.to_string(), 8, None, DatasetData::Raw(fv))
+    };
+    let builds = || obs::counter("sip_registry_f2_head_builds_total").get();
+    let registry = DatasetRegistry::<Fp61>::new(1);
+    let before = builds();
+    registry.publish(dataset("a")).unwrap();
+    assert_eq!(builds(), before + 1, "a publish builds the head");
+    let duplicate = registry.publish(dataset("a")).unwrap_err();
+    assert!(duplicate.contains("already published"), "{duplicate}");
+    let overflow = registry.publish(dataset("b")).unwrap_err();
+    assert!(overflow.contains("registry is full"), "{overflow}");
+    assert_eq!(builds(), before + 1, "a refused publish sweeps nothing");
+}

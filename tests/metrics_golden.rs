@@ -104,10 +104,14 @@ fn every_registered_metric_is_in_the_help_table() {
          (add them to crates/obs/src/metrics.rs METRIC_HELP): {missing:?}"
     );
 
-    // The publish built the dataset's F₂ head, counted and timed.
+    // The publish built the dataset's head, counted and timed; the query
+    // before it swept the private store, the two after started from the
+    // head, and each was booked under its start.
     for series in [
         "sip_registry_f2_head_builds_total ",
         "sip_registry_f2_head_build_us_count ",
+        "sip_server_sumcheck_provers_total{query=\"self-join\",start=\"sweep\"} ",
+        "sip_server_sumcheck_provers_total{query=\"self-join\",start=\"head\"} ",
     ] {
         assert!(
             text.lines().any(|l| l.starts_with(series)),
