@@ -322,7 +322,9 @@ impl<T: Transport> LatencyTransport<T> {
             return Duration::ZERO;
         }
         let draw = x.wrapping_mul(0x2545_F491_4F6C_DD1D);
-        Duration::from_micros(draw % (u64::try_from(jitter.as_micros()).unwrap_or(u64::MAX) + 1))
+        // Saturating: a jitter of 2^64 µs or more draws the whole word.
+        let bound = u64::try_from(jitter.as_micros()).unwrap_or(u64::MAX);
+        Duration::from_micros(draw % bound.saturating_add(1))
     }
 
     /// The first `n` delays a transport built with these parameters will
@@ -466,6 +468,25 @@ mod tests {
         assert_eq!(a.recv_frame().unwrap(), b"pong");
         assert_eq!(b.stats().frames_sent, 1);
         assert_eq!(b.stats().frames_received, 1);
+    }
+
+    #[test]
+    fn a_jitter_past_the_microsecond_word_saturates() {
+        // From 2^64 − 1 µs on the bound used to wrap to zero: a panic on the
+        // add in a debug build, a division by zero in a release one.
+        type Latency = LatencyTransport<InMemoryTransport>;
+        let word = Duration::from_micros(u64::MAX);
+        for jitter in [Duration::MAX, word + Duration::from_micros(1), word] {
+            let delays = Latency::delay_sequence(Duration::ZERO, jitter, 7, 64);
+            assert_eq!(
+                delays,
+                Latency::delay_sequence(Duration::ZERO, jitter, 7, 64)
+            );
+            assert!(delays.iter().all(|&d| d < word));
+            assert!(delays
+                .iter()
+                .any(|&d| d > Duration::from_micros(u64::MAX >> 8)));
+        }
     }
 
     #[test]

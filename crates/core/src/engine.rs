@@ -45,7 +45,7 @@ use std::sync::OnceLock;
 use sip_field::PrimeField;
 use sip_streaming::FrequencyVector;
 
-use crate::fold::{FoldRule, FoldVector};
+use crate::fold::{BindSource, FoldRule, FoldVector};
 
 /// Pre-resolved metric handles for the engine hot paths. Resolution walks a
 /// map under a mutex, so it happens once per process; afterwards every
@@ -58,6 +58,8 @@ struct EngineMetrics {
     fold_messages: sip_obs::Counter,
     fold_blocks: sip_obs::Counter,
     fold_message_us: sip_obs::Histogram,
+    binds_array: sip_obs::Counter,
+    binds_packed: sip_obs::Counter,
     sample: AtomicU64,
 }
 
@@ -67,6 +69,8 @@ fn engine_metrics() -> &'static EngineMetrics {
         fold_messages: sip_obs::counter("sip_fold_messages_total"),
         fold_blocks: sip_obs::counter("sip_fold_blocks_total"),
         fold_message_us: sip_obs::histogram("sip_fold_message_us"),
+        binds_array: sip_obs::counter_with("sip_fold_binds_total", &[("source", "array")]),
+        binds_packed: sip_obs::counter_with("sip_fold_binds_total", &[("source", "packed")]),
         sample: AtomicU64::new(0),
     })
 }
@@ -192,23 +196,33 @@ pub fn bind_message<F: PrimeField, C: Combine<F> + ?Sized>(
     })
 }
 
-/// The fused pass `k` rounds deep: binds the `k` lowest variables of `fv`
-/// over `[2^bits]` at once — `weights[y] = χ_y(r_1, …, r_k)`, `2^k` of them
-/// — and returns the table `A_{k+1}` with round `k+1`'s message, summed by
-/// `combine` over the entries the sweep has just written
-/// (`FoldVector::from_frequency_bound`). It is one pass over a table that
-/// produces one message, so it counts as one `sip_fold_messages_total` with
-/// `blocks` = the `2^{bits−k}` blocks of `2^k` cells it sweeps.
+/// The fused pass `k` rounds deep: binds the `k` lowest variables of a frozen
+/// vector over `[2^bits]` at once — `weights[y] = χ_y(r_1, …, r_k)`, `2^k` of
+/// them — and returns the table `A_{k+1}` with round `k+1`'s message, summed
+/// by `combine` over the entries the sweep has just written
+/// (`FoldVector::from_frequency_bound`). `source` is what the sweep reads:
+/// the vector's array, or its packed nonzero cells. Either way it is one
+/// pass that produces one message over the same logical table, so it counts
+/// as one `sip_fold_messages_total` with `blocks` = the table's `2^{bits−k}`
+/// blocks of `2^k` cells, and as one `sip_fold_binds_total` under the source
+/// it read.
 pub fn bind_many_message<F: PrimeField, C: Combine<F> + ?Sized>(
-    fv: &FrequencyVector,
+    source: BindSource<'_>,
     bits: u32,
     weights: &[F],
     combine: &C,
 ) -> (FoldVector<F>, Vec<F>) {
     let blocks = (1u64 << bits) / weights.len() as u64;
+    if sip_obs::enabled() {
+        let metrics = engine_metrics();
+        match source {
+            BindSource::Array(_) => metrics.binds_array.inc(),
+            BindSource::Packed(_) => metrics.binds_packed.inc(),
+        }
+    }
     observed(blocks, || {
         let mut acc = accs_for::<F>(combine.slots());
-        let table = FoldVector::from_frequency_bound(fv, bits, weights, combine, &mut acc);
+        let table = FoldVector::from_frequency_bound(source, bits, weights, combine, &mut acc);
         (table, finish::<F>(acc))
     })
 }
@@ -266,16 +280,16 @@ impl<F: PrimeField> FusedRounds<F> {
     }
 
     /// Enters the schedule `k` rounds in, for a prover that answered rounds
-    /// `1..=k` without a table: one pass binds `r_1, …, r_k` (as the `2^k`
-    /// weights `χ_y(r_1, …, r_k)`) and leaves round `k+1`'s message ready
-    /// ([`bind_many_message`]); `next` is that round's rule.
+    /// `1..=k` without a table: one pass over `source` binds `r_1, …, r_k`
+    /// (as the `2^k` weights `χ_y(r_1, …, r_k)`) and leaves round `k+1`'s
+    /// message ready ([`bind_many_message`]); `next` is that round's rule.
     pub fn bound<C: Combine<F> + ?Sized>(
-        fv: &FrequencyVector,
+        source: BindSource<'_>,
         log_u: u32,
         weights: &[F],
         next: &C,
     ) -> Self {
-        let (table, message) = bind_many_message(fv, log_u, weights, next);
+        let (table, message) = bind_many_message(source, log_u, weights, next);
         FusedRounds {
             table,
             ready: Some(message),

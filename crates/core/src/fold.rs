@@ -24,7 +24,11 @@
 //! caller, so the next round's message needs no second pass.
 //! `FoldVector::from_frequency_bound` is the same sweep for a prover that
 //! already holds `k` challenges: it binds the `k` lowest variables at once,
-//! so the field-form table first exists at `u/2^k` entries.
+//! so the field-form table first exists at `u/2^k` entries. It reads a
+//! frozen vector through a [`BindSource`]: the array, one dot per block of
+//! `2^k` cells — or, where the vector is mostly zero, its [`PackedBlocks`],
+//! one short dot per *nonempty* block, which is the `n`-side of
+//! `O(min(u, n log(u/n)))` for a vector that is stored as an array of `u`.
 
 use sip_field::PrimeField;
 use sip_streaming::{Entries, FrequencyVector};
@@ -142,6 +146,93 @@ fn merge_pairs<F: PrimeField>(
     }
 }
 
+/// The nonzero cells of a frozen vector, packed block by block of `2^k`
+/// cells: what a `k`-variable bind reads in place of the vector when most of
+/// the vector is zero. A block with nothing in it is not stored, so a sweep
+/// costs one product a nonzero cell and a few words a nonempty block —
+/// 10 bytes a cell and 12 a block, against the array's 8 bytes a cell of
+/// universe and a tree's ≈ 50 a cell.
+#[derive(Clone, Debug)]
+pub struct PackedBlocks {
+    /// Cells per block, as an exponent.
+    k: u32,
+    /// The blocks that hold a nonzero cell, in increasing index …
+    blocks: Vec<u64>,
+    /// … and how many each of them holds.
+    counts: Vec<u32>,
+    /// Every nonzero cell, block after block and in increasing index within
+    /// one: its offset in its block …
+    offsets: Vec<u16>,
+    /// … and its frequency.
+    values: Vec<i64>,
+}
+
+impl PackedBlocks {
+    /// An empty pack of blocks of `2^k` cells, sized for exactly `cells`
+    /// nonzero cells in at most `blocks` blocks.
+    ///
+    /// # Panics
+    /// Panics if `k > 16`: offsets are kept in 16 bits.
+    pub(crate) fn with_capacity(k: u32, cells: usize, blocks: usize) -> Self {
+        assert!(k <= 16, "a cell's offset in its block is kept in 16 bits");
+        PackedBlocks {
+            k,
+            blocks: Vec::with_capacity(blocks),
+            counts: Vec::with_capacity(blocks),
+            offsets: Vec::with_capacity(cells),
+            values: Vec::with_capacity(cells),
+        }
+    }
+
+    /// Appends block `m`: its nonzero cells `(offset, frequency)` in
+    /// increasing offset. Blocks arrive in increasing `m`, and one with no
+    /// such cell is not stored.
+    pub(crate) fn push_block(&mut self, m: u64, nonzero: &[(usize, i64)]) {
+        if nonzero.is_empty() {
+            return;
+        }
+        debug_assert!(self.blocks.last().is_none_or(|&last| last < m));
+        self.blocks.push(m);
+        self.counts.push(nonzero.len() as u32);
+        for &(y, a) in nonzero {
+            debug_assert!(y < 1 << self.k && a != 0);
+            self.offsets.push(y as u16);
+            self.values.push(a);
+        }
+    }
+
+    /// Gives back the room for blocks that turned out empty.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.blocks.shrink_to_fit();
+        self.counts.shrink_to_fit();
+    }
+
+    /// `(nonempty blocks, nonzero cells)` held.
+    #[cfg(test)]
+    pub(crate) fn size(&self) -> (usize, usize) {
+        (self.blocks.len(), self.values.len())
+    }
+
+    /// Bytes of heap the pack occupies.
+    pub fn bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.blocks.capacity() * size_of::<u64>()
+            + self.counts.capacity() * size_of::<u32>()
+            + self.offsets.capacity() * size_of::<u16>()
+            + self.values.capacity() * size_of::<i64>()
+    }
+}
+
+/// What a `k`-variable bind (`FoldVector::from_frequency_bound`, reached
+/// through [`crate::engine::bind_many_message`]) reads a frozen vector from.
+#[derive(Clone, Copy, Debug)]
+pub enum BindSource<'a> {
+    /// Every cell `a_0, a_1, …` in order; cells past the end read as zero.
+    Array(&'a [i64]),
+    /// The nonzero cells alone, packed by block of `2^k`.
+    Packed(&'a PackedBlocks),
+}
+
 /// A power-of-two-length vector being folded one variable at a time.
 ///
 /// Indices are interpreted in binary with the *lowest* bit the next variable
@@ -208,47 +299,62 @@ impl<F: PrimeField> FoldVector<F> {
         }
     }
 
-    /// The table `k` folds in, built in one sweep over `fv`: with
-    /// `weights[y] = χ_y(r_1, …, r_k)` (`2^k` of them, variable `t` on bit
-    /// `t − 1` of `y`),
+    /// The table `k` folds in, built in one sweep over `source` — a frozen
+    /// vector `a` over `[2^bits]` as its array, or as its packed nonzero
+    /// cells: with `weights[y] = χ_y(r_1, …, r_k)` (`2^k` of them, variable
+    /// `t` on bit `t − 1` of `y`),
     ///
     /// ```text
     /// A_{k+1}[m] = Σ_{y < 2^k} weights[y] · a[m·2^k + y]
     /// ```
     ///
-    /// is what `k` successive [`Self::bind`]s of
-    /// [`Self::from_frequency`]`(fv, bits)` leave — one delayed-reduction
-    /// dot per entry, read straight from the snapshot, so no table larger
-    /// than `2^{bits−k}` entries ever exists. Blocks that are all zero are
-    /// skipped; a dense vector yields a dense table, a tree a sorted run
-    /// under the same densify rule as a fold.
+    /// is what `k` successive [`Self::bind`]s of [`Self::from_frequency`]
+    /// over the same vector leave — one delayed-reduction dot per entry, read
+    /// straight from the source, so no table larger than `2^{bits−k}` entries
+    /// ever exists. Blocks that are all zero are skipped by an array and
+    /// absent from a pack; an array yields a dense table, a pack a dense
+    /// table or a sorted run under the same densify rule as a fold.
     ///
     /// In the same sweep every pair `(m, A_{k+1}[2m], A_{k+1}[2m+1])` with a
     /// nonzero child is fed through `combine` into `acc`, in increasing `m`.
     ///
     /// # Panics
     /// Panics if `weights.len()` is not a power of two `2^k` with
-    /// `k ≤ bits`, or the vector's universe exceeds `2^bits`.
+    /// `k ≤ bits`, if the source holds a cell at or past `2^bits`, or if a
+    /// pack's blocks are not `2^k` cells wide.
     pub(crate) fn from_frequency_bound<C: Combine<F> + ?Sized>(
-        fv: &FrequencyVector,
+        source: BindSource<'_>,
         bits: u32,
         weights: &[F],
         combine: &C,
         acc: &mut [F::DotAcc],
     ) -> Self {
         assert!(bits <= 63);
-        assert!(fv.universe() <= 1u64 << bits, "universe larger than 2^bits");
         assert!(
             weights.len().is_power_of_two(),
             "one weight per assignment of the bound variables"
         );
         let k = weights.len().trailing_zeros();
         assert!(k <= bits, "more variables bound than the table has");
+        let len = 1usize << (bits - k);
+        match source {
+            BindSource::Array(cells) => {
+                assert!(
+                    cells.len() as u64 <= 1u64 << bits,
+                    "array longer than 2^bits"
+                );
+            }
+            BindSource::Packed(pack) => {
+                assert_eq!(pack.k, k, "packed for a different number of variables");
+                let fits = pack.blocks.last().is_none_or(|&m| m < len as u64);
+                assert!(fits, "packed cell past 2^bits");
+            }
+        }
         let repr = if bits == k {
             // One entry is left and it has no sibling: no pair to sum over.
-            bound_repr(fv, weights, 1, &NoCombine, &mut [])
+            bound_repr(source, weights, len, &NoCombine, &mut [])
         } else {
-            bound_repr(fv, weights, 1 << (bits - k), combine, acc)
+            bound_repr(source, weights, len, combine, acc)
         };
         FoldVector {
             bits: bits - k,
@@ -510,10 +616,15 @@ impl<F: PrimeField> Combine<F> for NoCombine {
     fn accumulate(&self, _m: u64, _a: &[F], _b: &[F], _acc: &mut [F::DotAcc]) {}
 }
 
-/// Stores a table of `len` slots from its sorted nonzero `entries`: densely
-/// once it is no longer meaningfully sparse.
+/// Whether a table of `len` slots with `entries` nonzero ones is stored
+/// densely: it is small, or no longer meaningfully sparse.
+fn stored_densely(entries: usize, len: usize) -> bool {
+    len as u64 <= ALWAYS_DENSE || (entries as u64).saturating_mul(4) >= len as u64
+}
+
+/// Stores a table of `len` slots from its sorted nonzero `entries`.
 fn settle<F: PrimeField>(entries: Vec<(u64, F)>, len: usize) -> FoldRepr<F> {
-    if len as u64 <= ALWAYS_DENSE || (entries.len() as u64).saturating_mul(4) >= len as u64 {
+    if stored_densely(entries.len(), len) {
         let mut dense = vec![F::ZERO; len];
         for (i, v) in entries {
             dense[i as usize] = v;
@@ -580,20 +691,17 @@ impl<'a, F: PrimeField, C: Combine<F> + ?Sized> PairFeed<'a, F, C> {
 }
 
 /// The `len`-entry table [`FoldVector::from_frequency_bound`] builds, from
-/// either representation of the snapshot.
+/// either source.
 fn bound_repr<F: PrimeField, C: Combine<F> + ?Sized>(
-    fv: &FrequencyVector,
+    source: BindSource<'_>,
     weights: &[F],
     len: usize,
     combine: &C,
     acc: &mut [F::DotAcc],
 ) -> FoldRepr<F> {
-    match fv.entries() {
-        Entries::Dense(cells) => FoldRepr::Dense(bind_dense(cells, weights, len, combine, acc)),
-        Entries::Sparse(map) => {
-            let run = map.iter().map(|(&i, &f)| (i, f));
-            settle(bind_sparse(run, map.len(), weights, combine, acc), len)
-        }
+    match source {
+        BindSource::Array(cells) => FoldRepr::Dense(bind_dense(cells, weights, len, combine, acc)),
+        BindSource::Packed(pack) => bind_packed(pack, weights, len, combine, acc),
     }
 }
 
@@ -628,44 +736,55 @@ fn bind_dense<F: PrimeField, C: Combine<F> + ?Sized>(
     bound
 }
 
-/// The `k`-variable bind of a tree snapshot: `run` yields its sorted nonzero
-/// `(index, frequency)` entries, `entries` of them; returns the bound
-/// table's nonzero entries.
-fn bind_sparse<F: PrimeField, C: Combine<F> + ?Sized>(
-    run: impl Iterator<Item = (u64, i64)>,
-    entries: usize,
+/// The `k`-variable bind of a pack: one short dot per block that holds
+/// anything — the work is in the nonzero cells, not the universe. How the
+/// `len`-entry table is stored is settled before the sweep, so that every
+/// entry is written once, where it stays: by the rule of a fold
+/// ([`stored_densely`]) on the pack's nonempty blocks, which is how many
+/// entries the table has unless a block's cells cancel under the weights.
+fn bind_packed<F: PrimeField, C: Combine<F> + ?Sized>(
+    pack: &PackedBlocks,
     weights: &[F],
+    len: usize,
     combine: &C,
     acc: &mut [F::DotAcc],
-) -> Vec<(u64, F)> {
-    let k = weights.len().trailing_zeros();
-    let mut feed = PairFeed::new(combine, acc);
-    // A bind never grows a run; sized once, the output is not moved.
-    let mut bound = Vec::with_capacity(entries);
-    let mut close = |m: u64, dot: F::DotAcc| {
-        let v = F::acc_finish(dot);
-        // Blocks that cancel exactly are dropped, not stored as zero.
-        if !v.is_zero() {
-            bound.push((m, v));
-            feed.push(m, v);
-        }
-    };
-    // The block being summed: its index and its dot so far.
-    let mut open: Option<(u64, F::DotAcc)> = None;
-    for (i, f) in run {
-        if let Some((m, dot)) = open.filter(|&(m, _)| m != i >> k) {
-            close(m, dot);
-            open = None;
-        }
-        let (_, dot) = open.get_or_insert((i >> k, F::DotAcc::default()));
-        let y = (i & (weights.len() as u64 - 1)) as usize;
-        F::acc_add_prod(dot, weights[y], F::from_i64(f));
+) -> FoldRepr<F> {
+    let feed = PairFeed::new(combine, acc);
+    if stored_densely(pack.blocks.len(), len) {
+        let mut dense = vec![F::ZERO; len];
+        pack.bind_into(weights, feed, |m, v| dense[m as usize] = v);
+        FoldRepr::Dense(dense)
+    } else {
+        // A bind never grows a run; sized once, the output is not moved.
+        let mut run = Vec::with_capacity(pack.blocks.len());
+        pack.bind_into(weights, feed, |m, v| run.push((m, v)));
+        FoldRepr::Sparse(run)
     }
-    if let Some((m, dot)) = open {
-        close(m, dot);
+}
+
+impl PackedBlocks {
+    /// The sweep of [`bind_packed`]: every block's dot with `weights`, in
+    /// increasing block index, to `store` and to `feed` where it is nonzero.
+    fn bind_into<F: PrimeField, C: Combine<F> + ?Sized>(
+        &self,
+        weights: &[F],
+        mut feed: PairFeed<'_, F, C>,
+        mut store: impl FnMut(u64, F),
+    ) {
+        let (mut offsets, mut values) = (&self.offsets[..], &self.values[..]);
+        for (&m, &cells) in self.blocks.iter().zip(&self.counts) {
+            let (at, x);
+            (at, offsets) = offsets.split_at(cells as usize);
+            (x, values) = values.split_at(cells as usize);
+            let v = F::dot_i64_at(weights, at, x);
+            // Blocks that cancel exactly are dropped, not stored as zero.
+            if !v.is_zero() {
+                store(m, v);
+                feed.push(m, v);
+            }
+        }
+        feed.finish();
     }
-    feed.finish();
-    bound
 }
 
 /// Folds one quad of raw cells `A[4k..4k+4]` into `(A'[2k], A'[2k+1])`, or
@@ -1082,13 +1201,33 @@ mod tests {
             .collect()
     }
 
+    /// `fv`'s nonzero cells packed by block of `2^k`, as a head's build
+    /// appends them.
+    fn pack_of(fv: &FrequencyVector, k: u32) -> PackedBlocks {
+        let support = fv.support_size() as usize;
+        let mut pack = PackedBlocks::with_capacity(k, support, support);
+        let cells: Vec<(u64, i64)> = fv.nonzero().collect();
+        for block in cells.chunk_by(|a, b| a.0 >> k == b.0 >> k) {
+            let nonzero: Vec<(usize, i64)> = block
+                .iter()
+                .map(|&(i, a)| ((i & ((1 << k) - 1)) as usize, a))
+                .collect();
+            pack.push_block(block[0].0 >> k, &nonzero);
+        }
+        pack.shrink_to_fit();
+        let (blocks, cells) = pack.size();
+        assert_eq!((cells, pack.bytes()), (support, 10 * cells + 12 * blocks));
+        pack
+    }
+
     #[test]
     fn binding_k_variables_at_once_equals_k_single_binds() {
-        // From a dense snapshot, from a tree that stays a sorted run, from a
-        // tree whose bound table crosses the densify rule, and from a
-        // universe that ends inside a block: the table, its representation
-        // and the pairs handed out all equal those of k fused single binds,
-        // at every k up to the whole table.
+        // From an array, from a tree's pack whose bound table stays a sorted
+        // run, from one whose bound table crosses the densify rule, and from
+        // a universe that ends inside a block (read as an array and as its
+        // pack): the table, its representation and the pairs handed out all
+        // equal those of k fused single binds, at every k up to the whole
+        // table.
         let bits = 15u32;
         let u = 1u64 << bits;
         let starts = [
@@ -1110,16 +1249,76 @@ mod tests {
                 let what = format!("dense={} k={k}", fv.is_dense());
                 let seen = Record(RefCell::new(Vec::new()));
                 let weights = chi_weights(&r[..k]);
-                let bound = FoldVector::from_frequency_bound(fv, bits, &weights, &seen, &mut []);
+                let pack = pack_of(fv, k as u32);
+                let source = match fv.dense_values() {
+                    Some(cells) => BindSource::Array(cells),
+                    None => BindSource::Packed(&pack),
+                };
+                let bound =
+                    FoldVector::from_frequency_bound(source, bits, &weights, &seen, &mut []);
                 assert_eq!(bound.bits(), bits - k as u32, "{what}");
                 assert_eq!(pairs_of(&bound), pairs_of(&stepwise), "{what}");
                 assert_eq!(bound.is_sparse(), stepwise.is_sparse(), "{what}");
                 if bound.bits() == 0 {
                     assert_eq!(bound.scalar(), stepwise.scalar(), "{what}");
                 }
-                assert_eq!(seen.0.into_inner(), seen_stepwise.0.into_inner(), "{what}");
+                let seen_stepwise = seen_stepwise.0.into_inner();
+                assert_eq!(seen.0.into_inner(), seen_stepwise, "{what}");
+                // An array's pack binds to the same entries and hands out the
+                // same pairs; how its table is stored is the pack's to settle.
+                let seen = Record(RefCell::new(Vec::new()));
+                let packed = BindSource::Packed(&pack);
+                let bound =
+                    FoldVector::from_frequency_bound(packed, bits, &weights, &seen, &mut []);
+                assert_eq!(pairs_of(&bound), pairs_of(&stepwise), "{what} packed");
+                assert_eq!(seen.0.into_inner(), seen_stepwise, "{what} packed");
             }
         }
+    }
+
+    #[test]
+    fn a_pack_indexes_blocks_as_widely_as_the_table() {
+        // Over [2^40] a block index does not fit 32 bits: cells across the
+        // whole universe, some sharing a block and some a pair of blocks,
+        // bind to what four single binds of the tree leave.
+        let bits = 40u32;
+        let u = 1u64 << bits;
+        let at = [
+            0,
+            7,
+            16,
+            33,
+            u / 2 - 1,
+            u / 2,
+            u / 2 + 17,
+            u - 31,
+            u - 16,
+            u - 1,
+        ];
+        let tree = FrequencyVector::from_sparse_entries(
+            u,
+            at.iter().zip(1i64..).map(|(&i, a)| (i, a * a - 20)),
+        );
+        let mut rng = StdRng::seed_from_u64(36);
+        let r: Vec<Fp61> = (0..4).map(|_| Fp61::random(&mut rng)).collect();
+        let mut stepwise = FoldVector::<Fp61>::from_frequency(&tree, bits);
+        let seen_stepwise = Record(RefCell::new(Vec::new()));
+        for (k, &rk) in r.iter().enumerate() {
+            let last = Record(RefCell::new(Vec::new()));
+            stepwise.fold_fused(FoldRule::Bind(rk), &last, &mut []);
+            if k == 3 {
+                seen_stepwise.0.replace(last.0.into_inner());
+            }
+        }
+        let pack = pack_of(&tree, 4);
+        let seen = Record(RefCell::new(Vec::new()));
+        let source = BindSource::Packed(&pack);
+        let bound =
+            FoldVector::from_frequency_bound(source, bits, &chi_weights(&r), &seen, &mut []);
+        assert!(bound.is_sparse() && stepwise.is_sparse());
+        assert_eq!(pairs_of(&bound), pairs_of(&stepwise));
+        assert_eq!(pairs_of(&bound).last().map(|p| p.0), Some((u >> 5) - 1));
+        assert_eq!(seen.0.into_inner(), seen_stepwise.0.into_inner());
     }
 
     #[test]

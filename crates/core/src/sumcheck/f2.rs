@@ -11,6 +11,13 @@
 //! `g_d(r_d) = f_a(r)²`. This module is the `k = 2` specialisation of
 //! [`super::moments`] with a squared-fold prover fast path — the code the
 //! Figure 2 benchmarks exercise.
+//!
+//! Over a frozen vector the prover starts from an [`F2Head`]: the first
+//! rounds out of Gram matrices built once, and then a single pass over the
+//! data — which, where the data is mostly zero, reads its nonzero cells
+//! packed block by block and nothing else, so the proof's time follows the
+//! support `n` and not the universe `u` (Appendix B.1's
+//! `O(min(u, n log(u/n)))`) although the vector is an array.
 
 use std::sync::Arc;
 
@@ -23,6 +30,7 @@ use crate::channel::CostReport;
 use crate::digest_bank::BankedDigest;
 use crate::engine::{Combine, FusedRounds};
 use crate::error::Rejection;
+use crate::fold::{BindSource, PackedBlocks};
 
 use super::moments::VerifiedAggregate;
 use super::{drive_sumcheck, Adversary, RoundProver, SumCheckVerifierCore};
@@ -137,6 +145,14 @@ const HEAD_ROUNDS: u32 = 4;
 /// scans at most 63 blocks past a checkpoint costs under a microsecond.
 const CHECKPOINT_BLOCKS: u32 = 64;
 
+/// An array is packed ([`PackedBlocks`]) when at most one cell in this many
+/// is nonzero. At the cap the pack is 13/32 of the array's bytes (at 14 %
+/// nonzero a quarter, and its bind takes half the array's time); at twice
+/// the cap its bind is a tenth ahead for more than half another copy of the
+/// data
+/// (EXPERIMENTS.md, "A packed bind"). A tree is packed whatever its density.
+const PACK_DIVISOR: u64 = 4;
+
 /// The query-independent head of every `F₂` and every RANGE-SUM proof over
 /// one frozen vector — the part of their first `k = min(4, log u)` round
 /// messages that depends on the data alone, built in one pass.
@@ -161,6 +177,15 @@ const CHECKPOINT_BLOCKS: u32 = 64;
 /// before each checkpoint — one every 64 blocks — so any aligned interval
 /// costs two lookups and a short scan.
 ///
+/// **Round `k + 1`, both.** Binding `r_k` is the one pass either proof makes
+/// over the data ([`FusedRounds::bound`]), and it need not read zeros: where
+/// the vector is mostly zero — a tree, or an array with at most a quarter of
+/// its cells nonzero — the head keeps the nonzero cells packed block by block
+/// ([`PackedBlocks`], appended in the same pass, which holds exactly that
+/// list for each block) and the bind reads the pack in place of the vector.
+/// This is where the prover's `O(min(u, n log(u/n)))` becomes time in the
+/// support `n` for a frozen array.
+///
 /// Nothing in it depends on a query, a challenge or a verifier.
 #[derive(Clone, Debug)]
 pub struct F2Head<F: PrimeField> {
@@ -170,11 +195,16 @@ pub struct F2Head<F: PrimeField> {
     /// `grams[j − 1]` is `G_j`, `2^j × 2^j`, row-major.
     grams: Vec<Vec<F>>,
     prefixes: ResiduePrefixSums,
+    /// The nonzero cells by block of `2^k`; `None` only over an array too
+    /// full to be worth packing, which the bind then reads itself.
+    pack: Option<PackedBlocks>,
 }
 
 impl<F: PrimeField> F2Head<F> {
     /// Builds the head of `fv` over `[2^log_u]` in one pass over its
-    /// entries; blocks of `2^k` cells that are all zero cost nothing.
+    /// entries; blocks of `2^k` cells that are all zero cost nothing. An
+    /// array is first counted, to decide — before anything is allocated —
+    /// whether that pass packs it, and to size the pack exactly.
     ///
     /// # Panics
     /// Panics if `log_u` is zero or the vector's universe exceeds
@@ -190,7 +220,12 @@ impl<F: PrimeField> F2Head<F> {
             "universe larger than 2^log_u"
         );
         assert!((1..=log_u).contains(&k));
-        let (finest, prefixes) = gram_and_prefixes::<F>(fv, k);
+        let support = fv.support_size();
+        let mut pack = (!fv.is_dense() || support <= fv.universe() / PACK_DIVISOR).then(|| {
+            let blocks = support.min(fv.universe().div_ceil(1 << k));
+            PackedBlocks::with_capacity(k, support as usize, blocks as usize)
+        });
+        let (finest, prefixes) = gram_and_prefixes::<F>(fv, k, pack.as_mut());
         let mut grams = vec![finest];
         for j in (1..k).rev() {
             let finer = grams.last().expect("starts with G_k");
@@ -202,6 +237,7 @@ impl<F: PrimeField> F2Head<F> {
             log_u,
             grams,
             prefixes,
+            pack,
         }
     }
 
@@ -215,9 +251,28 @@ impl<F: PrimeField> F2Head<F> {
         self.log_u
     }
 
-    /// The vector the head was built from.
-    pub(super) fn vector(&self) -> &FrequencyVector {
-        &self.fv
+    /// The vector's nonzero cells packed by block, where the build packed
+    /// them: over a tree, and over an array at most a quarter nonzero.
+    pub fn pack(&self) -> Option<&PackedBlocks> {
+        self.pack.as_ref()
+    }
+
+    /// What the `k`-variable bind of a proof started here reads: the pack,
+    /// or the array of a vector that has none.
+    pub(super) fn bind_source(&self) -> BindSource<'_> {
+        match &self.pack {
+            Some(pack) => BindSource::Packed(pack),
+            None => BindSource::Array(self.fv.dense_values().expect("a tree is always packed")),
+        }
+    }
+
+    /// Bytes the head holds beside the vector: matrices, checkpoints, pack.
+    pub fn bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.grams.iter().map(Vec::len).sum::<usize>() * size_of::<F>()
+            + self.prefixes.at.len() * size_of::<u64>()
+            + self.prefixes.sums.len() * size_of::<i128>()
+            + self.pack.as_ref().map_or(0, PackedBlocks::bytes)
     }
 
     /// `Σ_{lo ≤ b < hi} a[b·2^k + z]` for every `z < 2^k`: blocks
@@ -319,11 +374,16 @@ fn for_each_cell(
 }
 
 /// The one pass over `fv` behind an [`F2Head`]: `G_k`
-/// (`G[y, y'] = Σ_m a[m·2^k + y] · a[m·2^k + y']`, row-major) and the
-/// checkpointed residue-class prefix sums. `G_k`'s sums are integers; they
-/// are accumulated exactly in `i128` and only spill into the field in the
-/// (never yet seen) case one would overflow.
-fn gram_and_prefixes<F: PrimeField>(fv: &FrequencyVector, k: u32) -> (Vec<F>, ResiduePrefixSums) {
+/// (`G[y, y'] = Σ_m a[m·2^k + y] · a[m·2^k + y']`, row-major), the
+/// checkpointed residue-class prefix sums and — into `pack`, where the caller
+/// made one — every nonempty block's nonzero cells. `G_k`'s sums are
+/// integers; they are accumulated exactly in `i128` and only spill into the
+/// field in the (never yet seen) case one would overflow.
+fn gram_and_prefixes<F: PrimeField>(
+    fv: &FrequencyVector,
+    k: u32,
+    mut pack: Option<&mut PackedBlocks>,
+) -> (Vec<F>, ResiduePrefixSums) {
     let width = 1usize << k;
     let mut exact = vec![0i128; width * width];
     let mut spilled = vec![F::ZERO; width * width];
@@ -346,6 +406,9 @@ fn gram_and_prefixes<F: PrimeField>(fv: &FrequencyVector, k: u32) -> (Vec<F>, Re
             since_checkpoint = 0;
         }
         since_checkpoint += 1;
+        if let Some(pack) = &mut pack {
+            pack.push_block(m, nonzero);
+        }
         for (at, &(y, a)) in nonzero.iter().enumerate() {
             running[y] += a as i128;
             let row = y * width;
@@ -377,17 +440,25 @@ fn gram_and_prefixes<F: PrimeField>(fv: &FrequencyVector, k: u32) -> (Vec<F>, Re
             }
         }
         Entries::Sparse(map) => {
+            // Only blocks that hold something are visited: nothing is
+            // flushed before the first entry, or for an empty map.
             let (mut m, mut n) = (0, 0);
             for (&i, &a) in map {
-                if i >> k != m {
+                if i >> k != m && n > 0 {
                     add_block(m, &nonzero[..n]);
-                    (m, n) = (i >> k, 0);
+                    n = 0;
                 }
+                m = i >> k;
                 nonzero[n] = ((i & (width as u64 - 1)) as usize, a);
                 n += 1;
             }
-            add_block(m, &nonzero[..n]);
+            if n > 0 {
+                add_block(m, &nonzero[..n]);
+            }
         }
+    }
+    if let Some(pack) = pack {
+        pack.shrink_to_fit();
     }
     let mut gram: Vec<F> = exact
         .into_iter()
@@ -507,7 +578,7 @@ impl<F: PrimeField> RoundProver<F> for F2Prover<F> {
             Stage::Head { head, chi } => {
                 extend_chi(chi, r);
                 if chi.len() == 1 << head.rounds() {
-                    let fused = FusedRounds::bound(&head.fv, head.log_u, chi, &F2Combine);
+                    let fused = FusedRounds::bound(head.bind_source(), head.log_u, chi, &F2Combine);
                     self.stage = Stage::Table(fused);
                 }
             }
@@ -620,12 +691,20 @@ mod tests {
         assert_eq!(got.value, Fp61::from_u64(13));
     }
 
-    /// Dense, tree, and a universe that ends inside a block.
+    /// Dense, tree, a universe that ends inside a block, and an array sparse
+    /// enough to be packed.
     fn head_inputs() -> Vec<(FrequencyVector, u32)> {
         let mut tree = FrequencyVector::new_sparse(1 << 14);
         tree.apply_batch(&workloads::with_deletions(400, 1 << 14, 0.3, 41));
         assert!(!tree.is_dense());
         vec![
+            (
+                FrequencyVector::from_stream(
+                    1 << 12,
+                    &workloads::with_deletions(500, 1 << 12, 0.3, 47),
+                ),
+                12,
+            ),
             (
                 FrequencyVector::from_stream(
                     1 << 9,
@@ -710,6 +789,77 @@ mod tests {
                         expect,
                         "log_u={log_u} [{lo}, {hi})"
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_vector_is_packed_when_it_is_a_tree_or_mostly_zero() {
+        // Decided from the vector alone: an array up to a quarter nonzero
+        // and no further, a tree whatever it holds; the pack is every nonzero
+        // cell at 10 bytes and every nonempty block at 12.
+        let u = 1u64 << 10;
+        let with_support = |n: u64| (0..n).map(|i| (i * 3 % u, 1 + i as i64));
+        for (support, packed) in [(0, true), (1, true), (u / 4, true), (u / 4 + 1, false)] {
+            let array = FrequencyVector::from_stream(
+                u,
+                &with_support(support)
+                    .map(|(i, a)| Update::new(i, a))
+                    .collect::<Vec<_>>(),
+            );
+            assert!(array.is_dense());
+            let head = F2Head::<Fp61>::build(&array, 10);
+            assert_eq!(head.pack().is_some(), packed, "support {support}");
+            let source = head.bind_source();
+            assert_eq!(matches!(source, BindSource::Packed(_)), packed);
+            let tree = FrequencyVector::from_sparse_entries(u, with_support(support));
+            let head = F2Head::<Fp61>::build(&tree, 10);
+            let pack = head.pack().expect("a tree is always packed");
+            let blocks = (0..u / 16).filter(|b| (16 * b..16 * b + 16).any(|i| tree.get(i) != 0));
+            assert_eq!(pack.size(), (blocks.count(), support as usize));
+            assert_eq!(pack.bytes(), 10 * pack.size().1 + 12 * pack.size().0);
+            assert!(head.bytes() > pack.bytes());
+        }
+    }
+
+    #[test]
+    fn a_tree_is_visited_at_its_occupied_blocks_only() {
+        // One cell in every tenth block from block 5 on: no block is booked
+        // before the first entry, so the second checkpoint sits at the 65th
+        // occupied block, not the 64th, and the pack holds no empty block.
+        let occupied = |n: u64| 5 + 10 * n;
+        let cells = (0..200).map(|n| (16 * occupied(n) + n % 16, n as i64 - 300));
+        let tree = FrequencyVector::from_sparse_entries(1 << 16, cells);
+        let head = F2Head::<Fp61>::build(&tree, 16);
+        assert_eq!(
+            head.prefixes.at,
+            [0, occupied(64), occupied(128), occupied(192)]
+        );
+        let pack = head.pack().expect("a tree is always packed");
+        assert_eq!(pack.size(), (200, 200));
+    }
+
+    #[test]
+    fn nothing_at_all_packs_to_nothing_and_proves_zero() {
+        let mut rng = StdRng::seed_from_u64(48);
+        for fv in [
+            FrequencyVector::new(1 << 9),
+            FrequencyVector::new_sparse(1 << 9),
+        ] {
+            let head = Arc::new(F2Head::<Fp61>::build(&fv, 9));
+            let pack = head.pack().expect("an all-zero vector is packed");
+            assert_eq!((pack.size(), pack.bytes()), ((0, 0), 0));
+            assert_eq!(head.prefixes.at, [0]);
+            let mut f2 = F2Prover::from_head(Arc::clone(&head));
+            let mut range = super::super::range_sum::RangeSumProver::from_head(head, 3, 400);
+            for round in 1..=9 {
+                assert_eq!(f2.message(), vec![Fp61::ZERO; 3], "round {round}");
+                assert_eq!(range.message(), vec![Fp61::ZERO; 3], "round {round}");
+                if round < 9 {
+                    let r = Fp61::random(&mut rng);
+                    f2.bind(r);
+                    range.bind(r);
                 }
             }
         }

@@ -341,7 +341,7 @@ impl<F: PrimeField> RoundProver<F> for RangeSumProver<F> {
                     for &r in &self.challenges {
                         extend_chi(&mut chi, r);
                     }
-                    let fused = FusedRounds::bound(head.vector(), head.log_u(), &chi, &next);
+                    let fused = FusedRounds::bound(head.bind_source(), head.log_u(), &chi, &next);
                     self.stage = Stage::Table(fused);
                     return;
                 }

@@ -87,6 +87,27 @@ pub struct Fp61DotAcc {
 /// with a bit to spare.
 const FP61_ACC_BATCH: u32 = 32;
 
+/// One batch of [`PrimeField::dot_i64`]: `Σ wᵢ·xᵢ` over at most
+/// [`FP61_ACC_BATCH`] terms, reduced once. Where every `xᵢ` lies in
+/// `[0, 2^61)` — their OR has its top three bits clear — nothing needs
+/// reducing before the product: each is below `2^122` like any product of
+/// residues, so the batch fits the accumulator with the integers as they
+/// are. Or-ing, not `all`: no early exit, so no branch per integer.
+#[inline(always)]
+fn batch_i64(w: impl Iterator<Item = Fp61>, x: &[i64]) -> Fp61 {
+    let mut pending = 0u128;
+    if x.iter().fold(0, |any, &x| any | x) >> 61 == 0 {
+        for (w, &x) in w.zip(x) {
+            pending += (w.0 as u128) * (x as u64 as u128);
+        }
+    } else {
+        for (w, &x) in w.zip(x) {
+            pending += (w.0 as u128) * (Fp61::from_i64(x).0 as u128);
+        }
+    }
+    Fp61::reduce128(pending)
+}
+
 impl PrimeField for Fp61 {
     const ZERO: Self = Fp61(0);
     const ONE: Self = Fp61(1);
@@ -111,18 +132,27 @@ impl PrimeField for Fp61 {
         acc.done + Fp61::reduce128(acc.pending)
     }
 
-    #[inline]
+    // `always`: the caller runs this once per 16-cell block, and with two
+    // loop bodies a plain `#[inline]` is declined — a call a block.
+    #[inline(always)]
     fn dot_i64(w: &[Self], x: &[i64]) -> Self {
         // A whole batch per reduction and no term counter: the batch length
         // is the loop bound, so the inner loop is multiply-and-add only.
         let batch = FP61_ACC_BATCH as usize;
         let mut done = Fp61::ZERO;
         for (w, x) in w.chunks(batch).zip(x.chunks(batch)) {
-            let mut pending = 0u128;
-            for (&w, &x) in w.iter().zip(x) {
-                pending += (w.0 as u128) * (Self::from_i64(x).0 as u128);
-            }
-            done += Fp61::reduce128(pending);
+            done += batch_i64(w.iter().copied(), x);
+        }
+        done
+    }
+
+    #[inline(always)]
+    fn dot_i64_at(w: &[Self], at: &[u16], x: &[i64]) -> Self {
+        // The same counted batches as `dot_i64`.
+        let batch = FP61_ACC_BATCH as usize;
+        let mut done = Fp61::ZERO;
+        for (at, x) in at.chunks(batch).zip(x.chunks(batch)) {
+            done += batch_i64(at.iter().map(|&s| w[s as usize]), x);
         }
         done
     }
@@ -326,6 +356,48 @@ mod tests {
             let expect = Fp61::acc_finish(acc);
             assert_eq!(Fp61::dot_i64(&w, &x[..len]), expect, "len={len}");
             assert_eq!(Fp61::dot_i64(&w[..len], &x), expect, "len={len}");
+        }
+    }
+
+    #[test]
+    fn dot_i64_takes_small_integers_unreduced_and_only_those() {
+        // Every length across a batch boundary, on both sides of the test
+        // that lets a batch skip `from_i64`: all in [0, 2^61) (the largest
+        // included, which is ≡ 0 unreduced), and one integer outside it —
+        // negative, at 2^61, at either extreme — at every position. The
+        // gathered form reads the same weights through a permutation.
+        let mut rng = StdRng::seed_from_u64(10);
+        let mut w: Vec<Fp61> = (0..40).map(|_| Fp61::random(&mut rng)).collect();
+        w[..8].fill(Fp61::new(P61 - 1));
+        let mut small: Vec<i64> = (0..40).map(|_| (rng.next_u64() >> 3) as i64).collect();
+        small[3] = (1 << 61) - 1;
+        small[5] = 0;
+        let at: Vec<u16> = (0..40).map(|t| (t * 7 % 40) as u16).collect();
+        let generic = |w: &mut dyn Iterator<Item = Fp61>, x: &[i64]| {
+            let mut acc = Fp61DotAcc::default();
+            for (w, &x) in w.zip(x) {
+                Fp61::acc_add_prod(&mut acc, w, Fp61::from_i64(x));
+            }
+            Fp61::acc_finish(acc)
+        };
+        for len in 0..=40usize {
+            let mut batches = vec![small[..len].to_vec()];
+            for outside in [-1, 1 << 61, i64::MIN, i64::MAX] {
+                for pos in 0..len {
+                    let mut x = small[..len].to_vec();
+                    x[pos] = outside;
+                    batches.push(x);
+                }
+            }
+            for x in batches {
+                let expect = generic(&mut w.iter().copied(), &x);
+                assert_eq!(Fp61::dot_i64(&w, &x), expect, "len={len} {x:?}");
+                let gathered = generic(&mut at.iter().map(|&s| w[s as usize]), &x);
+                assert_eq!(Fp61::dot_i64_at(&w, &at, &x), gathered, "len={len} {x:?}");
+                assert_eq!(Fp61::dot_i64_at(&w, &at[..len], &small), {
+                    generic(&mut at.iter().map(|&s| w[s as usize]), &small[..len])
+                });
+            }
         }
     }
 

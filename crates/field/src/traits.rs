@@ -148,6 +148,21 @@ pub trait PrimeField:
         Self::acc_finish(acc)
     }
 
+    /// [`PrimeField::dot_i64`] with the weights looked up: `Σ_t w[at[t]]·x[t]`
+    /// over the shorter of `at` and `x` — the prover's dot of challenge
+    /// weights with the nonzero cells of one packed block, each cell stored
+    /// as its offset in the block and its frequency.
+    ///
+    /// # Panics
+    /// Panics if an offset lies outside `w`.
+    fn dot_i64_at(w: &[Self], at: &[u16], x: &[i64]) -> Self {
+        let mut acc = Self::DotAcc::default();
+        for (&s, &x) in at.iter().zip(x) {
+            Self::acc_add_prod(&mut acc, w[s as usize], Self::from_i64(x));
+        }
+        Self::acc_finish(acc)
+    }
+
     /// Gathered sum of products `Σ_t x[t]·table[at[t]]` over the shorter of
     /// `x` and `at` — the inner sum of the verifier's grouped ingest kernel
     /// (deltas against looked-up weights). Implementations whose accumulator

@@ -474,6 +474,10 @@ pub const METRIC_HELP: &[(&str, &str)] = &[
     ),
     ("sip_fleet_up_replicas", "Replicas currently scraping as Up"),
     (
+        "sip_fold_binds_total",
+        "k-variable binds run by head-started provers (one per proof past round k), labelled by the source read: the frozen vector's array, or its packed nonzero cells",
+    ),
+    (
         "sip_fold_blocks_total",
         "Pairs or blocks swept by the prover engine's round passes",
     ),
@@ -500,6 +504,10 @@ pub const METRIC_HELP: &[(&str, &str)] = &[
     (
         "sip_registry_f2_head_builds_total",
         "Dataset heads built (one serves F2 and RANGE-SUM): one per publish and one per published dataset reloaded at startup",
+    ),
+    (
+        "sip_registry_f2_head_bytes",
+        "Bytes one published dataset's head holds beside the frozen vector (Gram matrices, prefix-sum checkpoints, packed nonzero cells), observed per build",
     ),
     (
         "sip_registry_load_errors",

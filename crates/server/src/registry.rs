@@ -18,14 +18,16 @@
 //!
 //! Because the vectors never change, the part of a proof that depends on
 //! the data alone — the Gram matrices behind SELF-JOIN SIZE's first `k`
-//! round messages and the checkpointed residue-class prefix sums behind
-//! RANGE-SUM's ([`F2Head`], one pass for both) — is built once, when the
-//! data freezes: inside [`DatasetRegistry::publish`], before the publisher
-//! is acked, and again when a published dataset is reloaded from the data
-//! directory. Every F₂ query on the dataset starts from it
+//! round messages, the checkpointed residue-class prefix sums behind
+//! RANGE-SUM's, and where the vector is mostly zero its nonzero cells packed
+//! for the one pass both make ([`F2Head`], one pass for all) — is built
+//! once, when the data freezes: inside [`DatasetRegistry::publish`], before
+//! the publisher is acked, and again when a published dataset is reloaded
+//! from the data directory. Every F₂ query on the dataset starts from it
 //! ([`Dataset::f2_prover`]), and so does every RANGE-SUM query on a raw
 //! dataset ([`Dataset::range_sum_prover`]). That is all a dataset caches:
-//! 1/32 of the frozen vector's bytes beside it, derived from it, never
+//! 1/32 of the frozen vector's bytes beside it, and at most 13/32 more where
+//! it is packed (`sip_registry_f2_head_bytes`), derived from it, never
 //! invalidated, never persisted and never sent. Nothing that depends on a
 //! query or a challenge may live there. A checkpoint is overwritten as its
 //! stream advances and is never queried, so it carries no head.
@@ -111,11 +113,13 @@ impl<F: PrimeField> Dataset<F> {
         let mut span = sip_obs::trace::span("sip.server.registry", "f2_head");
         span.field("log_u", self.log_u);
         let timer = sip_obs::enabled().then(sip_obs::Timer::start);
-        self.f2_head = Some(Arc::new(F2Head::build(self.f2_vector(), self.log_u)));
+        let head = F2Head::build(self.f2_vector(), self.log_u);
         if let Some(timer) = timer {
             sip_obs::counter("sip_registry_f2_head_builds_total").inc();
             sip_obs::histogram("sip_registry_f2_head_build_us").observe(timer.elapsed_us());
+            sip_obs::histogram("sip_registry_f2_head_bytes").observe(head.bytes() as u64);
         }
+        self.f2_head = Some(Arc::new(head));
         self
     }
 

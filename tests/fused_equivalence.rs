@@ -66,10 +66,12 @@ struct TwoPass<F: PrimeField = Fp61> {
 
 impl<F: PrimeField> TwoPass<F> {
     fn new(fv: &FrequencyVector, log_u: u32, rule: Rule) -> Self {
+        let mut table = vec![F::ZERO; 1 << log_u];
+        for (i, a) in fv.nonzero() {
+            table[i as usize] = F::from_i64(a);
+        }
         TwoPass {
-            table: (0..1u64 << log_u)
-                .map(|i| F::from_i64(if i < fv.universe() { fv.get(i) } else { 0 }))
-                .collect(),
+            table,
             rule,
             challenges: Vec::new(),
             rounds: log_u as usize,
@@ -171,16 +173,7 @@ fn assert_same_proof<F: PrimeField>(
 
 /// The head-started F₂ prover over `fv` against the reference.
 fn assert_head_started<F: PrimeField>(what: &str, fv: &FrequencyVector, log_u: u32, seed: u64) {
-    let challenges = challenges_for::<F>(log_u, seed);
-    let head = Arc::new(F2Head::<F>::build(fv, log_u));
-    assert_eq!(head.rounds(), log_u.min(4) as usize, "{what}");
-    assert_same_proof(
-        &format!("{what} log_u={log_u} F2 from the head"),
-        log_u,
-        &challenges,
-        || Box::new(F2Prover::from_head(Arc::clone(&head))),
-        || TwoPass::new(fv, log_u, Rule::F2),
-    );
+    assert_head_started_under(what, fv, log_u, &[], &challenges_for::<F>(log_u, seed));
 }
 
 /// The head-started RANGE-SUM prover of every range in `ranges` over `fv`
@@ -192,17 +185,49 @@ fn assert_head_started_range_sum<F: PrimeField>(
     ranges: &[(u64, u64)],
     seed: u64,
 ) {
-    let challenges = challenges_for::<F>(log_u, seed);
     let head = Arc::new(F2Head::<F>::build(fv, log_u));
+    let challenges = challenges_for::<F>(log_u, seed);
+    assert_range_sums_from(what, &head, fv, log_u, ranges, &challenges);
+}
+
+fn assert_range_sums_from<F: PrimeField>(
+    what: &str,
+    head: &Arc<F2Head<F>>,
+    fv: &FrequencyVector,
+    log_u: u32,
+    ranges: &[(u64, u64)],
+    challenges: &[F],
+) {
     for &(l, r) in ranges {
         assert_same_proof(
             &format!("{what} log_u={log_u} range-sum [{l}, {r}] from the head"),
             log_u,
-            &challenges,
-            || Box::new(RangeSumProver::from_head(Arc::clone(&head), l, r)),
+            challenges,
+            || Box::new(RangeSumProver::from_head(Arc::clone(head), l, r)),
             || TwoPass::new(fv, log_u, Rule::RangeSum(l, r)),
         );
     }
+}
+
+/// Both head-started provers over `fv` — F₂, and RANGE-SUM on every range in
+/// `ranges` — from one head, under the given challenges.
+fn assert_head_started_under<F: PrimeField>(
+    what: &str,
+    fv: &FrequencyVector,
+    log_u: u32,
+    ranges: &[(u64, u64)],
+    challenges: &[F],
+) {
+    let head = Arc::new(F2Head::<F>::build(fv, log_u));
+    assert_eq!(head.rounds(), log_u.min(4) as usize, "{what}");
+    assert_same_proof(
+        &format!("{what} log_u={log_u} F2 from the head"),
+        log_u,
+        challenges,
+        || Box::new(F2Prover::from_head(Arc::clone(&head))),
+        || TwoPass::new(fv, log_u, Rule::F2),
+    );
+    assert_range_sums_from(what, &head, fv, log_u, ranges, challenges);
 }
 
 /// F₂, two moment orders and a range-sum over `fv`.
@@ -492,6 +517,175 @@ fn head_started_range_sum_equals_the_reference_at_the_edges() {
     assert_head_started_range_sum::<Fp127>("fp127 tree", &tree, log_u, &named(u), 42);
     let short = FrequencyVector::from_stream(u - 37, &workloads::uniform(400, u - 37, 9, 43));
     assert_head_started_range_sum::<Fp127>("fp127 short universe", &short, log_u, &named(u), 44);
+}
+
+/// A dense array over `[2^log_u]` with exactly `support` nonzero cells,
+/// scattered, of both signs.
+fn array_with_support(log_u: u32, support: u64) -> FrequencyVector {
+    let u = 1u64 << log_u;
+    let mut fv = FrequencyVector::new(u);
+    // An odd multiplier permutes `[u]`: the first `support` images are distinct.
+    let cells = (0..support).map(|n| Update::new(n * 2_654_435_761 % u, (n as i64 % 19 - 9) | 1));
+    fv.apply_batch(&cells.collect::<Vec<_>>());
+    assert!(fv.is_dense());
+    assert_eq!(fv.support_size(), support);
+    fv
+}
+
+#[test]
+fn packed_bind_equals_the_reference() {
+    // The k-variable bind reads a head's packed nonzero cells where the vector
+    // is a tree or an array at most a quarter nonzero, and the array
+    // otherwise. Whatever it reads, both head-started proofs are the
+    // reference's, round by round and sealed.
+    let packed = |fv: &FrequencyVector, log_u| F2Head::<Fp61>::build(fv, log_u).pack().is_some();
+
+    // An array on either side of the cap.
+    let log_u = 12u32;
+    let u = 1u64 << log_u;
+    let (at_cap, past_cap) = (
+        array_with_support(log_u, u / 4),
+        array_with_support(log_u, u / 4 + 1),
+    );
+    assert!(packed(&at_cap, log_u) && !packed(&past_cap, log_u));
+    assert_all_protocols("array at the cap", &at_cap, log_u, (5, u - 7), 51);
+    assert_all_protocols("array past the cap", &past_cap, log_u, (5, u - 7), 52);
+
+    // A tree is packed whatever its density: one over a universe too large
+    // ever to promote, more than a quarter full.
+    let log_u = 23u32;
+    let u = 1u64 << log_u;
+    let cells = (0..u)
+        .filter(|i| i % 7 < 2)
+        .map(|i| (i, ((i % 23) as i64 - 11) | 1));
+    let tree = FrequencyVector::from_sparse_entries(u, cells);
+    assert!(!tree.is_dense() && tree.support_size() > u / 4 && packed(&tree, log_u));
+    let challenges = challenges_for::<Fp61>(log_u, 53);
+    assert_head_started_under(
+        "full tree",
+        &tree,
+        log_u,
+        &[(u / 7, u / 7 * 5 + 3)],
+        &challenges,
+    );
+    drop(tree);
+
+    // Where the bound table has 2^13 entries — too many to be dense whatever
+    // they hold — a few hundred occupied blocks leave it a sorted run and a
+    // few thousand make it dense, from a tree and from an array alike.
+    let log_u = 17u32;
+    let u = 1u64 << log_u;
+    for (support, seed) in [(900usize, 54u64), (6_000, 55)] {
+        let stream = workloads::with_deletions(support, u, 0.2, seed);
+        let mut tree = FrequencyVector::new_sparse(u);
+        tree.apply_batch(&stream);
+        let array = FrequencyVector::from_stream(u, &stream);
+        assert!(!tree.is_dense() && packed(&tree, log_u) && packed(&array, log_u));
+        let q = (u / 4 + 1, u / 4 * 3);
+        assert_all_protocols(
+            &format!("packed tree, {support} cells"),
+            &tree,
+            log_u,
+            q,
+            seed,
+        );
+        assert_all_protocols(
+            &format!("packed array, {support} cells"),
+            &array,
+            log_u,
+            q,
+            seed,
+        );
+    }
+
+    // A universe that ends inside a block, its last cell occupied.
+    let u = (1u64 << 13) - 3;
+    let mut short = FrequencyVector::from_stream(u, &workloads::uniform(700, u, 40, 56));
+    short.apply(Update::new(u - 1, -4));
+    assert!(packed(&short, 13));
+    assert_all_protocols("packed short universe", &short, 13, (100, u - 1), 56);
+
+    // Around k = 4: at log_u ≤ k one entry is left and no pair is summed.
+    for log_u in 1u32..=6 {
+        let u = 1u64 << log_u;
+        let every: Vec<(u64, u64)> = (0..u).flat_map(|l| (l..u).map(move |r| (l, r))).collect();
+        let mut sparse = FrequencyVector::new(u);
+        sparse.apply_batch(
+            &[Update::new(u - 1, 6), Update::new(u / 2, -6)][..(u as usize / 4).clamp(1, 2)],
+        );
+        assert!(packed(&sparse, log_u) || log_u == 1);
+        let challenges = challenges_for::<Fp61>(log_u, 57);
+        assert_head_started_under("edge packed array", &sparse, log_u, &every, &challenges);
+    }
+
+    // Blocks whose cells cancel under the weights: with r_1 = 1/2 an even
+    // cell and its odd neighbour weigh the same, so `a, −a` binds to zero —
+    // in some blocks, and then in all of them.
+    let log_u = 10u32;
+    let u = 1u64 << log_u;
+    let half = Fp61::from_u64(2).inverse().expect("2 is a unit");
+    let mut challenges = challenges_for::<Fp61>(log_u, 58);
+    challenges[0] = half;
+    let cancelling = |blocks: &[u64]| -> Vec<Update> {
+        blocks
+            .iter()
+            .flat_map(|b| [Update::new(16 * b + 6, 35), Update::new(16 * b + 7, -35)])
+            .collect()
+    };
+    let mut some = FrequencyVector::from_stream(u, &workloads::uniform(100, u, 9, 59));
+    for b in [3, 4, 40, 63] {
+        (16 * b..16 * b + 16).for_each(|i| some.apply(Update::new(i, -some.get(i))));
+    }
+    some.apply_batch(&cancelling(&[3, 4, 40, 63]));
+    let all = FrequencyVector::from_stream(u, &cancelling(&[0, 1, 17, 18, 30, 63]));
+    let mut tree = FrequencyVector::new_sparse(u);
+    tree.apply_batch(&cancelling(&[2, 9, 41]));
+    for (what, fv) in [
+        ("some cancel", &some),
+        ("all cancel", &all),
+        ("tree cancels", &tree),
+    ] {
+        assert!(packed(fv, log_u));
+        assert_head_started_under(
+            what,
+            fv,
+            log_u,
+            &[(0, u - 1), (16 * 3 + 7, 16 * 40 + 6)],
+            &challenges,
+        );
+    }
+
+    // Cells at the integer extremes beside small ones, in one block and apart.
+    let mut extreme = FrequencyVector::new(u);
+    extreme.apply_batch(&[
+        Update::new(5, i64::MAX),
+        Update::new(6, 1),
+        Update::new(7, i64::MIN),
+        Update::new(100, i64::MIN),
+        Update::new(205, i64::MAX),
+        Update::new(206, i64::MAX),
+        Update::new(u - 1, 1 << 61),
+    ]);
+    assert!(packed(&extreme, log_u));
+    assert_all_protocols("packed extremes", &extreme, log_u, (6, 205), 60);
+
+    // A field whose dot over packed cells is the trait's default.
+    let challenges = challenges_for::<Fp127>(log_u, 61);
+    let ranges = [
+        (0, u - 1),
+        (16 * 7 + 5, 16 * 9 + 4),
+        (u / 2 - 17, u / 2 + 16),
+    ];
+    let array = array_with_support(log_u, u / 4);
+    assert!(F2Head::<Fp127>::build(&array, log_u).pack().is_some());
+    assert_head_started_under("fp127 packed array", &array, log_u, &ranges, &challenges);
+    assert_head_started_under(
+        "fp127 packed extremes",
+        &extreme,
+        log_u,
+        &ranges,
+        &challenges,
+    );
 }
 
 /// The complete protocol — streaming verifier and all — on `[l, r]`.

@@ -8,6 +8,11 @@
 //! keeps the sweep. `sip_server_sumcheck_provers_total{query, start}` books
 //! which one a query got, and a publish that is refused builds no head.
 //!
+//! The one pass a head-started proof does make — the `k`-variable bind —
+//! reads the frozen vector's packed nonzero cells where the vector is mostly
+//! zero and its array otherwise; `sip_fold_binds_total{source}` books which,
+//! and neither the passes and blocks counted nor the answers depend on it.
+//!
 //! The counters are process-global, so the tests of this file take turns.
 
 use std::path::PathBuf;
@@ -15,14 +20,16 @@ use std::sync::Mutex;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use sip::core::sumcheck::f2::F2Verifier;
 use sip::core::sumcheck::range_sum::RangeSumVerifier;
+use sip::core::FramedTcpTransport;
 use sip::field::{Fp61, PrimeField};
 use sip::kvstore::{Client, QueryBudget};
 use sip::obs;
 use sip::server::client::{RawClient, RemoteStore};
 use sip::server::registry::{Dataset, DatasetData, DatasetRegistry};
 use sip::server::{spawn, ServerConfig};
-use sip::streaming::{workloads, FrequencyVector};
+use sip::streaming::{workloads, FrequencyVector, Update};
 
 static COUNTERS: Mutex<()> = Mutex::new(());
 
@@ -150,6 +157,115 @@ fn range_sum_on_a_published_raw_dataset_starts_from_its_head() {
         assert_eq!(tenant.verify_range_sum(v, q_l, q_r).unwrap().value, truth);
     });
     assert_eq!(attached, head_started, "attached after a restart");
+    tenant.bye().unwrap();
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `(array, packed)` of `sip_fold_binds_total{source}`.
+fn binds() -> (u64, u64) {
+    let by = |source| obs::counter_with("sip_fold_binds_total", &[("source", source)]).get();
+    (by("array"), by("packed"))
+}
+
+/// What one query added to `(messages, blocks)` and to the binds booked
+/// `(array, packed)`.
+type Cost = ((u64, u64), (u64, u64));
+
+fn costed(query: impl FnOnce() -> Fp61) -> (Fp61, Cost) {
+    let (passes, bound) = (engine_passes(), binds());
+    let value = query();
+    let passes = (engine_passes().0 - passes.0, engine_passes().1 - passes.1);
+    (value, (passes, (binds().0 - bound.0, binds().1 - bound.1)))
+}
+
+/// The universe exponent [`ask`]'s digests are drawn over.
+const LOG_U: u32 = 16;
+
+/// F₂ and a range-sum over `stream`, each interactive and one-shot: the two
+/// verified answers (interactive and sealed agreeing) and the four costs.
+fn ask(
+    client: &mut RawClient<Fp61, FramedTcpTransport>,
+    stream: &[Update],
+    (q_l, q_r): (u64, u64),
+    rng: &mut StdRng,
+) -> ((Fp61, Fp61), Vec<Cost>) {
+    let [f2, f2_sealed] = [(); 2].map(|()| {
+        let mut v = F2Verifier::<Fp61>::new(LOG_U, rng);
+        v.update_batch(stream);
+        v
+    });
+    let [range, range_sealed] = [(); 2].map(|()| {
+        let mut v = RangeSumVerifier::<Fp61>::new(LOG_U, rng);
+        v.update_batch(stream);
+        v
+    });
+    let (self_join, a) = costed(|| client.verify_f2(f2).unwrap().value);
+    let (sealed, b) = costed(|| client.verify_f2_oneshot(f2_sealed).unwrap().value);
+    assert_eq!(self_join, sealed);
+    let (range_sum, c) = costed(|| client.verify_range_sum(range, q_l, q_r).unwrap().value);
+    let (sealed, d) = costed(|| {
+        let got = client.verify_range_sum_oneshot(range_sealed, q_l, q_r);
+        got.unwrap().value
+    });
+    assert_eq!(range_sum, sealed);
+    ((self_join, range_sum), vec![a, b, c, d])
+}
+
+#[test]
+fn a_head_started_proof_books_the_source_its_bind_read() {
+    let _turn = COUNTERS.lock().unwrap_or_else(|p| p.into_inner());
+    let log_u = LOG_U;
+    let u = 1u64 << log_u;
+    let q = (u / 5 + 3, u / 5 * 4);
+    let dir: PathBuf =
+        std::env::temp_dir().join(format!("sip-head-start-source-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = ServerConfig {
+        data_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    };
+    let mut rng = StdRng::seed_from_u64(8);
+    // A pass a round for a sweep; for a head-started proof the bind over 2^12
+    // blocks of 16 cells and the folds after it, whichever source it reads.
+    let (array, packed) = ((1, 0), (0, 1));
+    let head_started = |source| vec![((12, 8_190), source); 4];
+
+    let server = spawn::<Fp61, _>("127.0.0.1:0", config.clone()).unwrap();
+    let zipf = workloads::zipf(1 << log_u, u, 1.1, 9);
+    let paper = workloads::paper_f2(u, 9);
+    for (id, stream, source) in [("zipf", &zipf, packed), ("paper", &paper, array)] {
+        let fv = FrequencyVector::from_stream(u, stream);
+        let sparse = fv.support_size() <= u / 4;
+        assert_eq!(sparse, source == packed, "{id}: which side of the cap");
+        let truth = (
+            Fp61::from_u128(fv.self_join_size() as u128),
+            Fp61::from_u128(fv.range_sum(q.0, q.1) as u128),
+        );
+        let mut owner = RawClient::<Fp61, _>::connect(server.local_addr(), log_u).unwrap();
+        owner.send_stream(stream);
+        owner.end_stream().unwrap();
+        // The private store sweeps: no bind at all.
+        let (swept, costs) = ask(&mut owner, stream, q, &mut rng);
+        assert_eq!(swept, truth, "{id}: private store");
+        for (passes, bound) in costs {
+            assert_eq!((passes.0, bound), (16, (0, 0)), "{id}: private store");
+        }
+        // Published: the same answers, and the source of the one bind booked.
+        owner.publish(id).unwrap();
+        let (answers, costs) = ask(&mut owner, stream, q, &mut rng);
+        assert_eq!(answers, swept, "{id}: published");
+        assert_eq!(costs, head_started(source), "{id}: published");
+        owner.bye().unwrap();
+    }
+    server.shutdown();
+
+    // Restart over the same directory: the reload packed the vector again.
+    let server = spawn::<Fp61, _>("127.0.0.1:0", config).unwrap();
+    let mut tenant = RawClient::<Fp61, _>::connect(server.local_addr(), log_u).unwrap();
+    tenant.attach("zipf").unwrap();
+    let (_, costs) = ask(&mut tenant, &zipf, q, &mut rng);
+    assert_eq!(costs, head_started(packed), "attached after a restart");
     tenant.bye().unwrap();
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);

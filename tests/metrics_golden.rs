@@ -104,12 +104,17 @@ fn every_registered_metric_is_in_the_help_table() {
          (add them to crates/obs/src/metrics.rs METRIC_HELP): {missing:?}"
     );
 
-    // The publish built the dataset's head, counted and timed; the query
-    // before it swept the private store, the two after started from the
-    // head, and each was booked under its start.
+    // The publish built the dataset's head, counted, timed and sized; the
+    // query before it swept the private store, the two after started from
+    // the head, and each was booked under its start. Which source a
+    // head-started proof's k-variable bind read has a series per source
+    // (at log_u = 4 the head answers every round, so neither has counted).
     for series in [
         "sip_registry_f2_head_builds_total ",
         "sip_registry_f2_head_build_us_count ",
+        "sip_registry_f2_head_bytes_count ",
+        "sip_fold_binds_total{source=\"array\"} ",
+        "sip_fold_binds_total{source=\"packed\"} ",
         "sip_server_sumcheck_provers_total{query=\"self-join\",start=\"sweep\"} ",
         "sip_server_sumcheck_provers_total{query=\"self-join\",start=\"head\"} ",
     ] {
