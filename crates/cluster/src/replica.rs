@@ -507,6 +507,10 @@ impl<F: PrimeField, T: Transport> ReplicaFleet<F, T> {
     /// with failover and cross-examination. The digest must have observed
     /// exactly the uploaded stream and been drawn for this fleet's
     /// [`ShardPlan`] (else [`Rejection::InvalidConfig`]).
+    ///
+    /// # Soundness
+    /// None: a prover that uses the revealed prefix has a false answer accepted
+    /// (see `sip-core`'s `sumcheck::oneshot`). Do not rely on the verdict.
     pub fn verify_f2_oneshot(
         &mut self,
         digest: ClusterF2Verifier<F>,
@@ -518,6 +522,10 @@ impl<F: PrimeField, T: Transport> ReplicaFleet<F, T> {
 
     /// Verified replicated RANGE-SUM over `[q_l, q_r]`; see
     /// [`Self::verify_f2_oneshot`].
+    ///
+    /// # Soundness
+    /// None: a prover that uses the revealed prefix has a false answer accepted
+    /// (see `sip-core`'s `sumcheck::oneshot`). Do not rely on the verdict.
     pub fn verify_range_sum_oneshot(
         &mut self,
         digest: ClusterRangeSumVerifier<F>,

@@ -50,10 +50,9 @@ use crate::fold::{BindSource, FoldRule, FoldVector};
 /// Pre-resolved metric handles for the engine hot paths. Resolution walks a
 /// map under a mutex, so it happens once per process; afterwards every
 /// counted call is a handful of relaxed atomic adds. Timers are sampled
-/// 1-in-[`sip_obs::timer_sample`] calls (default 16, configurable via
-/// `ServerConfig::obs_sample`, `0` = off) — `Instant::now` is the only
-/// non-trivial cost here and a fold call already amortises it over
-/// thousands of blocks.
+/// 1-in-[`sip_obs::timer_sample`] calls (16; `0` = off) — `Instant::now`
+/// is the only non-trivial cost here and a fold call already amortises it
+/// over thousands of blocks.
 struct EngineMetrics {
     fold_messages: sip_obs::Counter,
     fold_blocks: sip_obs::Counter,

@@ -153,6 +153,10 @@ impl<F: PrimeField> AggregatingVerifier<F> {
     /// # Panics
     /// Panics if `transcripts`, `proofs`, or `streamed` disagree with the
     /// shard count.
+    ///
+    /// # Soundness
+    /// None: a prover that uses the revealed prefix has a false answer accepted
+    /// (see `sip-core`'s `sumcheck::oneshot`). Do not rely on the verdict.
     pub fn verify_oneshot(
         &self,
         streamed: &[F],
@@ -185,6 +189,10 @@ impl<F: PrimeField> AggregatingVerifier<F> {
     ///
     /// # Panics
     /// Panics if `shard >= self.shards()`.
+    ///
+    /// # Soundness
+    /// None: a prover that uses the revealed prefix has a false answer accepted
+    /// (see `sip-core`'s `sumcheck::oneshot`). Do not rely on the verdict.
     pub fn verify_oneshot_shard(
         &self,
         shard: usize,
@@ -257,6 +265,10 @@ pub fn drive_sumcheck_sharded<F: PrimeField>(
 /// `transcripts` are the per-shard contexts (same prefix, per-shard shard
 /// identity); `report` accrues per-shard communication as a single round
 /// (query + prefix out, proof back).
+///
+/// # Soundness
+/// The one-shot mode is unsound (`sumcheck::oneshot` module docs): no verifier
+/// should rely on a proof produced this way.
 pub fn prove_oneshot_sharded<F: PrimeField>(
     provers: &mut [&mut dyn RoundProver<F>],
     transcripts: Vec<Transcript>,

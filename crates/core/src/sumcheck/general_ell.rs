@@ -153,6 +153,10 @@ impl<F: PrimeField> GeneralF2Verifier<F> {
     /// check of [`verify_oneshot_grid`] with grid width `ℓ` and per-round
     /// degree `2(ℓ−1)`. `transcript` must match
     /// [`Self::oneshot_transcript`] (the prover seals the same context).
+    ///
+    /// # Soundness
+    /// None: a prover that uses the revealed prefix has a false answer accepted
+    /// (see `sip-core`'s `sumcheck::oneshot`). Do not rely on the verdict.
     pub fn verify_oneshot(
         self,
         transcript: Transcript,

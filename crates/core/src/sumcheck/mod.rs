@@ -149,6 +149,10 @@ impl<F: PrimeField> SumCheckVerifierCore<F> {
     /// deferred batched round checks (see [`oneshot::verify_oneshot_grid`]).
     /// `transcript` must be the same
     /// [`crate::transcript::query_transcript`] context the prover sealed.
+    ///
+    /// # Soundness
+    /// None: a prover that uses the revealed prefix has a false answer accepted
+    /// (see `sip-core`'s `sumcheck::oneshot`). Do not rely on the verdict.
     pub fn verify_oneshot(
         &self,
         streamed: F,

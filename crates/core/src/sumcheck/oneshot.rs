@@ -1,15 +1,23 @@
 //! One-shot (non-interactive) sum-check: the whole post-stream proof in a
 //! single frame.
 //!
-//! After the stream, the CTY sum-check is public-coin: round `j`'s
-//! challenge is the already-fixed coordinate `r_j` of the verifier's secret
-//! evaluation point, and only the *last* coordinate `r_d` must stay secret
-//! (the final check evaluates `g_d` there against the streamed LDE). So
-//! instead of `d` synchronous round trips the verifier can reveal the
-//! prefix `r_1, …, r_{d−1}` up front; the prover walks all `d` rounds
-//! locally and ships one [`OneShotProof`]: the claimed output, every round
-//! polynomial, and a transcript digest binding the proof to the exact
-//! query context (see [`crate::transcript`]).
+//! # Soundness — there is none
+//!
+//! Interaction exists so that `g_j` is fixed before `r_j` is known. This
+//! mode reveals `r_1, …, r_{d−1}` up front, so a prover can claim `F + Δ`,
+//! send `g_1' = g_1 + Δ·(X − r_1)/(1 − 2r_1)` and be honest from round 2:
+//! every residual below is zero and `F + Δ` is returned as verified, with
+//! probability 1 (`tests/adaptive_prover.rs`, the `#[ignore]`d case). The
+//! digest and the batched checks protect the frame, not the order, and any
+//! one-message protocol for F₂ needs proof × space `h·v = Ω(u)` — so the
+//! mode is being removed (ROADMAP item 1). Do not rely on its verdicts.
+//!
+//! # Mechanics
+//!
+//! The verifier sends `r_1, …, r_{d−1}` with the query; the prover walks
+//! all `d` rounds locally and ships one [`OneShotProof`]: the claimed
+//! output, every round polynomial, and a transcript digest binding the
+//! proof to the exact query context (see [`crate::transcript`]).
 //!
 //! Verification defers the per-round algebra: after replaying the
 //! transcript and checking the echoed digest byte-for-byte, the verifier
@@ -84,6 +92,10 @@ impl<F: PrimeField> OneShotWalk<F> for ProverWalk<'_, F> {
 /// with the *same* challenge prefix; `ell` is the grid width (2 for the
 /// binary protocols). The walk is the only prover-side work: no waiting on
 /// the verifier between rounds.
+///
+/// # Soundness
+/// The one-shot mode is unsound (`sumcheck::oneshot` module docs): no verifier
+/// should rely on a proof produced this way.
 pub fn prove_oneshot<F: PrimeField, W: OneShotWalk<F> + ?Sized>(
     walk: &mut W,
     mut transcript: Transcript,
@@ -139,6 +151,10 @@ fn absorb_proof_body<F: PrimeField>(t: &mut Transcript, claimed: F, rounds: &[Ve
 ///    rounds would have failed interactively.
 ///
 /// On acceptance returns the now-verified claimed output.
+///
+/// # Soundness
+/// None: a prover that uses the revealed prefix has a false answer accepted
+/// (see `sip-core`'s `sumcheck::oneshot`). Do not rely on the verdict.
 pub fn verify_oneshot_grid<F: PrimeField>(
     point: &[F],
     degree: usize,

@@ -869,6 +869,10 @@ impl<F: PrimeField> Client<F> {
     /// One-shot verified range sum: same digest consumption and same
     /// composition as [`Self::range_sum`], but each aggregate is a single
     /// proof frame instead of `log u` synchronous round trips.
+    ///
+    /// # Soundness
+    /// None: a prover that uses the revealed prefix has a false answer accepted
+    /// (see `sip-core`'s `sumcheck::oneshot`). Do not rely on the verdict.
     pub fn range_sum_oneshot(
         &mut self,
         q_l: u64,
@@ -881,6 +885,10 @@ impl<F: PrimeField> Client<F> {
     /// Shard-aware variant of [`Self::range_sum_oneshot`]:
     /// [`ShardedClient`] passes each shard's identity so the transcripts
     /// bind which slice of the fleet answered.
+    ///
+    /// # Soundness
+    /// None: a prover that uses the revealed prefix has a false answer accepted
+    /// (see `sip-core`'s `sumcheck::oneshot`). Do not rely on the verdict.
     pub fn range_sum_oneshot_as(
         &mut self,
         q_l: u64,
@@ -918,6 +926,10 @@ impl<F: PrimeField> Client<F> {
     /// One-shot verified self-join size: one proof frame instead of
     /// `log u` round trips; same digest consumption as
     /// [`Self::self_join_size`].
+    ///
+    /// # Soundness
+    /// None: a prover that uses the revealed prefix has a false answer accepted
+    /// (see `sip-core`'s `sumcheck::oneshot`). Do not rely on the verdict.
     pub fn self_join_size_oneshot(
         &mut self,
         server: &dyn KvServer<F>,
@@ -926,6 +938,10 @@ impl<F: PrimeField> Client<F> {
     }
 
     /// Shard-aware variant of [`Self::self_join_size_oneshot`].
+    ///
+    /// # Soundness
+    /// None: a prover that uses the revealed prefix has a false answer accepted
+    /// (see `sip-core`'s `sumcheck::oneshot`). Do not rely on the verdict.
     pub fn self_join_size_oneshot_as(
         &mut self,
         shard: Option<(u32, u32)>,

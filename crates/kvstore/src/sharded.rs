@@ -236,6 +236,10 @@ impl<F: PrimeField> ShardedClient<F> {
     /// as one sealed proof frame. Every transcript binds the answering
     /// shard's identity `(s, S)`, so a frame replayed from another shard
     /// is a `TranscriptMismatch` blamed on the replayer.
+    ///
+    /// # Soundness
+    /// None: a prover that uses the revealed prefix has a false answer accepted
+    /// (see `sip-core`'s `sumcheck::oneshot`). Do not rely on the verdict.
     pub fn range_sum_oneshot(
         &mut self,
         q_l: u64,
@@ -262,6 +266,10 @@ impl<F: PrimeField> ShardedClient<F> {
 
     /// One-shot verified `Σ value²` over the whole fleet: one proof frame
     /// per shard instead of `log u` round trips per shard.
+    ///
+    /// # Soundness
+    /// None: a prover that uses the revealed prefix has a false answer accepted
+    /// (see `sip-core`'s `sumcheck::oneshot`). Do not rely on the verdict.
     pub fn self_join_size_oneshot(
         &mut self,
         servers: &[Box<dyn KvServer<F>>],

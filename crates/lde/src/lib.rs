@@ -156,23 +156,6 @@ impl<F: PrimeField> StreamingLdeEvaluator<F> {
         w
     }
 
-    /// The historical `χ_{v(i)}(r)` path: digit extraction by hardware
-    /// `div`/`mod` per position. Kept as the measured baseline for the
-    /// χ-kernel criterion bench and the plan-equivalence tests; production
-    /// code goes through [`Self::weight`].
-    pub fn weight_divmod(&self, i: u64) -> F {
-        debug_assert!(i < self.params.universe());
-        let ell = self.params.base();
-        let mut rem = i;
-        let mut w = F::ONE;
-        for j in 0..self.params.dimension() as usize {
-            let digit = (rem % ell) as usize;
-            rem /= ell;
-            w *= self.chi[j * ell as usize + digit];
-        }
-        w
-    }
-
     /// Processes one stream update: `f_a(r) += δ·χ_{v(i)}(r)`.
     pub fn update(&mut self, up: Update) {
         self.acc += F::from_i64(up.delta) * self.weight(up.index);
@@ -581,7 +564,11 @@ mod tests {
             let u = params.universe();
             for t in 0..100u64 {
                 let i = (t.wrapping_mul(0x2545_f491_4f6c_dd1d)) % u;
-                assert_eq!(eval.weight(i), eval.weight_divmod(i), "ell={ell} i={i}");
+                assert_eq!(
+                    eval.weight(i),
+                    reference::weight_divmod(params, eval.point(), i),
+                    "ell={ell} i={i}"
+                );
             }
         }
     }

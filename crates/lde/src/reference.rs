@@ -6,7 +6,7 @@
 //! streaming implementations are validated against throughout the
 //! workspace's test suites.
 
-use sip_field::lagrange::chi_all;
+use sip_field::lagrange::{chi, chi_all};
 use sip_field::PrimeField;
 
 use crate::params::LdeParams;
@@ -34,6 +34,20 @@ pub fn naive_lde_eval<F: PrimeField>(freqs: &[i64], params: LdeParams, x: &[F]) 
         acc += w;
     }
     acc
+}
+
+/// `χ_{v(i)}(r)` from the definition: base-`ℓ` digits of `i` by hardware
+/// `div`/`mod`, one [`chi`] per digit — the oracle the table-driven,
+/// division-free [`crate::StreamingLdeEvaluator::weight`] is compared with.
+///
+/// # Panics
+/// Panics if `r` does not have one coordinate per digit.
+pub fn weight_divmod<F: PrimeField>(params: LdeParams, r: &[F], i: u64) -> F {
+    assert_eq!(r.len(), params.dimension() as usize);
+    params
+        .digits_of(i)
+        .zip(r)
+        .fold(F::ONE, |w, (digit, &rj)| w * chi(digit, params.base(), rj))
 }
 
 /// Evaluates the multilinear extension of `values` (length `2^k`) at `x`

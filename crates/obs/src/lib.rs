@@ -58,17 +58,17 @@ static ENABLED: AtomicBool = AtomicBool::new(true);
 /// setting — only the latency histograms are sampled.
 static TIMER_SAMPLE: AtomicU64 = AtomicU64::new(16);
 
-/// The current hot-path timer sampling rate (default 16). `0` means the
-/// sampled timers are off entirely.
+/// The current hot-path timer sampling rate (16 unless
+/// [`set_timer_sample`] was called). `0` means the sampled timers are off
+/// entirely.
 pub fn timer_sample() -> u64 {
     TIMER_SAMPLE.load(Ordering::Relaxed)
 }
 
-/// Sets the hot-path timer sampling rate (`ServerConfig::obs_sample` /
-/// `sip-prover --obs-sample`). Lower rates buy histogram resolution with
-/// clock-read overhead: `1` times every call (worst case, still bounded
-/// by the 2 % CI budget on folds), `16` (the default) keeps the cost
-/// unmeasurable, `0` disables the timers.
+/// Sets the hot-path timer sampling rate for this process. Not an
+/// operator knob: provers run at the constant 16, which keeps the
+/// clock-read cost unmeasurable; `sip-top` passes `0` to turn its own
+/// process's timers off.
 pub fn set_timer_sample(rate: u64) {
     TIMER_SAMPLE.store(rate, Ordering::Relaxed);
 }

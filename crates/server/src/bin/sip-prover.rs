@@ -26,10 +26,6 @@
 //!   (without it, `warn`+ events go to stderr).
 //! * `--strict-load` — with `--data-dir`, exit nonzero if any snapshot on
 //!   disk fails to reload instead of skipping it with a warning.
-//! * `--obs-sample N` — hot-path timer sampling rate (default 16): the
-//!   engine's fold latency timer runs on 1 in `N` passes. Counters
-//!   stay exact at any setting; `1` times every call (finer histograms,
-//!   more clock reads), `0` turns the sampled timers off.
 //! * `--trace` — enable causal span tracing (default off): sessions join
 //!   verifier-announced traces, spans export at the ops listener's
 //!   `/trace` as Chrome trace-event JSON, and flight-recorder dumps carry
@@ -56,7 +52,6 @@ struct Args {
     metrics_addr: Option<String>,
     log_json: Option<String>,
     strict_load: bool,
-    obs_sample: u64,
     trace: bool,
 }
 
@@ -65,7 +60,7 @@ fn usage() -> ! {
         "usage: sip-prover [--listen ADDR] [--shard I --of N [--replica R]] [--log-u D] \
          [--field 61|127] [--max-sessions N] [--data-dir PATH] \
          [--metrics-addr ADDR] [--log-json PATH] [--strict-load] \
-         [--obs-sample N] [--trace]\n\
+         [--trace]\n\
          \n\
          --replica R    which replica of shard I this prover is (default 0);\n\
          \x20              replicas of a shard ingest the identical sub-stream\n\
@@ -77,8 +72,6 @@ fn usage() -> ! {
          --log-json P   append structured events to P as JSON lines\n\
          --strict-load  exit nonzero if any --data-dir snapshot fails to\n\
          \x20              reload, instead of skipping it with a warning\n\
-         --obs-sample N hot-path timer sampling rate (default 16; 1 = time\n\
-         \x20              every call, 0 = sampled timers off)\n\
          --trace        enable causal span tracing (spans export at /trace;\n\
          \x20              rejection dumps carry span trees)"
     );
@@ -98,7 +91,6 @@ fn parse_args() -> Args {
         metrics_addr: None,
         log_json: None,
         strict_load: false,
-        obs_sample: 16,
         trace: false,
     };
     let mut it = std::env::args().skip(1);
@@ -128,9 +120,6 @@ fn parse_args() -> Args {
             "--metrics-addr" => args.metrics_addr = Some(value("--metrics-addr")),
             "--log-json" => args.log_json = Some(value("--log-json")),
             "--strict-load" => args.strict_load = true,
-            "--obs-sample" => {
-                args.obs_sample = u64::from(parse_u32(&value("--obs-sample"), "--obs-sample"))
-            }
             "--trace" => args.trace = true,
             "--help" | "-h" => usage(),
             other => {
@@ -203,7 +192,6 @@ fn main() {
         data_dir: args.data_dir.as_ref().map(std::path::PathBuf::from),
         metrics_addr: args.metrics_addr.clone(),
         strict_load: args.strict_load,
-        obs_sample: args.obs_sample,
         ..ServerConfig::default()
     };
     let handle = match args.field {

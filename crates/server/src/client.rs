@@ -986,6 +986,10 @@ impl<F: PrimeField, T: Transport> RawClient<F, T> {
     /// Verified SELF-JOIN SIZE in one round trip ([`Msg::QueryOneShot`]):
     /// same digests and same typed rejections as [`Self::verify_f2`], but
     /// the whole post-stream conversation is a single frame each way.
+    ///
+    /// # Soundness
+    /// None: a prover that uses the revealed prefix has a false answer accepted
+    /// (see `sip-core`'s `sumcheck::oneshot`). Do not rely on the verdict.
     pub fn verify_f2_oneshot(
         &mut self,
         verifier: F2Verifier<F>,
@@ -1008,6 +1012,10 @@ impl<F: PrimeField, T: Transport> RawClient<F, T> {
 
     /// Verified RANGE-SUM over `[q_l, q_r]` in one round trip; see
     /// [`Self::verify_f2_oneshot`].
+    ///
+    /// # Soundness
+    /// None: a prover that uses the revealed prefix has a false answer accepted
+    /// (see `sip-core`'s `sumcheck::oneshot`). Do not rely on the verdict.
     pub fn verify_range_sum_oneshot(
         &mut self,
         verifier: RangeSumVerifier<F>,

@@ -76,15 +76,6 @@ pub struct ServerConfig {
     /// startup error (`sip-prover --strict-load`) instead of skipping it
     /// with a warning event.
     pub strict_load: bool,
-    /// Hot-path timer sampling rate (`sip-prover --obs-sample`): the
-    /// engine's per-pass fold latency timer runs on 1 in this many
-    /// passes. Counters stay exact at any setting — only histogram
-    /// resolution trades against clock-read overhead. The default 16
-    /// keeps timer cost unmeasurable; `1` times every call (still inside
-    /// the 2 % CI budget on fold-sized work, but visible on tiny
-    /// batches); `0` turns the sampled timers off entirely. Applied
-    /// process-wide at [`spawn`] via [`sip_obs::set_timer_sample`].
-    pub obs_sample: u64,
 }
 
 impl Default for ServerConfig {
@@ -101,7 +92,6 @@ impl Default for ServerConfig {
             data_dir: None,
             metrics_addr: None,
             strict_load: false,
-            obs_sample: 16,
         }
     }
 }
@@ -169,7 +159,6 @@ pub fn spawn<F: PrimeField, A: ToSocketAddrs>(
     let addr = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));
     let active = Arc::new(AtomicUsize::new(0));
-    sip_obs::set_timer_sample(config.obs_sample);
     // One registry per server: what any session publishes, every later
     // session (on any thread) can attach to. With a data directory it is
     // reloaded from disk, so published datasets and checkpoints survive a

@@ -415,3 +415,52 @@ fn sharded_and_cluster_books_resume_equivalence() {
     let (_, expected_straight) = rs.into_session(10, 200);
     assert_eq!(expected_resumed, expected_straight);
 }
+
+/// Theorem 1 on disk: a digest's snapshot grows by a fixed number of bytes
+/// per unit of `log u` — while the data it summarises grows as `2^{log u}` —
+/// and stays under 1 KB.
+fn snapshot_bytes_are_linear_in_log_u<F: PrimeField>() {
+    let sizes = |log_u: u32| -> [usize; 4] {
+        let u = 1u64 << log_u;
+        let stream = sip::streaming::workloads::with_deletions(1 << 10, u, 0.1, 7);
+        let inserts: Vec<Update> = stream
+            .iter()
+            .map(|up| Update::new(up.index, up.delta.unsigned_abs() as i64))
+            .collect();
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut f2 = F2Verifier::<F>::new(log_u, &mut rng);
+        f2.update_batch(&stream);
+        let mut range_sum = RangeSumVerifier::<F>::new(log_u, &mut rng);
+        range_sum.update_batch(&stream);
+        let mut subvector = SubVectorVerifier::<F>::new(log_u, &mut rng);
+        subvector.update_batch(&stream);
+        let mut count_tree = CountTreeHasher::<F>::random(log_u, &mut rng);
+        count_tree.update_batch(&inserts);
+        [
+            snapshot_to_bytes(&f2).len(),
+            snapshot_to_bytes(&range_sum).len(),
+            snapshot_to_bytes(&subvector).len(),
+            snapshot_to_bytes(&count_tree).len(),
+        ]
+    };
+    let (at12, at16, at18) = (sizes(12), sizes(16), sizes(18));
+    for (k, digest) in ["f2", "range_sum", "subvector", "count_tree"]
+        .iter()
+        .enumerate()
+    {
+        let (a, b, c) = (at12[k], at16[k], at18[k]);
+        assert!(b > a, "{digest}: {a} B at log u = 12, {b} B at 16");
+        assert_eq!(
+            (b - a) * 2,
+            (c - b) * 4,
+            "{digest}: {a}, {b}, {c} B at log u = 12, 16, 18"
+        );
+        assert!(c < 1024, "{digest}: {c} B at log u = 18");
+    }
+}
+
+#[test]
+fn digest_snapshots_grow_linearly_in_log_u() {
+    snapshot_bytes_are_linear_in_log_u::<Fp61>();
+    snapshot_bytes_are_linear_in_log_u::<Fp127>();
+}
