@@ -755,6 +755,14 @@ impl FleetScraper {
     }
 }
 
+/// [`FleetState::finish_round`] sets process-global gauges, so the unit tests
+/// that close rounds take turns, and one of them can read back what it set.
+#[cfg(test)]
+pub(crate) fn gauge_turn() -> MutexGuard<'static, ()> {
+    static GAUGES: Mutex<()> = Mutex::new(());
+    GAUGES.lock().unwrap_or_else(|p| p.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -808,6 +816,7 @@ mod tests {
 
     #[test]
     fn qps_comes_from_frame_deltas() {
+        let _turn = gauge_turn();
         let mut state = FleetState::new(FleetConfig::default(), vec![target(0, 0)]);
         state.ingest(0, full_result(100.0), 500, 1_000_000);
         state.finish_round(1_000_000);
@@ -823,6 +832,7 @@ mod tests {
 
     #[test]
     fn kill_flips_down_within_one_round_and_fires_availability() {
+        let _turn = gauge_turn();
         let targets = vec![target(0, 0), target(0, 1), target(1, 0), target(1, 1)];
         let mut state = FleetState::new(FleetConfig::default(), targets);
         // Three healthy rounds.
@@ -865,6 +875,7 @@ mod tests {
 
     #[test]
     fn health_json_is_parseable_and_complete() {
+        let _turn = gauge_turn();
         let mut state = FleetState::new(
             FleetConfig::default(),
             vec![target(0, 0), target(0, 1), target(1, 0)],
@@ -900,6 +911,7 @@ mod tests {
 
     #[test]
     fn non_finite_samples_cannot_poison_json_or_the_merged_exposition() {
+        let _turn = gauge_turn();
         let mut state = FleetState::new(FleetConfig::default(), vec![target(0, 0)]);
         let hostile = "sip_server_frames_total +Inf\n\
                        evil_gauge NaN\n\
@@ -937,6 +949,7 @@ mod tests {
 
     #[test]
     fn fleet_metrics_relabels_by_slot() {
+        let _turn = gauge_turn();
         let mut state = FleetState::new(FleetConfig::default(), vec![target(2, 1)]);
         state.ingest(0, full_result(42.0), 400, 1_000_000);
         state.finish_round(1_000_000);
@@ -955,6 +968,7 @@ mod tests {
 
     #[test]
     fn rollup_sums_cluster_counters_from_any_target() {
+        let _turn = gauge_turn();
         let mut state = FleetState::new(FleetConfig::default(), vec![target(0, 0)]);
         let text = "sip_server_frames_total 7\n\
                     sip_server_rejections_total 1\n\

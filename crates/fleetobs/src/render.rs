@@ -275,11 +275,12 @@ fn truncate(s: &str, max: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fleet::{FleetConfig, FleetState, ScrapeResult, Target};
+    use crate::fleet::{gauge_turn, FleetConfig, FleetState, ScrapeResult, Target};
     use crate::health::ScrapeOutcome;
     use crate::scrape::{parse_prometheus, ScrapeError};
 
     fn sample_state() -> FleetState {
+        let _turn = gauge_turn();
         let targets = vec![
             Target {
                 shard: 0,

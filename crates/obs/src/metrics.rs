@@ -572,6 +572,10 @@ pub const METRIC_HELP: &[(&str, &str)] = &[
         "Soundness rejections served to verifiers",
     ),
     (
+        "sip_server_store_promotions_total",
+        "Private raw stores switched from the sparse tree to the dense array: once the peer has sent u/8 updates, or once u/8 keys are nonzero",
+    ),
+    (
         "sip_server_sumcheck_provers_total",
         "Sum-check provers built, labelled by query and by start: head (a published dataset's first rounds from its head, no pass over the data) or sweep",
     ),

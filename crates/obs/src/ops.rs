@@ -209,6 +209,14 @@ fn route(request: &[u8], routes: &OpsRoutes) -> OpsResponse {
 mod tests {
     use super::*;
 
+    /// Every listener advertises its address process-wide, so the tests
+    /// that start one take turns.
+    static LISTENING: Mutex<()> = Mutex::new(());
+
+    fn turn() -> std::sync::MutexGuard<'static, ()> {
+        LISTENING.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
     fn get(addr: SocketAddr, request: &[u8]) -> String {
         let mut s = TcpStream::connect(addr).unwrap();
         s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
@@ -223,6 +231,7 @@ mod tests {
 
     #[test]
     fn serves_metrics_and_stats() {
+        let _turn = turn();
         crate::counter("t_ops_total").add(9);
         let handle = serve_ops("127.0.0.1:0").unwrap();
         let addr = handle.local_addr();
@@ -242,6 +251,7 @@ mod tests {
 
     #[test]
     fn custom_routes_layer_over_defaults_and_addr_is_advertised() {
+        let _turn = turn();
         let handle = serve_ops_with(
             "127.0.0.1:0",
             Arc::new(|path| match path {
@@ -262,6 +272,7 @@ mod tests {
 
     #[test]
     fn garbage_requests_get_a_bounded_answer() {
+        let _turn = turn();
         let handle = serve_ops("127.0.0.1:0").unwrap();
         let addr = handle.local_addr();
         // Non-UTF-8 garbage, an empty request, and an oversized one.

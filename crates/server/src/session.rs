@@ -31,7 +31,7 @@ use sip_core::transcript::query_transcript;
 use sip_core::CostReport;
 use sip_field::PrimeField;
 use sip_kvstore::{CloudStore, KvServer};
-use sip_streaming::{FrequencyVector, ShardPlan};
+use sip_streaming::{FrequencyVector, ShardPlan, Update};
 use sip_wire::{Msg, MsgChannel, Query, SessionMode, ShardSpec, WireCodec, WireError};
 
 use crate::registry::{Dataset, DatasetData, DatasetRegistry, MAX_DATASET_ID_LEN};
@@ -48,6 +48,7 @@ struct SessionMetrics {
     decode_us: sip_obs::Histogram,
     handle_us: sip_obs::Histogram,
     ingest_updates: sip_obs::Counter,
+    store_promotions: sip_obs::Counter,
     rejections: sip_obs::Counter,
     protocol_errors: sip_obs::Counter,
     wire_faults: sip_obs::Counter,
@@ -61,6 +62,7 @@ fn session_metrics() -> &'static SessionMetrics {
         decode_us: sip_obs::histogram("sip_server_decode_us"),
         handle_us: sip_obs::histogram("sip_server_handle_us"),
         ingest_updates: sip_obs::counter("sip_server_ingest_updates_total"),
+        store_promotions: sip_obs::counter("sip_server_store_promotions_total"),
         rejections: sip_obs::counter("sip_server_rejections_total"),
         protocol_errors: sip_obs::counter("sip_server_protocol_errors_total"),
         wire_faults: sip_obs::counter("sip_server_wire_faults_total"),
@@ -216,6 +218,10 @@ struct ServerSession<F: PrimeField, T: Transport> {
     /// Set once any update was ingested; a shard declaration after that
     /// could retroactively orphan data, so it is refused.
     ingested: bool,
+    /// Updates this connection's peer has sent into the private store — the
+    /// volume behind a raw store's promotion to the dense array. A thawed
+    /// checkpoint counts from zero (resume must precede any ingest).
+    received: u64,
     /// Cumulative word accounting of everything served on this connection,
     /// reported back as [`Msg::Cost`] when the verifier says goodbye. The
     /// verifier keeps its own books; this is the prover's advisory copy.
@@ -240,6 +246,12 @@ impl<F: PrimeField, T: Transport> ServerSession<F, T> {
     fn new(transport: T, mode: SessionMode, log_u: u32, registry: Arc<DatasetRegistry<F>>) -> Self {
         // Sparse storage in both modes: `log_u` is peer-chosen, and dense
         // vectors would let one idle handshake reserve `O(2^log_u)` memory.
+        // A raw store goes dense once the peer has sent `u/8` updates
+        // (`FrequencyVector::promote_if_received`, after each `Msg::Ingest`):
+        // at 16 wire bytes an update that is
+        // ≥ 2u bytes received for an 8u-byte array — memory ≤ 4 × bytes
+        // received, and never above `DENSE_LIMIT` cells. kv stores keep
+        // their vectors' own support rule.
         let store = match mode {
             SessionMode::RawStream => Store::Raw(FrequencyVector::new_sparse(1u64 << log_u)),
             SessionMode::KvStore => Store::Kv(CloudStore::new_sparse(log_u)),
@@ -254,6 +266,7 @@ impl<F: PrimeField, T: Transport> ServerSession<F, T> {
             shard: None,
             shard_pinned: false,
             ingested: false,
+            received: 0,
             served: CostReport::default(),
             attached_guard: None,
             remote_trace: None,
@@ -457,27 +470,7 @@ impl<F: PrimeField, T: Transport> ServerSession<F, T> {
                 // vector taken at query start, so this write goes to a
                 // fresh copy the prover never sees, and the verifier's
                 // digests live client-side.)
-                let u = 1u64 << self.log_u;
-                for up in &ups {
-                    if up.index >= u {
-                        return Err(protocol(format!(
-                            "update index {} outside universe [0, {u})",
-                            up.index
-                        )));
-                    }
-                    // A shard refuses data it does not own: a router bug
-                    // (or a hostile feeder) must fail loudly, not let two
-                    // shards silently hold overlapping state the
-                    // aggregating verifier would double-count.
-                    if let Some((spec, lo, hi)) = self.shard {
-                        if up.index < lo || up.index > hi {
-                            return Err(protocol(format!(
-                                "update index {} outside shard {}/{} range [{lo}, {hi}]",
-                                up.index, spec.index, spec.count
-                            )));
-                        }
-                    }
-                }
+                self.check_ingest(&ups)?;
                 self.ingested |= !ups.is_empty();
                 if sip_obs::enabled() {
                     session_metrics().ingest_updates.add(ups.len() as u64);
@@ -486,26 +479,22 @@ impl<F: PrimeField, T: Transport> ServerSession<F, T> {
                 // sorted-merge / delayed-reduction bulk paths replace the
                 // per-update loops, with identical resulting state.
                 match &mut self.store {
-                    Store::Raw(fv) => fv.apply_batch(&ups),
-                    Store::Kv(store) => {
-                        for up in &ups {
-                            if up.delta < 1 {
-                                return Err(protocol(format!(
-                                    "kv put with non-positive encoded value {}",
-                                    up.delta
-                                )));
-                            }
-                        }
-                        store.ingest_batch(&ups);
-                    }
-                    Store::Shared(ds) => {
-                        if !ups.is_empty() {
-                            return Err(protocol(format!(
-                                "dataset {:?} is frozen: published snapshots accept no updates",
-                                ds.id
-                            )));
+                    Store::Raw(fv) => {
+                        let was_dense = fv.is_dense();
+                        fv.apply_batch(&ups);
+                        // Promote on volume received, not on support: a
+                        // Zipf stream reaches `u/8` distinct keys long after
+                        // `u/8` updates, and every update in between is a
+                        // tree walk instead of an indexed add.
+                        self.received += ups.len() as u64;
+                        fv.promote_if_received(self.received);
+                        if !was_dense && fv.is_dense() && sip_obs::enabled() {
+                            session_metrics().store_promotions.inc();
                         }
                     }
+                    Store::Kv(store) => store.ingest_batch(&ups),
+                    // `check_ingest` refused any update into a frozen dataset.
+                    Store::Shared(_) => {}
                 }
                 Ok(true)
             }
@@ -669,6 +658,48 @@ impl<F: PrimeField, T: Transport> ServerSession<F, T> {
                 other.name()
             ))),
         }
+    }
+
+    /// Validates a whole `Msg::Ingest` frame in one pass before any store is
+    /// touched, so a refused frame applies nothing: no update into a frozen
+    /// dataset, every index inside the universe and — on a shard — inside
+    /// its range, every kv put's encoded value `δ ≥ 1`.
+    fn check_ingest(&self, ups: &[Update]) -> Result<(), Flow> {
+        if let (Store::Shared(ds), false) = (&self.store, ups.is_empty()) {
+            return Err(protocol(format!(
+                "dataset {:?} is frozen: published snapshots accept no updates",
+                ds.id
+            )));
+        }
+        let u = 1u64 << self.log_u;
+        let kv = matches!(self.store, Store::Kv(_));
+        for up in ups {
+            if up.index >= u {
+                return Err(protocol(format!(
+                    "update index {} outside universe [0, {u})",
+                    up.index
+                )));
+            }
+            // A shard refuses data it does not own: a router bug (or a
+            // hostile feeder) must fail loudly, not let two shards silently
+            // hold overlapping state the aggregating verifier would
+            // double-count.
+            if let Some((spec, lo, hi)) = self.shard {
+                if up.index < lo || up.index > hi {
+                    return Err(protocol(format!(
+                        "update index {} outside shard {}/{} range [{lo}, {hi}]",
+                        up.index, spec.index, spec.count
+                    )));
+                }
+            }
+            if kv && up.delta < 1 {
+                return Err(protocol(format!(
+                    "kv put with non-positive encoded value {}",
+                    up.delta
+                )));
+            }
+        }
+        Ok(())
     }
 
     /// Binds a revealed sum-check challenge and answers with the next round
@@ -1100,7 +1131,6 @@ mod tests {
     use super::*;
     use sip_core::channel::InMemoryTransport;
     use sip_field::Fp61;
-    use sip_streaming::Update;
     use std::thread;
 
     fn with_session<R: Send + 'static>(
@@ -2116,5 +2146,147 @@ mod tests {
         );
         assert_eq!(ends, (SessionEnd::PeerDone, SessionEnd::PeerDone));
         let _ = std::fs::remove_dir_all(dir);
+    }
+
+    type Bare = ServerSession<Fp61, InMemoryTransport>;
+
+    /// A session driven frame by frame on this thread, so a test can look at
+    /// its store between frames; the returned peer end keeps the transport
+    /// open.
+    fn bare_session(
+        mode: SessionMode,
+        log_u: u32,
+        registry: Arc<DatasetRegistry<Fp61>>,
+    ) -> (Bare, InMemoryTransport) {
+        let (a, b) = InMemoryTransport::pair();
+        (ServerSession::new(a, mode, log_u, registry), b)
+    }
+
+    /// Hands the session one accepted `Msg::Ingest` frame of `n` updates,
+    /// all `+1` on key 0, and returns the frame's wire bytes.
+    fn ingest_on_key_zero(session: &mut Bare, n: u64) -> u64 {
+        let frame = Msg::<Fp61>::Ingest(vec![Update::new(0, 1); n as usize]);
+        let bytes = frame.to_bytes().len() as u64;
+        assert!(matches!(session.handle(frame), Ok(true)));
+        bytes
+    }
+
+    fn raw_store(session: &Bare) -> &FrequencyVector {
+        match &session.store {
+            Store::Raw(fv) => fv,
+            _ => panic!("not a private raw store"),
+        }
+    }
+
+    /// The largest universe a vector holds densely: a 32 MB table.
+    const WIDEST_DENSE_LOG_U: u32 = 22;
+
+    #[test]
+    fn store_promotes_on_volume_within_four_times_the_wire_bytes() {
+        // Every update lands on key 0, so the support stays 1 and only the
+        // session's volume rule can promote.
+        let log_u = WIDEST_DENSE_LOG_U;
+        let u = 1u64 << log_u;
+        let registry = Arc::new(DatasetRegistry::new(1));
+        let (mut session, _peer) = bare_session(SessionMode::RawStream, log_u, registry);
+        let threshold = raw_store(&session).promote_threshold();
+        assert_eq!(threshold, u / 8);
+        assert!(
+            !raw_store(&session).is_dense(),
+            "an idle handshake reserves nothing"
+        );
+        let mut wire = ingest_on_key_zero(&mut session, threshold - 1);
+        assert!(
+            !raw_store(&session).is_dense(),
+            "u/8 − 1 updates: still the tree"
+        );
+        wire += ingest_on_key_zero(&mut session, 1);
+        assert!(raw_store(&session).is_dense(), "the u/8-th update promotes");
+        assert!(
+            8 * u <= 4 * wire,
+            "an {}-byte table for {wire} wire bytes",
+            8 * u
+        );
+        let entries = raw_store(&session).nonzero().collect::<Vec<_>>();
+        assert_eq!(entries, [(0, threshold as i64)]);
+    }
+
+    #[test]
+    fn store_of_a_kv_session_never_promotes_on_volume() {
+        let log_u = WIDEST_DENSE_LOG_U;
+        let registry = Arc::new(DatasetRegistry::new(1));
+        let (mut session, _peer) = bare_session(SessionMode::KvStore, log_u, registry);
+        ingest_on_key_zero(&mut session, (1u64 << log_u) / 8);
+        let Store::Kv(s) = &session.store else {
+            panic!("not a kv store")
+        };
+        assert_eq!(s.raw_vector().promote_threshold(), (1u64 << log_u) / 8);
+        for fv in [s.encoded_vector(), s.presence_vector(), s.raw_vector()] {
+            assert!(!fv.is_dense(), "kv vectors keep their own support rule");
+        }
+    }
+
+    #[test]
+    fn store_of_a_resumed_checkpoint_counts_from_zero() {
+        let log_u = WIDEST_DENSE_LOG_U;
+        let (registry, dir) = durable_registry("promote-resume");
+        let (mut first, _peer) = bare_session(SessionMode::RawStream, log_u, Arc::clone(&registry));
+        let threshold = raw_store(&first).promote_threshold();
+        ingest_on_key_zero(&mut first, threshold / 2);
+        let save = Msg::SaveState {
+            dataset_id: "half".into(),
+        };
+        assert!(matches!(first.handle(save), Ok(true)));
+        assert!(!raw_store(&first).is_dense());
+        let (mut resumed, _peer) = bare_session(SessionMode::RawStream, log_u, registry);
+        let resume = Msg::Resume {
+            dataset_id: "half".into(),
+        };
+        assert!(matches!(resumed.handle(resume), Ok(true)));
+        ingest_on_key_zero(&mut resumed, threshold - 1);
+        assert!(
+            !raw_store(&resumed).is_dense(),
+            "the checkpoint's own updates are not counted again"
+        );
+        ingest_on_key_zero(&mut resumed, 1);
+        assert!(raw_store(&resumed).is_dense());
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn store_is_untouched_by_a_frame_whose_last_update_is_bad() {
+        // Over [0, 16) the good updates alone would promote a raw store.
+        let good = [Update::new(9, 3), Update::new(10, 5), Update::new(11, 1)];
+        let cases = [
+            (
+                "raw, outside the universe",
+                SessionMode::RawStream,
+                None,
+                16,
+            ),
+            ("raw, outside the shard", SessionMode::RawStream, Some(1), 3),
+            ("kv, encoded value 0", SessionMode::KvStore, None, 12),
+        ];
+        for (name, mode, shard, index) in cases {
+            let registry = Arc::new(DatasetRegistry::new(1));
+            let (mut session, _peer) = bare_session(mode, 4, registry);
+            if let Some(i) = shard {
+                session.adopt_shard(ShardSpec::new(i, 2), false).unwrap();
+            }
+            let delta = if mode == SessionMode::KvStore { 0 } else { 1 };
+            let frame = [&good[..], &[Update::new(index, delta)]].concat();
+            let refused = session.handle(Msg::Ingest(frame));
+            assert!(matches!(refused, Err(Flow::Protocol(_))), "{name}");
+            let support = match &session.store {
+                Store::Raw(fv) => fv.support_size(),
+                Store::Kv(s) => [s.encoded_vector(), s.presence_vector(), s.raw_vector()]
+                    .iter()
+                    .map(|fv| fv.support_size())
+                    .sum(),
+                Store::Shared(_) => unreachable!(),
+            };
+            let state = (support, session.ingested, session.received);
+            assert_eq!(state, (0, false, 0), "{name}: nothing applied");
+        }
     }
 }

@@ -17,7 +17,10 @@ pub const DENSE_LIMIT: u64 = 1 << 22;
 /// `BTreeMap` already holds more bytes than the dense array would, and
 /// every further update is a tree walk instead of an indexed add. Memory
 /// stays `O(min(u, PROMOTE_DIVISOR · support))`, so a peer-chosen `log_u`
-/// still cannot reserve memory it never filled.
+/// still cannot reserve memory it never filled. A caller that counts the
+/// updates it fed the vector — a bound on the support from above — may
+/// promote at the same ratio of that count
+/// ([`FrequencyVector::promote_if_received`]).
 const PROMOTE_DIVISOR: u64 = 8;
 
 /// The frequency vector `a ∈ Z^u` defined by a stream of updates.
@@ -225,12 +228,28 @@ impl FrequencyVector {
     }
 
     /// Switches a sparse vector whose support has outgrown the tree to the
-    /// dense representation (see [`PROMOTE_DIVISOR`]). Queries behave
-    /// identically in both representations, so this is invisible outside
-    /// of speed and memory shape.
+    /// dense representation (see [`PROMOTE_DIVISOR`]).
     fn maybe_promote(&mut self) {
+        if let Repr::Sparse(m) = &*self.repr {
+            self.promote_if_received(m.len() as u64);
+        }
+    }
+
+    /// The count at which a sparse vector goes dense: `⌈u / 8⌉`.
+    pub fn promote_threshold(&self) -> u64 {
+        self.u.div_ceil(PROMOTE_DIVISOR)
+    }
+
+    /// Switches a sparse vector to the dense array once `received` — the
+    /// updates a caller has fed it, whatever its support — reaches
+    /// [`Self::promote_threshold`]; the vector's own rule passes its
+    /// support. A no-op when the vector is already dense or `u` exceeds
+    /// [`DENSE_LIMIT`]. Queries behave identically in both representations,
+    /// so this is invisible outside of speed and memory shape; a snapshot
+    /// cloned earlier keeps the tree it shared.
+    pub fn promote_if_received(&mut self, received: u64) {
         let Repr::Sparse(m) = &*self.repr else { return };
-        if self.u > DENSE_LIMIT || (m.len() as u64) < self.u.div_ceil(PROMOTE_DIVISOR) {
+        if self.u > DENSE_LIMIT || received < self.promote_threshold() {
             return;
         }
         let mut v = vec![0i64; self.u as usize];
@@ -616,5 +635,32 @@ mod tests {
         assert_eq!(fv.range_sum(0, 63), twin.range_sum(0, 63));
         // A huge universe never promotes regardless of support.
         assert!(matches!(*twin.repr, Repr::Sparse(_)));
+    }
+
+    #[test]
+    fn promotes_on_volume_received_at_any_support_and_leaves_snapshots_alone() {
+        let mut fv = FrequencyVector::new_sparse(64);
+        assert_eq!(fv.promote_threshold(), 8);
+        fv.apply_batch(&[Update::new(5, 3), Update::new(40, -2)]);
+        let snapshot = fv.clone();
+        fv.promote_if_received(7);
+        assert!(!fv.is_dense(), "7 received: still the tree");
+        fv.promote_if_received(8);
+        assert!(fv.is_dense(), "support 2 of 64, 8 received");
+        assert!(!snapshot.is_dense(), "the snapshot keeps its tree");
+        assert_eq!(
+            fv.nonzero().collect::<Vec<_>>(),
+            snapshot.nonzero().collect::<Vec<_>>()
+        );
+        let before = fv.dense_values().map(<[i64]>::as_ptr);
+        fv.promote_if_received(u64::MAX);
+        assert_eq!(
+            fv.dense_values().map(<[i64]>::as_ptr),
+            before,
+            "dense: no-op"
+        );
+        let mut wide = FrequencyVector::new_sparse(DENSE_LIMIT + 1);
+        wide.promote_if_received(u64::MAX);
+        assert!(!wide.is_dense(), "above DENSE_LIMIT: no-op");
     }
 }

@@ -3,8 +3,12 @@
 //! must agree on random streams — across power-of-two and general bases
 //! and several point counts — and `FrequencyVector::apply_batch` must be
 //! indistinguishable from repeated `apply`, including across the sparse →
-//! dense promotion boundary. One level down, the grouped bank kernel
-//! (blocks counting-sorted by last super-digit, one reduction and one
+//! dense promotion boundary. A vector promoted on volume at any point —
+//! what a server session does once its peer has sent `u/8` updates, pinned
+//! here over TCP by the promotion counter — must be indistinguishable from a
+//! never-promoted tree, down to the prover transcripts. One level down, the
+//! grouped bank kernel (blocks counting-sorted by last super-digit, one
+//! reduction and one
 //! product per bucket) must equal a per-update reference kept here —
 //! `Σ_t δ_t · Π_j row_j[digit_j(i_t)]`, one weight and one multiply-add per
 //! update — on every bucket shape, universe shape and field. One level up, a
@@ -21,8 +25,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sip::core::heavy_hitters::CountTreeHasher;
 use sip::core::subvector::{HashKind, StreamingRootHasher, SubVectorVerifier};
-use sip::core::sumcheck::f2::F2Verifier;
-use sip::core::sumcheck::range_sum::RangeSumVerifier;
+use sip::core::sumcheck::f2::{F2Prover, F2Verifier};
+use sip::core::sumcheck::range_sum::{RangeSumProver, RangeSumVerifier};
+use sip::core::sumcheck::RoundProver;
 use sip::durable::snapshot_to_bytes;
 use sip::field::lagrange::chi_all;
 use sip::field::{Fp127, Fp61, PrimeField};
@@ -31,7 +36,10 @@ use sip::lde::reference::{naive_lde_eval, weight_divmod};
 use sip::lde::{
     BlockStage, LdeParams, MultiLdeEvaluator, StreamingLdeEvaluator, WeightBank, STAGE_BLOCK,
 };
-use sip::streaming::{FrequencyVector, Update};
+use sip::obs;
+use sip::server::client::RawClient;
+use sip::server::{spawn, ServerConfig};
+use sip::streaming::{workloads, FrequencyVector, Update};
 
 /// The `(ℓ, d)` shapes under test: the paper's binary sweet spot, two
 /// larger power-of-two bases, and two general bases (one needing the
@@ -268,6 +276,118 @@ fn promotion_boundary_cases() {
             twin.nonzero().collect::<Vec<_>>()
         );
     }
+}
+
+/// The messages an honest prover sends against `challenges`.
+fn transcript(mut prover: impl RoundProver<Fp61>, challenges: &[Fp61]) -> Vec<Vec<Fp61>> {
+    let mut messages = vec![prover.message()];
+    for &r in &challenges[..prover.rounds() - 1] {
+        prover.bind(r);
+        messages.push(prover.message());
+    }
+    messages
+}
+
+/// Everything a query can see of a vector: every cell, the nonzero entries,
+/// F₂, one range-sum, and the F₂ and RANGE-SUM prover transcripts.
+type Observed = (
+    Vec<i64>,
+    Vec<(u64, i64)>,
+    i128,
+    i128,
+    Vec<Vec<Fp61>>,
+    Vec<Vec<Fp61>>,
+);
+
+fn observe(fv: &FrequencyVector, log_u: u32, (l, r): (u64, u64), at: &[Fp61]) -> Observed {
+    (
+        (0..fv.universe()).map(|i| fv.get(i)).collect(),
+        fv.nonzero().collect(),
+        fv.self_join_size(),
+        fv.range_sum(l, r),
+        transcript(F2Prover::<Fp61>::new(fv, log_u), at),
+        transcript(RangeSumProver::<Fp61>::new(fv, log_u, l, r), at),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A tree promoted on volume at an arbitrary point of an arbitrary
+    /// stream — as if its peer had sent `u/8` updates — then fed the rest,
+    /// equals a never-promoted tree of the same entries and a vector dense
+    /// from birth, to every query and prover.
+    #[test]
+    fn promotion_on_volume_is_invisible(
+        log_u in 3u32..=10,
+        raw in prop::collection::vec((any::<u64>(), any::<i64>()), 0..300),
+        split in any::<usize>(),
+        ends in (any::<u64>(), any::<u64>()),
+        seed in any::<u64>(),
+    ) {
+        let u = 1u64 << log_u;
+        let stream = stream_of(&raw, u);
+        let split = split % (stream.len() + 1);
+        let mut promoted = FrequencyVector::new_sparse(u);
+        promoted.apply_batch(&stream[..split]);
+        promoted.promote_if_received(promoted.promote_threshold());
+        prop_assert!(promoted.is_dense());
+        promoted.apply_batch(&stream[split..]);
+        let dense = FrequencyVector::from_stream(u, &stream);
+        let tree = FrequencyVector::from_sparse_entries(u, dense.nonzero());
+        prop_assert!(!tree.is_dense());
+        let (l, r) = (ends.0 % u, ends.1 % u);
+        let range = (l.min(r), l.max(r));
+        let at = points(1, log_u, seed).pop().unwrap();
+        let reference = observe(&tree, log_u, range, &at);
+        prop_assert_eq!(observe(&promoted, log_u, range, &at), reference.clone(), "promoted");
+        prop_assert_eq!(observe(&dense, log_u, range, &at), reference, "dense from birth");
+    }
+}
+
+/// Over TCP, a raw session's store goes dense on the frame that brings its
+/// peer's updates to `u/8` — `sip_server_store_promotions_total` moves by
+/// exactly one, there — and the verified F₂ and RANGE-SUM answers are the
+/// ground truth. The only test in this binary that serves sessions, so the
+/// process-global counter moves for it alone.
+#[test]
+fn a_raw_session_promotes_once_on_the_frame_that_reaches_u_over_8() {
+    let log_u = 16u32;
+    let u = 1u64 << log_u;
+    let stream = workloads::zipf(1 << 16, u, 1.1, 3);
+    let fv = FrequencyVector::from_stream(u, &stream);
+    let head = FrequencyVector::from_stream(u, &stream[..(u / 8) as usize]);
+    assert!(head.support_size() < u / 8, "the support rule would wait");
+    let (l, r) = (u / 5 + 3, u / 5 * 4);
+    let truth = (
+        Fp61::from_u128(fv.self_join_size() as u128),
+        Fp61::from_u128(fv.range_sum(l, r) as u128),
+    );
+    let mut rng = StdRng::seed_from_u64(4);
+    let mut f2 = F2Verifier::<Fp61>::new(log_u, &mut rng);
+    let mut range = RangeSumVerifier::<Fp61>::new(log_u, &mut rng);
+    f2.update_batch(&stream);
+    range.update_batch(&stream);
+
+    let promotions = || obs::counter("sip_server_store_promotions_total").get();
+    let server = spawn::<Fp61, _>("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut client = RawClient::<Fp61, _>::connect(server.local_addr(), log_u).unwrap();
+    let before = promotions();
+    for (i, frame) in stream.chunks(4096).enumerate() {
+        client.send_batch(frame);
+        // The reply leaves after the session has handled the frame.
+        client.server_stats().unwrap();
+        let sent = (i as u64 + 1) * 4096;
+        assert_eq!(
+            promotions() - before,
+            u64::from(sent >= u / 8),
+            "after {sent} updates"
+        );
+    }
+    assert_eq!(client.verify_f2(f2).unwrap().value, truth.0);
+    assert_eq!(client.verify_range_sum(range, l, r).unwrap().value, truth.1);
+    client.bye().unwrap();
+    server.shutdown();
 }
 
 /// One point's per-digit rows: `rows[j][v]` is the factor digit value `v`
