@@ -126,21 +126,8 @@ impl<F: PrimeField> ClusterClient<F, FramedTcpTransport> {
         log_u: u32,
         timeout: Duration,
     ) -> Result<Self, Rejection> {
-        let plan = validated_plan(log_u, addrs.len())?;
-        let mut shards = Vec::with_capacity(addrs.len());
-        for (s, addr) in addrs.iter().enumerate() {
-            let mut client =
-                RawClient::connect_with_timeout(addr, log_u, timeout).map_err(|e| blame(s, e))?;
-            client
-                .shard_hello(ShardSpec::new(s as u32, plan.shards()))
-                .map_err(|e| blame(s, e))?;
-            shards.push(client);
-        }
-        Ok(ClusterClient {
-            router: ShardRouter::new(plan),
-            shards,
-            recorder: sip_obs::FlightRecorder::new(FLIGHT_FRAMES),
-            last_dump: None,
+        Self::join(log_u, addrs.len(), |s| {
+            RawClient::connect_with_timeout(&addrs[s], log_u, timeout)
         })
     }
 
@@ -153,21 +140,8 @@ impl<F: PrimeField> ClusterClient<F, FramedTcpTransport> {
         log_u: u32,
         policy: &RetryPolicy,
     ) -> Result<Self, Rejection> {
-        let plan = validated_plan(log_u, addrs.len())?;
-        let mut shards = Vec::with_capacity(addrs.len());
-        for (s, addr) in addrs.iter().enumerate() {
-            let mut client = RawClient::connect_with_policy(addr.clone(), log_u, policy)
-                .map_err(|e| blame(s, e))?;
-            client
-                .shard_hello(ShardSpec::new(s as u32, plan.shards()))
-                .map_err(|e| blame(s, e))?;
-            shards.push(client);
-        }
-        Ok(ClusterClient {
-            router: ShardRouter::new(plan),
-            shards,
-            recorder: sip_obs::FlightRecorder::new(FLIGHT_FRAMES),
-            last_dump: None,
+        Self::join(log_u, addrs.len(), |s| {
+            RawClient::connect_with_policy(addrs[s].clone(), log_u, policy)
         })
     }
 }
@@ -185,16 +159,31 @@ impl<F: PrimeField, T: Transport> ClusterClient<F, T> {
     /// `(log_u, transports.len())` shape is refused with
     /// [`Rejection::InvalidConfig`] (see [`Self::connect`]).
     pub fn from_transports(transports: Vec<T>, log_u: u32) -> Result<Self, Rejection> {
-        let plan = validated_plan(log_u, transports.len())?;
-        let mut shards = Vec::with_capacity(plan.shards() as usize);
-        for (s, transport) in transports.into_iter().enumerate() {
-            let mut client =
-                RawClient::from_transport(transport, log_u).map_err(|e| blame(s, e))?;
-            client
-                .shard_hello(ShardSpec::new(s as u32, plan.shards()))
-                .map_err(|e| blame(s, e))?;
-            shards.push(client);
-        }
+        let fleet = transports.len();
+        let mut transports = transports.into_iter();
+        Self::join(log_u, fleet, |_| {
+            RawClient::from_transport(transports.next().expect("one per shard"), log_u)
+        })
+    }
+
+    /// The one fleet join behind every constructor: checks the shape,
+    /// then dials shard `s` with `dial(s)` and declares its identity, in
+    /// shard order. A shard that fails either step is blamed.
+    fn join(
+        log_u: u32,
+        fleet: usize,
+        mut dial: impl FnMut(usize) -> Result<RawClient<F, T>, Rejection>,
+    ) -> Result<Self, Rejection> {
+        let plan = validated_plan(log_u, fleet)?;
+        let shards = (0..fleet)
+            .map(|s| {
+                let client = dial(s).map_err(|e| blame(s, e))?;
+                client
+                    .shard_hello(ShardSpec::new(s as u32, plan.shards()))
+                    .map_err(|e| blame(s, e))?;
+                Ok(client)
+            })
+            .collect::<Result<_, Rejection>>()?;
         Ok(ClusterClient {
             router: ShardRouter::new(plan),
             shards,
@@ -671,6 +660,10 @@ impl<F: PrimeField, T: Transport> ClusterClient<F, T> {
     /// # Panics
     /// Panics if the digest was drawn for a different [`ShardPlan`] than
     /// this client's fleet (see [`Self::verify_f2`]).
+    ///
+    /// # Soundness
+    /// None: a prover that uses the revealed prefix has a false answer accepted
+    /// (see `sip-core`'s `sumcheck::oneshot`). Do not rely on the verdict.
     pub fn verify_f2_oneshot(
         &mut self,
         digest: ClusterF2Verifier<F>,
@@ -691,6 +684,10 @@ impl<F: PrimeField, T: Transport> ClusterClient<F, T> {
     /// # Panics
     /// Panics if the digest was drawn for a different [`ShardPlan`] than
     /// this client's fleet (see [`Self::verify_f2`]).
+    ///
+    /// # Soundness
+    /// None: a prover that uses the revealed prefix has a false answer accepted
+    /// (see `sip-core`'s `sumcheck::oneshot`). Do not rely on the verdict.
     pub fn verify_range_sum_oneshot(
         &mut self,
         digest: ClusterRangeSumVerifier<F>,

@@ -233,7 +233,7 @@ impl<F: PrimeField> ReplicaFleet<F, FramedTcpTransport> {
             let s = slot as u32 / replicas;
             let r = slot as u32 % replicas;
             let spec = ShardSpec::with_replica(s, rplan.shards(), r);
-            let joined = dial(addr.clone(), log_u, policy, s).and_then(|mut client| {
+            let joined = dial(addr.clone(), log_u, policy, s).and_then(|client| {
                 client.shard_hello(spec)?;
                 Ok(client)
             });
@@ -307,7 +307,7 @@ impl<F: PrimeField, T: Transport> ReplicaFleet<F, T> {
             let s = slot as u32 / replicas;
             let r = slot as u32 % replicas;
             let spec = ShardSpec::with_replica(s, rplan.shards(), r);
-            let joined = RawClient::from_transport(transport, log_u).and_then(|mut client| {
+            let joined = RawClient::from_transport(transport, log_u).and_then(|client| {
                 client.shard_hello(spec)?;
                 Ok(client)
             });
@@ -474,7 +474,7 @@ impl<F: PrimeField, T: Transport> ReplicaFleet<F, T> {
         &mut self,
         shard: u32,
         replica: u32,
-        mut client: RawClient<F, T>,
+        client: RawClient<F, T>,
         dataset_id: Option<&str>,
     ) -> Result<(), Rejection> {
         let spec = ShardSpec::with_replica(shard, self.rplan.shards(), replica);

@@ -272,7 +272,8 @@ impl Transport for FramedTcpTransport {
 /// before each received frame: a fixed `rtt` plus a jitter drawn from a
 /// seeded xorshift64* sequence. The same `(rtt, jitter, seed)` always
 /// produces the same delay sequence ([`LatencyTransport::delay_sequence`]),
-/// so latency experiments (`bench_rtt`) and tests are reproducible.
+/// so latency experiments (`sipbench`'s `sharded_wan` workload) and tests are
+/// reproducible.
 ///
 /// The delay is applied on the *receive* side — one sleep per frame models
 /// one network traversal, so a request/response exchange over a wrapped

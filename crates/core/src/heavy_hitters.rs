@@ -489,6 +489,26 @@ impl<F: PrimeField> HhProver<F> {
     }
 }
 
+/// The prover of one heavy-hitters query as the verifier sees it. Every
+/// method is fallible, so a remote session surfaces transport and decode
+/// failures as [`Rejection`]s; the in-process [`HhProver`] never fails.
+pub trait HeavySession<F: PrimeField> {
+    /// The next level disclosure.
+    fn disclose(&mut self) -> Result<LevelDisclosure<F>, Rejection>;
+    /// Receive the revealed level keys.
+    fn keys(&mut self, level: u32, r: F, s: F) -> Result<(), Rejection>;
+}
+
+impl<F: PrimeField> HeavySession<F> for HhProver<F> {
+    fn disclose(&mut self) -> Result<LevelDisclosure<F>, Rejection> {
+        Ok(HhProver::disclose(self))
+    }
+    fn keys(&mut self, level: u32, r: F, s: F) -> Result<(), Rejection> {
+        self.receive_keys(level, r, s);
+        Ok(())
+    }
+}
+
 /// A verified heavy-hitters answer.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct VerifiedHeavyHitters {
@@ -496,6 +516,50 @@ pub struct VerifiedHeavyHitters {
     pub items: Vec<(u64, u64)>,
     /// Cost accounting.
     pub report: CostReport,
+}
+
+/// The HEAVY HITTERS conversation at absolute `threshold` with the digest
+/// `hasher`: the threshold out, then one level disclosure back per level
+/// and the level's keys out, until the leaves. The only place its rounds
+/// and words are booked.
+///
+/// `open` starts the prover's side. It is never called when no item can be
+/// heavy (`n < threshold`): that query is accepted empty without
+/// interaction.
+pub fn drive_heavy_hitters<'a, F: PrimeField>(
+    hasher: CountTreeHasher<F>,
+    threshold: u64,
+    open: impl FnOnce() -> Box<dyn HeavySession<F> + 'a>,
+) -> Result<VerifiedHeavyHitters, Rejection> {
+    let streaming_space = hasher.space_words();
+    let mut session = hasher.into_session(threshold);
+    let mut report = CostReport {
+        v_to_p_words: 1, // the threshold
+        verifier_space_words: streaming_space,
+        ..CostReport::default()
+    };
+    if session.trivially_empty() {
+        return Ok(VerifiedHeavyHitters {
+            items: Vec::new(),
+            report,
+        });
+    }
+    let mut prover = open();
+    loop {
+        let disc = prover.disclose()?;
+        report.rounds += 1;
+        report.p_to_v_words += disc.words();
+        match session.receive_level(&disc)? {
+            HhStep::RevealKeys { level, r, s } => {
+                report.v_to_p_words += 2;
+                prover.keys(level, r, s)?;
+            }
+            HhStep::Accept(items) => {
+                report.verifier_space_words = streaming_space + session.space_words();
+                return Ok(VerifiedHeavyHitters { items, report });
+            }
+        }
+    }
 }
 
 /// Runs the complete honest HEAVY HITTERS protocol with absolute threshold
@@ -512,51 +576,44 @@ pub fn run_heavy_hitters<F: PrimeField, R: Rng + ?Sized>(
 /// Disclosure corruption hook (`level`, mutable disclosure).
 pub type HhAdversary<'a, F> = &'a mut dyn FnMut(u32, &mut LevelDisclosure<F>);
 
+/// An in-process prover whose disclosures pass through an optional
+/// [`HhAdversary`] on their way to the verifier.
+struct Tampered<'a, F: PrimeField> {
+    prover: HhProver<F>,
+    adversary: Option<HhAdversary<'a, F>>,
+}
+
+impl<F: PrimeField> HeavySession<F> for Tampered<'_, F> {
+    fn disclose(&mut self) -> Result<LevelDisclosure<F>, Rejection> {
+        let mut disc = self.prover.disclose();
+        if let Some(adv) = self.adversary.as_mut() {
+            adv(disc.level, &mut disc);
+        }
+        Ok(disc)
+    }
+    fn keys(&mut self, level: u32, r: F, s: F) -> Result<(), Rejection> {
+        self.prover.receive_keys(level, r, s);
+        Ok(())
+    }
+}
+
 /// Like [`run_heavy_hitters`] with a disclosure-corruption hook.
 pub fn run_heavy_hitters_with_adversary<F: PrimeField, R: Rng + ?Sized>(
     log_u: u32,
     stream: &[Update],
     threshold: u64,
     rng: &mut R,
-    mut adversary: Option<HhAdversary<'_, F>>,
+    adversary: Option<HhAdversary<'_, F>>,
 ) -> Result<VerifiedHeavyHitters, Rejection> {
     let mut hasher = CountTreeHasher::<F>::random(log_u, rng);
     hasher.update_all(stream);
-    let streaming_space = hasher.space_words();
-    let mut session = hasher.into_session(threshold);
-    let mut report = CostReport {
-        v_to_p_words: 1, // the threshold
-        verifier_space_words: streaming_space,
-        ..CostReport::default()
-    };
-    if session.trivially_empty() {
-        return Ok(VerifiedHeavyHitters {
-            items: Vec::new(),
-            report,
-        });
-    }
-
-    let fv = FrequencyVector::from_stream(1 << log_u, stream);
-    let mut prover = HhProver::<F>::new(&fv, log_u, threshold);
-
-    loop {
-        let mut disc = prover.disclose();
-        if let Some(adv) = adversary.as_mut() {
-            adv(disc.level, &mut disc);
-        }
-        report.rounds += 1;
-        report.p_to_v_words += disc.words();
-        match session.receive_level(&disc)? {
-            HhStep::RevealKeys { level, r, s } => {
-                report.v_to_p_words += 2;
-                prover.receive_keys(level, r, s);
-            }
-            HhStep::Accept(items) => {
-                report.verifier_space_words = streaming_space + session.space_words();
-                return Ok(VerifiedHeavyHitters { items, report });
-            }
-        }
-    }
+    drive_heavy_hitters(hasher, threshold, || {
+        let fv = FrequencyVector::from_stream(1 << log_u, stream);
+        Box::new(Tampered {
+            prover: HhProver::new(&fv, log_u, threshold),
+            adversary,
+        })
+    })
 }
 
 #[cfg(test)]

@@ -57,5 +57,5 @@ pub use channel::{
 };
 pub use engine::{Combine, FoldSource};
 pub use error::{IoFault, Rejection};
-pub use sumcheck::{OneShotProof, OneShotWalk, ProverWalk};
+pub use sumcheck::{OneShotProof, ProverWalk, SumCheckSession};
 pub use transcript::{digest_words, query_transcript, Transcript};

@@ -96,46 +96,69 @@ pub fn run_dictionary<F: PrimeField, R: Rng + ?Sized>(
     })
 }
 
-/// Checks a PREDECESSOR claim against verified sub-vector entries.
-///
-/// For claim `Some(p)`: the verified entries of `[p, q]` must be exactly
-/// one entry located at `p`. For claim `None`: `[0, q]` must be empty.
-fn check_predecessor_claim<F: PrimeField>(
-    claim: Option<u64>,
-    q: u64,
-    verified: &[(u64, F)],
-) -> Result<(), Rejection> {
-    match claim {
-        Some(p) => {
-            if p > q {
-                return Err(Rejection::StructuralCheckFailed {
-                    detail: format!("claimed predecessor {p} exceeds query {q}"),
-                });
-            }
-            if verified.len() != 1 || verified[0].0 != p {
-                return Err(Rejection::StructuralCheckFailed {
-                    detail: format!(
-                        "sub-vector [{p}, {q}] should contain exactly the predecessor; \
-                         got {} entries",
-                        verified.len()
-                    ),
-                });
-            }
-            Ok(())
-        }
-        None => {
-            if verified.is_empty() {
-                Ok(())
-            } else {
-                Err(Rejection::StructuralCheckFailed {
-                    detail: format!(
-                        "claimed no predecessor but [0, {q}] contains {} entries",
-                        verified.len()
-                    ),
-                })
-            }
+/// Which neighbour of a query key a PREDECESSOR / SUCCESSOR claim names.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum Neighbour {
+    /// The largest present key `≤ q`.
+    Predecessor,
+    /// The smallest present key `≥ q`.
+    Successor,
+}
+
+impl Neighbour {
+    /// The gap between `claim` and `q` in a universe of `u` keys — `[p, q]`
+    /// or `[0, q]` for a predecessor, `[q, s]` or `[q, u − 1]` for a
+    /// successor — whose verified sub-vector must hold exactly the claimed
+    /// key, or nothing for `None`. A claim on the wrong side of `q` is
+    /// refused.
+    pub fn gap(self, q: u64, claim: Option<u64>, u: u64) -> Result<(u64, u64), Rejection> {
+        match (self, claim) {
+            (Neighbour::Predecessor, Some(p)) if p <= q => Ok((p, q)),
+            (Neighbour::Predecessor, None) => Ok((0, q)),
+            (Neighbour::Successor, Some(s)) if s >= q && s < u => Ok((q, s)),
+            (Neighbour::Successor, None) => Ok((q, u - 1)),
+            (_, Some(k)) => Err(Rejection::StructuralCheckFailed {
+                detail: format!("claimed {self:?} {k} lies on the wrong side of query {q}"),
+            }),
         }
     }
+
+    /// Checks the gap's verified entries: exactly the claimed key, or
+    /// nothing when the claim is `None`.
+    pub fn check<F>(self, claim: Option<u64>, verified: &[(u64, F)]) -> Result<(), Rejection> {
+        let holds = match claim {
+            Some(k) => verified.len() == 1 && verified[0].0 == k,
+            None => verified.is_empty(),
+        };
+        if holds {
+            return Ok(());
+        }
+        Err(Rejection::StructuralCheckFailed {
+            detail: format!(
+                "{self:?} claim {claim:?}: the verified gap holds {} entries",
+                verified.len()
+            ),
+        })
+    }
+}
+
+/// The neighbour query: the verified sub-vector over the gap the claim
+/// leaves, checked to hold exactly the claim.
+fn run_neighbour<F: PrimeField, R: Rng + ?Sized>(
+    side: Neighbour,
+    log_u: u32,
+    stream: &[Update],
+    q: u64,
+    claim: Option<u64>,
+    rng: &mut R,
+) -> Result<VerifiedValue<Option<u64>>, Rejection> {
+    let (lo, hi) = side.gap(q, claim, 1 << log_u)?;
+    let got = run_subvector::<F, R>(log_u, stream, lo, hi, rng)?;
+    side.check(claim, &got.entries)?;
+    Ok(VerifiedValue {
+        value: claim,
+        report: got.report,
+    })
 }
 
 /// PREDECESSOR: the largest present key `p ≤ q`, verified. Communication
@@ -160,21 +183,7 @@ pub fn run_predecessor_with_claim<F: PrimeField, R: Rng + ?Sized>(
     claim: Option<u64>,
     rng: &mut R,
 ) -> Result<VerifiedValue<Option<u64>>, Rejection> {
-    let (lo, hi) = match claim {
-        Some(p) if p <= q => (p, q),
-        Some(p) => {
-            return Err(Rejection::StructuralCheckFailed {
-                detail: format!("claimed predecessor {p} exceeds query {q}"),
-            })
-        }
-        None => (0, q),
-    };
-    let got = run_subvector::<F, R>(log_u, stream, lo, hi, rng)?;
-    check_predecessor_claim(claim, q, &got.entries)?;
-    Ok(VerifiedValue {
-        value: claim,
-        report: got.report,
-    })
+    run_neighbour::<F, R>(Neighbour::Predecessor, log_u, stream, q, claim, rng)
 }
 
 /// SUCCESSOR: the smallest present key `s ≥ q`, verified (symmetric to
@@ -185,39 +194,8 @@ pub fn run_successor<F: PrimeField, R: Rng + ?Sized>(
     q: u64,
     rng: &mut R,
 ) -> Result<VerifiedValue<Option<u64>>, Rejection> {
-    let u = 1u64 << log_u;
-    let fv = FrequencyVector::from_stream(u, stream);
-    let claim = fv.successor(q);
-    let (lo, hi) = match claim {
-        Some(s) if s >= q && s < u => (q, s),
-        Some(s) => {
-            return Err(Rejection::StructuralCheckFailed {
-                detail: format!("claimed successor {s} outside [{q}, {u})"),
-            })
-        }
-        None => (q, u - 1),
-    };
-    let got = run_subvector::<F, R>(log_u, stream, lo, hi, rng)?;
-    match claim {
-        Some(s) => {
-            if got.entries.len() != 1 || got.entries[0].0 != s {
-                return Err(Rejection::StructuralCheckFailed {
-                    detail: "successor gap not empty".to_string(),
-                });
-            }
-        }
-        None => {
-            if !got.entries.is_empty() {
-                return Err(Rejection::StructuralCheckFailed {
-                    detail: "claimed no successor but gap holds entries".to_string(),
-                });
-            }
-        }
-    }
-    Ok(VerifiedValue {
-        value: claim,
-        report: got.report,
-    })
+    let claim = FrequencyVector::from_stream(1 << log_u, stream).successor(q);
+    run_neighbour::<F, R>(Neighbour::Successor, log_u, stream, q, claim, rng)
 }
 
 /// K-LARGEST (Section 6.1): the `k`-th largest present key, verified by a

@@ -16,7 +16,8 @@ pub mod protocol;
 pub mod tree;
 
 pub use protocol::{
-    run_subvector, run_subvector_with_adversary, RoundReply, RoundRequest, Step, SubVectorAnswer,
-    SubVectorProver, SubVectorSession, SubVectorVerifier, Verified,
+    drive_subvector, run_subvector, run_subvector_with_adversary, ReportingSession, RoundReply,
+    RoundRequest, Step, SubVectorAnswer, SubVectorProver, SubVectorSession, SubVectorVerifier,
+    Verified,
 };
 pub use tree::{HashKind, StreamingRootHasher};

@@ -411,6 +411,26 @@ impl<F: PrimeField> SubVectorProver<F> {
     }
 }
 
+/// The prover of one reporting query as the verifier sees it. Every
+/// method is fallible, so a remote session surfaces transport and decode
+/// failures as [`Rejection`]s; the in-process [`SubVectorProver`] never
+/// fails.
+pub trait ReportingSession<F: PrimeField> {
+    /// The claimed sub-vector answer.
+    fn answer(&mut self, q_l: u64, q_r: u64) -> Result<SubVectorAnswer<F>, Rejection>;
+    /// One protocol round.
+    fn round(&mut self, req: &RoundRequest<F>) -> Result<RoundReply<F>, Rejection>;
+}
+
+impl<F: PrimeField> ReportingSession<F> for SubVectorProver<F> {
+    fn answer(&mut self, q_l: u64, q_r: u64) -> Result<SubVectorAnswer<F>, Rejection> {
+        Ok(SubVectorProver::answer(self, q_l, q_r))
+    }
+    fn round(&mut self, req: &RoundRequest<F>) -> Result<RoundReply<F>, Rejection> {
+        Ok(self.process_round(req))
+    }
+}
+
 /// A verified sub-vector answer plus cost accounting.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Verified<F: PrimeField> {
@@ -418,6 +438,39 @@ pub struct Verified<F: PrimeField> {
     pub entries: Vec<(u64, F)>,
     /// Cost accounting for the run.
     pub report: CostReport,
+}
+
+/// The SUB-VECTOR conversation over `[q_l, q_r]` with the digest
+/// `verifier`: the range out, the claimed answer back, then one sibling
+/// round per level until the root is rebuilt. The only place its rounds
+/// and words are booked.
+pub fn drive_subvector<F: PrimeField, P: ReportingSession<F> + ?Sized>(
+    verifier: SubVectorVerifier<F>,
+    q_l: u64,
+    q_r: u64,
+    prover: &mut P,
+) -> Result<Verified<F>, Rejection> {
+    let mut session = verifier.into_session(q_l, q_r);
+    let mut report = CostReport {
+        v_to_p_words: 2, // the query range
+        ..CostReport::default()
+    };
+    let answer = prover.answer(q_l, q_r)?;
+    report.rounds += 1;
+    report.p_to_v_words += 2 * answer.entries.len();
+    let mut step = session.receive_answer(&answer, None)?;
+    while let Step::Request(req) = step {
+        report.rounds += 1;
+        report.v_to_p_words += 1; // the revealed key (requests are implied)
+        let reply = prover.round(&req)?;
+        report.p_to_v_words += reply.left.is_some() as usize + reply.right.is_some() as usize;
+        step = session.receive_reply(&req, &reply)?;
+    }
+    report.verifier_space_words = session.space_words();
+    Ok(Verified {
+        entries: session.queried_entries(&answer),
+        report,
+    })
 }
 
 /// Runs the complete honest SUB-VECTOR protocol.
@@ -436,6 +489,31 @@ pub type AnswerAdversary<'a, F> = &'a mut dyn FnMut(&mut SubVectorAnswer<F>);
 /// Corruption hook for per-round sibling replies (`level`, reply).
 pub type ReplyAdversary<'a, F> = &'a mut dyn FnMut(u32, &mut RoundReply<F>);
 
+/// An in-process prover whose messages pass through optional corruption
+/// hooks on their way to the verifier.
+struct Tampered<'a, 'b, F: PrimeField> {
+    prover: SubVectorProver<F>,
+    tamper_answer: Option<AnswerAdversary<'a, F>>,
+    tamper_reply: Option<ReplyAdversary<'b, F>>,
+}
+
+impl<F: PrimeField> ReportingSession<F> for Tampered<'_, '_, F> {
+    fn answer(&mut self, q_l: u64, q_r: u64) -> Result<SubVectorAnswer<F>, Rejection> {
+        let mut answer = self.prover.answer(q_l, q_r);
+        if let Some(t) = self.tamper_answer.as_mut() {
+            t(&mut answer);
+        }
+        Ok(answer)
+    }
+    fn round(&mut self, req: &RoundRequest<F>) -> Result<RoundReply<F>, Rejection> {
+        let mut reply = self.prover.process_round(req);
+        if let Some(t) = self.tamper_reply.as_mut() {
+            t(req.level, &mut reply);
+        }
+        Ok(reply)
+    }
+}
+
 /// Like [`run_subvector`] with hooks corrupting the answer and/or the
 /// per-round sibling replies.
 #[allow(clippy::too_many_arguments)]
@@ -450,40 +528,13 @@ pub fn run_subvector_with_adversary<F: PrimeField, R: Rng + ?Sized>(
 ) -> Result<Verified<F>, Rejection> {
     let mut verifier = SubVectorVerifier::<F>::new(log_u, rng);
     verifier.update_all(stream);
-
     let fv = FrequencyVector::from_stream(1 << log_u, stream);
-    let mut prover = SubVectorProver::new(&fv, log_u);
-
-    let mut session = verifier.into_session(q_l, q_r);
-    let mut report = CostReport {
-        v_to_p_words: 2, // the query range
-        ..CostReport::default()
+    let mut prover = Tampered {
+        prover: SubVectorProver::new(&fv, log_u),
+        tamper_answer,
+        tamper_reply,
     };
-
-    let mut answer = prover.answer(q_l, q_r);
-    if let Some(t) = tamper_answer {
-        t(&mut answer);
-    }
-    report.rounds += 1;
-    report.p_to_v_words += 2 * answer.entries.len();
-
-    let mut step = session.receive_answer(&answer, None)?;
-    let mut tamper_reply = tamper_reply;
-    while let Step::Request(req) = step {
-        report.rounds += 1;
-        report.v_to_p_words += 1; // the revealed key (requests are implied)
-        let mut reply = prover.process_round(&req);
-        if let Some(t) = tamper_reply.as_mut() {
-            t(req.level, &mut reply);
-        }
-        report.p_to_v_words += reply.left.is_some() as usize + reply.right.is_some() as usize;
-        step = session.receive_reply(&req, &reply)?;
-    }
-    report.verifier_space_words = session.space_words();
-    Ok(Verified {
-        entries: session.queried_entries(&answer),
-        report,
-    })
+    drive_subvector(verifier, q_l, q_r, &mut prover)
 }
 
 #[cfg(test)]

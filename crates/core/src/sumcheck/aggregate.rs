@@ -285,7 +285,7 @@ pub fn prove_oneshot_sharded<F: PrimeField>(
             "shards disagree on d"
         );
         let proof = prove_oneshot(
-            &mut super::oneshot::ProverWalk(&mut **prover),
+            &mut super::ProverWalk(&mut **prover),
             transcript,
             challenges,
             2,

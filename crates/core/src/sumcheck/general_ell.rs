@@ -335,7 +335,7 @@ mod tests {
 
     #[test]
     fn oneshot_agrees_with_interactive_across_bases() {
-        use crate::sumcheck::oneshot::{prove_oneshot, ProverWalk};
+        use crate::sumcheck::{prove_oneshot, ProverWalk};
         let mut rng = StdRng::seed_from_u64(5);
         let stream = workloads::paper_f2(1 << 10, 8);
         let fv_truth = FrequencyVector::from_stream(1 << 10, &stream);
@@ -363,7 +363,7 @@ mod tests {
 
     #[test]
     fn oneshot_dishonest_prover_rejected() {
-        use crate::sumcheck::oneshot::{prove_oneshot, ProverWalk};
+        use crate::sumcheck::{prove_oneshot, ProverWalk};
         let mut rng = StdRng::seed_from_u64(6);
         let params = LdeParams::new(4, 4);
         let stream = workloads::uniform(100, 200, 5, 7);

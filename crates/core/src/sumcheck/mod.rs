@@ -19,8 +19,11 @@
 //! [`SumCheckVerifierCore`] implements steps 2–4 generically;
 //! [`RoundProver`] is the honest-prover interface (each protocol supplies
 //! its own message rule over the shared [`crate::fold::FoldVector`]);
-//! [`drive_sumcheck`] orchestrates an execution, counts costs, and hosts the
-//! failure-injection hook used by the tamper suite.
+//! [`SumCheckSession`] is the prover as the verifier sees it — in process
+//! ([`ProverWalk`]), behind a kv store, or across a wire — and
+//! [`drive_session`] is the one conversation over it, the only place its
+//! rounds and words are booked. [`drive_sumcheck`] runs it in process and
+//! hosts the failure-injection hook used by the tamper suite.
 
 pub mod aggregate;
 pub mod f2;
@@ -31,7 +34,7 @@ pub mod oneshot;
 pub mod range_sum;
 
 pub use aggregate::{drive_sumcheck_sharded, AggregatingVerifier, ShardAdversary};
-pub use oneshot::{prove_oneshot, verify_oneshot_grid, OneShotProof, OneShotWalk, ProverWalk};
+pub use oneshot::{prove_oneshot, verify_oneshot_grid, OneShotProof};
 
 use sip_field::lagrange::eval_from_grid_evals;
 use sip_field::PrimeField;
@@ -177,40 +180,127 @@ pub trait RoundProver<F: PrimeField> {
     fn bind(&mut self, r: F);
 }
 
+/// Lets a borrowed prover stand where an owned one is expected.
+impl<F: PrimeField, P: RoundProver<F> + ?Sized> RoundProver<F> for &mut P {
+    fn degree(&self) -> usize {
+        (**self).degree()
+    }
+    fn rounds(&self) -> usize {
+        (**self).rounds()
+    }
+    fn message(&mut self) -> Vec<F> {
+        (**self).message()
+    }
+    fn bind(&mut self, r: F) {
+        (**self).bind(r)
+    }
+}
+
+/// The prover of one sum-check query as the verifier sees it: round
+/// messages out, challenges in. Every method is fallible, so a remote
+/// session surfaces transport and decode failures as [`Rejection`]s and a
+/// lying network is treated exactly like a lying prover.
+pub trait SumCheckSession<F: PrimeField> {
+    /// The current round's polynomial.
+    fn message(&mut self) -> Result<Vec<F>, Rejection>;
+    /// Binds the current variable to the revealed challenge.
+    fn bind(&mut self, r: F) -> Result<(), Rejection>;
+}
+
+/// The session of an honest in-process [`RoundProver`], owned or borrowed
+/// (`ProverWalk(&mut prover)`). It never fails.
+pub struct ProverWalk<P>(pub P);
+
+impl<F: PrimeField, P: RoundProver<F>> SumCheckSession<F> for ProverWalk<P> {
+    fn message(&mut self) -> Result<Vec<F>, Rejection> {
+        Ok(self.0.message())
+    }
+    fn bind(&mut self, r: F) -> Result<(), Rejection> {
+        self.0.bind(r);
+        Ok(())
+    }
+}
+
 /// A hook mutating prover messages in flight; `round` is 1-based.
 pub type Adversary<'a, F> = &'a mut dyn FnMut(usize, &mut Vec<F>);
 
-/// Runs the interactive phase: prover messages through the verifier core,
-/// challenges back, final check against `streamed`.
+/// A session whose messages pass through an [`Adversary`] on their way to
+/// the verifier.
+struct Tampered<'a, S, F> {
+    inner: S,
+    round: usize,
+    adversary: Adversary<'a, F>,
+}
+
+impl<F: PrimeField, S: SumCheckSession<F>> SumCheckSession<F> for Tampered<'_, S, F> {
+    fn message(&mut self) -> Result<Vec<F>, Rejection> {
+        let mut msg = self.inner.message()?;
+        self.round += 1;
+        (self.adversary)(self.round, &mut msg);
+        Ok(msg)
+    }
+    fn bind(&mut self, r: F) -> Result<(), Rejection> {
+        self.inner.bind(r)
+    }
+}
+
+/// The sum-check conversation: each round's message through the verifier
+/// core, its challenge back, then the final check against `streamed`.
 ///
-/// `report` accrues the communication; an optional [`Adversary`] corrupts
-/// messages in flight (the honest run passes `None`). On acceptance returns
-/// the verified output.
+/// Books one round and the message's words per round and one word per
+/// revealed challenge into `report`; the caller books the query's own
+/// words. On acceptance returns the verified output.
+pub fn drive_session<F: PrimeField, S: SumCheckSession<F> + ?Sized>(
+    session: &mut S,
+    core: &mut SumCheckVerifierCore<F>,
+    streamed: F,
+    report: &mut CostReport,
+) -> Result<F, Rejection> {
+    for round in 1..=core.rounds() {
+        let mut rspan = sip_obs::trace::span("sip.verifier", "round");
+        rspan.field("round", round);
+        let msg = session.message()?;
+        report.rounds += 1;
+        report.p_to_v_words += msg.len();
+        let step = {
+            let _v = sip_obs::trace::span("sip.verifier", "verifier_compute");
+            core.receive(&msg)
+        }?;
+        if let Some(challenge) = step {
+            report.v_to_p_words += 1;
+            session.bind(challenge)?;
+        }
+    }
+    let _v = sip_obs::trace::span("sip.verifier", "verifier_compute");
+    core.finalize(streamed)
+}
+
+/// Runs [`drive_session`] against an honest in-process prover; an optional
+/// [`Adversary`] corrupts its messages in flight (the honest run passes
+/// `None`).
 pub fn drive_sumcheck<F: PrimeField>(
     prover: &mut dyn RoundProver<F>,
     core: &mut SumCheckVerifierCore<F>,
     streamed: F,
     report: &mut CostReport,
-    mut adversary: Option<Adversary<'_, F>>,
+    adversary: Option<Adversary<'_, F>>,
 ) -> Result<F, Rejection> {
     assert_eq!(
         prover.rounds(),
         core.rounds(),
         "prover/verifier disagree on d"
     );
-    for round in 1..=core.rounds() {
-        let mut msg = prover.message();
-        if let Some(adv) = adversary.as_mut() {
-            adv(round, &mut msg);
-        }
-        report.rounds += 1;
-        report.p_to_v_words += msg.len();
-        if let Some(challenge) = core.receive(&msg)? {
-            report.v_to_p_words += 1;
-            prover.bind(challenge);
+    match adversary {
+        None => drive_session(&mut ProverWalk(prover), core, streamed, report),
+        Some(adversary) => {
+            let mut tampered = Tampered {
+                inner: ProverWalk(prover),
+                round: 0,
+                adversary,
+            };
+            drive_session(&mut tampered, core, streamed, report)
         }
     }
-    core.finalize(streamed)
 }
 
 #[cfg(test)]

@@ -34,7 +34,7 @@ use sip_field::PrimeField;
 use crate::error::Rejection;
 use crate::transcript::Transcript;
 
-use super::RoundProver;
+use super::SumCheckSession;
 
 /// A complete one-shot sum-check proof: one frame from prover to verifier.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -60,31 +60,6 @@ impl<F> OneShotProof<F> {
     }
 }
 
-/// A fallible round walk: anything that can produce round messages and
-/// bind challenges. Remote and kv-store sessions implement it directly so
-/// transport failures surface as rejections; wrap an honest
-/// [`RoundProver`] in a [`ProverWalk`]. (No blanket impl over
-/// `RoundProver` — it would forbid every downstream impl of this trait.)
-pub trait OneShotWalk<F: PrimeField> {
-    /// The current round's polynomial.
-    fn message(&mut self) -> Result<Vec<F>, Rejection>;
-    /// Binds the current variable to the revealed challenge.
-    fn bind(&mut self, r: F) -> Result<(), Rejection>;
-}
-
-/// Adapts an (infallible) honest [`RoundProver`] to the fallible walk.
-pub struct ProverWalk<'a, F: PrimeField>(pub &'a mut dyn RoundProver<F>);
-
-impl<F: PrimeField> OneShotWalk<F> for ProverWalk<'_, F> {
-    fn message(&mut self) -> Result<Vec<F>, Rejection> {
-        Ok(self.0.message())
-    }
-    fn bind(&mut self, r: F) -> Result<(), Rejection> {
-        self.0.bind(r);
-        Ok(())
-    }
-}
-
 /// Prover side: walks all `challenges.len() + 1` rounds locally — message,
 /// bind the revealed challenge, repeat — then seals the transcript.
 ///
@@ -96,7 +71,7 @@ impl<F: PrimeField> OneShotWalk<F> for ProverWalk<'_, F> {
 /// # Soundness
 /// The one-shot mode is unsound (`sumcheck::oneshot` module docs): no verifier
 /// should rely on a proof produced this way.
-pub fn prove_oneshot<F: PrimeField, W: OneShotWalk<F> + ?Sized>(
+pub fn prove_oneshot<F: PrimeField, W: SumCheckSession<F> + ?Sized>(
     walk: &mut W,
     mut transcript: Transcript,
     challenges: &[F],
@@ -240,7 +215,7 @@ mod tests {
         next: usize,
     }
 
-    impl OneShotWalk<Fp61> for FixedWalk {
+    impl SumCheckSession<Fp61> for FixedWalk {
         fn message(&mut self) -> Result<Vec<Fp61>, Rejection> {
             self.next += 1;
             Ok(self.polys[self.next - 1].clone())

@@ -39,16 +39,21 @@ pub mod sharded;
 
 pub use sharded::{boxed_fleet, ShardedAnswer, ShardedClient};
 
+pub use sip_core::heavy_hitters::HeavySession;
+pub use sip_core::subvector::ReportingSession;
+pub use sip_core::sumcheck::SumCheckSession;
+
 use rand::Rng;
 use sip_core::digest_bank::{block_stage, BlockStage, DigestBank, STAGE_BLOCK};
 use sip_core::error::Rejection;
-use sip_core::heavy_hitters::{CountTreeHasher, HhProver, HhStep, LevelDisclosure};
+use sip_core::heavy_hitters::{drive_heavy_hitters, CountTreeHasher, HhProver, LevelDisclosure};
+use sip_core::reporting::Neighbour;
 use sip_core::subvector::{
-    RoundReply, RoundRequest, Step, SubVectorAnswer, SubVectorProver, SubVectorVerifier,
+    drive_subvector, RoundReply, RoundRequest, SubVectorAnswer, SubVectorProver, SubVectorVerifier,
 };
 use sip_core::sumcheck::f2::{F2Prover, F2Verifier};
 use sip_core::sumcheck::range_sum::{RangeSumProver, RangeSumVerifier};
-use sip_core::sumcheck::{prove_oneshot, OneShotProof, OneShotWalk, RoundProver};
+use sip_core::sumcheck::{drive_session, prove_oneshot, OneShotProof, ProverWalk};
 use sip_core::transcript::query_transcript;
 use sip_core::CostReport;
 use sip_field::PrimeField;
@@ -75,51 +80,6 @@ impl Default for QueryBudget {
             heavy: 4,
         }
     }
-}
-
-/// The server-side state of one in-flight reporting query.
-///
-/// Every method is fallible: a *remote* session (`sip-server`) surfaces
-/// transport and decode failures as [`Rejection`]s, so the client treats a
-/// lying network exactly like a lying prover. Honest in-process sessions
-/// never fail.
-pub trait ReportingSession<F: PrimeField> {
-    /// The claimed sub-vector answer.
-    fn answer(&mut self, q_l: u64, q_r: u64) -> Result<SubVectorAnswer<F>, Rejection>;
-    /// One protocol round.
-    fn round(&mut self, req: &RoundRequest<F>) -> Result<RoundReply<F>, Rejection>;
-}
-
-/// The server-side state of one in-flight sum-check-style query.
-pub trait SumCheckSession<F: PrimeField> {
-    /// The round polynomial.
-    fn message(&mut self) -> Result<Vec<F>, Rejection>;
-    /// Bind the revealed challenge.
-    fn bind(&mut self, r: F) -> Result<(), Rejection>;
-}
-
-/// Adapts a [`SumCheckSession`] to the core one-shot walk. (Coherence
-/// forbids a blanket impl here: `sip-core` already blankets every
-/// [`RoundProver`] as an [`OneShotWalk`].) Lies told by a session wrapper
-/// — [`MaliciousStore`]'s skew, a remote session's transport failures —
-/// flow through unchanged.
-pub struct SessionWalk<'a, F: PrimeField>(pub Box<dyn SumCheckSession<F> + 'a>);
-
-impl<F: PrimeField> OneShotWalk<F> for SessionWalk<'_, F> {
-    fn message(&mut self) -> Result<Vec<F>, Rejection> {
-        self.0.message()
-    }
-    fn bind(&mut self, r: F) -> Result<(), Rejection> {
-        self.0.bind(r)
-    }
-}
-
-/// The server-side state of one in-flight heavy-hitters query.
-pub trait HeavySession<F: PrimeField> {
-    /// The next level disclosure.
-    fn disclose(&mut self) -> Result<LevelDisclosure<F>, Rejection>;
-    /// Receive the revealed level keys.
-    fn keys(&mut self, level: u32, r: F, s: F) -> Result<(), Rejection>;
 }
 
 /// What a key-value server must provide. [`CloudStore`] is the honest
@@ -165,7 +125,7 @@ pub trait KvServer<F: PrimeField> {
     ) -> Result<OneShotProof<F>, Rejection> {
         let log_u = challenges.len() as u32 + 1;
         let t = query_transcript::<F>("range-sum", log_u, shard, &[q_l, q_r], challenges);
-        prove_oneshot(&mut SessionWalk(self.range_sum(q_l, q_r)), t, challenges, 2)
+        prove_oneshot(&mut *self.range_sum(q_l, q_r), t, challenges, 2)
     }
     /// One-shot range count (presence vector); see
     /// [`Self::range_sum_oneshot`].
@@ -178,12 +138,7 @@ pub trait KvServer<F: PrimeField> {
     ) -> Result<OneShotProof<F>, Rejection> {
         let log_u = challenges.len() as u32 + 1;
         let t = query_transcript::<F>("range-count", log_u, shard, &[q_l, q_r], challenges);
-        prove_oneshot(
-            &mut SessionWalk(self.range_count(q_l, q_r)),
-            t,
-            challenges,
-            2,
-        )
+        prove_oneshot(&mut *self.range_count(q_l, q_r), t, challenges, 2)
     }
     /// One-shot self-join size over the raw value vector; see
     /// [`Self::range_sum_oneshot`].
@@ -194,7 +149,7 @@ pub trait KvServer<F: PrimeField> {
     ) -> Result<OneShotProof<F>, Rejection> {
         let log_u = challenges.len() as u32 + 1;
         let t = query_transcript::<F>("self-join", log_u, shard, &[], challenges);
-        prove_oneshot(&mut SessionWalk(self.self_join()), t, challenges, 2)
+        prove_oneshot(&mut *self.self_join(), t, challenges, 2)
     }
     /// Starts a heavy-keys query over the `value+1` vector.
     fn heavy(&self, threshold: u64) -> Box<dyn HeavySession<F> + '_>;
@@ -305,47 +260,6 @@ impl<F: PrimeField> CloudStore<F> {
     }
 }
 
-struct HonestReporting<F: PrimeField> {
-    prover: SubVectorProver<F>,
-}
-
-impl<F: PrimeField> ReportingSession<F> for HonestReporting<F> {
-    fn answer(&mut self, q_l: u64, q_r: u64) -> Result<SubVectorAnswer<F>, Rejection> {
-        Ok(self.prover.answer(q_l, q_r))
-    }
-    fn round(&mut self, req: &RoundRequest<F>) -> Result<RoundReply<F>, Rejection> {
-        Ok(self.prover.process_round(req))
-    }
-}
-
-struct HonestSumCheck<P> {
-    prover: P,
-}
-
-impl<F: PrimeField, P: RoundProver<F>> SumCheckSession<F> for HonestSumCheck<P> {
-    fn message(&mut self) -> Result<Vec<F>, Rejection> {
-        Ok(self.prover.message())
-    }
-    fn bind(&mut self, r: F) -> Result<(), Rejection> {
-        self.prover.bind(r);
-        Ok(())
-    }
-}
-
-struct HonestHeavy<F: PrimeField> {
-    prover: HhProver<F>,
-}
-
-impl<F: PrimeField> HeavySession<F> for HonestHeavy<F> {
-    fn disclose(&mut self) -> Result<LevelDisclosure<F>, Rejection> {
-        Ok(self.prover.disclose())
-    }
-    fn keys(&mut self, level: u32, r: F, s: F) -> Result<(), Rejection> {
-        self.prover.receive_keys(level, r, s);
-        Ok(())
-    }
-}
-
 impl<F: PrimeField> KvServer<F> for CloudStore<F> {
     fn ingest(&mut self, up: Update) {
         self.encoded.apply(up);
@@ -365,33 +279,33 @@ impl<F: PrimeField> KvServer<F> for CloudStore<F> {
     }
 
     fn reporting(&self) -> Box<dyn ReportingSession<F> + '_> {
-        Box::new(HonestReporting {
-            prover: SubVectorProver::new(&self.encoded, self.log_u),
-        })
+        Box::new(SubVectorProver::new(&self.encoded, self.log_u))
     }
 
     fn range_sum(&self, q_l: u64, q_r: u64) -> Box<dyn SumCheckSession<F> + '_> {
-        Box::new(HonestSumCheck {
-            prover: RangeSumProver::new(&self.encoded, self.log_u, q_l, q_r),
-        })
+        Box::new(ProverWalk(RangeSumProver::new(
+            &self.encoded,
+            self.log_u,
+            q_l,
+            q_r,
+        )))
     }
 
     fn range_count(&self, q_l: u64, q_r: u64) -> Box<dyn SumCheckSession<F> + '_> {
-        Box::new(HonestSumCheck {
-            prover: RangeSumProver::new(&self.presence, self.log_u, q_l, q_r),
-        })
+        Box::new(ProverWalk(RangeSumProver::new(
+            &self.presence,
+            self.log_u,
+            q_l,
+            q_r,
+        )))
     }
 
     fn self_join(&self) -> Box<dyn SumCheckSession<F> + '_> {
-        Box::new(HonestSumCheck {
-            prover: F2Prover::new(&self.raw, self.log_u),
-        })
+        Box::new(ProverWalk(F2Prover::new(&self.raw, self.log_u)))
     }
 
     fn heavy(&self, threshold: u64) -> Box<dyn HeavySession<F> + '_> {
-        Box::new(HonestHeavy {
-            prover: HhProver::new(&self.encoded, self.log_u, threshold),
-        })
+        Box::new(HhProver::new(&self.encoded, self.log_u, threshold))
     }
 
     fn claim_predecessor(&self, q: u64) -> Result<Option<u64>, Rejection> {
@@ -660,6 +574,29 @@ impl<F: PrimeField> Client<F> {
             .expect("reporting query budget exhausted; provision a larger QueryBudget")
     }
 
+    /// A range sum's two digests (`Σ(value+1)` and the range count) and its
+    /// report, opened with the query range and the digests' words booked.
+    fn take_range_digests(&mut self) -> (RangeSumVerifier<F>, RangeSumVerifier<F>, CostReport) {
+        let sum = self.range_sums.pop().expect("aggregate budget exhausted");
+        let count = self.range_counts.pop().expect("aggregate budget exhausted");
+        let report = CostReport {
+            v_to_p_words: 2,
+            verifier_space_words: sum.space_words() + count.space_words(),
+            ..CostReport::default()
+        };
+        (sum, count, report)
+    }
+
+    /// A self-join digest and its report, the digest's words booked.
+    fn take_f2_digest(&mut self) -> (F2Verifier<F>, CostReport) {
+        let digest = self.f2s.pop().expect("aggregate budget exhausted");
+        let report = CostReport {
+            verifier_space_words: digest.space_words(),
+            ..CostReport::default()
+        };
+        (digest, report)
+    }
+
     /// Verified sub-vector query: the raw engine behind `get`/`range`/….
     fn verified_range_raw(
         &mut self,
@@ -667,28 +604,10 @@ impl<F: PrimeField> Client<F> {
         q_r: u64,
         server: &dyn KvServer<F>,
     ) -> Result<Answer<Vec<(u64, F)>>, Rejection> {
-        let digest = self.take_reporting();
-        let mut session = digest.into_session(q_l, q_r);
-        let mut sp = server.reporting();
-        let answer = sp.answer(q_l, q_r)?;
-        let mut report = CostReport {
-            v_to_p_words: 2,
-            p_to_v_words: 2 * answer.entries.len(),
-            rounds: 1,
-            ..CostReport::default()
-        };
-        let mut step = session.receive_answer(&answer, None)?;
-        while let Step::Request(req) = step {
-            report.rounds += 1;
-            report.v_to_p_words += 1;
-            let reply = sp.round(&req)?;
-            report.p_to_v_words += reply.left.is_some() as usize + reply.right.is_some() as usize;
-            step = session.receive_reply(&req, &reply)?;
-        }
-        report.verifier_space_words = session.space_words();
+        let got = drive_subvector(self.take_reporting(), q_l, q_r, &mut *server.reporting())?;
         Ok(Answer {
-            value: session.queried_entries(&answer),
-            report,
+            value: got.entries,
+            report: got.report,
         })
     }
 
@@ -733,36 +652,7 @@ impl<F: PrimeField> Client<F> {
         server: &dyn KvServer<F>,
     ) -> Result<Answer<Option<u64>>, Rejection> {
         let claim = server.claim_predecessor(q)?;
-        let (lo, hi) = match claim {
-            Some(p) if p <= q => (p, q),
-            Some(p) => {
-                return Err(Rejection::StructuralCheckFailed {
-                    detail: format!("claimed predecessor {p} exceeds query {q}"),
-                })
-            }
-            None => (0, q),
-        };
-        let got = self.verified_range_raw(lo, hi, server)?;
-        match claim {
-            Some(p) => {
-                if got.value.len() != 1 || got.value[0].0 != p {
-                    return Err(Rejection::StructuralCheckFailed {
-                        detail: "predecessor gap not empty".to_string(),
-                    });
-                }
-            }
-            None => {
-                if !got.value.is_empty() {
-                    return Err(Rejection::StructuralCheckFailed {
-                        detail: "claimed no predecessor but keys exist".to_string(),
-                    });
-                }
-            }
-        }
-        Ok(Answer {
-            value: claim,
-            report: got.report,
-        })
+        self.neighbour(Neighbour::Predecessor, q, claim, server)
     }
 
     /// Verified successor (the next present key ≥ `q`).
@@ -771,57 +661,26 @@ impl<F: PrimeField> Client<F> {
         q: u64,
         server: &dyn KvServer<F>,
     ) -> Result<Answer<Option<u64>>, Rejection> {
-        let u = 1u64 << self.log_u;
         let claim = server.claim_successor(q)?;
-        let (lo, hi) = match claim {
-            Some(s) if s >= q && s < u => (q, s),
-            Some(s) => {
-                return Err(Rejection::StructuralCheckFailed {
-                    detail: format!("claimed successor {s} outside [{q}, {u})"),
-                })
-            }
-            None => (q, u - 1),
-        };
+        self.neighbour(Neighbour::Successor, q, claim, server)
+    }
+
+    /// Verifies a neighbour claim over the gap it leaves (see
+    /// [`Neighbour::gap`]).
+    fn neighbour(
+        &mut self,
+        side: Neighbour,
+        q: u64,
+        claim: Option<u64>,
+        server: &dyn KvServer<F>,
+    ) -> Result<Answer<Option<u64>>, Rejection> {
+        let (lo, hi) = side.gap(q, claim, 1 << self.log_u)?;
         let got = self.verified_range_raw(lo, hi, server)?;
-        match claim {
-            Some(s) => {
-                if got.value.len() != 1 || got.value[0].0 != s {
-                    return Err(Rejection::StructuralCheckFailed {
-                        detail: "successor gap not empty".to_string(),
-                    });
-                }
-            }
-            None => {
-                if !got.value.is_empty() {
-                    return Err(Rejection::StructuralCheckFailed {
-                        detail: "claimed no successor but keys exist".to_string(),
-                    });
-                }
-            }
-        }
+        side.check(claim, &got.value)?;
         Ok(Answer {
             value: claim,
             report: got.report,
         })
-    }
-
-    /// Drives one sum-check query to completion.
-    fn drive_aggregate(
-        core: &mut sip_core::sumcheck::SumCheckVerifierCore<F>,
-        expected: F,
-        mut session: Box<dyn SumCheckSession<F> + '_>,
-        report: &mut CostReport,
-    ) -> Result<F, Rejection> {
-        for _ in 0..core.rounds() {
-            let msg = session.message()?;
-            report.rounds += 1;
-            report.p_to_v_words += msg.len();
-            if let Some(ch) = core.receive(&msg)? {
-                report.v_to_p_words += 1;
-                session.bind(ch)?;
-            }
-        }
-        core.finalize(expected)
     }
 
     /// Verified sum of the values stored under keys in `[q_l, q_r]`.
@@ -834,20 +693,19 @@ impl<F: PrimeField> Client<F> {
         q_r: u64,
         server: &dyn KvServer<F>,
     ) -> Result<Answer<u64>, Rejection> {
-        let sum_digest = self.range_sums.pop().expect("aggregate budget exhausted");
-        let count_digest = self.range_counts.pop().expect("aggregate budget exhausted");
-        let mut report = CostReport {
-            v_to_p_words: 2,
-            ..CostReport::default()
-        };
+        let (sum_digest, count_digest, mut report) = self.take_range_digests();
         let (mut core, expected) = sum_digest.into_session(q_l, q_r);
-        let encoded_sum =
-            Self::drive_aggregate(&mut core, expected, server.range_sum(q_l, q_r), &mut report)?;
-        let (mut core, expected) = count_digest.into_session(q_l, q_r);
-        let count = Self::drive_aggregate(
+        let encoded_sum = drive_session(
+            &mut *server.range_sum(q_l, q_r),
             &mut core,
             expected,
-            server.range_count(q_l, q_r),
+            &mut report,
+        )?;
+        let (mut core, expected) = count_digest.into_session(q_l, q_r);
+        let count = drive_session(
+            &mut *server.range_count(q_l, q_r),
+            &mut core,
+            expected,
             &mut report,
         )?;
         let value = (encoded_sum - count).to_u128() as u64;
@@ -856,10 +714,9 @@ impl<F: PrimeField> Client<F> {
 
     /// Verified self-join size `Σ value_k²` over all stored values.
     pub fn self_join_size(&mut self, server: &dyn KvServer<F>) -> Result<Answer<u64>, Rejection> {
-        let digest = self.f2s.pop().expect("aggregate budget exhausted");
-        let mut report = CostReport::default();
+        let (digest, mut report) = self.take_f2_digest();
         let (mut core, expected) = digest.into_session();
-        let value = Self::drive_aggregate(&mut core, expected, server.self_join(), &mut report)?;
+        let value = drive_session(&mut *server.self_join(), &mut core, expected, &mut report)?;
         Ok(Answer {
             value: value.to_u128() as u64,
             report,
@@ -896,13 +753,8 @@ impl<F: PrimeField> Client<F> {
         shard: Option<(u32, u32)>,
         server: &dyn KvServer<F>,
     ) -> Result<Answer<u64>, Rejection> {
-        let sum_digest = self.range_sums.pop().expect("aggregate budget exhausted");
-        let count_digest = self.range_counts.pop().expect("aggregate budget exhausted");
+        let (sum_digest, count_digest, mut report) = self.take_range_digests();
         let log_u = self.log_u;
-        let mut report = CostReport {
-            v_to_p_words: 2,
-            ..CostReport::default()
-        };
         let (core, expected) = sum_digest.into_session(q_l, q_r);
         let prefix = core.challenge_prefix().to_vec();
         let proof = server.range_sum_oneshot(q_l, q_r, shard, &prefix)?;
@@ -947,8 +799,7 @@ impl<F: PrimeField> Client<F> {
         shard: Option<(u32, u32)>,
         server: &dyn KvServer<F>,
     ) -> Result<Answer<u64>, Rejection> {
-        let digest = self.f2s.pop().expect("aggregate budget exhausted");
-        let mut report = CostReport::default();
+        let (digest, mut report) = self.take_f2_digest();
         let (core, expected) = digest.into_session();
         let prefix = core.challenge_prefix().to_vec();
         let proof = server.self_join_oneshot(shard, &prefix)?;
@@ -972,33 +823,12 @@ impl<F: PrimeField> Client<F> {
     ) -> Result<Answer<Vec<(u64, u64)>>, Rejection> {
         assert!(threshold >= 2, "threshold counts the +1 encoding");
         let digest = self.heavies.pop().expect("heavy budget exhausted");
-        let mut session = digest.into_session(threshold);
-        let mut report = CostReport {
-            v_to_p_words: 1,
-            ..CostReport::default()
-        };
-        if session.trivially_empty() {
-            return Ok(Answer {
-                value: Vec::new(),
-                report,
-            });
-        }
-        let mut sp = server.heavy(threshold);
-        loop {
-            let disc = sp.disclose()?;
-            report.rounds += 1;
-            report.p_to_v_words += disc.words();
-            match session.receive_level(&disc)? {
-                HhStep::RevealKeys { level, r, s } => {
-                    report.v_to_p_words += 2;
-                    sp.keys(level, r, s)?;
-                }
-                HhStep::Accept(items) => {
-                    let value = items.into_iter().map(|(k, enc)| (k, enc - 1)).collect();
-                    return Ok(Answer { value, report });
-                }
-            }
-        }
+        let got = drive_heavy_hitters(digest, threshold, || server.heavy(threshold))?;
+        let value = got.items.into_iter().map(|(k, enc)| (k, enc - 1)).collect();
+        Ok(Answer {
+            value,
+            report: got.report,
+        })
     }
 }
 

@@ -1,7 +1,9 @@
 //! The verifier side of the wire: a [`RemoteStore`] that implements
 //! [`KvServer`] over a socket (so [`sip_kvstore::Client`] runs unchanged
 //! against a remote prover), and a [`RawClient`] driving the aggregate and
-//! reporting protocols over a raw update stream.
+//! reporting protocols over a raw update stream — two names of one
+//! [`Connection`]. Both reach the prover through the same session
+//! adapters, and `sip-core`'s drivers run every conversation.
 //!
 //! ## Failure philosophy
 //!
@@ -12,24 +14,28 @@
 //! misbehaving prover outputs `⊥`. No wire fault is ever an accepted
 //! answer, and none is a panic.
 
+use std::marker::PhantomData;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use sip_core::channel::{FramedTcpTransport, RetryPolicy, Transport, TransportStats};
 use sip_core::error::{IoFault, Rejection};
-use sip_core::heavy_hitters::{CountTreeHasher, HhStep, LevelDisclosure};
+use sip_core::heavy_hitters::{
+    drive_heavy_hitters, CountTreeHasher, HeavySession, LevelDisclosure,
+};
 use sip_core::subvector::{
-    RoundReply, RoundRequest, Step, SubVectorAnswer, SubVectorVerifier, Verified,
+    drive_subvector, ReportingSession, RoundReply, RoundRequest, SubVectorAnswer,
+    SubVectorVerifier, Verified,
 };
 use sip_core::sumcheck::f2::F2Verifier;
 use sip_core::sumcheck::moments::VerifiedAggregate;
 use sip_core::sumcheck::range_sum::RangeSumVerifier;
-use sip_core::sumcheck::{OneShotProof, SumCheckVerifierCore};
+use sip_core::sumcheck::{drive_session, OneShotProof, SumCheckSession, SumCheckVerifierCore};
 use sip_core::transcript::query_transcript;
 use sip_core::CostReport;
 use sip_field::PrimeField;
-use sip_kvstore::{HeavySession, KvServer, ReportingSession, SumCheckSession};
+use sip_kvstore::KvServer;
 use sip_streaming::Update;
 use sip_wire::{
     client_handshake, Hello, Msg, MsgChannel, Query, SessionMode, ShardSpec, WireError,
@@ -100,7 +106,7 @@ struct Conn<F: PrimeField, T: Transport> {
     /// The shard identity declared on this connection, remembered so
     /// one-shot transcripts bind the same identity the server seals.
     shard: Option<ShardSpec>,
-    _marker: core::marker::PhantomData<F>,
+    _marker: PhantomData<F>,
 }
 
 impl<F: PrimeField, T: Transport> Conn<F, T> {
@@ -250,23 +256,58 @@ fn with_conn<F: PrimeField, T: Transport, R>(
 }
 
 // ---------------------------------------------------------------------
-// RemoteStore: KvServer over a transport
+// Connection: one body for both session modes
 // ---------------------------------------------------------------------
+
+/// The session mode a [`Connection`] handshakes in — the one thing that
+/// tells a [`RawClient`] from a [`RemoteStore`].
+pub trait Mode {
+    /// What the handshake announces.
+    const MODE: SessionMode;
+}
+
+/// Raw-stream mode: a [`RawClient`].
+pub enum Raw {}
+
+impl Mode for Raw {
+    const MODE: SessionMode = SessionMode::RawStream;
+}
+
+/// Kv-store mode: a [`RemoteStore`].
+pub enum Kv {}
+
+impl Mode for Kv {
+    const MODE: SessionMode = SessionMode::KvStore;
+}
+
+/// One verifier connection to a remote prover, in session mode `M`. Its
+/// two names are [`RawClient`] and [`RemoteStore`]; everything both modes
+/// do with the connection — dial, handshake, stream markers, shard
+/// identity, datasets, durable state, goodbye, counters — is written here
+/// once.
+pub struct Connection<M, F: PrimeField, T: Transport> {
+    conn: SharedConn<F, T>,
+    _mode: PhantomData<M>,
+}
+
+/// Drives the Section 3/4/6 protocols against a remote prover over a raw
+/// update stream. The caller owns the verifier digests (they must observe
+/// the same updates that are uploaded); this client owns the conversation.
+pub type RawClient<F, T> = Connection<Raw, F, T>;
 
 /// A [`KvServer`] whose storage and provers live on the other side of a
 /// transport. Hand it to [`sip_kvstore::Client`] exactly like a
 /// [`sip_kvstore::CloudStore`].
-pub struct RemoteStore<F: PrimeField, T: Transport> {
-    conn: SharedConn<F, T>,
-}
+pub type RemoteStore<F, T> = Connection<Kv, F, T>;
 
 /// Clones share the underlying connection (and its fault state): a boxed
 /// handle can serve queries while the original still collects
 /// [`RemoteStore::bye`]/[`RemoteStore::stats`] at session end.
 impl<F: PrimeField, T: Transport> Clone for RemoteStore<F, T> {
     fn clone(&self) -> Self {
-        RemoteStore {
+        Connection {
             conn: Arc::clone(&self.conn),
+            _mode: PhantomData,
         }
     }
 }
@@ -287,8 +328,8 @@ fn tcp_transport<A: ToSocketAddrs>(
     Ok(transport)
 }
 
-impl<F: PrimeField> RemoteStore<F, FramedTcpTransport> {
-    /// Connects to a [`crate::spawn`]ed server and performs the kv-store
+impl<M: Mode, F: PrimeField> Connection<M, F, FramedTcpTransport> {
+    /// Connects to a [`crate::spawn`]ed server and performs this mode's
     /// handshake.
     pub fn connect<A: ToSocketAddrs>(addr: A, log_u: u32) -> Result<Self, Rejection> {
         Self::connect_with_timeout(addr, log_u, DEFAULT_CLIENT_TIMEOUT)
@@ -307,7 +348,7 @@ impl<F: PrimeField> RemoteStore<F, FramedTcpTransport> {
     /// Like [`Self::connect`] under a [`RetryPolicy`]: transient dial and
     /// handshake faults are retried with decorrelated-jitter backoff (the
     /// policy's `op_deadline` is the per-attempt read timeout); soundness
-    /// faults fail immediately.
+    /// faults fail immediately (see [`Rejection::is_transient`]).
     pub fn connect_with_policy<A: ToSocketAddrs + Clone>(
         addr: A,
         log_u: u32,
@@ -317,121 +358,114 @@ impl<F: PrimeField> RemoteStore<F, FramedTcpTransport> {
     }
 }
 
-impl<F: PrimeField, T: Transport> RemoteStore<F, T> {
-    /// Performs the kv-store handshake over an already-connected transport.
+impl<M: Mode, F: PrimeField, T: Transport> Connection<M, F, T> {
+    /// Performs this mode's handshake over an already-connected transport.
     pub fn from_transport(mut transport: T, log_u: u32) -> Result<Self, Rejection> {
-        client_handshake(&mut transport, Hello::new::<F>(SessionMode::KvStore, log_u))
-            .map_err(wire_reject)?;
-        Ok(RemoteStore {
+        client_handshake(&mut transport, Hello::new::<F>(M::MODE, log_u)).map_err(wire_reject)?;
+        Ok(Connection {
             conn: Arc::new(Mutex::new(Conn {
                 chan: MsgChannel::new(transport),
                 pending: Vec::new(),
                 fault: None,
                 shard: None,
-                _marker: core::marker::PhantomData,
+                _marker: PhantomData,
             })),
+            _mode: PhantomData,
         })
     }
 
-    /// Pushes any buffered puts and marks the stream complete.
+    fn with<R>(&self, f: impl FnOnce(&mut Conn<F, T>) -> R) -> R {
+        with_conn(&self.conn, f)
+    }
+
+    /// Pushes any buffered updates and marks the stream complete.
     pub fn end_stream(&self) -> Result<(), Rejection> {
-        with_conn(&self.conn, |c| c.tell(&Msg::EndStream))
+        self.with(|c| c.tell(&Msg::EndStream))
     }
 
     /// Declares this connection to be shard `spec.index` of a fleet of
-    /// `spec.count` — must precede any put.
+    /// `spec.count` — must precede any upload.
     pub fn shard_hello(&self, spec: ShardSpec) -> Result<(), Rejection> {
-        with_conn(&self.conn, |c| {
+        self.with(|c| {
             c.shard = Some(spec);
             c.tell(&Msg::ShardHello(spec))
         })
     }
 
-    /// Freezes everything this session has put and publishes it
-    /// server-wide under `dataset_id`; the session keeps querying the
-    /// snapshot, further puts are refused by the server.
+    /// Freezes everything uploaded on this session and publishes it
+    /// server-wide under `dataset_id`: later sessions [`Self::attach`] to
+    /// it and query the same snapshot without re-uploading. This session
+    /// keeps querying it too; further uploads are refused by the server.
     pub fn publish(&self, dataset_id: &str) -> Result<(), Rejection> {
-        with_conn(&self.conn, |c| {
-            c.dataset_request(
-                &Msg::Publish {
-                    dataset_id: dataset_id.to_string(),
-                },
-                dataset_id,
-            )
-        })
+        let msg = Msg::Publish {
+            dataset_id: dataset_id.to_string(),
+        };
+        self.with(|c| c.dataset_request(&msg, dataset_id))
     }
 
     /// Serves this session's queries from the published dataset
     /// `dataset_id` (same server, same mode, same `log_u`) instead of
-    /// session-local puts.
+    /// session-local uploads. The caller still needs digests that observed
+    /// the dataset's stream — attach changes where the *prover's* data
+    /// lives, never what the verifier trusts.
     pub fn attach(&self, dataset_id: &str) -> Result<(), Rejection> {
-        with_conn(&self.conn, |c| {
-            c.dataset_request(
-                &Msg::Attach {
-                    dataset_id: dataset_id.to_string(),
-                },
-                dataset_id,
-            )
-        })
+        let msg = Msg::Attach {
+            dataset_id: dataset_id.to_string(),
+        };
+        self.with(|c| c.dataset_request(&msg, dataset_id))
     }
 
-    /// Asks the server to persist this session's current puts as a durable
-    /// named checkpoint (v4). Returns the server's full durable
-    /// enumeration. The session keeps putting afterwards.
+    /// Asks the server to persist everything uploaded on this session as a
+    /// durable named checkpoint (v4). Returns the server's full durable
+    /// enumeration. The session keeps uploading afterwards — checkpoints
+    /// are progress marks, not freezes.
     pub fn save_state(&self, dataset_id: &str) -> Result<Vec<String>, Rejection> {
-        with_conn(&self.conn, |c| {
-            c.state_request(
-                &Msg::SaveState {
-                    dataset_id: dataset_id.to_string(),
-                },
-                dataset_id,
-            )
-        })
+        let msg = Msg::SaveState {
+            dataset_id: dataset_id.to_string(),
+        };
+        self.with(|c| c.state_request(&msg, dataset_id))
     }
 
     /// Resumes durable state saved under `dataset_id` (v4): a checkpoint
-    /// thaws into this session's private store (puts continue where they
-    /// stopped), a published dataset attaches frozen. Must precede any
-    /// put.
+    /// thaws into this session's private store (uploads continue where
+    /// they stopped), a published dataset attaches frozen. Must precede
+    /// any upload.
     pub fn resume(&self, dataset_id: &str) -> Result<Vec<String>, Rejection> {
-        with_conn(&self.conn, |c| {
-            c.state_request(
-                &Msg::Resume {
-                    dataset_id: dataset_id.to_string(),
-                },
-                dataset_id,
-            )
-        })
+        let msg = Msg::Resume {
+            dataset_id: dataset_id.to_string(),
+        };
+        self.with(|c| c.state_request(&msg, dataset_id))
     }
 
     /// Ends the session politely, collecting the prover's own (advisory)
     /// cost accounting for everything it served on this connection.
     pub fn bye(&self) -> Result<CostReport, Rejection> {
-        with_conn(&self.conn, |c| match c.request(&Msg::Bye)? {
+        match self.with(|c| c.request(&Msg::Bye))? {
             Msg::Cost(report) => Ok(report),
             other => Err(unexpected("cost", other.name())),
-        })
+        }
     }
 
     /// Bytes/frames moved over this connection so far.
     pub fn stats(&self) -> TransportStats {
-        with_conn(&self.conn, |c| c.chan.stats())
+        self.with(|c| c.chan.stats())
     }
 
     /// One [`Msg::QueryOneShot`] request: the whole sum-check in a single
-    /// round trip. Nothing returned here is trusted — the kv client
-    /// replays the transcript and checks the digest before any algebra.
+    /// round trip. Nothing returned here is trusted — the caller replays
+    /// the transcript and checks the digest before any algebra.
     fn request_oneshot(
         &self,
         query: Query,
         challenges: &[F],
     ) -> Result<OneShotProof<F>, Rejection> {
-        match with_conn(&self.conn, |c| {
-            c.request(&Msg::QueryOneShot {
-                query,
-                challenges: challenges.to_vec(),
-            })
-        })? {
+        let mut rspan = sip_obs::trace::span("sip.client", "oneshot_roundtrip");
+        rspan.field("challenges", challenges.len());
+        let msg = Msg::QueryOneShot {
+            query,
+            challenges: challenges.to_vec(),
+        };
+        match self.with(|c| c.request(&msg))? {
             Msg::Proof {
                 claimed,
                 rounds,
@@ -445,6 +479,10 @@ impl<F: PrimeField, T: Transport> RemoteStore<F, T> {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// Prover sessions over the connection
+// ---------------------------------------------------------------------
 
 struct RemoteReporting<F: PrimeField, T: Transport> {
     conn: SharedConn<F, T>,
@@ -476,6 +514,15 @@ struct RemoteSumCheck<F: PrimeField, T: Transport> {
 }
 
 impl<F: PrimeField, T: Transport> RemoteSumCheck<F, T> {
+    fn new(conn: &SharedConn<F, T>, query: Query) -> Self {
+        RemoteSumCheck {
+            conn: Arc::clone(conn),
+            query,
+            started: false,
+            stashed: None,
+        }
+    }
+
     fn open(&mut self) -> Result<Vec<F>, Rejection> {
         let claimed = match with_conn(&self.conn, |c| c.request(&Msg::Query(self.query)))? {
             Msg::ClaimedValue(v) => v,
@@ -486,9 +533,10 @@ impl<F: PrimeField, T: Transport> RemoteSumCheck<F, T> {
             other => return Err(unexpected("round-poly", other.name())),
         };
         // The announced claim must be what g₁ sums to; otherwise the two
-        // messages contradict each other before any round runs. (Length
-        // errors are left to the sum-check core, which reports them with
-        // the proper round number.)
+        // messages contradict each other before any round runs, and no
+        // challenge leaves. (Length errors are left to the sum-check core,
+        // which reports them with the proper round number.) The round
+        // checks then tie g₁(0)+g₁(1) to the proven value.
         if poly.len() >= 2 && poly[0] + poly[1] != claimed {
             return Err(Rejection::MalformedAnswer {
                 detail: "claimed value disagrees with the first round polynomial".into(),
@@ -529,6 +577,17 @@ struct RemoteHeavy<F: PrimeField, T: Transport> {
     stashed: Option<LevelDisclosure<F>>,
 }
 
+impl<F: PrimeField, T: Transport> RemoteHeavy<F, T> {
+    fn new(conn: &SharedConn<F, T>, threshold: u64) -> Self {
+        RemoteHeavy {
+            conn: Arc::clone(conn),
+            threshold,
+            started: false,
+            stashed: None,
+        }
+    }
+}
+
 impl<F: PrimeField, T: Transport> HeavySession<F> for RemoteHeavy<F, T> {
     fn disclose(&mut self) -> Result<LevelDisclosure<F>, Rejection> {
         if !self.started {
@@ -560,13 +619,17 @@ impl<F: PrimeField, T: Transport> HeavySession<F> for RemoteHeavy<F, T> {
     }
 }
 
+// ---------------------------------------------------------------------
+// RemoteStore: KvServer over a transport
+// ---------------------------------------------------------------------
+
 impl<F: PrimeField, T: Transport + 'static> KvServer<F> for RemoteStore<F, T> {
     fn ingest(&mut self, up: Update) {
-        with_conn(&self.conn, |c| c.ingest(up));
+        self.with(|c| c.ingest(up));
     }
 
     fn ingest_batch(&mut self, ups: &[Update]) {
-        with_conn(&self.conn, |c| c.ingest_batch(ups));
+        self.with(|c| c.ingest_batch(ups));
     }
 
     fn reporting(&self) -> Box<dyn ReportingSession<F> + '_> {
@@ -576,30 +639,21 @@ impl<F: PrimeField, T: Transport + 'static> KvServer<F> for RemoteStore<F, T> {
     }
 
     fn range_sum(&self, q_l: u64, q_r: u64) -> Box<dyn SumCheckSession<F> + '_> {
-        Box::new(RemoteSumCheck {
-            conn: Arc::clone(&self.conn),
-            query: Query::RangeSum { l: q_l, r: q_r },
-            started: false,
-            stashed: None,
-        })
+        Box::new(RemoteSumCheck::new(
+            &self.conn,
+            Query::RangeSum { l: q_l, r: q_r },
+        ))
     }
 
     fn range_count(&self, q_l: u64, q_r: u64) -> Box<dyn SumCheckSession<F> + '_> {
-        Box::new(RemoteSumCheck {
-            conn: Arc::clone(&self.conn),
-            query: Query::RangeCount { l: q_l, r: q_r },
-            started: false,
-            stashed: None,
-        })
+        Box::new(RemoteSumCheck::new(
+            &self.conn,
+            Query::RangeCount { l: q_l, r: q_r },
+        ))
     }
 
     fn self_join(&self) -> Box<dyn SumCheckSession<F> + '_> {
-        Box::new(RemoteSumCheck {
-            conn: Arc::clone(&self.conn),
-            query: Query::SelfJoin,
-            started: false,
-            stashed: None,
-        })
+        Box::new(RemoteSumCheck::new(&self.conn, Query::SelfJoin))
     }
 
     // The one-shot overrides ship the query over the wire instead of
@@ -636,27 +690,18 @@ impl<F: PrimeField, T: Transport + 'static> KvServer<F> for RemoteStore<F, T> {
     }
 
     fn heavy(&self, threshold: u64) -> Box<dyn HeavySession<F> + '_> {
-        Box::new(RemoteHeavy {
-            conn: Arc::clone(&self.conn),
-            threshold,
-            started: false,
-            stashed: None,
-        })
+        Box::new(RemoteHeavy::new(&self.conn, threshold))
     }
 
     fn claim_predecessor(&self, q: u64) -> Result<Option<u64>, Rejection> {
-        match with_conn(&self.conn, |c| {
-            c.request(&Msg::Query(Query::Predecessor { q }))
-        })? {
+        match self.with(|c| c.request(&Msg::Query(Query::Predecessor { q })))? {
             Msg::KeyClaim(claim) => Ok(claim),
             other => Err(unexpected("key-claim", other.name())),
         }
     }
 
     fn claim_successor(&self, q: u64) -> Result<Option<u64>, Rejection> {
-        match with_conn(&self.conn, |c| {
-            c.request(&Msg::Query(Query::Successor { q }))
-        })? {
+        match self.with(|c| c.request(&Msg::Query(Query::Successor { q })))? {
             Msg::KeyClaim(claim) => Ok(claim),
             other => Err(unexpected("key-claim", other.name())),
         }
@@ -667,192 +712,65 @@ impl<F: PrimeField, T: Transport + 'static> KvServer<F> for RemoteStore<F, T> {
 // RawClient: aggregate/reporting protocols over a raw stream
 // ---------------------------------------------------------------------
 
-/// Drives the Section 3/4/6 protocols against a remote prover over a raw
-/// update stream. The caller owns the verifier digests (they must observe
-/// the same updates that are uploaded); this client owns the conversation.
-pub struct RawClient<F: PrimeField, T: Transport> {
-    conn: Conn<F, T>,
-}
-
-impl<F: PrimeField> RawClient<F, FramedTcpTransport> {
-    /// Connects to a [`crate::spawn`]ed server in raw-stream mode.
-    pub fn connect<A: ToSocketAddrs>(addr: A, log_u: u32) -> Result<Self, Rejection> {
-        Self::connect_with_timeout(addr, log_u, DEFAULT_CLIENT_TIMEOUT)
-    }
-
-    /// Like [`Self::connect`] with an explicit read timeout.
-    pub fn connect_with_timeout<A: ToSocketAddrs>(
-        addr: A,
-        log_u: u32,
-        timeout: Duration,
-    ) -> Result<Self, Rejection> {
-        Self::from_transport(tcp_transport(addr, timeout)?, log_u)
-    }
-
-    /// Like [`Self::connect`] under a [`RetryPolicy`]: transient dial and
-    /// handshake faults retry with decorrelated-jitter backoff, soundness
-    /// faults fail immediately (see [`Rejection::is_transient`]).
-    pub fn connect_with_policy<A: ToSocketAddrs + Clone>(
-        addr: A,
-        log_u: u32,
-        policy: &RetryPolicy,
-    ) -> Result<Self, Rejection> {
-        policy.run(|_| Self::connect_with_timeout(addr.clone(), log_u, policy.op_deadline))
-    }
-}
-
 impl<F: PrimeField, T: Transport> RawClient<F, T> {
-    /// Performs the raw-stream handshake over a connected transport.
-    pub fn from_transport(mut transport: T, log_u: u32) -> Result<Self, Rejection> {
-        client_handshake(
-            &mut transport,
-            Hello::new::<F>(SessionMode::RawStream, log_u),
-        )
-        .map_err(wire_reject)?;
-        Ok(RawClient {
-            conn: Conn {
-                chan: MsgChannel::new(transport),
-                pending: Vec::new(),
-                fault: None,
-                shard: None,
-                _marker: core::marker::PhantomData,
-            },
-        })
-    }
-
     /// Uploads one update (buffered; remember to feed your digests too).
     pub fn send_update(&mut self, up: Update) {
-        self.conn.ingest(up);
+        self.with(|c| c.ingest(up));
     }
 
     /// Uploads a whole batch in one buffered extend.
     pub fn send_batch(&mut self, batch: &[Update]) {
-        self.conn.ingest_batch(batch);
+        self.with(|c| c.ingest_batch(batch));
     }
 
     /// Uploads a whole stream in one buffered extend (frames are cut by
     /// the auto-chunking flush, never one update at a time).
     pub fn send_stream(&mut self, stream: &[Update]) {
-        self.conn.ingest_batch(stream);
-    }
-
-    /// Flushes buffered updates and marks the stream complete.
-    pub fn end_stream(&mut self) -> Result<(), Rejection> {
-        self.conn.tell(&Msg::EndStream)
-    }
-
-    /// Ends the session politely, collecting the prover's own (advisory)
-    /// cost accounting for everything it served on this connection.
-    pub fn bye(&mut self) -> Result<CostReport, Rejection> {
-        match self.conn.request(&Msg::Bye)? {
-            Msg::Cost(report) => Ok(report),
-            other => Err(unexpected("cost", other.name())),
-        }
-    }
-
-    /// Bytes/frames moved over this connection so far.
-    pub fn stats(&self) -> TransportStats {
-        self.conn.chan.stats()
+        self.with(|c| c.ingest_batch(stream));
     }
 
     /// Asks the server for its live metrics snapshot ([`Msg::Stats`]): the
     /// same JSON document its `--metrics-addr` listener serves at `/stats`.
     /// Advisory operator telemetry — nothing in it is verified.
     pub fn server_stats(&mut self) -> Result<String, Rejection> {
-        match self.conn.request(&Msg::Stats)? {
+        match self.with(|c| c.request(&Msg::Stats))? {
             Msg::StatsReply { json } => Ok(json),
             other => Err(unexpected("stats-reply", other.name())),
         }
-    }
-
-    /// Declares this connection to be shard `spec.index` of a fleet of
-    /// `spec.count` — must precede any update.
-    pub fn shard_hello(&mut self, spec: ShardSpec) -> Result<(), Rejection> {
-        self.conn.shard = Some(spec);
-        self.conn.tell(&Msg::ShardHello(spec))
-    }
-
-    /// Freezes everything uploaded on this session and publishes it
-    /// server-wide under `dataset_id`: later sessions [`Self::attach`] to
-    /// it and query the same snapshot without re-ingesting. This session
-    /// keeps querying it too; further updates are refused by the server.
-    pub fn publish(&mut self, dataset_id: &str) -> Result<(), Rejection> {
-        self.conn.dataset_request(
-            &Msg::Publish {
-                dataset_id: dataset_id.to_string(),
-            },
-            dataset_id,
-        )
-    }
-
-    /// Serves this session's queries from the published dataset
-    /// `dataset_id` (same server, raw-stream mode, same `log_u`). The
-    /// caller still needs digests that observed the dataset's stream —
-    /// attach changes where the *prover's* data lives, never what the
-    /// verifier trusts.
-    pub fn attach(&mut self, dataset_id: &str) -> Result<(), Rejection> {
-        self.conn.dataset_request(
-            &Msg::Attach {
-                dataset_id: dataset_id.to_string(),
-            },
-            dataset_id,
-        )
-    }
-
-    /// Asks the server to persist everything uploaded on this session as a
-    /// durable named checkpoint (v4). Returns the server's full durable
-    /// enumeration. The session keeps streaming afterwards — checkpoints
-    /// are progress marks, not freezes.
-    pub fn save_state(&mut self, dataset_id: &str) -> Result<Vec<String>, Rejection> {
-        self.conn.state_request(
-            &Msg::SaveState {
-                dataset_id: dataset_id.to_string(),
-            },
-            dataset_id,
-        )
-    }
-
-    /// Resumes durable state saved under `dataset_id` (v4): a checkpoint
-    /// thaws into this session's private store (ingest continues where it
-    /// stopped), a published dataset attaches frozen. Must precede any
-    /// update.
-    pub fn resume(&mut self, dataset_id: &str) -> Result<Vec<String>, Rejection> {
-        self.conn.state_request(
-            &Msg::Resume {
-                dataset_id: dataset_id.to_string(),
-            },
-            dataset_id,
-        )
     }
 
     /// Building block for multi-connection drivers (`sip-cluster`): flush
     /// buffered updates, send one message, await one reply. Wire faults
     /// poison the connection exactly as for the built-in drivers.
     pub fn request_msg(&mut self, msg: &Msg<F>) -> Result<Msg<F>, Rejection> {
-        self.conn.request(msg)
+        self.with(|c| c.request(msg))
     }
 
     /// Building block: receive the next message (when a request yields more
     /// than one reply frame, e.g. claim + first round polynomial).
     pub fn recv_msg(&mut self) -> Result<Msg<F>, Rejection> {
-        self.conn.recv()
+        self.with(|c| c.recv())
     }
 
     /// Building block: flush buffered updates and send one message with no
     /// reply expected.
     pub fn tell_msg(&mut self, msg: &Msg<F>) -> Result<(), Rejection> {
-        self.conn.tell(msg)
+        self.with(|c| c.tell(msg))
     }
 
     /// Reports the query verdict to the server (best effort). Public so an
     /// aggregating verifier can close out every shard's query with the
     /// fleet-level outcome.
     pub fn verdict(&mut self, result: &Result<F, Rejection>) {
-        let msg = match result {
-            Ok(_) => Msg::Accept,
-            Err(rej) => Msg::Reject(rej.clone()),
+        self.tell_verdict(result.as_ref().err());
+    }
+
+    fn tell_verdict(&self, rejection: Option<&Rejection>) {
+        let msg = match rejection {
+            None => Msg::Accept,
+            Some(rej) => Msg::Reject(rej.clone()),
         };
-        let _ = self.conn.tell(&msg);
+        let _ = self.with(|c| c.tell(&msg));
     }
 
     /// Tells the server this session's current trace context
@@ -860,16 +778,37 @@ impl<F: PrimeField, T: Transport> RawClient<F, T> {
     /// unless tracing is on and a span is open; a send failure poisons the
     /// connection and surfaces at the next protocol frame, so the error is
     /// deliberately dropped here.
-    fn announce_trace(&mut self) {
+    fn announce_trace(&self) {
         if let Some(ctx) = sip_obs::trace::current_context() {
-            let _ = self.conn.tell(&Msg::TraceContext {
-                trace_id: ctx.trace_id,
-                parent_span: ctx.span_id,
+            let _ = self.with(|c| {
+                c.tell(&Msg::TraceContext {
+                    trace_id: ctx.trace_id,
+                    parent_span: ctx.span_id,
+                })
             });
         }
     }
 
+    /// One query conversation under a `span` named for `query`: announce
+    /// the trace context, `drive` the protocol, tell the server the
+    /// verdict.
+    fn converse<R>(
+        &mut self,
+        span: &'static str,
+        query: &'static str,
+        drive: impl FnOnce(&Self) -> Result<R, Rejection>,
+    ) -> Result<R, Rejection> {
+        let mut qspan = sip_obs::trace::span("sip.client", span);
+        qspan.field("query", query);
+        self.announce_trace();
+        let result = drive(self);
+        self.tell_verdict(result.as_ref().err());
+        result
+    }
+
     /// Runs one remote sum-check conversation against `core`/`expected`.
+    /// The report books the `ClaimedValue` frame's word on top of the
+    /// rounds: over the wire the claim is a message of its own.
     fn drive_sumcheck(
         &mut self,
         query: Query,
@@ -877,52 +816,11 @@ impl<F: PrimeField, T: Transport> RawClient<F, T> {
         expected: F,
         report: &mut CostReport,
     ) -> Result<F, Rejection> {
-        let mut qspan = sip_obs::trace::span("sip.client", "query");
-        qspan.field("query", query.name());
-        self.announce_trace();
-        let result = (|| {
-            let claimed = match self.conn.request(&Msg::Query(query))? {
-                Msg::ClaimedValue(v) => v,
-                other => return Err(unexpected("claimed-value", other.name())),
-            };
-            report.p_to_v_words += 1;
-            let mut poly = match self.conn.recv()? {
-                Msg::RoundPoly(p) => p,
-                other => return Err(unexpected("round-poly", other.name())),
-            };
-            loop {
-                report.rounds += 1;
-                let mut rspan = sip_obs::trace::span("sip.client", "round");
-                rspan.field("round", report.rounds);
-                report.p_to_v_words += poly.len();
-                let step = {
-                    let _v = sip_obs::trace::span("sip.client", "verifier_compute");
-                    core.receive(&poly)
-                }?;
-                match step {
-                    Some(challenge) => {
-                        report.v_to_p_words += 1;
-                        poly = match self.conn.request(&Msg::Challenge(challenge))? {
-                            Msg::RoundPoly(p) => p,
-                            other => return Err(unexpected("round-poly", other.name())),
-                        };
-                    }
-                    None => break,
-                }
-            }
-            let value = {
-                let _v = sip_obs::trace::span("sip.client", "verifier_compute");
-                core.finalize(expected)
-            }?;
-            if value != claimed {
-                return Err(Rejection::MalformedAnswer {
-                    detail: "announced claim differs from the proven value".into(),
-                });
-            }
-            Ok(value)
-        })();
-        self.verdict(&result);
-        result
+        report.p_to_v_words += 1;
+        self.converse("query", query.name(), |client| {
+            let mut session = RemoteSumCheck::new(&client.conn, query);
+            drive_session(&mut session, &mut core, expected, report)
+        })
     }
 
     /// Runs one *one-shot* sum-check conversation: reveal the challenge
@@ -938,33 +836,12 @@ impl<F: PrimeField, T: Transport> RawClient<F, T> {
         expected: F,
         report: &mut CostReport,
     ) -> Result<F, Rejection> {
-        let mut qspan = sip_obs::trace::span("sip.client", "oneshot_query");
-        qspan.field("query", query.name());
-        self.announce_trace();
-        let shard = self.conn.shard.map(|s| (s.index, s.count));
-        let result = (|| {
+        self.converse("oneshot_query", query.name(), |client| {
+            let shard = client.with(|c| c.shard).map(|s| (s.index, s.count));
             let challenges = core.challenge_prefix().to_vec();
             report.rounds += 1;
             report.v_to_p_words += challenges.len();
-            let proof = {
-                let mut rspan = sip_obs::trace::span("sip.client", "oneshot_roundtrip");
-                rspan.field("challenges", challenges.len());
-                match self.conn.request(&Msg::QueryOneShot {
-                    query,
-                    challenges: challenges.clone(),
-                })? {
-                    Msg::Proof {
-                        claimed,
-                        rounds,
-                        digest,
-                    } => OneShotProof {
-                        claimed,
-                        rounds,
-                        digest,
-                    },
-                    other => return Err(unexpected("proof", other.name())),
-                }
-            };
+            let proof = client.request_oneshot(query, &challenges)?;
             report.p_to_v_words += proof.words();
             let transcript =
                 query_transcript::<F>(name, core.rounds() as u32, shard, params, &challenges);
@@ -978,9 +855,7 @@ impl<F: PrimeField, T: Transport> RawClient<F, T> {
                     .observe(timer.elapsed_us());
             }
             value
-        })();
-        self.verdict(&result);
-        result
+        })
     }
 
     /// Verified SELF-JOIN SIZE in one round trip ([`Msg::QueryOneShot`]):
@@ -1083,45 +958,11 @@ impl<F: PrimeField, T: Transport> RawClient<F, T> {
         q_l: u64,
         q_r: u64,
     ) -> Result<Verified<F>, Rejection> {
-        let mut session = verifier.into_session(q_l, q_r);
-        let mut report = CostReport {
-            v_to_p_words: 2,
-            rounds: 1,
-            ..CostReport::default()
-        };
-        let mut qspan = sip_obs::trace::span("sip.client", "query");
-        qspan.field("query", "report");
-        self.announce_trace();
-        let result = (|| {
-            let answer = match self
-                .conn
-                .request(&Msg::Query(Query::Report { l: q_l, r: q_r }))?
-            {
-                Msg::SubVectorAnswer(ans) => ans,
-                other => return Err(unexpected("subvector-answer", other.name())),
+        self.converse("query", "report", |client| {
+            let mut session = RemoteReporting {
+                conn: Arc::clone(&client.conn),
             };
-            report.p_to_v_words += 2 * answer.entries.len();
-            let mut step = session.receive_answer(&answer, None)?;
-            while let Step::Request(req) = step {
-                report.rounds += 1;
-                report.v_to_p_words += 1;
-                let reply = match self.conn.request(&Msg::SubVectorRound(req.clone()))? {
-                    Msg::SubVectorReply(reply) => reply,
-                    other => return Err(unexpected("subvector-reply", other.name())),
-                };
-                report.p_to_v_words +=
-                    reply.left.is_some() as usize + reply.right.is_some() as usize;
-                step = session.receive_reply(&req, &reply)?;
-            }
-            Ok(answer)
-        })();
-        let verdict = result.as_ref().map(|_| F::ZERO).map_err(Clone::clone);
-        self.verdict(&verdict);
-        let answer = result?;
-        report.verifier_space_words = session.space_words();
-        Ok(Verified {
-            entries: session.queried_entries(&answer),
-            report,
+            drive_subvector(verifier, q_l, q_r, &mut session)
         })
     }
 
@@ -1131,46 +972,22 @@ impl<F: PrimeField, T: Transport> RawClient<F, T> {
         hasher: CountTreeHasher<F>,
         threshold: u64,
     ) -> Result<(Vec<(u64, u64)>, CostReport), Rejection> {
-        let streaming_space = hasher.space_words();
-        let mut session = hasher.into_session(threshold);
-        let mut report = CostReport {
-            v_to_p_words: 1,
-            verifier_space_words: streaming_space,
-            ..CostReport::default()
-        };
-        if session.trivially_empty() {
-            return Ok((Vec::new(), report));
-        }
+        // A query no item can answer (n < threshold) is accepted without
+        // a frame, so the trace context and the verdict go out only once
+        // the conversation opens.
         let mut qspan = sip_obs::trace::span("sip.client", "query");
         qspan.field("query", "heavy");
-        self.announce_trace();
-        let items = {
-            let result = (|| {
-                let mut disc = match self.conn.request(&Msg::Query(Query::Heavy { threshold }))? {
-                    Msg::HhDisclosure(d) => d,
-                    other => return Err(unexpected("hh-disclosure", other.name())),
-                };
-                loop {
-                    report.rounds += 1;
-                    report.p_to_v_words += disc.words();
-                    match session.receive_level(&disc)? {
-                        HhStep::RevealKeys { level, r, s } => {
-                            report.v_to_p_words += 2;
-                            disc = match self.conn.request(&Msg::HhKeys { level, r, s })? {
-                                Msg::HhDisclosure(d) => d,
-                                other => return Err(unexpected("hh-disclosure", other.name())),
-                            };
-                        }
-                        HhStep::Accept(items) => return Ok(items),
-                    }
-                }
-            })();
-            let verdict = result.as_ref().map(|_| F::ZERO).map_err(Clone::clone);
-            self.verdict(&verdict);
-            result?
-        };
-        report.verifier_space_words = streaming_space + session.space_words();
-        Ok((items, report))
+        let mut opened = false;
+        let result = drive_heavy_hitters(hasher, threshold, || {
+            opened = true;
+            self.announce_trace();
+            Box::new(RemoteHeavy::new(&self.conn, threshold))
+        });
+        if opened {
+            self.tell_verdict(result.as_ref().err());
+        }
+        let got = result?;
+        Ok((got.items, got.report))
     }
 }
 

@@ -158,32 +158,12 @@ pub fn run_session<F: PrimeField, T: Transport>(
     run_session_ctx::<F, T>(transport, mode, log_u, SessionContext::default())
 }
 
-/// Like [`run_session`], for a prover deployed as one shard of a fleet:
-/// `pinned` is the shard identity from the server's own configuration
-/// (`sip-prover --shard i --of n`). The session then serves only that
-/// shard's index range from the first byte, and a client
-/// [`Msg::ShardHello`] must agree with the pin.
-pub fn run_session_sharded<F: PrimeField, T: Transport>(
-    transport: T,
-    mode: SessionMode,
-    log_u: u32,
-    pinned: Option<ShardSpec>,
-) -> SessionEnd {
-    run_session_ctx::<F, T>(
-        transport,
-        mode,
-        log_u,
-        SessionContext {
-            shard: pinned,
-            ..SessionContext::default()
-        },
-    )
-}
-
 /// The full-context entry point: shard pin and the shared dataset
 /// registry come from the server (`crate::spawn` passes one
 /// registry to every session so published datasets are visible
-/// server-wide).
+/// server-wide). A pinned session (`sip-prover --shard i --of n`) serves
+/// only that shard's index range from the first byte, and a client
+/// [`Msg::ShardHello`] must agree with the pin.
 pub fn run_session_ctx<F: PrimeField, T: Transport>(
     transport: T,
     mode: SessionMode,
@@ -1206,7 +1186,11 @@ mod tests {
     ) -> (SessionEnd, R) {
         let (a, b) = InMemoryTransport::pair();
         let server = thread::spawn(move || {
-            run_session_sharded::<Fp61, _>(a, SessionMode::RawStream, log_u, pinned)
+            let ctx = SessionContext {
+                shard: pinned,
+                ..SessionContext::default()
+            };
+            run_session_ctx::<Fp61, _>(a, SessionMode::RawStream, log_u, ctx)
         });
         let out = client(MsgChannel::new(b));
         (server.join().unwrap(), out)

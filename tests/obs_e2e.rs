@@ -95,7 +95,7 @@ fn tcp_session_leaves_a_complete_metric_trail() {
     );
 
     // Second session attaches to the published snapshot.
-    let mut second: RawClient<Fp61, _> = RawClient::connect(server.local_addr(), log_u).unwrap();
+    let second: RawClient<Fp61, _> = RawClient::connect(server.local_addr(), log_u).unwrap();
     second.attach("obs-ds").unwrap();
     second.bye().unwrap();
     server.shutdown();

@@ -27,7 +27,7 @@ use sip::core::sumcheck::inner_product::{InnerProductProver, InnerProductVerifie
 use sip::core::sumcheck::moments::{MomentProver, MomentVerifier};
 use sip::core::sumcheck::range_sum::{RangeSumProver, RangeSumVerifier};
 use sip::core::sumcheck::{
-    prove_oneshot, OneShotProof, OneShotWalk, ProverWalk, RoundProver, SumCheckVerifierCore,
+    prove_oneshot, OneShotProof, ProverWalk, RoundProver, SumCheckSession, SumCheckVerifierCore,
 };
 use sip::core::transcript::query_transcript;
 use sip::core::Rejection;
@@ -63,7 +63,7 @@ struct Replay<F> {
     next: usize,
 }
 
-impl<F: PrimeField> OneShotWalk<F> for Replay<F> {
+impl<F: PrimeField> SumCheckSession<F> for Replay<F> {
     fn message(&mut self) -> Result<Vec<F>, Rejection> {
         self.next += 1;
         Ok(self.polys[self.next - 1].clone())

@@ -21,10 +21,15 @@ use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sip::field::Fp61;
+use sip::core::channel::{FramedTcpTransport, Transport, TransportError, TransportStats};
+use sip::core::sumcheck::f2::F2Verifier;
+use sip::core::Rejection;
+use sip::field::{Fp61, PrimeField};
 use sip::kvstore::{Client, QueryBudget};
-use sip::server::client::RemoteStore;
+use sip::server::client::{RawClient, RemoteStore};
 use sip::server::{spawn, ServerConfig};
+use sip::streaming::workloads;
+use sip::wire::{Msg, WireCodec};
 
 const LOG_U: u32 = 4;
 const PAIRS: [(u64, u64); 3] = [(3, 10), (7, 0), (12, 55)];
@@ -206,5 +211,102 @@ fn every_single_byte_corruption_rejects() {
         "{} of {total} byte flips were accepted: {accepted_forgeries:?}",
         accepted_forgeries.len()
     );
+    server.shutdown();
+}
+
+/// A client-side transport that (when `forge` is set) adds one to the value
+/// of every `ClaimedValue` frame it receives, and counts the `Challenge`
+/// frames it sends — which, over TCP, are exactly the ones the server
+/// receives.
+struct ClaimForger<T> {
+    inner: T,
+    forge: bool,
+    challenges: Arc<AtomicUsize>,
+}
+
+impl<T: Transport> Transport for ClaimForger<T> {
+    fn send_frame(&mut self, frame: &[u8]) -> Result<(), TransportError> {
+        if matches!(Msg::<Fp61>::from_bytes(frame), Ok(Msg::Challenge(_))) {
+            self.challenges.fetch_add(1, Ordering::SeqCst);
+        }
+        self.inner.send_frame(frame)
+    }
+
+    fn recv_frame(&mut self) -> Result<Vec<u8>, TransportError> {
+        let frame = self.inner.recv_frame()?;
+        Ok(match Msg::<Fp61>::from_bytes(&frame) {
+            Ok(Msg::ClaimedValue(v)) if self.forge => Msg::ClaimedValue(v + Fp61::ONE).to_bytes(),
+            _ => frame,
+        })
+    }
+
+    fn stats(&self) -> TransportStats {
+        self.inner.stats()
+    }
+}
+
+fn forger(
+    upstream: SocketAddr,
+    forge: bool,
+) -> (ClaimForger<FramedTcpTransport>, Arc<AtomicUsize>) {
+    let mut tcp = FramedTcpTransport::new(TcpStream::connect(upstream).unwrap()).unwrap();
+    tcp.set_timeout(Some(Duration::from_secs(5))).unwrap();
+    let challenges = Arc::new(AtomicUsize::new(0));
+    let transport = ClaimForger {
+        inner: tcp,
+        forge,
+        challenges: Arc::clone(&challenges),
+    };
+    (transport, challenges)
+}
+
+/// A claimed value that disagrees with the first round polynomial is
+/// refused when the query opens, on the raw and the kv path alike: the
+/// verifier answers `MalformedAnswer` and no challenge ever leaves. The
+/// same conversation without the rewrite accepts, after `log u − 1`
+/// challenges.
+#[test]
+fn a_false_claim_is_refused_before_any_challenge_leaves() {
+    let server = spawn::<Fp61, _>("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let stream = workloads::paper_f2(1 << LOG_U, 4);
+    for forge in [false, true] {
+        let (transport, challenges) = forger(server.local_addr(), forge);
+        let mut client: RawClient<Fp61, _> = RawClient::from_transport(transport, LOG_U).unwrap();
+        let mut verifier = F2Verifier::<Fp61>::new(LOG_U, &mut StdRng::seed_from_u64(8));
+        verifier.update_all(&stream);
+        client.send_stream(&stream);
+        client.end_stream().unwrap();
+        let got = client.verify_f2(verifier);
+        if forge {
+            assert!(
+                matches!(got, Err(Rejection::MalformedAnswer { .. })),
+                "{got:?}"
+            );
+            assert_eq!(challenges.load(Ordering::SeqCst), 0);
+        } else {
+            assert!(got.is_ok(), "{got:?}");
+            assert_eq!(challenges.load(Ordering::SeqCst), LOG_U as usize - 1);
+        }
+
+        let (transport, challenges) = forger(server.local_addr(), forge);
+        let mut store: RemoteStore<Fp61, _> =
+            RemoteStore::from_transport(transport, LOG_U).unwrap();
+        let mut kv =
+            Client::<Fp61>::new(LOG_U, QueryBudget::default(), &mut StdRng::seed_from_u64(9));
+        for (k, v) in PAIRS {
+            kv.put(k, v, &mut store);
+        }
+        let got = kv.self_join_size(&store);
+        if forge {
+            assert!(
+                matches!(got, Err(Rejection::MalformedAnswer { .. })),
+                "{got:?}"
+            );
+            assert_eq!(challenges.load(Ordering::SeqCst), 0);
+        } else {
+            assert_eq!(got.unwrap().value, 10 * 10 + 55 * 55);
+            assert_eq!(challenges.load(Ordering::SeqCst), LOG_U as usize - 1);
+        }
+    }
     server.shutdown();
 }
