@@ -47,40 +47,53 @@ fn blame(s: usize, e: Rejection) -> Rejection {
     Rejection::blame(s as u32, e)
 }
 
-/// One shard reply, with the blocking wait booked to that shard's
-/// `sip_cluster_shard_wait_us` series — the fleet's lockstep rounds go at
-/// the pace of the slowest shard, and this is how you find it. The same
-/// wait opens a `shard_wait` span (the cluster-level wire-wait leg) and
-/// lands the reply in the query's flight recorder.
-fn recv_msg_timed<F: PrimeField, T: Transport>(
-    recorder: &mut sip_obs::FlightRecorder,
-    s: usize,
-    shard: &mut RawClient<F, T>,
-) -> Result<Msg<F>, Rejection> {
-    if !sip_obs::enabled() {
-        return shard.recv_msg();
-    }
-    let mut tspan = sip_obs::trace::span("sip.cluster", "shard_wait");
-    tspan.field("shard", s);
-    let timer = sip_obs::Timer::start();
-    let out = shard.recv_msg();
-    let label = s.to_string();
-    sip_obs::histogram_with("sip_cluster_shard_wait_us", &[("shard", &label)])
-        .observe(timer.elapsed_us());
-    match &out {
-        Ok(msg) => recorder.record("in", format!("shard {s}: {}", msg.name())),
-        Err(_) => recorder.record("note", format!("shard {s}: recv failed")),
-    }
-    out
+/// Runs `recv` on every shard at once — shard 0 on the calling thread,
+/// shards 1..S on scoped threads (none at `S = 1`) — so a fleet receive
+/// waits for the slowest shard, not for each in turn. Returns each shard's
+/// result and blocking wait in µs, in shard order, whatever order the
+/// threads finished in. One `shard_wait` span (the cluster-level wire-wait
+/// leg) covers the overlapped wait; it stays on the calling thread because
+/// worker threads cannot attach to the thread-local trace context.
+fn fan_in<F: PrimeField, T: Transport, R: Send>(
+    shards: &mut [RawClient<F, T>],
+    recv: impl Fn(&mut RawClient<F, T>) -> R + Sync,
+) -> Vec<(R, u64)> {
+    let mut wspan = sip_obs::trace::span("sip.cluster", "shard_wait");
+    wspan.field("shards", shards.len());
+    let timed = &|shard: &mut RawClient<F, T>| {
+        let timer = sip_obs::Timer::start();
+        let out = recv(shard);
+        (out, timer.elapsed_us())
+    };
+    let (first, rest) = shards
+        .split_first_mut()
+        .expect("every fleet constructor refuses an empty fleet");
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = rest
+            .iter_mut()
+            .map(|shard| scope.spawn(move || timed(shard)))
+            .collect();
+        let mut out = vec![timed(first)];
+        out.extend(
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("shard drain thread panicked")),
+        );
+        out
+    })
 }
 
-fn unexpected(s: usize, expected: &'static str, got: &'static str) -> Rejection {
-    blame(
-        s,
-        Rejection::MalformedAnswer {
-            detail: format!("wire: {}", WireError::UnexpectedMessage { expected, got }),
-        },
-    )
+fn unexpected(expected: &'static str, got: &'static str) -> Rejection {
+    Rejection::MalformedAnswer {
+        detail: format!("wire: {}", WireError::UnexpectedMessage { expected, got }),
+    }
+}
+
+fn round_poly<F: PrimeField>(msg: Msg<F>) -> Result<Vec<F>, Rejection> {
+    match msg {
+        Msg::RoundPoly(p) => Ok(p),
+        other => Err(unexpected("round-poly", other.name())),
+    }
 }
 
 /// Drives the aggregate and reporting protocols against a fleet of `S`
@@ -271,10 +284,12 @@ impl<F: PrimeField, T: Transport> ClusterClient<F, T> {
     /// Opens `query` on every shard, collects the per-shard claims and
     /// round polynomials, feeds them through the per-prover residual
     /// checks, and broadcasts each revealed challenge (stamped with its
-    /// round) to all shards. Sends always fan out to the whole fleet
-    /// before any reply is awaited, so a round costs one round-trip, not
-    /// `S` — the shards prove in parallel. `extra_v_words` charges query
-    /// parameters (the range announcement) to every shard's books.
+    /// round) to all shards. Sends fan out to the whole fleet before any
+    /// reply is awaited, and every receive — the open and each round —
+    /// drains all `S` replies at once ([`Self::receive_all`]), so a round
+    /// costs the slowest shard's round trip, not the sum of `S`.
+    /// `extra_v_words` charges query parameters (the range announcement)
+    /// to every shard's books.
     fn drive_aggregate(
         &mut self,
         query: Query,
@@ -284,7 +299,6 @@ impl<F: PrimeField, T: Transport> ClusterClient<F, T> {
         space_words: usize,
     ) -> Result<ClusterVerified<F>, Rejection> {
         let n = self.shards.len();
-        assert_eq!(agg.shards(), n, "digest fleet size disagrees with client");
         let mut qspan = sip_obs::trace::span("sip.cluster", "cluster_query");
         qspan.field("query", query.name());
         qspan.field("shards", n);
@@ -307,7 +321,6 @@ impl<F: PrimeField, T: Transport> ClusterClient<F, T> {
             r.v_to_p_words += extra_v_words;
         }
         let result = (|| {
-            let mut polys: Vec<Vec<F>> = Vec::with_capacity(n);
             {
                 let mut fspan = sip_obs::trace::span("sip.cluster", "fanout");
                 fspan.field("what", "query");
@@ -321,33 +334,26 @@ impl<F: PrimeField, T: Transport> ClusterClient<F, T> {
                 }
             }
             let ospan = sip_obs::trace::span("sip.cluster", "open");
-            for (s, shard) in self.shards.iter_mut().enumerate() {
-                let claimed = match recv_msg_timed(&mut self.recorder, s, shard) {
-                    Ok(Msg::ClaimedValue(v)) => v,
-                    Ok(other) => return Err(unexpected(s, "claimed-value", other.name())),
-                    Err(e) => return Err(blame(s, e)),
+            let mut polys = self.receive_all("claimed-value, round-poly", |shard| {
+                let claimed = match shard.recv_msg()? {
+                    Msg::ClaimedValue(v) => v,
+                    other => return Err(unexpected("claimed-value", other.name())),
                 };
-                report.per_shard[s].p_to_v_words += 1;
-                let poly = match recv_msg_timed(&mut self.recorder, s, shard) {
-                    Ok(Msg::RoundPoly(p)) => p,
-                    Ok(other) => return Err(unexpected(s, "round-poly", other.name())),
-                    Err(e) => return Err(blame(s, e)),
-                };
+                let poly = round_poly(shard.recv_msg()?)?;
                 // The two opening messages must agree before any round runs
                 // (length errors are left to the round checker, which
                 // reports them with the proper round number). Together with
                 // the round checks this pins the announced claim to the
                 // proven value, so no post-finalize re-check is needed.
                 if poly.len() >= 2 && poly[0] + poly[1] != claimed {
-                    return Err(blame(
-                        s,
-                        Rejection::MalformedAnswer {
-                            detail: "claimed value disagrees with the first round polynomial"
-                                .into(),
-                        },
-                    ));
+                    return Err(Rejection::MalformedAnswer {
+                        detail: "claimed value disagrees with the first round polynomial".into(),
+                    });
                 }
-                polys.push(poly);
+                Ok(poly)
+            })?;
+            for r in &mut report.per_shard {
+                r.p_to_v_words += 1;
             }
             drop(ospan);
             let mut round = 1u32;
@@ -378,13 +384,8 @@ impl<F: PrimeField, T: Transport> ClusterClient<F, T> {
                                     .map_err(|e| blame(s, e))?;
                             }
                         }
-                        for (s, shard) in self.shards.iter_mut().enumerate() {
-                            polys[s] = match recv_msg_timed(&mut self.recorder, s, shard) {
-                                Ok(Msg::RoundPoly(p)) => p,
-                                Ok(other) => return Err(unexpected(s, "round-poly", other.name())),
-                                Err(e) => return Err(blame(s, e)),
-                            };
-                        }
+                        polys =
+                            self.receive_all("round-poly", |shard| round_poly(shard.recv_msg()?))?;
                         round += 1;
                     }
                     None => break,
@@ -407,13 +408,12 @@ impl<F: PrimeField, T: Transport> ClusterClient<F, T> {
 
     /// Runs one fleet-wide *one-shot* query: reveal the shared challenge
     /// prefix to every shard at once, collect one sealed proof frame per
-    /// shard — drained **in parallel**, one thread per connection, so the
-    /// wait is one slowest-shard round trip rather than `S` sequential
-    /// ones — then run every transcript replay and deferred round check
-    /// locally — one round trip for the whole fleet query, whatever
-    /// `log_u` is. Each shard's transcript binds its own identity, so a
-    /// frame served by (or replayed from) the wrong shard dies on its
-    /// digest comparison as [`Rejection::Blame`] naming that shard.
+    /// shard through the fan-in ([`Self::receive_all`]), then run every
+    /// transcript replay and deferred round check locally — one round trip
+    /// for the whole fleet query, whatever `log_u` is. Each shard's
+    /// transcript binds its own identity, so a frame served by (or
+    /// replayed from) the wrong shard dies on its digest comparison as
+    /// [`Rejection::Blame`] naming that shard.
     #[allow(clippy::too_many_arguments)]
     fn drive_aggregate_oneshot(
         &mut self,
@@ -426,7 +426,6 @@ impl<F: PrimeField, T: Transport> ClusterClient<F, T> {
         space_words: usize,
     ) -> Result<ClusterVerified<F>, Rejection> {
         let n = self.shards.len();
-        assert_eq!(agg.shards(), n, "digest fleet size disagrees with client");
         let mut qspan = sip_obs::trace::span("sip.cluster", "cluster_query");
         qspan.field("query", query.name());
         qspan.field("shards", n);
@@ -449,100 +448,42 @@ impl<F: PrimeField, T: Transport> ClusterClient<F, T> {
             r.v_to_p_words += extra_v_words + challenges.len();
         }
         let result = (|| {
-            let mut proofs = Vec::with_capacity(n);
+            let mut rtspan = sip_obs::trace::span("sip.cluster", "oneshot_roundtrip");
+            rtspan.field("shards", n);
             {
-                let mut rtspan = sip_obs::trace::span("sip.cluster", "oneshot_roundtrip");
-                rtspan.field("shards", n);
-                {
-                    let mut fspan = sip_obs::trace::span("sip.cluster", "fanout");
-                    fspan.field("what", "query-oneshot");
-                    for (s, shard) in self.shards.iter_mut().enumerate() {
-                        if sip_obs::enabled() {
-                            self.recorder
-                                .record("out", format!("shard {s}: query-oneshot"));
-                        }
-                        shard
-                            .tell_msg(&Msg::QueryOneShot {
-                                query,
-                                challenges: challenges.clone(),
-                            })
-                            .map_err(|e| blame(s, e))?;
-                    }
-                }
-                // Drain the `S` proof frames in parallel — one scoped
-                // thread per shard connection — so the wire-wait leg costs
-                // one slowest-shard round trip instead of the sum of `S`
-                // sequential waits. The `shard_wait` span stays on the
-                // calling thread (worker threads cannot attach to the
-                // thread-local trace context) and covers the overlapped
-                // wait; per-shard waits still land in the
-                // `sip_cluster_shard_wait_us{shard}` series.
-                let mut wspan = sip_obs::trace::span("sip.cluster", "shard_wait");
-                wspan.field("shards", n);
-                let replies: Vec<(Result<Msg<F>, Rejection>, u64)> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = self
-                        .shards
-                        .iter_mut()
-                        .map(|shard| {
-                            scope.spawn(move || {
-                                let timer = sip_obs::Timer::start();
-                                let out = shard.recv_msg();
-                                (out, timer.elapsed_us())
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("shard drain thread panicked"))
-                        .collect()
-                });
-                drop(wspan);
-                // Book every shard's wait before acting on any failure, then
-                // surface the lowest-index fault — deterministic whatever
-                // order the threads finished in, matching the sequential
-                // drain's semantics.
-                let mut first_err: Option<Rejection> = None;
-                for (s, (out, wait_us)) in replies.into_iter().enumerate() {
+                let mut fspan = sip_obs::trace::span("sip.cluster", "fanout");
+                fspan.field("what", "query-oneshot");
+                for (s, shard) in self.shards.iter_mut().enumerate() {
                     if sip_obs::enabled() {
-                        let label = s.to_string();
-                        sip_obs::histogram_with("sip_cluster_shard_wait_us", &[("shard", &label)])
-                            .observe(wait_us);
-                        match &out {
-                            Ok(msg) => self
-                                .recorder
-                                .record("in", format!("shard {s}: {}", msg.name())),
-                            Err(_) => self
-                                .recorder
-                                .record("note", format!("shard {s}: recv failed")),
-                        }
+                        self.recorder
+                            .record("out", format!("shard {s}: query-oneshot"));
                     }
-                    if first_err.is_some() {
-                        continue;
-                    }
-                    match out {
-                        Ok(Msg::Proof {
-                            claimed,
-                            rounds,
-                            digest,
-                        }) => {
-                            let proof = OneShotProof {
-                                claimed,
-                                rounds,
-                                digest,
-                            };
-                            report.per_shard[s].p_to_v_words += proof.words();
-                            if sip_obs::enabled() {
-                                sip_obs::histogram("sip_cluster_oneshot_proof_words")
-                                    .observe(proof.words() as u64);
-                            }
-                            proofs.push(proof);
-                        }
-                        Ok(other) => first_err = Some(unexpected(s, "proof", other.name())),
-                        Err(e) => first_err = Some(blame(s, e)),
-                    }
+                    shard
+                        .tell_msg(&Msg::QueryOneShot {
+                            query,
+                            challenges: challenges.clone(),
+                        })
+                        .map_err(|e| blame(s, e))?;
                 }
-                if let Some(e) = first_err {
-                    return Err(e);
+            }
+            let proofs = self.receive_all("proof", |shard| match shard.recv_msg()? {
+                Msg::Proof {
+                    claimed,
+                    rounds,
+                    digest,
+                } => Ok(OneShotProof {
+                    claimed,
+                    rounds,
+                    digest,
+                }),
+                other => Err(unexpected("proof", other.name())),
+            })?;
+            drop(rtspan);
+            for (r, proof) in report.per_shard.iter_mut().zip(&proofs) {
+                r.p_to_v_words += proof.words();
+                if sip_obs::enabled() {
+                    sip_obs::histogram("sip_cluster_oneshot_proof_words")
+                        .observe(proof.words() as u64);
                 }
             }
             let transcripts: Vec<Transcript> = (0..n)
@@ -573,6 +514,36 @@ impl<F: PrimeField, T: Transport> ClusterClient<F, T> {
         }
         let value = result?;
         Ok(ClusterVerified { value, report })
+    }
+
+    /// One fleet receive: runs `recv` on every shard through [`fan_in`],
+    /// books each shard's wait to its `sip_cluster_shard_wait_us` series
+    /// (the lockstep rounds go at the pace of the slowest shard, and this is
+    /// how you find it) and its reply to the flight recorder, in shard
+    /// order. Returns the replies, or blames the lowest-index shard that
+    /// failed — deterministic whatever order the threads finished in.
+    fn receive_all<R: Send>(
+        &mut self,
+        what: &str,
+        recv: impl Fn(&mut RawClient<F, T>) -> Result<R, Rejection> + Sync,
+    ) -> Result<Vec<R>, Rejection> {
+        let replies = fan_in(&mut self.shards, recv);
+        if sip_obs::enabled() {
+            for (s, (out, wait_us)) in replies.iter().enumerate() {
+                let label = s.to_string();
+                sip_obs::histogram_with("sip_cluster_shard_wait_us", &[("shard", &label)])
+                    .observe(*wait_us);
+                match out {
+                    Ok(_) => self.recorder.record("in", format!("shard {s}: {what}")),
+                    Err(e) => self.recorder.record("note", format!("shard {s}: {e}")),
+                }
+            }
+        }
+        replies
+            .into_iter()
+            .enumerate()
+            .map(|(s, (out, _))| out.map_err(|e| blame(s, e)))
+            .collect()
     }
 
     /// Freezes the flight recorder into a JSON dump after a query ended in
@@ -609,43 +580,44 @@ impl<F: PrimeField, T: Transport> ClusterClient<F, T> {
         self.last_dump.as_deref()
     }
 
+    /// Refuses a digest drawn for a plan other than this fleet's.
+    fn check_plan(&self, digest: &ShardPlan) -> Result<(), Rejection> {
+        if digest == self.router.plan() {
+            return Ok(());
+        }
+        Err(Rejection::InvalidConfig {
+            detail: format!(
+                "digest drawn for {digest:?}, but the fleet is {:?}",
+                self.router.plan()
+            ),
+        })
+    }
+
     /// Verified fleet-wide SELF-JOIN SIZE over everything uploaded so far.
     /// The digest must have observed exactly the uploaded stream.
     ///
-    /// # Panics
-    /// Panics if the digest was drawn for a different [`ShardPlan`] than
-    /// this client's fleet — a mismatched universe or fleet size is a
-    /// verifier-side configuration bug, not a prover to blame.
+    /// A digest drawn for another [`ShardPlan`] is refused with
+    /// [`Rejection::InvalidConfig`] before any frame leaves — a mismatched
+    /// universe or fleet size is a verifier-side configuration bug, not a
+    /// prover to blame. The same holds for every `verify_*` below.
     pub fn verify_f2(
         &mut self,
         digest: ClusterF2Verifier<F>,
     ) -> Result<ClusterVerified<F>, Rejection> {
-        assert_eq!(
-            digest.plan(),
-            self.router.plan(),
-            "digest plan disagrees with client"
-        );
+        self.check_plan(digest.plan())?;
         let space = digest.space_words();
         let (agg, streamed) = digest.into_session();
         self.drive_aggregate(Query::SelfJoin, 0, agg, &streamed, space)
     }
 
     /// Verified fleet-wide RANGE-SUM over `[q_l, q_r]`.
-    ///
-    /// # Panics
-    /// Panics if the digest was drawn for a different [`ShardPlan`] than
-    /// this client's fleet (see [`Self::verify_f2`]).
     pub fn verify_range_sum(
         &mut self,
         digest: ClusterRangeSumVerifier<F>,
         q_l: u64,
         q_r: u64,
     ) -> Result<ClusterVerified<F>, Rejection> {
-        assert_eq!(
-            digest.plan(),
-            self.router.plan(),
-            "digest plan disagrees with client"
-        );
+        self.check_plan(digest.plan())?;
         let space = digest.space_words();
         let (agg, streamed) = digest.into_session(q_l, q_r);
         self.drive_aggregate(Query::RangeSum { l: q_l, r: q_r }, 2, agg, &streamed, space)
@@ -657,10 +629,6 @@ impl<F: PrimeField, T: Transport> ClusterClient<F, T> {
     /// with the whole post-stream conversation collapsed into a single
     /// parallel fan-out.
     ///
-    /// # Panics
-    /// Panics if the digest was drawn for a different [`ShardPlan`] than
-    /// this client's fleet (see [`Self::verify_f2`]).
-    ///
     /// # Soundness
     /// None: a prover that uses the revealed prefix has a false answer accepted
     /// (see `sip-core`'s `sumcheck::oneshot`). Do not rely on the verdict.
@@ -668,11 +636,7 @@ impl<F: PrimeField, T: Transport> ClusterClient<F, T> {
         &mut self,
         digest: ClusterF2Verifier<F>,
     ) -> Result<ClusterVerified<F>, Rejection> {
-        assert_eq!(
-            digest.plan(),
-            self.router.plan(),
-            "digest plan disagrees with client"
-        );
+        self.check_plan(digest.plan())?;
         let space = digest.space_words();
         let (agg, streamed) = digest.into_session();
         self.drive_aggregate_oneshot(Query::SelfJoin, "self-join", &[], 0, agg, &streamed, space)
@@ -680,10 +644,6 @@ impl<F: PrimeField, T: Transport> ClusterClient<F, T> {
 
     /// Verified fleet-wide RANGE-SUM over `[q_l, q_r]` in one round trip;
     /// see [`Self::verify_f2_oneshot`].
-    ///
-    /// # Panics
-    /// Panics if the digest was drawn for a different [`ShardPlan`] than
-    /// this client's fleet (see [`Self::verify_f2`]).
     ///
     /// # Soundness
     /// None: a prover that uses the revealed prefix has a false answer accepted
@@ -694,11 +654,7 @@ impl<F: PrimeField, T: Transport> ClusterClient<F, T> {
         q_l: u64,
         q_r: u64,
     ) -> Result<ClusterVerified<F>, Rejection> {
-        assert_eq!(
-            digest.plan(),
-            self.router.plan(),
-            "digest plan disagrees with client"
-        );
+        self.check_plan(digest.plan())?;
         let space = digest.space_words();
         let (agg, streamed) = digest.into_session(q_l, q_r);
         self.drive_aggregate_oneshot(
@@ -721,11 +677,7 @@ impl<F: PrimeField, T: Transport> ClusterClient<F, T> {
         q_l: u64,
         q_r: u64,
     ) -> Result<ClusterVerified<Vec<(u64, F)>>, Rejection> {
-        assert_eq!(
-            digest.plan(),
-            self.router.plan(),
-            "digest plan disagrees with client"
-        );
+        self.check_plan(digest.plan())?;
         let mut qspan = sip_obs::trace::span("sip.cluster", "cluster_query");
         qspan.field("query", "report");
         qspan.field("shards", self.shards.len());
@@ -940,6 +892,72 @@ mod tests {
         for s in servers {
             s.join().unwrap();
         }
+    }
+
+    /// Drives one entry point with a digest drawn for another plan: the
+    /// answer must be [`Rejection::InvalidConfig`], no frame may leave, and
+    /// the fleet must still verify a query with the right digest.
+    fn refuses_wrong_plan(
+        call: impl Fn(&mut ClusterClient<Fp61, InMemoryTransport>, ShardPlan) -> Result<(), Rejection>,
+    ) {
+        let log_u = 6;
+        let (mut client, servers) = fleet(2, log_u);
+        client.end_stream().unwrap();
+        for wrong in [ShardPlan::new(log_u, 4), ShardPlan::new(log_u + 1, 2)] {
+            let before = client.stats();
+            let err = call(&mut client, wrong).unwrap_err();
+            assert!(
+                matches!(err, Rejection::InvalidConfig { .. }),
+                "{wrong:?}: {err}"
+            );
+            assert_eq!(client.stats(), before, "{wrong:?}: a frame left");
+        }
+        let plan = *client.plan();
+        call(&mut client, plan).unwrap();
+        client.bye().unwrap();
+        for s in servers {
+            s.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn verify_f2_refuses_a_digest_for_another_plan() {
+        refuses_wrong_plan(|client, plan| {
+            let digest = ClusterF2Verifier::new(plan, &mut StdRng::seed_from_u64(1));
+            client.verify_f2(digest).map(drop)
+        });
+    }
+
+    #[test]
+    fn verify_range_sum_refuses_a_digest_for_another_plan() {
+        refuses_wrong_plan(|client, plan| {
+            let digest = ClusterRangeSumVerifier::new(plan, &mut StdRng::seed_from_u64(2));
+            client.verify_range_sum(digest, 3, 40).map(drop)
+        });
+    }
+
+    #[test]
+    fn verify_f2_oneshot_refuses_a_digest_for_another_plan() {
+        refuses_wrong_plan(|client, plan| {
+            let digest = ClusterF2Verifier::new(plan, &mut StdRng::seed_from_u64(3));
+            client.verify_f2_oneshot(digest).map(drop)
+        });
+    }
+
+    #[test]
+    fn verify_range_sum_oneshot_refuses_a_digest_for_another_plan() {
+        refuses_wrong_plan(|client, plan| {
+            let digest = ClusterRangeSumVerifier::new(plan, &mut StdRng::seed_from_u64(4));
+            client.verify_range_sum_oneshot(digest, 3, 40).map(drop)
+        });
+    }
+
+    #[test]
+    fn verify_report_refuses_a_digest_for_another_plan() {
+        refuses_wrong_plan(|client, plan| {
+            let digest = ClusterReportVerifier::new(plan, &mut StdRng::seed_from_u64(5));
+            client.verify_report(digest, 3, 40).map(drop)
+        });
     }
 
     #[test]

@@ -278,7 +278,10 @@ impl Transport for FramedTcpTransport {
 /// The delay is applied on the *receive* side — one sleep per frame models
 /// one network traversal, so a request/response exchange over a wrapped
 /// client transport costs one injected RTT per round, which is exactly the
-/// quantity the per-round `wire_wait` spans decompose.
+/// quantity the per-round `wire_wait` spans decompose. The sleep is paid on
+/// the receiving thread: a caller that drains `S` wrapped connections from
+/// one thread pays `S` delays per round, and one that drains them on `S`
+/// threads pays one.
 pub struct LatencyTransport<T: Transport> {
     inner: T,
     rtt: Duration,

@@ -6,12 +6,16 @@
 //! configuration path), so the test also covers server-side range
 //! enforcement and fleet handshakes end to end.
 
+use std::net::TcpStream;
+use std::time::{Duration, Instant};
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sip::cluster::{
     boxed_kv_fleet, connect_kv_fleet, spawn_local_fleet, ClusterClient, ClusterF2Verifier,
     ClusterRangeSumVerifier, ClusterReportVerifier,
 };
+use sip::core::channel::{FramedTcpTransport, LatencyTransport};
 use sip::field::{Fp127, Fp61, PrimeField};
 use sip::kvstore::{QueryBudget, ShardedClient};
 
@@ -302,5 +306,68 @@ fn fleet_wire_bytes_within_2x_of_cost_report() {
     client.bye().unwrap();
     for h in handles {
         h.shutdown();
+    }
+}
+
+/// A fleet receive waits for the slowest shard, not for every shard in
+/// turn. Each of 4 shard connections delays every received frame by 20 ms,
+/// and a query receives `log u + 1` frames per shard (the claim, then one
+/// polynomial per round), so draining the shards together costs about
+/// `(log u + 1) × RTT` = 140 ms and one after the other about 560 ms. The
+/// delayed fleet must answer and book exactly what an undelayed one does,
+/// in under twice the overlapped time.
+#[test]
+fn interactive_rounds_overlap_shard_waits() {
+    const SHARDS: u32 = 4;
+    const LOG_U: u32 = 6;
+    const RTT: Duration = Duration::from_millis(20);
+    let u = 1u64 << LOG_U;
+    let stream = workloads::uniform(200, u, 20, 11);
+    let plan = ShardPlan::new(LOG_U, SHARDS);
+    let run = |rtt: Duration| {
+        let (handles, addrs) = spawn_fleet(SHARDS, LOG_U);
+        let transports = addrs
+            .iter()
+            .map(|addr| {
+                let tcp = FramedTcpTransport::new(TcpStream::connect(addr).unwrap()).unwrap();
+                LatencyTransport::fixed(tcp, rtt)
+            })
+            .collect();
+        let mut client: ClusterClient<Fp61, _> =
+            ClusterClient::from_transports(transports, LOG_U).unwrap();
+        let mut rng = StdRng::seed_from_u64(12);
+        let mut f2 = ClusterF2Verifier::<Fp61>::new(plan, &mut rng);
+        let mut rs = ClusterRangeSumVerifier::<Fp61>::new(plan, &mut rng);
+        for &up in &stream {
+            f2.update(up);
+            rs.update(up);
+        }
+        client.send_stream(&stream);
+        client.end_stream().unwrap();
+        let start = Instant::now();
+        let f2_got = client.verify_f2(f2).unwrap();
+        let f2_wall = start.elapsed();
+        let start = Instant::now();
+        let rs_got = client.verify_range_sum(rs, u / 8, u / 2).unwrap();
+        let rs_wall = start.elapsed();
+        client.bye().unwrap();
+        for h in handles {
+            h.shutdown();
+        }
+        ([f2_got, rs_got], [f2_wall, rs_wall])
+    };
+    let (undelayed, _) = run(Duration::ZERO);
+    let (delayed, walls) = run(RTT);
+    assert_eq!(delayed, undelayed);
+    let frames = LOG_U + 1;
+    for (query, wall) in ["F2", "RANGE-SUM"].into_iter().zip(walls) {
+        assert!(
+            wall >= RTT * frames,
+            "{query}: {wall:?} cannot beat the delay"
+        );
+        assert!(
+            wall < RTT * 2 * frames,
+            "{query}: {wall:?} is not under 2 × (log u + 1) × RTT; the shard waits did not overlap"
+        );
     }
 }

@@ -5,8 +5,7 @@
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
@@ -21,6 +20,7 @@ use sip::kvstore::{
 };
 use sip::server::ServerHandle;
 use sip::streaming::{ShardPlan, Update};
+use sip::wire::{Msg, WireCodec};
 
 // ---------------------------------------------------------------------
 // One malicious store in an otherwise honest fleet (in-process)
@@ -195,8 +195,8 @@ fn all_honest_fleet_matches_single_store_and_totals_add_up() {
 const CLIENT_TIMEOUT: Duration = Duration::from_millis(150);
 
 /// Forwards `from` → `to`, XOR-ing bit 0 of the byte at absolute stream
-/// position `flip` (if any), counting bytes through `counter`.
-fn pump(mut from: TcpStream, mut to: TcpStream, flip: Option<usize>, counter: Arc<AtomicUsize>) {
+/// position `flip` (if any), keeping every forwarded byte in `seen`.
+fn pump(mut from: TcpStream, mut to: TcpStream, flip: Option<usize>, seen: Arc<Mutex<Vec<u8>>>) {
     let mut buf = [0u8; 4096];
     let mut pos = 0usize;
     loop {
@@ -210,7 +210,7 @@ fn pump(mut from: TcpStream, mut to: TcpStream, flip: Option<usize>, counter: Ar
             }
         }
         pos += n;
-        counter.fetch_add(n, Ordering::SeqCst);
+        seen.lock().unwrap().extend_from_slice(&buf[..n]);
         if to.write_all(&buf[..n]).is_err() {
             break;
         }
@@ -219,15 +219,44 @@ fn pump(mut from: TcpStream, mut to: TcpStream, flip: Option<usize>, counter: Ar
     let _ = to.shutdown(Shutdown::Write);
 }
 
-/// A one-connection MITM proxy in front of `upstream`; returns the address
-/// to dial and a counter of server→client bytes. Only prover→verifier
-/// traffic is corrupted — the verifier is honest.
-fn mitm(upstream: SocketAddr, flip: Option<usize>) -> (SocketAddr, Arc<AtomicUsize>) {
+/// One proxied shard connection and the bytes it carried each way.
+struct Mitm {
+    /// The address to dial instead of the shard's.
+    addr: SocketAddr,
+    /// Prover→verifier bytes, as the verifier received them (flip applied).
+    to_verifier: Arc<Mutex<Vec<u8>>>,
+    /// Verifier→prover bytes.
+    to_prover: Arc<Mutex<Vec<u8>>>,
+    /// Ends once both directions are closed.
+    done: thread::JoinHandle<()>,
+}
+
+impl Mitm {
+    fn prover_bytes(&self) -> usize {
+        self.to_verifier.lock().unwrap().len()
+    }
+
+    /// Waits, once the verifier has hung up, for the proxy to forward the
+    /// rest of the traffic, and returns what the verifier sent and received.
+    fn finish(self) -> (Vec<u8>, Vec<u8>) {
+        // A proxy the verifier never dialled still waits in `accept`: dial
+        // and hang up once so that it ends. One already dialled ignores this.
+        drop(TcpStream::connect(self.addr));
+        self.done.join().expect("proxy thread panicked");
+        let take = |bytes: Arc<Mutex<Vec<u8>>>| std::mem::take(&mut *bytes.lock().unwrap());
+        (take(self.to_prover), take(self.to_verifier))
+    }
+}
+
+/// A one-connection MITM proxy in front of `upstream`. Only
+/// prover→verifier traffic is corrupted — the verifier is honest.
+fn mitm(upstream: SocketAddr, flip: Option<usize>) -> Mitm {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let counter = Arc::new(AtomicUsize::new(0));
-    let counted = Arc::clone(&counter);
-    thread::spawn(move || {
+    let to_verifier = Arc::new(Mutex::new(Vec::new()));
+    let to_prover = Arc::new(Mutex::new(Vec::new()));
+    let (down_seen, up_seen) = (Arc::clone(&to_verifier), Arc::clone(&to_prover));
+    let done = thread::spawn(move || {
         let Ok((client_side, _)) = listener.accept() else {
             return;
         };
@@ -235,15 +264,36 @@ fn mitm(upstream: SocketAddr, flip: Option<usize>) -> (SocketAddr, Arc<AtomicUsi
             let _ = client_side.shutdown(Shutdown::Both);
             return;
         };
+        // Forward each write at once: with Nagle on, every small frame the
+        // proxy relays stalls on the peer's delayed ACK (~40 ms).
+        let _ = client_side.set_nodelay(true);
+        let _ = server_side.set_nodelay(true);
         let c2s = (
             client_side.try_clone().unwrap(),
             server_side.try_clone().unwrap(),
         );
-        let up = thread::spawn(move || pump(c2s.0, c2s.1, None, Arc::new(AtomicUsize::new(0))));
-        pump(server_side, client_side, flip, counted);
+        let up = thread::spawn(move || pump(c2s.0, c2s.1, None, up_seen));
+        pump(server_side, client_side, flip, down_seen);
         let _ = up.join();
     });
-    (addr, counter)
+    Mitm {
+        addr,
+        to_verifier,
+        to_prover,
+        done,
+    }
+}
+
+/// Splits one direction of a connection into its frames (4-byte
+/// little-endian length, then payload); `None` if the bytes end mid-frame.
+fn frames(mut bytes: &[u8]) -> Option<Vec<&[u8]>> {
+    let mut out = Vec::new();
+    while !bytes.is_empty() {
+        let len = u32::from_le_bytes(bytes.get(..4)?.try_into().unwrap()) as usize;
+        out.push(bytes.get(4..4 + len)?);
+        bytes = &bytes[4 + len..];
+    }
+    Some(out)
 }
 
 const TAMPER_LOG_U: u32 = 4;
@@ -337,19 +387,18 @@ fn every_flipped_byte_on_one_shard_is_blamed_under_oneshot() {
     let (handles, addrs) = spawn_fleet();
     let guilty = 1usize;
 
-    let (proxied, counter) = mitm(addrs[guilty], None);
+    let honest = mitm(addrs[guilty], None);
     let mut dial = addrs.clone();
-    dial[guilty] = proxied;
+    dial[guilty] = honest.addr;
     let (f2_truth, rs_truth) = run_cluster_session_oneshot(&dial).expect("honest fleet accepted");
     assert_eq!(f2_truth, Fp61::from_u64(9 + 4 + 25 + 1 + 16));
     assert_eq!(rs_truth, Fp61::from_u64(2 + 5 + 1));
-    let prover_bytes = counter.load(Ordering::SeqCst);
+    let prover_bytes = honest.prover_bytes();
     assert!(prover_bytes > 0);
 
     for flip in 0..prover_bytes {
-        let (proxied, _) = mitm(addrs[guilty], Some(flip));
         let mut dial = addrs.clone();
-        dial[guilty] = proxied;
+        dial[guilty] = mitm(addrs[guilty], Some(flip)).addr;
         match run_cluster_session_oneshot(&dial) {
             Ok((f2, rs)) => {
                 assert_eq!(
@@ -381,21 +430,20 @@ fn every_flipped_byte_on_one_shard_is_blamed_on_it() {
 
     // Honest control through the proxy: learn the traffic volume and the
     // true answers.
-    let (proxied, counter) = mitm(addrs[guilty], None);
+    let honest = mitm(addrs[guilty], None);
     let mut dial = addrs.clone();
-    dial[guilty] = proxied;
+    dial[guilty] = honest.addr;
     let (f2_truth, rs_truth) = run_cluster_session(&dial).expect("honest fleet accepted");
     assert_eq!(f2_truth, Fp61::from_u64(9 + 4 + 25 + 1 + 16));
     // [2, 12] covers indices 6, 7 and 11.
     assert_eq!(rs_truth, Fp61::from_u64(2 + 5 + 1));
-    let prover_bytes = counter.load(Ordering::SeqCst);
+    let prover_bytes = honest.prover_bytes();
     assert!(prover_bytes > 0);
 
     // Tampered runs: flip each prover→verifier byte of the guilty shard.
     for flip in 0..prover_bytes {
-        let (proxied, _) = mitm(addrs[guilty], Some(flip));
         let mut dial = addrs.clone();
-        dial[guilty] = proxied;
+        dial[guilty] = mitm(addrs[guilty], Some(flip)).addr;
         match run_cluster_session(&dial) {
             Ok((f2, rs)) => {
                 // A flip may land on a byte whose corruption still decodes
@@ -411,6 +459,97 @@ fn every_flipped_byte_on_one_shard_is_blamed_on_it() {
                     e.blamed_shard(),
                     Some(guilty as u32),
                     "flip {flip} blamed the wrong party: {e}"
+                );
+            }
+        }
+    }
+    for h in handles {
+        h.shutdown();
+    }
+}
+
+/// Whether the verifier condemned a connection: something it received after
+/// the handshake acknowledgement is not a whole, decodable, non-error
+/// message. A condemned connection takes no further frame, the verdict
+/// included.
+fn condemned(to_verifier: &[u8]) -> bool {
+    let Some(frames) = frames(to_verifier) else {
+        return true;
+    };
+    frames
+        .iter()
+        .skip(1)
+        .any(|f| !matches!(Msg::<Fp61>::from_bytes(f), Ok(m) if !matches!(m, Msg::Error(_))))
+}
+
+type Session = fn(&[SocketAddr]) -> Result<(Fp61, Fp61), Rejection>;
+
+/// Two corrupted shards at once: the same prover→verifier byte flipped on
+/// shards 1 and 2, in interactive and in one-shot mode. The verifier drains
+/// both faults concurrently, yet the blame must name shard 1, the
+/// lowest-index fault, whatever order the drain threads finish in. Once a
+/// query has gone out, every shard hears that verdict — all but one whose
+/// connection the verifier condemned for an undecodable reply.
+#[test]
+fn concurrent_faults_are_blamed_on_the_lowest_shard() {
+    let (handles, addrs) = spawn_fleet();
+    let dial = |mitms: &[Mitm]| mitms.iter().map(|m| m.addr).collect::<Vec<_>>();
+    for (mode, session) in [
+        ("interactive", run_cluster_session as Session),
+        ("one-shot", run_cluster_session_oneshot),
+    ] {
+        let honest: Vec<Mitm> = addrs.iter().map(|&a| mitm(a, None)).collect();
+        let truth = session(&dial(&honest)).expect("honest fleet accepted");
+        let prover_bytes = honest[1].prover_bytes();
+        assert_eq!(prover_bytes, honest[2].prover_bytes(), "{mode}");
+        for m in honest {
+            assert!(!condemned(&m.finish().1), "{mode}");
+        }
+
+        for flip in 0..prover_bytes {
+            let mitms: Vec<Mitm> = (0..addrs.len())
+                .map(|s| mitm(addrs[s], (s > 0).then_some(flip)))
+                .collect();
+            let out = session(&dial(&mitms));
+            // The session dropped its client, so every proxy drains and ends.
+            let heard: Vec<(Vec<Msg<Fp61>>, bool)> = mitms
+                .into_iter()
+                .map(|m| {
+                    let (to_prover, to_verifier) = m.finish();
+                    let sent = frames(&to_prover)
+                        .expect("the verifier writes whole frames")
+                        .into_iter()
+                        .filter_map(|f| Msg::<Fp61>::from_bytes(f).ok())
+                        .collect();
+                    (sent, condemned(&to_verifier))
+                })
+                .collect();
+            let err = match out {
+                Ok(got) => {
+                    assert_eq!(got, truth, "{mode}: flip {flip} forged an answer");
+                    continue;
+                }
+                Err(err) => err,
+            };
+            assert_eq!(
+                err.blamed_shard(),
+                Some(1),
+                "{mode}: flip {flip} blamed the wrong party: {err}"
+            );
+            let queried = heard[0]
+                .0
+                .iter()
+                .any(|m| matches!(m, Msg::Query(_) | Msg::QueryOneShot { .. }));
+            if !queried {
+                continue;
+            }
+            for (s, (sent, condemned)) in heard.iter().enumerate() {
+                let verdict = sent
+                    .iter()
+                    .any(|m| matches!(m, Msg::Reject(r) if *r == err));
+                assert!(
+                    verdict || *condemned,
+                    "{mode}: flip {flip}: shard {s} never heard the verdict {err}"
                 );
             }
         }
