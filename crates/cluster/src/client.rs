@@ -1,6 +1,8 @@
-//! The aggregating verifier's fleet driver: `S` sharded prover sessions,
-//! broadcast randomness, per-shard blame.
+//! The fleet driver, [`Fleet`], and its two names: [`ClusterClient`] (one
+//! prover per shard) and [`ReplicaFleet`] (`R` per shard). Only their
+//! constructors differ; at `R = 1` both send the same frames.
 
+use std::marker::PhantomData;
 use std::net::ToSocketAddrs;
 use std::time::Duration;
 
@@ -8,32 +10,96 @@ use sip_core::channel::{
     ClusterCostReport, CostReport, FramedTcpTransport, RetryPolicy, Transport, TransportStats,
 };
 use sip_core::error::Rejection;
-use sip_core::sumcheck::{AggregatingVerifier, OneShotProof};
-use sip_core::transcript::{query_transcript, Transcript};
+use sip_core::sumcheck::{drive_fleet, AggregatingVerifier, FleetSession, OneShotProof};
+use sip_core::transcript::query_transcript;
 use sip_field::PrimeField;
 use sip_kvstore::KvServer;
+use sip_obs::trace::{SpanGuard, TraceContext};
 use sip_server::client::{RawClient, RemoteStore, DEFAULT_CLIENT_TIMEOUT};
 use sip_server::{ServerConfig, ServerHandle};
 use sip_streaming::{ShardPlan, Update};
 use sip_wire::{Msg, Query, ShardSpec, WireError};
 
 use crate::digest::{ClusterF2Verifier, ClusterRangeSumVerifier, ClusterReportVerifier};
+use crate::replica::{Member, ReplicaPlan};
 use crate::router::ShardRouter;
 
-/// A verified fleet-level result: the composed value plus per-shard cost
-/// accounting.
+/// A verified fleet answer: the composed value, per-shard cost accounting,
+/// and the replica that served each shard.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ClusterVerified<T> {
+pub struct FleetVerified<T> {
     /// The verified value (aggregate or merged report).
     pub value: T,
     /// Per-shard and total words; see [`ClusterCostReport::total`].
     pub report: ClusterCostReport,
+    /// `served_by[s]` is the replica whose transcript verified for shard
+    /// `s` (always 0 at `R = 1`).
+    pub served_by: Vec<u32>,
 }
+
+/// A [`ClusterClient`] answer.
+pub type ClusterVerified<T> = FleetVerified<T>;
+
+/// A [`ReplicaFleet`] answer.
+pub type ReplicaVerified<T> = FleetVerified<T>;
+
+/// Constructor family of [`ClusterClient`]: one prover per shard.
+pub enum Sharded {}
+
+/// Constructor family of [`ReplicaFleet`]: `R` provers per shard.
+pub enum Replicated {}
+
+/// `S` shards × `R ≥ 1` replicas behind one aggregating verifier, over a
+/// shard-major member table (`slot = shard·R + replica`, health per slot).
+///
+/// The caller owns the digests ([`ClusterF2Verifier`] &c. — they must
+/// observe the same updates that are uploaded); the fleet owns the
+/// conversations. It routes the stream to every live replica of the
+/// owning shard, asks one replica per shard (by rotation) per query,
+/// broadcasts each revealed challenge ([`Msg::BroadcastChallenge`]) and
+/// runs the per-shard transcripts through [`drive_fleet`]. A
+/// shard-attributable failure surfaces as [`Rejection::Blame`] naming it.
+///
+/// A transient fault fails the replica over. While a query opens, no
+/// challenge has left, so the shard moves to a sibling with the same
+/// digest; once one has, the digest is spent and the query ends in
+/// `Blame(s, Io)`. A one-shot query re-asks a sibling after any failure
+/// and indicts a replica whose proof failed where a sibling's verified
+/// ([`Rejection::ReplicaDivergence`]).
+pub struct Fleet<M, F: PrimeField, T: Transport> {
+    pub(crate) rplan: ReplicaPlan,
+    router: ShardRouter,
+    /// Slot-ordered members (`rplan.slot(shard, replica)`).
+    pub(crate) members: Vec<Member<F, T>>,
+    /// Dial/readmit retry policy.
+    pub(crate) policy: RetryPolicy,
+    /// Per-query rotation so replica sampling spreads load.
+    rotation: u64,
+    /// Rolling record of recent fleet frames, dumped when a query ends in
+    /// [`Rejection::Blame`] so the indictment ships with its evidence.
+    pub(crate) recorder: sip_obs::FlightRecorder,
+    /// JSON of the most recent dump (see [`Self::last_flight_dump`]).
+    last_dump: Option<String>,
+    _family: PhantomData<M>,
+}
+
+/// Drives the aggregate and reporting protocols against `S` sharded
+/// provers, one per shard.
+pub type ClusterClient<F, T> = Fleet<Sharded, F, T>;
+
+/// Drives the same protocols against `S` shards of `R` replicas each, with
+/// failover and readmission.
+pub type ReplicaFleet<F, T> = Fleet<Replicated, F, T>;
+
+/// Flight-recorder depth: a lockstep round is `S` sends plus `S` receives,
+/// so 256 entries hold the last dozen-plus rounds of an `S = 8` fleet —
+/// enough context to see what led to a blame.
+const FLIGHT_FRAMES: usize = 256;
 
 /// The single choke point every shard-attributable failure passes through:
 /// count it and name the guilty shard in a structured event before the
 /// [`Rejection::Blame`] propagates.
-fn blame(s: usize, e: Rejection) -> Rejection {
+pub(crate) fn blame(s: u32, e: Rejection) -> Rejection {
     if sip_obs::enabled() {
         sip_obs::counter("sip_cluster_blame_total").inc();
     }
@@ -44,43 +110,43 @@ fn blame(s: usize, e: Rejection) -> Rejection {
         "shard" => s,
         "rejection" => e,
     );
-    Rejection::blame(s as u32, e)
+    Rejection::blame(s, e)
 }
 
-/// Runs `recv` on every shard at once — shard 0 on the calling thread,
-/// shards 1..S on scoped threads (none at `S = 1`) — so a fleet receive
-/// waits for the slowest shard, not for each in turn. Returns each shard's
-/// result and blocking wait in µs, in shard order, whatever order the
-/// threads finished in. One `shard_wait` span (the cluster-level wire-wait
-/// leg) covers the overlapped wait; it stays on the calling thread because
-/// worker threads cannot attach to the thread-local trace context.
-fn fan_in<F: PrimeField, T: Transport, R: Send>(
-    shards: &mut [RawClient<F, T>],
-    recv: impl Fn(&mut RawClient<F, T>) -> R + Sync,
-) -> Vec<(R, u64)> {
-    let mut wspan = sip_obs::trace::span("sip.cluster", "shard_wait");
-    wspan.field("shards", shards.len());
-    let timed = &|shard: &mut RawClient<F, T>| {
+/// Runs `work` on every item at once — the first on the calling thread,
+/// the rest on scoped threads (none for one item) — so the fleet waits
+/// for its slowest member, not for each in turn. Returns each result and
+/// its blocking wait in µs, in item order, whatever order the threads
+/// finished in.
+fn fan_in<I: Send, R: Send>(items: Vec<I>, work: impl Fn(I) -> R + Sync) -> Vec<(R, u64)> {
+    let timed = &|item: I| {
         let timer = sip_obs::Timer::start();
-        let out = recv(shard);
+        let out = work(item);
         (out, timer.elapsed_us())
     };
-    let (first, rest) = shards
-        .split_first_mut()
-        .expect("every fleet constructor refuses an empty fleet");
+    let mut items = items.into_iter();
+    let Some(first) = items.next() else {
+        return Vec::new();
+    };
     std::thread::scope(|scope| {
-        let handles: Vec<_> = rest
-            .iter_mut()
-            .map(|shard| scope.spawn(move || timed(shard)))
-            .collect();
+        let handles: Vec<_> = items.map(|item| scope.spawn(move || timed(item))).collect();
         let mut out = vec![timed(first)];
         out.extend(
             handles
                 .into_iter()
-                .map(|h| h.join().expect("shard drain thread panicked")),
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p))),
         );
         out
     })
+}
+
+/// What `query` announces beyond its name — the range of a RANGE-SUM —
+/// which its one-shot transcript binds.
+fn params(query: Query) -> Vec<u64> {
+    match query {
+        Query::RangeSum { l, r } => vec![l, r],
+        _ => Vec::new(),
+    }
 }
 
 fn unexpected(expected: &'static str, got: &'static str) -> Rejection {
@@ -96,30 +162,42 @@ fn round_poly<F: PrimeField>(msg: Msg<F>) -> Result<Vec<F>, Rejection> {
     }
 }
 
-/// Drives the aggregate and reporting protocols against a fleet of `S`
-/// sharded provers over raw update streams.
-///
-/// The caller owns the digests ([`ClusterF2Verifier`] &c. — they must
-/// observe the same updates that are uploaded); this client owns the `S`
-/// conversations: it routes the stream by the shared [`ShardPlan`], fans
-/// queries out, broadcasts each revealed challenge to every shard
-/// ([`Msg::BroadcastChallenge`]), and folds the per-shard transcripts
-/// through the lockstep checker. Any shard-attributable failure — algebra
-/// or wire — surfaces as [`Rejection::Blame`] with that shard's id.
-pub struct ClusterClient<F: PrimeField, T: Transport> {
-    router: ShardRouter,
-    shards: Vec<RawClient<F, T>>,
-    /// Rolling record of recent fleet frames, dumped when a query ends in
-    /// [`Rejection::Blame`] so the indictment ships with its evidence.
-    recorder: sip_obs::FlightRecorder,
-    /// JSON of the most recent blame dump (see [`Self::last_flight_dump`]).
-    last_dump: Option<String>,
+/// A query's opening reply: the claimed value and the first round
+/// polynomial, which must agree before any round runs (length errors are
+/// left to the round checker). With the round checks this pins the claim
+/// to the proven value.
+fn open_reply<F: PrimeField, T: Transport>(
+    client: &mut RawClient<F, T>,
+) -> Result<Vec<F>, Rejection> {
+    let claimed = match client.recv_msg()? {
+        Msg::ClaimedValue(v) => v,
+        other => return Err(unexpected("claimed-value", other.name())),
+    };
+    let poly = round_poly(client.recv_msg()?)?;
+    if poly.len() >= 2 && poly[0] + poly[1] != claimed {
+        return Err(Rejection::MalformedAnswer {
+            detail: "claimed value disagrees with the first round polynomial".into(),
+        });
+    }
+    Ok(poly)
 }
 
-/// Flight-recorder depth for the fleet driver: a lockstep round is `S`
-/// sends plus `S` receives, so 256 entries hold the last dozen-plus rounds
-/// of an `S = 8` fleet — enough context to see what led to a blame.
-const FLIGHT_FRAMES: usize = 256;
+fn oneshot_reply<F: PrimeField, T: Transport>(
+    client: &mut RawClient<F, T>,
+) -> Result<OneShotProof<F>, Rejection> {
+    match client.recv_msg()? {
+        Msg::Proof {
+            claimed,
+            rounds,
+            digest,
+        } => Ok(OneShotProof {
+            claimed,
+            rounds,
+            digest,
+        }),
+        other => Err(unexpected("proof", other.name())),
+    }
+}
 
 impl<F: PrimeField> ClusterClient<F, FramedTcpTransport> {
     /// Connects to `addrs.len()` sharded provers (shard `s` at `addrs[s]`)
@@ -139,9 +217,11 @@ impl<F: PrimeField> ClusterClient<F, FramedTcpTransport> {
         log_u: u32,
         timeout: Duration,
     ) -> Result<Self, Rejection> {
-        Self::join(log_u, addrs.len(), |s| {
-            RawClient::connect_with_timeout(&addrs[s], log_u, timeout)
-        })
+        let rplan = ReplicaPlan::validate(log_u, addrs.len() as u32, 1)?;
+        let dialled = addrs
+            .iter()
+            .map(|addr| RawClient::connect_with_timeout(addr, log_u, timeout));
+        Self::join(rplan, RetryPolicy::standard(), dialled)
     }
 
     /// Like [`Self::connect`], but each shard dial runs under `policy`:
@@ -153,16 +233,9 @@ impl<F: PrimeField> ClusterClient<F, FramedTcpTransport> {
         log_u: u32,
         policy: &RetryPolicy,
     ) -> Result<Self, Rejection> {
-        Self::join(log_u, addrs.len(), |s| {
-            RawClient::connect_with_policy(addrs[s].clone(), log_u, policy)
-        })
+        let rplan = ReplicaPlan::validate(log_u, addrs.len() as u32, 1)?;
+        Self::dial_all(rplan, addrs, policy)
     }
-}
-
-/// Checks a fleet shape, turning an invalid one into the typed
-/// [`Rejection::InvalidConfig`] every fleet constructor answers with.
-pub(crate) fn validated_plan(log_u: u32, fleet: usize) -> Result<ShardPlan, Rejection> {
-    ShardPlan::validate(log_u, fleet as u32).map_err(|detail| Rejection::InvalidConfig { detail })
 }
 
 impl<F: PrimeField, T: Transport> ClusterClient<F, T> {
@@ -172,442 +245,598 @@ impl<F: PrimeField, T: Transport> ClusterClient<F, T> {
     /// `(log_u, transports.len())` shape is refused with
     /// [`Rejection::InvalidConfig`] (see [`Self::connect`]).
     pub fn from_transports(transports: Vec<T>, log_u: u32) -> Result<Self, Rejection> {
-        let fleet = transports.len();
-        let mut transports = transports.into_iter();
-        Self::join(log_u, fleet, |_| {
-            RawClient::from_transport(transports.next().expect("one per shard"), log_u)
-        })
-    }
-
-    /// The one fleet join behind every constructor: checks the shape,
-    /// then dials shard `s` with `dial(s)` and declares its identity, in
-    /// shard order. A shard that fails either step is blamed.
-    fn join(
-        log_u: u32,
-        fleet: usize,
-        mut dial: impl FnMut(usize) -> Result<RawClient<F, T>, Rejection>,
-    ) -> Result<Self, Rejection> {
-        let plan = validated_plan(log_u, fleet)?;
-        let shards = (0..fleet)
-            .map(|s| {
-                let client = dial(s).map_err(|e| blame(s, e))?;
-                client
-                    .shard_hello(ShardSpec::new(s as u32, plan.shards()))
-                    .map_err(|e| blame(s, e))?;
-                Ok(client)
-            })
-            .collect::<Result<_, Rejection>>()?;
-        Ok(ClusterClient {
-            router: ShardRouter::new(plan),
-            shards,
-            recorder: sip_obs::FlightRecorder::new(FLIGHT_FRAMES),
-            last_dump: None,
-        })
-    }
-
-    /// The fleet partition.
-    pub fn plan(&self) -> &ShardPlan {
-        self.router.plan()
-    }
-
-    /// Number of shards `S`.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Uploads one update to its owning shard (buffered; remember to feed
-    /// the digests too).
-    pub fn send_update(&mut self, up: Update) {
-        let s = self.router.route(up) as usize;
-        self.shards[s].send_update(up);
-    }
-
-    /// Uploads a whole stream: partitioned per owning shard **once** by
-    /// the shared [`ShardPlan`], then each shard connection takes a single
-    /// buffered batch instead of one routing decision and buffer push per
-    /// update.
-    pub fn send_stream(&mut self, stream: &[Update]) {
-        for (s, part) in self.router.split(stream).into_iter().enumerate() {
-            if !part.is_empty() {
-                self.shards[s].send_batch(&part);
-            }
-        }
-    }
-
-    /// Flushes buffered updates everywhere and marks the stream complete.
-    pub fn end_stream(&mut self) -> Result<(), Rejection> {
-        for (s, shard) in self.shards.iter_mut().enumerate() {
-            shard.end_stream().map_err(|e| blame(s, e))?;
-        }
-        Ok(())
-    }
-
-    /// Publishes every shard's ingested slice server-wide under
-    /// `dataset_id` — one frozen snapshot per shard server, all under the
-    /// same name. A later fleet (same addresses, same plan) can
-    /// [`Self::attach`] and query without re-ingesting; the lockstep
-    /// aggregation semantics are unchanged.
-    pub fn publish(&mut self, dataset_id: &str) -> Result<(), Rejection> {
-        for (s, shard) in self.shards.iter_mut().enumerate() {
-            shard.publish(dataset_id).map_err(|e| blame(s, e))?;
-        }
-        Ok(())
-    }
-
-    /// Attaches every shard session to its server's published snapshot of
-    /// `dataset_id` (each shard server holds its own slice under that
-    /// name).
-    pub fn attach(&mut self, dataset_id: &str) -> Result<(), Rejection> {
-        for (s, shard) in self.shards.iter_mut().enumerate() {
-            shard.attach(dataset_id).map_err(|e| blame(s, e))?;
-        }
-        Ok(())
+        let rplan = ReplicaPlan::validate(log_u, transports.len() as u32, 1)?;
+        Self::over(rplan, transports)
     }
 
     /// Ends every session politely, collecting each prover's own (advisory)
     /// cost accounting.
     pub fn bye(&mut self) -> Result<Vec<CostReport>, Rejection> {
-        self.shards
-            .iter_mut()
-            .enumerate()
-            .map(|(s, shard)| shard.bye().map_err(|e| blame(s, e)))
+        let byes = self
+            .members
+            .iter()
+            .map(|m| m.client.as_ref().map(RawClient::bye));
+        (0..)
+            .zip(byes)
+            .map(|(s, bye)| bye.ok_or_else(|| self.no_live(s))?.map_err(|e| blame(s, e)))
+            .collect()
+    }
+}
+
+impl<M, F: PrimeField, T: Transport> Fleet<M, F, T> {
+    /// The one fleet join behind every constructor: takes one dialled
+    /// session per slot of `rplan`, in slot order, and declares each one's
+    /// `(shard, replica)` identity. A slot lost to a transient fault joins
+    /// as [`crate::ReplicaHealth::Faulted`]; a soundness failure, or a
+    /// shard left with no live replica, is blamed on its shard.
+    pub(crate) fn join(
+        rplan: ReplicaPlan,
+        policy: RetryPolicy,
+        dialled: impl IntoIterator<Item = Result<RawClient<F, T>, Rejection>>,
+    ) -> Result<Self, Rejection> {
+        let mut members = Vec::with_capacity(rplan.slots());
+        for (slot, joined) in (0..rplan.slots()).zip(dialled) {
+            let (s, r) = rplan.slot_coords(slot);
+            let joined = joined.and_then(|client| {
+                client.shard_hello(ShardSpec::with_replica(s, rplan.shards(), r))?;
+                Ok(client)
+            });
+            members.push(Member::join(s, r, joined)?);
+        }
+        let fleet = Fleet {
+            router: ShardRouter::new(*rplan.plan()),
+            rplan,
+            members,
+            policy,
+            rotation: 0,
+            recorder: sip_obs::FlightRecorder::new(FLIGHT_FRAMES),
+            last_dump: None,
+            _family: PhantomData,
+        };
+        for s in 0..rplan.shards() {
+            fleet.require_live(s)?;
+        }
+        Ok(fleet)
+    }
+
+    /// [`Self::join`] over already-connected transports, in slot order.
+    pub(crate) fn over(rplan: ReplicaPlan, transports: Vec<T>) -> Result<Self, Rejection> {
+        let log_u = rplan.plan().log_u();
+        let dialled = transports
+            .into_iter()
+            .map(|transport| RawClient::from_transport(transport, log_u));
+        Self::join(rplan, RetryPolicy::standard(), dialled)
+    }
+
+    /// The shard partition.
+    pub fn plan(&self) -> &ShardPlan {
+        self.rplan.plan()
+    }
+
+    /// Number of shards `S`.
+    pub fn shards(&self) -> usize {
+        self.rplan.shards() as usize
+    }
+
+    /// Bytes/frames moved so far, per prover slot (shard-major; a slot out
+    /// of service reads zero).
+    pub fn stats(&self) -> Vec<TransportStats> {
+        self.members
+            .iter()
+            .map(|m| m.client.as_ref().map(RawClient::stats).unwrap_or_default())
             .collect()
     }
 
-    /// Per-shard bytes/frames moved so far.
-    pub fn stats(&self) -> Vec<TransportStats> {
-        self.shards.iter().map(RawClient::stats).collect()
+    /// The JSON flight-recorder dump from the most recent blamed query or
+    /// indictment, if any — recent fleet frames plus the bound trace's
+    /// spans, in the same shape the server writes to disk on rejection.
+    pub fn last_flight_dump(&self) -> Option<&str> {
+        self.last_dump.as_deref()
+    }
+
+    /// Uploads one update to every live replica of its owning shard
+    /// (buffered; remember to feed the digests too).
+    pub fn send_update(&mut self, up: Update) {
+        let s = self.router.route(up);
+        for client in self.replicas_of(s) {
+            client.send_update(up);
+        }
+    }
+
+    /// Uploads a whole stream: partitioned per owning shard **once** by
+    /// the shared [`ShardPlan`], then each live replica of that shard takes
+    /// a single buffered batch — replication is at ingest, so any replica
+    /// can later serve the proof.
+    pub fn send_stream(&mut self, stream: &[Update]) {
+        for (s, part) in self.router.split(stream).into_iter().enumerate() {
+            if !part.is_empty() {
+                for client in self.replicas_of(s as u32) {
+                    client.send_batch(&part);
+                }
+            }
+        }
+    }
+
+    fn replicas_of(&mut self, s: u32) -> impl Iterator<Item = &mut RawClient<F, T>> {
+        let r = self.rplan.replicas() as usize;
+        let first = s as usize * r;
+        self.members[first..first + r]
+            .iter_mut()
+            .filter_map(|m| m.client.as_mut())
+    }
+
+    /// Flushes buffered updates everywhere and marks the stream complete.
+    /// A replica lost to an I/O fault here is failed over (the shard
+    /// survives on its siblings); a shard losing its *last* replica, or
+    /// any soundness refusal, is an error.
+    pub fn end_stream(&mut self) -> Result<(), Rejection> {
+        self.on_every_live(|client| client.end_stream())
+    }
+
+    /// Publishes every live replica's ingested slice server-wide under
+    /// `dataset_id` — one frozen snapshot per prover, all under the same
+    /// name. A later fleet (same addresses, same plan) can
+    /// [`Self::attach`] and query without re-ingesting.
+    pub fn publish(&mut self, dataset_id: &str) -> Result<(), Rejection> {
+        self.on_every_live(|client| client.publish(dataset_id))
+    }
+
+    /// Attaches every live session to its server's published snapshot of
+    /// `dataset_id` (each shard server holds its own slice under that
+    /// name).
+    pub fn attach(&mut self, dataset_id: &str) -> Result<(), Rejection> {
+        self.on_every_live(|client| client.attach(dataset_id))
+    }
+
+    /// Asks every live replica to persist its state as the durable
+    /// checkpoint `dataset_id` — the snapshot a replacement replica later
+    /// thaws via [`Fleet::readmit`]'s catch-up path.
+    pub fn save_state(&mut self, dataset_id: &str) -> Result<(), Rejection> {
+        self.on_every_live(|client| client.save_state(dataset_id).map(drop))
+    }
+
+    /// Live slots' clients among `slots`, with their slot, in slot order.
+    fn clients(&mut self, slots: &[usize]) -> Vec<(usize, &mut RawClient<F, T>)> {
+        self.members
+            .iter_mut()
+            .enumerate()
+            .filter(|(slot, _)| slots.contains(slot))
+            .filter_map(|(slot, m)| Some((slot, m.client.as_mut()?)))
+            .collect()
+    }
+
+    /// Runs `op` on every live member at once through [`fan_in`]. Shard by
+    /// shard, a transient fault fails the replica over; anything else, or
+    /// a shard left with no live replica, is blamed — on the lowest such
+    /// shard.
+    fn on_every_live(
+        &mut self,
+        op: impl Fn(&RawClient<F, T>) -> Result<(), Rejection> + Sync,
+    ) -> Result<(), Rejection> {
+        let slots: Vec<usize> = (0..self.members.len()).collect();
+        let replies = fan_in(self.clients(&slots), |(slot, client)| (slot, op(client)));
+        let mut replies = replies.into_iter().map(|(reply, _)| reply).peekable();
+        for s in 0..self.rplan.shards() {
+            while let Some((slot, out)) =
+                replies.next_if(|(slot, _)| self.rplan.slot_coords(*slot).0 == s)
+            {
+                if let Err(e) = out {
+                    if !e.is_transient() {
+                        return Err(blame(s, e));
+                    }
+                    self.fail_over(slot, e);
+                }
+            }
+            self.require_live(s)?;
+        }
+        Ok(())
+    }
+
+    /// Refuses a digest drawn for a plan other than this fleet's — a
+    /// mismatched universe or fleet size is a verifier-side configuration
+    /// bug, not a prover to blame.
+    fn check_plan(&self, digest: &ShardPlan) -> Result<(), Rejection> {
+        if digest == self.plan() {
+            return Ok(());
+        }
+        Err(Rejection::InvalidConfig {
+            detail: format!(
+                "digest drawn for {digest:?}, but the fleet is {:?}",
+                self.plan()
+            ),
+        })
+    }
+
+    /// Live replicas of every shard in this query's rotation order: the
+    /// first serves, the rest stand by.
+    fn candidates(&mut self) -> Vec<std::vec::IntoIter<u32>> {
+        self.rotation = self.rotation.wrapping_add(1);
+        let rcount = self.rplan.replicas();
+        let start = (self.rotation % u64::from(rcount)) as u32;
+        (0..self.rplan.shards())
+            .map(|s| {
+                (0..rcount)
+                    .map(|i| (start + i) % rcount)
+                    .filter(|&r| self.members[self.rplan.slot(s, r)].client.is_some())
+                    .collect::<Vec<_>>()
+                    .into_iter()
+            })
+            .collect()
+    }
+
+    /// Opens a fleet query: its `cluster_query` span, the trace context
+    /// every asked replica is told (so its server spans join the query's
+    /// trace), and books carrying the digest's space and the query's
+    /// parameters (the range announcement) per shard.
+    fn begin(
+        &mut self,
+        query: Query,
+        space_words: usize,
+    ) -> (SpanGuard, Option<TraceContext>, ClusterCostReport) {
+        let n = self.shards();
+        let mut qspan = sip_obs::trace::span("sip.cluster", "cluster_query");
+        qspan.field("query", query.name());
+        qspan.field("shards", n);
+        let trace = sip_obs::trace::current_context();
+        if let Some(ctx) = &trace {
+            self.recorder.bind_trace(ctx.trace_id);
+        }
+        let mut report = ClusterCostReport::new(n);
+        report.verifier_space_words = space_words;
+        let announced = params(query).len();
+        for r in &mut report.per_shard {
+            r.v_to_p_words += announced;
+        }
+        (qspan, trace, report)
+    }
+
+    /// Sends `msg` to every slot in `slots`. A failed send poisons that
+    /// connection, and the next receive from it reports the fault, so the
+    /// error is not returned here.
+    fn tell_all(&mut self, slots: &[usize], msg: &Msg<F>) {
+        for &slot in slots {
+            let (s, r) = self.rplan.slot_coords(slot);
+            if sip_obs::enabled() {
+                self.recorder
+                    .record("out", format!("shard {s} replica {r}: {}", msg.name()));
+            }
+            if let Some(client) = self.members[slot].client.as_mut() {
+                let _ = client.tell_msg(msg);
+            }
+        }
+    }
+
+    /// Asks one live replica of every shard at once — the trace context,
+    /// then `msg` — and hands each reply (`what`, read by `recv`) to
+    /// `settle`, in shard order. A transient fault fails the replica over;
+    /// that shard, and one whose reply `settle` gives up on
+    /// (`Ok(Some(cause))`), is asked again of its next live replica in this
+    /// query's rotation order. One with none left is blamed with its first
+    /// soundness cause, else its last fault. Every replica asked is noted
+    /// in `queried`, so it hears the verdict.
+    #[allow(clippy::too_many_arguments)]
+    fn ask<R: Send>(
+        &mut self,
+        msg: &Msg<F>,
+        trace: Option<TraceContext>,
+        queried: &mut Vec<usize>,
+        what: &str,
+        recv: impl Fn(&mut RawClient<F, T>) -> Result<R, Rejection> + Sync,
+        mut settle: impl FnMut(
+            &mut Self,
+            usize,
+            Result<R, Rejection>,
+        ) -> Result<Option<Rejection>, Rejection>,
+    ) -> Result<(), Rejection> {
+        let mut candidates = self.candidates();
+        let mut causes: Vec<Vec<Rejection>> = vec![Vec::new(); self.shards()];
+        let mut open: Vec<u32> = (0..self.rplan.shards()).collect();
+        while !open.is_empty() {
+            let mut batch = Vec::with_capacity(open.len());
+            for s in open.drain(..) {
+                let r = candidates[s as usize]
+                    .next()
+                    .ok_or_else(|| self.no_live(s))?;
+                batch.push(self.rplan.slot(s, r));
+            }
+            {
+                let mut fspan = sip_obs::trace::span("sip.cluster", "fanout");
+                fspan.field("what", msg.name());
+                if let Some(ctx) = trace {
+                    let context = Msg::TraceContext {
+                        trace_id: ctx.trace_id,
+                        parent_span: ctx.span_id,
+                    };
+                    self.tell_all(&batch, &context);
+                }
+                self.tell_all(&batch, msg);
+            }
+            queried.extend_from_slice(&batch);
+            for (slot, out) in self.receive(&batch, what, &recv) {
+                let settled = match out {
+                    Err(e) if e.is_transient() => {
+                        self.fail_over(slot, e.clone());
+                        Some(e)
+                    }
+                    out => settle(self, slot, out)?,
+                };
+                let Some(cause) = settled else {
+                    continue;
+                };
+                let s = self.rplan.slot_coords(slot).0;
+                let causes = &mut causes[s as usize];
+                causes.push(cause);
+                if candidates[s as usize].len() == 0 {
+                    let lie = causes.iter().position(|c| !c.is_transient());
+                    return Err(blame(
+                        s,
+                        causes.swap_remove(lie.unwrap_or(causes.len() - 1)),
+                    ));
+                }
+                open.push(s);
+            }
+        }
+        Ok(())
+    }
+
+    /// One fleet receive: runs `recv` on every slot in `slots` through
+    /// [`fan_in`] under one `shard_wait` span (the cluster-level wire-wait
+    /// leg; it stays on the calling thread, whose trace context worker
+    /// threads do not inherit), then books each wait to
+    /// its shard's `sip_cluster_shard_wait_us` series — the lockstep rounds
+    /// go at the pace of the slowest shard, and this is how you find it —
+    /// and each reply to the flight recorder, in slot order.
+    fn receive<R: Send>(
+        &mut self,
+        slots: &[usize],
+        what: &str,
+        recv: impl Fn(&mut RawClient<F, T>) -> Result<R, Rejection> + Sync,
+    ) -> Vec<(usize, Result<R, Rejection>)> {
+        let replies = {
+            let mut wspan = sip_obs::trace::span("sip.cluster", "shard_wait");
+            wspan.field("shards", slots.len());
+            fan_in(self.clients(slots), |(slot, client)| (slot, recv(client)))
+        };
+        replies
+            .into_iter()
+            .map(|((slot, out), wait_us)| {
+                if sip_obs::enabled() {
+                    let (s, r) = self.rplan.slot_coords(slot);
+                    let label = s.to_string();
+                    sip_obs::histogram_with("sip_cluster_shard_wait_us", &[("shard", &label)])
+                        .observe(wait_us);
+                    match &out {
+                        Ok(_) => self
+                            .recorder
+                            .record("in", format!("shard {s} replica {r}: {what}")),
+                        Err(e) => self
+                            .recorder
+                            .record("note", format!("shard {s} replica {r}: {e}")),
+                    }
+                }
+                (slot, out)
+            })
+            .collect()
+    }
+
+    /// Blames slot `slot`'s shard for `e`, failing the replica over first
+    /// if the fault is transient.
+    fn fault(&mut self, slot: usize, e: Rejection) -> Rejection {
+        if e.is_transient() {
+            self.fail_over(slot, e.clone());
+        }
+        blame(self.rplan.slot_coords(slot).0, e)
+    }
+
+    /// Ends a query: every replica asked hears the fleet-level verdict
+    /// (including whom a rejection blames — the guilty shard sees its own
+    /// indictment), and a rejection dumps the flight recorder.
+    fn close(
+        &mut self,
+        queried: &[usize],
+        report: ClusterCostReport,
+        result: Result<(F, Vec<u32>), Rejection>,
+    ) -> Result<FleetVerified<F>, Rejection> {
+        let verdict = result.clone().map(|(value, _)| value);
+        for (_, client) in self.clients(queried) {
+            client.verdict(&verdict);
+        }
+        if let Err(rej) = &result {
+            self.dump("blame", rej);
+        }
+        let (value, served_by) = result?;
+        Ok(FleetVerified {
+            value,
+            report,
+            served_by,
+        })
     }
 
     /// Runs one fleet-wide lockstep sum-check conversation.
     ///
-    /// Opens `query` on every shard, collects the per-shard claims and
-    /// round polynomials, feeds them through the per-prover residual
-    /// checks, and broadcasts each revealed challenge (stamped with its
-    /// round) to all shards. Sends fan out to the whole fleet before any
-    /// reply is awaited, and every receive — the open and each round —
-    /// drains all `S` replies at once ([`Self::receive_all`]), so a round
-    /// costs the slowest shard's round trip, not the sum of `S`.
-    /// `extra_v_words` charges query parameters (the range announcement)
-    /// to every shard's books.
-    fn drive_aggregate(
+    /// Opens `query` on one replica per shard ([`Self::ask`]): the sends
+    /// fan out before any reply is awaited, and every receive — the open
+    /// and each round — drains all shards at once ([`Self::receive`]), so
+    /// a round costs the slowest shard's round trip, not the sum of `S`. A
+    /// replica that faults transiently while the query opens is replaced by
+    /// a sibling: no challenge has left, so the digest is still fresh. The
+    /// rounds then run through [`drive_fleet`], where a fault is final.
+    fn query(
         &mut self,
         query: Query,
-        extra_v_words: usize,
-        mut agg: AggregatingVerifier<F>,
-        streamed: &[F],
+        (mut agg, streamed): (AggregatingVerifier<F>, Vec<F>),
         space_words: usize,
-    ) -> Result<ClusterVerified<F>, Rejection> {
-        let n = self.shards.len();
-        let mut qspan = sip_obs::trace::span("sip.cluster", "cluster_query");
-        qspan.field("query", query.name());
-        qspan.field("shards", n);
-        // Announce the trace to every shard so each server session parents
-        // its handle/decode spans under this query — one causal tree across
-        // the whole fleet. Best-effort: a shard that cannot take the frame
-        // will be blamed by the query proper moments later.
-        if let Some(ctx) = sip_obs::trace::current_context() {
-            self.recorder.bind_trace(ctx.trace_id);
-            for shard in &mut self.shards {
-                let _ = shard.tell_msg(&Msg::TraceContext {
-                    trace_id: ctx.trace_id,
-                    parent_span: ctx.span_id,
-                });
-            }
-        }
-        let mut report = ClusterCostReport::new(n);
-        report.verifier_space_words = space_words;
-        for r in &mut report.per_shard {
-            r.v_to_p_words += extra_v_words;
-        }
+    ) -> Result<FleetVerified<F>, Rejection> {
+        let (_qspan, trace, mut report) = self.begin(query, space_words);
+        let mut queried = Vec::new();
         let result = (|| {
+            let mut opened: Vec<Option<(usize, Vec<F>)>> = vec![None; self.shards()];
             {
-                let mut fspan = sip_obs::trace::span("sip.cluster", "fanout");
-                fspan.field("what", "query");
-                for (s, shard) in self.shards.iter_mut().enumerate() {
-                    if sip_obs::enabled() {
-                        self.recorder.record("out", format!("shard {s}: query"));
-                    }
-                    shard
-                        .tell_msg(&Msg::Query(query))
-                        .map_err(|e| blame(s, e))?;
-                }
+                let _ospan = sip_obs::trace::span("sip.cluster", "open");
+                let reply = "claimed-value, round-poly";
+                self.ask(
+                    &Msg::Query(query),
+                    trace,
+                    &mut queried,
+                    reply,
+                    open_reply,
+                    |fleet, slot, out| {
+                        let s = fleet.rplan.slot_coords(slot).0;
+                        opened[s as usize] = Some((slot, out.map_err(|e| blame(s, e))?));
+                        Ok(None)
+                    },
+                )?;
             }
-            let ospan = sip_obs::trace::span("sip.cluster", "open");
-            let mut polys = self.receive_all("claimed-value, round-poly", |shard| {
-                let claimed = match shard.recv_msg()? {
-                    Msg::ClaimedValue(v) => v,
-                    other => return Err(unexpected("claimed-value", other.name())),
-                };
-                let poly = round_poly(shard.recv_msg()?)?;
-                // The two opening messages must agree before any round runs
-                // (length errors are left to the round checker, which
-                // reports them with the proper round number). Together with
-                // the round checks this pins the announced claim to the
-                // proven value, so no post-finalize re-check is needed.
-                if poly.len() >= 2 && poly[0] + poly[1] != claimed {
-                    return Err(Rejection::MalformedAnswer {
-                        detail: "claimed value disagrees with the first round polynomial".into(),
-                    });
-                }
-                Ok(poly)
-            })?;
             for r in &mut report.per_shard {
                 r.p_to_v_words += 1;
             }
-            drop(ospan);
-            let mut round = 1u32;
-            loop {
-                let mut rspan = sip_obs::trace::span("sip.cluster", "round");
-                rspan.field("round", round);
-                for (s, poly) in polys.iter().enumerate() {
-                    report.per_shard[s].rounds += 1;
-                    report.per_shard[s].p_to_v_words += poly.len();
-                }
-                let step = {
-                    let _v = sip_obs::trace::span("sip.cluster", "verifier_compute");
-                    agg.receive_round(&polys)
-                }?;
-                match step {
-                    Some(challenge) => {
-                        {
-                            let mut fspan = sip_obs::trace::span("sip.cluster", "fanout");
-                            fspan.field("round", round);
-                            for (s, shard) in self.shards.iter_mut().enumerate() {
-                                report.per_shard[s].v_to_p_words += 1;
-                                if sip_obs::enabled() {
-                                    self.recorder
-                                        .record("out", format!("shard {s}: broadcast-challenge"));
-                                }
-                                shard
-                                    .tell_msg(&Msg::BroadcastChallenge { round, challenge })
-                                    .map_err(|e| blame(s, e))?;
-                            }
-                        }
-                        polys =
-                            self.receive_all("round-poly", |shard| round_poly(shard.recv_msg()?))?;
-                        round += 1;
-                    }
-                    None => break,
-                }
-            }
-            let _v = sip_obs::trace::span("sip.cluster", "verifier_compute");
-            agg.finalize(streamed)
+            let (slots, polys): (Vec<usize>, Vec<Vec<F>>) = opened.into_iter().flatten().unzip();
+            let served_by = slots
+                .iter()
+                .map(|&slot| self.rplan.slot_coords(slot).1)
+                .collect();
+            let mut session = Lockstep {
+                fleet: &mut *self,
+                slots,
+                opened: Some(polys),
+                round: 1,
+            };
+            let value = drive_fleet(&mut session, &mut agg, &streamed, &mut report)?;
+            Ok((value, served_by))
         })();
-        // Every shard learns the fleet-level verdict (including whom the
-        // rejection blames — the guilty shard sees its own indictment).
-        for shard in &mut self.shards {
-            shard.verdict(&result);
-        }
-        if let Err(rej) = &result {
-            self.dump_blame(rej);
-        }
-        let value = result?;
-        Ok(ClusterVerified { value, report })
+        self.close(&queried, report, result)
     }
 
     /// Runs one fleet-wide *one-shot* query: reveal the shared challenge
-    /// prefix to every shard at once, collect one sealed proof frame per
-    /// shard through the fan-in ([`Self::receive_all`]), then run every
-    /// transcript replay and deferred round check locally — one round trip
-    /// for the whole fleet query, whatever `log_u` is. Each shard's
-    /// transcript binds its own identity, so a frame served by (or
-    /// replayed from) the wrong shard dies on its digest comparison as
-    /// [`Rejection::Blame`] naming that shard.
-    #[allow(clippy::too_many_arguments)]
-    fn drive_aggregate_oneshot(
+    /// prefix to one replica per shard at once, collect one sealed proof
+    /// frame per shard through the fan-in, then run every transcript replay
+    /// and deferred round check locally — one round trip for the whole
+    /// fleet query, whatever `log_u` is. Each shard's transcript binds its
+    /// own identity, so a frame served by (or replayed from) the wrong
+    /// shard dies on its digest comparison, blamed on that shard.
+    ///
+    /// A shard whose proof did not verify is asked again of a sibling
+    /// ([`Self::ask`]): a transient fault fails the replica over, a failed
+    /// proof makes it a suspect, indicted once a sibling's proof verifies.
+    fn query_oneshot(
         &mut self,
         query: Query,
-        name: &str,
-        params: &[u64],
-        extra_v_words: usize,
-        agg: AggregatingVerifier<F>,
-        streamed: &[F],
+        (agg, streamed): (AggregatingVerifier<F>, Vec<F>),
         space_words: usize,
-    ) -> Result<ClusterVerified<F>, Rejection> {
-        let n = self.shards.len();
-        let mut qspan = sip_obs::trace::span("sip.cluster", "cluster_query");
-        qspan.field("query", query.name());
-        qspan.field("shards", n);
+    ) -> Result<FleetVerified<F>, Rejection> {
+        let (mut qspan, trace, mut report) = self.begin(query, space_words);
         qspan.field("mode", "oneshot");
-        if let Some(ctx) = sip_obs::trace::current_context() {
-            self.recorder.bind_trace(ctx.trace_id);
-            for shard in &mut self.shards {
-                let _ = shard.tell_msg(&Msg::TraceContext {
-                    trace_id: ctx.trace_id,
-                    parent_span: ctx.span_id,
-                });
-            }
-        }
+        let n = self.shards();
         let challenges = agg.challenge_prefix().to_vec();
         let log_u = challenges.len() as u32 + 1;
-        let mut report = ClusterCostReport::new(n);
-        report.verifier_space_words = space_words;
         for r in &mut report.per_shard {
             r.rounds += 1;
-            r.v_to_p_words += extra_v_words + challenges.len();
+            r.v_to_p_words += challenges.len();
         }
+        let mut queried = Vec::new();
         let result = (|| {
+            let mut value = F::ZERO;
+            let mut served_by = vec![0; n];
+            // Replicas whose proof failed — indicted the moment a sibling's
+            // proof verifies.
+            let mut suspects: Vec<Vec<(u32, Rejection)>> = vec![Vec::new(); n];
+            let msg = Msg::QueryOneShot {
+                query,
+                challenges: challenges.clone(),
+            };
             let mut rtspan = sip_obs::trace::span("sip.cluster", "oneshot_roundtrip");
             rtspan.field("shards", n);
-            {
-                let mut fspan = sip_obs::trace::span("sip.cluster", "fanout");
-                fspan.field("what", "query-oneshot");
-                for (s, shard) in self.shards.iter_mut().enumerate() {
-                    if sip_obs::enabled() {
-                        self.recorder
-                            .record("out", format!("shard {s}: query-oneshot"));
+            self.ask(
+                &msg,
+                trace,
+                &mut queried,
+                "proof",
+                oneshot_reply,
+                |fleet, slot, out| {
+                    let (s, r) = fleet.rplan.slot_coords(slot);
+                    let i = s as usize;
+                    let checked = out.and_then(|proof| {
+                        let words = proof.words();
+                        if sip_obs::enabled() {
+                            sip_obs::histogram("sip_cluster_oneshot_proof_words")
+                                .observe(words as u64);
+                        }
+                        let transcript = query_transcript::<F>(
+                            query.name(),
+                            log_u,
+                            Some((s, n as u32)),
+                            &params(query),
+                            &challenges,
+                        );
+                        let _v = sip_obs::trace::span("sip.cluster", "deferred_check");
+                        let timer = sip_obs::Timer::start();
+                        let out = agg.verify_oneshot_shard(i, streamed[i], transcript, &proof);
+                        if sip_obs::enabled() {
+                            sip_obs::histogram("sip_cluster_oneshot_deferred_check_us")
+                                .observe(timer.elapsed_us());
+                        }
+                        out.map(|v| (v, words))
+                    });
+                    match checked {
+                        Ok((v, words)) => {
+                            value += v;
+                            served_by[i] = r;
+                            report.per_shard[i].p_to_v_words += words;
+                            for (guilty, cause) in std::mem::take(&mut suspects[i]) {
+                                fleet.indict(s, guilty, r, cause);
+                            }
+                            Ok(None)
+                        }
+                        Err(e) => {
+                            // A wrong answer, decodable or not, is prover
+                            // misbehaviour, not weather: a suspect.
+                            suspects[i].push((r, e.clone()));
+                            Ok(Some(e))
+                        }
                     }
-                    shard
-                        .tell_msg(&Msg::QueryOneShot {
-                            query,
-                            challenges: challenges.clone(),
-                        })
-                        .map_err(|e| blame(s, e))?;
-                }
-            }
-            let proofs = self.receive_all("proof", |shard| match shard.recv_msg()? {
-                Msg::Proof {
-                    claimed,
-                    rounds,
-                    digest,
-                } => Ok(OneShotProof {
-                    claimed,
-                    rounds,
-                    digest,
-                }),
-                other => Err(unexpected("proof", other.name())),
-            })?;
-            drop(rtspan);
-            for (r, proof) in report.per_shard.iter_mut().zip(&proofs) {
-                r.p_to_v_words += proof.words();
-                if sip_obs::enabled() {
-                    sip_obs::histogram("sip_cluster_oneshot_proof_words")
-                        .observe(proof.words() as u64);
-                }
-            }
-            let transcripts: Vec<Transcript> = (0..n)
-                .map(|s| {
-                    query_transcript::<F>(
-                        name,
-                        log_u,
-                        Some((s as u32, n as u32)),
-                        params,
-                        &challenges,
-                    )
-                })
-                .collect();
-            let _v = sip_obs::trace::span("sip.cluster", "deferred_check");
-            let timer = sip_obs::Timer::start();
-            let out = agg.verify_oneshot(streamed, transcripts, &proofs);
-            if sip_obs::enabled() {
-                sip_obs::histogram("sip_cluster_oneshot_deferred_check_us")
-                    .observe(timer.elapsed_us());
-            }
-            out
+                },
+            )?;
+            Ok((value, served_by))
         })();
-        for shard in &mut self.shards {
-            shard.verdict(&result);
-        }
-        if let Err(rej) = &result {
-            self.dump_blame(rej);
-        }
-        let value = result?;
-        Ok(ClusterVerified { value, report })
+        self.close(&queried, report, result)
     }
 
-    /// One fleet receive: runs `recv` on every shard through [`fan_in`],
-    /// books each shard's wait to its `sip_cluster_shard_wait_us` series
-    /// (the lockstep rounds go at the pace of the slowest shard, and this is
-    /// how you find it) and its reply to the flight recorder, in shard
-    /// order. Returns the replies, or blames the lowest-index shard that
-    /// failed — deterministic whatever order the threads finished in.
-    fn receive_all<R: Send>(
-        &mut self,
-        what: &str,
-        recv: impl Fn(&mut RawClient<F, T>) -> Result<R, Rejection> + Sync,
-    ) -> Result<Vec<R>, Rejection> {
-        let replies = fan_in(&mut self.shards, recv);
-        if sip_obs::enabled() {
-            for (s, (out, wait_us)) in replies.iter().enumerate() {
-                let label = s.to_string();
-                sip_obs::histogram_with("sip_cluster_shard_wait_us", &[("shard", &label)])
-                    .observe(*wait_us);
-                match out {
-                    Ok(_) => self.recorder.record("in", format!("shard {s}: {what}")),
-                    Err(e) => self.recorder.record("note", format!("shard {s}: {e}")),
-                }
-            }
-        }
-        replies
-            .into_iter()
-            .enumerate()
-            .map(|(s, (out, _))| out.map_err(|e| blame(s, e)))
-            .collect()
-    }
-
-    /// Freezes the flight recorder into a JSON dump after a query ended in
-    /// rejection, naming the blamed shard in a `warn` event. The dump stays
-    /// in memory ([`Self::last_flight_dump`]) — the verifier side has no
-    /// `--data-dir`; servers write their own dumps on rejection.
-    fn dump_blame(&mut self, rej: &Rejection) {
+    /// Freezes the flight recorder into a JSON dump (`reason`: `blame` or
+    /// `indictment`) naming the blamed shard in a `warn` event. The dump
+    /// stays in memory ([`Self::last_flight_dump`]) — the verifier side has
+    /// no `--data-dir`; servers write their own dumps on rejection.
+    pub(crate) fn dump(&mut self, reason: &str, rej: &Rejection) {
         if !sip_obs::enabled() {
             return;
         }
-        let shard = rej
-            .blamed_shard()
-            .map_or_else(|| "-".to_string(), |s| s.to_string());
+        let shard = rej.blamed_shard().map(|s| s.to_string());
         let mut extra = vec![("rejection", rej.to_string())];
-        if rej.blamed_shard().is_some() {
-            extra.push(("blamed_shard", shard.clone()));
-        }
-        let json = self.recorder.dump_json("blame", &extra);
+        extra.extend(shard.clone().map(|s| ("blamed_shard", s)));
+        let json = self.recorder.dump_json(reason, &extra);
         sip_obs::event!(
             sip_obs::Level::Warn,
             "sip.cluster",
-            "flight recorder dumped on blame",
-            "blamed_shard" => shard,
+            format!("flight recorder dumped on {reason}"),
+            "blamed_shard" => shard.as_deref().unwrap_or("-"),
             "rejection" => rej,
             "frames" => self.recorder.len(),
         );
         self.last_dump = Some(json);
     }
 
-    /// The JSON flight-recorder dump from the most recent blamed query, if
-    /// any — recent fleet frames plus the bound trace's spans, in the same
-    /// shape the server writes to disk on rejection.
-    pub fn last_flight_dump(&self) -> Option<&str> {
-        self.last_dump.as_deref()
-    }
-
-    /// Refuses a digest drawn for a plan other than this fleet's.
-    fn check_plan(&self, digest: &ShardPlan) -> Result<(), Rejection> {
-        if digest == self.router.plan() {
-            return Ok(());
-        }
-        Err(Rejection::InvalidConfig {
-            detail: format!(
-                "digest drawn for {digest:?}, but the fleet is {:?}",
-                self.router.plan()
-            ),
-        })
-    }
-
     /// Verified fleet-wide SELF-JOIN SIZE over everything uploaded so far.
     /// The digest must have observed exactly the uploaded stream.
     ///
     /// A digest drawn for another [`ShardPlan`] is refused with
-    /// [`Rejection::InvalidConfig`] before any frame leaves — a mismatched
-    /// universe or fleet size is a verifier-side configuration bug, not a
-    /// prover to blame. The same holds for every `verify_*` below.
+    /// [`Rejection::InvalidConfig`] before any frame leaves. The same holds
+    /// for every `verify_*` below.
     pub fn verify_f2(
         &mut self,
         digest: ClusterF2Verifier<F>,
-    ) -> Result<ClusterVerified<F>, Rejection> {
+    ) -> Result<FleetVerified<F>, Rejection> {
         self.check_plan(digest.plan())?;
         let space = digest.space_words();
-        let (agg, streamed) = digest.into_session();
-        self.drive_aggregate(Query::SelfJoin, 0, agg, &streamed, space)
+        self.query(Query::SelfJoin, digest.into_session(), space)
     }
 
     /// Verified fleet-wide RANGE-SUM over `[q_l, q_r]`.
@@ -616,11 +845,11 @@ impl<F: PrimeField, T: Transport> ClusterClient<F, T> {
         digest: ClusterRangeSumVerifier<F>,
         q_l: u64,
         q_r: u64,
-    ) -> Result<ClusterVerified<F>, Rejection> {
+    ) -> Result<FleetVerified<F>, Rejection> {
         self.check_plan(digest.plan())?;
         let space = digest.space_words();
-        let (agg, streamed) = digest.into_session(q_l, q_r);
-        self.drive_aggregate(Query::RangeSum { l: q_l, r: q_r }, 2, agg, &streamed, space)
+        let query = Query::RangeSum { l: q_l, r: q_r };
+        self.query(query, digest.into_session(q_l, q_r), space)
     }
 
     /// Verified fleet-wide SELF-JOIN SIZE in one round trip
@@ -635,11 +864,10 @@ impl<F: PrimeField, T: Transport> ClusterClient<F, T> {
     pub fn verify_f2_oneshot(
         &mut self,
         digest: ClusterF2Verifier<F>,
-    ) -> Result<ClusterVerified<F>, Rejection> {
+    ) -> Result<FleetVerified<F>, Rejection> {
         self.check_plan(digest.plan())?;
         let space = digest.space_words();
-        let (agg, streamed) = digest.into_session();
-        self.drive_aggregate_oneshot(Query::SelfJoin, "self-join", &[], 0, agg, &streamed, space)
+        self.query_oneshot(Query::SelfJoin, digest.into_session(), space)
     }
 
     /// Verified fleet-wide RANGE-SUM over `[q_l, q_r]` in one round trip;
@@ -653,73 +881,130 @@ impl<F: PrimeField, T: Transport> ClusterClient<F, T> {
         digest: ClusterRangeSumVerifier<F>,
         q_l: u64,
         q_r: u64,
-    ) -> Result<ClusterVerified<F>, Rejection> {
+    ) -> Result<FleetVerified<F>, Rejection> {
         self.check_plan(digest.plan())?;
         let space = digest.space_words();
-        let (agg, streamed) = digest.into_session(q_l, q_r);
-        self.drive_aggregate_oneshot(
-            Query::RangeSum { l: q_l, r: q_r },
-            "range-sum",
-            &[q_l, q_r],
-            2,
-            agg,
-            &streamed,
-            space,
-        )
+        let query = Query::RangeSum { l: q_l, r: q_r };
+        self.query_oneshot(query, digest.into_session(q_l, q_r), space)
     }
 
     /// Verified fleet-wide SUB-VECTOR report over `[q_l, q_r]`: each
-    /// overlapping shard proves its slice against its own hash tree;
-    /// disjoint ascending slices concatenate in index order.
+    /// overlapping shard proves its slice against its own hash tree, all
+    /// at once through the fan-in; disjoint ascending slices concatenate in
+    /// index order. A failure is blamed on the lowest failing shard (a
+    /// transient one fails its replica over).
     pub fn verify_report(
         &mut self,
         mut digest: ClusterReportVerifier<F>,
         q_l: u64,
         q_r: u64,
-    ) -> Result<ClusterVerified<Vec<(u64, F)>>, Rejection> {
+    ) -> Result<FleetVerified<Vec<(u64, F)>>, Rejection> {
         self.check_plan(digest.plan())?;
-        let mut qspan = sip_obs::trace::span("sip.cluster", "cluster_query");
-        qspan.field("query", "report");
-        qspan.field("shards", self.shards.len());
-        let mut report = ClusterCostReport::new(self.shards.len());
+        let (_qspan, trace, mut report) = self.begin(Query::Report { l: q_l, r: q_r }, 0);
+        let mut served_by = Vec::new();
+        let mut jobs = Vec::new();
+        for (s, mut order) in (0..).zip(self.candidates()) {
+            let r = order.next().ok_or_else(|| self.no_live(s))?;
+            served_by.push(r);
+            if let Some((l, hi)) = self.router.clamp(s, q_l, q_r) {
+                jobs.push((self.rplan.slot(s, r), l, hi, digest.take(s as usize)));
+            }
+        }
+        let slots: Vec<usize> = jobs.iter().map(|job| job.0).collect();
+        let work = self.clients(&slots).into_iter().zip(jobs).collect();
+        let replies = fan_in(work, |((slot, client), (_, l, hi, tree))| {
+            // Each shard's session announces the query's trace, from
+            // whichever thread runs it.
+            let _span = sip_obs::trace::span_under(trace, "sip.cluster", "report_shard");
+            (slot, client.verify_report(tree, l, hi))
+        });
         let mut entries = Vec::new();
-        for s in 0..self.shards.len() {
-            let Some((l, r)) = self.router.clamp(s as u32, q_l, q_r) else {
-                continue;
-            };
-            let verified = self.shards[s]
-                .verify_report(digest.take(s), l, r)
-                .map_err(|e| blame(s, e))?;
-            report.absorb_shard(s, &verified.report);
+        for ((slot, out), _) in replies {
+            let verified = out.map_err(|e| self.fault(slot, e))?;
+            report.absorb_shard(self.rplan.slot_coords(slot).0 as usize, &verified.report);
             entries.extend(verified.entries);
         }
-        Ok(ClusterVerified {
+        Ok(FleetVerified {
             value: entries,
             report,
+            served_by,
         })
+    }
+}
+
+/// The remote adapter of [`drive_fleet`]: the picked replica of every
+/// shard, opened, with its first polynomial held for round 1.
+struct Lockstep<'f, M, F: PrimeField, T: Transport> {
+    fleet: &'f mut Fleet<M, F, T>,
+    /// The serving slot of every shard, in shard order.
+    slots: Vec<usize>,
+    opened: Option<Vec<Vec<F>>>,
+    /// The round the next broadcast challenge closes.
+    round: u32,
+}
+
+impl<M, F: PrimeField, T: Transport> FleetSession<F> for Lockstep<'_, M, F, T> {
+    fn messages(&mut self) -> Result<Vec<Vec<F>>, Rejection> {
+        if let Some(polys) = self.opened.take() {
+            return Ok(polys);
+        }
+        let replies = self.fleet.receive(&self.slots, "round-poly", |client| {
+            round_poly(client.recv_msg()?)
+        });
+        replies
+            .into_iter()
+            .map(|(slot, out)| out.map_err(|e| self.fleet.fault(slot, e)))
+            .collect()
+    }
+
+    fn broadcast(&mut self, challenge: F) -> Result<(), Rejection> {
+        let mut fspan = sip_obs::trace::span("sip.cluster", "fanout");
+        fspan.field("round", self.round);
+        let msg = Msg::BroadcastChallenge {
+            round: self.round,
+            challenge,
+        };
+        self.fleet.tell_all(&self.slots, &msg);
+        self.round += 1;
+        Ok(())
     }
 }
 
 /// Spawns `shards` pinned single-shard TCP prover servers on loopback —
 /// each the equivalent of `sip-prover --listen 127.0.0.1:0 --shard s --of
 /// shards --log-u log_u` — and returns their handles plus dial addresses
-/// in shard order. The local half of a fleet deployment, shared by the
-/// e2e/tamper suites, the bench and the demo; production fleets launch the
-/// `sip-prover` binary instead.
+/// in shard order: [`spawn_replica_fleet`] at one replica.
 pub fn spawn_local_fleet<F: PrimeField>(
     shards: u32,
     log_u: u32,
 ) -> std::io::Result<(Vec<ServerHandle>, Vec<std::net::SocketAddr>)> {
-    let mut handles = Vec::with_capacity(shards as usize);
-    for index in 0..shards {
-        handles.push(sip_server::spawn::<F, _>(
-            "127.0.0.1:0",
-            ServerConfig {
-                shard: Some(ShardSpec::new(index, shards)),
-                require_log_u: Some(log_u),
-                ..ServerConfig::default()
-            },
-        )?);
+    spawn_replica_fleet::<F>(shards, 1, log_u)
+}
+
+/// Spawns `shards × replicas` pinned prover servers on loopback in
+/// shard-major slot order — replica `r` of shard `s` at
+/// `addrs[s·replicas + r]`, each the equivalent of `sip-prover --listen
+/// 127.0.0.1:0 --shard s --of shards --replica r --log-u log_u`. The local
+/// half of a fleet deployment, shared by the e2e, tamper and chaos suites,
+/// the bench and the demo; production fleets launch the `sip-prover`
+/// binary instead.
+pub fn spawn_replica_fleet<F: PrimeField>(
+    shards: u32,
+    replicas: u32,
+    log_u: u32,
+) -> std::io::Result<(Vec<ServerHandle>, Vec<std::net::SocketAddr>)> {
+    let mut handles = Vec::with_capacity((shards * replicas) as usize);
+    for s in 0..shards {
+        for r in 0..replicas {
+            handles.push(sip_server::spawn::<F, _>(
+                "127.0.0.1:0",
+                ServerConfig {
+                    shard: Some(ShardSpec::with_replica(s, shards, r)),
+                    require_log_u: Some(log_u),
+                    ..ServerConfig::default()
+                },
+            )?);
+        }
     }
     let addrs = handles.iter().map(ServerHandle::local_addr).collect();
     Ok((handles, addrs))
@@ -736,13 +1021,13 @@ pub fn connect_kv_fleet<F: PrimeField, A: ToSocketAddrs>(
     addrs: &[A],
     log_u: u32,
 ) -> Result<Vec<RemoteStore<F, FramedTcpTransport>>, Rejection> {
-    let plan = validated_plan(log_u, addrs.len())?;
+    let rplan = ReplicaPlan::validate(log_u, addrs.len() as u32, 1)?;
     let mut stores = Vec::with_capacity(addrs.len());
-    for (s, addr) in addrs.iter().enumerate() {
+    for (s, addr) in (0..).zip(addrs) {
         let store: RemoteStore<F, _> =
             RemoteStore::connect(addr, log_u).map_err(|e| blame(s, e))?;
         store
-            .shard_hello(ShardSpec::new(s as u32, plan.shards()))
+            .shard_hello(ShardSpec::new(s, rplan.shards()))
             .map_err(|e| blame(s, e))?;
         stores.push(store);
     }
@@ -971,7 +1256,11 @@ mod tests {
         let (mut client, servers) = fleet(2, log_u);
         let digest = ClusterF2Verifier::<Fp61>::new(plan, &mut rng);
         // Shard 0 owns [0, 7]; hand it index 9 directly.
-        client.shards[0].send_update(Update::new(9, 1));
+        client.members[0]
+            .client
+            .as_mut()
+            .unwrap()
+            .send_update(Update::new(9, 1));
         // The refusal surfaces at the next read from that connection —
         // either the flush itself or the first query message.
         let err = client

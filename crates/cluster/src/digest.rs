@@ -11,6 +11,8 @@
 //! As everywhere else, one digest = one query: randomness reuse across
 //! queries is unsound (paper §7, "Multiple Queries").
 
+use std::marker::PhantomData;
+
 use rand::Rng;
 use sip_core::sumcheck::AggregatingVerifier;
 use sip_field::PrimeField;
@@ -128,18 +130,35 @@ impl<F: PrimeField> ShardedLde<F> {
     }
 }
 
-/// Streaming verifier digest for a fleet-wide SELF-JOIN SIZE (F₂) query.
+/// Streaming verifier digest for one fleet-wide sum-check query of family
+/// `Q`: the shard-resolved LDE at one secret point. Its two names are
+/// [`ClusterF2Verifier`] and [`ClusterRangeSumVerifier`]; they differ only
+/// in the final values [`ClusterDigest::into_session`] derives.
 #[derive(Clone, Debug)]
-pub struct ClusterF2Verifier<F: PrimeField> {
+pub struct ClusterDigest<Q, F: PrimeField> {
     lde: ShardedLde<F>,
+    _query: PhantomData<Q>,
 }
 
-impl<F: PrimeField> ClusterF2Verifier<F> {
+/// Query family of [`ClusterF2Verifier`].
+#[derive(Clone, Debug)]
+pub enum SelfJoin {}
+
+/// Query family of [`ClusterRangeSumVerifier`].
+#[derive(Clone, Debug)]
+pub enum RangeSum {}
+
+/// Streaming verifier digest for a fleet-wide SELF-JOIN SIZE (F₂) query.
+pub type ClusterF2Verifier<F> = ClusterDigest<SelfJoin, F>;
+
+/// Streaming verifier digest for a fleet-wide RANGE-SUM query; the range
+/// arrives at query time.
+pub type ClusterRangeSumVerifier<F> = ClusterDigest<RangeSum, F>;
+
+impl<Q, F: PrimeField> ClusterDigest<Q, F> {
     /// Draws the shared secret point and prepares to observe the stream.
     pub fn new<R: Rng + ?Sized>(plan: ShardPlan, rng: &mut R) -> Self {
-        ClusterF2Verifier {
-            lde: ShardedLde::random(plan, rng),
-        }
+        Self::from_lde(ShardedLde::random(plan, rng))
     }
 
     /// The fleet partition this digest was drawn for.
@@ -154,7 +173,10 @@ impl<F: PrimeField> ClusterF2Verifier<F> {
 
     /// Rebuilds the verifier around a restored sharded digest.
     pub fn from_lde(lde: ShardedLde<F>) -> Self {
-        ClusterF2Verifier { lde }
+        ClusterDigest {
+            lde,
+            _query: PhantomData,
+        }
     }
 
     /// Processes one stream update.
@@ -178,10 +200,10 @@ impl<F: PrimeField> ClusterF2Verifier<F> {
         self.lde.space_words() + 3 * self.lde.accs.len()
     }
 
-    /// Ends streaming: the lockstep round checker plus the per-shard final
-    /// values `f_{a_s}(r)²`.
-    pub fn into_session(self) -> (AggregatingVerifier<F>, Vec<F>) {
-        let expected: Vec<F> = self.lde.values().iter().map(|&v| v * v).collect();
+    /// The lockstep round checker over this digest's point, and the
+    /// per-shard final values `f_{a_s}(r)·factor`.
+    fn session(self, factor: impl Fn(F) -> F) -> (AggregatingVerifier<F>, Vec<F>) {
+        let expected: Vec<F> = self.lde.values().iter().map(|&v| v * factor(v)).collect();
         (
             AggregatingVerifier::new(self.lde.point().to_vec(), 2, expected.len()),
             expected,
@@ -189,57 +211,15 @@ impl<F: PrimeField> ClusterF2Verifier<F> {
     }
 }
 
-/// Streaming verifier digest for a fleet-wide RANGE-SUM query; the range
-/// arrives at query time.
-#[derive(Clone, Debug)]
-pub struct ClusterRangeSumVerifier<F: PrimeField> {
-    lde: ShardedLde<F>,
+impl<F: PrimeField> ClusterF2Verifier<F> {
+    /// Ends streaming: the lockstep round checker plus the per-shard final
+    /// values `f_{a_s}(r)²`.
+    pub fn into_session(self) -> (AggregatingVerifier<F>, Vec<F>) {
+        self.session(|v| v)
+    }
 }
 
 impl<F: PrimeField> ClusterRangeSumVerifier<F> {
-    /// Draws the shared secret point and prepares to observe the stream.
-    pub fn new<R: Rng + ?Sized>(plan: ShardPlan, rng: &mut R) -> Self {
-        ClusterRangeSumVerifier {
-            lde: ShardedLde::random(plan, rng),
-        }
-    }
-
-    /// The fleet partition this digest was drawn for.
-    pub fn plan(&self) -> &ShardPlan {
-        self.lde.plan()
-    }
-
-    /// The underlying sharded digest (checkpoint state).
-    pub fn lde(&self) -> &ShardedLde<F> {
-        &self.lde
-    }
-
-    /// Rebuilds the verifier around a restored sharded digest.
-    pub fn from_lde(lde: ShardedLde<F>) -> Self {
-        ClusterRangeSumVerifier { lde }
-    }
-
-    /// Processes one stream update.
-    pub fn update(&mut self, up: Update) {
-        self.lde.update(up);
-    }
-
-    /// Processes a whole stream.
-    pub fn update_all(&mut self, stream: &[Update]) {
-        self.lde.update_all(stream);
-    }
-
-    /// Processes a whole batch (delayed-reduction per-shard accumulators;
-    /// bit-identical to per-update [`Self::update`]).
-    pub fn update_batch(&mut self, batch: &[Update]) {
-        self.lde.update_batch(batch);
-    }
-
-    /// Verifier space in words.
-    pub fn space_words(&self) -> usize {
-        self.lde.space_words() + 3 * self.lde.accs.len()
-    }
-
     /// Ends streaming and fixes the query range: per-shard final values
     /// `f_{a_s}(r)·f_b(r)` with the indicator LDE computed locally once.
     ///
@@ -247,11 +227,7 @@ impl<F: PrimeField> ClusterRangeSumVerifier<F> {
     /// Panics if the range is empty or outside the universe.
     pub fn into_session(self, q_l: u64, q_r: u64) -> (AggregatingVerifier<F>, Vec<F>) {
         let fb = range_indicator_lde(q_l, q_r, self.lde.point());
-        let expected: Vec<F> = self.lde.values().iter().map(|&v| v * fb).collect();
-        (
-            AggregatingVerifier::new(self.lde.point().to_vec(), 2, expected.len()),
-            expected,
-        )
+        self.session(|_| fb)
     }
 }
 

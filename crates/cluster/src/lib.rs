@@ -1,7 +1,7 @@
-//! `sip-cluster`: horizontal scale-out of the prover — a sharded fleet
-//! behind one aggregating verifier, with per-shard blame.
+//! `sip-cluster`: horizontal scale-out of the prover — a sharded,
+//! optionally replicated fleet behind one aggregating verifier, with
+//! per-shard blame.
 //!
-//! PR 1 put one prover behind TCP; this crate turns it into `S` of them.
 //! The paper's two verifier tools are linear in the data — the streamed LDE
 //! value `f_a(r)` (Theorem 1) and every sum-check round polynomial are sums
 //! over the input — so a stream partitioned by index range
@@ -15,12 +15,14 @@
 //!   at the same secret `r`, at `S + log u` words
 //!   ([`ClusterF2Verifier`] / [`ClusterRangeSumVerifier`] wrap it per
 //!   query; [`ClusterReportVerifier`] keeps one hash tree per shard);
-//! * [`ClusterClient`] — drives `S` sharded sessions: queries fan out,
-//!   per-round randomness is **broadcast** to every shard
-//!   (`Msg::BroadcastChallenge`), and the answer is the verified sum of the
-//!   per-shard claims (F₂, Fₖ, INNER-PRODUCT, RANGE-SUM by sum-check
-//!   linearity; SUB-VECTOR by one tree per shard; kv-store queries via
-//!   [`sip_kvstore::ShardedClient`] over a [`connect_kv_fleet`]).
+//! * [`Fleet`] — the one fleet driver: `S` shards of `R ≥ 1` replicas
+//!   ([`ReplicaPlan`]). Each query picks one live replica per shard, fans
+//!   out, **broadcasts** every challenge (`Msg::BroadcastChallenge`) and
+//!   answers with the verified sum of the per-shard claims (F₂, RANGE-SUM
+//!   by sum-check linearity; SUB-VECTOR by one tree per shard). Its two
+//!   names, [`ClusterClient`] (`R = 1`) and [`ReplicaFleet`], differ only
+//!   in their constructors. Kv-store queries go through
+//!   [`sip_kvstore::ShardedClient`] over a [`connect_kv_fleet`].
 //!
 //! Soundness is unchanged — each shard's transcript faces the full
 //! single-prover checks (`sip_core::sumcheck::aggregate` keeps per-prover
@@ -44,10 +46,11 @@ pub mod replica;
 pub mod router;
 
 pub use client::{
-    boxed_kv_fleet, connect_kv_fleet, spawn_local_fleet, ClusterClient, ClusterVerified,
+    boxed_kv_fleet, connect_kv_fleet, spawn_local_fleet, spawn_replica_fleet, ClusterClient,
+    ClusterVerified, Fleet, FleetVerified, ReplicaFleet, ReplicaVerified, Replicated, Sharded,
 };
-pub use digest::{ClusterF2Verifier, ClusterRangeSumVerifier, ClusterReportVerifier, ShardedLde};
-pub use replica::{
-    spawn_replica_fleet, ReplicaFleet, ReplicaHealth, ReplicaPlan, ReplicaVerified, MAX_REPLICAS,
+pub use digest::{
+    ClusterDigest, ClusterF2Verifier, ClusterRangeSumVerifier, ClusterReportVerifier, ShardedLde,
 };
+pub use replica::{ReplicaHealth, ReplicaPlan, MAX_REPLICAS};
 pub use router::ShardRouter;

@@ -67,24 +67,6 @@ impl<F: PrimeField> AggregatingVerifier<F> {
         self.cores[0].rounds()
     }
 
-    /// Rounds processed so far.
-    pub fn rounds_done(&self) -> usize {
-        self.cores[0].rounds_done()
-    }
-
-    /// The aggregate answer claimed by the fleet's first messages
-    /// (`Σ_s Σ_{x∈[2]} g₁⁽ˢ⁾(x)`); trusted only after [`Self::finalize`].
-    pub fn claimed_output(&self) -> F {
-        self.cores
-            .iter()
-            .fold(F::ZERO, |acc, c| acc + c.claimed_output())
-    }
-
-    /// Each shard's individually claimed output (same caveat).
-    pub fn claimed_outputs(&self) -> Vec<F> {
-        self.cores.iter().map(|c| c.claimed_output()).collect()
-    }
-
     /// Processes round `j`: one polynomial per shard, in shard order.
     ///
     /// Each message is checked against *its own shard's* previous claim —
@@ -142,45 +124,9 @@ impl<F: PrimeField> AggregatingVerifier<F> {
         self.cores[0].challenge_prefix()
     }
 
-    /// Verifies one [`OneShotProof`] per shard against the shared challenge
-    /// chain: every shard's transcript was seeded with the *same* prefix
-    /// (plus its own shard identity), so a shard answering a different
-    /// chain dies on its digest check, and any algebraic lie dies on its
-    /// own core's deferred checks — either way the rejection is
-    /// [`Rejection::Blame`] naming exactly that shard. On acceptance
-    /// returns the verified aggregate `Σ_s output_s`.
-    ///
-    /// # Panics
-    /// Panics if `transcripts`, `proofs`, or `streamed` disagree with the
-    /// shard count.
-    ///
-    /// # Soundness
-    /// None: a prover that uses the revealed prefix has a false answer accepted
-    /// (see `sip-core`'s `sumcheck::oneshot`). Do not rely on the verdict.
-    pub fn verify_oneshot(
-        &self,
-        streamed: &[F],
-        transcripts: Vec<Transcript>,
-        proofs: &[OneShotProof<F>],
-    ) -> Result<F, Rejection> {
-        assert_eq!(streamed.len(), self.cores.len(), "one value per shard");
-        assert_eq!(
-            transcripts.len(),
-            self.cores.len(),
-            "one transcript per shard"
-        );
-        assert_eq!(proofs.len(), self.cores.len(), "one proof per shard");
-        let mut sum = F::ZERO;
-        for (s, ((core, t), proof)) in self.cores.iter().zip(transcripts).zip(proofs).enumerate() {
-            sum += core
-                .verify_oneshot(streamed[s], t, proof)
-                .map_err(|e| Rejection::blame(s as u32, e))?;
-        }
-        Ok(sum)
-    }
-
     /// Verifies a single shard's one-shot proof in isolation, returning
-    /// that shard's verified contribution. This is the replica
+    /// that shard's verified contribution or the bare cause (the caller
+    /// blames the shard, or one of its replicas). This is the replica
     /// cross-examination primitive: honest replicas of a shard hold the
     /// same sub-vector and the same transcript context (shard identity
     /// binds `(index, count)`, *not* the replica), so each replica's proof
@@ -200,62 +146,109 @@ impl<F: PrimeField> AggregatingVerifier<F> {
         transcript: Transcript,
         proof: &OneShotProof<F>,
     ) -> Result<F, Rejection> {
-        self.cores[shard]
-            .verify_oneshot(streamed, transcript, proof)
-            .map_err(|e| Rejection::blame(shard as u32, e))
+        self.cores[shard].verify_oneshot(streamed, transcript, proof)
     }
+}
+
+/// The `S` provers of one sharded sum-check query as the verifier sees
+/// them: every shard's round message out, one broadcast challenge in. The
+/// fleet's [`super::SumCheckSession`] — `S` in-process provers
+/// ([`drive_sumcheck_sharded`]) or `S` remote sessions (`sip-cluster`). A
+/// failure names its shard ([`Rejection::Blame`]).
+pub trait FleetSession<F: PrimeField> {
+    /// Every shard's current round polynomial, in shard order.
+    fn messages(&mut self) -> Result<Vec<Vec<F>>, Rejection>;
+    /// Broadcasts the revealed challenge to every shard.
+    fn broadcast(&mut self, challenge: F) -> Result<(), Rejection>;
+}
+
+/// The lockstep sum-check conversation: per round, every shard's message
+/// through its own residual check, then the one shared challenge out to
+/// all; finally each shard against its own streamed value.
+///
+/// The only place a fleet query's rounds and words are booked: per shard,
+/// one round and the message's words per round, and one word per
+/// broadcast challenge (it crosses each connection once). The caller books
+/// the query's own words. On acceptance returns the verified aggregate.
+pub fn drive_fleet<F: PrimeField, S: FleetSession<F> + ?Sized>(
+    session: &mut S,
+    verifier: &mut AggregatingVerifier<F>,
+    streamed: &[F],
+    report: &mut ClusterCostReport,
+) -> Result<F, Rejection> {
+    assert_eq!(report.shards(), verifier.shards(), "one report per shard");
+    for round in 1..=verifier.rounds() {
+        let mut rspan = sip_obs::trace::span("sip.cluster", "round");
+        rspan.field("round", round);
+        let polys = session.messages()?;
+        for (r, poly) in report.per_shard.iter_mut().zip(&polys) {
+            r.rounds += 1;
+            r.p_to_v_words += poly.len();
+        }
+        let step = {
+            let _v = sip_obs::trace::span("sip.cluster", "verifier_compute");
+            verifier.receive_round(&polys)
+        }?;
+        if let Some(challenge) = step {
+            for r in &mut report.per_shard {
+                r.v_to_p_words += 1;
+            }
+            session.broadcast(challenge)?;
+        }
+    }
+    let _v = sip_obs::trace::span("sip.cluster", "verifier_compute");
+    verifier.finalize(streamed)
 }
 
 /// A hook mutating one shard's messages in flight; arguments are
 /// `(shard, round, message)` with `round` 1-based.
 pub type ShardAdversary<'a, F> = &'a mut dyn FnMut(usize, usize, &mut Vec<F>);
 
-/// Runs the interactive phase against `S` in-process provers in lockstep:
-/// per round, collect every shard's polynomial, check each, broadcast the
-/// one shared challenge; finally check each shard against its own streamed
-/// value.
-///
-/// `report` accrues per-shard communication (the broadcast challenge is
-/// charged to every shard — it crosses each connection once); an optional
-/// [`ShardAdversary`] corrupts messages in flight. On acceptance returns
-/// the verified aggregate.
+/// `S` in-process provers as one fleet session, their messages passing
+/// through an optional [`ShardAdversary`] on the way to the verifier.
+struct Provers<'a, 'p, 'v, F> {
+    provers: &'a mut [&'p mut dyn RoundProver<F>],
+    round: usize,
+    adversary: Option<ShardAdversary<'v, F>>,
+}
+
+impl<F: PrimeField> FleetSession<F> for Provers<'_, '_, '_, F> {
+    fn messages(&mut self) -> Result<Vec<Vec<F>>, Rejection> {
+        self.round += 1;
+        let mut polys: Vec<Vec<F>> = self.provers.iter_mut().map(|p| p.message()).collect();
+        if let Some(adversary) = self.adversary.as_mut() {
+            for (s, msg) in polys.iter_mut().enumerate() {
+                adversary(s, self.round, msg);
+            }
+        }
+        Ok(polys)
+    }
+    fn broadcast(&mut self, challenge: F) -> Result<(), Rejection> {
+        self.provers.iter_mut().for_each(|p| p.bind(challenge));
+        Ok(())
+    }
+}
+
+/// Runs [`drive_fleet`] against `S` in-process provers; an optional
+/// [`ShardAdversary`] corrupts their messages in flight (the honest run
+/// passes `None`). On acceptance returns the verified aggregate.
 pub fn drive_sumcheck_sharded<F: PrimeField>(
     provers: &mut [&mut dyn RoundProver<F>],
     verifier: &mut AggregatingVerifier<F>,
     streamed: &[F],
     report: &mut ClusterCostReport,
-    mut adversary: Option<ShardAdversary<'_, F>>,
+    adversary: Option<ShardAdversary<'_, F>>,
 ) -> Result<F, Rejection> {
     assert_eq!(provers.len(), verifier.shards(), "one prover per shard");
-    assert_eq!(report.shards(), verifier.shards(), "one report per shard");
     for p in provers.iter() {
         assert_eq!(p.rounds(), verifier.rounds(), "shards disagree on d");
     }
-    for round in 1..=verifier.rounds() {
-        let mut polys = Vec::with_capacity(provers.len());
-        for (s, prover) in provers.iter_mut().enumerate() {
-            let mut msg = prover.message();
-            if let Some(adv) = adversary.as_mut() {
-                adv(s, round, &mut msg);
-            }
-            report.absorb_shard(
-                s,
-                &CostReport {
-                    rounds: 1,
-                    p_to_v_words: msg.len(),
-                    ..CostReport::default()
-                },
-            );
-            polys.push(msg);
-        }
-        if let Some(challenge) = verifier.receive_round(&polys)? {
-            for (s, prover) in provers.iter_mut().enumerate() {
-                report.per_shard[s].v_to_p_words += 1;
-                prover.bind(challenge);
-            }
-        }
-    }
-    verifier.finalize(streamed)
+    let mut session = Provers {
+        provers,
+        round: 0,
+        adversary,
+    };
+    drive_fleet(&mut session, verifier, streamed, report)
 }
 
 /// The one-shot counterpart of [`drive_sumcheck_sharded`]: every shard
@@ -592,6 +585,23 @@ mod tests {
         assert_eq!(agg.space_words(), 4 * 3 + 10);
     }
 
+    /// Every shard's proof checked on its own, summed: the verified
+    /// aggregate, or the lowest failing shard's rejection.
+    fn verify_all(
+        agg: &AggregatingVerifier<Fp61>,
+        expected: &[Fp61],
+        transcripts: Vec<Transcript>,
+        proofs: &[OneShotProof<Fp61>],
+    ) -> Result<Fp61, Rejection> {
+        let mut sum = Fp61::ZERO;
+        for (s, t) in transcripts.into_iter().enumerate() {
+            sum += agg
+                .verify_oneshot_shard(s, expected[s], t, &proofs[s])
+                .map_err(|e| Rejection::blame(s as u32, e))?;
+        }
+        Ok(sum)
+    }
+
     fn shard_transcripts(shards: u32, log_u: u32, prefix: &[Fp61]) -> Vec<Transcript> {
         (0..shards)
             .map(|s| {
@@ -632,13 +642,13 @@ mod tests {
             )
             .unwrap();
             let expected: Vec<Fp61> = ldes.iter().map(|&v| v * v).collect();
-            let got = agg
-                .verify_oneshot(
-                    &expected,
-                    shard_transcripts(shards, LOG_U, &prefix),
-                    &proofs,
-                )
-                .unwrap();
+            let got = verify_all(
+                &agg,
+                &expected,
+                shard_transcripts(shards, LOG_U, &prefix),
+                &proofs,
+            )
+            .unwrap();
             assert_eq!(got, Fp61::from_u128(truth as u128), "S={shards}");
             for r in &report.per_shard {
                 assert_eq!(r.rounds, 1, "one-shot is one round trip per shard");
@@ -698,9 +708,13 @@ mod tests {
             .unwrap();
             // Wire-style corruption of one shard's sealed frame.
             proofs[guilty].rounds[2][1] += Fp61::ONE;
-            let err = agg
-                .verify_oneshot(&expected, shard_transcripts(shards, 6, &prefix), &proofs)
-                .unwrap_err();
+            let err = verify_all(
+                &agg,
+                &expected,
+                shard_transcripts(shards, 6, &prefix),
+                &proofs,
+            )
+            .unwrap_err();
             assert_eq!(err.blamed_shard(), Some(guilty as u32), "{err}");
             assert!(matches!(
                 err,
@@ -731,9 +745,13 @@ mod tests {
             &mut report,
         )
         .unwrap();
-        let err = agg
-            .verify_oneshot(&expected, shard_transcripts(shards, 6, &prefix), &proofs)
-            .unwrap_err();
+        let err = verify_all(
+            &agg,
+            &expected,
+            shard_transcripts(shards, 6, &prefix),
+            &proofs,
+        )
+        .unwrap_err();
         assert_eq!(err.blamed_shard(), Some(1), "{err}");
         assert_ne!(
             err,

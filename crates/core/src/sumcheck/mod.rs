@@ -23,7 +23,9 @@
 //! ([`ProverWalk`]), behind a kv store, or across a wire — and
 //! [`drive_session`] is the one conversation over it, the only place its
 //! rounds and words are booked. [`drive_sumcheck`] runs it in process and
-//! hosts the failure-injection hook used by the tamper suite.
+//! hosts the failure-injection hook used by the tamper suite. A fleet of
+//! `S` provers over one shared point has the same pair: [`FleetSession`]
+//! and [`drive_fleet`], the one lockstep loop ([`aggregate`]).
 
 pub mod aggregate;
 pub mod f2;
@@ -33,7 +35,9 @@ pub mod moments;
 pub mod oneshot;
 pub mod range_sum;
 
-pub use aggregate::{drive_sumcheck_sharded, AggregatingVerifier, ShardAdversary};
+pub use aggregate::{
+    drive_fleet, drive_sumcheck_sharded, AggregatingVerifier, FleetSession, ShardAdversary,
+};
 pub use oneshot::{prove_oneshot, verify_oneshot_grid, OneShotProof};
 
 use sip_field::lagrange::eval_from_grid_evals;

@@ -1,5 +1,6 @@
 //! Deterministic chaos: every injected fault class, aimed at every shard,
-//! against both an unreplicated and a replicated fleet.
+//! against both an unreplicated and a replicated fleet, with one-shot and
+//! with interactive queries.
 //!
 //! The acceptance bar for the fault-tolerance layer, as a matrix: for each
 //! fault in {conn-refused, stall, cut-mid-frame, reset-after-N-bytes,
@@ -11,6 +12,10 @@
 //! answer: transient faults fail over to the sibling, and a corrupted
 //! proof is caught by cross-examination, which indicts the liar and
 //! serves the honest replica's verified value.
+//!
+//! Interactive queries move a shard to a sibling only while the query
+//! opens: once a challenge has left, the digest is spent, and a fault
+//! costs that one query (a `Blame` of the afflicted shard), never the next.
 //!
 //! Every fault here is scheduled by a [`FaultPlan`] whose decisions depend
 //! only on the transport's own frame/byte counters, so each cell of the
@@ -33,6 +38,25 @@ use sip::streaming::{workloads, FrequencyVector, ShardPlan, Update};
 const LOG_U: u32 = 8;
 const SHARDS: u32 = 2;
 const REPLICAS: u32 = 2;
+
+/// Which driver a matrix cell queries through.
+#[derive(Copy, Clone, Debug, PartialEq)]
+enum Mode {
+    OneShot,
+    Interactive,
+}
+
+/// One F₂ query in `mode`.
+fn verify<M>(
+    fleet: &mut sip::cluster::Fleet<M, Fp61, FaultTransport<InMemoryTransport>>,
+    f2: ClusterF2Verifier<Fp61>,
+    mode: Mode,
+) -> Result<sip::cluster::FleetVerified<Fp61>, Rejection> {
+    match mode {
+        Mode::OneShot => fleet.verify_f2_oneshot(f2),
+        Mode::Interactive => fleet.verify_f2(f2),
+    }
+}
 
 /// One representative of every fault class, with parameters placed where
 /// the session's traffic will actually trip them. The one-shot client
@@ -84,9 +108,9 @@ fn faulted_transports(
 
 /// Unreplicated fleet, fault on `guilty`: the query either verifies to the
 /// exact ground truth or dies with a typed rejection blaming `guilty`.
-fn run_unreplicated(guilty: u32, fault: &FaultPlan) {
+fn run_unreplicated(guilty: u32, fault: &FaultPlan, mode: Mode) {
     let tag = format!(
-        "unreplicated, shard {guilty}, fault {}",
+        "unreplicated, {mode:?}, shard {guilty}, fault {}",
         fault.fault_class()
     );
     let (stream, truth) = test_stream();
@@ -112,7 +136,7 @@ fn run_unreplicated(guilty: u32, fault: &FaultPlan) {
             client.send_stream(&stream);
             match client.end_stream() {
                 Err(e) => assert_eq!(e.blamed_shard(), Some(guilty), "{tag}: {e}"),
-                Ok(()) => match client.verify_f2_oneshot(f2) {
+                Ok(()) => match verify(&mut client, f2, mode) {
                     Ok(got) => assert_eq!(got.value, truth, "{tag}"),
                     Err(e) => assert_eq!(e.blamed_shard(), Some(guilty), "{tag}: {e}"),
                 },
@@ -126,12 +150,18 @@ fn run_unreplicated(guilty: u32, fault: &FaultPlan) {
 
 /// Replicated fleet, fault on replica 1 of `guilty` — the replica that
 /// per-query rotation samples *first*, so the fault sits on the serving
-/// path. With a sibling covering, no fault class may cost the answer:
-/// transient faults fail over, and the byte-flipped proof is caught by
-/// cross-examination, which indicts the liar and serves the honest
-/// replica's verified value. Honest replicas are never indicted.
-fn run_replicated(guilty: u32, fault: &FaultPlan) {
-    let tag = format!("replicated, shard {guilty}, fault {}", fault.fault_class());
+/// path. With a sibling covering, no fault class may cost a one-shot
+/// answer: transient faults fail over, and the byte-flipped proof is
+/// caught by cross-examination, which indicts the liar and serves the
+/// honest replica's verified value. Interactively, every transient fault
+/// here strikes while the query opens, before any challenge leaves, so the
+/// sibling answers with the same digest; the flipped opening claim is a
+/// lie, blamed on its shard. Honest replicas are never indicted.
+fn run_replicated(guilty: u32, fault: &FaultPlan, mode: Mode) {
+    let tag = format!(
+        "replicated, {mode:?}, shard {guilty}, fault {}",
+        fault.fault_class()
+    );
     let (stream, truth) = test_stream();
     let plan = ShardPlan::new(LOG_U, SHARDS);
     let slots = (SHARDS * REPLICAS) as usize;
@@ -150,11 +180,26 @@ fn run_replicated(guilty: u32, fault: &FaultPlan) {
     fleet.end_stream().unwrap_or_else(|e| {
         panic!("{tag}: ingest must survive on the sibling: {e}");
     });
-    let got = fleet
-        .verify_f2_oneshot(f2)
-        .unwrap_or_else(|e| panic!("{tag}: sibling must cover: {e}"));
+    let lie = fault.fault_class() == "flip_byte";
+    if mode == Mode::Interactive && lie {
+        match fleet.verify_f2(f2) {
+            Ok(got) => assert_eq!(got.value, truth, "{tag}"),
+            Err(e) => assert_eq!(e.blamed_shard(), Some(guilty), "{tag}: {e}"),
+        }
+        assert!(fleet.indictments().is_empty(), "{tag}");
+        // A replica whose reply was undecodable takes no `Bye`; dropping
+        // the fleet closes its connection so its server ends.
+        fleet.bye();
+        drop(fleet);
+        for s in servers {
+            let _ = s.join();
+        }
+        return;
+    }
+    let got =
+        verify(&mut fleet, f2, mode).unwrap_or_else(|e| panic!("{tag}: sibling must cover: {e}"));
     assert_eq!(got.value, truth, "{tag}");
-    if fault.fault_class() == "flip_byte" {
+    if lie {
         // The corrupted proof decodes fine but fails the algebra; the
         // sibling's verifying proof convicts the primary by divergence.
         assert!(
@@ -193,7 +238,7 @@ fn run_replicated(guilty: u32, fault: &FaultPlan) {
 fn chaos_matrix_unreplicated() {
     for guilty in 0..SHARDS {
         for fault in fault_classes() {
-            run_unreplicated(guilty, &fault);
+            run_unreplicated(guilty, &fault, Mode::OneShot);
         }
     }
 }
@@ -202,7 +247,80 @@ fn chaos_matrix_unreplicated() {
 fn chaos_matrix_replicated() {
     for guilty in 0..SHARDS {
         for fault in fault_classes() {
-            run_replicated(guilty, &fault);
+            run_replicated(guilty, &fault, Mode::OneShot);
+        }
+    }
+}
+
+/// The interactive column of the unreplicated matrix. The one-shot fault
+/// parameters land on the query's opening claim here (the client's second
+/// inbound frame).
+#[test]
+fn chaos_matrix_unreplicated_interactive() {
+    for guilty in 0..SHARDS {
+        for fault in fault_classes() {
+            run_unreplicated(guilty, &fault, Mode::Interactive);
+        }
+    }
+}
+
+/// The interactive column of the replicated matrix.
+#[test]
+fn chaos_matrix_replicated_interactive() {
+    for guilty in 0..SHARDS {
+        for fault in fault_classes() {
+            run_replicated(guilty, &fault, Mode::Interactive);
+        }
+    }
+}
+
+/// A transient fault after the first challenge left costs that one query.
+/// Replica 1 of `guilty` — the one query 1 samples — is cut on its
+/// round-2 polynomial (inbound frames: hello ack, claim, `g_1`, `g_2`),
+/// after `r_1` went out. The digest is spent, so the query ends in a
+/// `Blame` of the shard instead of replaying the conversation on the
+/// sibling, and the sibling hears not one frame of it. The next query,
+/// with a fresh digest, verifies on the sibling.
+#[test]
+fn fault_after_the_first_challenge_costs_one_query() {
+    let (stream, truth) = test_stream();
+    let plan = ShardPlan::new(LOG_U, SHARDS);
+    for guilty in 0..SHARDS {
+        let tag = format!("shard {guilty}");
+        let mut faults = vec![FaultPlan::none(); (SHARDS * REPLICAS) as usize];
+        faults[(guilty * REPLICAS + 1) as usize] = FaultPlan::cut_after(3);
+        let (transports, servers) = faulted_transports(&faults);
+        let mut rng = StdRng::seed_from_u64(300 + guilty as u64);
+        let mut spent = ClusterF2Verifier::<Fp61>::new(plan, &mut rng);
+        let mut fresh = ClusterF2Verifier::<Fp61>::new(plan, &mut rng);
+        for &up in &stream {
+            spent.update(up);
+            fresh.update(up);
+        }
+        let mut fleet = ReplicaFleet::from_transports(transports, LOG_U, REPLICAS).unwrap();
+        fleet.send_stream(&stream);
+        fleet.end_stream().unwrap();
+        let sibling = (guilty * REPLICAS) as usize;
+        let before = fleet.stats()[sibling];
+        let err = fleet.verify_f2(spent).unwrap_err();
+        assert_eq!(err.blamed_shard(), Some(guilty), "{tag}: {err}");
+        assert!(err.is_transient(), "{tag}: {err}");
+        assert!(
+            matches!(fleet.health(guilty, 1), ReplicaHealth::Faulted(_)),
+            "{tag}"
+        );
+        assert_eq!(
+            fleet.stats()[sibling],
+            before,
+            "{tag}: the sibling heard the spent digest's query"
+        );
+        let got = fleet.verify_f2(fresh).unwrap();
+        assert_eq!(got.value, truth, "{tag}");
+        assert_eq!(got.served_by[guilty as usize], 0, "{tag}");
+        assert!(fleet.indictments().is_empty(), "{tag}");
+        fleet.bye();
+        for s in servers {
+            let _ = s.join();
         }
     }
 }
@@ -216,7 +334,7 @@ fn chaos_matrix_seeded_sweep() {
     for seed in 0..24u64 {
         let fault = FaultPlan::seeded(seed);
         let guilty = (seed % SHARDS as u64) as u32;
-        run_unreplicated(guilty, &fault);
+        run_unreplicated(guilty, &fault, Mode::OneShot);
     }
 }
 

@@ -12,10 +12,10 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sip::cluster::{
-    boxed_kv_fleet, connect_kv_fleet, spawn_local_fleet, ClusterClient, ClusterF2Verifier,
-    ClusterRangeSumVerifier, ClusterReportVerifier,
+    boxed_kv_fleet, connect_kv_fleet, spawn_local_fleet, spawn_replica_fleet, ClusterClient,
+    ClusterF2Verifier, ClusterRangeSumVerifier, ClusterReportVerifier, Fleet, ReplicaFleet,
 };
-use sip::core::channel::{FramedTcpTransport, LatencyTransport};
+use sip::core::channel::{ClusterCostReport, FramedTcpTransport, LatencyTransport, TransportStats};
 use sip::field::{Fp127, Fp61, PrimeField};
 use sip::kvstore::{QueryBudget, ShardedClient};
 
@@ -370,4 +370,69 @@ fn interactive_rounds_overlap_shard_waits() {
             "{query}: {wall:?} is not under 2 × (log u + 1) × RTT; the shard waits did not overlap"
         );
     }
+}
+
+/// One answer of [`four_queries`]: the value, the books, and every shard's
+/// transport counters after it.
+type Answer = (String, ClusterCostReport, Vec<TransportStats>);
+
+/// Ingests `stream`, then asks interactive F₂, RANGE-SUM, one-shot F₂ and
+/// a report, from digests drawn off one fixed seed.
+fn four_queries<M>(
+    fleet: &mut Fleet<M, Fp61, FramedTcpTransport>,
+    stream: &[sip::streaming::Update],
+) -> Vec<Answer> {
+    let plan = *fleet.plan();
+    let u = 1u64 << plan.log_u();
+    let mut rng = StdRng::seed_from_u64(33);
+    let mut f2 = ClusterF2Verifier::<Fp61>::new(plan, &mut rng);
+    let mut rs = ClusterRangeSumVerifier::<Fp61>::new(plan, &mut rng);
+    let mut oneshot = ClusterF2Verifier::<Fp61>::new(plan, &mut rng);
+    let mut rep = ClusterReportVerifier::<Fp61>::new(plan, &mut rng);
+    for &up in stream {
+        f2.update(up);
+        rs.update(up);
+        oneshot.update(up);
+        rep.update(up);
+    }
+    fleet.send_stream(stream);
+    fleet.end_stream().unwrap();
+    let mut answers = Vec::new();
+    let got = fleet.verify_f2(f2).unwrap();
+    answers.push((format!("{:?}", got.value), got.report, fleet.stats()));
+    let got = fleet.verify_range_sum(rs, u / 8, u / 2).unwrap();
+    answers.push((format!("{:?}", got.value), got.report, fleet.stats()));
+    let got = fleet.verify_f2_oneshot(oneshot).unwrap();
+    answers.push((format!("{:?}", got.value), got.report, fleet.stats()));
+    let got = fleet.verify_report(rep, u / 8, u / 2).unwrap();
+    answers.push((format!("{:?}", got.value), got.report, fleet.stats()));
+    answers
+}
+
+/// At one replica a `ReplicaFleet` is the plain cluster: a 2-shard fleet
+/// reached through the replica constructors answers interactive F₂,
+/// RANGE-SUM, one-shot F₂ and the report with the value, the books and,
+/// shard by shard, the frames and bytes that `ClusterClient` does.
+#[test]
+fn one_replica_fleet_matches_the_cluster_client() {
+    const SHARDS: u32 = 2;
+    let log_u = 8;
+    let stream = workloads::uniform(300, 1 << log_u, 25, 31);
+
+    let (handles, addrs) = spawn_fleet(SHARDS, log_u);
+    let mut cluster: ClusterClient<Fp61, _> = ClusterClient::connect(&addrs, log_u).unwrap();
+    let expect = four_queries(&mut cluster, &stream);
+    cluster.bye().unwrap();
+    for h in handles {
+        h.shutdown();
+    }
+
+    let (handles, addrs) = spawn_replica_fleet::<Fp61>(SHARDS, 1, log_u).unwrap();
+    let mut fleet: ReplicaFleet<Fp61, _> = ReplicaFleet::connect(&addrs, log_u, 1).unwrap();
+    let got = four_queries(&mut fleet, &stream);
+    fleet.bye();
+    for h in handles {
+        h.shutdown();
+    }
+    assert_eq!(got, expect);
 }

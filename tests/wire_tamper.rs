@@ -77,6 +77,10 @@ fn mitm(upstream: SocketAddr, flip: Option<usize>) -> (SocketAddr, Arc<AtomicUsi
             let _ = client_side.shutdown(Shutdown::Both);
             return;
         };
+        // Forward each write at once: with Nagle on, every small frame the
+        // proxy relays stalls on the peer's delayed ACK (~40 ms).
+        let _ = client_side.set_nodelay(true);
+        let _ = server_side.set_nodelay(true);
         let c2s = (
             client_side.try_clone().unwrap(),
             server_side.try_clone().unwrap(),
