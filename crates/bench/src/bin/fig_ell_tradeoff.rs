@@ -32,7 +32,10 @@ fn main() {
         "wall_secs",
     ]);
     let mut rng = StdRng::seed_from_u64(4);
-    for log_ell in [1u32, 2, 4, log_u / 2] {
+    // `log u / 2` is the one-round end; at `log u = 8` it is already 4.
+    let mut log_ells = vec![1u32, 2, 4, log_u / 2];
+    log_ells.dedup();
+    for log_ell in log_ells {
         let ell = 1u64 << log_ell;
         let d = log_u / log_ell;
         if ell.pow(d) < u {

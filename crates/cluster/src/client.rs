@@ -65,7 +65,8 @@ pub enum Replicated {}
 /// digest; once one has, the digest is spent and the query ends in
 /// `Blame(s, Io)`. A one-shot query re-asks a sibling after any failure
 /// and indicts a replica whose proof failed where a sibling's verified
-/// ([`Rejection::ReplicaDivergence`]).
+/// ([`Rejection::ReplicaDivergence`]). Either way, a replica whose
+/// connection a wire fault condemned leaves rotation when the query ends.
 pub struct Fleet<M, F: PrimeField, T: Transport> {
     pub(crate) rplan: ReplicaPlan,
     router: ShardRouter,
@@ -630,7 +631,11 @@ impl<M, F: PrimeField, T: Transport> Fleet<M, F, T> {
 
     /// Ends a query: every replica asked hears the fleet-level verdict
     /// (including whom a rejection blames — the guilty shard sees its own
-    /// indictment), and a rejection dumps the flight recorder.
+    /// indictment), one whose connection a wire fault condemned (an
+    /// undecodable reply, an error frame) leaves rotation as
+    /// [`ReplicaHealth::Faulted`](crate::ReplicaHealth::Faulted) — its
+    /// every later frame would fail at once — and a rejection dumps the
+    /// flight recorder.
     fn close(
         &mut self,
         queried: &[usize],
@@ -638,8 +643,13 @@ impl<M, F: PrimeField, T: Transport> Fleet<M, F, T> {
         result: Result<(F, Vec<u32>), Rejection>,
     ) -> Result<FleetVerified<F>, Rejection> {
         let verdict = result.clone().map(|(value, _)| value);
-        for (_, client) in self.clients(queried) {
+        let mut condemned = Vec::new();
+        for (slot, client) in self.clients(queried) {
             client.verdict(&verdict);
+            condemned.extend(client.fault().map(|cause| (slot, cause)));
+        }
+        for (slot, cause) in condemned {
+            self.fail_over(slot, cause);
         }
         if let Err(rej) = &result {
             self.dump("blame", rej);

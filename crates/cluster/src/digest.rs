@@ -15,6 +15,7 @@ use std::marker::PhantomData;
 
 use rand::Rng;
 use sip_core::sumcheck::AggregatingVerifier;
+pub use sip_core::sumcheck::{RangeSum, SelfJoin};
 use sip_field::PrimeField;
 use sip_lde::{range_indicator_lde, LdeParams, StreamingLdeEvaluator};
 use sip_streaming::{ShardPlan, Update};
@@ -133,20 +134,13 @@ impl<F: PrimeField> ShardedLde<F> {
 /// Streaming verifier digest for one fleet-wide sum-check query of family
 /// `Q`: the shard-resolved LDE at one secret point. Its two names are
 /// [`ClusterF2Verifier`] and [`ClusterRangeSumVerifier`]; they differ only
-/// in the final values [`ClusterDigest::into_session`] derives.
+/// in the final values [`ClusterDigest::into_session`] derives. `Q` is the
+/// single-point verifiers' query marker ([`SelfJoin`], [`RangeSum`]).
 #[derive(Clone, Debug)]
 pub struct ClusterDigest<Q, F: PrimeField> {
     lde: ShardedLde<F>,
     _query: PhantomData<Q>,
 }
-
-/// Query family of [`ClusterF2Verifier`].
-#[derive(Clone, Debug)]
-pub enum SelfJoin {}
-
-/// Query family of [`ClusterRangeSumVerifier`].
-#[derive(Clone, Debug)]
-pub enum RangeSum {}
 
 /// Streaming verifier digest for a fleet-wide SELF-JOIN SIZE (F₂) query.
 pub type ClusterF2Verifier<F> = ClusterDigest<SelfJoin, F>;

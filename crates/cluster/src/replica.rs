@@ -345,7 +345,8 @@ impl<M, F: PrimeField, T: Transport> Fleet<M, F, T> {
             .collect()
     }
 
-    /// Takes slot `slot` out of service after an I/O fault.
+    /// Takes slot `slot` out of service after a fault that broke its
+    /// connection.
     pub(crate) fn fail_over(&mut self, slot: usize, cause: Rejection) {
         let (s, r) = self.rplan.slot_coords(slot);
         if sip_obs::enabled() {
@@ -566,6 +567,46 @@ mod tests {
             .map(|(i, f)| (i, Fp61::from_i64(f)))
             .collect();
         assert_eq!(got.value, expect);
+        fleet.bye();
+        for s in servers {
+            let _ = s.join();
+        }
+    }
+
+    /// A replica whose reply the verifier could not decode has a condemned
+    /// connection: it leaves rotation as `Faulted` (so `readmit` can bring
+    /// it back) and costs one query, not every other one.
+    #[test]
+    fn condemned_replica_leaves_rotation() {
+        let log_u = 6;
+        let stream = workloads::uniform(120, 1 << log_u, 9, 3);
+        let fv = FrequencyVector::from_stream(1 << log_u, &stream);
+        let expect = Fp61::from_u128(fv.self_join_size() as u128);
+        let plan = ShardPlan::new(log_u, 1);
+        let mut rng = StdRng::seed_from_u64(12);
+        let faults = [FaultPlan::none(), FaultPlan::flip_byte(1, 0)];
+        let (mut fleet, servers) = replica_fleet(1, 2, log_u, &faults);
+        let mut digests: Vec<_> = (0..4)
+            .map(|_| ClusterF2Verifier::<Fp61>::new(plan, &mut rng))
+            .collect();
+        for digest in &mut digests {
+            digest.update_all(&stream);
+        }
+        fleet.send_stream(&stream);
+        fleet.end_stream().unwrap();
+        let mut failed = 0;
+        for digest in digests {
+            match fleet.verify_f2(digest) {
+                Ok(got) => assert_eq!(got.value, expect),
+                Err(_) => failed += 1,
+            }
+        }
+        assert!(failed <= 1, "{failed} of 4 queries failed");
+        assert!(
+            matches!(fleet.health(0, 1), ReplicaHealth::Faulted(_)),
+            "{:?}",
+            fleet.health(0, 1)
+        );
         fleet.bye();
         for s in servers {
             let _ = s.join();

@@ -16,7 +16,6 @@
 //!   verdict, squaring/cubing/… the soundness error.
 
 use rand::Rng;
-use sip_field::lagrange::eval_from_grid_evals;
 use sip_field::PrimeField;
 use sip_lde::{range_indicator_lde, LdeParams, MultiLdeEvaluator, StreamingLdeEvaluator};
 use sip_streaming::{FrequencyVector, Update};
@@ -27,7 +26,7 @@ use crate::error::Rejection;
 use crate::sumcheck::f2::{F2Prover, F2Verifier};
 use crate::sumcheck::moments::VerifiedAggregate;
 use crate::sumcheck::range_sum::{IndicatorLevel, RangeSumCombine};
-use crate::sumcheck::{drive_sumcheck, RoundProver};
+use crate::sumcheck::{drive_sumcheck, RoundProver, SumCheckVerifierCore};
 
 /// A batch of verified range sums plus the shared cost accounting.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -61,8 +60,6 @@ pub fn run_batch_range_sum<F: PrimeField, R: Rng + ?Sized>(
     // --- Shared streaming digest. ---------------------------------------
     let mut lde = StreamingLdeEvaluator::<F>::random(LdeParams::binary(log_u), rng);
     lde.update_batch(stream);
-    let point = lde.point().to_vec();
-    let fa_r = lde.value();
 
     // --- Prover: one shared fold of `a`, one indicator level per query. --
     let fv = FrequencyVector::from_stream(u, stream);
@@ -76,32 +73,25 @@ pub fn run_batch_range_sum<F: PrimeField, R: Rng + ?Sized>(
     };
     let mut levels = levels_after(&challenges);
 
-    // --- Verifier session state per query. -------------------------------
-    let mut outputs = vec![F::ZERO; ranges.len()];
-    let mut claims = vec![F::ZERO; ranges.len()];
+    // --- Verifier: one round checker per query over the shared point. ----
+    let mut cores = vec![SumCheckVerifierCore::from_lde(&lde, 2); ranges.len()];
     let mut report = CostReport {
         v_to_p_words: 2 * ranges.len(), // the query ranges
-        verifier_space_words: lde.space_words() + 3 * ranges.len(),
+        verifier_space_words: lde.space_words() + cores.len() * cores[0].space_words(),
         ..CostReport::default()
     };
 
-    for (j, &r_j) in point.iter().enumerate().take(d) {
+    for _ in 0..d {
         report.rounds += 1;
         // One message per query this round, all from the same sweep of `a`.
         let msgs = a.message(&RangeSumCombine { ranges: &levels });
-        for (qi, e) in msgs.chunks_exact(3).enumerate() {
-            report.p_to_v_words += 3;
-            // Verifier-side round checks for query qi.
-            let grid_sum = e[0] + e[1];
-            if j == 0 {
-                outputs[qi] = grid_sum;
-            } else if grid_sum != claims[qi] {
-                return Err(Rejection::RoundSumMismatch { round: j + 1 });
-            }
-            claims[qi] = eval_from_grid_evals(e, r_j);
+        let mut challenge = None;
+        for (core, msg) in cores.iter_mut().zip(msgs.chunks_exact(3)) {
+            report.p_to_v_words += msg.len();
+            challenge = core.receive(msg)?;
         }
         // One shared challenge for all queries.
-        if j + 1 < d {
+        if let Some(r_j) = challenge {
             report.v_to_p_words += 1;
             challenges.push(r_j);
             levels = levels_after(&challenges);
@@ -110,16 +100,13 @@ pub fn run_batch_range_sum<F: PrimeField, R: Rng + ?Sized>(
     }
 
     // --- Final checks: g_d(r_d) = f_a(r)·f_b_i(r) per query. -------------
-    for (qi, &(q_l, q_r)) in ranges.iter().enumerate() {
-        let fb_r = range_indicator_lde(q_l, q_r, &point);
-        if claims[qi] != fa_r * fb_r {
-            return Err(Rejection::FinalCheckFailed);
-        }
-    }
-    Ok(VerifiedBatch {
-        values: outputs,
-        report,
-    })
+    let fa_r = lde.value();
+    let values = cores
+        .iter()
+        .zip(ranges)
+        .map(|(core, &(q_l, q_r))| core.finalize(fa_r * range_indicator_lde(q_l, q_r, lde.point())))
+        .collect::<Result<_, _>>()?;
+    Ok(VerifiedBatch { values, report })
 }
 
 /// Runs `copies` independent F₂ protocols over the same stream in one

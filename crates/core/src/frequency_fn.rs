@@ -195,7 +195,7 @@ pub fn run_frequency_fn_with_adversary<F: PrimeField, R: Rng + ?Sized>(
         residual.apply(Update::new(i, -(c as i64)));
     }
     let mut prover = FrequencyFnProver::new(&residual, log_u, h_evals);
-    let mut core = SumCheckVerifierCore::new(lde.point().to_vec(), cap as usize);
+    let mut core = SumCheckVerifierCore::from_lde(&lde, cap as usize);
     let mut report = CostReport {
         verifier_space_words: streaming_space + cap as usize + 3,
         ..CostReport::default()

@@ -23,88 +23,28 @@ use std::sync::Arc;
 
 use rand::Rng;
 use sip_field::PrimeField;
-use sip_lde::{LdeParams, StreamingLdeEvaluator, WeightBank};
+use sip_lde::LdeParams;
 use sip_streaming::{Entries, FrequencyVector, Update};
 
 use crate::channel::CostReport;
-use crate::digest_bank::BankedDigest;
 use crate::engine::{Combine, FusedRounds};
 use crate::error::Rejection;
 use crate::fold::{BindSource, PackedBlocks};
 
 use super::moments::VerifiedAggregate;
-use super::{drive_sumcheck, Adversary, RoundProver, SumCheckVerifierCore};
+use super::{drive_sumcheck, Adversary, LdeDigest, RoundProver, SelfJoin};
 
-/// Streaming verifier for SELF-JOIN SIZE over `[2^log_u]`.
+/// Streaming verifier for SELF-JOIN SIZE over `[2^log_u]`: the
+/// [`LdeDigest`] of a binary [`SelfJoin`] query.
 ///
-/// Space: `log u + 1` words of protocol state; time per update `O(log u)`.
-#[derive(Clone, Debug)]
-pub struct F2Verifier<F: PrimeField> {
-    lde: StreamingLdeEvaluator<F>,
-}
+/// Space: `log u + 1` words of digest plus 3 of round state; time per
+/// update `O(log u)`.
+pub type F2Verifier<F> = LdeDigest<SelfJoin, F>;
 
 impl<F: PrimeField> F2Verifier<F> {
     /// Draws the secret point `r` and prepares to observe the stream.
     pub fn new<R: Rng + ?Sized>(log_u: u32, rng: &mut R) -> Self {
-        F2Verifier {
-            lde: StreamingLdeEvaluator::random(LdeParams::binary(log_u), rng),
-        }
-    }
-
-    /// The streaming digest (the verifier's entire protocol state) — what a
-    /// checkpoint must capture.
-    pub fn evaluator(&self) -> &StreamingLdeEvaluator<F> {
-        &self.lde
-    }
-
-    /// Rebuilds the verifier around a restored digest (checkpoint resume).
-    ///
-    /// # Panics
-    /// Panics if the evaluator is not over the binary parameterisation
-    /// this protocol runs on.
-    pub fn from_evaluator(lde: StreamingLdeEvaluator<F>) -> Self {
-        assert_eq!(lde.params().base(), 2, "F2 runs over the binary LDE");
-        F2Verifier { lde }
-    }
-
-    /// Processes one stream update.
-    pub fn update(&mut self, up: Update) {
-        self.lde.update(up);
-    }
-
-    /// Processes a whole stream.
-    pub fn update_all(&mut self, stream: &[Update]) {
-        self.lde.update_all(stream);
-    }
-
-    /// Processes a whole batch through the delayed-reduction ingest path;
-    /// the digest value is bit-identical to per-update [`Self::update`].
-    pub fn update_batch(&mut self, batch: &[Update]) {
-        self.lde.update_batch(batch);
-    }
-
-    /// Verifier space in words.
-    pub fn space_words(&self) -> usize {
-        self.lde.space_words() + 3
-    }
-
-    /// Ends streaming; returns the round-checking core and the final-check
-    /// value `f_a(r)²`.
-    pub fn into_session(self) -> (SumCheckVerifierCore<F>, F) {
-        let fa_r = self.lde.value();
-        (
-            SumCheckVerifierCore::new(self.lde.point().to_vec(), 2),
-            fa_r * fa_r,
-        )
-    }
-}
-
-impl<F: PrimeField> BankedDigest<F> for F2Verifier<F> {
-    fn push_weights(&self, bank: &mut WeightBank<F>) {
-        bank.push_lde_point(self.lde.point());
-    }
-    fn absorb(&mut self, partial: F, n_updates: u64) {
-        self.lde.absorb(partial, n_updates);
+        Self::drawn(SelfJoin, LdeParams::binary(log_u), rng)
     }
 }
 

@@ -10,128 +10,53 @@
 //!
 //! Messages carry `2(ℓ−1)+1` evaluations; the verifier checks
 //! `Σ_{x∈[ℓ]} g_j(x) = g_{j−1}(r_{j−1})` and finally
-//! `g_d(r_d) = f_a(r)²`.
+//! `g_d(r_d) = f_a(r)²` — the one [`SumCheckVerifierCore`](crate::sumcheck::SumCheckVerifierCore) every protocol
+//! runs, at the base the digest's parameters fix.
 
 use rand::Rng;
-use sip_field::lagrange::{chi_all, eval_from_grid_evals};
+use sip_field::lagrange::chi_all;
 use sip_field::PrimeField;
-use sip_lde::{LdeParams, StreamingLdeEvaluator};
+use sip_lde::LdeParams;
 use sip_streaming::{FrequencyVector, Update};
 
 use crate::channel::CostReport;
 use crate::engine::{fold_message, Combine, FoldSource};
 use crate::error::Rejection;
 use crate::sumcheck::moments::VerifiedAggregate;
-use crate::sumcheck::oneshot::{verify_oneshot_grid, OneShotProof};
-use crate::sumcheck::RoundProver;
+use crate::sumcheck::oneshot::OneShotProof;
+use crate::sumcheck::{drive_sumcheck, LdeDigest, RoundProver, SelfJoin};
 use crate::transcript::{query_transcript, Transcript};
 
-/// Streaming verifier for F₂ over `[ℓ^d]`.
-#[derive(Clone, Debug)]
-pub struct GeneralF2Verifier<F: PrimeField> {
-    lde: StreamingLdeEvaluator<F>,
-}
+/// Streaming verifier for F₂ over `[ℓ^d]`: the [`LdeDigest`] of a
+/// [`SelfJoin`] query at any base. Its rounds run through the one
+/// [`SumCheckVerifierCore`](crate::sumcheck::SumCheckVerifierCore), which reads `ℓ` off the digest.
+pub type GeneralF2Verifier<F> = LdeDigest<SelfJoin<true>, F>;
 
 impl<F: PrimeField> GeneralF2Verifier<F> {
     /// Draws the secret point over `[ℓ^d]`.
     pub fn new<R: Rng + ?Sized>(params: LdeParams, rng: &mut R) -> Self {
-        GeneralF2Verifier {
-            lde: StreamingLdeEvaluator::random(params, rng),
-        }
+        Self::drawn(SelfJoin, params, rng)
     }
 
-    /// The streaming digest (the verifier's entire protocol state) — what a
-    /// checkpoint must capture.
-    pub fn evaluator(&self) -> &StreamingLdeEvaluator<F> {
-        &self.lde
-    }
-
-    /// Rebuilds the verifier around a restored digest (checkpoint resume);
-    /// any base is legal here — that is this protocol's point.
-    pub fn from_evaluator(lde: StreamingLdeEvaluator<F>) -> Self {
-        GeneralF2Verifier { lde }
-    }
-
-    /// Processes one stream update (`O(d)` with cached χ tables).
-    pub fn update(&mut self, up: Update) {
-        self.lde.update(up);
-    }
-
-    /// Processes a whole stream.
-    pub fn update_all(&mut self, stream: &[Update]) {
-        self.lde.update_all(stream);
-    }
-
-    /// Processes a whole batch through the delayed-reduction,
-    /// division-free ingest path (the [`sip_lde::DigitPlan`] also covers
-    /// general bases); bit-identical to per-update [`Self::update`].
-    pub fn update_batch(&mut self, batch: &[Update]) {
-        self.lde.update_batch(batch);
-    }
-
-    /// Verifier space in words: point + accumulator + one message buffer of
-    /// `2ℓ−1` evaluations (the paper's `O(d + ℓ)`).
-    pub fn space_words(&self) -> usize {
-        let params = self.lde.params();
-        params.dimension() as usize + 1 + (2 * params.base() as usize - 1) + 3
-    }
-
-    /// Runs the verification conversation against an honest prover.
+    /// Runs the verification conversation ([`drive_sumcheck`]) against an
+    /// honest prover.
     pub fn verify(
         self,
         prover: &mut GeneralF2Prover<F>,
     ) -> Result<VerifiedAggregate<F>, Rejection> {
-        let params = self.lde.params();
-        let ell = params.base();
-        let d = params.dimension() as usize;
-        let degree = 2 * (ell as usize - 1);
-        let point = self.lde.point().to_vec();
-        let expected = self.lde.value() * self.lde.value();
-        let space = self.space_words();
-
         let mut report = CostReport {
-            verifier_space_words: space,
+            verifier_space_words: self.space_words(),
             ..CostReport::default()
         };
-        let mut output = F::ZERO;
-        let mut claim = F::ZERO;
-        #[allow(clippy::needless_range_loop)]
-        for j in 0..d {
-            let msg = prover.message();
-            report.rounds += 1;
-            report.p_to_v_words += msg.len();
-            if msg.len() != degree + 1 {
-                return Err(Rejection::WrongMessageLength {
-                    round: j + 1,
-                    expected: degree + 1,
-                    got: msg.len(),
-                });
-            }
-            let grid_sum: F = msg[..ell as usize].iter().copied().sum();
-            if j == 0 {
-                output = grid_sum;
-            } else if grid_sum != claim {
-                return Err(Rejection::RoundSumMismatch { round: j + 1 });
-            }
-            claim = eval_from_grid_evals(&msg, point[j]);
-            if j + 1 < d {
-                report.v_to_p_words += 1;
-                prover.bind(point[j]);
-            }
-        }
-        if claim != expected {
-            return Err(Rejection::FinalCheckFailed);
-        }
-        Ok(VerifiedAggregate {
-            value: output,
-            report,
-        })
+        let (mut core, expected) = self.into_session();
+        let value = drive_sumcheck(prover, &mut core, expected, &mut report, None)?;
+        Ok(VerifiedAggregate { value, report })
     }
 
     /// The revealed challenge prefix of a one-shot run: every coordinate
     /// of the secret point except the last.
     pub fn challenge_prefix(&self) -> &[F] {
-        let point = self.lde.point();
+        let point = self.evaluator().point();
         &point[..point.len() - 1]
     }
 
@@ -139,7 +64,7 @@ impl<F: PrimeField> GeneralF2Verifier<F> {
     /// protocol `"general-f2"` with the base as a parameter and the digit
     /// dimension `d` in the `log_u` slot.
     pub fn oneshot_transcript(&self) -> Transcript {
-        let params = self.lde.params();
+        let params = self.evaluator().params();
         query_transcript::<F>(
             "general-f2",
             params.dimension(),
@@ -149,10 +74,10 @@ impl<F: PrimeField> GeneralF2Verifier<F> {
         )
     }
 
-    /// One-shot counterpart of [`Self::verify`]: the deferred transcript
-    /// check of [`verify_oneshot_grid`] with grid width `ℓ` and per-round
-    /// degree `2(ℓ−1)`. `transcript` must match
-    /// [`Self::oneshot_transcript`] (the prover seals the same context).
+    /// One-shot counterpart of [`Self::verify`]: the core's deferred
+    /// transcript check ([`SumCheckVerifierCore::verify_oneshot`](crate::sumcheck::SumCheckVerifierCore::verify_oneshot)) at grid
+    /// width `ℓ`. `transcript` must match [`Self::oneshot_transcript`] (the
+    /// prover seals the same context).
     ///
     /// # Soundness
     /// None: a prover that uses the revealed prefix has a false answer accepted
@@ -162,22 +87,15 @@ impl<F: PrimeField> GeneralF2Verifier<F> {
         transcript: Transcript,
         proof: &OneShotProof<F>,
     ) -> Result<VerifiedAggregate<F>, Rejection> {
-        let params = self.lde.params();
-        let ell = params.base() as usize;
-        let degree = 2 * (ell - 1);
-        let space = self.space_words();
-        let expected = self.lde.value() * self.lde.value();
-        let value =
-            verify_oneshot_grid(self.lde.point(), degree, ell, expected, transcript, proof)?;
-        Ok(VerifiedAggregate {
-            value,
-            report: CostReport {
-                rounds: 1,
-                p_to_v_words: proof.words(),
-                v_to_p_words: params.dimension() as usize - 1,
-                verifier_space_words: space,
-            },
-        })
+        let report = CostReport {
+            rounds: 1,
+            p_to_v_words: proof.words(),
+            v_to_p_words: self.challenge_prefix().len(),
+            verifier_space_words: self.space_words(),
+        };
+        let (core, expected) = self.into_session();
+        let value = core.verify_oneshot(expected, transcript, proof)?;
+        Ok(VerifiedAggregate { value, report })
     }
 }
 
@@ -319,7 +237,7 @@ mod tests {
         let gen = run_general_f2::<Fp61, _>(LdeParams::binary(8), &stream, &mut rng).unwrap();
         let spec = crate::sumcheck::f2::run_f2::<Fp61, _>(8, &stream, &mut rng).unwrap();
         assert_eq!(gen.value, spec.value);
-        assert_eq!(gen.report.p_to_v_words, spec.report.p_to_v_words);
+        assert_eq!(gen.report, spec.report);
     }
 
     #[test]
@@ -388,18 +306,71 @@ mod tests {
         assert_ne!(err, Rejection::TranscriptMismatch, "{err}");
     }
 
+    /// Each lie is named exactly where the one core catches it, at bases
+    /// the binary protocols never run.
     #[test]
     fn dishonest_round_rejected() {
-        // Tamper by binding the prover to a different stream.
+        use crate::sumcheck::{drive_sumcheck, Adversary};
         let mut rng = StdRng::seed_from_u64(4);
-        let params = LdeParams::new(4, 4);
-        let stream = workloads::uniform(100, 200, 5, 5);
-        let mut verifier = GeneralF2Verifier::<Fp61>::new(params, &mut rng);
-        verifier.update_all(&stream);
-        let mut wrong = stream.clone();
-        wrong[0].delta += 1;
-        let fv = FrequencyVector::from_stream(params.universe(), &wrong);
-        let mut prover = GeneralF2Prover::new(&fv, params);
-        assert!(verifier.verify(&mut prover).is_err());
+        for &(ell, d) in &[(3u64, 4u32), (4, 4), (16, 3)] {
+            let params = LdeParams::new(ell, d);
+            let stream = workloads::uniform(100, params.universe(), 5, 5);
+            let fv = FrequencyVector::from_stream(params.universe(), &stream);
+            let mut wrong = stream.clone();
+            wrong[0].delta += 1;
+            let wrong = FrequencyVector::from_stream(params.universe(), &wrong);
+            let mut against = |fv: &FrequencyVector, adversary: Option<Adversary<'_, Fp61>>| {
+                let mut verifier = GeneralF2Verifier::<Fp61>::new(params, &mut rng);
+                verifier.update_all(&stream);
+                let (mut core, expected) = verifier.into_session();
+                let mut prover = GeneralF2Prover::new(fv, params);
+                let mut report = CostReport::default();
+                drive_sumcheck(&mut prover, &mut core, expected, &mut report, adversary)
+            };
+            // A prover over other data passes every round sum.
+            let other = against(&wrong, None);
+            assert_eq!(other, Err(Rejection::FinalCheckFailed), "ell={ell}");
+            let mut run = |adversary: Adversary<'_, Fp61>| against(&fv, Some(adversary));
+            let (last, degree) = (d as usize, 2 * (ell as usize - 1));
+            let short = run(&mut |round, msg| {
+                if round == 2 {
+                    msg.pop();
+                }
+            });
+            let expected = degree + 1;
+            let got = degree;
+            assert_eq!(
+                short,
+                Err(Rejection::WrongMessageLength {
+                    round: 2,
+                    expected,
+                    got
+                }),
+                "ell={ell}"
+            );
+            for j in 2..=last {
+                // A grid evaluation moved: round j no longer sums to
+                // g_{j−1}(r_{j−1}).
+                let moved = run(&mut |round, msg| {
+                    if round == j {
+                        msg[0] += Fp61::ONE;
+                    }
+                });
+                let round = j;
+                assert_eq!(
+                    moved,
+                    Err(Rejection::RoundSumMismatch { round }),
+                    "ell={ell}"
+                );
+            }
+            // The last polynomial moved off the grid: every round sum holds,
+            // g_d(r_d) does not.
+            let off_grid = run(&mut |round, msg| {
+                if round == last {
+                    msg[degree] += Fp61::ONE;
+                }
+            });
+            assert_eq!(off_grid, Err(Rejection::FinalCheckFailed), "ell={ell}");
+        }
     }
 }

@@ -93,10 +93,7 @@ impl<F: PrimeField> InnerProductVerifier<F> {
     /// Ends streaming; final check value is `f_a(r)·f_b(r)`.
     pub fn into_session(self) -> (SumCheckVerifierCore<F>, F) {
         let expected = self.lde_a.value() * self.lde_b.value();
-        (
-            SumCheckVerifierCore::new(self.lde_a.point().to_vec(), 2),
-            expected,
-        )
+        (SumCheckVerifierCore::from_lde(&self.lde_a, 2), expected)
     }
 }
 

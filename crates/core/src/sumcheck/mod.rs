@@ -1,22 +1,25 @@
 //! The multi-round sum-check machinery of Section 3.
 //!
-//! All four aggregation protocols (SELF-JOIN SIZE, frequency moments,
-//! INNER PRODUCT, RANGE-SUM) share the same skeleton, run over the
-//! multilinear parameterisation `ℓ = 2`, `d = log₂ u`:
+//! All the aggregation protocols (SELF-JOIN SIZE, frequency moments,
+//! INNER PRODUCT, RANGE-SUM) share the same skeleton over `u = ℓ^d` — the
+//! multilinear `ℓ = 2`, `d = log₂ u` everywhere but footnote 1's
+//! trade-off ([`general_ell`]):
 //!
 //! 1. Before the stream, `V` draws a secret random point
 //!    `r = (r_1, …, r_d) ∈ Z_p^d` and, while observing the stream, evaluates
 //!    the LDE(s) `f(r)` incrementally (Theorem 1).
 //! 2. After the stream, `P` sends a univariate polynomial `g_1` claimed to
 //!    equal the sum of the target polynomial over all but the first
-//!    variable. `V` learns the claimed answer `Σ_{x₁∈[2]} g_1(x₁)`.
+//!    variable. `V` learns the claimed answer `Σ_{x₁∈[ℓ]} g_1(x₁)`.
 //! 3. In round `j > 1`, `V` reveals `r_{j−1}`; `P` answers with `g_j`; `V`
-//!    checks the *round-sum consistency* `Σ_{x∈[2]} g_j(x) = g_{j−1}(r_{j−1})`.
+//!    checks the *round-sum consistency* `Σ_{x∈[ℓ]} g_j(x) = g_{j−1}(r_{j−1})`.
 //! 4. After round `d`, `V` checks `g_d(r_d)` against its own streamed
 //!    evaluation — `f_a(r)²` for F₂, `f_a(r)·f_b(r)` for inner product, etc.
 //!    `r_d` is never revealed.
 //!
-//! [`SumCheckVerifierCore`] implements steps 2–4 generically;
+//! [`SumCheckVerifierCore`] implements steps 2–4 once, at every base; the
+//! single-point verifiers are one digest body, [`LdeDigest`], named per
+//! query by an [`LdeQuery`] marker;
 //! [`RoundProver`] is the honest-prover interface (each protocol supplies
 //! its own message rule over the shared [`crate::fold::FoldVector`]);
 //! [`SumCheckSession`] is the prover as the verifier sees it — in process
@@ -28,6 +31,7 @@
 //! and [`drive_fleet`], the one lockstep loop ([`aggregate`]).
 
 pub mod aggregate;
+pub mod digest;
 pub mod f2;
 pub mod general_ell;
 pub mod inner_product;
@@ -38,34 +42,60 @@ pub mod range_sum;
 pub use aggregate::{
     drive_fleet, drive_sumcheck_sharded, AggregatingVerifier, FleetSession, ShardAdversary,
 };
-pub use oneshot::{prove_oneshot, verify_oneshot_grid, OneShotProof};
+pub use digest::{LdeDigest, LdeQuery, Moment, RangeSum, SelfJoin};
+pub use oneshot::{prove_oneshot, OneShotProof};
 
 use sip_field::lagrange::eval_from_grid_evals;
 use sip_field::PrimeField;
+use sip_lde::StreamingLdeEvaluator;
 
 use crate::channel::CostReport;
 use crate::error::Rejection;
 
 /// The verifier's round-by-round state for a `d`-round sum-check over
-/// `ℓ = 2` with per-round degree bound `degree`.
+/// `[ℓ]^d` with per-round degree bound `degree`: the one round check of
+/// every protocol, at every base.
 #[derive(Clone, Debug)]
 pub struct SumCheckVerifierCore<F: PrimeField> {
     point: Vec<F>,
+    /// The grid width `ℓ`: a round's sum runs over `g_j(0), …, g_j(ℓ − 1)`.
+    ell: usize,
     degree: usize,
     round: usize,
     output: F,
     claim: F,
 }
 
+/// Words of round state a sum-check verifier keeps over base `ell`: the
+/// claim, the output and the round counter, plus the `2(ℓ − 2)`
+/// evaluations by which a base-`ℓ` message outgrows the binary one's
+/// three, held while it is interpolated at the challenge (the paper's
+/// `O(d + ℓ)`). Three at `ℓ = 2`.
+pub fn round_state_words(ell: u64) -> usize {
+    3 + 2 * (ell as usize - 2)
+}
+
 impl<F: PrimeField> SumCheckVerifierCore<F> {
-    /// Creates the state from the verifier's pre-drawn secret point and the
-    /// per-round degree bound. Messages must carry exactly `degree + 1`
-    /// evaluations (at `0, …, degree`).
+    /// Creates the state over the binary grid (`ℓ = 2`) from the verifier's
+    /// pre-drawn secret point and the per-round degree bound. Messages must
+    /// carry exactly `degree + 1` evaluations (at `0, …, degree`).
     pub fn new(point: Vec<F>, degree: usize) -> Self {
+        Self::over(2, point, degree)
+    }
+
+    /// Creates the state for a streamed digest: its secret point, and the
+    /// grid width `ℓ` its [`sip_lde::LdeParams`] fix.
+    pub fn from_lde(lde: &StreamingLdeEvaluator<F>, degree: usize) -> Self {
+        Self::over(lde.params().base() as usize, lde.point().to_vec(), degree)
+    }
+
+    fn over(ell: usize, point: Vec<F>, degree: usize) -> Self {
         assert!(!point.is_empty());
         assert!(degree >= 1, "round polynomials must have positive degree");
+        assert!(degree + 1 >= ell, "a message must cover the grid [ℓ]");
         SumCheckVerifierCore {
             point,
+            ell,
             degree,
             round: 0,
             output: F::ZERO,
@@ -84,7 +114,7 @@ impl<F: PrimeField> SumCheckVerifierCore<F> {
     }
 
     /// The answer claimed by the prover's first message
-    /// (`Σ_{x₁∈[2]} g_1(x₁)`); meaningful only after round 1 and *trusted*
+    /// (`Σ_{x₁∈[ℓ]} g_1(x₁)`); meaningful only after round 1 and *trusted*
     /// only after [`Self::finalize`] accepts.
     pub fn claimed_output(&self) -> F {
         self.output
@@ -108,7 +138,7 @@ impl<F: PrimeField> SumCheckVerifierCore<F> {
                 got: evals.len(),
             });
         }
-        let grid_sum = evals[0] + evals[1]; // Σ_{x∈[2]} g_j(x)
+        let grid_sum: F = evals[..self.ell].iter().copied().sum(); // Σ_{x∈[ℓ]} g_j(x)
         if self.round == 0 {
             self.output = grid_sum;
         } else if grid_sum != self.claim {
@@ -138,10 +168,10 @@ impl<F: PrimeField> SumCheckVerifierCore<F> {
         Ok(self.output)
     }
 
-    /// Words of working memory attributable to this session: the current
-    /// claim, the output, and a round counter.
+    /// Words of working memory attributable to this session
+    /// ([`round_state_words`] at this core's `ℓ`).
     pub fn space_words(&self) -> usize {
-        3
+        round_state_words(self.ell as u64)
     }
 
     /// The revealed challenge prefix `r_1, …, r_{d−1}` of a one-shot run:
@@ -166,7 +196,14 @@ impl<F: PrimeField> SumCheckVerifierCore<F> {
         transcript: crate::transcript::Transcript,
         proof: &oneshot::OneShotProof<F>,
     ) -> Result<F, Rejection> {
-        oneshot::verify_oneshot_grid(&self.point, self.degree, 2, streamed, transcript, proof)
+        oneshot::verify_oneshot_grid(
+            &self.point,
+            self.degree,
+            self.ell,
+            streamed,
+            transcript,
+            proof,
+        )
     }
 }
 

@@ -16,34 +16,21 @@ use crate::channel::CostReport;
 use crate::engine::{Combine, FusedRounds};
 use crate::error::Rejection;
 
-use super::{drive_sumcheck, Adversary, RoundProver, SumCheckVerifierCore};
+use super::{drive_sumcheck, Adversary, LdeDigest, Moment, RoundProver, SumCheckVerifierCore};
 
-/// Streaming verifier state for `F_k` over `[2^log_u]`.
-#[derive(Clone, Debug)]
-pub struct MomentVerifier<F: PrimeField> {
-    k: u32,
-    lde: StreamingLdeEvaluator<F>,
-}
+/// Streaming verifier state for `F_k` over `[2^log_u]`: the [`LdeDigest`]
+/// of a [`Moment`] query.
+pub type MomentVerifier<F> = LdeDigest<Moment, F>;
 
 impl<F: PrimeField> MomentVerifier<F> {
     /// Draws the secret point and prepares to stream; `k ≥ 1`.
     pub fn new<R: Rng + ?Sized>(k: u32, log_u: u32, rng: &mut R) -> Self {
-        assert!(k >= 1, "moment order must be at least 1");
-        MomentVerifier {
-            k,
-            lde: StreamingLdeEvaluator::random(LdeParams::binary(log_u), rng),
-        }
+        Self::drawn(Moment::new(k), LdeParams::binary(log_u), rng)
     }
 
     /// The moment order `k`.
     pub fn k(&self) -> u32 {
-        self.k
-    }
-
-    /// The streaming digest (the verifier's entire protocol state) — what a
-    /// checkpoint must capture.
-    pub fn evaluator(&self) -> &StreamingLdeEvaluator<F> {
-        &self.lde
+        self.query().k()
     }
 
     /// Rebuilds the verifier around a restored digest (checkpoint resume).
@@ -51,40 +38,14 @@ impl<F: PrimeField> MomentVerifier<F> {
     /// # Panics
     /// Panics if `k == 0` or the evaluator is not binary.
     pub fn from_parts(k: u32, lde: StreamingLdeEvaluator<F>) -> Self {
-        assert!(k >= 1, "moment order must be at least 1");
-        assert_eq!(lde.params().base(), 2, "F_k runs over the binary LDE");
-        MomentVerifier { k, lde }
-    }
-
-    /// Processes one stream update (`O(log u)` time).
-    pub fn update(&mut self, up: Update) {
-        self.lde.update(up);
-    }
-
-    /// Processes a whole stream.
-    pub fn update_all(&mut self, stream: &[Update]) {
-        self.lde.update_all(stream);
-    }
-
-    /// Processes a whole batch through the delayed-reduction ingest path;
-    /// the digest value is bit-identical to per-update [`Self::update`].
-    pub fn update_batch(&mut self, batch: &[Update]) {
-        self.lde.update_batch(batch);
-    }
-
-    /// Verifier space in words: the point, the accumulator, session state.
-    pub fn space_words(&self) -> usize {
-        self.lde.space_words() + 3
+        Self::with_query(Moment::new(k), lde)
     }
 
     /// Ends the streaming phase: returns the session state and the value
     /// the final round must match, `f_a(r)ᵏ`.
     pub fn into_session(self) -> (SumCheckVerifierCore<F>, F) {
-        let expected = self.lde.value().pow(self.k as u128);
-        (
-            SumCheckVerifierCore::new(self.lde.point().to_vec(), self.k as usize),
-            expected,
-        )
+        let fa_r_km1 = self.evaluator().value().pow(self.k() as u128 - 1);
+        self.session(fa_r_km1)
     }
 }
 

@@ -28,68 +28,26 @@ use std::sync::Arc;
 use rand::Rng;
 use sip_field::PrimeField;
 use sip_lde::interval::block_range_weight;
-use sip_lde::{range_indicator_lde, LdeParams, StreamingLdeEvaluator, WeightBank};
+use sip_lde::{range_indicator_lde, LdeParams};
 use sip_streaming::{FrequencyVector, Update};
 
 use crate::channel::CostReport;
-use crate::digest_bank::BankedDigest;
 use crate::engine::{Combine, FusedRounds};
 use crate::error::Rejection;
 use crate::fold::FoldVector;
 
 use super::f2::{extend_chi, F2Head};
 use super::moments::VerifiedAggregate;
-use super::{drive_sumcheck, Adversary, RoundProver, SumCheckVerifierCore};
+use super::{drive_sumcheck, Adversary, LdeDigest, RangeSum, RoundProver, SumCheckVerifierCore};
 
-/// Streaming verifier for RANGE-SUM; the range is supplied at query time.
-#[derive(Clone, Debug)]
-pub struct RangeSumVerifier<F: PrimeField> {
-    lde: StreamingLdeEvaluator<F>,
-}
+/// Streaming verifier for RANGE-SUM: the [`LdeDigest`] of a [`RangeSum`]
+/// query, whose range is supplied at query time.
+pub type RangeSumVerifier<F> = LdeDigest<RangeSum, F>;
 
 impl<F: PrimeField> RangeSumVerifier<F> {
     /// Draws the secret point and prepares to stream.
     pub fn new<R: Rng + ?Sized>(log_u: u32, rng: &mut R) -> Self {
-        RangeSumVerifier {
-            lde: StreamingLdeEvaluator::random(LdeParams::binary(log_u), rng),
-        }
-    }
-
-    /// The streaming digest (the verifier's entire protocol state) — what a
-    /// checkpoint must capture.
-    pub fn evaluator(&self) -> &StreamingLdeEvaluator<F> {
-        &self.lde
-    }
-
-    /// Rebuilds the verifier around a restored digest (checkpoint resume).
-    ///
-    /// # Panics
-    /// Panics if the evaluator is not over the binary parameterisation
-    /// this protocol runs on.
-    pub fn from_evaluator(lde: StreamingLdeEvaluator<F>) -> Self {
-        assert_eq!(lde.params().base(), 2, "RANGE-SUM runs over the binary LDE");
-        RangeSumVerifier { lde }
-    }
-
-    /// Processes one stream update.
-    pub fn update(&mut self, up: Update) {
-        self.lde.update(up);
-    }
-
-    /// Processes a whole stream.
-    pub fn update_all(&mut self, stream: &[Update]) {
-        self.lde.update_all(stream);
-    }
-
-    /// Processes a whole batch through the delayed-reduction ingest path;
-    /// the digest value is bit-identical to per-update [`Self::update`].
-    pub fn update_batch(&mut self, batch: &[Update]) {
-        self.lde.update_batch(batch);
-    }
-
-    /// Verifier space in words.
-    pub fn space_words(&self) -> usize {
-        self.lde.space_words() + 3
+        Self::drawn(RangeSum, LdeParams::binary(log_u), rng)
     }
 
     /// Ends streaming and fixes the query range `[q_l, q_r]`. The final
@@ -99,21 +57,8 @@ impl<F: PrimeField> RangeSumVerifier<F> {
     /// # Panics
     /// Panics if the range is empty or exceeds the universe.
     pub fn into_session(self, q_l: u64, q_r: u64) -> (SumCheckVerifierCore<F>, F) {
-        let fb_r = range_indicator_lde(q_l, q_r, self.lde.point());
-        let expected = self.lde.value() * fb_r;
-        (
-            SumCheckVerifierCore::new(self.lde.point().to_vec(), 2),
-            expected,
-        )
-    }
-}
-
-impl<F: PrimeField> BankedDigest<F> for RangeSumVerifier<F> {
-    fn push_weights(&self, bank: &mut WeightBank<F>) {
-        bank.push_lde_point(self.lde.point());
-    }
-    fn absorb(&mut self, partial: F, n_updates: u64) {
-        self.lde.absorb(partial, n_updates);
+        let fb_r = range_indicator_lde(q_l, q_r, self.evaluator().point());
+        self.session(fb_r)
     }
 }
 

@@ -15,10 +15,9 @@
 use sip_core::heavy_hitters::CountTreeHasher;
 use sip_core::subvector::{HashKind, StreamingRootHasher, SubVectorVerifier};
 use sip_core::sumcheck::f2::F2Verifier;
-use sip_core::sumcheck::general_ell::GeneralF2Verifier;
 use sip_core::sumcheck::inner_product::InnerProductVerifier;
-use sip_core::sumcheck::moments::MomentVerifier;
 use sip_core::sumcheck::range_sum::RangeSumVerifier;
+use sip_core::sumcheck::{LdeDigest, LdeQuery, Moment, RangeSum, SelfJoin};
 use sip_field::PrimeField;
 use sip_kvstore::{Client, ShardedClient};
 use sip_lde::{LdeParams, MultiLdeEvaluator, StreamingLdeEvaluator};
@@ -218,71 +217,59 @@ impl<F: PrimeField> Persist for MultiLdeEvaluator<F> {
 // Sum-check verifiers
 // ---------------------------------------------------------------------
 
-macro_rules! lde_wrapped_verifier {
-    ($ty:ident, $kind:expr, $name:literal, $from:path) => {
-        impl<F: PrimeField> Persist for $ty<F> {
-            const KIND: SnapshotKind = $kind;
+/// What a single-point digest's snapshot records beside its LDE: its
+/// envelope kind, and the query's own parameters (only `F_k`'s order `k`
+/// has any).
+pub trait QuerySnapshot: LdeQuery {
+    /// The envelope type tag of the digest answering this query.
+    const KIND: SnapshotKind;
 
-            fn field_id() -> u8 {
-                field_id_of::<F>()
-            }
+    /// Appends the query's parameters, written before the LDE.
+    fn encode(&self, _w: &mut Writer) {}
 
-            fn update_count(&self) -> u64 {
-                self.evaluator().updates()
-            }
-
-            fn encode_state(&self, w: &mut Writer) {
-                encode_lde(self.evaluator(), w);
-            }
-
-            fn decode_state(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-                Ok($from(decode_binary_lde::<F>(r, $name)?))
-            }
-        }
-    };
+    /// Reads them back.
+    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError>;
 }
 
-lde_wrapped_verifier!(
-    F2Verifier,
-    SnapshotKind::F2Verifier,
-    "F2",
-    F2Verifier::from_evaluator
-);
-lde_wrapped_verifier!(
-    RangeSumVerifier,
-    SnapshotKind::RangeSumVerifier,
-    "RANGE-SUM",
-    RangeSumVerifier::from_evaluator
-);
-
-impl<F: PrimeField> Persist for MomentVerifier<F> {
-    const KIND: SnapshotKind = SnapshotKind::MomentVerifier;
-
-    fn field_id() -> u8 {
-        field_id_of::<F>()
-    }
-
-    fn update_count(&self) -> u64 {
-        self.evaluator().updates()
-    }
-
-    fn encode_state(&self, w: &mut Writer) {
-        w.u32(self.k());
-        encode_lde(self.evaluator(), w);
-    }
-
-    fn decode_state(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-        let k = r.u32()?;
-        if k == 0 {
-            return Err(invalid("moment order k must be at least 1"));
-        }
-        let lde = decode_binary_lde::<F>(r, "F_k")?;
-        Ok(MomentVerifier::from_parts(k, lde))
+impl QuerySnapshot for SelfJoin {
+    const KIND: SnapshotKind = SnapshotKind::F2Verifier;
+    fn decode(_: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        Ok(SelfJoin)
     }
 }
 
-impl<F: PrimeField> Persist for GeneralF2Verifier<F> {
+impl QuerySnapshot for SelfJoin<true> {
     const KIND: SnapshotKind = SnapshotKind::GeneralF2Verifier;
+    fn decode(_: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        Ok(SelfJoin)
+    }
+}
+
+impl QuerySnapshot for RangeSum {
+    const KIND: SnapshotKind = SnapshotKind::RangeSumVerifier;
+    fn decode(_: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        Ok(RangeSum)
+    }
+}
+
+impl QuerySnapshot for Moment {
+    const KIND: SnapshotKind = SnapshotKind::MomentVerifier;
+    fn encode(&self, w: &mut Writer) {
+        w.u32(self.k());
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        match r.u32()? {
+            0 => Err(invalid("moment order k must be at least 1")),
+            k => Ok(Moment::new(k)),
+        }
+    }
+}
+
+/// The single-point sum-check verifiers — F₂, RANGE-SUM, `F_k` and
+/// general-`ℓ` F₂: query parameters ‖ LDE. Only the general-`ℓ` query
+/// accepts a base other than 2.
+impl<Q: QuerySnapshot, F: PrimeField> Persist for LdeDigest<Q, F> {
+    const KIND: SnapshotKind = Q::KIND;
 
     fn field_id() -> u8 {
         field_id_of::<F>()
@@ -293,12 +280,18 @@ impl<F: PrimeField> Persist for GeneralF2Verifier<F> {
     }
 
     fn encode_state(&self, w: &mut Writer) {
+        self.query().encode(w);
         encode_lde(self.evaluator(), w);
     }
 
     fn decode_state(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-        // Any base ℓ ≥ 2 is legal here — that is this protocol's point.
-        Ok(GeneralF2Verifier::from_evaluator(decode_lde::<F>(r)?))
+        let query = Q::decode(r)?;
+        let lde = if Q::ANY_BASE {
+            decode_lde::<F>(r)?
+        } else {
+            decode_binary_lde::<F>(r, Q::NAME)?
+        };
+        Ok(LdeDigest::with_query(query, lde))
     }
 }
 

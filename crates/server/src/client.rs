@@ -451,6 +451,13 @@ impl<M: Mode, F: PrimeField, T: Transport> Connection<M, F, T> {
         self.with(|c| c.chan.stats())
     }
 
+    /// The wire fault that condemned this connection, if one has: every
+    /// later frame fails with it, so a fleet takes the connection out of
+    /// rotation.
+    pub fn fault(&self) -> Option<Rejection> {
+        self.with(|c| c.fault.clone())
+    }
+
     /// One [`Msg::QueryOneShot`] request: the whole sum-check in a single
     /// round trip. Nothing returned here is trusted — the caller replays
     /// the transcript and checks the digest before any algebra.

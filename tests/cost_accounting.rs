@@ -11,9 +11,11 @@ use sip::core::one_round::run_one_round_f2;
 use sip::core::reporting::run_predecessor;
 use sip::core::subvector::run_subvector;
 use sip::core::sumcheck::f2::run_f2;
+use sip::core::sumcheck::general_ell::run_general_f2;
 use sip::core::sumcheck::moments::run_moment;
 use sip::core::sumcheck::range_sum::run_range_sum;
 use sip::field::Fp61;
+use sip::lde::LdeParams;
 use sip::streaming::workloads;
 
 const LOG_U: u32 = 12;
@@ -23,17 +25,33 @@ fn rng(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed)
 }
 
-/// (log u, log u): the Theorem 4 headline.
+/// (log u, log u): the Theorem 4 headline — and footnote 1's `(ℓ, d)`
+/// family through the same round check: `d` rounds of `2ℓ − 1` words at
+/// `d + 2ℓ` words of space, which is the binary protocol's `d + 4` at
+/// `ℓ = 2`.
 #[test]
 fn f2_is_logarithmic() {
     let stream = workloads::paper_f2(1 << LOG_U, 1);
-    let r = run_f2::<Fp61, _>(LOG_U, &stream, &mut rng(1))
+    let binary = run_f2::<Fp61, _>(LOG_U, &stream, &mut rng(1))
         .unwrap()
         .report;
-    assert_eq!(r.rounds, D);
-    assert_eq!(r.p_to_v_words, 3 * D);
-    assert_eq!(r.v_to_p_words, D - 1);
-    assert_eq!(r.verifier_space_words, D + 4);
+    let general = |ell: u64, d: u32| {
+        run_general_f2::<Fp61, _>(LdeParams::new(ell, d), &stream, &mut rng(1))
+            .unwrap()
+            .report
+    };
+    let runs = [
+        (2, D, binary),
+        (2, D, general(2, 12)),
+        (4, 6, general(4, 6)),
+        (16, 3, general(16, 3)),
+    ];
+    for (ell, d, r) in runs {
+        assert_eq!(r.rounds, d, "ℓ = {ell}");
+        assert_eq!(r.p_to_v_words, (2 * ell - 1) * d, "ℓ = {ell}");
+        assert_eq!(r.v_to_p_words, d - 1, "ℓ = {ell}");
+        assert_eq!(r.verifier_space_words, d + 2 * ell, "ℓ = {ell}");
+    }
 }
 
 /// (log u, k·log u) for moments.
