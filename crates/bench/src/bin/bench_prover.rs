@@ -13,10 +13,12 @@
 //!   fold-pairs/s (the largest `log_u` row is the headline scaling
 //!   number);
 //! * `head` — for each `log_u`, on a Zipf and on a fully dense vector (the
-//!   two differ about 2× in build cost): the time to build the vector's
-//!   `F2Head` (what a publish pays once) and a complete head-started proof
-//!   (what every query on the published dataset then pays), beside the
-//!   sweep-path proof from the vector alone;
+//!   two differ about 2× in build cost), and on a tree of `kv_mixed`'s
+//!   shape (20 480 distinct keys in `2^18`, 5/64 of the universe, values up
+//!   to 1 000): the time to build the vector's `F2Head` (what a snapshot
+//!   pays once, at publish or at its first query), the bytes it holds,
+//!   and a complete head-started proof (what every query on the snapshot
+//!   then pays), beside the sweep-path proof from the vector alone;
 //! * `query_latency` — wall time per verified F₂ query when N concurrent
 //!   verifier sessions attach to one published dataset on a real TCP
 //!   server (ingest happens once; the N sessions share the frozen
@@ -92,6 +94,7 @@ struct HeadPoint {
     log_u: u32,
     input: &'static str,
     build_ms: f64,
+    head_bytes: usize,
     head_proof_ms: f64,
     sweep_proof_ms: f64,
 }
@@ -99,11 +102,20 @@ struct HeadPoint {
 /// Head build, head-started proof and sweep-path proof over one vector.
 fn measure_head(log_u: u32, input: &'static str) -> HeadPoint {
     let u = 1u64 << log_u;
-    let stream = match input {
-        "zipf" => workloads::zipf(u as usize, u, 1.1, 11),
-        _ => workloads::paper_f2(u, 11),
+    let fv = match input {
+        "zipf" => FrequencyVector::from_stream(u, &workloads::zipf(u as usize, u, 1.1, 11)),
+        "tree" => {
+            let mut tree = FrequencyVector::new_sparse(u);
+            tree.apply_batch(&workloads::distinct_key_values(
+                (u * 5 / 64) as usize,
+                u,
+                1_000,
+                11,
+            ));
+            tree
+        }
+        _ => FrequencyVector::from_stream(u, &workloads::paper_f2(u, 11)),
     };
-    let fv = FrequencyVector::from_stream(u, &stream);
     let budget = Duration::from_millis(300);
     let ms = |d: Duration| d.as_secs_f64() * 1e3;
     let head = Arc::new(F2Head::<Fp61>::build(&fv, log_u));
@@ -113,6 +125,7 @@ fn measure_head(log_u: u32, input: &'static str) -> HeadPoint {
         log_u,
         input,
         build_ms: ms(time_mean(budget, || F2Head::<Fp61>::build(&fv, log_u))),
+        head_bytes: head.bytes(),
         head_proof_ms: ms(time_mean(budget, || schedule_time(headed, log_u))),
         sweep_proof_ms: ms(time_mean(budget, || schedule_time(swept, log_u))),
     }
@@ -210,16 +223,17 @@ fn main() {
         "log_u",
         "input",
         "head_build_ms",
+        "head_bytes",
         "head_proof_ms",
         "sweep_proof_ms",
     ]);
     let mut heads = Vec::new();
     for &log_u in &log_us {
-        for input in ["zipf", "dense"] {
+        for input in ["zipf", "dense", "tree"] {
             let p = measure_head(log_u, input);
             println!(
-                "{},{},{:.3},{:.3},{:.3}",
-                p.log_u, p.input, p.build_ms, p.head_proof_ms, p.sweep_proof_ms
+                "{},{},{:.3},{},{:.3},{:.3}",
+                p.log_u, p.input, p.build_ms, p.head_bytes, p.head_proof_ms, p.sweep_proof_ms
             );
             heads.push(p);
         }
@@ -260,10 +274,11 @@ fn main() {
         let _ = writeln!(
             json,
             "    {{\"log_u\": {}, \"input\": \"{}\", \"head_build_ms\": {:.3}, \
-             \"head_proof_ms\": {:.3}, \"sweep_proof_ms\": {:.3}}}{}",
+             \"head_bytes\": {}, \"head_proof_ms\": {:.3}, \"sweep_proof_ms\": {:.3}}}{}",
             p.log_u,
             p.input,
             p.build_ms,
+            p.head_bytes,
             p.head_proof_ms,
             p.sweep_proof_ms,
             if i + 1 < heads.len() { "," } else { "" }

@@ -174,6 +174,7 @@ impl PackedBlocks {
     /// # Panics
     /// Panics if `k > 16`: offsets are kept in 16 bits.
     pub(crate) fn with_capacity(k: u32, cells: usize, blocks: usize) -> Self {
+        // Its one caller, `F2Head::build`, packs blocks of `k ≤ HEAD_ROUNDS = 4`.
         assert!(k <= 16, "a cell's offset in its block is kept in 16 bits");
         PackedBlocks {
             k,

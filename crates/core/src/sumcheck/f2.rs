@@ -153,15 +153,24 @@ impl<F: PrimeField> F2Head<F> {
         Self::with_rounds(fv, log_u, HEAD_ROUNDS.min(log_u))
     }
 
+    /// Whether [`Self::build`] packs `fv`'s nonzero cells: a tree always, an
+    /// array at most a quarter nonzero (counted, so `O(u)` on an array).
+    pub fn packs(fv: &FrequencyVector) -> bool {
+        packed_support(fv).is_some()
+    }
+
     fn with_rounds(fv: &FrequencyVector, log_u: u32, k: u32) -> Self {
+        // A server session's `log_u` passed the handshake's `[1, MAX_LOG_U]`.
         assert!((1..=63).contains(&log_u), "log_u must be in [1, 63]");
+        // Its stores are built over exactly `2^log_u`, and a reloaded
+        // snapshot's universe is checked against its `log_u`.
         assert!(
             fv.universe() <= 1u64 << log_u,
             "universe larger than 2^log_u"
         );
+        // `k = min(HEAD_ROUNDS, log_u)` with `log_u ≥ 1`, checked above.
         assert!((1..=log_u).contains(&k));
-        let support = fv.support_size();
-        let mut pack = (!fv.is_dense() || support <= fv.universe() / PACK_DIVISOR).then(|| {
+        let mut pack = packed_support(fv).map(|support| {
             let blocks = support.min(fv.universe().div_ceil(1 << k));
             PackedBlocks::with_capacity(k, support as usize, blocks as usize)
         });
@@ -243,6 +252,12 @@ impl<F: PrimeField> F2Head<F> {
         let four = F::from_u64(4);
         vec![lo_lo, hi_hi, lo_lo - four * lo_hi + four * hi_hi]
     }
+}
+
+/// The support of `fv` where [`F2Head::build`] packs it, counted once.
+fn packed_support(fv: &FrequencyVector) -> Option<u64> {
+    let support = fv.support_size();
+    (!fv.is_dense() || support <= fv.universe() / PACK_DIVISOR).then_some(support)
 }
 
 /// Residue-class prefix sums of one frozen vector, checkpointed: for the

@@ -499,15 +499,15 @@ pub const METRIC_HELP: &[(&str, &str)] = &[
     ),
     (
         "sip_registry_f2_head_build_us",
-        "Latency of building one published dataset's head (the Gram matrices behind F2's first round messages and the prefix sums behind RANGE-SUM's, one pass), at publish or reload",
+        "Latency of building one vector's head (the Gram matrices behind F2's first round messages and the prefix sums behind RANGE-SUM's, one pass), at publish, at reload or at a snapshot's first query",
     ),
     (
         "sip_registry_f2_head_builds_total",
-        "Dataset heads built (one serves F2 and RANGE-SUM): one per publish and one per published dataset reloaded at startup",
+        "Vector heads built (one serves F2, RANGE-SUM and RANGE-COUNT over its vector): one per publish, one per published dataset reloaded at startup, and one per vector queried on each snapshot of a private store or of a kv dataset's range vectors",
     ),
     (
         "sip_registry_f2_head_bytes",
-        "Bytes one published dataset's head holds beside the frozen vector (Gram matrices, prefix-sum checkpoints, packed nonzero cells), observed per build",
+        "Bytes one head holds beside its vector (Gram matrices, prefix-sum checkpoints, packed nonzero cells), observed per build",
     ),
     (
         "sip_registry_load_errors",
@@ -577,7 +577,7 @@ pub const METRIC_HELP: &[(&str, &str)] = &[
     ),
     (
         "sip_server_sumcheck_provers_total",
-        "Sum-check provers built, labelled by query and by start: head (a published dataset's first rounds from its head, no pass over the data) or sweep",
+        "Sum-check provers built, labelled by query and by start: head (the first rounds from the vector's head, no pass over the data) or sweep (the first query over a snapshot of an array too full to pack)",
     ),
     (
         "sip_server_wire_faults_total",

@@ -20,6 +20,7 @@
 #![warn(missing_docs)]
 
 pub mod client;
+mod heads;
 pub mod persist;
 pub mod registry;
 pub mod session;

@@ -20,17 +20,18 @@
 //! the data alone — the Gram matrices behind SELF-JOIN SIZE's first `k`
 //! round messages, the checkpointed residue-class prefix sums behind
 //! RANGE-SUM's, and where the vector is mostly zero its nonzero cells packed
-//! for the one pass both make ([`F2Head`], one pass for all) — is built
-//! once, when the data freezes: inside [`DatasetRegistry::publish`], before
-//! the publisher is acked, and again when a published dataset is reloaded
-//! from the data directory. Every F₂ query on the dataset starts from it
-//! ([`Dataset::f2_prover`]), and so does every RANGE-SUM query on a raw
-//! dataset ([`Dataset::range_sum_prover`]). That is all a dataset caches:
-//! 1/32 of the frozen vector's bytes beside it, and at most 13/32 more where
-//! it is packed (`sip_registry_f2_head_bytes`), derived from it, never
-//! invalidated, never persisted and never sent. Nothing that depends on a
-//! query or a challenge may live there. A checkpoint is overwritten as its
-//! stream advances and is never queried, so it carries no head.
+//! for the one pass both make ([`F2Head`], one pass for all) — is built at
+//! most once per vector and kept beside the dataset (`HeadCache`). The
+//! raw vector's head, which every F₂ query and every RANGE-SUM on a raw
+//! dataset starts from, is built when the data freezes: inside
+//! [`DatasetRegistry::publish`], before the publisher is acked, and again
+//! when a published dataset is reloaded from the data directory. A kv
+//! dataset's RANGE-SUM and RANGE-COUNT heads (its encoded and presence
+//! vectors) are built at their first query. That is all a dataset caches:
+//! derived from its vectors, never invalidated, never persisted and never
+//! sent (`sip_registry_f2_head_bytes`). Nothing that depends on a query or
+//! a challenge may live there. A checkpoint is overwritten as its stream
+//! advances and is never queried, so it carries no head.
 //!
 //! ## Trust
 //!
@@ -42,27 +43,40 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, RwLock};
 
-use sip_core::sumcheck::f2::{F2Head, F2Prover};
-use sip_core::sumcheck::range_sum::RangeSumProver;
+use sip_core::sumcheck::f2::F2Head;
 use sip_durable::{load_snapshot, save_snapshot, SnapshotError};
 use sip_field::PrimeField;
 use sip_kvstore::CloudStore;
 use sip_streaming::FrequencyVector;
 use sip_wire::{SessionMode, ShardSpec};
 
+use crate::heads::{HeadCache, QueryVector};
 use crate::persist::{manifest_path, snapshot_file_name, DurableKind, Manifest, ManifestEntry};
 
 /// Longest accepted dataset id, in bytes. Ids are peer-chosen; the cap
 /// keeps registry keys (and error messages echoing them) small.
 pub const MAX_DATASET_ID_LEN: usize = 200;
 
-/// The frozen data of a published dataset, by the publishing session's
-/// mode.
+/// The data of a store, by the session mode that ingested it: a published
+/// dataset's frozen vectors, a checkpoint's, or a session's private ones.
+#[derive(Clone)]
 pub enum DatasetData<F: PrimeField> {
     /// A raw update stream (frequency-vector semantics).
     Raw(FrequencyVector),
     /// A key-value store (encoded/presence/raw derived vectors).
     Kv(CloudStore<F>),
+}
+
+impl<F: PrimeField> DatasetData<F> {
+    /// The vector `which` names; a raw stream's one vector answers to each.
+    pub(crate) fn vector(&self, which: QueryVector) -> &FrequencyVector {
+        match (self, which) {
+            (DatasetData::Raw(fv), _) => fv,
+            (DatasetData::Kv(store), QueryVector::Raw) => store.raw_vector(),
+            (DatasetData::Kv(store), QueryVector::Encoded) => store.encoded_vector(),
+            (DatasetData::Kv(store), QueryVector::Presence) => store.presence_vector(),
+        }
+    }
 }
 
 /// One published, immutable dataset snapshot.
@@ -78,10 +92,11 @@ pub struct Dataset<F: PrimeField> {
     pub shard: Option<ShardSpec>,
     /// The frozen vectors.
     pub data: DatasetData<F>,
-    /// The head of every SELF-JOIN SIZE and RANGE-SUM proof over
-    /// [`Self::f2_vector`]: present on a published dataset, absent on a
-    /// checkpoint.
-    f2_head: Option<Arc<F2Head<F>>>,
+    /// The heads every SELF-JOIN SIZE, RANGE-SUM and RANGE-COUNT proof over
+    /// [`Self::data`] starts from: the raw vector's built at publish, the
+    /// others at their first query; none on a checkpoint, which is never
+    /// queried.
+    heads: HeadCache<F>,
 }
 
 impl<F: PrimeField> Dataset<F> {
@@ -94,62 +109,27 @@ impl<F: PrimeField> Dataset<F> {
             log_u,
             shard,
             data,
-            f2_head: None,
+            heads: HeadCache::default(),
         }
     }
 
-    /// The vector a SELF-JOIN SIZE query runs over.
-    pub fn f2_vector(&self) -> &FrequencyVector {
-        match &self.data {
-            DatasetData::Raw(fv) => fv,
-            DatasetData::Kv(store) => store.raw_vector(),
-        }
-    }
-
-    /// This dataset with its F₂ head built — one pass over
-    /// [`Self::f2_vector`], on the calling thread. The registry calls it
-    /// where data freezes for queries: publish and published reload.
-    fn with_f2_head(mut self) -> Self {
-        let mut span = sip_obs::trace::span("sip.server.registry", "f2_head");
-        span.field("log_u", self.log_u);
-        let timer = sip_obs::enabled().then(sip_obs::Timer::start);
-        let head = F2Head::build(self.f2_vector(), self.log_u);
-        if let Some(timer) = timer {
-            sip_obs::counter("sip_registry_f2_head_builds_total").inc();
-            sip_obs::histogram("sip_registry_f2_head_build_us").observe(timer.elapsed_us());
-            sip_obs::histogram("sip_registry_f2_head_bytes").observe(head.bytes() as u64);
-        }
-        self.f2_head = Some(Arc::new(head));
+    /// This dataset with the head of its raw vector built — one pass, on
+    /// the calling thread. The registry calls it where data freezes for
+    /// queries: publish and published reload.
+    fn with_f2_head(self) -> Self {
+        self.heads.build(&self.data, QueryVector::Raw, self.log_u);
         self
     }
 
-    /// The F₂ head, if this dataset was published.
+    /// The head of the raw vector (F₂, and a raw dataset's RANGE-SUM), if
+    /// this dataset was published.
     pub fn f2_head(&self) -> Option<&F2Head<F>> {
-        self.f2_head.as_deref()
+        self.heads.built(QueryVector::Raw)
     }
 
-    /// An F₂ prover over this dataset started from its head — the first
-    /// rounds touch no data, and no table larger than `u/2^k` entries is
-    /// built. `None` on a checkpoint, which has no head.
-    pub fn f2_prover(&self) -> Option<F2Prover<F>> {
-        let head = self.f2_head.as_ref()?;
-        Some(F2Prover::from_head(Arc::clone(head)))
-    }
-
-    /// A RANGE-SUM prover for `[q_l, q_r]` started from the head, likewise.
-    /// `None` on a checkpoint, and on a kv dataset: its range queries run
-    /// over the encoded and presence vectors, and the head is the raw
-    /// vector's.
-    ///
-    /// # Panics
-    /// Panics if the range is empty or exceeds the universe.
-    pub fn range_sum_prover(&self, q_l: u64, q_r: u64) -> Option<RangeSumProver<F>> {
-        match (&self.data, &self.f2_head) {
-            (DatasetData::Raw(_), Some(head)) => {
-                Some(RangeSumProver::from_head(Arc::clone(head), q_l, q_r))
-            }
-            _ => None,
-        }
+    /// The heads of this dataset's query vectors.
+    pub(crate) fn heads(&self) -> &HeadCache<F> {
+        &self.heads
     }
 
     /// The session mode this dataset serves; attaching sessions must have

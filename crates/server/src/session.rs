@@ -34,6 +34,7 @@ use sip_kvstore::{CloudStore, KvServer};
 use sip_streaming::{FrequencyVector, ShardPlan, Update};
 use sip_wire::{Msg, MsgChannel, Query, SessionMode, ShardSpec, WireCodec, WireError};
 
+use crate::heads::{HeadCache, QueryVector};
 use crate::registry::{Dataset, DatasetData, DatasetRegistry, MAX_DATASET_ID_LEN};
 
 /// Upper bound on `log_u` a session may request (a 2^40 dense universe is
@@ -100,20 +101,13 @@ enum Active<F: PrimeField> {
 
 /// What the data of this session is.
 enum Store<F: PrimeField> {
-    /// Session-private raw update stream (frequency-vector semantics).
-    Raw(FrequencyVector),
-    /// Session-private key-value puts (`δ = value + 1` encoding, three
-    /// derived vectors).
-    Kv(CloudStore<F>),
+    /// Session-private data — a raw update stream (frequency-vector
+    /// semantics) or key-value puts (`δ = value + 1` encoding, three derived
+    /// vectors) — and the heads of its vectors built since its last write.
+    Private(DatasetData<F>, HeadCache<F>),
     /// A frozen published snapshot shared with other sessions — queries
-    /// read it through the `Arc`; ingest is refused.
+    /// read it (and its heads) through the `Arc`; ingest is refused.
     Shared(Arc<Dataset<F>>),
-}
-
-/// A read view of the session's data, however it is owned.
-enum DataRef<'a, F: PrimeField> {
-    Raw(&'a FrequencyVector),
-    Kv(&'a CloudStore<F>),
 }
 
 /// Everything a session inherits from its server beyond the handshake:
@@ -232,15 +226,15 @@ impl<F: PrimeField, T: Transport> ServerSession<F, T> {
         // ≥ 2u bytes received for an 8u-byte array — memory ≤ 4 × bytes
         // received, and never above `DENSE_LIMIT` cells. kv stores keep
         // their vectors' own support rule.
-        let store = match mode {
-            SessionMode::RawStream => Store::Raw(FrequencyVector::new_sparse(1u64 << log_u)),
-            SessionMode::KvStore => Store::Kv(CloudStore::new_sparse(log_u)),
+        let data = match mode {
+            SessionMode::RawStream => DatasetData::Raw(FrequencyVector::new_sparse(1u64 << log_u)),
+            SessionMode::KvStore => DatasetData::Kv(CloudStore::new_sparse(log_u)),
         };
         ServerSession {
             chan: MsgChannel::new(transport),
             log_u,
             mode,
-            store,
+            store: Store::Private(data, HeadCache::default()),
             active: Active::Idle,
             registry,
             shard: None,
@@ -263,15 +257,11 @@ impl<F: PrimeField, T: Transport> ServerSession<F, T> {
         }
     }
 
-    /// A read view of the session's data, session-private or shared.
-    fn data(&self) -> DataRef<'_, F> {
+    /// The session's data, session-private or shared, and its heads.
+    fn data(&self) -> (&DatasetData<F>, &HeadCache<F>) {
         match &self.store {
-            Store::Raw(fv) => DataRef::Raw(fv),
-            Store::Kv(s) => DataRef::Kv(s),
-            Store::Shared(ds) => match &ds.data {
-                DatasetData::Raw(fv) => DataRef::Raw(fv),
-                DatasetData::Kv(s) => DataRef::Kv(s),
-            },
+            Store::Private(data, heads) => (data, heads),
+            Store::Shared(ds) => (&ds.data, ds.heads()),
         }
     }
 
@@ -458,8 +448,15 @@ impl<F: PrimeField, T: Transport> ServerSession<F, T> {
                 // One whole wire frame = one batched ingest call: the
                 // sorted-merge / delayed-reduction bulk paths replace the
                 // per-update loops, with identical resulting state.
-                match &mut self.store {
-                    Store::Raw(fv) => {
+                let Store::Private(data, heads) = &mut self.store else {
+                    // `check_ingest` refused any update into a frozen dataset.
+                    return Ok(true);
+                };
+                // Drop the heads first: each holds a snapshot of its vector,
+                // and a write under a live snapshot copies the whole vector.
+                heads.clear();
+                match data {
+                    DatasetData::Raw(fv) => {
                         let was_dense = fv.is_dense();
                         fv.apply_batch(&ups);
                         // Promote on volume received, not on support: a
@@ -472,9 +469,7 @@ impl<F: PrimeField, T: Transport> ServerSession<F, T> {
                             session_metrics().store_promotions.inc();
                         }
                     }
-                    Store::Kv(store) => store.ingest_batch(&ups),
-                    // `check_ingest` refused any update into a frozen dataset.
-                    Store::Shared(_) => {}
+                    DatasetData::Kv(store) => store.ingest_batch(&ups),
                 }
                 Ok(true)
             }
@@ -652,7 +647,7 @@ impl<F: PrimeField, T: Transport> ServerSession<F, T> {
             )));
         }
         let u = 1u64 << self.log_u;
-        let kv = matches!(self.store, Store::Kv(_));
+        let kv = self.mode == SessionMode::KvStore;
         for up in ups {
             if up.index >= u {
                 return Err(protocol(format!(
@@ -722,10 +717,10 @@ impl<F: PrimeField, T: Transport> ServerSession<F, T> {
         check_dataset_id(&dataset_id)?;
         // Freeze by moving the store out; on any refusal below the session
         // dies with a protocol error, so the moved data needs no restoring.
-        let placeholder = Store::Raw(FrequencyVector::new_sparse(1));
+        let placeholder = DatasetData::Raw(FrequencyVector::new_sparse(1));
+        let placeholder = Store::Private(placeholder, HeadCache::default());
         let data = match std::mem::replace(&mut self.store, placeholder) {
-            Store::Raw(fv) => DatasetData::Raw(fv),
-            Store::Kv(s) => DatasetData::Kv(s),
+            Store::Private(data, _) => data,
             Store::Shared(ds) => {
                 return Err(protocol(format!(
                     "session already serves published dataset {:?}",
@@ -785,8 +780,7 @@ impl<F: PrimeField, T: Transport> ServerSession<F, T> {
     fn save_state(&mut self, dataset_id: String) -> Result<(), Flow> {
         check_dataset_id(&dataset_id)?;
         let data = match &self.store {
-            Store::Raw(fv) => DatasetData::Raw(fv.clone()),
-            Store::Kv(s) => DatasetData::Kv(s.clone()),
+            Store::Private(data, _) => data.clone(),
             Store::Shared(ds) => {
                 return Err(protocol(format!(
                     "session serves published dataset {:?}, which is already durable",
@@ -833,10 +827,7 @@ impl<F: PrimeField, T: Transport> ServerSession<F, T> {
         // Thaw: the session gets its own mutable copy, so two sessions
         // resuming one checkpoint diverge independently (each can
         // re-checkpoint under its own id).
-        self.store = match &ds.data {
-            DatasetData::Raw(fv) => Store::Raw(fv.clone()),
-            DatasetData::Kv(s) => Store::Kv(s.clone()),
-        };
+        self.store = Store::Private(ds.data.clone(), HeadCache::default());
         self.ingested = true;
         self.send(&Msg::StateAck {
             dataset_ids: vec![dataset_id],
@@ -883,55 +874,48 @@ impl<F: PrimeField, T: Transport> ServerSession<F, T> {
     /// one place a sum-check prover is built, so the interactive and
     /// one-shot paths cannot drift: both snapshot the data the same way
     /// (`O(1)`, copy-on-write — a later ingest leaves the prover's view
-    /// alone), both start from a published dataset's head where it has one
-    /// over the query's vector (F₂ always, RANGE-SUM on a raw dataset), and
-    /// every other prover — a private store's, a kv dataset's range queries
-    /// — sweeps its vector. Which start a proof took is booked here.
+    /// alone), and both start from the head of the query's vector
+    /// ([`HeadCache::head`]) — a published dataset's or a private store's,
+    /// built at its first query since the last write, or at its second over
+    /// an array too full to pack. Only that one first query over such an
+    /// array sweeps. Which start a proof took is booked here.
     fn sumcheck_prover(
         &self,
         q: &Query,
     ) -> Result<(SumCheckProver<F>, &'static str, Vec<u64>), Flow> {
         let log_u = self.log_u;
-        let (name, range, vector) = match (q, self.data()) {
-            (Query::SelfJoin, DataRef::Raw(fv)) => ("self-join", None, fv),
-            (Query::SelfJoin, DataRef::Kv(s)) => ("self-join", None, s.raw_vector()),
-            (&Query::RangeSum { l, r }, DataRef::Raw(fv)) => ("range-sum", Some((l, r)), fv),
-            (&Query::RangeSum { l, r }, DataRef::Kv(s)) => {
-                ("range-sum", Some((l, r)), s.encoded_vector())
+        let (data, heads) = self.data();
+        let kv = matches!(data, DatasetData::Kv(_));
+        let (name, range, which) = match *q {
+            Query::SelfJoin => ("self-join", None, QueryVector::Raw),
+            Query::RangeSum { l, r } if kv => ("range-sum", Some((l, r)), QueryVector::Encoded),
+            Query::RangeSum { l, r } => ("range-sum", Some((l, r)), QueryVector::Raw),
+            Query::RangeCount { l, r } if kv => {
+                ("range-count", Some((l, r)), QueryVector::Presence)
             }
-            (&Query::RangeCount { l, r }, DataRef::Kv(s)) => {
-                ("range-count", Some((l, r)), s.presence_vector())
-            }
-            (Query::RangeCount { .. }, DataRef::Raw(_)) => {
+            Query::RangeCount { .. } => {
                 return Err(protocol("range-count requires a kv-store session"));
             }
-            (other, _) => {
+            ref other => {
                 return Err(protocol(format!("{} has no one-shot form", other.name())));
             }
         };
         if let Some((l, r)) = range {
             self.check_range(l, r)?;
         }
-        let head_started: Option<SumCheckProver<F>> = match (&self.store, q) {
-            (Store::Shared(ds), Query::SelfJoin) => ds.f2_prover().map(|p| Box::new(p) as _),
-            (Store::Shared(ds), &Query::RangeSum { l, r }) => {
-                ds.range_sum_prover(l, r).map(|p| Box::new(p) as _)
-            }
-            _ => None,
-        };
+        let head = heads.head(data, which, log_u);
         if sip_obs::enabled() {
-            let start = if head_started.is_some() {
-                "head"
-            } else {
-                "sweep"
-            };
+            let start = if head.is_some() { "head" } else { "sweep" };
             let labels = [("query", name), ("start", start)];
             sip_obs::counter_with("sip_server_sumcheck_provers_total", &labels).inc();
         }
-        let prover = head_started.unwrap_or_else(|| match range {
-            None => Box::new(F2Prover::new(vector, log_u)),
-            Some((l, r)) => Box::new(RangeSumProver::new(vector, log_u, l, r)),
-        });
+        let vector = data.vector(which);
+        let prover: SumCheckProver<F> = match (head, range) {
+            (Some(head), None) => Box::new(F2Prover::from_head(head)),
+            (Some(head), Some((l, r))) => Box::new(RangeSumProver::from_head(head, l, r)),
+            (None, None) => Box::new(F2Prover::new(vector, log_u)),
+            (None, Some((l, r))) => Box::new(RangeSumProver::new(vector, log_u, l, r)),
+        };
         let params = range.map_or(Vec::new(), |(l, r)| vec![l, r]);
         Ok((prover, name, params))
     }
@@ -949,18 +933,15 @@ impl<F: PrimeField, T: Transport> ServerSession<F, T> {
     fn start_query(&mut self, q: Query) -> Result<(), Flow> {
         let u = 1u64 << self.log_u;
         let log_u = self.log_u;
-        match (q, self.data()) {
+        let (data, _) = self.data();
+        match (q, data) {
             (q @ (Query::SelfJoin | Query::RangeSum { .. } | Query::RangeCount { .. }), _) => {
                 let (prover, _, _) = self.sumcheck_prover(&q)?;
                 self.begin_sumcheck(prover)
             }
             (Query::Report { l, r }, data) => {
                 self.check_range(l, r)?;
-                let fv = match data {
-                    DataRef::Raw(fv) => fv,
-                    DataRef::Kv(s) => s.encoded_vector(),
-                };
-                let prover = SubVectorProver::new(fv, log_u);
+                let prover = SubVectorProver::new(data.vector(QueryVector::Encoded), log_u);
                 let answer = prover.answer(l, r);
                 self.served.rounds += 1;
                 self.served.v_to_p_words += 2;
@@ -975,10 +956,7 @@ impl<F: PrimeField, T: Transport> ServerSession<F, T> {
                 if threshold == 0 {
                     return Err(protocol("heavy-hitter threshold must be positive"));
                 }
-                let fv = match data {
-                    DataRef::Raw(fv) => fv,
-                    DataRef::Kv(s) => s.encoded_vector(),
-                };
+                let fv = data.vector(QueryVector::Encoded);
                 // The count tree needs the strict turnstile model; check
                 // instead of letting HhProver::new assert.
                 if fv.nonzero().any(|(_, f)| f < 0) {
@@ -997,7 +975,7 @@ impl<F: PrimeField, T: Transport> ServerSession<F, T> {
                 };
                 self.send(&Msg::HhDisclosure(disc))
             }
-            (Query::Predecessor { q }, DataRef::Kv(s)) => {
+            (Query::Predecessor { q }, DatasetData::Kv(s)) => {
                 if q >= u {
                     return Err(protocol(format!("probe {q} outside universe")));
                 }
@@ -1006,7 +984,7 @@ impl<F: PrimeField, T: Transport> ServerSession<F, T> {
                 self.served.p_to_v_words += 1;
                 self.send(&Msg::KeyClaim(claim))
             }
-            (Query::Successor { q }, DataRef::Kv(s)) => {
+            (Query::Successor { q }, DatasetData::Kv(s)) => {
                 if q >= u {
                     return Err(protocol(format!("probe {q} outside universe")));
                 }
@@ -1015,7 +993,7 @@ impl<F: PrimeField, T: Transport> ServerSession<F, T> {
                 self.served.p_to_v_words += 1;
                 self.send(&Msg::KeyClaim(claim))
             }
-            (Query::Predecessor { .. } | Query::Successor { .. }, DataRef::Raw(_)) => {
+            (Query::Predecessor { .. } | Query::Successor { .. }, DatasetData::Raw(_)) => {
                 Err(protocol("neighbour queries require a kv-store session"))
             }
         }
@@ -2157,7 +2135,7 @@ mod tests {
 
     fn raw_store(session: &Bare) -> &FrequencyVector {
         match &session.store {
-            Store::Raw(fv) => fv,
+            Store::Private(DatasetData::Raw(fv), _) => fv,
             _ => panic!("not a private raw store"),
         }
     }
@@ -2195,13 +2173,92 @@ mod tests {
         assert_eq!(entries, [(0, threshold as i64)]);
     }
 
+    /// The heads a session's private store holds.
+    fn private_heads(session: &Bare) -> &HeadCache<Fp61> {
+        match &session.store {
+            Store::Private(_, heads) => heads,
+            Store::Shared(_) => panic!("not a private store"),
+        }
+    }
+
+    /// Serves one F₂ prover over the session's data, and drops it.
+    fn ask_self_join(session: &Bare) {
+        let Ok((prover, _, _)) = session.sumcheck_prover(&Query::SelfJoin) else {
+            panic!("an F₂ query is always served")
+        };
+        drop(prover);
+    }
+
+    #[test]
+    fn store_head_holds_at_most_half_an_array_and_twice_a_trees_wire_bytes() {
+        // The worst case for a head: every block of 16 cells occupied, so
+        // the pack keeps 12 bytes of block beside 10 of cell. A tree of one
+        // cell a block (under u/8 updates: no promotion) keeps 26 bytes a
+        // cell — about half the tree's own ≈ 50 — against the 16-odd wire
+        // bytes each cell's update arrived in. An array at the pack cap (a
+        // quarter nonzero, four cells a block) keeps 13/32 of its bytes in
+        // the pack and 1/32 in prefix-sum checkpoints.
+        let log_u = 16u32;
+        let u = 1u64 << log_u;
+        for (what, cells) in [("tree", u / 16), ("array", u / 4)] {
+            let registry = Arc::new(DatasetRegistry::new(1));
+            let (mut session, _peer) = bare_session(SessionMode::RawStream, log_u, registry);
+            let stride = u / cells;
+            let frame =
+                Msg::<Fp61>::Ingest((0..cells).map(|i| Update::new(i * stride, 1)).collect());
+            let wire = frame.to_bytes().len();
+            assert!(matches!(session.handle(frame), Ok(true)));
+            assert_eq!(raw_store(&session).is_dense(), what == "array", "{what}");
+            ask_self_join(&session);
+            let head = private_heads(&session).built(QueryVector::Raw);
+            let bytes = head
+                .expect("a packed vector builds at its first query")
+                .bytes();
+            if what == "tree" {
+                assert!(
+                    bytes <= 2 * wire,
+                    "{what}: {bytes} B of head for {wire} wire bytes"
+                );
+            } else {
+                let array = 8 * u as usize;
+                assert!(
+                    2 * bytes <= array,
+                    "{what}: {bytes} B of head for {array} B"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn an_ingest_after_a_cached_head_writes_the_store_in_place() {
+        // The head holds an `O(1)` snapshot of the store. The ingest must
+        // drop it before writing, or the write copies the whole vector.
+        let log_u = 12u32;
+        let u = 1u64 << log_u;
+        let registry = Arc::new(DatasetRegistry::new(1));
+        let (mut session, _peer) = bare_session(SessionMode::RawStream, log_u, registry);
+        let frame = (0..u / 8).map(|i| Update::new(i * 8, 1)).collect();
+        assert!(matches!(session.handle(Msg::Ingest(frame)), Ok(true)));
+        let cells = raw_store(&session)
+            .dense_values()
+            .expect("promoted")
+            .as_ptr();
+        ask_self_join(&session);
+        assert!(private_heads(&session).built(QueryVector::Raw).is_some());
+        ingest_on_key_zero(&mut session, 1);
+        assert!(private_heads(&session).built(QueryVector::Raw).is_none());
+        let after = raw_store(&session).dense_values().expect("still dense");
+        assert_eq!(after.as_ptr(), cells, "the write copied the store");
+        assert_eq!(after[0], 2);
+    }
+
     #[test]
     fn store_of_a_kv_session_never_promotes_on_volume() {
         let log_u = WIDEST_DENSE_LOG_U;
         let registry = Arc::new(DatasetRegistry::new(1));
         let (mut session, _peer) = bare_session(SessionMode::KvStore, log_u, registry);
         ingest_on_key_zero(&mut session, (1u64 << log_u) / 8);
-        let Store::Kv(s) = &session.store else {
+        let Store::Private(DatasetData::Kv(s), _) = &session.store else {
             panic!("not a kv store")
         };
         assert_eq!(s.raw_vector().promote_threshold(), (1u64 << log_u) / 8);
@@ -2261,14 +2318,15 @@ mod tests {
             let frame = [&good[..], &[Update::new(index, delta)]].concat();
             let refused = session.handle(Msg::Ingest(frame));
             assert!(matches!(refused, Err(Flow::Protocol(_))), "{name}");
-            let support = match &session.store {
-                Store::Raw(fv) => fv.support_size(),
-                Store::Kv(s) => [s.encoded_vector(), s.presence_vector(), s.raw_vector()]
-                    .iter()
-                    .map(|fv| fv.support_size())
-                    .sum(),
-                Store::Shared(_) => unreachable!(),
-            };
+            let (data, _) = session.data();
+            let support: u64 = [
+                QueryVector::Raw,
+                QueryVector::Encoded,
+                QueryVector::Presence,
+            ]
+            .map(|which| data.vector(which).support_size())
+            .iter()
+            .sum();
             let state = (support, session.ingested, session.received);
             assert_eq!(state, (0, false, 0), "{name}: nothing applied");
         }

@@ -29,6 +29,9 @@
 //!   to `2^7`, and by name the ranges whose endpoints share a block, sit in
 //!   adjacent blocks, are block-aligned, or put the blocks between them on
 //!   either side of a prefix-sum checkpoint;
+//! * a kv store's RANGE-SUM over its `value + 1` vector and RANGE-COUNT
+//!   over its presence vector, head-started against the sweep, on a tree,
+//!   a promoted array the head packs and one too full to pack;
 //! * a RANGE-SUM boundary matrix — every range of every universe up to
 //!   `2^5`, and the named corner cases at `2^10` — through the complete
 //!   protocol against `FrequencyVector::range_sum`.
@@ -44,6 +47,7 @@ use sip::core::sumcheck::range_sum::{run_range_sum, RangeSumProver};
 use sip::core::sumcheck::{prove_oneshot, ProverWalk, RoundProver};
 use sip::core::transcript::query_transcript;
 use sip::field::{Fp127, Fp61, PrimeField};
+use sip::kvstore::{CloudStore, KvServer};
 use sip::lde::interval::block_range_weight;
 use sip::streaming::{workloads, FrequencyVector, Update};
 
@@ -150,12 +154,12 @@ fn challenges_for<F: PrimeField>(log_u: u32, seed: u64) -> Vec<F> {
 
 /// Compares one fused prover with its reference: round by round, and as a
 /// sealed one-shot proof (claimed value, every polynomial, digest).
-fn assert_same_proof<F: PrimeField>(
+fn assert_same_proof<F: PrimeField, R: RoundProver<F>>(
     what: &str,
     log_u: u32,
     challenges: &[F],
     fused: impl Fn() -> Box<dyn RoundProver<F>>,
-    reference: impl Fn() -> TwoPass<F>,
+    reference: impl Fn() -> R,
 ) {
     let expect = transcript(&mut reference(), challenges);
     assert_eq!(transcript(&mut *fused(), challenges), expect, "{what}");
@@ -307,6 +311,55 @@ proptest! {
             ordered(ends.0, ends.1, u),
             seed,
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A kv store's RANGE-SUM runs over its `value + 1` vector and its
+    /// RANGE-COUNT over its presence vector; a server starts both from those
+    /// vectors' heads. `keys` distinct puts over `[2^log_u]`, up to 3/8 of
+    /// it, make a tree (under `u/8`), a promoted array the head packs (up to
+    /// `u/4`) or one too full to pack, each about a third of the time.
+    #[test]
+    fn head_started_kv_range_queries_equal_the_sweep(
+        log_u in 3u32..=10,
+        fill in 0u64..=24,
+        values in prop::collection::vec(0u64..1000, 64..65),
+        ends in (any::<u64>(), any::<u64>()),
+        seed in any::<u64>(),
+    ) {
+        let u = 1u64 << log_u;
+        let keys = u * fill / 64;
+        // An odd multiplier permutes `[u]`: the first `keys` images are distinct.
+        let puts: Vec<Update> = (0..keys)
+            .map(|n| Update::new(n * 2_654_435_761 % u, values[n as usize % 64] as i64 + 1))
+            .collect();
+        let mut store = CloudStore::<Fp61>::new_sparse(log_u);
+        store.ingest_batch(&puts);
+        let (l, r) = ordered(ends.0, ends.1, u);
+        let challenges = challenges_for::<Fp61>(log_u, seed);
+        for (query, fv) in [
+            ("range-sum", store.encoded_vector()),
+            ("range-count", store.presence_vector()),
+        ] {
+            let shape = match (fv.is_dense(), F2Head::<Fp61>::packs(fv)) {
+                (false, _) => "tree",
+                (true, true) => "promoted array",
+                (true, false) => "unpacked array",
+            };
+            prop_assert_eq!(fv.is_dense(), 8 * keys >= u);
+            prop_assert_eq!(F2Head::<Fp61>::packs(fv), 4 * keys <= u);
+            let head = Arc::new(F2Head::<Fp61>::build(fv, log_u));
+            assert_same_proof(
+                &format!("{query} over a {shape} of {keys} keys, log_u={log_u}, [{l}, {r}]"),
+                log_u,
+                &challenges,
+                || Box::new(RangeSumProver::from_head(Arc::clone(&head), l, r)),
+                || RangeSumProver::<Fp61>::new(fv, log_u, l, r),
+            );
+        }
     }
 }
 

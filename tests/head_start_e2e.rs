@@ -1,17 +1,21 @@
 //! Which start a served proof takes, read off the prover's own counters.
 //!
-//! A published dataset's head answers the first `k = 4` rounds of every F₂
-//! query and — on a raw dataset — of every RANGE-SUM query without a pass
-//! over the data, so at `log_u = 16` such a proof costs 12 engine passes
-//! over 8 190 blocks where a sweep costs 16 passes. Every other prover (a
-//! private store's, a thawed checkpoint's, a kv dataset's range queries)
-//! keeps the sweep. `sip_server_sumcheck_provers_total{query, start}` books
-//! which one a query got, and a publish that is refused builds no head.
+//! Every sum-check query starts from the head of the vector it reads: a
+//! published dataset's raw head is built at publish, every other head —
+//! a private store's, a thawed checkpoint's, a kv store's encoded and
+//! presence vectors' — at its vector's first query, and a write to a
+//! private store drops them all. The head answers the first `k = 4` rounds
+//! without a pass over the data, so at `log_u = 16` such a proof costs 12
+//! engine passes over 8 190 blocks where a sweep costs 16 passes. Only an
+//! array too full to pack sweeps, once: its head waits for the second
+//! query on the same snapshot. `sip_server_sumcheck_provers_total{query,
+//! start}` books which start a query got, `sip_registry_f2_head_builds_total`
+//! how many heads were built, and a publish that is refused builds none.
 //!
 //! The one pass a head-started proof does make — the `k`-variable bind —
-//! reads the frozen vector's packed nonzero cells where the vector is mostly
-//! zero and its array otherwise; `sip_fold_binds_total{source}` books which,
-//! and neither the passes and blocks counted nor the answers depend on it.
+//! reads the vector's packed nonzero cells where the vector is mostly zero
+//! and its array otherwise; `sip_fold_binds_total{source}` books which, and
+//! neither the passes and blocks counted nor the answers depend on it.
 //!
 //! The counters are process-global, so the tests of this file take turns.
 
@@ -44,6 +48,10 @@ fn engine_passes() -> (u64, u64) {
         obs::counter("sip_fold_messages_total").get(),
         obs::counter("sip_fold_blocks_total").get(),
     )
+}
+
+fn head_builds() -> u64 {
+    obs::counter("sip_registry_f2_head_builds_total").get()
 }
 
 /// What one query added: engine passes, blocks swept, and range-sum
@@ -93,12 +101,15 @@ fn range_sum_on_a_published_raw_dataset_starts_from_its_head() {
     owner.send_stream(&stream);
     owner.end_stream().unwrap();
 
-    // The private store, before publish: a sweep, a pass a round.
+    // The private store, before publish: its first query builds the head
+    // (the store went dense on volume, but it is packed) and starts from it.
+    let builds = head_builds();
     let v = digest();
-    let (messages, _, head, sweep) = cost_of(|| {
+    let private = cost_of(|| {
         assert_eq!(owner.verify_range_sum(v, q_l, q_r).unwrap().value, truth);
     });
-    assert_eq!((messages, head, sweep), (16, 0, 1), "private store");
+    assert_eq!(private, head_started, "private store");
+    assert_eq!(head_builds(), builds + 1, "private store");
     owner.save_state("mark").unwrap();
 
     // Published: interactive and one-shot both start from the head.
@@ -116,19 +127,22 @@ fn range_sum_on_a_published_raw_dataset_starts_from_its_head() {
     assert_eq!(oneshot, head_started, "published, one-shot");
     owner.bye().unwrap();
 
-    // A checkpoint thaws into a private store: a sweep again.
+    // A checkpoint thaws into a private store, which builds its own head.
     let mut resumed: RawClient<Fp61, _> = RawClient::connect(server.local_addr(), log_u).unwrap();
     resumed.resume("mark").unwrap();
+    let builds = head_builds();
     let v = digest();
-    let (messages, _, head, sweep) = cost_of(|| {
+    let thawed = cost_of(|| {
         assert_eq!(resumed.verify_range_sum(v, q_l, q_r).unwrap().value, truth);
     });
-    assert_eq!((messages, head, sweep), (16, 0, 1), "thawed checkpoint");
+    assert_eq!(thawed, head_started, "thawed checkpoint");
+    assert_eq!(head_builds(), builds + 1, "thawed checkpoint");
     resumed.bye().unwrap();
 
     // A published kv dataset: its range-sum is a range-sum over the encoded
-    // vector and a range-count over the presence vector, and the dataset's
-    // head is the raw vector's — both sweep.
+    // vector and a range-count over the presence vector. The publish built
+    // the raw vector's head; those two are built at the first query, each
+    // a tree, and both proofs start from them.
     let mut kv_rng = StdRng::seed_from_u64(7);
     let mut kv = Client::<Fp61>::new(log_u, QueryBudget::default(), &mut kv_rng);
     let mut store: RemoteStore<Fp61, _> = RemoteStore::connect(server.local_addr(), log_u).unwrap();
@@ -136,14 +150,19 @@ fn range_sum_on_a_published_raw_dataset_starts_from_its_head() {
         kv.put(key * 1_001 % u, key + 1, &mut store);
     }
     store.publish("kv").unwrap();
-    let counts_swept = provers_built("range-count", "sweep");
-    let (messages, _, head, sweep) = cost_of(|| {
+    let counts = (
+        provers_built("range-count", "head"),
+        provers_built("range-count", "sweep"),
+    );
+    let builds = head_builds();
+    let published_kv = cost_of(|| {
         let got = kv.range_sum(0, u - 1, &store).unwrap();
         assert_eq!(got.value, (1..=50).sum::<u64>());
     });
-    assert_eq!((messages, head, sweep), (32, 0, 1), "published kv dataset");
-    assert_eq!(provers_built("range-count", "sweep"), counts_swept + 1);
-    assert_eq!(provers_built("range-count", "head"), 0);
+    assert_eq!(published_kv, (24, 16_380, 1, 0), "published kv dataset");
+    assert_eq!(provers_built("range-count", "head"), counts.0 + 1);
+    assert_eq!(provers_built("range-count", "sweep"), counts.1);
+    assert_eq!(head_builds(), builds + 2, "published kv dataset");
     store.bye().unwrap();
     server.shutdown();
 
@@ -245,16 +264,24 @@ fn a_head_started_proof_books_the_source_its_bind_read() {
         let mut owner = RawClient::<Fp61, _>::connect(server.local_addr(), log_u).unwrap();
         owner.send_stream(stream);
         owner.end_stream().unwrap();
-        // The private store sweeps: no bind at all.
-        let (swept, costs) = ask(&mut owner, stream, q, &mut rng);
-        assert_eq!(swept, truth, "{id}: private store");
-        for (passes, bound) in costs {
-            assert_eq!((passes.0, bound), (16, (0, 0)), "{id}: private store");
+        // The private store starts from its own head, built at the first
+        // query where the build packs the vector; over an array too full to
+        // pack, the first query sweeps (no bind at all) and the second
+        // builds.
+        let (private, mut costs) = ask(&mut owner, stream, q, &mut rng);
+        assert_eq!(private, truth, "{id}: private store");
+        if source == array {
+            let ((passes, _), bound) = costs.remove(0);
+            assert_eq!((passes, bound), (16, (0, 0)), "{id}: private store");
         }
+        assert!(
+            costs.iter().all(|&cost| cost == ((12, 8_190), source)),
+            "{id}: private store {costs:?}"
+        );
         // Published: the same answers, and the source of the one bind booked.
         owner.publish(id).unwrap();
         let (answers, costs) = ask(&mut owner, stream, q, &mut rng);
-        assert_eq!(answers, swept, "{id}: published");
+        assert_eq!(answers, private, "{id}: published");
         assert_eq!(costs, head_started(source), "{id}: published");
         owner.bye().unwrap();
     }
@@ -269,6 +296,84 @@ fn a_head_started_proof_books_the_source_its_bind_read() {
     tenant.bye().unwrap();
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_private_store_builds_each_head_once_per_snapshot() {
+    let _turn = COUNTERS.lock().unwrap_or_else(|p| p.into_inner());
+    let u = 1u64 << LOG_U;
+    let head_started = |source| ((12, 8_190), source);
+    let (array, packed) = ((1, 0), (0, 1));
+    let mut rng = StdRng::seed_from_u64(10);
+    let server = spawn::<Fp61, _>("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut f2 = |client: &mut RawClient<Fp61, _>, stream: &[Update]| {
+        let mut v = F2Verifier::<Fp61>::new(LOG_U, &mut rng);
+        v.update_batch(stream);
+        costed(|| client.verify_f2(v).unwrap().value)
+    };
+    let self_join = |stream: &[Update]| {
+        Fp61::from_u128(FrequencyVector::from_stream(u, stream).self_join_size() as u128)
+    };
+
+    // Query, ingest, query on a raw store (a tree: under u/8 updates). The
+    // write drops the first snapshot's head, and the next query builds one
+    // over the new data and answers it.
+    let first = workloads::zipf(2_000, u, 1.1, 11);
+    let both = [first.clone(), workloads::zipf(2_000, u, 1.1, 12)].concat();
+    let mut owner = RawClient::<Fp61, _>::connect(server.local_addr(), LOG_U).unwrap();
+    owner.send_stream(&first);
+    let builds = head_builds();
+    for _ in 0..2 {
+        assert_eq!(
+            f2(&mut owner, &first),
+            (self_join(&first), head_started(packed))
+        );
+    }
+    assert_eq!(head_builds(), builds + 1, "one head for the first snapshot");
+    owner.send_stream(&both[first.len()..]);
+    assert_eq!(
+        f2(&mut owner, &both),
+        (self_join(&both), head_started(packed))
+    );
+    assert_eq!(head_builds(), builds + 2, "the write dropped the head");
+    owner.bye().unwrap();
+
+    // A dense array too full to pack: its first query sweeps, its second
+    // builds the head, its third reuses it.
+    let paper = workloads::paper_f2(u, 13);
+    let mut owner = RawClient::<Fp61, _>::connect(server.local_addr(), LOG_U).unwrap();
+    owner.send_stream(&paper);
+    let builds = head_builds();
+    let (swept, ((passes, _), bound)) = f2(&mut owner, &paper);
+    assert_eq!((swept, passes, bound), (self_join(&paper), 16, (0, 0)));
+    assert_eq!(head_builds(), builds, "the first query sweeps");
+    for _ in 0..2 {
+        assert_eq!(f2(&mut owner, &paper), (swept, head_started(array)));
+    }
+    assert_eq!(head_builds(), builds + 1, "the second builds");
+    owner.bye().unwrap();
+
+    // A private kv session: RANGE-SUM reads the encoded vector, RANGE-COUNT
+    // the presence vector and F₂ the raw values; each builds its head once.
+    let mut kv = Client::<Fp61>::new(LOG_U, QueryBudget::default(), &mut rng);
+    let mut store: RemoteStore<Fp61, _> = RemoteStore::connect(server.local_addr(), LOG_U).unwrap();
+    for key in 0..50u64 {
+        kv.put(key * 1_001 % u, key + 1, &mut store);
+    }
+    let queries = ["range-sum", "range-count", "self-join"];
+    let started = |start| queries.map(|query| provers_built(query, start));
+    let (builds, heads, sweeps) = (head_builds(), started("head"), started("sweep"));
+    for round in 1..=2u64 {
+        let sum = kv.range_sum(0, u - 1, &store).unwrap().value;
+        assert_eq!(sum, (1..=50).sum::<u64>());
+        let squares = kv.self_join_size(&store).unwrap().value;
+        assert_eq!(squares, (1..=50u64).map(|v| v * v).sum::<u64>());
+        assert_eq!(started("head"), heads.map(|n| n + round), "round {round}");
+    }
+    assert_eq!(started("sweep"), sweeps);
+    assert_eq!(head_builds(), builds + 3, "one head per vector");
+    store.bye().unwrap();
+    server.shutdown();
 }
 
 #[test]

@@ -105,8 +105,9 @@ fn every_registered_metric_is_in_the_help_table() {
     );
 
     // The publish built the dataset's head, counted, timed and sized; the
-    // query before it swept the private store, the two after started from
-    // the head, and each was booked under its start. Which source a
+    // query before it swept the private store (an array too full to pack,
+    // whose first query sweeps), the two after started from the head, and
+    // each was booked under its start. Which source a
     // head-started proof's k-variable bind read has a series per source
     // (at log_u = 4 the head answers every round, so neither has counted).
     // The private store went dense once the updates reached u/8 = 2.
