@@ -150,16 +150,28 @@ impl<F: PrimeField> F2Head<F> {
     /// Panics if `log_u` is zero or the vector's universe exceeds
     /// `2^log_u`.
     pub fn build(fv: &FrequencyVector, log_u: u32) -> Self {
-        Self::with_rounds(fv, log_u, HEAD_ROUNDS.min(log_u))
+        Self::with_rounds(fv, log_u, HEAD_ROUNDS.min(log_u), packed_support(fv))
     }
 
-    /// Whether [`Self::build`] packs `fv`'s nonzero cells: a tree always, an
-    /// array at most a quarter nonzero (counted, so `O(u)` on an array).
-    pub fn packs(fv: &FrequencyVector) -> bool {
-        packed_support(fv).is_some()
+    /// [`Self::build`] where it packs `fv`'s nonzero cells — a tree always,
+    /// an array at most a quarter nonzero — and `None`, after the one count,
+    /// over a fuller array.
+    ///
+    /// # Panics
+    /// As [`Self::build`].
+    pub fn build_if_packed(fv: &FrequencyVector, log_u: u32) -> Option<Self> {
+        let support = packed_support(fv)?;
+        Some(Self::with_rounds(
+            fv,
+            log_u,
+            HEAD_ROUNDS.min(log_u),
+            Some(support),
+        ))
     }
 
-    fn with_rounds(fv: &FrequencyVector, log_u: u32, k: u32) -> Self {
+    /// The head over `k` rounds, packing `fv` iff `packed` holds its
+    /// support (`packed_support`).
+    fn with_rounds(fv: &FrequencyVector, log_u: u32, k: u32, packed: Option<u64>) -> Self {
         // A server session's `log_u` passed the handshake's `[1, MAX_LOG_U]`.
         assert!((1..=63).contains(&log_u), "log_u must be in [1, 63]");
         // Its stores are built over exactly `2^log_u`, and a reloaded
@@ -170,7 +182,7 @@ impl<F: PrimeField> F2Head<F> {
         );
         // `k = min(HEAD_ROUNDS, log_u)` with `log_u ≥ 1`, checked above.
         assert!((1..=log_u).contains(&k));
-        let mut pack = packed_support(fv).map(|support| {
+        let mut pack = packed.map(|support| {
             let blocks = support.min(fv.universe().div_ceil(1 << k));
             PackedBlocks::with_capacity(k, support as usize, blocks as usize)
         });
@@ -254,7 +266,8 @@ impl<F: PrimeField> F2Head<F> {
     }
 }
 
-/// The support of `fv` where [`F2Head::build`] packs it, counted once.
+/// The support of `fv` where [`F2Head::build`] packs it: a tree's, or an
+/// array's at most a quarter of its cells.
 fn packed_support(fv: &FrequencyVector) -> Option<u64> {
     let support = fv.support_size();
     (!fv.is_dense() || support <= fv.universe() / PACK_DIVISOR).then_some(support)
@@ -680,10 +693,10 @@ mod tests {
         // G_j summed out of G_k's diagonal blocks is G_j built directly, is
         // the definition Σ_m a[m·2^j + y]·a[m·2^j + y'], and is symmetric.
         for (fv, log_u) in head_inputs() {
-            let head = F2Head::<Fp61>::with_rounds(&fv, log_u, 5);
+            let head = F2Head::<Fp61>::with_rounds(&fv, log_u, 5, packed_support(&fv));
             assert_eq!(head.rounds(), 5);
             for j in 1..=5u32 {
-                let direct = F2Head::<Fp61>::with_rounds(&fv, log_u, j);
+                let direct = F2Head::<Fp61>::with_rounds(&fv, log_u, j, packed_support(&fv));
                 assert_eq!(
                     head.grams[j as usize - 1],
                     direct.grams[j as usize - 1],

@@ -577,7 +577,7 @@ pub const METRIC_HELP: &[(&str, &str)] = &[
     ),
     (
         "sip_server_sumcheck_provers_total",
-        "Sum-check provers built, labelled by query and by start: head (the first rounds from the vector's head, no pass over the data) or sweep (the first query over a snapshot of an array too full to pack)",
+        "Sum-check provers built, labelled by query and by start: head (the first rounds from the vector's head, no pass over the data) or sweep (a query over an array too full to pack, where no publish built its head)",
     ),
     (
         "sip_server_wire_faults_total",

@@ -19,10 +19,11 @@
 //! A head is built at its vector's first query when the build packs the
 //! vector (a tree, or an array at most a quarter nonzero): then the build
 //! and the head-started proof together cost less than the sweep they
-//! replace. Over a fuller array one build costs more than a sweep, so the
-//! first query sweeps and the second on the same snapshot builds.
+//! replace. Over a fuller array one build costs more than a sweep, and no
+//! measured workload queries one snapshot of such a private array often
+//! enough to pay it back, so those queries sweep (a published array's raw
+//! head is built at publish regardless).
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use sip_core::sumcheck::f2::F2Head;
@@ -45,31 +46,16 @@ pub(crate) enum QueryVector {
 
 /// The lazily built heads of one snapshot's query vectors, one slot per
 /// [`QueryVector`].
+#[derive(Default)]
 pub(crate) struct HeadCache<F: PrimeField> {
-    slots: [Slot<F>; 3],
-}
-
-struct Slot<F: PrimeField> {
-    /// Set by the first query over this vector since the cache was cleared.
-    queried: AtomicBool,
-    head: OnceLock<Arc<F2Head<F>>>,
-}
-
-impl<F: PrimeField> Default for HeadCache<F> {
-    fn default() -> Self {
-        HeadCache {
-            slots: std::array::from_fn(|_| Slot {
-                queried: AtomicBool::new(false),
-                head: OnceLock::new(),
-            }),
-        }
-    }
+    slots: [OnceLock<Arc<F2Head<F>>>; 3],
 }
 
 impl<F: PrimeField> HeadCache<F> {
     /// The head a query over `which` of `data` starts from: the cached one,
-    /// or one built now — unless this is the vector's first query and the
-    /// build would not pack it, in which case the query sweeps (`None`).
+    /// or one built now where the build packs the vector; `None` — the
+    /// query sweeps — over an array too full to pack. Two first queries
+    /// that race may both build; the first one stored is kept.
     pub(crate) fn head(
         &self,
         data: &DatasetData<F>,
@@ -77,33 +63,30 @@ impl<F: PrimeField> HeadCache<F> {
         log_u: u32,
     ) -> Option<Arc<F2Head<F>>> {
         let slot = &self.slots[which as usize];
-        if slot.head.get().is_none() {
-            // `queried` publishes nothing: the head itself goes through the
-            // `OnceLock`.
-            let first = !slot.queried.swap(true, Ordering::Relaxed);
-            if first && !F2Head::<F>::packs(data.vector(which)) {
-                return None;
-            }
+        if let Some(head) = slot.get() {
+            return Some(Arc::clone(head));
         }
-        Some(Arc::clone(self.build(data, which, log_u)))
+        let head = build_head(data.vector(which), log_u, F2Head::build_if_packed)?;
+        Some(Arc::clone(slot.get_or_init(|| Arc::new(head))))
     }
 
-    /// The head of `which`, built now if it is not yet, whatever the vector
-    /// (publish and published reload build the raw head before any query).
+    /// The head of `which`, built now if no query built it yet, whatever
+    /// the vector (what publish and published reload do for the raw head).
     pub(crate) fn build(
         &self,
         data: &DatasetData<F>,
         which: QueryVector,
         log_u: u32,
     ) -> &Arc<F2Head<F>> {
-        let slot = &self.slots[which as usize];
-        slot.head
-            .get_or_init(|| Arc::new(build_head(data.vector(which), log_u)))
+        self.slots[which as usize].get_or_init(|| {
+            let build = |fv: &_, log_u| Some(F2Head::build(fv, log_u));
+            Arc::new(build_head(data.vector(which), log_u, build).expect("always builds"))
+        })
     }
 
     /// The head of `which`, if one is built.
     pub(crate) fn built(&self, which: QueryVector) -> Option<&F2Head<F>> {
-        self.slots[which as usize].head.get().map(|head| &**head)
+        self.slots[which as usize].get().map(|head| &**head)
     }
 
     /// Drops every head, and with it every snapshot a head holds — what a
@@ -113,17 +96,23 @@ impl<F: PrimeField> HeadCache<F> {
     }
 }
 
-/// The one head builder: one pass over `fv`, booked as one build, its time
-/// and its bytes.
-fn build_head<F: PrimeField>(fv: &FrequencyVector, log_u: u32) -> F2Head<F> {
+/// The one head builder: `build` over `fv`, booked as one build, its time
+/// and its bytes where it built one.
+fn build_head<F: PrimeField>(
+    fv: &FrequencyVector,
+    log_u: u32,
+    build: impl FnOnce(&FrequencyVector, u32) -> Option<F2Head<F>>,
+) -> Option<F2Head<F>> {
     let mut span = sip_obs::trace::span("sip.server.registry", "f2_head");
     span.field("log_u", log_u);
     let timer = sip_obs::enabled().then(sip_obs::Timer::start);
-    let head = F2Head::build(fv, log_u);
+    let head = build(fv, log_u);
+    span.field("built", head.is_some());
+    let head = head?;
     if let Some(timer) = timer {
         sip_obs::counter("sip_registry_f2_head_builds_total").inc();
         sip_obs::histogram("sip_registry_f2_head_build_us").observe(timer.elapsed_us());
         sip_obs::histogram("sip_registry_f2_head_bytes").observe(head.bytes() as u64);
     }
-    head
+    Some(head)
 }

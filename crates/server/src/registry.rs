@@ -24,10 +24,12 @@
 //! most once per vector and kept beside the dataset (`HeadCache`). The
 //! raw vector's head, which every F₂ query and every RANGE-SUM on a raw
 //! dataset starts from, is built when the data freezes: inside
-//! [`DatasetRegistry::publish`], before the publisher is acked, and again
-//! when a published dataset is reloaded from the data directory. A kv
-//! dataset's RANGE-SUM and RANGE-COUNT heads (its encoded and presence
-//! vectors) are built at their first query. That is all a dataset caches:
+//! [`DatasetRegistry::publish`], before the publisher is acked (unless the
+//! publishing session's own queries built it), and again when a published
+//! dataset is reloaded from the data directory. A kv dataset's RANGE-SUM
+//! and RANGE-COUNT heads (its encoded and presence vectors) are built at
+//! their first query where the build packs the vector; over a fuller array
+//! those queries sweep. That is all a dataset caches:
 //! derived from its vectors, never invalidated, never persisted and never
 //! sent (`sip_registry_f2_head_bytes`). Nothing that depends on a query or
 //! a challenge may live there. A checkpoint is overwritten as its stream
@@ -95,8 +97,9 @@ pub struct Dataset<F: PrimeField> {
     /// The heads every SELF-JOIN SIZE, RANGE-SUM and RANGE-COUNT proof over
     /// [`Self::data`] starts from: the raw vector's built at publish, the
     /// others at their first query; none on a checkpoint, which is never
-    /// queried.
-    heads: HeadCache<F>,
+    /// queried. A published private store brings the heads its queries
+    /// built.
+    pub(crate) heads: HeadCache<F>,
 }
 
 impl<F: PrimeField> Dataset<F> {
@@ -114,7 +117,7 @@ impl<F: PrimeField> Dataset<F> {
     }
 
     /// This dataset with the head of its raw vector built — one pass, on
-    /// the calling thread. The registry calls it where data freezes for
+    /// the calling thread, unless a query already built it. The registry calls it where data freezes for
     /// queries: publish and published reload.
     fn with_f2_head(self) -> Self {
         self.heads.build(&self.data, QueryVector::Raw, self.log_u);
@@ -125,11 +128,6 @@ impl<F: PrimeField> Dataset<F> {
     /// this dataset was published.
     pub fn f2_head(&self) -> Option<&F2Head<F>> {
         self.heads.built(QueryVector::Raw)
-    }
-
-    /// The heads of this dataset's query vectors.
-    pub(crate) fn heads(&self) -> &HeadCache<F> {
-        &self.heads
     }
 
     /// The session mode this dataset serves; attaching sessions must have

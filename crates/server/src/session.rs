@@ -261,7 +261,7 @@ impl<F: PrimeField, T: Transport> ServerSession<F, T> {
     fn data(&self) -> (&DatasetData<F>, &HeadCache<F>) {
         match &self.store {
             Store::Private(data, heads) => (data, heads),
-            Store::Shared(ds) => (&ds.data, ds.heads()),
+            Store::Shared(ds) => (&ds.data, &ds.heads),
         }
     }
 
@@ -719,8 +719,8 @@ impl<F: PrimeField, T: Transport> ServerSession<F, T> {
         // dies with a protocol error, so the moved data needs no restoring.
         let placeholder = DatasetData::Raw(FrequencyVector::new_sparse(1));
         let placeholder = Store::Private(placeholder, HeadCache::default());
-        let data = match std::mem::replace(&mut self.store, placeholder) {
-            Store::Private(data, _) => data,
+        let (data, heads) = match std::mem::replace(&mut self.store, placeholder) {
+            Store::Private(data, heads) => (data, heads),
             Store::Shared(ds) => {
                 return Err(protocol(format!(
                     "session already serves published dataset {:?}",
@@ -729,7 +729,8 @@ impl<F: PrimeField, T: Transport> ServerSession<F, T> {
             }
         };
         let shard = self.shard.map(|(spec, _, _)| spec);
-        let dataset = Dataset::new(dataset_id.clone(), self.log_u, shard, data);
+        let mut dataset = Dataset::new(dataset_id.clone(), self.log_u, shard, data);
+        dataset.heads = heads;
         let arc = self.registry.publish(dataset).map_err(protocol)?;
         self.store = Store::Shared(arc);
         self.mark_attached();
@@ -876,9 +877,10 @@ impl<F: PrimeField, T: Transport> ServerSession<F, T> {
     /// (`O(1)`, copy-on-write — a later ingest leaves the prover's view
     /// alone), and both start from the head of the query's vector
     /// ([`HeadCache::head`]) — a published dataset's or a private store's,
-    /// built at its first query since the last write, or at its second over
-    /// an array too full to pack. Only that one first query over such an
-    /// array sweeps. Which start a proof took is booked here.
+    /// built at its first query since the last write where the build packs
+    /// the vector. Only a query over an array too full to pack, with no
+    /// head built at publish, sweeps. Which start a proof took is booked
+    /// here.
     fn sumcheck_prover(
         &self,
         q: &Query,

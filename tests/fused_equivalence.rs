@@ -344,14 +344,15 @@ proptest! {
             ("range-sum", store.encoded_vector()),
             ("range-count", store.presence_vector()),
         ] {
-            let shape = match (fv.is_dense(), F2Head::<Fp61>::packs(fv)) {
+            let head = Arc::new(F2Head::<Fp61>::build(fv, log_u));
+            let packed = head.pack().is_some();
+            let shape = match (fv.is_dense(), packed) {
                 (false, _) => "tree",
                 (true, true) => "promoted array",
                 (true, false) => "unpacked array",
             };
             prop_assert_eq!(fv.is_dense(), 8 * keys >= u);
-            prop_assert_eq!(F2Head::<Fp61>::packs(fv), 4 * keys <= u);
-            let head = Arc::new(F2Head::<Fp61>::build(fv, log_u));
+            prop_assert_eq!(packed, 4 * keys <= u);
             assert_same_proof(
                 &format!("{query} over a {shape} of {keys} keys, log_u={log_u}, [{l}, {r}]"),
                 log_u,

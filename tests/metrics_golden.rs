@@ -106,7 +106,8 @@ fn every_registered_metric_is_in_the_help_table() {
 
     // The publish built the dataset's head, counted, timed and sized; the
     // query before it swept the private store (an array too full to pack,
-    // whose first query sweeps), the two after started from the head, and
+    // which no query builds a head for), the two after started from the
+    // head, and
     // each was booked under its start. Which source a
     // head-started proof's k-variable bind read has a series per source
     // (at log_u = 4 the head answers every round, so neither has counted).
