@@ -4,9 +4,11 @@
 //! cluster verifier keeps `f_{a_s}(r)` — one accumulator **per shard**, all
 //! at the *same* secret point `r` — because the per-shard final checks
 //! (`g_d⁽ˢ⁾(r_d) = f_{a_s}(r)²` for F₂, `f_{a_s}(r)·f_b(r)` for RANGE-SUM)
-//! are what make a failure attributable to one prover. The χ tables are
-//! shared, so per-update work stays `O(log u)` regardless of `S`, and space
-//! is `log u + S` words instead of `log u + 1`.
+//! are what make a failure attributable to one prover. The point's weight
+//! tables (a one-point `WeightBank`, built at the first own weight
+//! evaluation) are shared, so per-update work is one weight lookup
+//! regardless of `S`, and space is `log u + S` words instead of
+//! `log u + 1`.
 //!
 //! As everywhere else, one digest = one query: randomness reuse across
 //! queries is unsound (paper §7, "Multiple Queries").
@@ -28,8 +30,9 @@ use sip_core::subvector::SubVectorVerifier;
 #[derive(Clone, Debug)]
 pub struct ShardedLde<F: PrimeField> {
     router: ShardRouter,
-    /// Shared point and χ tables; its own accumulator stays unused (each
-    /// update lands in exactly one shard accumulator instead).
+    /// Shared point and its one-point weight bank; its own accumulator
+    /// stays unused (each update lands in exactly one shard accumulator
+    /// instead).
     probe: StreamingLdeEvaluator<F>,
     accs: Vec<F>,
     /// Stream updates absorbed so far (checkpoint metadata).
@@ -49,8 +52,8 @@ impl<F: PrimeField> ShardedLde<F> {
 
     /// Rebuilds a sharded digest from checkpointed state: the plan, the
     /// shared point, one accumulator per shard, and the update counter.
-    /// The χ tables are derived from `(plan, point)` exactly as on first
-    /// construction.
+    /// The weight tables are derived from `(plan, point)` at first use,
+    /// exactly as on first construction.
     ///
     /// # Panics
     /// Panics if the point does not have `log_u` coordinates or the

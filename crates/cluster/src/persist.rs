@@ -5,7 +5,7 @@
 //! trees — checkpointing it is as cheap as the single-prover digests, and
 //! restoring one lets an operator resume a fleet-wide verification after a
 //! coordinator restart. Payload discipline matches `sip-durable`: plan +
-//! protocol state only, derived χ tables rebuilt on restore.
+//! protocol state only, derived weight tables rebuilt on first use.
 
 use sip_core::subvector::SubVectorVerifier;
 use sip_durable::persist::{decode_plan, decode_point, decode_root_hasher, encode_root_hasher};

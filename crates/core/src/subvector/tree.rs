@@ -15,7 +15,10 @@
 //! ```
 //!
 //! and `V` can maintain it over the stream in `O(log u)` space and
-//! `O(log u)` time per update — without ever materialising the tree.
+//! `O(log u)` time per update — without ever materialising the tree. The
+//! weight is a product over the bits of `i`, so it is read from a
+//! one-point [`WeightBank`] (`⌈log u / c⌉` lookups), built from the keys at
+//! the hasher's first own weight evaluation.
 //!
 //! The paper remarks that replacing the combine by
 //! `(1 − r_j)·v_L + r_j·v_R` makes the root *equal to the LDE* `f_a(r)`,
@@ -23,9 +26,11 @@
 //! variant (and a test in `sip-lde` consistency suite asserts the
 //! equivalence).
 
+use std::sync::OnceLock;
+
 use rand::Rng;
 use sip_field::PrimeField;
-use sip_lde::WeightBank;
+use sip_lde::{LdeParams, WeightBank};
 use sip_streaming::Update;
 
 /// Which per-level combine the tree uses.
@@ -56,6 +61,9 @@ pub struct StreamingRootHasher<F: PrimeField> {
     /// level-`j` node.
     keys: Vec<F>,
     kind: HashKind,
+    /// Derived from the keys on first use, never restored from a snapshot;
+    /// a hasher fed only through [`Self::absorb`] never builds it.
+    bank: OnceLock<WeightBank<F>>,
     root: F,
     /// Stream updates absorbed so far (checkpoint metadata).
     updates: u64,
@@ -68,6 +76,7 @@ impl<F: PrimeField> StreamingRootHasher<F> {
         StreamingRootHasher {
             keys,
             kind,
+            bank: OnceLock::new(),
             root: F::ZERO,
             updates: 0,
         }
@@ -107,21 +116,26 @@ impl<F: PrimeField> StreamingRootHasher<F> {
         self.kind
     }
 
-    /// The weight leaf `i` carries in the root: `Π_j w_{bit_j(i)}(r_j)`.
-    pub fn leaf_weight(&self, i: u64) -> F {
-        debug_assert!(i < (1u64 << self.keys.len()));
-        let mut w = F::ONE;
-        for (j, &key) in self.keys.iter().enumerate() {
-            let (w0, w1) = self.kind.weights(key);
-            w *= if (i >> j) & 1 == 1 { w1 } else { w0 };
-        }
-        w
+    /// The one-point bank over `[2^depth]`, built on first use.
+    fn bank(&self) -> &WeightBank<F> {
+        self.bank.get_or_init(|| {
+            let mut bank = WeightBank::with_capacity(LdeParams::binary(self.depth()), 1);
+            self.push_weights(&mut bank);
+            bank
+        })
     }
 
-    /// Processes one stream update: `t += δ·leaf_weight(i)` — `O(log u)`.
+    /// The weight leaf `i` carries in the root: `Π_j w_{bit_j(i)}(r_j)`.
+    ///
+    /// # Panics
+    /// Panics if `i` lies outside `[2^depth]`.
+    pub fn leaf_weight(&self, i: u64) -> F {
+        self.bank().weight(0, i)
+    }
+
+    /// Processes one stream update: `t += δ·leaf_weight(i)`.
     pub fn update(&mut self, up: Update) {
-        self.root += F::from_i64(up.delta) * self.leaf_weight(up.index);
-        self.updates += 1;
+        self.update_batch(std::slice::from_ref(&up));
     }
 
     /// Number of stream updates absorbed so far (checkpoint metadata).
@@ -129,22 +143,16 @@ impl<F: PrimeField> StreamingRootHasher<F> {
         self.updates
     }
 
-    /// Processes a whole stream.
+    /// Processes a whole stream: [`Self::update_batch`].
     pub fn update_all(&mut self, stream: &[Update]) {
-        for &up in stream {
-            self.update(up);
-        }
+        self.update_batch(stream);
     }
 
     /// Processes a whole batch through one delayed-reduction accumulator
     /// (`t += Σ δ·leaf_weight(i)` with one reduction per accumulator
     /// flush); bit-identical to per-update [`Self::update`].
     pub fn update_batch(&mut self, batch: &[Update]) {
-        let mut acc = F::DotAcc::default();
-        for &up in batch {
-            F::acc_add_prod(&mut acc, F::from_i64(up.delta), self.leaf_weight(up.index));
-        }
-        self.root += F::acc_finish(acc);
+        self.root += self.bank().weighted_sum(0, batch);
         self.updates += batch.len() as u64;
     }
 

@@ -127,7 +127,7 @@ impl<Q: LdeQuery, F: PrimeField> LdeDigest<Q, F> {
         &self.lde
     }
 
-    /// Processes one stream update (`O(d)` with cached χ tables).
+    /// Processes one stream update (one packed-table weight lookup).
     pub fn update(&mut self, up: Update) {
         self.lde.update(up);
     }

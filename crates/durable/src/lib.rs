@@ -37,7 +37,7 @@
 //!   corruption is detected with certainty; random multi-byte corruption
 //!   escapes with probability `2^-64`.)
 //!
-//! Derived state — χ lookup tables, digit plans, packed group tables — is
+//! Derived state — the packed weight tables, one-point or many — is
 //! **never** serialised: snapshots carry parameters and protocol state
 //! only, and reconstruction recomputes the tables exactly as first
 //! construction did. This keeps snapshots at the paper's polylog verifier

@@ -1,10 +1,11 @@
 //! [`Persist`] implementations for every verifier-side digest type.
 //!
 //! Payload encodings carry **parameters and protocol state only** — secret
-//! points, accumulators, keys, counters. Derived state (χ tables, digit
-//! plans, packed group tables) is reconstructed from the parameters on
-//! restore, exactly as first construction builds it, so a restored digest
-//! is field-for-field identical to one that never stopped.
+//! points, accumulators, keys, counters. Derived state (packed weight
+//! tables) is reconstructed from the parameters — on restore, or at a
+//! single-point digest's first weight evaluation — exactly as first
+//! construction builds it, so a restored digest is field-for-field
+//! identical to one that never stopped.
 //!
 //! Decoding treats every payload as hostile: lengths are validated against
 //! bytes actually present before allocating ([`Reader::count`]), field
@@ -38,14 +39,16 @@ pub fn encode_params(params: LdeParams, w: &mut Writer) {
     w.u64(params.base()).u32(params.dimension());
 }
 
-/// Largest χ-table footprint (`d·ℓ` field elements) a decoded
-/// parameterisation may imply. Restoring an evaluator *rebuilds* its
-/// lookup tables from `(ℓ, d)`, so without this cap a ~40-byte forged
-/// snapshot claiming `ℓ = 2^40` would pass the structural checks and then
-/// demand a terabyte-scale allocation during reconstruction. The cap
-/// (4M words = 32 MB at Fp61) comfortably covers every real shape — the
-/// paper's sweet spot is `ℓ = 2`, and even the one-round baseline's
-/// `ℓ = √u` at the server's `log u ≤ 40` limit needs only `2·2^20` words.
+/// Largest one-point χ-table footprint ([`sip_lde::packed_table_words`]
+/// field elements) a decoded parameterisation may imply. A restored
+/// digest *rebuilds* its weight tables from `(ℓ, d)` at its first weight
+/// evaluation, so without this cap a ~40-byte forged snapshot claiming
+/// `ℓ = 2^40` would pass the structural checks and then demand a
+/// terabyte-scale allocation. The cap (4M words = 32 MB at Fp61)
+/// comfortably covers every real shape — the paper's sweet spot `ℓ = 2`
+/// packs into at most 64 groups of ≤ 1024 entries, and the one-round
+/// baseline's `ℓ = √u` at the server's `log u ≤ 40` limit needs `2·2^20`
+/// words.
 pub const MAX_CHI_TABLE_WORDS: u64 = 1 << 22;
 
 /// Largest total derived-state rebuild (packed tables + points +
@@ -67,10 +70,10 @@ pub fn decode_params(r: &mut Reader<'_>) -> Result<LdeParams, SnapshotError> {
             "LDE parameters ℓ = {ell}, d = {d} are not a universe"
         ))
     })?;
-    if (d as u64).saturating_mul(ell) > MAX_CHI_TABLE_WORDS {
+    let words = sip_lde::packed_table_words(params) as u64;
+    if words > MAX_CHI_TABLE_WORDS {
         return Err(invalid(format!(
-            "LDE parameters ℓ = {ell}, d = {d} imply a {}-word χ table (cap {MAX_CHI_TABLE_WORDS})",
-            (d as u64).saturating_mul(ell)
+            "LDE parameters ℓ = {ell}, d = {d} imply a {words}-word χ table (cap {MAX_CHI_TABLE_WORDS})"
         )));
     }
     Ok(params)
@@ -830,7 +833,7 @@ mod tests {
             assert_eq!(back.point(), e.point());
             assert_eq!(back.value(), e.value());
             assert_eq!(back.updates(), e.updates());
-            // The derived χ table is rebuilt: weights agree everywhere.
+            // The derived weight tables are rebuilt: weights agree everywhere.
             for i in [0u64, 1, params.universe() - 1] {
                 assert_eq!(back.weight(i), e.weight(i));
             }

@@ -106,49 +106,18 @@ pub trait KvServer<F: PrimeField> {
     fn range_count(&self, q_l: u64, q_r: u64) -> Box<dyn SumCheckSession<F> + '_>;
     /// Starts a self-join-size query over the raw value vector.
     fn self_join(&self) -> Box<dyn SumCheckSession<F> + '_>;
-    /// Answers a range-sum query as one sealed [`OneShotProof`]: the
+    /// Answers a self-join-size query as one sealed [`OneShotProof`]: the
     /// server walks every sum-check round locally over the revealed
     /// challenge prefix (`log_u = challenges.len() + 1`) instead of
-    /// waiting on per-round challenges. `shard` is this server's shard
-    /// identity (bound into the transcript), `None` for a lone store.
+    /// waiting on per-round challenges.
     ///
-    /// The default drives [`Self::range_sum`] through the honest walk, so
+    /// The default drives [`Self::self_join`] through the honest walk, so
     /// decorated sessions (a [`MaliciousStore`]'s lies, a remote store's
     /// transport) flow through unchanged; `sip-server`'s remote store
     /// overrides this to ship the whole exchange as one wire round trip.
-    fn range_sum_oneshot(
-        &self,
-        q_l: u64,
-        q_r: u64,
-        shard: Option<(u32, u32)>,
-        challenges: &[F],
-    ) -> Result<OneShotProof<F>, Rejection> {
+    fn self_join_oneshot(&self, challenges: &[F]) -> Result<OneShotProof<F>, Rejection> {
         let log_u = challenges.len() as u32 + 1;
-        let t = query_transcript::<F>("range-sum", log_u, shard, &[q_l, q_r], challenges);
-        prove_oneshot(&mut *self.range_sum(q_l, q_r), t, challenges, 2)
-    }
-    /// One-shot range count (presence vector); see
-    /// [`Self::range_sum_oneshot`].
-    fn range_count_oneshot(
-        &self,
-        q_l: u64,
-        q_r: u64,
-        shard: Option<(u32, u32)>,
-        challenges: &[F],
-    ) -> Result<OneShotProof<F>, Rejection> {
-        let log_u = challenges.len() as u32 + 1;
-        let t = query_transcript::<F>("range-count", log_u, shard, &[q_l, q_r], challenges);
-        prove_oneshot(&mut *self.range_count(q_l, q_r), t, challenges, 2)
-    }
-    /// One-shot self-join size over the raw value vector; see
-    /// [`Self::range_sum_oneshot`].
-    fn self_join_oneshot(
-        &self,
-        shard: Option<(u32, u32)>,
-        challenges: &[F],
-    ) -> Result<OneShotProof<F>, Rejection> {
-        let log_u = challenges.len() as u32 + 1;
-        let t = query_transcript::<F>("self-join", log_u, shard, &[], challenges);
+        let t = query_transcript::<F>("self-join", log_u, None, &[], challenges);
         prove_oneshot(&mut *self.self_join(), t, challenges, 2)
     }
     /// Starts a heavy-keys query over the `value+1` vector.
@@ -555,17 +524,15 @@ impl<F: PrimeField> Client<F> {
     }
 
     /// [`Self::space_words`] plus the lookup tables derived from the keys:
-    /// each family's packed bank and each aggregate digest's own `2·log u`
-    /// χ table. The tables buy ingest speed, can be rebuilt from the keys at
+    /// each family's packed bank. (A banked digest builds no tables of its
+    /// own.) The tables buy ingest speed, can be rebuilt from the keys at
     /// any time, and are never checkpointed.
     pub fn space_words_with_tables(&self) -> usize {
-        let aggregates = self.range_sums.len() + self.range_counts.len() + self.f2s.len();
         self.space_words()
             + self.reporting.table_words()
             + self.range_sums.table_words()
             + self.range_counts.table_words()
             + self.f2s.table_words()
-            + aggregates * 2 * self.log_u as usize
     }
 
     fn take_reporting(&mut self) -> SubVectorVerifier<F> {
@@ -723,58 +690,6 @@ impl<F: PrimeField> Client<F> {
         })
     }
 
-    /// One-shot verified range sum: same digest consumption and same
-    /// composition as [`Self::range_sum`], but each aggregate is a single
-    /// proof frame instead of `log u` synchronous round trips.
-    ///
-    /// # Soundness
-    /// None: a prover that uses the revealed prefix has a false answer accepted
-    /// (see `sip-core`'s `sumcheck::oneshot`). Do not rely on the verdict.
-    pub fn range_sum_oneshot(
-        &mut self,
-        q_l: u64,
-        q_r: u64,
-        server: &dyn KvServer<F>,
-    ) -> Result<Answer<u64>, Rejection> {
-        self.range_sum_oneshot_as(q_l, q_r, None, server)
-    }
-
-    /// Shard-aware variant of [`Self::range_sum_oneshot`]:
-    /// [`ShardedClient`] passes each shard's identity so the transcripts
-    /// bind which slice of the fleet answered.
-    ///
-    /// # Soundness
-    /// None: a prover that uses the revealed prefix has a false answer accepted
-    /// (see `sip-core`'s `sumcheck::oneshot`). Do not rely on the verdict.
-    pub fn range_sum_oneshot_as(
-        &mut self,
-        q_l: u64,
-        q_r: u64,
-        shard: Option<(u32, u32)>,
-        server: &dyn KvServer<F>,
-    ) -> Result<Answer<u64>, Rejection> {
-        let (sum_digest, count_digest, mut report) = self.take_range_digests();
-        let log_u = self.log_u;
-        let (core, expected) = sum_digest.into_session(q_l, q_r);
-        let prefix = core.challenge_prefix().to_vec();
-        let proof = server.range_sum_oneshot(q_l, q_r, shard, &prefix)?;
-        report.rounds += 1;
-        report.v_to_p_words += prefix.len();
-        report.p_to_v_words += proof.words();
-        let t = query_transcript::<F>("range-sum", log_u, shard, &[q_l, q_r], &prefix);
-        let encoded_sum = core.verify_oneshot(expected, t, &proof)?;
-        let (core, expected) = count_digest.into_session(q_l, q_r);
-        let prefix = core.challenge_prefix().to_vec();
-        let proof = server.range_count_oneshot(q_l, q_r, shard, &prefix)?;
-        report.rounds += 1;
-        report.v_to_p_words += prefix.len();
-        report.p_to_v_words += proof.words();
-        let t = query_transcript::<F>("range-count", log_u, shard, &[q_l, q_r], &prefix);
-        let count = core.verify_oneshot(expected, t, &proof)?;
-        let value = (encoded_sum - count).to_u128() as u64;
-        Ok(Answer { value, report })
-    }
-
     /// One-shot verified self-join size: one proof frame instead of
     /// `log u` round trips; same digest consumption as
     /// [`Self::self_join_size`].
@@ -786,27 +701,14 @@ impl<F: PrimeField> Client<F> {
         &mut self,
         server: &dyn KvServer<F>,
     ) -> Result<Answer<u64>, Rejection> {
-        self.self_join_size_oneshot_as(None, server)
-    }
-
-    /// Shard-aware variant of [`Self::self_join_size_oneshot`].
-    ///
-    /// # Soundness
-    /// None: a prover that uses the revealed prefix has a false answer accepted
-    /// (see `sip-core`'s `sumcheck::oneshot`). Do not rely on the verdict.
-    pub fn self_join_size_oneshot_as(
-        &mut self,
-        shard: Option<(u32, u32)>,
-        server: &dyn KvServer<F>,
-    ) -> Result<Answer<u64>, Rejection> {
         let (digest, mut report) = self.take_f2_digest();
         let (core, expected) = digest.into_session();
         let prefix = core.challenge_prefix().to_vec();
-        let proof = server.self_join_oneshot(shard, &prefix)?;
+        let proof = server.self_join_oneshot(&prefix)?;
         report.rounds += 1;
         report.v_to_p_words += prefix.len();
         report.p_to_v_words += proof.words();
-        let t = query_transcript::<F>("self-join", self.log_u, shard, &[], &prefix);
+        let t = query_transcript::<F>("self-join", self.log_u, None, &[], &prefix);
         let value = core.verify_oneshot(expected, t, &proof)?;
         Ok(Answer {
             value: value.to_u128() as u64,
@@ -1161,9 +1063,9 @@ mod tests {
         let mut client = C::new(18, budget, &mut rng);
         // What the paper's `v` counts: (log u + 1) words per digest.
         assert_eq!(client.space_words(), 108 * 19);
-        // 2^9 + 2^9 packed words per banked digest, 2·18 χ words per
-        // aggregate digest.
-        let tables = 108 * 1024 + 36 * 36;
+        // 2^9 + 2^9 packed words per banked digest; a banked digest builds
+        // no tables of its own.
+        let tables = 108 * 1024;
         assert_eq!(client.space_words_with_tables(), 108 * 19 + tables);
         // A consumed digest gives its tables back.
         let mut server = CloudStore::new(18);
@@ -1177,15 +1079,13 @@ mod tests {
     fn oneshot_aggregates_match_interactive_and_bill_one_round() {
         let pairs = [(3u64, 10u64), (17, 0), (40, 999), (41, 7), (200, 55)];
         let (mut client, server) = setup(&pairs, 8, 21);
-        let sum = client.range_sum_oneshot(0, 255, &server).unwrap();
-        assert_eq!(sum.value, 10 + 999 + 7 + 55);
-        assert_eq!(sum.report.rounds, 2, "two aggregates, one frame each");
         let f2 = client.self_join_size_oneshot(&server).unwrap();
         assert_eq!(f2.value, 100 + 999 * 999 + 49 + 55 * 55);
         assert_eq!(f2.report.rounds, 1, "one frame");
         // Proof stays within 2× of the interactive transcript bytes.
         let (mut other, server2) = setup(&pairs, 8, 22);
         let interactive = other.self_join_size(&server2).unwrap();
+        assert_eq!(interactive.value, f2.value);
         assert!(
             f2.report.p_to_v_words <= 2 * interactive.report.p_to_v_words,
             "one-shot {} words vs interactive {}",
@@ -1204,8 +1104,6 @@ mod tests {
         // is consistent and the deferred algebra names the actual failure —
         // the same typed error the interactive path produces (round 2 is
         // the first whose sum disagrees with the previous skewed claim).
-        let err = client.range_sum_oneshot(0, 255, &server).unwrap_err();
-        assert_eq!(err, Rejection::RoundSumMismatch { round: 2 }, "{err}");
         let err = client.self_join_size_oneshot(&server).unwrap_err();
         assert_eq!(err, Rejection::RoundSumMismatch { round: 2 }, "{err}");
     }

@@ -231,64 +231,6 @@ impl<F: PrimeField> ShardedClient<F> {
         Ok(ShardedAnswer { value, report })
     }
 
-    /// One-shot verified range sum: the same per-shard composition as
-    /// [`Self::range_sum`], but each shard answers its clamped sub-query
-    /// as one sealed proof frame. Every transcript binds the answering
-    /// shard's identity `(s, S)`, so a frame replayed from another shard
-    /// is a `TranscriptMismatch` blamed on the replayer.
-    ///
-    /// # Soundness
-    /// None: a prover that uses the revealed prefix has a false answer accepted
-    /// (see `sip-core`'s `sumcheck::oneshot`). Do not rely on the verdict.
-    pub fn range_sum_oneshot(
-        &mut self,
-        q_l: u64,
-        q_r: u64,
-        servers: &[Box<dyn KvServer<F>>],
-    ) -> Result<ShardedAnswer<u64>, Rejection> {
-        self.check_fleet(servers)?;
-        let shards = self.clients.len() as u32;
-        let mut report = ClusterCostReport::new(self.clients.len());
-        let mut value = 0u64;
-        for (s, client) in self.clients.iter_mut().enumerate() {
-            let Some((l, r)) = self.plan.clamp(s as u32, q_l, q_r) else {
-                continue;
-            };
-            let got = Self::blame(
-                s,
-                client.range_sum_oneshot_as(l, r, Some((s as u32, shards)), servers[s].as_ref()),
-            )?;
-            report.absorb_shard(s, &got.report);
-            value += got.value;
-        }
-        Ok(ShardedAnswer { value, report })
-    }
-
-    /// One-shot verified `Σ value²` over the whole fleet: one proof frame
-    /// per shard instead of `log u` round trips per shard.
-    ///
-    /// # Soundness
-    /// None: a prover that uses the revealed prefix has a false answer accepted
-    /// (see `sip-core`'s `sumcheck::oneshot`). Do not rely on the verdict.
-    pub fn self_join_size_oneshot(
-        &mut self,
-        servers: &[Box<dyn KvServer<F>>],
-    ) -> Result<ShardedAnswer<u64>, Rejection> {
-        self.check_fleet(servers)?;
-        let shards = self.clients.len() as u32;
-        let mut report = ClusterCostReport::new(self.clients.len());
-        let mut value = 0u64;
-        for (s, client) in self.clients.iter_mut().enumerate() {
-            let got = Self::blame(
-                s,
-                client.self_join_size_oneshot_as(Some((s as u32, shards)), servers[s].as_ref()),
-            )?;
-            report.absorb_shard(s, &got.report);
-            value += got.value;
-        }
-        Ok(ShardedAnswer { value, report })
-    }
-
     /// Verified predecessor (previous present key ≤ `q`): asks the owning
     /// shard, then walks down the fleet through verified-empty shards.
     pub fn predecessor(
@@ -550,57 +492,6 @@ mod tests {
                     "attack {attack:?} on shard {guilty}: {err}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn oneshot_fleet_queries_match_interactive() {
-        let (mut sharded, servers, _) = loaded(31);
-        let u = 1u64 << LOG_U;
-        for (l, r) in [(0, u - 1), (10, 200), (60, 70)] {
-            assert_eq!(
-                sharded.range_sum_oneshot(l, r, &servers).unwrap().value,
-                sharded.range_sum(l, r, &servers).unwrap().value,
-                "range_sum [{l}, {r}]"
-            );
-        }
-        let oneshot = sharded.self_join_size_oneshot(&servers).unwrap();
-        assert_eq!(
-            oneshot.value,
-            sharded.self_join_size(&servers).unwrap().value
-        );
-        for (s, r) in oneshot.report.per_shard.iter().enumerate() {
-            assert_eq!(r.rounds, 1, "shard {s}: one-shot must be one frame");
-        }
-    }
-
-    #[test]
-    fn oneshot_attacks_blame_the_guilty_shard() {
-        for guilty in 0..SHARDS {
-            let mut rng = StdRng::seed_from_u64(300 + guilty as u64);
-            let mut client =
-                ShardedClient::<Fp61>::new(LOG_U, SHARDS, QueryBudget::default(), &mut rng)
-                    .unwrap();
-            let mut servers: Vec<Box<dyn KvServer<Fp61>>> = (0..SHARDS)
-                .map(|s| {
-                    let store = CloudStore::<Fp61>::new(LOG_U);
-                    if s == guilty {
-                        Box::new(MaliciousStore::new(store, Attack::SkewAggregates))
-                            as Box<dyn KvServer<Fp61>>
-                    } else {
-                        Box::new(store) as Box<dyn KvServer<Fp61>>
-                    }
-                })
-                .collect();
-            let pairs = fleet_pairs(client.plan());
-            for &(k, v) in &pairs {
-                client.put(k, v, &mut servers).unwrap();
-            }
-            let u = 1u64 << LOG_U;
-            let err = client.range_sum_oneshot(0, u - 1, &servers).unwrap_err();
-            assert_eq!(err.blamed_shard(), Some(guilty), "{err}");
-            let err = client.self_join_size_oneshot(&servers).unwrap_err();
-            assert_eq!(err.blamed_shard(), Some(guilty), "{err}");
         }
     }
 

@@ -40,7 +40,9 @@
 use sip_field::lagrange::ChiRows;
 use sip_field::PrimeField;
 
-use crate::params::{self, DigitPlan, LdeParams};
+use sip_streaming::Update;
+
+use crate::params::LdeParams;
 
 /// How many updates one staged block holds. Larger blocks put more updates
 /// in a bucket (fewer reductions and products per update); 4096 keeps a
@@ -53,6 +55,10 @@ pub const STAGE_BLOCK: usize = 4096;
 /// (8 KiB per group at 64-bit residues) keeps a realistic point count
 /// resident in L2 while cutting the binary-base multiplication count 10×.
 const MAX_GROUP_TABLE: usize = 1024;
+
+/// More groups than any layout has: a group holds at least one digit, and
+/// `ℓ ≥ 2` with `ℓ^d` fitting a `u64` keeps `d ≤ 63`.
+const MAX_GROUPS: usize = 64;
 
 /// How `d` digit positions are fused into groups.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -76,8 +82,26 @@ enum PackedKind {
     /// `ℓ^c` is a power of two: super-digits are bit fields.
     Pow2 { shift: u32, mask: u64 },
     /// General `ℓ`: quotients by `ℓ^c` via a `⌊2⁶⁴/ℓ^c⌋` reciprocal with a
-    /// single branchless fix-up (same bound as [`DigitPlan`]).
+    /// single branchless fix-up ([`recip_divmod`]).
     General { divisor: u64, recip: u64 },
+}
+
+/// The reciprocal `⌊2⁶⁴/divisor⌋` for [`recip_divmod`].
+fn reciprocal(divisor: u64) -> u64 {
+    ((u128::from(u64::MAX) + 1) / u128::from(divisor)) as u64
+}
+
+/// Divides by `divisor` without a hardware division: returns
+/// `(i / divisor, i % divisor)` given `recip = ⌊2⁶⁴/divisor⌋`.
+#[inline]
+fn recip_divmod(divisor: u64, recip: u64, i: u64) -> (u64, u64) {
+    // With recip = ⌊2⁶⁴/m⌋ = (2⁶⁴ − e)/m (0 ≤ e < m):
+    // q = ⌊i·recip/2⁶⁴⌋ = ⌊(i − i·e/2⁶⁴)/m⌋ and i·e/2⁶⁴ < m, so q
+    // underestimates ⌊i/m⌋ by at most 1 — one branchless fix-up.
+    let q = ((u128::from(i) * u128::from(recip)) >> 64) as u64;
+    let r = i - q * divisor;
+    let fix = u64::from(r >= divisor);
+    (q + fix, r - fix * divisor)
 }
 
 impl PackedLayout {
@@ -107,7 +131,7 @@ impl PackedLayout {
         } else {
             PackedKind::General {
                 divisor,
-                recip: DigitPlan::reciprocal(divisor),
+                recip: reciprocal(divisor),
             }
         };
         PackedLayout {
@@ -117,6 +141,19 @@ impl PackedLayout {
             stride: group_size * (groups as usize - 1) + (ell as usize).pow(last_digits),
             kind,
         }
+    }
+
+    /// [`Self::new`] for table offsets stored as `u32`: panics at `2^32`
+    /// words a point, a shape snapshot decoders refuse first (`sip-durable`'s
+    /// `MAX_CHI_TABLE_WORDS` bounds [`packed_table_words`]).
+    fn addressable(params: LdeParams) -> Self {
+        let layout = Self::new(params);
+        assert!(
+            u32::try_from(layout.stride).is_ok(),
+            "packed tables of {} words per point",
+            layout.stride
+        );
+        layout
     }
 
     /// Table offset of the last group's first entry within a point's block.
@@ -142,7 +179,7 @@ impl PackedLayout {
             }
             PackedKind::General { divisor, recip } => {
                 for slot in full {
-                    let (q, r) = params::recip_divmod(divisor, recip, rem);
+                    let (q, r) = recip_divmod(divisor, recip, rem);
                     *slot = offset + r as u32;
                     rem = q;
                     offset += self.group_size as u32;
@@ -211,12 +248,7 @@ impl BlockStage {
     /// # Panics
     /// Panics if one point's packed tables would exceed `2^32` words.
     pub fn new(params: LdeParams) -> Self {
-        let layout = PackedLayout::new(params);
-        assert!(
-            u32::try_from(layout.stride).is_ok(),
-            "packed tables of {} words per point",
-            layout.stride
-        );
+        let layout = PackedLayout::addressable(params);
         BlockStage {
             params,
             layout,
@@ -353,6 +385,8 @@ impl BlockStage {
 #[derive(Clone, Debug)]
 pub struct WeightBank<F: PrimeField> {
     params: LdeParams,
+    /// `ℓ^d`, kept for the per-index bound check.
+    universe: u64,
     layout: PackedLayout,
     /// The `ℓ`-only half of the χ rows, inverted once per bank.
     chi: ChiRows<F>,
@@ -364,15 +398,30 @@ pub struct WeightBank<F: PrimeField> {
 
 impl<F: PrimeField> WeightBank<F> {
     /// An empty bank over `params`, with room for `points` points.
+    ///
+    /// # Panics
+    /// Panics if one point's tables would reach `2^32` words.
     pub fn with_capacity(params: LdeParams, points: usize) -> Self {
-        let layout = PackedLayout::new(params);
+        let layout = PackedLayout::addressable(params);
         WeightBank {
             params,
+            universe: params.universe(),
             layout,
             chi: ChiRows::new(params.base()),
             row: vec![F::ZERO; params.base() as usize],
             tables: Vec::with_capacity(points * layout.stride),
         }
+    }
+
+    /// A bank holding the one LDE point `r` — what a single-point digest
+    /// builds at its first own weight evaluation.
+    ///
+    /// # Panics
+    /// Panics if `r.len() != d`.
+    pub fn lde_point(params: LdeParams, r: &[F]) -> Self {
+        let mut bank = Self::with_capacity(params, 1);
+        bank.push_lde_point(r);
+        bank
     }
 
     /// The parameterisation.
@@ -383,6 +432,44 @@ impl<F: PrimeField> WeightBank<F> {
     /// Number of points.
     pub fn num_points(&self) -> usize {
         self.tables.len() / self.layout.stride
+    }
+
+    /// `w_p(i)`, the weight index `i` carries at point `p`: the super-digits
+    /// of `i` and one table lookup per packed group, `⌈d/c⌉` in all. The
+    /// same field element the digit-by-digit product gives (see the module
+    /// doc).
+    ///
+    /// # Panics
+    /// Panics if `i` lies outside the universe or `p` is not a point.
+    #[inline]
+    pub fn weight(&self, p: usize, i: u64) -> F {
+        // Past `ℓ^d` the last super-digit would read another table. No peer
+        // picks `i`: `ShardPlan::shard_of` and the kv `put` check it first,
+        // and §6.2 removes only verified heavy hitters.
+        assert!(
+            i < self.universe,
+            "index {i} outside universe {}",
+            self.universe
+        );
+        let stride = self.layout.stride;
+        let mut slots = [0u32; MAX_GROUPS];
+        let slots = &mut slots[..self.layout.groups];
+        self.layout.super_digits_into(i, slots);
+        product(&self.tables[p * stride..(p + 1) * stride], slots)
+    }
+
+    /// `Σ_t δ_t · w_p(i_t)` over `batch`, one [`Self::weight`] per update
+    /// and one modular reduction per accumulator flush — bit-identical to
+    /// summing the reduced products one by one (exact field arithmetic).
+    ///
+    /// # Panics
+    /// Panics as [`Self::weight`] does.
+    pub fn weighted_sum(&self, p: usize, batch: &[Update]) -> F {
+        let mut acc = F::DotAcc::default();
+        for up in batch {
+            F::acc_add_prod(&mut acc, F::from_i64(up.delta), self.weight(p, up.index));
+        }
+        F::acc_finish(acc)
     }
 
     /// Table words held across all points.

@@ -13,19 +13,23 @@
 //! The paper's key observation (Theorem 1) is that for a *fixed* point `r`,
 //! `f_a(r)` is a linear function of `a`, so a verifier can maintain it over
 //! a stream of updates `(i, δ)` via `f_a(r) ← f_a(r) + δ·χ_{v(i)}(r)` using
-//! only `O(d)` words of space and `O(ℓ·d)` time per update — in fact `O(d)`
-//! with the `O(ℓ·d)`-word χ tables precomputed here.
+//! only `O(d)` words of space and `O(ℓ·d)` time per update. Here every such
+//! weight — and every other product weight `Π_j row_j[digit_j(i)]` in the
+//! workspace — is read from one layout, the packed tables of a
+//! [`WeightBank`]: `c` digit positions fused into one `ℓ^c`-entry table, so
+//! a weight costs `⌈d/c⌉` lookups.
 //!
 //! This crate provides:
 //!
 //! * [`LdeParams`] — the `(ℓ, d)` parameterisation and digit arithmetic;
-//! * [`DigitPlan`] — the compiled, division-free index→digits step shared
-//!   by every evaluation point (shift/mask for power-of-two `ℓ`,
-//!   reciprocal multiplication for general `ℓ`);
-//! * [`StreamingLdeEvaluator`] — the Theorem 1 evaluator;
-//! * [`bank`] — the one packed, bucket-grouped, delayed-reduction
-//!   product-weight kernel ([`WeightBank`] + [`BlockStage`]), generic over
-//!   the per-digit row so the Section 4.1 hash tree shares it with the LDE;
+//! * [`bank`] — the one product-weight kernel: [`WeightBank`] (packed
+//!   tables for any number of points, a per-index
+//!   [`WeightBank::weight`], and the bucket-grouped, delayed-reduction
+//!   [`WeightBank::sweep`] over a staged [`BlockStage`]), generic over the
+//!   per-digit row so the Section 4.1 hash tree shares it with the LDE;
+//! * [`StreamingLdeEvaluator`] — the Theorem 1 evaluator: its point and
+//!   running value, and a one-point bank built at its first own weight
+//!   evaluation;
 //! * [`MultiLdeEvaluator`] — several points at once (parallel repetition,
 //!   simultaneous queries — the "Multiple Queries" remark of Section 7):
 //!   points and accumulators over one [`WeightBank`], with a batched
@@ -43,42 +47,33 @@ pub mod interval;
 pub mod params;
 pub mod reference;
 
+use std::sync::OnceLock;
+
 use rand::Rng;
-use sip_field::lagrange::ChiRows;
 use sip_field::PrimeField;
 use sip_streaming::Update;
 
 pub use bank::{packed_table_words, BlockStage, WeightBank, STAGE_BLOCK};
 pub use interval::range_indicator_lde;
-pub use params::{DigitPlan, LdeParams};
-
-/// Builds the flattened χ table for one point: entry `j·ℓ + k` holds
-/// `χ_k(r_j)` — one row of `ℓ` basis values per digit position, all in one
-/// row-major buffer (a single contiguous allocation the update loop walks
-/// with an offset counter instead of chasing `Vec<Vec<F>>` rows).
-fn flat_chi_table<F: PrimeField>(ell: u64, r: &[F]) -> Vec<F> {
-    let rows = ChiRows::new(ell);
-    let mut chi = vec![F::ZERO; r.len() * rows.ell()];
-    for (&rj, row) in r.iter().zip(chi.chunks_exact_mut(rows.ell())) {
-        rows.fill(rj, row);
-    }
-    chi
-}
+pub use params::LdeParams;
 
 /// Streaming evaluator of `f_a(r)` for one fixed point `r ∈ Z_p^d`
 /// (Theorem 1).
 ///
 /// Space: `d + 1` field elements of protocol state (`r` and the running
-/// value) plus the flattened `d·ℓ`-entry χ lookup table. Time per update:
-/// `d` table lookups and multiplications — digit extraction goes through
-/// the division-free [`DigitPlan`].
+/// value). Its own weights come from a one-point [`WeightBank`], built from
+/// `r` at the first weight this evaluator evaluates — [`Self::update`] and
+/// its batch forms, [`Self::weight`], [`Self::remove`] — and then shared by
+/// every later one: `⌈d/c⌉` table lookups per update. An evaluator fed only
+/// through [`Self::absorb`], by a bank holding its point beside others,
+/// never builds one.
 #[derive(Clone, Debug)]
 pub struct StreamingLdeEvaluator<F: PrimeField> {
     params: LdeParams,
-    plan: DigitPlan,
     r: Vec<F>,
-    /// `chi[j·ℓ + k] = χ_k(r_j)` for digit position `j`, digit value `k`.
-    chi: Vec<F>,
+    /// Derived from `(params, r)` on first use, never restored from a
+    /// snapshot.
+    bank: OnceLock<WeightBank<F>>,
     acc: F,
     /// Stream updates absorbed so far (checkpoint metadata, not protocol
     /// state — resume integrity checks compare it across restarts).
@@ -97,22 +92,20 @@ impl<F: PrimeField> StreamingLdeEvaluator<F> {
             "evaluation point must have d = {} coordinates",
             params.dimension()
         );
-        let chi = flat_chi_table(params.base(), &r);
         StreamingLdeEvaluator {
             params,
-            plan: params.digit_plan(),
             r,
-            chi,
+            bank: OnceLock::new(),
             acc: F::ZERO,
             updates: 0,
         }
     }
 
     /// Rebuilds an evaluator from checkpointed protocol state: the point
-    /// `r`, the running accumulator, and the update counter. The χ lookup
-    /// table and [`DigitPlan`] are *derived* state — they are recomputed
-    /// from `(params, r)`, never restored from a snapshot — so a resumed
-    /// evaluator is field-for-field identical to one that never stopped.
+    /// `r`, the running accumulator, and the update counter. The weight
+    /// tables are *derived* state — rebuilt from `(params, r)` at first
+    /// use, never restored from a snapshot — so a resumed evaluator is
+    /// field-for-field identical to one that never stopped.
     ///
     /// # Panics
     /// Panics if `r.len() != params.dimension()`.
@@ -139,46 +132,45 @@ impl<F: PrimeField> StreamingLdeEvaluator<F> {
         &self.r
     }
 
+    /// The one-point bank, built on first use. (`new` checked that `r` has
+    /// `d` coordinates, which is all `lde_point` asserts.)
+    fn bank(&self) -> &WeightBank<F> {
+        self.bank
+            .get_or_init(|| WeightBank::lde_point(self.params, &self.r))
+    }
+
     /// `χ_{v(i)}(r)`: the weight index `i` carries at this point.
     ///
-    /// `O(d)` multiplications (table lookups per digit); digits come from
-    /// the division-free [`DigitPlan`].
+    /// # Panics
+    /// Panics if `i` lies outside the universe `ℓ^d`.
     #[inline]
     pub fn weight(&self, i: u64) -> F {
-        debug_assert!(i < self.params.universe());
-        let ell = self.params.base() as usize;
-        let mut w = F::ONE;
-        let mut off = 0usize;
-        self.plan.for_each_digit(i, |_, digit| {
-            w *= self.chi[off + digit];
-            off += ell;
-        });
-        w
+        self.bank().weight(0, i)
     }
 
     /// Processes one stream update: `f_a(r) += δ·χ_{v(i)}(r)`.
+    ///
+    /// # Panics
+    /// Panics if the index lies outside the universe `ℓ^d`.
     pub fn update(&mut self, up: Update) {
-        self.acc += F::from_i64(up.delta) * self.weight(up.index);
-        self.updates += 1;
+        self.update_batch(std::slice::from_ref(&up));
     }
 
-    /// Processes a whole stream.
+    /// Processes a whole stream: [`Self::update_batch`].
     pub fn update_all(&mut self, stream: &[Update]) {
-        for &up in stream {
-            self.update(up);
-        }
+        self.update_batch(stream);
     }
 
-    /// Processes a whole batch through one delayed-reduction accumulator:
-    /// one modular reduction per accumulator flush instead of one per
-    /// update. The resulting value is bit-identical to per-update
-    /// [`Self::update`] (exact field arithmetic, any grouping).
+    /// Processes a whole batch through one delayed-reduction accumulator
+    /// ([`WeightBank::weighted_sum`]): one modular reduction per
+    /// accumulator flush instead of one per update. The resulting value is
+    /// bit-identical to per-update [`Self::update`] (exact field
+    /// arithmetic, any grouping).
+    ///
+    /// # Panics
+    /// Panics if an index lies outside the universe `ℓ^d`.
     pub fn update_batch(&mut self, batch: &[Update]) {
-        let mut acc = F::DotAcc::default();
-        for &up in batch {
-            F::acc_add_prod(&mut acc, F::from_i64(up.delta), self.weight(up.index));
-        }
-        self.acc += F::acc_finish(acc);
+        self.acc += self.bank().weighted_sum(0, batch);
         self.updates += batch.len() as u64;
     }
 
@@ -200,6 +192,9 @@ impl<F: PrimeField> StreamingLdeEvaluator<F> {
 
     /// Subtracts `c·χ_{v(i)}(r)` — used by the Section 6.2 protocol when the
     /// verifier "removes" a reported heavy hitter from the LDE.
+    ///
+    /// # Panics
+    /// Panics if `i` lies outside the universe `ℓ^d`.
     pub fn remove(&mut self, i: u64, c: F) {
         self.acc -= c * self.weight(i);
     }
@@ -211,19 +206,19 @@ impl<F: PrimeField> StreamingLdeEvaluator<F> {
 
     /// Verifier space in field elements: `r` plus the accumulator.
     ///
-    /// The χ table is derived from `r` and could be recomputed per update at
-    /// `O(ℓ·d)` cost; the paper counts space as `d + 1` words, which is what
-    /// this reports. Use [`Self::space_words_with_tables`] for the
-    /// table-cached footprint.
+    /// The weight tables are derived from `r` and could be recomputed per
+    /// update at `O(ℓ·d)` cost; the paper counts space as `d + 1` words,
+    /// which is what this reports. Use [`Self::space_words_with_tables`]
+    /// for the table-cached footprint.
     pub fn space_words(&self) -> usize {
         self.r.len() + 1
     }
 
-    /// Space including the cached χ table: exactly `d·ℓ + d + 1` words —
-    /// the flattened row-major table is one `d·ℓ`-element buffer with no
-    /// per-row bookkeeping, for any base (power-of-two or not).
+    /// Space including the weight tables: `d + 1` words before the first
+    /// weight evaluation builds them, `d + 1 +`
+    /// [`packed_table_words`]`(params)` after.
     pub fn space_words_with_tables(&self) -> usize {
-        self.space_words() + self.chi.len()
+        self.space_words() + self.bank.get().map_or(0, WeightBank::table_words)
     }
 }
 
@@ -575,18 +570,25 @@ mod tests {
 
     #[test]
     fn space_accounting() {
-        // The flattened χ-table layout: exactly d·ℓ + d + 1 words, for
-        // power-of-two and general bases alike.
+        // d + 1 protocol words; the one-point bank's packed tables join the
+        // footprint once the first weight evaluation builds them, for
+        // power-of-two and general bases alike. A clone taken before then
+        // builds its own.
         for &(ell, d) in &[(2u64, 20u32), (16, 5), (3, 9), (10, 4)] {
             let params = LdeParams::new(ell, d);
             let mut rng = StdRng::seed_from_u64(8);
-            let eval = StreamingLdeEvaluator::<Fp61>::random(params, &mut rng);
+            let mut eval = StreamingLdeEvaluator::<Fp61>::random(params, &mut rng);
+            let fresh = eval.clone();
             assert_eq!(eval.space_words(), d as usize + 1);
+            assert_eq!(eval.space_words_with_tables(), d as usize + 1);
+            eval.update(Update::new(1, 1));
             assert_eq!(
                 eval.space_words_with_tables(),
-                (d as u64 * ell + d as u64 + 1) as usize,
+                d as usize + 1 + packed_table_words(params),
                 "ell={ell} d={d}"
             );
+            assert_eq!(fresh.space_words_with_tables(), d as usize + 1);
+            assert_eq!(fresh.weight(1), eval.value());
         }
         // Multi-point: k copies of points + accumulators + packed tables
         // (ℓ = 2, d = 20 packs into two 2^10-entry groups per point).

@@ -1,6 +1,4 @@
-//! The `(ℓ, d)` parameterisation of the universe `[u] ≅ [ℓ]^d`, and the
-//! division-free [`DigitPlan`] that turns indices into digits on the
-//! verifier's ingest hot path.
+//! The `(ℓ, d)` parameterisation of the universe `[u] ≅ [ℓ]^d`.
 
 /// Parameters of a low-degree extension: base `ℓ ≥ 2` and dimension `d ≥ 1`
 /// with `u = ℓ^d` (the paper assumes `u` is a power of `ℓ` "for ease of
@@ -24,11 +22,7 @@ impl LdeParams {
     pub fn new(ell: u64, d: u32) -> Self {
         assert!(ell >= 2, "base must be at least 2");
         assert!(d >= 1, "dimension must be at least 1");
-        let mut u: u64 = 1;
-        for _ in 0..d {
-            u = u.checked_mul(ell).expect("universe ℓ^d must fit in u64");
-        }
-        LdeParams { ell, d }
+        Self::try_new(ell, d).expect("universe ℓ^d must fit in u64")
     }
 
     /// Fallible [`Self::new`] for untrusted inputs (checkpoint decoding):
@@ -80,16 +74,7 @@ impl LdeParams {
 
     /// The universe size `u = ℓ^d`.
     pub fn universe(&self) -> u64 {
-        let mut u: u64 = 1;
-        for _ in 0..self.d {
-            u *= self.ell;
-        }
-        u
-    }
-
-    /// The degree of the LDE in each variable, `ℓ − 1`.
-    pub fn degree_per_variable(&self) -> u64 {
-        self.ell - 1
+        self.ell.pow(self.d)
     }
 
     /// The base-`ℓ` digits of `i`, least significant first, exactly `d`
@@ -104,163 +89,6 @@ impl LdeParams {
             digit
         })
     }
-
-    /// The division-free digit decomposition plan for this
-    /// parameterisation. Build it once per evaluator; share it across all
-    /// evaluation points.
-    pub fn digit_plan(&self) -> DigitPlan {
-        DigitPlan::new(*self)
-    }
-
-    /// Reassembles an index from base-`ℓ` digits (least significant first).
-    pub fn index_of(&self, digits: &[u64]) -> u64 {
-        debug_assert_eq!(digits.len(), self.d as usize);
-        digits.iter().rev().fold(0u64, |acc, &dg| {
-            debug_assert!(dg < self.ell);
-            acc * self.ell + dg
-        })
-    }
-}
-
-/// A precompiled base-`ℓ` digit decomposition: the verifier's per-update
-/// index→digits step with **no hardware division** on the hot path.
-///
-/// `StreamingLdeEvaluator::update` historically paid `d` `div`+`mod`
-/// instructions per update to re-derive the digits of the index. A
-/// `DigitPlan` compiles the decomposition once per `(ℓ, d)`:
-///
-/// * power-of-two bases become a shift/mask pipeline
-///   (`digit_j = (i >> j·s) & (ℓ−1)`);
-/// * general bases use a precomputed `⌊2⁶⁴/ℓ⌋` reciprocal — each quotient
-///   is one widening multiply plus a single branchless fix-up, never a
-///   `div`.
-///
-/// The plan is shared across all evaluation points of a
-/// [`crate::MultiLdeEvaluator`]: the digits of an index are computed once
-/// and reused by every point's χ lookup.
-#[derive(Copy, Clone, Debug)]
-pub struct DigitPlan {
-    ell: u64,
-    d: u32,
-    kind: PlanKind,
-}
-
-#[derive(Copy, Clone, Debug)]
-enum PlanKind {
-    /// `ℓ = 2^shift`: digits are bit fields.
-    Pow2 { shift: u32, mask: u64 },
-    /// General `ℓ`: quotients via the `⌊2⁶⁴/ℓ⌋` reciprocal.
-    General { recip: u64 },
-}
-
-/// Divides by `divisor` without a hardware division: returns
-/// `(i / divisor, i % divisor)` given `recip = ⌊2⁶⁴/divisor⌋`
-/// ([`DigitPlan::reciprocal`]). The shared kernel behind every
-/// division-free decomposition (per-digit plans and packed group
-/// layouts).
-#[inline]
-pub(crate) fn recip_divmod(divisor: u64, recip: u64, i: u64) -> (u64, u64) {
-    // With recip = ⌊2⁶⁴/m⌋ = (2⁶⁴ − e)/m (0 ≤ e < m):
-    // q = ⌊i·recip/2⁶⁴⌋ = ⌊(i − i·e/2⁶⁴)/m⌋ and i·e/2⁶⁴ < m, so q
-    // underestimates ⌊i/m⌋ by at most 1 — one branchless fix-up.
-    let q = ((u128::from(i) * u128::from(recip)) >> 64) as u64;
-    let r = i - q * divisor;
-    let fix = u64::from(r >= divisor);
-    (q + fix, r - fix * divisor)
-}
-
-impl DigitPlan {
-    /// Compiles the decomposition for `params`.
-    pub fn new(params: LdeParams) -> Self {
-        let ell = params.base();
-        let kind = if ell.is_power_of_two() {
-            PlanKind::Pow2 {
-                shift: ell.trailing_zeros(),
-                mask: ell - 1,
-            }
-        } else {
-            PlanKind::General {
-                recip: Self::reciprocal(ell),
-            }
-        };
-        DigitPlan {
-            ell,
-            d: params.dimension(),
-            kind,
-        }
-    }
-
-    /// The base `ℓ`.
-    pub fn base(&self) -> u64 {
-        self.ell
-    }
-
-    /// The dimension `d` (number of digits produced).
-    pub fn dimension(&self) -> u32 {
-        self.d
-    }
-
-    /// The reciprocal `⌊2⁶⁴/divisor⌋` for [`recip_divmod`].
-    pub(crate) fn reciprocal(divisor: u64) -> u64 {
-        ((u128::from(u64::MAX) + 1) / u128::from(divisor)) as u64
-    }
-
-    /// Writes the base-`ℓ` digits of `i` (least significant first) into
-    /// `out`, as ready-to-use table offsets.
-    ///
-    /// # Panics
-    /// Panics if `out.len() != d` (debug: also if `i` is outside `ℓ^d`).
-    #[inline]
-    pub fn digits_into(&self, i: u64, out: &mut [usize]) {
-        assert_eq!(
-            out.len(),
-            self.d as usize,
-            "digit buffer must hold d digits"
-        );
-        let mut rem = i;
-        match self.kind {
-            PlanKind::Pow2 { shift, mask } => {
-                for slot in out.iter_mut() {
-                    *slot = (rem & mask) as usize;
-                    rem >>= shift;
-                }
-            }
-            PlanKind::General { recip } => {
-                let ell = self.ell;
-                for slot in out.iter_mut() {
-                    let (q, r) = recip_divmod(ell, recip, rem);
-                    *slot = r as usize;
-                    rem = q;
-                }
-            }
-        }
-        debug_assert_eq!(rem, 0, "index outside universe ℓ^d");
-    }
-
-    /// Calls `f(position, digit)` for each of the `d` digits of `i`, least
-    /// significant position first — the buffer-free form used by
-    /// single-point weight evaluation.
-    #[inline]
-    pub fn for_each_digit(&self, i: u64, mut f: impl FnMut(usize, usize)) {
-        let mut rem = i;
-        match self.kind {
-            PlanKind::Pow2 { shift, mask } => {
-                for j in 0..self.d as usize {
-                    f(j, (rem & mask) as usize);
-                    rem >>= shift;
-                }
-            }
-            PlanKind::General { recip } => {
-                let ell = self.ell;
-                for j in 0..self.d as usize {
-                    let (q, r) = recip_divmod(ell, recip, rem);
-                    f(j, r as usize);
-                    rem = q;
-                }
-            }
-        }
-        debug_assert_eq!(rem, 0, "index outside universe ℓ^d");
-    }
 }
 
 #[cfg(test)]
@@ -271,10 +99,8 @@ mod tests {
     fn universe_and_digits() {
         let p = LdeParams::new(3, 4);
         assert_eq!(p.universe(), 81);
-        assert_eq!(p.degree_per_variable(), 2);
         let digits: Vec<u64> = p.digits_of(47).collect(); // 47 = 2 + 3·(0 + 3·(2 + 3·1))
         assert_eq!(digits, vec![2, 0, 2, 1]);
-        assert_eq!(p.index_of(&digits), 47);
     }
 
     #[test]
@@ -283,7 +109,6 @@ mod tests {
         assert_eq!(p.universe(), 1024);
         for i in [0u64, 1, 511, 1023] {
             let digits: Vec<u64> = p.digits_of(i).collect();
-            assert_eq!(p.index_of(&digits), i);
             // Digits are the bits, LSB first.
             for (j, &b) in digits.iter().enumerate() {
                 assert_eq!(b, (i >> j) & 1);
@@ -316,49 +141,5 @@ mod tests {
     #[should_panic(expected = "fit in u64")]
     fn overflow_panics() {
         LdeParams::new(2, 64);
-    }
-
-    #[test]
-    fn digit_plan_matches_digits_of() {
-        // Power-of-two and general bases, including ones whose reciprocal
-        // estimate needs the fix-up step.
-        for &(ell, d) in &[
-            (2u64, 16u32),
-            (4, 8),
-            (16, 4),
-            (3, 10),
-            (5, 7),
-            (7, 6),
-            (10, 5),
-            (1000, 3),
-        ] {
-            let p = LdeParams::new(ell, d);
-            let plan = p.digit_plan();
-            assert_eq!(plan.base(), ell);
-            assert_eq!(plan.dimension(), d);
-            let u = p.universe();
-            let mut buf = vec![0usize; d as usize];
-            for trial in 0..200u64 {
-                // Deterministic spread including both ends of the universe.
-                let i = match trial {
-                    0 => 0,
-                    1 => u - 1,
-                    t => (t.wrapping_mul(0x9e37_79b9_7f4a_7c15)) % u,
-                };
-                let expect: Vec<usize> = p.digits_of(i).map(|dg| dg as usize).collect();
-                plan.digits_into(i, &mut buf);
-                assert_eq!(buf, expect, "ell={ell} d={d} i={i}");
-                let mut via_closure = vec![0usize; d as usize];
-                plan.for_each_digit(i, |j, dg| via_closure[j] = dg);
-                assert_eq!(via_closure, expect, "ell={ell} d={d} i={i}");
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "digit buffer")]
-    fn digit_plan_checks_buffer_length() {
-        let plan = LdeParams::new(3, 4).digit_plan();
-        plan.digits_into(5, &mut [0usize; 3]);
     }
 }

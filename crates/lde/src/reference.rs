@@ -37,8 +37,8 @@ pub fn naive_lde_eval<F: PrimeField>(freqs: &[i64], params: LdeParams, x: &[F]) 
 }
 
 /// `χ_{v(i)}(r)` from the definition: base-`ℓ` digits of `i` by hardware
-/// `div`/`mod`, one [`chi`] per digit — the oracle the table-driven,
-/// division-free [`crate::StreamingLdeEvaluator::weight`] is compared with.
+/// `div`/`mod`, one [`chi`] per digit — the oracle the packed,
+/// division-free [`crate::WeightBank::weight`] is compared with.
 ///
 /// # Panics
 /// Panics if `r` does not have one coordinate per digit.

@@ -663,36 +663,12 @@ impl<F: PrimeField, T: Transport + 'static> KvServer<F> for RemoteStore<F, T> {
         Box::new(RemoteSumCheck::new(&self.conn, Query::SelfJoin))
     }
 
-    // The one-shot overrides ship the query over the wire instead of
-    // walking a local session round by round. The `shard` argument is not
-    // transmitted: the server seals its *declared* identity into the
-    // transcript, and the verifying client binds the identity it believes —
-    // a mismatch fails the digest comparison rather than being trusted.
-    fn range_sum_oneshot(
-        &self,
-        q_l: u64,
-        q_r: u64,
-        _shard: Option<(u32, u32)>,
-        challenges: &[F],
-    ) -> Result<OneShotProof<F>, Rejection> {
-        self.request_oneshot(Query::RangeSum { l: q_l, r: q_r }, challenges)
-    }
-
-    fn range_count_oneshot(
-        &self,
-        q_l: u64,
-        q_r: u64,
-        _shard: Option<(u32, u32)>,
-        challenges: &[F],
-    ) -> Result<OneShotProof<F>, Rejection> {
-        self.request_oneshot(Query::RangeCount { l: q_l, r: q_r }, challenges)
-    }
-
-    fn self_join_oneshot(
-        &self,
-        _shard: Option<(u32, u32)>,
-        challenges: &[F],
-    ) -> Result<OneShotProof<F>, Rejection> {
+    // The one-shot override ships the query over the wire instead of
+    // walking a local session round by round. The server seals its
+    // *declared* shard identity into the transcript, and the verifying
+    // client binds the identity it believes (none, for a kv store) — a
+    // mismatch fails the digest comparison rather than being trusted.
+    fn self_join_oneshot(&self, challenges: &[F]) -> Result<OneShotProof<F>, Rejection> {
         self.request_oneshot(Query::SelfJoin, challenges)
     }
 
@@ -1086,18 +1062,32 @@ mod tests {
         let mut store: RemoteStore<Fp61, _> = RemoteStore::from_transport(b, log_u).unwrap();
         let mut rng = StdRng::seed_from_u64(6);
         let mut client = Client::<Fp61>::new(log_u, QueryBudget::default(), &mut rng);
-        for (k, v) in [(3u64, 10u64), (17, 0), (40, 999), (200, 55)] {
+        let pairs = [(3u64, 10u64), (17, 0), (40, 999), (200, 55)];
+        for (k, v) in pairs {
             client.put(k, v, &mut store);
         }
-        let sum = client.range_sum_oneshot(0, 255, &store).unwrap();
-        assert_eq!(sum.value, 10 + 999 + 55);
-        assert_eq!(
-            sum.report.rounds, 2,
-            "range-sum = sum + count, one frame each"
-        );
         let sj = client.self_join_size_oneshot(&store).unwrap();
         assert_eq!(sj.value, 100 + 999 * 999 + 55 * 55);
         assert_eq!(sj.report.rounds, 1);
+        // The kv client has no range one-shot entry point; the server still
+        // answers both forms, over the `value + 1` and presence vectors.
+        let mut verified = |query: Query, name: &str, encode: &dyn Fn(u64) -> i64| {
+            let mut digest = RangeSumVerifier::<Fp61>::new(log_u, &mut rng);
+            for (k, v) in pairs {
+                digest.update(Update::new(k, encode(v)));
+            }
+            let (core, expected) = digest.into_session(0, 255);
+            let prefix = core.challenge_prefix().to_vec();
+            let proof = store.request_oneshot(query, &prefix).unwrap();
+            let t = query_transcript::<Fp61>(name, log_u, None, &[0, 255], &prefix);
+            core.verify_oneshot(expected, t, &proof).unwrap()
+        };
+        let sum = verified(Query::RangeSum { l: 0, r: 255 }, "range-sum", &|v| {
+            v as i64 + 1
+        });
+        assert_eq!(sum, Fp61::from_u64(11 + 1 + 1000 + 56));
+        let count = verified(Query::RangeCount { l: 0, r: 255 }, "range-count", &|_| 1);
+        assert_eq!(count, Fp61::from_u64(4));
         store.bye().unwrap();
         server.join().unwrap();
     }

@@ -90,12 +90,14 @@ fn single_malicious_shard_is_always_blamed() {
     }
 }
 
-/// The same attack × guilty-shard matrix under a *one-shot* session:
-/// aggregate queries collapse to single proof frames
-/// ([`sip::wire::Msg::QueryOneShot`]/`Msg::Proof`), and the blame
-/// machinery must still name exactly the guilty shard — reporting and
-/// disclosure queries (which have no one-shot form) keep their interactive
-/// path inside the same session. Honest shards are never indicted.
+/// The same attack × guilty-shard matrix over fresh seeds, with the
+/// aggregate lie checked on both aggregate forms — `self_join_size`, then
+/// `range_sum` — in one session. (The kv client's one remaining one-shot
+/// query, `self_join_size_oneshot`, has no sharded form; the fleet's
+/// one-shot frames are covered by
+/// [`every_flipped_byte_on_one_shard_is_blamed_under_oneshot`].) The blame
+/// machinery must name exactly the guilty shard; honest shards are never
+/// indicted.
 #[test]
 fn single_malicious_shard_is_always_blamed_under_oneshot() {
     for guilty in 0..SHARDS {
@@ -126,12 +128,11 @@ fn single_malicious_shard_is_always_blamed_under_oneshot() {
             }
             let u = 1u64 << LOG_U;
             let err = match attack {
-                // The sum-check lie now rides inside one-shot proof frames
-                // — both aggregate forms must indict the same shard.
+                // Both aggregate forms must indict the same shard.
                 Attack::SkewAggregates => {
-                    let err = client.self_join_size_oneshot(&servers).unwrap_err();
+                    let err = client.self_join_size(&servers).unwrap_err();
                     assert_eq!(err.blamed_shard(), Some(guilty), "{err}");
-                    client.range_sum_oneshot(0, u - 1, &servers).unwrap_err()
+                    client.range_sum(0, u - 1, &servers).unwrap_err()
                 }
                 Attack::CorruptValues | Attack::DropFirstEntry => {
                     client.range(0, u - 1, &servers).unwrap_err()
@@ -145,7 +146,7 @@ fn single_malicious_shard_is_always_blamed_under_oneshot() {
             assert_eq!(
                 err.blamed_shard(),
                 Some(guilty),
-                "one-shot session, attack {attack:?} on shard {guilty}: {err}"
+                "attack {attack:?} on shard {guilty}: {err}"
             );
         }
     }

@@ -11,7 +11,11 @@
 //! reduction and one
 //! product per bucket) must equal a per-update reference kept here —
 //! `Σ_t δ_t · Π_j row_j[digit_j(i_t)]`, one weight and one multiply-add per
-//! update — on every bucket shape, universe shape and field. One level up, a
+//! update — on every bucket shape, universe shape and field. A single-point
+//! digest reads the same packed tables one index at a time
+//! (`WeightBank::weight`): that weight must be the definition's, and every
+//! single-point ingest path — the LDE evaluator, `ShardedLde` per shard, the
+//! Section 4.1 root under both combine rules — the naive digest. One level up, a
 //! kv `Client` fed through its packed digest banks must checkpoint to the
 //! same bytes as one whose digests were fed one `update` at a time.
 //!
@@ -23,6 +27,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use sip::cluster::ShardedLde;
 use sip::core::heavy_hitters::CountTreeHasher;
 use sip::core::subvector::{HashKind, StreamingRootHasher, SubVectorVerifier};
 use sip::core::sumcheck::f2::{F2Prover, F2Verifier};
@@ -39,7 +44,7 @@ use sip::lde::{
 use sip::obs;
 use sip::server::client::RawClient;
 use sip::server::{spawn, ServerConfig};
-use sip::streaming::{workloads, FrequencyVector, Update};
+use sip::streaming::{workloads, FrequencyVector, ShardPlan, Update};
 
 /// The `(ℓ, d)` shapes under test: the paper's binary sweet spot, two
 /// larger power-of-two bases, and two general bases (one needing the
@@ -143,25 +148,131 @@ proptest! {
         }
     }
 
-    /// The division-free digit plan computes exactly the weights the
-    /// historical div/mod path computed, for every base shape.
+    /// A bank's per-index weight is the definition's `Π_j χ_{v_j}(r_j)`
+    /// (digits by hardware div/mod), at one point and as a single-point
+    /// evaluator reads it: every binary depth from 1 to 40 (one to four
+    /// packed groups), general and power-of-two bases, and ℓ = 1031 > 1024,
+    /// where every group holds one digit.
     #[test]
-    fn weight_plan_equals_divmod(
+    fn bank_weight_equals_divmod(
         indices in prop::collection::vec(any::<u64>(), 1..50),
+        seed in any::<u64>(),
+    ) {
+        let shapes = (1..=40u32)
+            .map(|d| (2u64, d))
+            .chain([(3, 7), (3, 40), (4, 6), (4, 31), (16, 3), (16, 15)])
+            .chain([(1031, 1), (1031, 3), (1031, 6)]);
+        for (ell, d) in shapes {
+            let params = LdeParams::new(ell, d);
+            let u = params.universe();
+            let point = points(1, d, seed).pop().unwrap();
+            let bank = WeightBank::lde_point(params, &point);
+            let eval = StreamingLdeEvaluator::<Fp61>::new(params, point.clone());
+            for i in indices.iter().map(|&i| i % u).chain([0, u - 1]) {
+                let expect = weight_divmod(params, &point, i);
+                prop_assert_eq!(bank.weight(0, i), expect, "ell={} d={} i={}", ell, d, i);
+                prop_assert_eq!(eval.weight(i), expect, "ell={} d={} i={}", ell, d, i);
+            }
+        }
+    }
+
+    /// A single-point evaluator's `update`, `update_all`, `update_batch`
+    /// and `remove` each equal the per-update reference, and a clone taken
+    /// before its first ingest (no tables yet) reads what a clone taken
+    /// after reads.
+    #[test]
+    fn single_point_paths_equal_the_per_update_reference(
+        raw in prop::collection::vec((any::<u64>(), any::<i64>()), 1..200),
         seed in any::<u64>(),
     ) {
         for &(ell, d) in &SHAPES {
             let params = LdeParams::new(ell, d);
+            let stream = stream_of(&raw, params.universe());
             let point = points(1, d, seed).pop().unwrap();
-            let eval = StreamingLdeEvaluator::<Fp61>::new(params, point);
-            for &i in &indices {
-                let i = i % params.universe();
-                prop_assert_eq!(
-                    eval.weight(i),
-                    weight_divmod(params, eval.point(), i),
-                    "ell={} i={}", ell, i
-                );
+            let rows = chi_rows(params, &point);
+            let expect = per_update_sum(params, &rows, &stream);
+            let fresh = StreamingLdeEvaluator::<Fp61>::new(params, point);
+            let before = fresh.clone();
+            let mut one = fresh.clone();
+            for &up in &stream {
+                one.update(up);
             }
+            let mut all = fresh.clone();
+            all.update_all(&stream);
+            let mut batch = fresh;
+            batch.update_batch(&stream);
+            for (path, value) in [("update", one.value()), ("update_all", all.value()),
+                                  ("update_batch", batch.value())] {
+                prop_assert_eq!(value, expect, "{} ell={} d={}", path, ell, d);
+            }
+            // Removing the first half of the updates is the reference over
+            // their negations.
+            let half = &stream[..stream.len() / 2];
+            let negated: Vec<Update> =
+                half.iter().map(|up| Update::new(up.index, -up.delta)).collect();
+            let mut removed = batch.clone();
+            for up in half {
+                removed.remove(up.index, Fp61::from_i64(up.delta));
+            }
+            prop_assert_eq!(
+                removed.value(),
+                expect + per_update_sum(params, &rows, &negated),
+                "remove ell={} d={}", ell, d
+            );
+            let (mut before, mut after) = (before, batch.clone());
+            before.update_batch(&stream);
+            before.update_batch(&stream);
+            after.update_batch(&stream);
+            prop_assert_eq!(before.value(), after.value(), "clones ell={} d={}", ell, d);
+            prop_assert_eq!(before.space_words_with_tables(), after.space_words_with_tables());
+        }
+    }
+
+    /// The two other single-point digests read the same bank: a
+    /// `ShardedLde` equals the definition per shard, and a
+    /// `SubVectorVerifier`'s root equals the explicit hash tree of
+    /// Section 4.1 under both combine rules.
+    #[test]
+    fn sharded_lde_and_tree_roots_equal_the_naive_digests(
+        raw in prop::collection::vec((any::<u64>(), any::<i64>()), 1..200),
+        log_u in 1u32..=12,
+        shards in 1u32..=4,
+        seed in any::<u64>(),
+    ) {
+        let params = LdeParams::binary(log_u);
+        let u = params.universe();
+        let stream = stream_of(&raw, u);
+        let shards = shards.min(u as u32);
+        let plan = ShardPlan::new(log_u, shards);
+        let point = points(1, log_u, seed).pop().unwrap();
+        let zeros = vec![Fp61::ZERO; shards as usize];
+        let mut batched = ShardedLde::from_saved(plan, point.clone(), zeros, 0);
+        let mut one_by_one = batched.clone();
+        batched.update_all(&stream);
+        for &up in &stream {
+            one_by_one.update(up);
+        }
+        for (s, part) in plan.split(&stream).iter().enumerate() {
+            let mut freqs = vec![0i64; u as usize];
+            for up in part {
+                freqs[up.index as usize] += up.delta;
+            }
+            let expect = naive_lde_eval(&freqs, params, &point);
+            prop_assert_eq!(batched.values()[s], expect, "shard {} of {}", s, shards);
+            prop_assert_eq!(one_by_one.values()[s], expect, "shard {} of {}", s, shards);
+        }
+        let fv = FrequencyVector::from_stream(u, &stream);
+        for kind in [HashKind::Affine, HashKind::Multilinear] {
+            let hasher = StreamingRootHasher::new(point.clone(), kind);
+            let mut batched = SubVectorVerifier::from_hasher(hasher.clone());
+            let mut one_by_one = SubVectorVerifier::from_hasher(hasher);
+            batched.update_batch(&stream);
+            for &up in &stream {
+                one_by_one.update(up);
+            }
+            let expect = explicit_root(&fv, &point, kind);
+            prop_assert_eq!(batched.hasher().root(), expect, "{:?}", kind);
+            prop_assert_eq!(one_by_one.hasher().root(), expect, "{:?}", kind);
         }
     }
 
@@ -397,6 +508,22 @@ type Rows<F> = Vec<Vec<F>>;
 /// The rows of the LDE point `r`: `χ_v(r_j)`.
 fn chi_rows<F: PrimeField>(params: LdeParams, r: &[F]) -> Rows<F> {
     r.iter().map(|&rj| chi_all(params.base(), rj)).collect()
+}
+
+/// Section 4.1's tree built bottom-up level by level, `v = w_0·v_L +
+/// w_1·v_R` with `(w_0, w_1)` the combine rule's weights for the level key.
+fn explicit_root(fv: &FrequencyVector, keys: &[Fp61], kind: HashKind) -> Fp61 {
+    let mut level: Vec<Fp61> = (0..fv.universe())
+        .map(|i| Fp61::from_i64(fv.get(i)))
+        .collect();
+    for &key in keys {
+        let (w0, w1) = kind.weights(key);
+        level = level
+            .chunks_exact(2)
+            .map(|c| w0 * c[0] + w1 * c[1])
+            .collect();
+    }
+    level[0]
 }
 
 /// The per-update reference: `Σ_t δ_t · Π_j rows[j][digit_j(i_t)]`, one

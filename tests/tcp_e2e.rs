@@ -557,14 +557,6 @@ fn every_path_books_the_verifier_space_it_consumed() {
         space(local_kv.range_sum(10, 200, &local).unwrap().report),
         2 * wire
     );
-    assert_eq!(
-        space(kv.range_sum_oneshot(10, 200, &remote).unwrap().report),
-        2 * wire
-    );
-    assert_eq!(
-        space(local_kv.range_sum_oneshot(10, 200, &local).unwrap().report),
-        2 * wire
-    );
 
     // SUB-VECTOR: a `get` is a one-key report over the same vector.
     let key = pairs[5].0;
