@@ -45,7 +45,7 @@ use std::sync::OnceLock;
 use sip_field::PrimeField;
 use sip_streaming::FrequencyVector;
 
-use crate::fold::{BindSource, FoldRule, FoldVector};
+use crate::fold::{BindSource, FoldVector};
 
 /// Pre-resolved metric handles for the engine hot paths. Resolution walks a
 /// map under a mutex, so it happens once per process; afterwards every
@@ -190,7 +190,7 @@ pub fn bind_message<F: PrimeField, C: Combine<F> + ?Sized>(
 ) -> Vec<F> {
     observed(table.pairs(), || {
         let mut acc = accs_for::<F>(combine.slots());
-        table.fold_fused(FoldRule::Bind(r), combine, &mut acc);
+        table.fold_fused(r, combine, &mut acc);
         finish::<F>(acc)
     })
 }

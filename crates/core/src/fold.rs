@@ -8,9 +8,10 @@
 //! ```
 //!
 //! which halves in size every round via
-//! `A_{j+1}[m] = χ_0(r_j)·A_j[2m] + χ_1(r_j)·A_j[2m+1]`. The same fold with
-//! weights `(1, r_j)` computes the SUB-VECTOR hash tree of Section 4 level
-//! by level.
+//! `A_{j+1}[m] = χ_0(r_j)·A_j[2m] + χ_1(r_j)·A_j[2m+1]`. (The SUB-VECTOR
+//! hash tree of Section 4 has the same shape with weights `(1, r_j)`, but
+//! its prover needs only the requested siblings, not the whole level, so it
+//! keeps no fold table: [`crate::subvector::SubVectorProver`].)
 //!
 //! [`FoldVector`] starts as a shared snapshot of the frequency vector —
 //! `A_1 = a` is read in place, nothing is copied — and the field-form table
@@ -38,26 +39,11 @@ use crate::engine::Combine;
 /// Size (in entries) below which a fold table is always stored densely.
 const ALWAYS_DENSE: u64 = 1 << 12;
 
-/// How one fold step combines a pair's children — one multiplication
-/// either way.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum FoldRule<F> {
-    /// Sum-check binding at challenge `r`, weights `(1−r, r)`:
-    /// `lo + r·(hi − lo)`.
-    Bind(F),
-    /// Hash-tree level combine with key `r` (equation (7)), weights
-    /// `(1, r)`: `lo + r·hi`.
-    Affine(F),
-}
-
-impl<F: PrimeField> FoldRule<F> {
-    #[inline(always)]
-    fn apply(self, lo: F, hi: F) -> F {
-        match self {
-            FoldRule::Bind(r) => lo + r * (hi - lo),
-            FoldRule::Affine(r) => lo + r * hi,
-        }
-    }
+/// One pair bound at challenge `r`, weights `(1−r, r)`, with one
+/// multiplication: `lo + r·(hi − lo)`.
+#[inline(always)]
+fn bind_pair<F: PrimeField>(r: F, lo: F, hi: F) -> F {
+    lo + r * (hi - lo)
 }
 
 /// Groups a sorted run of nonzero `(index, value)` entries into the pairs
@@ -529,19 +515,10 @@ impl<F: PrimeField> FoldVector<F> {
     /// # Panics
     /// Panics if no variables remain.
     pub fn bind(&mut self, r: F) {
-        self.fold_fused(FoldRule::Bind(r), &NoCombine, &mut []);
+        self.fold_fused(r, &NoCombine, &mut []);
     }
 
-    /// Combines one hash-tree level with key `r` (equation (7)), weights
-    /// `(1, r)`: `A'[m] = A[2m] + r·A[2m+1]`.
-    ///
-    /// # Panics
-    /// Panics if no variables remain.
-    pub fn fold_affine(&mut self, r: F) {
-        self.fold_fused(FoldRule::Affine(r), &NoCombine, &mut []);
-    }
-
-    /// Folds the lowest variable by `rule` and, in the same sweep, feeds
+    /// Binds the lowest variable to challenge `r` and, in the same sweep, feeds
     /// every pair `(k, A'[2k], A'[2k+1])` of the **folded** table `A'` with
     /// a nonzero child through `combine` into `acc` (`combine.slots()`
     /// accumulators), in increasing `k` — what the next round's message is
@@ -552,14 +529,14 @@ impl<F: PrimeField> FoldVector<F> {
     /// Panics if no variables remain.
     pub(crate) fn fold_fused<C: Combine<F> + ?Sized>(
         &mut self,
-        rule: FoldRule<F>,
+        r: F,
         combine: &C,
         acc: &mut [F::DotAcc],
     ) {
         assert!(self.bits >= 1, "nothing left to fold");
         if self.bits == 1 {
             // One entry is left and it has no sibling: no pair to sum over.
-            let last = rule.apply(self.get(0), self.get(1));
+            let last = bind_pair(r, self.get(0), self.get(1));
             self.bits = 0;
             match &mut self.repr {
                 FoldRepr::Dense(v) => {
@@ -574,7 +551,7 @@ impl<F: PrimeField> FoldVector<F> {
         let half = 1usize << self.bits;
         self.repr = match std::mem::replace(&mut self.repr, FoldRepr::Dense(Vec::new())) {
             FoldRepr::Dense(mut v) => {
-                fold_dense_in_place(&mut v, rule, combine, acc);
+                fold_dense_in_place(&mut v, r, combine, acc);
                 FoldRepr::Dense(v)
             }
             FoldRepr::Sparse(mut s) => {
@@ -583,13 +560,13 @@ impl<F: PrimeField> FoldVector<F> {
                     read: 0,
                     written: 0,
                 };
-                fold_sparse_run(&mut run, rule, combine, acc);
+                fold_sparse_run(&mut run, r, combine, acc);
                 let folded = run.written;
                 s.truncate(folded);
                 settle(s, half)
             }
             FoldRepr::Source(fv) => match fv.entries() {
-                Entries::Dense(v) => FoldRepr::Dense(fold_dense(v, half, rule, combine, acc)),
+                Entries::Dense(v) => FoldRepr::Dense(fold_dense(v, half, r, combine, acc)),
                 Entries::Sparse(map) => {
                     let mut run = Streamed {
                         entries: map.iter().map(|(&i, &f)| (i, F::from_i64(f))),
@@ -597,7 +574,7 @@ impl<F: PrimeField> FoldVector<F> {
                         // not moved.
                         folded: Vec::with_capacity(map.len()),
                     };
-                    fold_sparse_run(&mut run, rule, combine, acc);
+                    fold_sparse_run(&mut run, r, combine, acc);
                     settle(run.folded, half)
                 }
             },
@@ -796,7 +773,7 @@ fn fold_quad<T: Copy + PartialEq, F: PrimeField>(
     quad: [T; 4],
     zero: T,
     to_field: impl Fn(T) -> F,
-    rule: FoldRule<F>,
+    r: F,
 ) -> Option<(F, F)> {
     let [a, b, c, d] = quad;
     // `&`, not `&&`: one compare-and-branch per quad, and no array compare
@@ -805,8 +782,8 @@ fn fold_quad<T: Copy + PartialEq, F: PrimeField>(
         return None;
     }
     Some((
-        rule.apply(to_field(a), to_field(b)),
-        rule.apply(to_field(c), to_field(d)),
+        bind_pair(r, to_field(a), to_field(b)),
+        bind_pair(r, to_field(c), to_field(d)),
     ))
 }
 
@@ -814,14 +791,14 @@ fn fold_quad<T: Copy + PartialEq, F: PrimeField>(
 /// `4k..4k+4` were read and is never read again.
 fn fold_dense_in_place<F: PrimeField, C: Combine<F> + ?Sized>(
     v: &mut Vec<F>,
-    rule: FoldRule<F>,
+    r: F,
     combine: &C,
     acc: &mut [F::DotAcc],
 ) {
     let half = v.len() / 2;
     for k in 0..half / 2 {
         let quad = [v[4 * k], v[4 * k + 1], v[4 * k + 2], v[4 * k + 3]];
-        let (n0, n1) = fold_quad(quad, F::ZERO, |x| x, rule).unwrap_or((F::ZERO, F::ZERO));
+        let (n0, n1) = fold_quad(quad, F::ZERO, |x| x, r).unwrap_or((F::ZERO, F::ZERO));
         (v[2 * k], v[2 * k + 1]) = (n0, n1);
         if !n0.is_zero() || !n1.is_zero() {
             combine.accumulate(k as u64, &[n0, n1], &[], acc);
@@ -835,7 +812,7 @@ fn fold_dense_in_place<F: PrimeField, C: Combine<F> + ?Sized>(
 fn fold_dense<F: PrimeField, C: Combine<F> + ?Sized>(
     cells: &[i64],
     half: usize,
-    rule: FoldRule<F>,
+    r: F,
     combine: &C,
     acc: &mut [F::DotAcc],
 ) -> Vec<F> {
@@ -848,7 +825,7 @@ fn fold_dense<F: PrimeField, C: Combine<F> + ?Sized>(
             // is smaller than the table.
             None => std::array::from_fn(|i| cells.get(at + i).copied().unwrap_or(0)),
         };
-        let Some((n0, n1)) = fold_quad(quad, 0, F::from_i64, rule) else {
+        let Some((n0, n1)) = fold_quad(quad, 0, F::from_i64, r) else {
             continue;
         };
         if !n0.is_zero() || !n1.is_zero() {
@@ -915,7 +892,7 @@ impl<F: PrimeField, I: Iterator<Item = (u64, F)>> SparseRun<F> for Streamed<I, F
 /// every pair of the folded entries through `combine`.
 fn fold_sparse_run<F: PrimeField, C: Combine<F> + ?Sized>(
     run: &mut impl SparseRun<F>,
-    rule: FoldRule<F>,
+    r: F,
     combine: &C,
     acc: &mut [F::DotAcc],
 ) {
@@ -940,7 +917,7 @@ fn fold_sparse_run<F: PrimeField, C: Combine<F> + ?Sized>(
             (i >> 1, F::ZERO, v)
         };
         if done != NONE {
-            let n = rule.apply(done_lo, done_hi);
+            let n = bind_pair(r, done_lo, done_hi);
             // Entries that cancel exactly are dropped, not stored as zero.
             if !n.is_zero() {
                 run.emit((done, n));
@@ -1024,28 +1001,48 @@ mod tests {
 
     #[test]
     fn tree_fold_computes_affine_hash() {
-        // Folding with (1, r_j) computes the hash tree of Section 4:
-        // t = Σ_i a_i Π_j r_j^{bit_j(i)} (equation (8)).
+        // The SUB-VECTOR prover's level-j sibling hashes are equation (8)
+        // over each sibling's cells: t = Σ_i a_i Π_{t ≤ j} r_t^{bit_{t−1}(i)}.
+        // Every node of every level of a 2^11 tree (wider than one
+        // 256-cell block), asked one round at a time, against the sum.
+        use crate::subvector::{RoundRequest, SubVectorProver};
         let mut rng = StdRng::seed_from_u64(3);
-        let bits = 6u32;
-        let stream = workloads::uniform(30, 1 << bits, 100, 9);
+        let bits = 11u32;
+        let stream = workloads::with_deletions(600, 1 << bits, 0.2, 9);
         let fv = FrequencyVector::from_stream(1 << bits, &stream);
         let keys: Vec<Fp61> = (0..bits).map(|_| Fp61::random(&mut rng)).collect();
-        let mut fold = FoldVector::from_frequency(&fv, bits);
-        for &k in &keys {
-            fold.fold_affine(k);
-        }
-        let mut expect = Fp61::ZERO;
-        for (i, f) in fv.nonzero() {
-            let mut w = Fp61::from_i64(f);
-            for (j, &k) in keys.iter().enumerate() {
-                if (i >> j) & 1 == 1 {
-                    w *= k;
+        let hash = |level: u32, m: u64| {
+            let mut expect = Fp61::ZERO;
+            for (i, f) in fv.nonzero().filter(|&(i, _)| i >> level == m) {
+                let mut w = Fp61::from_i64(f);
+                for (j, &k) in keys[..level as usize].iter().enumerate() {
+                    if (i >> j) & 1 == 1 {
+                        w *= k;
+                    }
                 }
+                expect += w;
             }
-            expect += w;
+            expect
+        };
+        for m in 0..1u64 << (bits - 1) {
+            let mut prover = SubVectorProver::<Fp61>::new(&fv, bits);
+            for level in 1..bits {
+                let node = m >> (level - 1);
+                let req = RoundRequest {
+                    level,
+                    challenge: keys[level as usize - 1],
+                    left: Some(node),
+                    right: (node + 1 < 1 << (bits - level)).then_some(node + 1),
+                };
+                let reply = prover.process_round(&req);
+                assert_eq!(
+                    reply.left,
+                    Some(hash(level, node)),
+                    "level {level} node {node}"
+                );
+                assert_eq!(reply.right, req.right.map(|n| hash(level, n)));
+            }
         }
-        assert_eq!(fold.scalar(), expect);
     }
 
     #[test]
@@ -1149,7 +1146,7 @@ mod tests {
 
     #[test]
     fn fused_fold_visits_exactly_the_folded_tables_pairs() {
-        // From every representation, under both rules: the table after the
+        // From every representation: the table after the
         // fused sweep equals the plain fold of a dense reference, and the
         // pairs the sweep hands out are the pairs a second pass over that
         // table would find, each exactly once and in order.
@@ -1165,24 +1162,22 @@ mod tests {
         ];
         let r = Fp61::from_u64(0x5eed_1234_5678);
         for fv in &starts {
-            for rule in [FoldRule::Bind(r), FoldRule::Affine(r)] {
-                let mut reference = field_vec(fv);
-                reference.resize(1 << bits, Fp61::ZERO);
-                // Two levels: the first sweep reads the snapshot, the second
-                // the field-form table the first one wrote.
-                let mut table = FoldVector::<Fp61>::from_frequency(fv, bits);
-                for level in 0..2 {
-                    reference = reference
-                        .chunks_exact(2)
-                        .map(|c| rule.apply(c[0], c[1]))
-                        .collect();
-                    let expect = pairs_of(&FoldVector::from_values(reference.clone()));
-                    let seen = Record(RefCell::new(Vec::new()));
-                    table.fold_fused(rule, &seen, &mut []);
-                    let what = format!("dense={} level={level} rule={rule:?}", fv.is_dense());
-                    assert_eq!(seen.0.into_inner(), expect, "{what}");
-                    assert_eq!(pairs_of(&table), expect, "{what}");
-                }
+            let mut reference = field_vec(fv);
+            reference.resize(1 << bits, Fp61::ZERO);
+            // Two levels: the first sweep reads the snapshot, the second
+            // the field-form table the first one wrote.
+            let mut table = FoldVector::<Fp61>::from_frequency(fv, bits);
+            for level in 0..2 {
+                reference = reference
+                    .chunks_exact(2)
+                    .map(|c| c[0] + r * (c[1] - c[0]))
+                    .collect();
+                let expect = pairs_of(&FoldVector::from_values(reference.clone()));
+                let seen = Record(RefCell::new(Vec::new()));
+                table.fold_fused(r, &seen, &mut []);
+                let what = format!("dense={} level={level}", fv.is_dense());
+                assert_eq!(seen.0.into_inner(), expect, "{what}");
+                assert_eq!(pairs_of(&table), expect, "{what}");
             }
         }
     }
@@ -1243,7 +1238,7 @@ mod tests {
             let mut stepwise = FoldVector::<Fp61>::from_frequency(fv, bits);
             for k in 1..=bits as usize {
                 let seen_stepwise = Record(RefCell::new(Vec::new()));
-                stepwise.fold_fused(FoldRule::Bind(r[k - 1]), &seen_stepwise, &mut []);
+                stepwise.fold_fused(r[k - 1], &seen_stepwise, &mut []);
                 if ![1, 2, 4, 5, 14, 15].contains(&k) {
                     continue;
                 }
@@ -1306,7 +1301,7 @@ mod tests {
         let seen_stepwise = Record(RefCell::new(Vec::new()));
         for (k, &rk) in r.iter().enumerate() {
             let last = Record(RefCell::new(Vec::new()));
-            stepwise.fold_fused(FoldRule::Bind(rk), &last, &mut []);
+            stepwise.fold_fused(rk, &last, &mut []);
             if k == 3 {
                 seen_stepwise.0.replace(last.0.into_inner());
             }
@@ -1359,10 +1354,10 @@ mod tests {
     #[test]
     fn zero_cancellation_in_sparse_fold() {
         // Entries that cancel exactly must be dropped, not stored as zero.
-        let fv = sparse_fv(1 << 16, &[Update::new(8, 1), Update::new(9, 1)]);
+        let fv = sparse_fv(1 << 16, &[Update::new(8, 1), Update::new(9, -1)]);
         let mut fold = FoldVector::<Fp61>::from_frequency(&fv, 16);
-        // With weights (1, −1): 1·a[8] + (−1)·a[9] = 0.
-        fold.fold_affine(-Fp61::ONE);
+        // Bound at r = 1/2: a[8] + (a[9] − a[8])/2 = 1 − 1 = 0.
+        fold.bind(Fp61::from_u64(2).inverse().unwrap());
         assert_eq!(fold.get(4), Fp61::ZERO);
         assert!(fold.stored_len() <= 1); // nothing (or a densified table)
     }

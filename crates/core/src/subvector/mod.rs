@@ -8,9 +8,9 @@
 //! probability `O(log u / p)`.
 //!
 //! * [`tree`] — the level-keyed linear hash tree: streaming root
-//!   computation (equation (8)) for `V`, sparse level-by-level construction
-//!   for `P`;
-//! * [`protocol`] — the `log u − 1`-round interactive reconstruction.
+//!   computation (equation (8)) for `V`;
+//! * [`protocol`] — the `log u − 1`-round interactive reconstruction, and
+//!   the prover that hashes each requested sibling straight from its cells.
 
 pub mod protocol;
 pub mod tree;

@@ -18,16 +18,23 @@
 //! `O(log u)` words — exactly the space-saving observation in the paper's
 //! cost analysis ("the verifier can keep track of only O(log u) hash values
 //! of internal nodes").
+//!
+//! The prover never builds the tree. It copies the store's nonzero cells
+//! once, at construction, as a sorted `(index, value)` run, and holds no
+//! snapshot of the store after that, so a write that arrives mid-query
+//! writes the store in place. A requested sibling's hash is equation (8)
+//! over that sibling's slice of the run, and one query's siblings
+//! partition the complement of its range: each cell is read once per
+//! query, not once per level.
 
 use rand::Rng;
 use sip_field::PrimeField;
 use sip_lde::WeightBank;
-use sip_streaming::{FrequencyVector, Update};
+use sip_streaming::{Entries, FrequencyVector, Update};
 
 use crate::channel::CostReport;
 use crate::digest_bank::BankedDigest;
 use crate::error::Rejection;
-use crate::fold::FoldVector;
 
 use super::tree::{HashKind, StreamingRootHasher};
 
@@ -364,50 +371,113 @@ impl<F: PrimeField> SubVectorSession<F> {
     }
 }
 
-/// The honest SUB-VECTOR prover: a sparse tree built level by level as keys
-/// are revealed.
+/// Cells per block of a sibling's sweep, as an exponent: a sibling's hash
+/// is one dot per occupied block against a `2^BLOCK_BITS`-entry table of
+/// low-level weights, times the block's one product of higher keys.
+const BLOCK_BITS: u32 = 8;
+
+/// The honest SUB-VECTOR prover: the store's nonzero cells, and the keys
+/// revealed so far.
 #[derive(Clone, Debug)]
 pub struct SubVectorProver<F: PrimeField> {
-    values: FoldVector<F>,
-    level: u32,
-    kind: HashKind,
+    /// The nonzero cells at construction, in increasing index.
+    cells: Vec<(u64, F)>,
+    /// `keys[t] = r_{t+1}`, revealed round by round.
+    keys: Vec<F>,
+    /// `low[y] = Π_{t : bit t of y} r_{t+1}` over the lowest
+    /// `min(level, BLOCK_BITS)` bits: the weight of offset `y` in a block.
+    low: Vec<F>,
 }
 
 impl<F: PrimeField> SubVectorProver<F> {
-    /// Builds the prover from the materialised frequency vector.
+    /// Builds the prover from the materialised frequency vector, copying
+    /// its nonzero cells: the prover keeps no snapshot of `fv`.
     pub fn new(fv: &FrequencyVector, log_u: u32) -> Self {
+        assert!(log_u <= 63);
+        assert!(
+            fv.universe() <= 1u64 << log_u,
+            "universe larger than 2^log_u"
+        );
+        let cells = match fv.entries() {
+            Entries::Dense(v) => (0u64..)
+                .zip(v)
+                .filter(|&(_, &a)| a != 0)
+                .map(|(i, &a)| (i, F::from_i64(a)))
+                .collect(),
+            Entries::Sparse(map) => map.iter().map(|(&i, &a)| (i, F::from_i64(a))).collect(),
+        };
         SubVectorProver {
-            values: FoldVector::from_frequency(fv, log_u),
-            level: 0,
-            kind: HashKind::Affine,
+            cells,
+            keys: Vec::new(),
+            low: vec![F::ONE],
         }
+    }
+
+    /// The cells with index in `[lo, hi)`.
+    fn run(&self, lo: u64, hi: u64) -> &[(u64, F)] {
+        let start = self.cells.partition_point(|&(i, _)| i < lo);
+        let end = self.cells.partition_point(|&(i, _)| i < hi);
+        &self.cells[start..end]
     }
 
     /// Message 2: the nonzero entries over the extended range.
     ///
     /// # Panics
-    /// Panics if rounds already started (the leaf level is gone).
+    /// Panics if rounds already started.
     pub fn answer(&self, q_l: u64, q_r: u64) -> SubVectorAnswer<F> {
-        assert_eq!(self.level, 0, "answer must precede the rounds");
+        assert!(self.keys.is_empty(), "answer must precede the rounds");
         let (e_l, e_r) = extend(q_l, q_r);
         SubVectorAnswer {
-            entries: self.values.nonzero_in_range(e_l, e_r),
+            entries: self.run(e_l, e_r + 1).to_vec(),
         }
     }
 
-    /// Processes a round request: advances the tree one level with the
-    /// revealed key and returns the requested sibling hashes.
+    /// Processes a round request: takes the revealed key and returns the
+    /// requested sibling hashes.
     pub fn process_round(&mut self, req: &RoundRequest<F>) -> RoundReply<F> {
-        assert_eq!(req.level, self.level + 1, "round out of order");
-        match self.kind {
-            HashKind::Affine => self.values.fold_affine(req.challenge),
-            HashKind::Multilinear => self.values.bind(req.challenge),
+        assert_eq!(
+            req.level as usize,
+            self.keys.len() + 1,
+            "round out of order"
+        );
+        self.keys.push(req.challenge);
+        if req.level <= BLOCK_BITS {
+            let r = req.challenge;
+            for y in 0..self.low.len() {
+                let w = self.low[y] * r;
+                self.low.push(w);
+            }
         }
-        self.level += 1;
         RoundReply {
-            left: req.left.map(|i| self.values.get(i)),
-            right: req.right.map(|i| self.values.get(i)),
+            left: req.left.map(|m| self.sibling(m)),
+            right: req.right.map(|m| self.sibling(m)),
         }
+    }
+
+    /// The hash of node `m` at the current level `j`: equation (8) over its
+    /// cells `[m·2^j, (m+1)·2^j)`, block by block.
+    fn sibling(&self, m: u64) -> F {
+        let j = self.keys.len() as u32;
+        let b = j.min(BLOCK_BITS);
+        let mask = (1u64 << b) - 1;
+        let high = &self.keys[b as usize..];
+        let mut hash = F::ZERO;
+        let cells = self.run(m << j, (m + 1) << j);
+        for block in cells.chunk_by(|x, y| x.0 >> b == y.0 >> b) {
+            let mut acc = F::DotAcc::default();
+            for &(i, a) in block {
+                F::acc_add_prod(&mut acc, a, self.low[(i & mask) as usize]);
+            }
+            // Bits `b..j` of the block's cells pick their higher keys.
+            let mut bits = (block[0].0 >> b) & ((1u64 << high.len()) - 1);
+            let mut w = F::acc_finish(acc);
+            while bits != 0 {
+                w *= high[bits.trailing_zeros() as usize];
+                bits &= bits - 1;
+            }
+            hash += w;
+        }
+        hash
     }
 }
 

@@ -57,7 +57,7 @@ use sip_core::sumcheck::{drive_session, prove_oneshot, OneShotProof, ProverWalk}
 use sip_core::transcript::query_transcript;
 use sip_core::CostReport;
 use sip_field::PrimeField;
-use sip_streaming::{FrequencyVector, Update};
+use sip_streaming::{CellOverflow, FrequencyVector, Update};
 
 /// How many independent digest copies the client provisions per query
 /// family (each query consumes one copy).
@@ -227,6 +227,25 @@ impl<F: PrimeField> CloudStore<F> {
     pub fn raw_vector(&self) -> &FrequencyVector {
         &self.raw
     }
+
+    /// [`KvServer::ingest_batch`], or nothing at all if a put would carry a
+    /// cell past the `i64` range. Puts carry `δ = value + 1 ≥ 1`, so a
+    /// cell's presence count and raw value stay between 0 and its
+    /// `value + 1` sum: that vector overflows first, and is the one checked.
+    ///
+    /// # Errors
+    /// [`CellOverflow`] names the cell; the store is then as it was.
+    pub fn try_ingest_batch(&mut self, ups: &[Update]) -> Result<(), CellOverflow> {
+        self.encoded.try_apply_batch(ups)?;
+        let presence: Vec<Update> = ups.iter().map(|up| Update::new(up.index, 1)).collect();
+        self.presence.apply_batch(&presence);
+        let raw: Vec<Update> = ups
+            .iter()
+            .map(|up| Update::new(up.index, up.delta - 1))
+            .collect();
+        self.raw.apply_batch(&raw);
+        Ok(())
+    }
 }
 
 impl<F: PrimeField> KvServer<F> for CloudStore<F> {
@@ -237,14 +256,9 @@ impl<F: PrimeField> KvServer<F> for CloudStore<F> {
     }
 
     fn ingest_batch(&mut self, ups: &[Update]) {
-        self.encoded.apply_batch(ups);
-        let presence: Vec<Update> = ups.iter().map(|up| Update::new(up.index, 1)).collect();
-        self.presence.apply_batch(&presence);
-        let raw: Vec<Update> = ups
-            .iter()
-            .map(|up| Update::new(up.index, up.delta - 1))
-            .collect();
-        self.raw.apply_batch(&raw);
+        if let Err(e) = self.try_ingest_batch(ups) {
+            panic!("{e}");
+        }
     }
 
     fn reporting(&self) -> Box<dyn ReportingSession<F> + '_> {

@@ -56,10 +56,6 @@ pub const STAGE_BLOCK: usize = 4096;
 /// resident in L2 while cutting the binary-base multiplication count 10×.
 const MAX_GROUP_TABLE: usize = 1024;
 
-/// More groups than any layout has: a group holds at least one digit, and
-/// `ℓ ≥ 2` with `ℓ^d` fitting a `u64` keeps `d ≤ 63`.
-const MAX_GROUPS: usize = 64;
-
 /// How `d` digit positions are fused into groups.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 struct PackedLayout {
@@ -187,6 +183,39 @@ impl PackedLayout {
             }
         }
         *last = offset + rem as u32;
+    }
+
+    /// `Π_g table[s_g]` over the super-digits `s_g` of `i` (as
+    /// [`Self::super_digits_into`] writes them), each entry multiplied in
+    /// as its digit is extracted — no row of offsets is written.
+    #[inline]
+    fn product_of_digits<F: PrimeField>(&self, table: &[F], i: u64) -> F {
+        let full = self.groups - 1;
+        let size = self.group_size;
+        match self.kind {
+            PackedKind::Pow2 { shift, mask } => {
+                // The last super-digit is the bits above the full groups',
+                // so the product can start from its entry.
+                let mut w = table[self.last_base() + (i >> (shift * full as u32)) as usize];
+                let mut rem = i;
+                for g in 0..full {
+                    w *= table[g * size + (rem & mask) as usize];
+                    rem >>= shift;
+                }
+                w
+            }
+            PackedKind::General { divisor, recip } => {
+                let (mut rem, mut w) = (i, None);
+                for g in 0..full {
+                    let (q, r) = recip_divmod(divisor, recip, rem);
+                    let t = table[g * size + r as usize];
+                    w = Some(w.map_or(t, |w: F| w * t));
+                    rem = q;
+                }
+                let t = table[full * size + rem as usize];
+                w.map_or(t, |w| w * t)
+            }
+        }
     }
 }
 
@@ -452,10 +481,8 @@ impl<F: PrimeField> WeightBank<F> {
             self.universe
         );
         let stride = self.layout.stride;
-        let mut slots = [0u32; MAX_GROUPS];
-        let slots = &mut slots[..self.layout.groups];
-        self.layout.super_digits_into(i, slots);
-        product(&self.tables[p * stride..(p + 1) * stride], slots)
+        let table = &self.tables[p * stride..(p + 1) * stride];
+        self.layout.product_of_digits(table, i)
     }
 
     /// `Σ_t δ_t · w_p(i_t)` over `batch`, one [`Self::weight`] per update

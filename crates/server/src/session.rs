@@ -30,8 +30,8 @@ use sip_core::sumcheck::{prove_oneshot, ProverWalk, RoundProver};
 use sip_core::transcript::query_transcript;
 use sip_core::CostReport;
 use sip_field::PrimeField;
-use sip_kvstore::{CloudStore, KvServer};
-use sip_streaming::{FrequencyVector, ShardPlan, Update};
+use sip_kvstore::CloudStore;
+use sip_streaming::{CellOverflow, FrequencyVector, ShardPlan, Update};
 use sip_wire::{Msg, MsgChannel, Query, SessionMode, ShardSpec, WireCodec, WireError};
 
 use crate::heads::{HeadCache, QueryVector};
@@ -436,15 +436,12 @@ impl<F: PrimeField, T: Transport> ServerSession<F, T> {
                 // Updates are welcome at any point between queries — the
                 // in-process `CloudStore` has no phases, and this server
                 // must be a drop-in for it. (Mid-query they are fine too:
-                // an active prover holds a copy-on-write snapshot of the
-                // vector taken at query start, so this write goes to a
-                // fresh copy the prover never sees, and the verifier's
-                // digests live client-side.)
+                // an active sum-check prover holds a copy-on-write snapshot
+                // of the vector taken at query start, so this write goes to
+                // a fresh copy the prover never sees; a sub-vector prover
+                // copied its cells at query start and holds no snapshot;
+                // and the verifier's digests live client-side.)
                 self.check_ingest(&ups)?;
-                self.ingested |= !ups.is_empty();
-                if sip_obs::enabled() {
-                    session_metrics().ingest_updates.add(ups.len() as u64);
-                }
                 // One whole wire frame = one batched ingest call: the
                 // sorted-merge / delayed-reduction bulk paths replace the
                 // per-update loops, with identical resulting state.
@@ -455,10 +452,12 @@ impl<F: PrimeField, T: Transport> ServerSession<F, T> {
                 // Drop the heads first: each holds a snapshot of its vector,
                 // and a write under a live snapshot copies the whole vector.
                 heads.clear();
+                // A frame that would overflow a cell is refused whole.
+                let overflow = |e: CellOverflow| protocol(e.to_string());
                 match data {
                     DatasetData::Raw(fv) => {
                         let was_dense = fv.is_dense();
-                        fv.apply_batch(&ups);
+                        fv.try_apply_batch(&ups).map_err(overflow)?;
                         // Promote on volume received, not on support: a
                         // Zipf stream reaches `u/8` distinct keys long after
                         // `u/8` updates, and every update in between is a
@@ -469,7 +468,11 @@ impl<F: PrimeField, T: Transport> ServerSession<F, T> {
                             session_metrics().store_promotions.inc();
                         }
                     }
-                    DatasetData::Kv(store) => store.ingest_batch(&ups),
+                    DatasetData::Kv(store) => store.try_ingest_batch(&ups).map_err(overflow)?,
+                }
+                self.ingested |= !ups.is_empty();
+                if sip_obs::enabled() {
+                    session_metrics().ingest_updates.add(ups.len() as u64);
                 }
                 Ok(true)
             }
@@ -528,7 +531,7 @@ impl<F: PrimeField, T: Transport> ServerSession<F, T> {
                 }
                 // Sibling indices are peer-controlled; at level j valid
                 // node indices are < 2^(log_u − j). Unchecked, they would
-                // index out of the prover's fold table.
+                // name nodes past the universe.
                 let width = 1u64 << (self.log_u - req.level);
                 if req.left.is_some_and(|i| i >= width) || req.right.is_some_and(|i| i >= width) {
                     return Err(protocol(format!(
@@ -2252,6 +2255,53 @@ mod tests {
         let after = raw_store(&session).dense_values().expect("still dense");
         assert_eq!(after.as_ptr(), cells, "the write copied the store");
         assert_eq!(after[0], 2);
+    }
+
+    #[test]
+    fn a_kv_write_after_a_reporting_query_writes_the_store_in_place() {
+        // The sub-vector prover copies the store's cells when the query
+        // opens and holds no snapshot, so the next put — the prover still
+        // open in the session — finds the tree unshared.
+        let log_u = 12u32;
+        let registry = Arc::new(DatasetRegistry::new(1));
+        let (mut session, _peer) = bare_session(SessionMode::KvStore, log_u, registry);
+        let encoded_tree = |session: &Bare| {
+            let Store::Private(DatasetData::Kv(s), _) = &session.store else {
+                panic!("not a kv store")
+            };
+            match s.encoded_vector().entries() {
+                sip_streaming::Entries::Sparse(map) => std::ptr::from_ref(map),
+                sip_streaming::Entries::Dense(_) => panic!("under u/8 puts: a tree"),
+            }
+        };
+        let puts = (0..64).map(|i| Update::new(i * 16, i as i64 + 1)).collect();
+        assert!(matches!(session.handle(Msg::Ingest(puts)), Ok(true)));
+        let tree = encoded_tree(&session);
+        let report = Msg::Query(Query::Report { l: 100, r: 300 });
+        assert!(matches!(session.handle(report), Ok(true)));
+        assert!(matches!(session.active, Active::SubVector { .. }));
+        ingest_on_key_zero(&mut session, 1);
+        assert_eq!(encoded_tree(&session), tree, "the write copied the store");
+    }
+
+    #[test]
+    fn store_refuses_a_frame_that_would_overflow_a_cell_whole() {
+        for mode in [SessionMode::RawStream, SessionMode::KvStore] {
+            let registry = Arc::new(DatasetRegistry::new(1));
+            let (mut session, _peer) = bare_session(mode, 4, registry);
+            let frame = || Msg::<Fp61>::Ingest(vec![Update::new(3, i64::MAX)]);
+            assert!(matches!(session.handle(frame()), Ok(true)), "{mode:?}");
+            let refused = session.handle(frame());
+            assert!(matches!(refused, Err(Flow::Protocol(_))), "{mode:?}");
+            let (data, _) = session.data();
+            let cell = data.vector(QueryVector::Encoded).get(3);
+            assert_eq!(
+                cell,
+                i64::MAX,
+                "{mode:?}: the refused frame applied nothing"
+            );
+            assert_eq!(session.received, u64::from(mode == SessionMode::RawStream));
+        }
     }
 
     #[test]

@@ -47,6 +47,27 @@ enum Repr {
     Sparse(BTreeMap<u64, i64>),
 }
 
+/// A batch refused by [`FrequencyVector::try_apply_batch`]: one of its
+/// updates would have carried a cell past the `i64` range, so none of them
+/// was applied.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CellOverflow {
+    /// The cell that would have overflowed.
+    pub index: u64,
+}
+
+impl std::fmt::Display for CellOverflow {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "the batch would overflow the frequency of cell {}; nothing was applied",
+            self.index
+        )
+    }
+}
+
+impl std::error::Error for CellOverflow {}
+
 /// A borrowed view of a [`FrequencyVector`]'s representation.
 #[derive(Clone, Copy, Debug)]
 pub enum Entries<'a> {
@@ -170,21 +191,41 @@ impl FrequencyVector {
         self.maybe_promote();
     }
 
-    /// Applies a whole batch `a_i ← a_i + δ` in one pass.
+    /// Applies a whole batch `a_i ← a_i + δ` in one pass:
+    /// [`Self::try_apply_batch`].
+    ///
+    /// # Panics
+    /// Panics if any `up.index >= u`, or if the batch would carry a cell
+    /// past the `i64` range.
+    pub fn apply_batch(&mut self, batch: &[Update]) {
+        if let Err(e) = self.try_apply_batch(batch) {
+            panic!("{e}");
+        }
+    }
+
+    /// Applies a whole batch `a_i ← a_i + δ` in one pass, or none of it if
+    /// some update, applied in batch order, would carry its cell past the
+    /// `i64` range.
     ///
     /// Dense vectors take the straight indexed adds. Sparse vectors sort a
-    /// copy of the batch by index, coalesce duplicate indices, and merge
-    /// each distinct index into the tree once — a batch that hammers a few
-    /// hot keys pays one tree walk per *distinct* key instead of one per
-    /// update. The dense-promotion heuristic is re-checked once per batch
-    /// instead of per update. All queries see exactly the state that
-    /// repeated [`Self::apply`] would produce.
+    /// copy of the batch by index (arrival order kept within one index) and
+    /// merge each distinct index into the tree once — a batch that hammers
+    /// a few hot keys pays one tree walk per *distinct* key instead of one
+    /// per update. Either way every update costs one checked add; an
+    /// overflow undoes the updates already applied, newest first. The
+    /// dense-promotion heuristic is re-checked once per batch instead of
+    /// per update. All queries see exactly the state that repeated
+    /// [`Self::apply`] would produce.
+    ///
+    /// # Errors
+    /// [`CellOverflow`] names the first cell that would overflow; the
+    /// vector is then as it was.
     ///
     /// # Panics
     /// Panics if any `up.index >= u`.
-    pub fn apply_batch(&mut self, batch: &[Update]) {
+    pub fn try_apply_batch(&mut self, batch: &[Update]) -> Result<(), CellOverflow> {
         if batch.is_empty() {
-            return;
+            return Ok(());
         }
         for up in batch {
             assert!(
@@ -196,35 +237,56 @@ impl FrequencyVector {
         }
         match Arc::make_mut(&mut self.repr) {
             Repr::Dense(v) => {
-                for up in batch {
-                    v[up.index as usize] += up.delta;
+                for (n, up) in batch.iter().enumerate() {
+                    let cell = &mut v[up.index as usize];
+                    let Some(sum) = cell.checked_add(up.delta) else {
+                        // Each step reverses an add that fitted.
+                        for up in batch[..n].iter().rev() {
+                            v[up.index as usize] -= up.delta;
+                        }
+                        return Err(CellOverflow { index: up.index });
+                    };
+                    *cell = sum;
                 }
             }
             Repr::Sparse(m) => {
                 let mut sorted: Vec<(u64, i64)> =
                     batch.iter().map(|up| (up.index, up.delta)).collect();
-                sorted.sort_unstable_by_key(|&(i, _)| i);
-                let mut it = sorted.into_iter().peekable();
-                while let Some((i, mut delta)) = it.next() {
-                    while let Some(&(j, d)) = it.peek() {
-                        if j != i {
-                            break;
-                        }
-                        delta += d;
-                        it.next();
-                    }
-                    if delta == 0 {
-                        continue;
-                    }
+                // Stable: one index's deltas apply in arrival order, as the
+                // dense adds do.
+                sorted.sort_by_key(|&(i, _)| i);
+                let mut done = 0;
+                for run in sorted.chunk_by(|a, b| a.0 == b.0) {
+                    let i = run[0].0;
                     let e = m.entry(i).or_insert(0);
-                    *e += delta;
-                    if *e == 0 {
-                        m.remove(&i);
+                    let sum = run.iter().try_fold(*e, |x, &(_, d)| x.checked_add(d));
+                    match sum {
+                        Some(0) => {
+                            m.remove(&i);
+                        }
+                        Some(x) => *e = x,
+                        None => {
+                            if *e == 0 {
+                                m.remove(&i);
+                            }
+                            for run in sorted[..done].chunk_by(|a, b| a.0 == b.0) {
+                                let e = m.entry(run[0].0).or_insert(0);
+                                for &(_, d) in run.iter().rev() {
+                                    *e -= d;
+                                }
+                                if *e == 0 {
+                                    m.remove(&run[0].0);
+                                }
+                            }
+                            return Err(CellOverflow { index: i });
+                        }
                     }
+                    done += run.len();
                 }
             }
         }
         self.maybe_promote();
+        Ok(())
     }
 
     /// Switches a sparse vector whose support has outgrown the tree to the
@@ -576,6 +638,38 @@ mod tests {
             assert_eq!(batched.support_size(), one_by_one.support_size());
             assert_eq!(batched.get(3), 0);
             assert_eq!(batched.get(100), 0);
+        }
+    }
+
+    #[test]
+    fn a_batch_that_would_overflow_a_cell_applies_nothing() {
+        // The prefix before the overflowing update — a new cell, a cell
+        // cancelled to zero, a cell raised — must be undone in both
+        // representations, and the frame's copy of a shared vector must
+        // leave the snapshot alone.
+        let start = [Update::new(50, i64::MAX - 1), Update::new(9, 4)];
+        let batch = [
+            Update::new(40, 7),
+            Update::new(9, -4),
+            Update::new(50, 1),
+            Update::new(3, -1),
+            Update::new(50, 1),
+            Update::new(61, 2),
+        ];
+        for make in [FrequencyVector::new, FrequencyVector::new_sparse] {
+            let mut fv = make(64);
+            fv.apply_batch(&start);
+            let before: Vec<_> = fv.nonzero().collect();
+            let snapshot = fv.clone();
+            assert_eq!(fv.try_apply_batch(&batch), Err(CellOverflow { index: 50 }));
+            assert_eq!(fv.nonzero().collect::<Vec<_>>(), before);
+            assert_eq!(snapshot.nonzero().collect::<Vec<_>>(), before);
+            // Without the last overflowing step the same batch applies.
+            fv.try_apply_batch(&batch[..4]).unwrap();
+            assert_eq!(
+                fv.nonzero().collect::<Vec<_>>(),
+                vec![(3, -1), (40, 7), (50, i64::MAX)]
+            );
         }
     }
 

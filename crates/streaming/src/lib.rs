@@ -29,6 +29,6 @@ pub mod shard;
 pub mod update;
 pub mod workloads;
 
-pub use frequency::{Entries, FrequencyVector};
+pub use frequency::{CellOverflow, Entries, FrequencyVector};
 pub use shard::ShardPlan;
 pub use update::Update;

@@ -34,13 +34,21 @@
 //!   a promoted array the head packs and one too full to pack;
 //! * a RANGE-SUM boundary matrix — every range of every universe up to
 //!   `2^5`, and the named corner cases at `2^10` — through the complete
-//!   protocol against `FrequencyVector::range_sum`.
+//!   protocol against `FrequencyVector::range_sum`;
+//! * the SUB-VECTOR prover, which keeps no fold table: every sibling hash it
+//!   sends equals the root the verifier's own [`StreamingRootHasher`]
+//!   computes over that sibling's cells, on trees, promoted arrays, empty
+//!   and one-cell vectors, `log_u` 1..=14, ranges touching either end of
+//!   the universe and the full range.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use sip::core::subvector::{
+    HashKind, RoundRequest, Step, StreamingRootHasher, SubVectorProver, SubVectorVerifier,
+};
 use sip::core::sumcheck::f2::{F2Head, F2Prover};
 use sip::core::sumcheck::moments::MomentProver;
 use sip::core::sumcheck::range_sum::{run_range_sum, RangeSumProver};
@@ -361,6 +369,76 @@ proptest! {
                 || RangeSumProver::<Fp61>::new(fv, log_u, l, r),
             );
         }
+    }
+}
+
+/// Level `level`'s node `m` as the verifier defines it: the root of a
+/// depth-`level` hasher under the first `level` keys, fed node `m`'s cells
+/// re-based to 0.
+fn node_hash(fv: &FrequencyVector, keys: &[Fp61], level: u32, m: u64) -> Fp61 {
+    let mut hasher = StreamingRootHasher::new(keys[..level as usize].to_vec(), HashKind::Affine);
+    let base = m << level;
+    for (i, a) in fv.range_report(base, base + (1 << level) - 1) {
+        hasher.update(Update::new(i - base, a));
+    }
+    hasher.root()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The SUB-VECTOR prover through the whole protocol: each sibling it is
+    /// asked for is the node [`node_hash`] defines, and the verifier
+    /// accepts the range as `FrequencyVector::range_report` has it.
+    /// `cells` picks an empty vector, a one-cell one or the whole stream;
+    /// `edge` the drawn range, one from 0, one to `u − 1`, or all of `[u]`.
+    #[test]
+    fn subvector_siblings_equal_the_hashers_root_of_their_cells(
+        raw in prop::collection::vec((any::<u64>(), any::<i64>()), 1..160),
+        cells in 0usize..4,
+        log_u in 1u32..=14,
+        sparse in any::<bool>(),
+        ends in (any::<u64>(), any::<u64>()),
+        edge in 0u8..4,
+        seed in any::<u64>(),
+    ) {
+        let u = 1u64 << log_u;
+        let stream = match cells {
+            0 => Vec::new(),
+            1 => stream_of(&raw[..1], log_u),
+            _ => stream_of(&raw, log_u),
+        };
+        let mut fv = if sparse { FrequencyVector::new_sparse(u) } else { FrequencyVector::new(u) };
+        fv.apply_batch(&stream);
+        let (l, r) = ordered(ends.0, ends.1, u);
+        let (l, r) = match edge {
+            0 => (l, r),
+            1 => (0, r),
+            2 => (l, u - 1),
+            _ => (0, u - 1),
+        };
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut verifier = SubVectorVerifier::<Fp61>::new(log_u, &mut rng);
+        verifier.update_all(&stream);
+        let keys = verifier.hasher().keys().to_vec();
+        let mut session = verifier.into_session(l, r);
+        let mut prover = SubVectorProver::<Fp61>::new(&fv, log_u);
+        let answer = prover.answer(l, r);
+        let mut step = session.receive_answer(&answer, None).expect("honest answer");
+        while let Step::Request(req) = step {
+            let reply = prover.process_round(&req);
+            let RoundRequest { level, left, right, .. } = req;
+            let what = format!("level {level} of {log_u}, [{l}, {r}], dense={}", fv.is_dense());
+            prop_assert_eq!(reply.left, left.map(|m| node_hash(&fv, &keys, level, m)), "{}", what);
+            prop_assert_eq!(reply.right, right.map(|m| node_hash(&fv, &keys, level, m)), "{}", what);
+            step = session.receive_reply(&req, &reply).expect("honest reply");
+        }
+        let expect: Vec<(u64, Fp61)> = fv
+            .range_report(l, r)
+            .into_iter()
+            .map(|(i, a)| (i, Fp61::from_i64(a)))
+            .collect();
+        prop_assert_eq!(session.queried_entries(&answer), expect);
     }
 }
 
