@@ -12,8 +12,9 @@
 //!
 //! Publishing freezes the data: the publishing session keeps querying the
 //! snapshot but can no longer ingest, so every attached verifier sees one
-//! immutable vector forever. Query-time prover state (fold tables, hash
-//! trees) is built per query from the shared snapshot, exactly as it was
+//! immutable vector forever. Query-time prover state (fold tables, a
+//! reporting query's copy of the cells) is built per query from the shared
+//! snapshot, exactly as it was
 //! from a session-private store — same transcripts, different ownership.
 //!
 //! Because the vectors never change, the part of a proof that depends on
