@@ -30,11 +30,13 @@
 //! `2^k` cells — or, where the vector is mostly zero, its [`PackedBlocks`],
 //! one short dot per *nonempty* block, which is the `n`-side of
 //! `O(min(u, n log(u/n)))` for a vector that is stored as an array of `u`.
+//! Either way each dot's length is fixed at compile time.
 
 use sip_field::PrimeField;
 use sip_streaming::{Entries, FrequencyVector};
 
 use crate::engine::Combine;
+use crate::sumcheck::f2::HEAD_ROUNDS;
 
 /// Size (in entries) below which a fold table is always stored densely.
 const ALWAYS_DENSE: u64 = 1 << 12;
@@ -132,66 +134,146 @@ fn merge_pairs<F: PrimeField>(
     }
 }
 
+/// The most cells a block of a `k`-variable bind holds: one fixed-length
+/// kernel per count up to it ([`with_const!`]).
+const MAX_BLOCK: usize = 1 << HEAD_ROUNDS;
+
+/// Runs `$body` with the const `$C` equal to `$n`, one of the listed
+/// values: one monomorphised copy of `$body` per value, so a kernel it calls
+/// with `$C` has a trip count fixed at compile time.
+macro_rules! with_const {
+    ($n:expr, [$($c:literal),+], |$C:ident| $body:expr) => {
+        match $n {
+            $($c => {
+                const $C: usize = $c;
+                $body
+            })+
+            n => unreachable!("no kernel for {n}: blocks hold 1..=2^HEAD_ROUNDS cells"),
+        }
+    };
+}
+// The two `with_const!` lists, in `bind_dense` and `bind_packed`, stop at 16.
+const _: () = assert!(MAX_BLOCK == 16, "one kernel per block width and cell count");
+
+/// How many blocks of `2^k` cells of a vector hold each number of nonzero
+/// cells — what a [`PackedBlocks`] is laid out by, counted before it is
+/// filled so that it is allocated once, at its exact size.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct BlockCounts {
+    k: u32,
+    /// `by_count[c]` blocks hold `c` nonzero cells (`by_count[0]` unused).
+    by_count: [u64; MAX_BLOCK + 1],
+}
+
+impl BlockCounts {
+    /// Counts `fv`'s blocks of `2^k` cells by their nonzero cells: one pass
+    /// over an array, one walk over a tree's keys.
+    ///
+    /// # Panics
+    /// Panics if `k > HEAD_ROUNDS`.
+    pub(crate) fn of(fv: &FrequencyVector, k: u32) -> Self {
+        // Its one caller, `F2Head`, counts blocks of `k = min(HEAD_ROUNDS, log_u)`.
+        assert!(k <= HEAD_ROUNDS, "blocks of 2^HEAD_ROUNDS at most");
+        let mut by_count = [0u64; MAX_BLOCK + 1];
+        match fv.entries() {
+            Entries::Dense(cells) => {
+                for block in cells.chunks(1 << k) {
+                    by_count[block.iter().filter(|&&a| a != 0).count()] += 1;
+                }
+            }
+            Entries::Sparse(map) => {
+                // A block is counted once a later key or the end closes it;
+                // the count booked before the first key is `by_count[0]`.
+                let (mut m, mut n) = (u64::MAX, 0);
+                for &i in map.keys() {
+                    if i >> k != m {
+                        by_count[n] += 1;
+                        (m, n) = (i >> k, 0);
+                    }
+                    n += 1;
+                }
+                by_count[n] += 1;
+            }
+        }
+        BlockCounts { k, by_count }
+    }
+
+    /// The nonzero cells counted.
+    pub(crate) fn cells(&self) -> u64 {
+        (1..=1 << self.k).map(|c| c as u64 * self.by_count[c]).sum()
+    }
+}
+
 /// The nonzero cells of a frozen vector, packed block by block of `2^k`
 /// cells: what a `k`-variable bind reads in place of the vector when most of
 /// the vector is zero. A block with nothing in it is not stored, so a sweep
 /// costs one product a nonzero cell and a few words a nonempty block —
-/// 10 bytes a cell and 12 a block, against the array's 8 bytes a cell of
-/// universe and a tree's ≈ 50 a cell.
+/// 10 bytes a cell and 12 a block, plus a header of `2^k + 1` words, against
+/// the array's 8 bytes a cell of universe and a tree's ≈ 50 a cell.
+///
+/// The cells are laid out by *count class*: first every block that holds
+/// one nonzero cell, then every block that holds two, and so on up to
+/// `2^k`, each class in increasing block index. The bind runs one kernel
+/// per class whose loop over a block has a trip count fixed at compile time
+/// (`bind_packed`); walked in block order, a loop of 1–16 trips
+/// mispredicts its exit about once a block.
 #[derive(Clone, Debug)]
 pub struct PackedBlocks {
     /// Cells per block, as an exponent.
     k: u32,
     /// The blocks that hold a nonzero cell, in increasing index …
     blocks: Vec<u64>,
-    /// … and how many each of them holds.
-    counts: Vec<u32>,
-    /// Every nonzero cell, block after block and in increasing index within
+    /// … and each one's *slot*: its place in the order of the cells below,
+    /// class after class.
+    slots: Vec<u32>,
+    /// The slots of the blocks that hold `c` cells are
+    /// `classes[c − 1]..classes[c]`, for `c` in `1..=2^k`.
+    classes: Vec<usize>,
+    /// Every nonzero cell, slot after slot and in increasing index within
     /// one: its offset in its block …
     offsets: Vec<u16>,
     /// … and its frequency.
     values: Vec<i64>,
 }
 
+/// A [`PackedBlocks`] being filled in increasing block index, each block's
+/// cells written straight to where its class puts them.
+pub(crate) struct PackFill {
+    pack: PackedBlocks,
+    /// For each count `c`, the slot and the first cell of the next block
+    /// that holds `c` cells.
+    next: [(u32, usize); MAX_BLOCK + 1],
+}
+
 impl PackedBlocks {
-    /// An empty pack of blocks of `2^k` cells, sized for exactly `cells`
-    /// nonzero cells in at most `blocks` blocks.
+    /// An empty pack of blocks of `2^k` cells, sized for exactly the
+    /// blocks `counts` counted, to be filled with those blocks.
     ///
     /// # Panics
-    /// Panics if `k > 16`: offsets are kept in 16 bits.
-    pub(crate) fn with_capacity(k: u32, cells: usize, blocks: usize) -> Self {
-        // Its one caller, `F2Head::build`, packs blocks of `k ≤ HEAD_ROUNDS = 4`.
-        assert!(k <= 16, "a cell's offset in its block is kept in 16 bits");
-        PackedBlocks {
+    /// Panics if a slot does not fit 32 bits.
+    pub(crate) fn fill(counts: &BlockCounts) -> PackFill {
+        let k = counts.k;
+        let mut classes = Vec::with_capacity((1 << k) + 1);
+        let mut next = [(0, 0); MAX_BLOCK + 1];
+        let (mut slot, mut cell) = (0, 0);
+        classes.push(0);
+        let by_count = counts.by_count[1..=1 << k].iter().map(|&n| n as usize);
+        for ((c, next), blocks) in (1..).zip(&mut next[1..]).zip(by_count) {
+            *next = (u32::try_from(slot).expect("slots fit 32 bits"), cell);
+            slot += blocks;
+            cell += c * blocks;
+            classes.push(slot);
+        }
+        u32::try_from(slot).expect("slots fit 32 bits");
+        let pack = PackedBlocks {
             k,
-            blocks: Vec::with_capacity(blocks),
-            counts: Vec::with_capacity(blocks),
-            offsets: Vec::with_capacity(cells),
-            values: Vec::with_capacity(cells),
-        }
-    }
-
-    /// Appends block `m`: its nonzero cells `(offset, frequency)` in
-    /// increasing offset. Blocks arrive in increasing `m`, and one with no
-    /// such cell is not stored.
-    pub(crate) fn push_block(&mut self, m: u64, nonzero: &[(usize, i64)]) {
-        if nonzero.is_empty() {
-            return;
-        }
-        debug_assert!(self.blocks.last().is_none_or(|&last| last < m));
-        self.blocks.push(m);
-        self.counts.push(nonzero.len() as u32);
-        for &(y, a) in nonzero {
-            debug_assert!(y < 1 << self.k && a != 0);
-            self.offsets.push(y as u16);
-            self.values.push(a);
-        }
-    }
-
-    /// Gives back the room for blocks that turned out empty.
-    pub(crate) fn shrink_to_fit(&mut self) {
-        self.blocks.shrink_to_fit();
-        self.counts.shrink_to_fit();
+            blocks: Vec::with_capacity(slot),
+            slots: Vec::with_capacity(slot),
+            classes,
+            offsets: vec![0; cell],
+            values: vec![0; cell],
+        };
+        PackFill { pack, next }
     }
 
     /// `(nonempty blocks, nonzero cells)` held.
@@ -204,9 +286,44 @@ impl PackedBlocks {
     pub fn bytes(&self) -> usize {
         use std::mem::size_of;
         self.blocks.capacity() * size_of::<u64>()
-            + self.counts.capacity() * size_of::<u32>()
+            + self.slots.capacity() * size_of::<u32>()
+            + self.classes.capacity() * size_of::<usize>()
             + self.offsets.capacity() * size_of::<u16>()
             + self.values.capacity() * size_of::<i64>()
+    }
+}
+
+impl PackFill {
+    /// Appends block `m`: its nonzero cells `(offset, frequency)` in
+    /// increasing offset. Blocks arrive in increasing `m`, and one with no
+    /// such cell is not stored.
+    pub(crate) fn push_block(&mut self, m: u64, nonzero: &[(usize, i64)]) {
+        let c = nonzero.len();
+        if c == 0 {
+            return;
+        }
+        let pack = &mut self.pack;
+        debug_assert!(pack.blocks.last().is_none_or(|&last| last < m));
+        let (slot, cell) = &mut self.next[c];
+        pack.blocks.push(m);
+        pack.slots.push(*slot);
+        let at = pack.offsets[*cell..][..c].iter_mut();
+        for ((at, x), &(y, a)) in at.zip(&mut pack.values[*cell..][..c]).zip(nonzero) {
+            debug_assert!(y < 1 << pack.k && a != 0);
+            (*at, *x) = (y as u16, a);
+        }
+        *slot += 1;
+        *cell += c;
+    }
+
+    /// The filled pack.
+    ///
+    /// # Panics
+    /// Panics if the blocks pushed are not the blocks counted.
+    pub(crate) fn finish(self) -> PackedBlocks {
+        let mut ends = self.pack.classes.iter().skip(1).zip(&self.next[1..]);
+        assert!(ends.all(|(&end, n)| n.0 as usize == end), "not as counted");
+        self.pack
     }
 }
 
@@ -307,8 +424,8 @@ impl<F: PrimeField> FoldVector<F> {
     ///
     /// # Panics
     /// Panics if `weights.len()` is not a power of two `2^k` with
-    /// `k ≤ bits`, if the source holds a cell at or past `2^bits`, or if a
-    /// pack's blocks are not `2^k` cells wide.
+    /// `k ≤ bits` and `k ≤ HEAD_ROUNDS`, if the source holds a cell at or
+    /// past `2^bits`, or if a pack's blocks are not `2^k` cells wide.
     pub(crate) fn from_frequency_bound<C: Combine<F> + ?Sized>(
         source: BindSource<'_>,
         bits: u32,
@@ -323,6 +440,11 @@ impl<F: PrimeField> FoldVector<F> {
         );
         let k = weights.len().trailing_zeros();
         assert!(k <= bits, "more variables bound than the table has");
+        // Its callers, the head-started provers, bind `k = min(HEAD_ROUNDS, log_u)`.
+        assert!(
+            k <= HEAD_ROUNDS,
+            "at most HEAD_ROUNDS variables bound at once"
+        );
         let len = 1usize << (bits - k);
         match source {
             BindSource::Array(cells) => {
@@ -685,8 +807,24 @@ fn bound_repr<F: PrimeField, C: Combine<F> + ?Sized>(
 
 /// The `k`-variable bind of a dense snapshot: entry `m` of the `len`-entry
 /// table is the dot of `weights` with cells `[m·2^k, (m+1)·2^k)`, cells past
-/// the end of `cells` reading as zero.
+/// the end of `cells` reading as zero — one kernel per width `2^k`
+/// ([`bind_blocks`]).
 fn bind_dense<F: PrimeField, C: Combine<F> + ?Sized>(
+    cells: &[i64],
+    weights: &[F],
+    len: usize,
+    combine: &C,
+    acc: &mut [F::DotAcc],
+) -> Vec<F> {
+    with_const!(weights.len(), [1, 2, 4, 8, 16], |W| bind_blocks::<F, C, W>(
+        cells, weights, len, combine, acc
+    ))
+}
+
+/// [`bind_dense`] at width `W = 2^k`: one dot of fixed length per whole
+/// block that holds anything, and a last block the snapshot ends inside
+/// bound on its own.
+fn bind_blocks<F: PrimeField, C: Combine<F> + ?Sized, const W: usize>(
     cells: &[i64],
     weights: &[F],
     len: usize,
@@ -695,10 +833,10 @@ fn bind_dense<F: PrimeField, C: Combine<F> + ?Sized>(
 ) -> Vec<F> {
     let mut bound = vec![F::ZERO; len];
     let mut feed = PairFeed::new(combine, acc);
-    // `zip` ends the walk with the table, and cuts the weights to a last
-    // block the snapshot ends inside.
-    let blocks = cells.chunks(weights.len()).zip(&mut bound).zip(0u64..);
-    for ((block, out), m) in blocks {
+    let weights = &weights[..W];
+    let blocks = cells.chunks_exact(W);
+    let tail = blocks.remainder();
+    for ((block, out), m) in blocks.zip(&mut bound).zip(0u64..) {
         // Or-ing the cells, not `all`: no early exit, so no branch per
         // cell for sparse data to mispredict.
         if block.iter().fold(0, |any, &a| any | a) == 0 {
@@ -710,16 +848,27 @@ fn bind_dense<F: PrimeField, C: Combine<F> + ?Sized>(
             feed.push(m, v);
         }
     }
+    if !tail.is_empty() {
+        // Inside the table: `cells` is at most `len` blocks long.
+        let m = cells.len() / W;
+        let v = F::dot_i64(weights, tail);
+        if !v.is_zero() {
+            bound[m] = v;
+            feed.push(m as u64, v);
+        }
+    }
     feed.finish();
     bound
 }
 
-/// The `k`-variable bind of a pack: one short dot per block that holds
-/// anything — the work is in the nonzero cells, not the universe. How the
-/// `len`-entry table is stored is settled before the sweep, so that every
-/// entry is written once, where it stays: by the rule of a fold
-/// ([`stored_densely`]) on the pack's nonempty blocks, which is how many
-/// entries the table has unless a block's cells cancel under the weights.
+/// The `k`-variable bind of a pack: one dot per block that holds anything —
+/// the work is in the nonzero cells, not the universe. The dots are taken
+/// class by class (`PackedBlocks::dots`) and handed out in increasing block
+/// index through the blocks' slots. How the `len`-entry table is stored is settled before the
+/// sweep, so that every entry is written once, where it stays: by the rule
+/// of a fold ([`stored_densely`]) on the pack's nonempty blocks, which is
+/// how many entries the table has unless a block's cells cancel under the
+/// weights.
 fn bind_packed<F: PrimeField, C: Combine<F> + ?Sized>(
     pack: &PackedBlocks,
     weights: &[F],
@@ -727,42 +876,65 @@ fn bind_packed<F: PrimeField, C: Combine<F> + ?Sized>(
     combine: &C,
     acc: &mut [F::DotAcc],
 ) -> FoldRepr<F> {
-    let feed = PairFeed::new(combine, acc);
-    if stored_densely(pack.blocks.len(), len) {
+    let dots = pack.dots(weights);
+    let by_block = pack.blocks.iter().zip(&pack.slots);
+    // Blocks that cancel exactly are dropped, not stored as zero.
+    let bound = by_block
+        .map(|(&m, &slot)| (m, dots[slot as usize]))
+        .filter(|(_, v)| !v.is_zero());
+    let mut feed = PairFeed::new(combine, acc);
+    let repr = if stored_densely(pack.blocks.len(), len) {
         let mut dense = vec![F::ZERO; len];
-        pack.bind_into(weights, feed, |m, v| dense[m as usize] = v);
+        for (m, v) in bound {
+            dense[m as usize] = v;
+            feed.push(m, v);
+        }
         FoldRepr::Dense(dense)
     } else {
         // A bind never grows a run; sized once, the output is not moved.
         let mut run = Vec::with_capacity(pack.blocks.len());
-        pack.bind_into(weights, feed, |m, v| run.push((m, v)));
+        for (m, v) in bound {
+            run.push((m, v));
+            feed.push(m, v);
+        }
         FoldRepr::Sparse(run)
-    }
+    };
+    feed.finish();
+    repr
 }
 
 impl PackedBlocks {
-    /// The sweep of [`bind_packed`]: every block's dot with `weights`, in
-    /// increasing block index, to `store` and to `feed` where it is nonzero.
-    fn bind_into<F: PrimeField, C: Combine<F> + ?Sized>(
-        &self,
-        weights: &[F],
-        mut feed: PairFeed<'_, F, C>,
-        mut store: impl FnMut(u64, F),
-    ) {
-        let (mut offsets, mut values) = (&self.offsets[..], &self.values[..]);
-        for (&m, &cells) in self.blocks.iter().zip(&self.counts) {
-            let (at, x);
-            (at, offsets) = offsets.split_at(cells as usize);
-            (x, values) = values.split_at(cells as usize);
-            let v = F::dot_i64_at(weights, at, x);
-            // Blocks that cancel exactly are dropped, not stored as zero.
-            if !v.is_zero() {
-                store(m, v);
-                feed.push(m, v);
-            }
+    /// Every block's dot with `weights`, in slot order: class by class, one
+    /// kernel of fixed length per cell count ([`dots_of`]). Generic over the
+    /// field alone, so there is one copy of the sixteen kernels per field,
+    /// not one per rule a bind feeds.
+    fn dots<F: PrimeField>(&self, weights: &[F]) -> Vec<F> {
+        let mut dots = Vec::with_capacity(self.blocks.len());
+        let mut cells = 0;
+        for c in 1..self.classes.len() {
+            let end = cells + c * (self.classes[c] - self.classes[c - 1]);
+            let (at, x) = (&self.offsets[cells..end], &self.values[cells..end]);
+            with_const!(
+                c,
+                [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16],
+                |N| dots_of::<F, N>(weights, at, x, &mut dots)
+            );
+            cells = end;
         }
-        feed.finish();
+        dots
     }
+}
+
+/// The dot with `weights` of every block of one count class of a pack —
+/// runs of `C` cells, offsets `at` and frequencies `x` — appended to `dots`.
+#[inline(always)]
+fn dots_of<F: PrimeField, const C: usize>(weights: &[F], at: &[u16], x: &[i64], dots: &mut Vec<F>) {
+    let (at, x) = (at.as_chunks::<C>().0, x.as_chunks::<C>().0);
+    dots.extend(
+        at.iter()
+            .zip(x)
+            .map(|(at, x)| F::dot_i64_at(weights, at, x)),
+    );
 }
 
 /// Folds one quad of raw cells `A[4k..4k+4]` into `(A'[2k], A'[2k+1])`, or
@@ -1198,32 +1370,61 @@ mod tests {
     }
 
     /// `fv`'s nonzero cells packed by block of `2^k`, as a head's build
-    /// appends them.
+    /// counts and appends them.
     fn pack_of(fv: &FrequencyVector, k: u32) -> PackedBlocks {
         let support = fv.support_size() as usize;
-        let mut pack = PackedBlocks::with_capacity(k, support, support);
+        let counts = BlockCounts::of(fv, k);
+        assert_eq!(counts.cells(), support as u64);
+        let mut fill = PackedBlocks::fill(&counts);
         let cells: Vec<(u64, i64)> = fv.nonzero().collect();
         for block in cells.chunk_by(|a, b| a.0 >> k == b.0 >> k) {
             let nonzero: Vec<(usize, i64)> = block
                 .iter()
                 .map(|&(i, a)| ((i & ((1 << k) - 1)) as usize, a))
                 .collect();
-            pack.push_block(block[0].0 >> k, &nonzero);
+            fill.push_block(block[0].0 >> k, &nonzero);
         }
-        pack.shrink_to_fit();
+        let pack = fill.finish();
         let (blocks, cells) = pack.size();
-        assert_eq!((cells, pack.bytes()), (support, 10 * cells + 12 * blocks));
+        let header = 8 * ((1 << k) + 1);
+        assert_eq!(
+            (cells, pack.bytes()),
+            (support, 10 * cells + 12 * blocks + header)
+        );
         pack
+    }
+
+    /// A tree over `[2^bits]` with blocks of 16 cells of every count
+    /// `1..=16`, each count in several blocks far apart, so that no class
+    /// of the pack is a run of neighbouring blocks.
+    fn every_count(bits: u32) -> FrequencyVector {
+        let blocks = 1u64 << (bits - 4);
+        let cells = (0..48u64).flat_map(|n| {
+            let count = n % 16 + 1;
+            // An odd multiplier scatters the 48 blocks over the universe.
+            let block = (n * 0x9e37_79b1 + 5) % blocks;
+            (0..count).map(move |y| {
+                (
+                    16 * block + (y * 7 + n) % 16,
+                    ((n * 16 + y) as i64 - 400) | 1,
+                )
+            })
+        });
+        let fv = FrequencyVector::from_sparse_entries(1 << bits, cells);
+        assert!(!fv.is_dense());
+        fv
     }
 
     #[test]
     fn binding_k_variables_at_once_equals_k_single_binds() {
         // From an array, from a tree's pack whose bound table stays a sorted
-        // run, from one whose bound table crosses the densify rule, and from
-        // a universe that ends inside a block (read as an array and as its
-        // pack): the table, its representation and the pairs handed out all
-        // equal those of k fused single binds, at every k up to the whole
-        // table.
+        // run, from one whose bound table crosses the densify rule, from a
+        // universe that ends inside a block (read as an array and as its
+        // pack), from a tree with blocks of every cell count, and from
+        // tables of 2^3 and 2^4 entries: the table, its representation and
+        // the pairs handed out all equal those of k fused single binds, at
+        // every k a bind takes (up to HEAD_ROUNDS, and up to the whole
+        // table).
         let bits = 15u32;
         let u = 1u64 << bits;
         let starts = [
@@ -1231,18 +1432,19 @@ mod tests {
             sparse_fv(u, &workloads::with_deletions(300, u, 0.3, 32)),
             sparse_fv(u, &workloads::with_deletions(3_000, u, 0.3, 33)),
             FrequencyVector::from_stream(u - 21, &workloads::uniform(5_000, u - 21, 9, 34)),
+            every_count(bits),
+            FrequencyVector::from_stream(8, &[Update::new(1, 3), Update::new(6, -2)]),
+            FrequencyVector::from_stream(16, &workloads::with_deletions(20, 16, 0.3, 37)),
         ];
         let mut rng = StdRng::seed_from_u64(35);
         let r: Vec<Fp61> = (0..bits).map(|_| Fp61::random(&mut rng)).collect();
         for fv in &starts {
+            let bits = fv.universe().next_power_of_two().trailing_zeros();
             let mut stepwise = FoldVector::<Fp61>::from_frequency(fv, bits);
-            for k in 1..=bits as usize {
+            for k in 1..=bits.min(HEAD_ROUNDS) as usize {
                 let seen_stepwise = Record(RefCell::new(Vec::new()));
                 stepwise.fold_fused(r[k - 1], &seen_stepwise, &mut []);
-                if ![1, 2, 4, 5, 14, 15].contains(&k) {
-                    continue;
-                }
-                let what = format!("dense={} k={k}", fv.is_dense());
+                let what = format!("dense={} bits={bits} k={k}", fv.is_dense());
                 let seen = Record(RefCell::new(Vec::new()));
                 let weights = chi_weights(&r[..k]);
                 let pack = pack_of(fv, k as u32);
@@ -1267,9 +1469,46 @@ mod tests {
                 let bound =
                     FoldVector::from_frequency_bound(packed, bits, &weights, &seen, &mut []);
                 assert_eq!(pairs_of(&bound), pairs_of(&stepwise), "{what} packed");
+                if bound.bits() == 0 {
+                    assert_eq!(bound.scalar(), stepwise.scalar(), "{what} packed");
+                }
                 assert_eq!(seen.0.into_inner(), seen_stepwise, "{what} packed");
             }
         }
+    }
+
+    #[test]
+    fn a_pack_lays_its_blocks_out_by_count() {
+        // Every count 1..=16 in three blocks far apart: the classes sit one
+        // after another in increasing count, each in increasing block index,
+        // and each block's slot finds its own cells.
+        let tree = every_count(12);
+        let pack = pack_of(&tree, 4);
+        assert_eq!(pack.classes, (0..=16).map(|c| 3 * c).collect::<Vec<_>>());
+        let mut cells = 0;
+        for c in 1..=16 {
+            let class = pack.classes[c - 1]..pack.classes[c];
+            let mut in_class: Vec<(u32, u64)> = pack
+                .slots
+                .iter()
+                .zip(&pack.blocks)
+                .filter(|(s, _)| class.contains(&(**s as usize)))
+                .map(|(&s, &m)| (s, m))
+                .collect();
+            in_class.sort();
+            assert!(in_class.windows(2).all(|w| w[0].1 < w[1].1), "count {c}");
+            for (s, m) in in_class {
+                let at = cells + c * (s as usize - class.start);
+                let held: Vec<(u64, i64)> = (at..at + c)
+                    .map(|i| (16 * m + pack.offsets[i] as u64, pack.values[i]))
+                    .collect();
+                let expect: Vec<(u64, i64)> =
+                    tree.nonzero().filter(|&(i, _)| i >> 4 == m).collect();
+                assert_eq!(held, expect, "count {c} block {m}");
+            }
+            cells += c * class.len();
+        }
+        assert_eq!(cells, pack.values.len());
     }
 
     #[test]

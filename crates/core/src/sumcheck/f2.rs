@@ -29,7 +29,7 @@ use sip_streaming::{Entries, FrequencyVector, Update};
 use crate::channel::CostReport;
 use crate::engine::{Combine, FusedRounds};
 use crate::error::Rejection;
-use crate::fold::{BindSource, PackedBlocks};
+use crate::fold::{BindSource, BlockCounts, PackFill, PackedBlocks};
 
 use super::moments::VerifiedAggregate;
 use super::{drive_sumcheck, Adversary, LdeDigest, RoundProver, SelfJoin};
@@ -75,8 +75,9 @@ impl<F: PrimeField> Combine<F> for F2Combine {
 /// answers 5–7 % faster end to end than `k = 4`, and its build is the
 /// first to take more than a tenth of a replicated or sharded ingest
 /// window; `k = 3` leaves a table twice as large for a build that is
-/// hardly cheaper.
-const HEAD_ROUNDS: u32 = 4;
+/// hardly cheaper. It also bounds every `k`-variable bind, whose kernels are
+/// fixed-length, one per block width and cell count up to `2^HEAD_ROUNDS`.
+pub(crate) const HEAD_ROUNDS: u32 = 4;
 
 /// A prefix-sum checkpoint is kept every this many blocks of `2^k` cells
 /// the build visits: every 64th block of an array (`u/64` sums, 1/32 of the
@@ -87,10 +88,10 @@ const CHECKPOINT_BLOCKS: u32 = 64;
 
 /// An array is packed ([`PackedBlocks`]) when at most one cell in this many
 /// is nonzero. At the cap the pack is 13/32 of the array's bytes (at 14 %
-/// nonzero a quarter, and its bind takes half the array's time); at twice
-/// the cap its bind is a tenth ahead for more than half another copy of the
-/// data
-/// (EXPERIMENTS.md, "A packed bind"). A tree is packed whatever its density.
+/// nonzero a quarter, and its bind takes 0.44× the array's time); at twice
+/// the cap (36 % nonzero) its bind takes two thirds of the array's time for
+/// more than half another copy of the data (EXPERIMENTS.md, "A
+/// constant-length dot per block"). A tree is packed whatever its density.
 const PACK_DIVISOR: u64 = 4;
 
 /// The query-independent head of every `F₂` and every RANGE-SUM proof over
@@ -121,8 +122,9 @@ const PACK_DIVISOR: u64 = 4;
 /// over the data ([`FusedRounds::bound`]), and it need not read zeros: where
 /// the vector is mostly zero — a tree, or an array with at most a quarter of
 /// its cells nonzero — the head keeps the nonzero cells packed block by block
-/// ([`PackedBlocks`], appended in the same pass, which holds exactly that
-/// list for each block) and the bind reads the pack in place of the vector.
+/// ([`PackedBlocks`], written in the same pass, which holds exactly that list
+/// for each block, laid out by how many cells a block holds) and the bind
+/// reads the pack in place of the vector.
 /// This is where the prover's `O(min(u, n log(u/n)))` becomes time in the
 /// support `n` for a frozen array.
 ///
@@ -142,15 +144,18 @@ pub struct F2Head<F: PrimeField> {
 
 impl<F: PrimeField> F2Head<F> {
     /// Builds the head of `fv` over `[2^log_u]` in one pass over its
-    /// entries; blocks of `2^k` cells that are all zero cost nothing. An
-    /// array is first counted, to decide — before anything is allocated —
-    /// whether that pass packs it, and to size the pack exactly.
+    /// entries; blocks of `2^k` cells that are all zero cost nothing. The
+    /// blocks are first counted by how many nonzero cells each holds (a pass
+    /// over an array, a walk over a tree's keys), to decide — before
+    /// anything is allocated — whether that pass packs an array, and to lay
+    /// the pack out by count and size it exactly.
     ///
     /// # Panics
     /// Panics if `log_u` is zero or the vector's universe exceeds
     /// `2^log_u`.
     pub fn build(fv: &FrequencyVector, log_u: u32) -> Self {
-        Self::with_rounds(fv, log_u, HEAD_ROUNDS.min(log_u), packed_support(fv))
+        let k = HEAD_ROUNDS.min(log_u);
+        Self::with_rounds(fv, log_u, k, packed_counts(fv, k))
     }
 
     /// [`Self::build`] where it packs `fv`'s nonzero cells — a tree always,
@@ -160,18 +165,14 @@ impl<F: PrimeField> F2Head<F> {
     /// # Panics
     /// As [`Self::build`].
     pub fn build_if_packed(fv: &FrequencyVector, log_u: u32) -> Option<Self> {
-        let support = packed_support(fv)?;
-        Some(Self::with_rounds(
-            fv,
-            log_u,
-            HEAD_ROUNDS.min(log_u),
-            Some(support),
-        ))
+        let k = HEAD_ROUNDS.min(log_u);
+        let counts = packed_counts(fv, k)?;
+        Some(Self::with_rounds(fv, log_u, k, Some(counts)))
     }
 
     /// The head over `k` rounds, packing `fv` iff `packed` holds its
-    /// support (`packed_support`).
-    fn with_rounds(fv: &FrequencyVector, log_u: u32, k: u32, packed: Option<u64>) -> Self {
+    /// blocks' counts (`packed_counts`).
+    fn with_rounds(fv: &FrequencyVector, log_u: u32, k: u32, packed: Option<BlockCounts>) -> Self {
         // A server session's `log_u` passed the handshake's `[1, MAX_LOG_U]`.
         assert!((1..=63).contains(&log_u), "log_u must be in [1, 63]");
         // Its stores are built over exactly `2^log_u`, and a reloaded
@@ -182,11 +183,9 @@ impl<F: PrimeField> F2Head<F> {
         );
         // `k = min(HEAD_ROUNDS, log_u)` with `log_u ≥ 1`, checked above.
         assert!((1..=log_u).contains(&k));
-        let mut pack = packed.map(|support| {
-            let blocks = support.min(fv.universe().div_ceil(1 << k));
-            PackedBlocks::with_capacity(k, support as usize, blocks as usize)
-        });
-        let (finest, prefixes) = gram_and_prefixes::<F>(fv, k, pack.as_mut());
+        let mut fill = packed.map(|counts| PackedBlocks::fill(&counts));
+        let (finest, prefixes) = gram_and_prefixes::<F>(fv, k, fill.as_mut());
+        let pack = fill.map(PackFill::finish);
         let mut grams = vec![finest];
         for j in (1..k).rev() {
             let finer = grams.last().expect("starts with G_k");
@@ -266,11 +265,12 @@ impl<F: PrimeField> F2Head<F> {
     }
 }
 
-/// The support of `fv` where [`F2Head::build`] packs it: a tree's, or an
-/// array's at most a quarter of its cells.
-fn packed_support(fv: &FrequencyVector) -> Option<u64> {
-    let support = fv.support_size();
-    (!fv.is_dense() || support <= fv.universe() / PACK_DIVISOR).then_some(support)
+/// The counts of `fv`'s blocks of `2^k` cells by their nonzero cells, where
+/// [`F2Head::build`] packs it: a tree's, or an array's at most a quarter of
+/// whose cells are nonzero.
+fn packed_counts(fv: &FrequencyVector, k: u32) -> Option<BlockCounts> {
+    let counts = BlockCounts::of(fv, k);
+    (!fv.is_dense() || counts.cells() <= fv.universe() / PACK_DIVISOR).then_some(counts)
 }
 
 /// Residue-class prefix sums of one frozen vector, checkpointed: for the
@@ -350,7 +350,7 @@ fn for_each_cell(
 fn gram_and_prefixes<F: PrimeField>(
     fv: &FrequencyVector,
     k: u32,
-    mut pack: Option<&mut PackedBlocks>,
+    mut pack: Option<&mut PackFill>,
 ) -> (Vec<F>, ResiduePrefixSums) {
     let width = 1usize << k;
     let mut exact = vec![0i128; width * width];
@@ -424,9 +424,6 @@ fn gram_and_prefixes<F: PrimeField>(
                 add_block(m, &nonzero[..n]);
             }
         }
-    }
-    if let Some(pack) = pack {
-        pack.shrink_to_fit();
     }
     let mut gram: Vec<F> = exact
         .into_iter()
@@ -692,11 +689,12 @@ mod tests {
     fn coarser_gram_matrices_fall_out_of_the_finest() {
         // G_j summed out of G_k's diagonal blocks is G_j built directly, is
         // the definition Σ_m a[m·2^j + y]·a[m·2^j + y'], and is symmetric.
+        // Built one round past HEAD_ROUNDS, so without a pack.
         for (fv, log_u) in head_inputs() {
-            let head = F2Head::<Fp61>::with_rounds(&fv, log_u, 5, packed_support(&fv));
+            let head = F2Head::<Fp61>::with_rounds(&fv, log_u, 5, None);
             assert_eq!(head.rounds(), 5);
             for j in 1..=5u32 {
-                let direct = F2Head::<Fp61>::with_rounds(&fv, log_u, j, packed_support(&fv));
+                let direct = F2Head::<Fp61>::with_rounds(&fv, log_u, j, None);
                 assert_eq!(
                     head.grams[j as usize - 1],
                     direct.grams[j as usize - 1],
@@ -766,7 +764,8 @@ mod tests {
     fn a_vector_is_packed_when_it_is_a_tree_or_mostly_zero() {
         // Decided from the vector alone: an array up to a quarter nonzero
         // and no further, a tree whatever it holds; the pack is every nonzero
-        // cell at 10 bytes and every nonempty block at 12.
+        // cell at 10 bytes and every nonempty block at 12, and a header of
+        // 2^k + 1 words.
         let u = 1u64 << 10;
         let with_support = |n: u64| (0..n).map(|i| (i * 3 % u, 1 + i as i64));
         for (support, packed) in [(0, true), (1, true), (u / 4, true), (u / 4 + 1, false)] {
@@ -786,7 +785,11 @@ mod tests {
             let pack = head.pack().expect("a tree is always packed");
             let blocks = (0..u / 16).filter(|b| (16 * b..16 * b + 16).any(|i| tree.get(i) != 0));
             assert_eq!(pack.size(), (blocks.count(), support as usize));
-            assert_eq!(pack.bytes(), 10 * pack.size().1 + 12 * pack.size().0);
+            let header = 8 * (16 + 1);
+            assert_eq!(
+                pack.bytes(),
+                10 * pack.size().1 + 12 * pack.size().0 + header
+            );
             assert!(head.bytes() > pack.bytes());
         }
     }
@@ -817,7 +820,8 @@ mod tests {
         ] {
             let head = Arc::new(F2Head::<Fp61>::build(&fv, 9));
             let pack = head.pack().expect("an all-zero vector is packed");
-            assert_eq!((pack.size(), pack.bytes()), ((0, 0), 0));
+            // Nothing but the header: where each of the 16 counts starts.
+            assert_eq!((pack.size(), pack.bytes()), ((0, 0), 8 * (16 + 1)));
             assert_eq!(head.prefixes.at, [0]);
             let mut f2 = F2Prover::from_head(Arc::clone(&head));
             let mut range = super::super::range_sum::RangeSumProver::from_head(head, 3, 400);

@@ -167,10 +167,13 @@ impl FrequencyVector {
         self.u
     }
 
-    /// Applies one update `a_i ← a_i + δ`.
+    /// Applies one update `a_i ← a_i + δ`: the one-update case of
+    /// [`Self::try_apply_batch`], one checked add.
     ///
     /// # Panics
-    /// Panics if `up.index >= u`.
+    /// Panics if `up.index >= u`, or with [`CellOverflow`]'s message if the
+    /// update would carry its cell past the `i64` range; the vector is then
+    /// as it was.
     pub fn apply(&mut self, up: Update) {
         assert!(
             up.index < self.u,
@@ -178,11 +181,17 @@ impl FrequencyVector {
             up.index,
             self.u
         );
+        let overflow = || -> ! { panic!("{}", CellOverflow { index: up.index }) };
         match Arc::make_mut(&mut self.repr) {
-            Repr::Dense(v) => v[up.index as usize] += up.delta,
+            Repr::Dense(v) => {
+                let cell = &mut v[up.index as usize];
+                *cell = cell.checked_add(up.delta).unwrap_or_else(|| overflow());
+            }
             Repr::Sparse(m) => {
+                // A cell that is not there is zero, and zero plus any `δ`
+                // fits: an overflow leaves no entry behind.
                 let e = m.entry(up.index).or_insert(0);
-                *e += up.delta;
+                *e = e.checked_add(up.delta).unwrap_or_else(|| overflow());
                 if *e == 0 {
                     m.remove(&up.index);
                 }
@@ -670,6 +679,29 @@ mod tests {
                 fv.nonzero().collect::<Vec<_>>(),
                 vec![(3, -1), (40, 7), (50, i64::MAX)]
             );
+        }
+    }
+
+    #[test]
+    fn a_single_update_that_would_overflow_a_cell_applies_nothing() {
+        // One update is a batch of one: it panics with the batch's message
+        // and leaves the cell, and every other cell, as they were.
+        for make in [FrequencyVector::new, FrequencyVector::new_sparse] {
+            let mut fv = make(64);
+            fv.apply_batch(&[Update::new(50, i64::MAX - 1), Update::new(9, -4)]);
+            fv.apply(Update::new(50, 1));
+            let before: Vec<_> = fv.nonzero().collect();
+            for (index, delta) in [(50, 1), (9, i64::MIN)] {
+                let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    fv.apply(Update::new(index, delta))
+                }));
+                let message = refused.expect_err("the add overflows");
+                let message = message.downcast_ref::<String>().map(String::as_str);
+                assert_eq!(message, Some(CellOverflow { index }.to_string().as_str()));
+                assert_eq!(fv.nonzero().collect::<Vec<_>>(), before);
+            }
+            fv.apply(Update::new(50, -3));
+            assert_eq!(fv.get(50), i64::MAX - 3);
         }
     }
 

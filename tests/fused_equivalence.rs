@@ -29,6 +29,11 @@
 //!   to `2^7`, and by name the ranges whose endpoints share a block, sit in
 //!   adjacent blocks, are block-aligned, or put the blocks between them on
 //!   either side of a prefix-sum checkpoint;
+//! * the packed bind's count classes: a tree with blocks of every cell
+//!   count, scattered, two of them binding to zero at `r = 1/2`; the one
+//!   block of a pack at `log_u` 1–3 at every count; an unpacked array whose
+//!   universe ends inside a block, with the integer extremes — each over
+//!   `Fp61` and `Fp127`;
 //! * a kv store's RANGE-SUM over its `value + 1` vector and RANGE-COUNT
 //!   over its presence vector, head-started against the sweep, on a tree,
 //!   a promoted array the head packs and one too full to pack;
@@ -818,6 +823,105 @@ fn packed_bind_equals_the_reference() {
         &ranges,
         &challenges,
     );
+
+    // The bind takes a pack's blocks class by class — all blocks of one
+    // cell, then of two, … — and hands them out in block order. A tree with
+    // blocks of every count 1..=16, three of each, scattered so that no
+    // class is a run of neighbouring blocks; two of them, a 16-cell block
+    // summing to zero and a 2-cell block `a, −a`, bind to zero under
+    // r_1..r_4 = 1/2, where every weight is 1/16.
+    let log_u = 12u32;
+    let u = 1u64 << log_u;
+    let mut cells: Vec<(u64, i64)> = (0..48u64)
+        .filter(|&n| n != 2 * 16 + 15 && n != 16 + 1)
+        .flat_map(|n| {
+            let count = n % 16 + 1;
+            let block = (n * 0x9e37_79b1 + 5) % (u / 16);
+            (0..count).map(move |y| {
+                (
+                    16 * block + (y * 7 + n) % 16,
+                    ((n * 16 + y) as i64 - 400) | 1,
+                )
+            })
+        })
+        .collect();
+    cells.extend((0..16).map(|y| {
+        (
+            16 * 7 + y,
+            if y < 8 { 1 + y as i64 } else { -(y as i64 - 7) },
+        )
+    }));
+    cells.extend([(16 * 200 + 3, 99), (16 * 200 + 12, -99)]);
+    let every_count = FrequencyVector::from_sparse_entries(u, cells);
+    // No two blocks landed on one index: 3 × (1 + … + 16) cells.
+    assert_eq!(every_count.support_size(), 3 * 136);
+    let ranges = [(0, u - 1), (16 * 7 + 3, 16 * 200 + 12), (u / 3, u / 3 * 2)];
+    assert_in_both_fields("every count", &every_count, log_u, &ranges, 62, &[]);
+    assert_in_both_fields(
+        "every count at 1/2",
+        &every_count,
+        log_u,
+        &ranges,
+        63,
+        &[0, 1, 2, 3],
+    );
+
+    // Where k = log_u < 4 a pack has one block and its classes stop at
+    // 2^k: that block holding every count it can, from a tree.
+    for log_u in 1u32..=3 {
+        let u = 1u64 << log_u;
+        let every: Vec<(u64, u64)> = (0..u).flat_map(|l| (l..u).map(move |r| (l, r))).collect();
+        for count in 1..=u {
+            let cells = (0..count).map(|n| ((n * 3 + 1) % u, 5 - 2 * n as i64));
+            let tree = FrequencyVector::from_sparse_entries(u, cells);
+            let what = format!("one block of {count} cells");
+            assert_in_both_fields(&what, &tree, log_u, &every, 64, &[]);
+        }
+    }
+
+    // An array too full to pack whose universe ends inside a block: every
+    // whole block through the fixed-width kernel, the short tail on its
+    // own, the integer extremes in both.
+    let log_u = 10u32;
+    let u = (1u64 << log_u) - 5;
+    let mut values: Vec<i64> = (0..u as i64).map(|i| (i % 13 - 6) * (i % 3)).collect();
+    for (i, a) in [
+        (3, i64::MIN),
+        (4, i64::MAX),
+        (5, 1 << 61),
+        (500, i64::MAX),
+        (u - 3, i64::MIN),
+        (u - 2, 1 << 61),
+        (u - 1, i64::MAX),
+    ] {
+        values[i as usize] = a;
+    }
+    let short = FrequencyVector::from_dense(u, values);
+    assert!(!packed(&short, log_u));
+    let ranges = [(0, u - 1), (4, u - 2), (u - 12, u - 1)];
+    assert_in_both_fields("unpacked short array", &short, log_u, &ranges, 65, &[]);
+}
+
+/// Both head-started proofs over `fv` against the reference, in `Fp61` and
+/// in `Fp127`, with the challenges at the positions in `halves` set to 1/2.
+fn assert_in_both_fields(
+    what: &str,
+    fv: &FrequencyVector,
+    log_u: u32,
+    ranges: &[(u64, u64)],
+    seed: u64,
+    halves: &[usize],
+) {
+    fn challenges<F: PrimeField>(log_u: u32, seed: u64, halves: &[usize]) -> Vec<F> {
+        let half = F::from_u64(2).inverse().expect("2 is a unit");
+        let mut challenges = challenges_for::<F>(log_u, seed);
+        halves.iter().for_each(|&j| challenges[j] = half);
+        challenges
+    }
+    let fp61 = challenges::<Fp61>(log_u, seed, halves);
+    assert_head_started_under(&format!("{what} Fp61"), fv, log_u, ranges, &fp61);
+    let fp127 = challenges::<Fp127>(log_u, seed, halves);
+    assert_head_started_under(&format!("{what} Fp127"), fv, log_u, ranges, &fp127);
 }
 
 /// The complete protocol — streaming verifier and all — on `[l, r]`.
