@@ -10,7 +10,8 @@
 //! * [`Combine`] is the per-pair (or per-block) rule — squared interpolant
 //!   for F₂, `k`-th powers for moments, lockstep products for INNER
 //!   PRODUCT, indicator products for RANGE-SUM, χ-weighted blocks for
-//!   general `ℓ`;
+//!   general `ℓ` — and, for F₂ alone, a closed form of the message over a
+//!   whole dense table ([`Combine::dense_message`]: three pair moments);
 //! * [`FoldSource`] names what a message-only walk covers — one fold
 //!   table's pairs, the union walk of two lockstep tables, or fixed-width
 //!   dense blocks;
@@ -34,10 +35,12 @@
 //! with no rounding — so a message summed over the entries a fold has just
 //! written equals the one a second pass would read back (and a walk split
 //! into chunks would recombine to exactly the same total, should one ever
-//! be reintroduced). Fusion changes wall-clock, never a round polynomial:
-//! soundness and cost accounting are untouched by construction, and
-//! `tests/engine_equivalence.rs` and `tests/fused_equivalence.rs` check the
-//! transcripts against naive references anyway.
+//! be reintroduced). A closed form over the finished table, where a rule has
+//! one, sums the same pairs exactly too. Fusion changes wall-clock, never a
+//! round polynomial: soundness and cost accounting are untouched by
+//! construction, and `tests/engine_equivalence.rs` and
+//! `tests/fused_equivalence.rs` check the transcripts against naive
+//! references anyway.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -90,7 +93,11 @@ impl EngineMetrics {
 ///
 /// Implementations accumulate into delayed-reduction accumulators
 /// ([`PrimeField::DotAcc`]) so the hot loop performs one modular reduction
-/// per batch of products where the field's representation allows.
+/// per batch of products where the field's representation allows. A rule
+/// whose message over a whole dense table has a closed form says so
+/// ([`Self::dense_message`]); a sweep that writes such a table then writes
+/// only the table and reads it back once, instead of calling
+/// [`Self::accumulate`] on every pair as it writes it.
 pub trait Combine<F: PrimeField> {
     /// Number of evaluation slots the round message carries
     /// (`degree + 1`).
@@ -109,6 +116,34 @@ pub trait Combine<F: PrimeField> {
     fn live(&self, blocks: u64) -> (u64, u64) {
         (0, blocks)
     }
+
+    /// The message over every pair `(A[2m], A[2m+1])` of a dense table in
+    /// one call over the finished table, for a rule whose message is a
+    /// function of the table alone with a closed form (F₂'s: three pair
+    /// moments, [`PrimeField::pair_moments`]). `None`, the default, for
+    /// every other rule.
+    ///
+    /// A sweep that writes a dense table asks first. For `Some` it writes
+    /// only the table and then makes the one call; for `None` it hands each
+    /// pair it writes with a nonzero child to [`Self::accumulate`] in the
+    /// same pass. Both sum the same pairs exactly, so which one a rule takes
+    /// never changes a message.
+    fn dense_message(&self) -> Option<DenseMessage<F>> {
+        None
+    }
+}
+
+/// A round message from a whole dense fold table ([`Combine::dense_message`]).
+pub type DenseMessage<F> = fn(&[F]) -> Vec<F>;
+
+/// `slots` fresh delayed-reduction accumulators.
+pub(crate) fn accs_for<F: PrimeField>(slots: usize) -> Vec<F::DotAcc> {
+    vec![F::DotAcc::default(); slots]
+}
+
+/// The finished sums of [`accs_for`]'s accumulators.
+pub(crate) fn finish<F: PrimeField>(acc: Vec<F::DotAcc>) -> Vec<F> {
+    acc.into_iter().map(F::acc_finish).collect()
 }
 
 /// What the kernel walks: the block structure behind one round message.
@@ -188,11 +223,7 @@ pub fn bind_message<F: PrimeField, C: Combine<F> + ?Sized>(
     r: F,
     combine: &C,
 ) -> Vec<F> {
-    observed(table.pairs(), || {
-        let mut acc = accs_for::<F>(combine.slots());
-        table.fold_fused(r, combine, &mut acc);
-        finish::<F>(acc)
-    })
+    observed(table.pairs(), || table.fold_fused(r, combine))
 }
 
 /// The fused pass `k` rounds deep: binds the `k` lowest variables of a frozen
@@ -220,18 +251,8 @@ pub fn bind_many_message<F: PrimeField, C: Combine<F> + ?Sized>(
         }
     }
     observed(blocks, || {
-        let mut acc = accs_for::<F>(combine.slots());
-        let table = FoldVector::from_frequency_bound(source, bits, weights, combine, &mut acc);
-        (table, finish::<F>(acc))
+        FoldVector::from_frequency_bound(source, bits, weights, combine)
     })
-}
-
-fn accs_for<F: PrimeField>(slots: usize) -> Vec<F::DotAcc> {
-    vec![F::DotAcc::default(); slots]
-}
-
-fn finish<F: PrimeField>(acc: Vec<F::DotAcc>) -> Vec<F> {
-    acc.into_iter().map(F::acc_finish).collect()
 }
 
 /// Runs one pass that produces a round message under the engine's
@@ -259,8 +280,12 @@ fn observed<R>(blocks: u64, pass: impl FnOnce() -> R) -> R {
 /// The round schedule of a prover over one fold table: round 1's message is
 /// a walk over the shared snapshot, and binding `r_j` produces round
 /// `j+1`'s message in the same sweep that folds the table
-/// ([`bind_message`]). Each protocol supplies its [`Combine`];
-/// none of them sweeps the table twice in a round.
+/// ([`bind_message`]). Each protocol supplies its [`Combine`]. A round is
+/// one sweep that folds the table and feeds the rule every pair it writes —
+/// or, for F₂ over a dense table, a fold that feeds nothing and then one
+/// read of the half-size table it wrote for the three pair moments, which
+/// costs less than handing out the pairs (EXPERIMENTS.md, "F₂ messages from
+/// three moments").
 #[derive(Clone, Debug)]
 pub struct FusedRounds<F: PrimeField> {
     table: FoldVector<F>,

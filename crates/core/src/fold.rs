@@ -20,9 +20,12 @@
 //! densifies once folding has made the table comparable to its support —
 //! this is what realises the paper's `O(min(u, n log(u/n)))` prover time.
 //!
-//! `FoldVector::fold_fused` is the one sweep a round costs: it folds the
-//! table and hands every pair of the table it has just written to the
-//! caller, so the next round's message needs no second pass.
+//! `FoldVector::fold_fused` is the one sweep a round costs, and it returns
+//! the next round's message. It folds the table and either hands every pair
+//! of the table it has just written to the rule, in the same pass, or —
+//! for a rule with a closed form over a dense table
+//! ([`Combine::dense_message`], F₂'s three pair moments) — writes only the
+//! table and sums the message in one call over it.
 //! `FoldVector::from_frequency_bound` is the same sweep for a prover that
 //! already holds `k` challenges: it binds the `k` lowest variables at once,
 //! so the field-form table first exists at `u/2^k` entries. It reads a
@@ -35,7 +38,7 @@
 use sip_field::PrimeField;
 use sip_streaming::{Entries, FrequencyVector};
 
-use crate::engine::Combine;
+use crate::engine::{accs_for, finish, Combine};
 use crate::sumcheck::f2::HEAD_ROUNDS;
 
 /// Size (in entries) below which a fold table is always stored densely.
@@ -152,7 +155,32 @@ macro_rules! with_const {
         }
     };
 }
-// The two `with_const!` lists, in `bind_dense` and `bind_packed`, stop at 16.
+/// Runs `$sweep` — which writes a dense table and returns it, feeding each
+/// pair it writes with a nonzero child through the rule `$rule` into the
+/// accumulators `$acc` — and evaluates to the table and the message over
+/// its pairs: `$combine`'s closed form over the finished table where it has
+/// one ([`Combine::dense_message`]; the sweep is then given [`NoCombine`]),
+/// else summed pair by pair in the same pass.
+macro_rules! dense_sweep {
+    ($combine:expr, |$rule:ident, $acc:ident| $sweep:expr) => {
+        match $combine.dense_message() {
+            Some(message) => {
+                let ($rule, $acc) = (&NoCombine, &mut []);
+                let table = $sweep;
+                let message = message(&table);
+                (table, message)
+            }
+            None => {
+                let mut acc = accs_for::<F>($combine.slots());
+                let ($rule, $acc) = ($combine, &mut acc[..]);
+                let table = $sweep;
+                (table, finish::<F>(acc))
+            }
+        }
+    };
+}
+
+// The two `with_const!` lists, in `bind_dense` and `PackedBlocks::dots`, stop at 16.
 const _: () = assert!(MAX_BLOCK == 16, "one kernel per block width and cell count");
 
 /// How many blocks of `2^k` cells of a vector hold each number of nonzero
@@ -274,12 +302,6 @@ impl PackedBlocks {
             values: vec![0; cell],
         };
         PackFill { pack, next }
-    }
-
-    /// `(nonempty blocks, nonzero cells)` held.
-    #[cfg(test)]
-    pub(crate) fn size(&self) -> (usize, usize) {
-        (self.blocks.len(), self.values.len())
     }
 
     /// Bytes of heap the pack occupies.
@@ -419,8 +441,10 @@ impl<F: PrimeField> FoldVector<F> {
     /// absent from a pack; an array yields a dense table, a pack a dense
     /// table or a sorted run under the same densify rule as a fold.
     ///
-    /// In the same sweep every pair `(m, A_{k+1}[2m], A_{k+1}[2m+1])` with a
-    /// nonzero child is fed through `combine` into `acc`, in increasing `m`.
+    /// Returned with the table is round `k+1`'s message, `combine` summed
+    /// over every pair `(m, A_{k+1}[2m], A_{k+1}[2m+1])` with a nonzero
+    /// child: in the same sweep, or by the rule's closed form once a dense
+    /// table is written ([`Combine::dense_message`]).
     ///
     /// # Panics
     /// Panics if `weights.len()` is not a power of two `2^k` with
@@ -431,8 +455,7 @@ impl<F: PrimeField> FoldVector<F> {
         bits: u32,
         weights: &[F],
         combine: &C,
-        acc: &mut [F::DotAcc],
-    ) -> Self {
+    ) -> (Self, Vec<F>) {
         assert!(bits <= 63);
         assert!(
             weights.len().is_power_of_two(),
@@ -459,16 +482,18 @@ impl<F: PrimeField> FoldVector<F> {
                 assert!(fits, "packed cell past 2^bits");
             }
         }
-        let repr = if bits == k {
+        let (repr, message) = if bits == k {
             // One entry is left and it has no sibling: no pair to sum over.
-            bound_repr(source, weights, len, &NoCombine, &mut [])
+            let (repr, _) = bound_repr(source, weights, len, &NoCombine);
+            (repr, vec![F::ZERO; combine.slots()])
         } else {
-            bound_repr(source, weights, len, combine, acc)
+            bound_repr(source, weights, len, combine)
         };
-        FoldVector {
+        let table = FoldVector {
             bits: bits - k,
             repr,
-        }
+        };
+        (table, message)
     }
 
     /// Builds a dense table from explicit values (`values.len()` must be a
@@ -637,24 +662,21 @@ impl<F: PrimeField> FoldVector<F> {
     /// # Panics
     /// Panics if no variables remain.
     pub fn bind(&mut self, r: F) {
-        self.fold_fused(r, &NoCombine, &mut []);
+        self.fold_fused(r, &NoCombine);
     }
 
-    /// Binds the lowest variable to challenge `r` and, in the same sweep, feeds
-    /// every pair `(k, A'[2k], A'[2k+1])` of the **folded** table `A'` with
-    /// a nonzero child through `combine` into `acc` (`combine.slots()`
-    /// accumulators), in increasing `k` — what the next round's message is
-    /// a sum over. A field-form table is folded in place; the shared
-    /// snapshot is folded once, out of place, into the half-size table.
+    /// Binds the lowest variable to challenge `r` and returns the next
+    /// round's message: `combine` summed over every pair
+    /// `(k, A'[2k], A'[2k+1])` of the **folded** table `A'` with a nonzero
+    /// child — fed pair by pair in the same sweep, or, where `A'` is dense and
+    /// the rule has a closed form ([`Combine::dense_message`]), in one call
+    /// once the sweep has written it. A field-form table is folded in place;
+    /// the shared snapshot is folded once, out of place, into the half-size
+    /// table.
     ///
     /// # Panics
     /// Panics if no variables remain.
-    pub(crate) fn fold_fused<C: Combine<F> + ?Sized>(
-        &mut self,
-        r: F,
-        combine: &C,
-        acc: &mut [F::DotAcc],
-    ) {
+    pub(crate) fn fold_fused<C: Combine<F> + ?Sized>(&mut self, r: F, combine: &C) -> Vec<F> {
         assert!(self.bits >= 1, "nothing left to fold");
         if self.bits == 1 {
             // One entry is left and it has no sibling: no pair to sum over.
@@ -667,40 +689,58 @@ impl<F: PrimeField> FoldVector<F> {
                 }
                 repr => *repr = FoldRepr::Dense(vec![last]),
             }
-            return;
+            return vec![F::ZERO; combine.slots()];
         }
         self.bits -= 1;
         let half = 1usize << self.bits;
-        self.repr = match std::mem::replace(&mut self.repr, FoldRepr::Dense(Vec::new())) {
+        let (repr, message) = match std::mem::replace(&mut self.repr, FoldRepr::Dense(Vec::new())) {
             FoldRepr::Dense(mut v) => {
-                fold_dense_in_place(&mut v, r, combine, acc);
-                FoldRepr::Dense(v)
+                let message = match combine.dense_message() {
+                    Some(message) => {
+                        bind_in_place(&mut v, r);
+                        message(&v)
+                    }
+                    None => {
+                        let mut acc = accs_for::<F>(combine.slots());
+                        fold_dense_in_place(&mut v, r, combine, &mut acc);
+                        finish::<F>(acc)
+                    }
+                };
+                (FoldRepr::Dense(v), message)
             }
             FoldRepr::Sparse(mut s) => {
+                let mut acc = accs_for::<F>(combine.slots());
                 let mut run = InPlace {
                     run: &mut s,
                     read: 0,
                     written: 0,
                 };
-                fold_sparse_run(&mut run, r, combine, acc);
+                fold_sparse_run(&mut run, r, combine, &mut acc);
                 let folded = run.written;
                 s.truncate(folded);
-                settle(s, half)
+                (settle(s, half), finish::<F>(acc))
             }
             FoldRepr::Source(fv) => match fv.entries() {
-                Entries::Dense(v) => FoldRepr::Dense(fold_dense(v, half, r, combine, acc)),
+                Entries::Dense(v) => {
+                    let (table, message) =
+                        dense_sweep!(combine, |rule, acc| fold_dense(v, half, r, rule, acc));
+                    (FoldRepr::Dense(table), message)
+                }
                 Entries::Sparse(map) => {
+                    let mut acc = accs_for::<F>(combine.slots());
                     let mut run = Streamed {
                         entries: map.iter().map(|(&i, &f)| (i, F::from_i64(f))),
                         // A fold never grows a run; sized once, the output is
                         // not moved.
                         folded: Vec::with_capacity(map.len()),
                     };
-                    fold_sparse_run(&mut run, r, combine, acc);
-                    settle(run.folded, half)
+                    fold_sparse_run(&mut run, r, combine, &mut acc);
+                    (settle(run.folded, half), finish::<F>(acc))
                 }
             },
         };
+        self.repr = repr;
+        message
     }
 }
 
@@ -733,6 +773,20 @@ fn settle<F: PrimeField>(entries: Vec<(u64, F)>, len: usize) -> FoldRepr<F> {
     } else {
         FoldRepr::Sparse(entries)
     }
+}
+
+/// The message over every pair of a dense `table` with a nonzero child:
+/// `combine`'s closed form where it has one, else a walk of the pairs.
+fn dense_message_of<F: PrimeField, C: Combine<F> + ?Sized>(combine: &C, table: &[F]) -> Vec<F> {
+    if let Some(message) = combine.dense_message() {
+        return message(table);
+    }
+    let mut acc = accs_for::<F>(combine.slots());
+    let pairs = (table.len() / 2) as u64;
+    for (m, lo, hi) in dense_pairs(table, 0, pairs, F::ZERO, |x| x) {
+        combine.accumulate(m, &[lo, hi], &[], &mut acc);
+    }
+    finish::<F>(acc)
 }
 
 /// Pairs up the nonzero entries of a table as a sweep writes them, in
@@ -791,24 +845,37 @@ impl<'a, F: PrimeField, C: Combine<F> + ?Sized> PairFeed<'a, F, C> {
 }
 
 /// The `len`-entry table [`FoldVector::from_frequency_bound`] builds, from
-/// either source.
+/// either source, and the message over its pairs.
 fn bound_repr<F: PrimeField, C: Combine<F> + ?Sized>(
     source: BindSource<'_>,
     weights: &[F],
     len: usize,
     combine: &C,
-    acc: &mut [F::DotAcc],
-) -> FoldRepr<F> {
+) -> (FoldRepr<F>, Vec<F>) {
     match source {
-        BindSource::Array(cells) => FoldRepr::Dense(bind_dense(cells, weights, len, combine, acc)),
-        BindSource::Packed(pack) => bind_packed(pack, weights, len, combine, acc),
+        BindSource::Array(cells) => {
+            let (table, message) = dense_sweep!(combine, |rule, acc| bind_dense(
+                cells, weights, len, rule, acc
+            ));
+            (FoldRepr::Dense(table), message)
+        }
+        BindSource::Packed(pack) => {
+            let mut acc = accs_for::<F>(combine.slots());
+            let repr = bind_packed(pack, weights, len, combine, &mut acc);
+            let message = match &repr {
+                FoldRepr::Dense(table) => dense_message_of(combine, table),
+                _ => finish::<F>(acc),
+            };
+            (repr, message)
+        }
     }
 }
 
 /// The `k`-variable bind of a dense snapshot: entry `m` of the `len`-entry
 /// table is the dot of `weights` with cells `[m·2^k, (m+1)·2^k)`, cells past
 /// the end of `cells` reading as zero — one kernel per width `2^k`
-/// ([`bind_blocks`]).
+/// ([`bind_blocks`]). Every pair of the table with a nonzero child is fed
+/// through `combine` into `acc`, in increasing index.
 fn bind_dense<F: PrimeField, C: Combine<F> + ?Sized>(
     cells: &[i64],
     weights: &[F],
@@ -821,9 +888,10 @@ fn bind_dense<F: PrimeField, C: Combine<F> + ?Sized>(
     ))
 }
 
-/// [`bind_dense`] at width `W = 2^k`: one dot of fixed length per whole
-/// block that holds anything, and a last block the snapshot ends inside
-/// bound on its own.
+/// [`bind_dense`] at width `W = 2^k`, two blocks — one pair of the table — at
+/// a time: one dot of fixed length per whole block that holds anything, and
+/// the last block or two, where the snapshot ends inside a pair, bound on
+/// their own.
 fn bind_blocks<F: PrimeField, C: Combine<F> + ?Sized, const W: usize>(
     cells: &[i64],
     weights: &[F],
@@ -832,43 +900,52 @@ fn bind_blocks<F: PrimeField, C: Combine<F> + ?Sized, const W: usize>(
     acc: &mut [F::DotAcc],
 ) -> Vec<F> {
     let mut bound = vec![F::ZERO; len];
-    let mut feed = PairFeed::new(combine, acc);
     let weights = &weights[..W];
-    let blocks = cells.chunks_exact(W);
-    let tail = blocks.remainder();
-    for ((block, out), m) in blocks.zip(&mut bound).zip(0u64..) {
+    let dot = |block: &[i64]| {
         // Or-ing the cells, not `all`: no early exit, so no branch per
         // cell for sparse data to mispredict.
         if block.iter().fold(0, |any, &a| any | a) == 0 {
-            continue;
+            F::ZERO
+        } else {
+            F::dot_i64(weights, block)
         }
-        let v = F::dot_i64(weights, block);
-        if !v.is_zero() {
-            *out = v;
-            feed.push(m, v);
-        }
-    }
-    if !tail.is_empty() {
-        // Inside the table: `cells` is at most `len` blocks long.
-        let m = cells.len() / W;
-        let v = F::dot_i64(weights, tail);
-        if !v.is_zero() {
-            bound[m] = v;
-            feed.push(m as u64, v);
+    };
+    let (blocks, _) = cells.as_chunks::<W>();
+    let whole = blocks.len() / 2;
+    let pairs = blocks.chunks_exact(2).zip(bound.chunks_exact_mut(2));
+    for ((two, out), m) in pairs.zip(0u64..) {
+        let (n0, n1) = (dot(&two[0]), dot(&two[1]));
+        (out[0], out[1]) = (n0, n1);
+        if !(n0.is_zero() && n1.is_zero()) {
+            combine.accumulate(m, &[n0, n1], &[], acc);
         }
     }
-    feed.finish();
+    let rest = &cells[2 * W * whole..];
+    if !rest.is_empty() {
+        // Inside the table: `cells` is at most `len` blocks long, and a
+        // table of one entry has no pair to hand out.
+        for (out, block) in bound[2 * whole..].iter_mut().zip(rest.chunks(W)) {
+            *out = dot(block);
+        }
+        if let Some(&[n0, n1]) = bound.get(2 * whole..2 * whole + 2) {
+            if !(n0.is_zero() && n1.is_zero()) {
+                combine.accumulate(whole as u64, &[n0, n1], &[], acc);
+            }
+        }
+    }
     bound
 }
 
 /// The `k`-variable bind of a pack: one dot per block that holds anything —
 /// the work is in the nonzero cells, not the universe. The dots are taken
-/// class by class (`PackedBlocks::dots`) and handed out in increasing block
-/// index through the blocks' slots. How the `len`-entry table is stored is settled before the
-/// sweep, so that every entry is written once, where it stays: by the rule
-/// of a fold ([`stored_densely`]) on the pack's nonempty blocks, which is
-/// how many entries the table has unless a block's cells cancel under the
-/// weights.
+/// class by class (`PackedBlocks::dots`) and written out in increasing block
+/// index through the blocks' slots. How the `len`-entry table is stored is
+/// settled before the sweep, so that every entry is written once, where it
+/// stays: by the rule of a fold ([`stored_densely`]) on the pack's nonempty
+/// blocks, which is how many entries the table has unless a block's cells
+/// cancel under the weights. A dense table is the caller's to sum a message
+/// over; a sorted run feeds every pair it holds through `combine` into `acc`
+/// as it is written.
 fn bind_packed<F: PrimeField, C: Combine<F> + ?Sized>(
     pack: &PackedBlocks,
     weights: &[F],
@@ -877,30 +954,30 @@ fn bind_packed<F: PrimeField, C: Combine<F> + ?Sized>(
     acc: &mut [F::DotAcc],
 ) -> FoldRepr<F> {
     let dots = pack.dots(weights);
-    let by_block = pack.blocks.iter().zip(&pack.slots);
-    // Blocks that cancel exactly are dropped, not stored as zero.
-    let bound = by_block
-        .map(|(&m, &slot)| (m, dots[slot as usize]))
-        .filter(|(_, v)| !v.is_zero());
-    let mut feed = PairFeed::new(combine, acc);
-    let repr = if stored_densely(pack.blocks.len(), len) {
+    let bound = pack
+        .blocks
+        .iter()
+        .zip(&pack.slots)
+        .map(|(&m, &slot)| (m, dots[slot as usize]));
+    if stored_densely(pack.blocks.len(), len) {
+        // Every dot straight to its entry, one that cancels exactly too.
         let mut dense = vec![F::ZERO; len];
         for (m, v) in bound {
             dense[m as usize] = v;
-            feed.push(m, v);
         }
         FoldRepr::Dense(dense)
     } else {
         // A bind never grows a run; sized once, the output is not moved.
         let mut run = Vec::with_capacity(pack.blocks.len());
-        for (m, v) in bound {
+        let mut feed = PairFeed::new(combine, acc);
+        // Blocks that cancel exactly are dropped, not stored as zero.
+        for (m, v) in bound.filter(|(_, v)| !v.is_zero()) {
             run.push((m, v));
             feed.push(m, v);
         }
+        feed.finish();
         FoldRepr::Sparse(run)
-    };
-    feed.finish();
-    repr
+    }
 }
 
 impl PackedBlocks {
@@ -975,6 +1052,16 @@ fn fold_dense_in_place<F: PrimeField, C: Combine<F> + ?Sized>(
         if !n0.is_zero() || !n1.is_zero() {
             combine.accumulate(k as u64, &[n0, n1], &[], acc);
         }
+    }
+    v.truncate(half);
+}
+
+/// [`fold_dense_in_place`] for a rule that is fed nothing: every pair is
+/// bound, with no branch on the data.
+fn bind_in_place<F: PrimeField>(v: &mut Vec<F>, r: F) {
+    let half = v.len() / 2;
+    for k in 0..half {
+        v[k] = bind_pair(r, v[2 * k], v[2 * k + 1]);
     }
     v.truncate(half);
 }
@@ -1106,12 +1193,20 @@ fn fold_sparse_run<F: PrimeField, C: Combine<F> + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sumcheck::f2::F2Combine;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use sip_field::{Fp61, PrimeField};
+    use sip_field::{Fp127, Fp61, PrimeField};
     use sip_lde::reference::naive_multilinear_eval;
     use sip_streaming::{workloads, FrequencyVector, Update};
     use std::cell::RefCell;
+
+    impl PackedBlocks {
+        /// `(nonempty blocks, nonzero cells)` held.
+        pub(crate) fn size(&self) -> (usize, usize) {
+            (self.blocks.len(), self.values.len())
+        }
+    }
 
     fn field_vec(fv: &FrequencyVector) -> Vec<Fp61> {
         (0..fv.universe())
@@ -1346,7 +1441,7 @@ mod tests {
                     .collect();
                 let expect = pairs_of(&FoldVector::from_values(reference.clone()));
                 let seen = Record(RefCell::new(Vec::new()));
-                table.fold_fused(r, &seen, &mut []);
+                table.fold_fused(r, &seen);
                 let what = format!("dense={} level={level}", fv.is_dense());
                 assert_eq!(seen.0.into_inner(), expect, "{what}");
                 assert_eq!(pairs_of(&table), expect, "{what}");
@@ -1355,15 +1450,11 @@ mod tests {
     }
 
     /// `χ_y(r_1, …, r_k)` for every `y < 2^k`, variable `t` on bit `t − 1`.
-    fn chi_weights(r: &[Fp61]) -> Vec<Fp61> {
+    fn chi_weights<F: PrimeField>(r: &[F]) -> Vec<F> {
         (0..1usize << r.len())
             .map(|y| {
-                r.iter().enumerate().fold(Fp61::ONE, |w, (t, &rt)| {
-                    w * if (y >> t) & 1 == 1 {
-                        rt
-                    } else {
-                        Fp61::ONE - rt
-                    }
+                r.iter().enumerate().fold(F::ONE, |w, (t, &rt)| {
+                    w * if (y >> t) & 1 == 1 { rt } else { F::ONE - rt }
                 })
             })
             .collect()
@@ -1443,7 +1534,7 @@ mod tests {
             let mut stepwise = FoldVector::<Fp61>::from_frequency(fv, bits);
             for k in 1..=bits.min(HEAD_ROUNDS) as usize {
                 let seen_stepwise = Record(RefCell::new(Vec::new()));
-                stepwise.fold_fused(r[k - 1], &seen_stepwise, &mut []);
+                stepwise.fold_fused(r[k - 1], &seen_stepwise);
                 let what = format!("dense={} bits={bits} k={k}", fv.is_dense());
                 let seen = Record(RefCell::new(Vec::new()));
                 let weights = chi_weights(&r[..k]);
@@ -1452,8 +1543,7 @@ mod tests {
                     Some(cells) => BindSource::Array(cells),
                     None => BindSource::Packed(&pack),
                 };
-                let bound =
-                    FoldVector::from_frequency_bound(source, bits, &weights, &seen, &mut []);
+                let (bound, _) = FoldVector::from_frequency_bound(source, bits, &weights, &seen);
                 assert_eq!(bound.bits(), bits - k as u32, "{what}");
                 assert_eq!(pairs_of(&bound), pairs_of(&stepwise), "{what}");
                 assert_eq!(bound.is_sparse(), stepwise.is_sparse(), "{what}");
@@ -1466,8 +1556,7 @@ mod tests {
                 // same pairs; how its table is stored is the pack's to settle.
                 let seen = Record(RefCell::new(Vec::new()));
                 let packed = BindSource::Packed(&pack);
-                let bound =
-                    FoldVector::from_frequency_bound(packed, bits, &weights, &seen, &mut []);
+                let (bound, _) = FoldVector::from_frequency_bound(packed, bits, &weights, &seen);
                 assert_eq!(pairs_of(&bound), pairs_of(&stepwise), "{what} packed");
                 if bound.bits() == 0 {
                     assert_eq!(bound.scalar(), stepwise.scalar(), "{what} packed");
@@ -1475,6 +1564,113 @@ mod tests {
                 assert_eq!(seen.0.into_inner(), seen_stepwise, "{what} packed");
             }
         }
+    }
+
+    /// F₂'s rule without its closed form: every sweep feeds it the pairs it
+    /// writes, one by one.
+    struct PerPairF2;
+
+    impl<F: PrimeField> Combine<F> for PerPairF2 {
+        fn slots(&self) -> usize {
+            3
+        }
+
+        fn accumulate(&self, m: u64, a: &[F], b: &[F], acc: &mut [F::DotAcc]) {
+            Combine::<F>::accumulate(&F2Combine, m, a, b, acc);
+        }
+    }
+
+    /// F₂'s closed form against the per-pair sum: over tables by hand, and
+    /// through every sweep that writes a dense table — a `k`-variable bind
+    /// from an array and from a pack, the first fold of an array snapshot,
+    /// and every fold of a field-form table after them.
+    fn assert_f2_dense_message_is_the_per_pair_sum<F: PrimeField>() {
+        let closed = Combine::<F>::dense_message(&F2Combine).expect("F₂ has a closed form");
+        let (z, x, top) = (F::ZERO, F::from_u64(7), -F::ONE);
+        let tables = [
+            vec![],
+            vec![z; 8],
+            // Lone children on either side, a whole pair, all-zero pairs.
+            vec![x, z, z, x, z, z, top, top],
+            vec![top; 130],
+        ];
+        for table in tables {
+            let mut acc = accs_for::<F>(3);
+            for (pair, m) in table.chunks_exact(2).zip(0u64..) {
+                if !(pair[0].is_zero() && pair[1].is_zero()) {
+                    PerPairF2.accumulate(m, pair, &[], &mut acc);
+                }
+            }
+            assert_eq!(closed(&table), finish::<F>(acc), "{table:?}");
+        }
+        // Over [2^10], bound at r_1 = 1/2, whose weights are equal on the two
+        // cells of every pair: block 3's cells cancel beside an empty block 2
+        // (an all-zero pair of the table a pack still holds a block for),
+        // blocks 4 and 7 stand alone in their pairs (a lone low child, a lone
+        // high one), blocks 10–13 are six sevenths full, block 20 holds the
+        // extremes.
+        let bits = 10u32;
+        let mut cells = vec![(48, 1), (49, -1), (69, 9), (114, -4), (127, 3)];
+        cells.extend(
+            (160..224)
+                .map(|i| (i, i as i64 % 7 - 3))
+                .filter(|c| c.1 != 0),
+        );
+        cells.extend([(320, i64::MAX), (321, i64::MIN), (335, -1)]);
+        let stream: Vec<Update> = cells.iter().map(|&(i, a)| Update::new(i, a)).collect();
+        let array = FrequencyVector::from_stream(1 << bits, &stream);
+        let tree = FrequencyVector::from_sparse_entries(1 << bits, cells.iter().copied());
+        assert!(array.is_dense() && !tree.is_dense());
+        let mut rng = StdRng::seed_from_u64(41);
+        let half = F::from_u64(2).inverse().expect("2 is invertible");
+        let r: Vec<F> = std::iter::once(half)
+            .chain((1..bits).map(|_| F::random(&mut rng)))
+            .collect();
+        let weights = chi_weights(&r[..4]);
+        let rest_agree = |mut closed: FoldVector<F>, mut per_pair: FoldVector<F>, r: &[F]| {
+            for &rj in r {
+                let what = format!("{} variables left", closed.bits());
+                assert!(!closed.is_sparse(), "{what}");
+                assert_eq!(
+                    closed.fold_fused(rj, &F2Combine),
+                    per_pair.fold_fused(rj, &PerPairF2),
+                    "{what}"
+                );
+            }
+            assert_eq!(closed.scalar(), per_pair.scalar());
+        };
+        let pack = pack_of(&tree, 4);
+        let cells = array.dense_values().expect("an array");
+        for source in [BindSource::Packed(&pack), BindSource::Array(cells)] {
+            let (closed, by_closed) =
+                FoldVector::from_frequency_bound(source, bits, &weights, &F2Combine);
+            let (per_pair, by_pairs) =
+                FoldVector::from_frequency_bound(source, bits, &weights, &PerPairF2);
+            assert_eq!(by_closed, by_pairs, "{source:?}");
+            assert_eq!(
+                (closed.get(2), closed.get(3), closed.get(5)),
+                (z, z, z),
+                "{source:?}"
+            );
+            assert!(
+                !closed.get(4).is_zero() && !closed.get(7).is_zero(),
+                "{source:?}"
+            );
+            rest_agree(closed, per_pair, &r[4..]);
+        }
+        let mut closed = FoldVector::<F>::from_frequency(&array, bits);
+        let mut per_pair = FoldVector::<F>::from_frequency(&array, bits);
+        assert_eq!(
+            closed.fold_fused(r[0], &F2Combine),
+            per_pair.fold_fused(r[0], &PerPairF2)
+        );
+        rest_agree(closed, per_pair, &r[1..]);
+    }
+
+    #[test]
+    fn f2_dense_message_equals_the_per_pair_sum() {
+        assert_f2_dense_message_is_the_per_pair_sum::<Fp61>();
+        assert_f2_dense_message_is_the_per_pair_sum::<Fp127>();
     }
 
     #[test]
@@ -1540,7 +1736,7 @@ mod tests {
         let seen_stepwise = Record(RefCell::new(Vec::new()));
         for (k, &rk) in r.iter().enumerate() {
             let last = Record(RefCell::new(Vec::new()));
-            stepwise.fold_fused(rk, &last, &mut []);
+            stepwise.fold_fused(rk, &last);
             if k == 3 {
                 seen_stepwise.0.replace(last.0.into_inner());
             }
@@ -1548,8 +1744,7 @@ mod tests {
         let pack = pack_of(&tree, 4);
         let seen = Record(RefCell::new(Vec::new()));
         let source = BindSource::Packed(&pack);
-        let bound =
-            FoldVector::from_frequency_bound(source, bits, &chi_weights(&r), &seen, &mut []);
+        let (bound, _) = FoldVector::from_frequency_bound(source, bits, &chi_weights(&r), &seen);
         assert!(bound.is_sparse() && stepwise.is_sparse());
         assert_eq!(pairs_of(&bound), pairs_of(&stepwise));
         assert_eq!(pairs_of(&bound).last().map(|p| p.0), Some((u >> 5) - 1));

@@ -27,7 +27,7 @@ use sip_lde::LdeParams;
 use sip_streaming::{Entries, FrequencyVector, Update};
 
 use crate::channel::CostReport;
-use crate::engine::{Combine, FusedRounds};
+use crate::engine::{Combine, DenseMessage, FusedRounds};
 use crate::error::Rejection;
 use crate::fold::{BindSource, BlockCounts, PackFill, PackedBlocks};
 
@@ -50,6 +50,12 @@ impl<F: PrimeField> F2Verifier<F> {
 
 /// The F₂ per-pair rule: `g_j(c) = Σ_m (lo + c·(hi − lo))²` at
 /// `c = 0, 1, 2`.
+///
+/// Over a dense table the message is three moments of its pairs
+/// ([`PrimeField::pair_moments`]): with `A = Σ lo²`, `B = Σ hi²` and
+/// `C = Σ lo·hi`, `g(0) = A`, `g(1) = B` and `g(2) = Σ (2·hi − lo)² =
+/// A − 4C + 4B` — exact field arithmetic, so the same words as the per-pair
+/// sum.
 pub struct F2Combine;
 
 impl<F: PrimeField> Combine<F> for F2Combine {
@@ -64,6 +70,14 @@ impl<F: PrimeField> Combine<F> for F2Combine {
         F::acc_add_prod(&mut acc[1], hi, hi);
         let v2 = hi + (hi - lo);
         F::acc_add_prod(&mut acc[2], v2, v2);
+    }
+
+    fn dense_message(&self) -> Option<DenseMessage<F>> {
+        Some(|table| {
+            let (a, b, c) = F::pair_moments(table);
+            let four = F::from_u64(4);
+            vec![a, b, a - four * c + four * b]
+        })
     }
 }
 

@@ -172,6 +172,34 @@ impl PrimeField for Fp61 {
         done
     }
 
+    fn pair_moments(table: &[Self]) -> (Self, Self, Self) {
+        assert!(
+            table.len().is_multiple_of(2),
+            "pair moments of an odd-length table"
+        );
+        // Batches of `FP61_ACC_BATCH` pairs, one reduction of each moment a
+        // batch and no term counter: the batch is the loop bound.
+        let (batches, rest) = table.as_chunks::<{ 2 * FP61_ACC_BATCH as usize }>();
+        let batch = |pairs: &[Fp61]| {
+            let (mut a, mut b, mut c) = (0u128, 0u128, 0u128);
+            for pair in pairs.as_chunks::<2>().0 {
+                let (lo, hi) = (pair[0].0 as u128, pair[1].0 as u128);
+                a += lo * lo;
+                b += hi * hi;
+                c += lo * hi;
+            }
+            [a, b, c].map(Fp61::reduce128)
+        };
+        let mut sums = batch(rest);
+        for pairs in batches {
+            for (sum, part) in sums.iter_mut().zip(batch(pairs)) {
+                *sum += part;
+            }
+        }
+        let [a, b, c] = sums;
+        (a, b, c)
+    }
+
     #[inline]
     fn from_u64(x: u64) -> Self {
         Self::reduce64(x)
@@ -431,6 +459,59 @@ mod tests {
                 "len={len}"
             );
         }
+    }
+
+    /// `Σ lo², Σ hi², Σ lo·hi` over `table`'s pairs, one counted
+    /// accumulator each.
+    fn generic_moments<F: PrimeField>(table: &[F]) -> (F, F, F) {
+        let mut acc = [F::DotAcc::default(); 3];
+        for pair in table.chunks_exact(2) {
+            let (lo, hi) = (pair[0], pair[1]);
+            F::acc_add_prod(&mut acc[0], lo, lo);
+            F::acc_add_prod(&mut acc[1], hi, hi);
+            F::acc_add_prod(&mut acc[2], lo, hi);
+        }
+        let [a, b, c] = acc.map(F::acc_finish);
+        (a, b, c)
+    }
+
+    /// [`PrimeField::pair_moments`] against the counted accumulators and
+    /// against sums of plain products: one table of random residues whose
+    /// first 40 entries are `p − 1`, and one of `p − 1` alone, where every
+    /// product is 1, cut to lengths below, at, past and across two 32-pair
+    /// batches.
+    fn assert_pair_moments<F: PrimeField>(seed: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let top = -F::ONE;
+        let mut mixed: Vec<F> = (0..130).map(|_| F::random(&mut rng)).collect();
+        mixed[..40].fill(top);
+        let all_top = [top; 130];
+        for len in [0usize, 2, 62, 64, 66, 130] {
+            for table in [&mixed[..len], &all_top[..len]] {
+                let expect = generic_moments(table);
+                assert_eq!(F::pair_moments(table), expect, "len={len}");
+                let pairs = table.chunks_exact(2);
+                let plain = pairs.fold((F::ZERO, F::ZERO, F::ZERO), |(a, b, c), p| {
+                    (a + p[0] * p[0], b + p[1] * p[1], c + p[0] * p[1])
+                });
+                assert_eq!(expect, plain, "len={len}");
+            }
+            let n = F::from_u64(len as u64 / 2);
+            assert_eq!(F::pair_moments(&all_top[..len]), (n, n, n), "len={len}");
+        }
+    }
+
+    #[test]
+    fn pair_moments_match_the_generic_accumulator() {
+        // Fp61's batched override, and Fp127's default.
+        assert_pair_moments::<Fp61>(12);
+        assert_pair_moments::<crate::Fp127>(13);
+    }
+
+    #[test]
+    #[should_panic(expected = "odd-length")]
+    fn pair_moments_refuse_an_odd_length_table() {
+        Fp61::pair_moments(&[Fp61::ONE; 3]);
     }
 
     #[test]

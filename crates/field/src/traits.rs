@@ -179,6 +179,30 @@ pub trait PrimeField:
         Self::acc_finish(acc)
     }
 
+    /// The three moments `(Σ a₂ₘ², Σ a₂ₘ₊₁², Σ a₂ₘ·a₂ₘ₊₁)` of the pairs
+    /// `(a₂ₘ, a₂ₘ₊₁)` of an even-length table — what the prover's `F₂`
+    /// round message over a dense fold table is a function of.
+    /// Implementations whose accumulator has headroom override it to reduce
+    /// once per batch without counting terms, as for [`PrimeField::dot_i64`].
+    ///
+    /// # Panics
+    /// Panics if the table's length is odd.
+    fn pair_moments(table: &[Self]) -> (Self, Self, Self) {
+        assert!(
+            table.len().is_multiple_of(2),
+            "pair moments of an odd-length table"
+        );
+        let mut acc = [Self::DotAcc::default(); 3];
+        for pair in table.chunks_exact(2) {
+            let (lo, hi) = (pair[0], pair[1]);
+            Self::acc_add_prod(&mut acc[0], lo, lo);
+            Self::acc_add_prod(&mut acc[1], hi, hi);
+            Self::acc_add_prod(&mut acc[2], lo, hi);
+        }
+        let [a, b, c] = acc.map(Self::acc_finish);
+        (a, b, c)
+    }
+
     /// A uniformly random field element.
     fn random<R: Rng + ?Sized>(rng: &mut R) -> Self;
 

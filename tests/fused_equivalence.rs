@@ -537,6 +537,16 @@ fn head_started_f2_equals_the_reference_over_fp127() {
     assert_head_started::<Fp127>("fp127 dense", &dense, log_u, 24);
     assert_head_started::<Fp127>("fp127 tree", &tree, 14, 25);
     assert_head_started::<Fp127>("fp127 short universe", &short, log_u, 26);
+    // Arrays the head packs: one whose bound table is dense from the start
+    // (summed by F₂'s closed form), and one whose bound table is a sorted
+    // run (summed pair by pair until a fold densifies it).
+    for (log_u, n, seed) in [(12u32, 300usize, 27u64), (18, 400, 28)] {
+        let u = 1u64 << log_u;
+        let packed = FrequencyVector::from_stream(u, &workloads::with_deletions(n, u, 0.3, seed));
+        assert!(packed.is_dense());
+        assert!(F2Head::<Fp127>::build(&packed, log_u).pack().is_some());
+        assert_head_started::<Fp127>("fp127 packed array", &packed, log_u, seed);
+    }
 }
 
 #[test]
